@@ -27,13 +27,11 @@ to |h| up front; tests pin the underlying identity numerically.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from . import expr
 from .elements import FiniteElement
-from .lattice import GridFunction, TorusLattice, format_float
+from .lattice import GridFunction, TorusLattice
 from .problem import Problem
 from .tensors import OverlapTable, ReferenceTensors, build_overlap_tables
 
@@ -84,7 +82,8 @@ class StencilOperator:
         return StencilOperator(self.lattice, tuple(offsets), coef, t=self.t)
 
     def to_dense(self) -> np.ndarray:
-        """Explicit matrix in C-order flat site indexing (small lattices only)."""
+        """Explicit matrix in C-order flat site indexing: the dense oracle for tests
+        (small lattices only; solvers use to_csr)."""
         n = self.lattice.n
         shape = self.lattice.shape
         total = self.lattice.total_sites
@@ -112,22 +111,6 @@ class StencilOperator:
         )
         data = np.concatenate([self.coef[k].reshape(-1) for k in range(len(self.offsets))])
         return csr_matrix((data, (rows, cols)), shape=(total, total))
-
-    def to_csv(self) -> str:
-        """Diagnostic dump: one row per (site, offset) with the coefficient."""
-        d = self.lattice.d
-        buf = io.StringIO()
-        header = [f"i{k + 1}" for k in range(d)] + [f"lam{k + 1}" for k in range(d)]
-        buf.write(",".join(header + ["coefficient"]) + "\n")
-        idx = self.lattice.multi_indices()
-        for k, lam in enumerate(self.offsets):
-            flat = self.coef[k].reshape(-1)
-            for row in range(idx.shape[0]):
-                cols = [str(int(i)) for i in idx[row]]
-                cols += [str(c) for c in lam]
-                cols.append(format_float(flat[row]))
-                buf.write(",".join(cols) + "\n")
-        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +257,6 @@ def mollify_data(
     w = np.concatenate(wts_parts)
     vals = _eval_at_offsets(field, lattice, h, z, t)
     return GridFunction(lattice, (vals @ w).reshape(lattice.shape))
-
-
-def apply(op: StencilOperator, u: GridFunction) -> GridFunction:
-    return op.apply(u)
 
 
 def quadrature_error_estimate(

@@ -21,6 +21,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .elements import FiniteElement, lattice_points_in_box
+from .integrator import LinearSolver, SolverConfig
+from .lattice import GridFunction
 from .tensors import ReferenceTensors
 
 DELTA_THRESHOLD = 1e-8
@@ -212,23 +214,25 @@ def smallest_eigenvalue_inverse_power(
     op, iters: int = 200, tol: float = 1e-13, seed: int = 0
 ) -> float:
     """Smallest eigenvalue of a symmetric stencil operator by inverse power
-    iteration on its dense build; intended for modest lattices (n^d <= 4096).
+    iteration, factoring the operator once through LinearSolver.
 
     The Rayleigh estimate approaches the minimum from above, so it certifies
     lower bounds; its accuracy is limited by the gap to the next eigenvalue,
     which clusters for mass operators on fine tori.
     """
-    import scipy.linalg
+    lattice = op.lattice
+    solver = LinearSolver(op, SolverConfig())
 
-    mat = op.to_dense()
-    lu = scipy.linalg.lu_factor(mat)
-    v = np.random.default_rng(seed).normal(size=mat.shape[0])
+    def rayleigh(v: np.ndarray) -> float:
+        return float(v @ op.apply(GridFunction(lattice, v.reshape(lattice.shape))).flat())
+
+    v = np.random.default_rng(seed).normal(size=lattice.total_sites)
     v /= np.linalg.norm(v)
-    value = float(v @ mat @ v)
+    value = rayleigh(v)
     for _ in range(iters):
-        w = scipy.linalg.lu_solve(lu, v)
+        w = solver.solve(v)
         w /= np.linalg.norm(w)
-        new_value = float(w @ mat @ w)
+        new_value = rayleigh(w)
         if abs(new_value - value) < tol * max(1.0, abs(new_value)):
             return new_value
         v, value = w, new_value

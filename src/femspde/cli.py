@@ -44,7 +44,7 @@ from .lattice import build_torus, write_grid_function_csv
 from .polynomials import GeometryError
 from .problem import ProblemFormatError, parse_problem_text
 from .richardson import RATIO_QUARTER, RATIO_SIXTEENTH, write_loglog_svg
-from .study import StudyConfig, run_convergence_study
+from .study import StudyConfig, resolve_steps, run_convergence_study
 from .tensors import compute_reference_tensors
 
 EXIT_OK = 0
@@ -158,14 +158,6 @@ def _load_element(config: RunConfig, structural_only: bool = False) -> FiniteEle
     return element
 
 
-def _resolve_steps(config: RunConfig, finest_n: int) -> int:
-    if config.steps is not None:
-        return config.steps
-    h_finest = config.L / finest_n
-    dt = config.dt_factor * h_finest**2
-    return max(1, int(np.ceil(config.T / dt)))
-
-
 def _h_sign(config: RunConfig) -> float:
     if config.h_sign not in ("plus", "minus"):
         raise UsageError(f"--h-sign must be plus or minus, got {config.h_sign!r}")
@@ -210,7 +202,7 @@ def run_simulate(config: RunConfig, run_dir: str) -> int:
         raise UsageError("simulate needs --problem")
     problem = parse_problem_text(config.problem_text, rho_max=config.rho_max)
     lattice = build_torus(problem.d, config.L / config.n, config.n)
-    steps = _resolve_steps(config, config.n)
+    steps = resolve_steps(config.T, config.L, config.n, config.dt_factor, config.steps)
     config.steps = steps  # manifest records the resolved time grid
     dt = config.T / steps
     assembled = AssembledProblem(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
+from html import escape
 
 import numpy as np
 
@@ -148,23 +149,48 @@ class ConvergenceReport:
             fh.write(self.to_csv())
 
 
-def write_loglog_svg(path, reports: list[ConvergenceReport]) -> None:
-    """Optional SVG log-log plot of one or more convergence reports."""
-    try:
-        import matplotlib
+_SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:  # pragma: no cover - plotting extra not installed
-        raise RuntimeError("SVG plots need the optional matplotlib dependency") from exc
-    fig, ax = plt.subplots(figsize=(5.0, 4.0))
-    for report in reports:
-        ax.loglog(report.hs, report.errors, "o-",
-                  label=f"{report.label} (order {report.fitted_order:.2f})")
-    ax.set_xlabel("h")
-    ax.set_ylabel("error")
-    ax.grid(True, which="both", alpha=0.3)
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(path, format="svg")
-    plt.close(fig)
+
+def write_loglog_svg(path, reports: list[ConvergenceReport]) -> None:
+    """SVG log-log plot of error against h, one polyline per report, with decade
+    ticks and a legend giving each report's fitted order."""
+    width, height, pad = 480, 360, 60
+    log_h = np.log10([h for r in reports for h in r.hs])
+    log_e = np.log10([e for r in reports for e in r.errors])
+    x_lo, y_lo = np.floor(log_h.min()), np.floor(log_e.min())
+    x_hi, y_hi = max(np.ceil(log_h.max()), x_lo + 1), max(np.ceil(log_e.max()), y_lo + 1)
+
+    def px(h: float) -> float:
+        return pad + (np.log10(h) - x_lo) / (x_hi - x_lo) * (width - 2 * pad)
+
+    def py(e: float) -> float:
+        return height - pad - (np.log10(e) - y_lo) / (y_hi - y_lo) * (height - 2 * pad)
+
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
+        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{height - 2 * pad}" '
+        'fill="none" stroke="black"/>',
+    ]
+    for k in range(int(x_lo), int(x_hi) + 1):
+        x = px(10.0**k)
+        out.append(f'<line x1="{x:.1f}" y1="{pad}" x2="{x:.1f}" y2="{height - pad}" stroke="#ddd"/>')
+        out.append(f'<text x="{x:.1f}" y="{height - pad + 15}" text-anchor="middle">1e{k}</text>')
+    for k in range(int(y_lo), int(y_hi) + 1):
+        y = py(10.0**k)
+        out.append(f'<line x1="{pad}" y1="{y:.1f}" x2="{width - pad}" y2="{y:.1f}" stroke="#ddd"/>')
+        out.append(f'<text x="{pad - 5}" y="{y + 4:.1f}" text-anchor="end">1e{k}</text>')
+    out.append(f'<text x="{width / 2}" y="{height - 15}" text-anchor="middle">h</text>')
+    out.append(f'<text x="15" y="{height / 2}" text-anchor="middle" '
+               f'transform="rotate(-90 15 {height / 2})">error</text>')
+    for i, report in enumerate(reports):
+        color = _SVG_COLORS[i % len(_SVG_COLORS)]
+        points = " ".join(f"{px(h):.1f},{py(e):.1f}" for h, e in zip(report.hs, report.errors))
+        out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        label = escape(f"{report.label} (order {report.fitted_order:.2f})")
+        out.append(f'<text x="{pad + 10}" y="{pad + 18 + 15 * i}" fill="{color}">{label}</text>')
+    out.append("</svg>")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(out) + "\n")

@@ -32,6 +32,16 @@ from .richardson import ConvergenceReport, ExtrapolationPlan, trajectory_error
 from .tensors import ReferenceTensors, build_overlap_tables
 
 
+def resolve_steps(T: float, L: float, n_finest: int, dt_factor: float,
+                  steps: int | None = None) -> int:
+    """Time steps for dt = dt_factor * h_finest^2, h_finest = L / n_finest; steps overrides."""
+    if steps is not None:
+        return int(steps)
+    h_finest = L / n_finest
+    dt = dt_factor * h_finest**2
+    return max(1, int(np.ceil(T / dt)))
+
+
 @dataclass
 class StudyConfig:
     L: float
@@ -49,11 +59,7 @@ class StudyConfig:
     h_sign: float = 1.0
 
     def resolved_steps(self) -> int:
-        if self.steps is not None:
-            return int(self.steps)
-        h_finest = self.L / max(self.ladder_n)
-        dt = self.dt_factor * h_finest**2
-        return max(1, int(np.ceil(self.T / dt)))
+        return resolve_steps(self.T, self.L, max(self.ladder_n), self.dt_factor, self.steps)
 
 
 @dataclass

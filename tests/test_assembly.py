@@ -353,17 +353,6 @@ class TestDiagnostics:
         err = quadrature_error_estimate(element, tensors, problem, lattice)
         assert err < 1e-8 / lattice.h**2
 
-    def test_stencil_csv_layout(self, hat_setup):
-        element, tensors, lattice = hat_setup
-        mass = assemble_mass(element, tensors, lattice)
-        text = mass.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "i1,lam1,coefficient"
-        assert len(lines) == 1 + 3 * lattice.n
-        cols = lines[1].split(",")
-        assert cols[1] == "-1"
-        assert float(cols[2]) == pytest.approx(1.0 / 6.0)
-
     def test_time_independent_operators_are_cached(self, hat_setup):
         element, tensors, lattice = hat_setup
         static = parse_problem_text('a.1.1 = "1"\nsigma.1.1 = "0.3"\nf = "sin(x1)"')

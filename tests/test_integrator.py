@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from femspde.assembly import AssembledProblem, StencilOperator, assemble_mass
 from femspde.elements import build_element
 from femspde.integrator import (
+    DIRECT_SITE_LIMIT,
     IntegrationError,
+    LinearSolver,
     NoisePath,
+    SolverConfig,
     SolverError,
+    implicit_system,
     integrate,
     integrate_multilevel,
     sample_seed,
@@ -140,23 +145,48 @@ class TestSolveLinear:
         np.testing.assert_allclose(out.values, u.values, atol=1e-10)
 
     def test_mass_roundtrip_iterative(self, hat, rng):
+        # BiCGStab is reached through a lattice above the direct-solve limit
         element, tensors = hat
-        lattice = build_torus(1, L / 32, 32)
+        n = 2 * DIRECT_SITE_LIMIT
+        lattice = build_torus(1, L / n, n)
         mass = assemble_mass(element, tensors, lattice)
-        u = GridFunction(lattice, rng.normal(size=32))
+        u = GridFunction(lattice, rng.normal(size=n))
         rhs = mass.apply(u)
-        out = solve_linear(mass, rhs, tol=1e-12, method="iterative")
+        out = solve_linear(mass, rhs, tol=1e-12)
         np.testing.assert_allclose(out.values, u.values, atol=1e-8)
 
-    def test_singular_system_fails(self, hat):
-        element, tensors = hat
-        lattice = build_torus(1, L / 16, 16)
-        zero = StencilOperator(lattice, ((0,),), np.zeros((1, 16)))
-        rhs = GridFunction(lattice, np.ones(16))
-        with pytest.raises(SolverError):
-            solve_linear(zero, rhs)
-        with pytest.raises(SolverError):
-            solve_linear(zero, rhs, method="iterative", max_iter=50)
+    def test_singular_system_fails(self):
+        for n in (16, 2 * DIRECT_SITE_LIMIT):  # sparse LU, then BiCGStab
+            lattice = build_torus(1, L / n, n)
+            zero = StencilOperator(lattice, ((0,),), np.zeros((1, n)))
+            rhs = GridFunction(lattice, np.ones(n))
+            with pytest.raises(SolverError):
+                solve_linear(zero, rhs, max_iter=50)
+
+    @pytest.mark.parametrize(
+        "preset, n_direct, n_krylov",
+        [("hat1d", 64, 4098), ("tensor(2)", 16, 66), ("tensor(3)", 8, 18),
+         ("triangle2d", 16, 66)],
+    )
+    def test_paths_match_reference_solvers(self, preset, n_direct, n_krylov, rng):
+        element = build_element(preset)
+        tensors = compute_reference_tensors(element)
+        d = element.d
+        diffusion = "\n".join(f'a.{i}.{i} = "1"' for i in range(1, d + 1))
+        problem = parse_problem_text(f'd = {d}\n{diffusion}\nb.1 = "0.5"\nc = "-0.2"')
+        for n in (n_direct, n_krylov):
+            lattice = build_torus(d, L / n, n)
+            ap = AssembledProblem(element, tensors, problem, lattice)
+            op = implicit_system(ap, 0.0, 0.5 * lattice.h**2)
+            rhs = GridFunction(lattice, rng.normal(size=lattice.shape))
+            solver = LinearSolver(op, SolverConfig())
+            assert solver.direct == (n == n_direct)
+            got = solver.solve(rhs.flat())
+            if solver.direct:
+                want, rtol = np.linalg.solve(op.to_dense(), rhs.flat()), 1e-12
+            else:
+                want, rtol = spsolve(op.to_csr(), rhs.flat()), 1e-8
+            assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
 class TestIntegrate:

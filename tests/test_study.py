@@ -4,7 +4,7 @@ import pytest
 from femspde.elements import build_element
 from femspde.integrator import NoisePath, sample_seed
 from femspde.problem import parse_problem_text
-from femspde.study import StudyConfig, run_convergence_study
+from femspde.study import StudyConfig, resolve_steps, run_convergence_study
 from femspde.tensors import compute_reference_tensors
 
 L = 2 * np.pi
@@ -147,6 +147,14 @@ class TestTwoDimensionalStudy:
 
 
 class TestValidation:
+    def test_dt_rule(self):
+        # dt = dt_factor * (L / n_finest)^2, rounded up to whole steps
+        assert resolve_steps(0.5, L, 32, 0.5) == 26
+        assert resolve_steps(1e-9, L, 32, 0.5) == 1
+        assert resolve_steps(0.5, L, 32, 0.5, steps=7) == 7
+        cfg = StudyConfig(L=L, ladder_n=[8, 16, 32], ref_n=128, T=0.5)
+        assert cfg.resolved_steps() == resolve_steps(0.5, L, 32, 0.5)
+
     def test_ladder_requirements(self, hat):
         element, tensors = hat
         problem = parse_problem_text(DET_PROBLEM)
