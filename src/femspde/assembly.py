@@ -12,11 +12,13 @@ where A integrates the diffusion matrix against products of first
 derivatives of the element, B and S integrate the drift/noise vector fields
 against D psi_lam times psi, and C and N integrate the zero-order
 coefficients against psi_lam psi.  The integrals run over the intersection
-sub-cells shared with the reference tensors and evaluate coefficients at
-quadrature points x + h z, wrapped periodically onto the torus.
+sub-cells of the reference tensors' overlap tables.  A CellQuadrature
+regroups their points by lattice cell, so each coefficient is evaluated once
+per cell, at x_c + h zeta with zeta in [0, 1)^d, and every stencil
+coefficient is a sum of cell-local products scattered by lattice shifts.
 
 Data fields are mollified by the scaled element: phi_h(x) is the integral of
-phi(x + h z) psi(z) dz.
+phi(x + h z) psi(z) dz, evaluated at the same cell points.
 
 Assembling with -h yields the same operator as with +h: substituting
 z -> -z maps each footprint shift to its negative, and the element's
@@ -27,13 +29,16 @@ to |h| up front; tests pin the underlying identity numerically.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import expr
 from .elements import FiniteElement
 from .lattice import GridFunction, TorusLattice
+from .polynomials import cell_quadrature
 from .problem import Problem
-from .tensors import OverlapTable, ReferenceTensors, build_overlap_tables
+from .tensors import ReferenceTensors, build_overlap_tables, default_quad_degree
 
 Lam = tuple[int, ...]
 
@@ -114,8 +119,79 @@ class StencilOperator:
 
 
 # ---------------------------------------------------------------------------
-# quadrature-point evaluation helpers
+# cell quadrature
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CellQuadrature:
+    """Overlap-table and mollifier quadrature regrouped by lattice cell.
+
+    Every quadrature point z of an overlap table, and of the element's own
+    cells, splits as z = k + zeta with k = floor(z) in Z^d and zeta in
+    [0, 1)^d.  The point x + h z of site x is then x_c + h zeta for the
+    lattice cell c = x/h + k, so a coefficient sampled once at x_c + h zeta
+    for every cell c serves every table.  The distinct zeta are shared by all
+    term kinds; for each shift k one (P, |Gamma|) weight matrix per kind
+    holds the quadrature weight times the basis product.
+    """
+
+    degree: int
+    offsets: tuple[Lam, ...]  # Gamma, the stencil footprint
+    shifts: tuple[Lam, ...]   # lattice-cell shifts k
+    zeta: np.ndarray          # (P, d) distinct points in [0, 1)^d
+    diffusion: np.ndarray     # (d, d, K, P, G): w D_j psi_lam (-D_i psi) at [i-1, j-1]
+    transport: np.ndarray     # (d, K, P, G): w D_i psi_lam psi at [i-1]
+    reaction: np.ndarray      # (K, P, G): w psi_lam psi
+    mollifier: np.ndarray     # (K, P, 1): w psi
+
+
+def build_cell_quadrature(element: FiniteElement, quad_degree: int | None = None) -> CellQuadrature:
+    """Regroup the overlap tables and the element's own quadrature by lattice cell."""
+    degree = default_quad_degree(element) if quad_degree is None else quad_degree
+    tables = build_overlap_tables(element, degree)
+    offsets = tuple(sorted(tables))
+    d = element.d
+    data = [cell_quadrature(cell, degree) + (poly,) for cell, poly in element.psi.pieces]
+    data_pts = np.concatenate([pts for pts, _, _ in data])
+    data_w = np.concatenate([wts * poly.eval_many(pts) for pts, wts, poly in data])
+
+    points = np.concatenate([tables[lam].points for lam in offsets] + [data_pts])
+    cells = np.floor(points)
+    frac = points - cells
+    shifts, k_idx = np.unique(cells.astype(int), axis=0, return_inverse=True)
+    # one representative per distinct zeta; roundoff-level copies merge
+    _, first, p_idx = np.unique(np.round(frac, 12), axis=0, return_index=True,
+                                return_inverse=True)
+    k_idx, p_idx = k_idx.reshape(-1), p_idx.reshape(-1)
+    K, P, G = len(shifts), len(first), len(offsets)
+
+    diffusion = np.zeros((K, P, G, d, d))
+    transport = np.zeros((K, P, G, d))
+    reaction = np.zeros((K, P, G))
+    start = 0
+    for g, lam in enumerate(offsets):
+        tab = tables[lam]
+        stop = start + len(tab.weights)
+        at = (k_idx[start:stop], p_idx[start:stop], g)
+        w = tab.weights[:, None]
+        grad = w[:, :, None] * tab.dpsi_l.T[:, None, :] * -tab.dpsi_0.T[:, :, None]  # [m, i, j]
+        np.add.at(diffusion, at, grad)
+        np.add.at(transport, at, w * tab.dpsi_l.T * tab.psi_0[:, None])
+        np.add.at(reaction, at, tab.weights * tab.psi_l * tab.psi_0)
+        start = stop
+    mollifier = np.zeros((K, P, 1))
+    np.add.at(mollifier, (k_idx[start:], p_idx[start:], 0), data_w)
+    return CellQuadrature(
+        degree=degree,
+        offsets=offsets,
+        shifts=tuple(tuple(int(c) for c in k) for k in shifts),
+        zeta=frac[first],
+        diffusion=np.ascontiguousarray(diffusion.transpose(3, 4, 0, 1, 2)),
+        transport=np.ascontiguousarray(transport.transpose(3, 0, 1, 2)),
+        reaction=reaction,
+        mollifier=mollifier,
+    )
 
 
 def _normalize_h(lattice: TorusLattice, h: float | None) -> float:
@@ -127,21 +203,35 @@ def _normalize_h(lattice: TorusLattice, h: float | None) -> float:
     return mag
 
 
-def _offset_points(lattice: TorusLattice, h: float, z: np.ndarray) -> np.ndarray:
-    """Quadrature points x + h z for all sites x, wrapped onto the torus; (N*m, d)."""
-    sites = lattice.coords()  # (N, d)
-    pts = sites[:, None, :] + h * z[None, :, :]
-    return np.mod(pts, lattice.L).reshape(-1, lattice.d)
+def _assemble_cells(
+    quad: CellQuadrature, lattice: TorusLattice, h: float, t: float, terms
+) -> np.ndarray:
+    """Stencil coefficients sum_terms integral(coefficient * weight), shaped (G, *lattice.shape).
 
-
-def _eval_at(ast, pts: np.ndarray, t: float, n_sites: int) -> np.ndarray:
-    vals = expr.eval_many(ast, pts, t) if isinstance(ast, expr.Ast) else ast(pts, t)
-    return vals.reshape(n_sites, -1)
-
-
-def _eval_at_offsets(ast, lattice: TorusLattice, h: float, z: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate a coefficient at x + h z for all sites x, wrapped onto the torus."""
-    return _eval_at(ast, _offset_points(lattice, h, z), t, lattice.total_sites)
+    `terms` pairs coefficient ASTs with (K, P, G) weight arrays.  Each
+    distinct AST is evaluated once, at x_c + h zeta for every lattice cell c;
+    shift k contributes the cell-local product V @ W_k, rolled by -k onto
+    the sites whose overlap tables reach into cell c.
+    """
+    combined: dict[int, tuple[expr.Ast, np.ndarray]] = {}  # mirrored entries share one AST
+    for ast, weights in terms:
+        prev = combined.get(id(ast))
+        combined[id(ast)] = (ast, weights if prev is None else prev[1] + weights)
+    if not combined:
+        return np.zeros((len(quad.offsets), *lattice.shape))
+    n_shifts, n_zeta, width = terms[0][1].shape
+    n_cells = lattice.total_sites
+    pts = (lattice.coords()[:, None, :] + h * quad.zeta[None, :, :]).reshape(-1, lattice.d)
+    local = np.zeros((n_cells, n_shifts * width))
+    for ast, weights in combined.values():
+        vals = expr.eval_many(ast, pts, t).reshape(n_cells, n_zeta)
+        local += vals @ weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
+    local = local.reshape(*lattice.shape, n_shifts, width)
+    out = np.zeros((*lattice.shape, width))
+    axes = tuple(range(lattice.d))
+    for k, shift in enumerate(quad.shifts):
+        out += np.roll(local[..., k, :], tuple(-c for c in shift), axis=axes)
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -166,36 +256,19 @@ def assemble_drift(
     problem: Problem,
     lattice: TorusLattice,
     t: float,
-    tables: dict[Lam, OverlapTable] | None = None,
+    quad: CellQuadrature | None = None,
     h: float | None = None,
 ) -> StencilOperator:
     """Drift stencil (1/h^2) A + (1/h) B + C at time t."""
     h = _normalize_h(lattice, h)
-    if tables is None:
-        tables = build_overlap_tables(element, tensors.quad_degree)
-    offsets = tuple(sorted(tables.keys()))
-    coef = np.zeros((len(offsets), *lattice.shape))
-    n_sites = lattice.total_sites
-    for k, lam in enumerate(offsets):
-        tab = tables[lam]
-        w = tab.weights
-        pts = _offset_points(lattice, h, tab.points)
-        acc = np.zeros(n_sites)
-        evaluated: dict[int, np.ndarray] = {}  # mirrored entries share one AST
-        for (i, j), ast in problem.a.items():
-            basis = w * tab.dpsi_l[j - 1] * (-tab.dpsi_0[i - 1])  # (m,)
-            vals = evaluated.get(id(ast))
-            if vals is None:
-                vals = evaluated[id(ast)] = _eval_at(ast, pts, t, n_sites)
-            acc += (vals @ basis) / h**2
-        for i, ast in problem.b.items():
-            basis = w * tab.dpsi_l[i - 1] * tab.psi_0
-            acc += (_eval_at(ast, pts, t, n_sites) @ basis) / h
-        if problem.c is not None:
-            basis = w * tab.psi_l * tab.psi_0
-            acc += _eval_at(problem.c, pts, t, n_sites) @ basis
-        coef[k] = acc.reshape(lattice.shape)
-    return StencilOperator(lattice, offsets, coef, t=t)
+    if quad is None:
+        quad = build_cell_quadrature(element, tensors.quad_degree)
+    terms = [(ast, quad.diffusion[i - 1, j - 1] / h**2) for (i, j), ast in problem.a.items()]
+    terms += [(ast, quad.transport[i - 1] / h) for i, ast in problem.b.items()]
+    if problem.c is not None:
+        terms.append((problem.c, quad.reaction))
+    coef = _assemble_cells(quad, lattice, h, t, terms)
+    return StencilOperator(lattice, quad.offsets, coef, t=t)
 
 
 def assemble_noise(
@@ -205,58 +278,34 @@ def assemble_noise(
     lattice: TorusLattice,
     t: float,
     rho: int,
-    tables: dict[Lam, OverlapTable] | None = None,
+    quad: CellQuadrature | None = None,
     h: float | None = None,
 ) -> StencilOperator:
     """Noise stencil (1/h) S + N for one Wiener index rho at time t."""
     h = _normalize_h(lattice, h)
-    if tables is None:
-        tables = build_overlap_tables(element, tensors.quad_degree)
-    offsets = tuple(sorted(tables.keys()))
-    coef = np.zeros((len(offsets), *lattice.shape))
-    n_sites = lattice.total_sites
-    sigma_row = [(i, ast) for (i, r), ast in problem.sigma.items() if r == rho]
-    nu_ast = problem.nu.get(rho)
-    for k, lam in enumerate(offsets):
-        tab = tables[lam]
-        w = tab.weights
-        if not sigma_row and nu_ast is None:
-            continue
-        pts = _offset_points(lattice, h, tab.points)
-        acc = np.zeros(n_sites)
-        for i, ast in sigma_row:
-            basis = w * tab.dpsi_l[i - 1] * tab.psi_0
-            acc += (_eval_at(ast, pts, t, n_sites) @ basis) / h
-        if nu_ast is not None:
-            basis = w * tab.psi_l * tab.psi_0
-            acc += _eval_at(nu_ast, pts, t, n_sites) @ basis
-        coef[k] = acc.reshape(lattice.shape)
-    return StencilOperator(lattice, offsets, coef, t=t)
+    if quad is None:
+        quad = build_cell_quadrature(element, tensors.quad_degree)
+    terms = [(ast, quad.transport[i - 1] / h) for (i, r), ast in problem.sigma.items() if r == rho]
+    if rho in problem.nu:
+        terms.append((problem.nu[rho], quad.reaction))
+    coef = _assemble_cells(quad, lattice, h, t, terms)
+    return StencilOperator(lattice, quad.offsets, coef, t=t)
 
 
 def mollify_data(
-    field,
+    field: expr.Ast,
     element: FiniteElement,
     lattice: TorusLattice,
     t: float = 0.0,
-    quad_degree: int | None = None,
+    quad: CellQuadrature | None = None,
     h: float | None = None,
 ) -> GridFunction:
     """Smooth a field with the scaled element: integral of field(x + h z) psi(z) dz."""
-    from .polynomials import cell_quadrature
-    from .tensors import default_quad_degree
-
     h = _normalize_h(lattice, h)
-    degree = default_quad_degree(element) if quad_degree is None else quad_degree
-    pts_parts, wts_parts = [], []
-    for cell, poly in element.psi.pieces:
-        pts, wts = cell_quadrature(cell, degree)
-        pts_parts.append(pts)
-        wts_parts.append(wts * poly.eval_many(pts))
-    z = np.concatenate(pts_parts)
-    w = np.concatenate(wts_parts)
-    vals = _eval_at_offsets(field, lattice, h, z, t)
-    return GridFunction(lattice, (vals @ w).reshape(lattice.shape))
+    if quad is None:
+        quad = build_cell_quadrature(element)
+    values = _assemble_cells(quad, lattice, h, t, [(field, quad.mollifier)])[0]
+    return GridFunction(lattice, values)
 
 
 def quadrature_error_estimate(
@@ -272,14 +321,10 @@ def quadrature_error_estimate(
     otherwise an estimate of the coefficient quadrature error."""
     degree = tensors.quad_degree if quad_degree is None else quad_degree
     base = assemble_drift(element, tensors, problem, lattice, t,
-                          build_overlap_tables(element, degree))
+                          build_cell_quadrature(element, degree))
     fine = assemble_drift(element, tensors, problem, lattice, t,
-                          build_overlap_tables(element, 2 * degree))
-    worst = 0.0
-    index = {lam: k for k, lam in enumerate(fine.offsets)}
-    for k, lam in enumerate(base.offsets):
-        worst = max(worst, float(np.max(np.abs(base.coef[k] - fine.coef[index[lam]]))))
-    return worst
+                          build_cell_quadrature(element, 2 * degree))
+    return float(np.max(np.abs(base.coef - fine.coef)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +337,8 @@ class AssembledProblem:
 
     Operators are re-assembled at every requested time point; when the
     underlying expressions do not reference t, the first assembly is cached
-    and reused.
+    and reused.  One CellQuadrature serves the operators and the mollified
+    data; a passed `quad` must have degree `quad_degree` when both are given.
     """
 
     def __init__(
@@ -303,15 +349,22 @@ class AssembledProblem:
         lattice: TorusLattice,
         quad_degree: int | None = None,
         h: float | None = None,
-        tables: dict[Lam, OverlapTable] | None = None,
+        quad: CellQuadrature | None = None,
     ):
+        if quad is None:
+            quad = build_cell_quadrature(
+                element, tensors.quad_degree if quad_degree is None else quad_degree
+            )
+        elif quad_degree is not None and quad.degree != quad_degree:
+            raise ValueError(
+                f"cell quadrature has degree {quad.degree}, but quad_degree = {quad_degree}"
+            )
         self.element = element
         self.tensors = tensors
         self.problem = problem
         self.lattice = lattice
         self.h = _normalize_h(lattice, h)
-        self.quad_degree = tensors.quad_degree if quad_degree is None else quad_degree
-        self.tables = tables if tables is not None else build_overlap_tables(element, self.quad_degree)
+        self.quad = quad
         self.mass = assemble_mass(element, tensors, lattice)
         self._drift_cache: StencilOperator | None = None
         self._noise_cache: dict[int, StencilOperator] = {}
@@ -322,7 +375,7 @@ class AssembledProblem:
         if not self.problem.drift_time_dependent and self._drift_cache is not None:
             return self._drift_cache
         op = assemble_drift(
-            self.element, self.tensors, self.problem, self.lattice, t, self.tables, self.h
+            self.element, self.tensors, self.problem, self.lattice, t, self.quad, self.h
         )
         if not self.problem.drift_time_dependent:
             self._drift_cache = op
@@ -332,7 +385,7 @@ class AssembledProblem:
         if not self.problem.noise_time_dependent and rho in self._noise_cache:
             return self._noise_cache[rho]
         op = assemble_noise(
-            self.element, self.tensors, self.problem, self.lattice, t, rho, self.tables, self.h
+            self.element, self.tensors, self.problem, self.lattice, t, rho, self.quad, self.h
         )
         if not self.problem.noise_time_dependent:
             self._noise_cache[rho] = op
@@ -343,7 +396,7 @@ class AssembledProblem:
             return GridFunction.zeros(self.lattice)
         if not self.problem.f_time_dependent and self._f_cache is not None:
             return self._f_cache
-        out = mollify_data(self.problem.f, self.element, self.lattice, t, self.quad_degree, self.h)
+        out = mollify_data(self.problem.f, self.element, self.lattice, t, self.quad, self.h)
         if not self.problem.f_time_dependent:
             self._f_cache = out
         return out
@@ -354,7 +407,7 @@ class AssembledProblem:
             return GridFunction.zeros(self.lattice)
         if not self.problem.g_time_dependent and rho in self._g_cache:
             return self._g_cache[rho]
-        out = mollify_data(ast, self.element, self.lattice, t, self.quad_degree, self.h)
+        out = mollify_data(ast, self.element, self.lattice, t, self.quad, self.h)
         if not self.problem.g_time_dependent:
             self._g_cache[rho] = out
         return out
@@ -362,4 +415,4 @@ class AssembledProblem:
     def phi_h(self) -> GridFunction:
         if self.problem.phi is None:
             return GridFunction.zeros(self.lattice)
-        return mollify_data(self.problem.phi, self.element, self.lattice, 0.0, self.quad_degree, self.h)
+        return mollify_data(self.problem.phi, self.element, self.lattice, 0.0, self.quad, self.h)

@@ -23,13 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AssembledProblem
+from .assembly import AssembledProblem, build_cell_quadrature
 from .elements import FiniteElement
 from .integrator import NoisePath, SolverConfig, integrate, sample_seed
 from .lattice import GridFunction, build_torus, restrict
 from .problem import Problem
 from .richardson import ConvergenceReport, ExtrapolationPlan, trajectory_error
-from .tensors import ReferenceTensors, build_overlap_tables
+from .tensors import ReferenceTensors
 
 
 def resolve_steps(T: float, L: float, n_finest: int, dt_factor: float,
@@ -97,7 +97,7 @@ def run_convergence_study(
     dt = cfg.T / steps
     plan = ExtrapolationPlan.create(cfg.jbar, cfg.ratio)
     degree = tensors.quad_degree if cfg.quad_degree is None else cfg.quad_degree
-    tables = build_overlap_tables(element, degree)
+    quad = build_cell_quadrature(element, degree)
 
     needed: set[int] = set()
     for n in [*cfg.ladder_n, cfg.ref_n]:
@@ -116,7 +116,7 @@ def run_convergence_study(
             lattice = build_torus(d, cfg.L / n, n)
             assembled = AssembledProblem(
                 element, tensors, problem, lattice,
-                quad_degree=degree, h=cfg.h_sign * lattice.h, tables=tables,
+                h=cfg.h_sign * lattice.h, quad=quad,
             )
             traj = integrate(assembled, noise, cfg.T, steps, record="all", cfg=cfg.solver)
             solutions[n] = traj.states

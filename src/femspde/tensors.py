@@ -48,7 +48,11 @@ def default_quad_degree(element: FiniteElement) -> int:
 def build_overlap_tables(
     element: FiniteElement, quad_degree: int | None = None
 ) -> dict[Lam, OverlapTable]:
-    """One quadrature table per neighbor shift, shared by tensor and operator assembly."""
+    """One quadrature table per neighbor shift on supp(psi_lam) ∩ supp(psi).
+
+    The reference tensors integrate over these tables; the operator assembly
+    regroups their points by lattice cell (assembly.build_cell_quadrature).
+    """
     degree = default_quad_degree(element) if quad_degree is None else quad_degree
     d = element.d
     tables: dict[Lam, OverlapTable] = {}

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+from femspde import expr
 from femspde.assembly import (
     AssembledProblem,
     StencilOperator,
     assemble_drift,
     assemble_mass,
     assemble_noise,
+    build_cell_quadrature,
     mollify_data,
     quadrature_error_estimate,
 )
 from femspde.checks import check_invertibility, smallest_eigenvalue_inverse_power
-from femspde.elements import build_element
+from femspde.elements import build_element, parse_element_text
 from femspde.lattice import GridFunction, build_torus
+from femspde.polynomials import cell_quadrature
 from femspde.problem import parse_problem_text
 from femspde.tensors import build_overlap_tables, compute_reference_tensors
 
@@ -29,6 +32,54 @@ def dense_from_stencil(op):
             col = int(np.ravel_multi_index(col_mi, lat.shape))
             mat[row, col] += op.coef[(k, *mi)]
     return mat
+
+
+def _at_offsets(ast, lattice, h, z, t):
+    """Coefficient at mod(x + h z, L) for every site x and point z; (sites, points)."""
+    pts = np.mod(lattice.coords()[:, None, :] + h * z[None, :, :], lattice.L)
+    return expr.eval_many(ast, pts.reshape(-1, lattice.d), t).reshape(lattice.total_sites, -1)
+
+
+def per_offset_stencil(tables, lattice, h, t, terms):
+    """Per-offset oracle: each overlap table evaluates its own coefficient points.
+
+    `terms` pairs an AST with basis(table) -> (m,) integrand weights.  Like
+    the assembly, the formula uses |h|."""
+    h = abs(h)
+    offsets = tuple(sorted(tables))
+    coef = np.zeros((len(offsets), *lattice.shape))
+    for k, lam in enumerate(offsets):
+        tab = tables[lam]
+        for ast, basis in terms:
+            vals = _at_offsets(ast, lattice, h, tab.points, t)
+            coef[k] += (vals @ (tab.weights * basis(tab, h))).reshape(lattice.shape)
+    return coef
+
+
+def per_offset_drift(tables, problem, lattice, h, t):
+    terms = [(ast, lambda tab, h, i=i, j=j: tab.dpsi_l[j - 1] * -tab.dpsi_0[i - 1] / h**2)
+             for (i, j), ast in problem.a.items()]
+    terms += [(ast, lambda tab, h, i=i: tab.dpsi_l[i - 1] * tab.psi_0 / h)
+              for i, ast in problem.b.items()]
+    if problem.c is not None:
+        terms.append((problem.c, lambda tab, h: tab.psi_l * tab.psi_0))
+    return per_offset_stencil(tables, lattice, h, t, terms)
+
+
+def per_offset_noise(tables, problem, lattice, h, t, rho):
+    terms = [(ast, lambda tab, h, i=i: tab.dpsi_l[i - 1] * tab.psi_0 / h)
+             for (i, r), ast in problem.sigma.items() if r == rho]
+    if rho in problem.nu:
+        terms.append((problem.nu[rho], lambda tab, h: tab.psi_l * tab.psi_0))
+    return per_offset_stencil(tables, lattice, h, t, terms)
+
+
+def per_offset_mollify(field, element, lattice, h, t, degree):
+    """Oracle mollifier: Gauss points of the element's own cells, at mod(x + |h| z, L)."""
+    parts = [cell_quadrature(cell, degree) + (poly,) for cell, poly in element.psi.pieces]
+    z = np.concatenate([pts for pts, _, _ in parts])
+    w = np.concatenate([wts * poly.eval_many(pts) for pts, wts, poly in parts])
+    return (_at_offsets(field, lattice, abs(h), z, t) @ w).reshape(lattice.shape)
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +370,7 @@ class TestSignInvariance:
         problem = parse_problem_text('a.1.1 = "1 + 0.25*cos(x1)"\nb.1 = "0.1"')
         h = lattice.h
         tables = build_overlap_tables(element, tensors.quad_degree)
-        plus = assemble_drift(element, tensors, problem, lattice, 0.0, tables)
+        plus = assemble_drift(element, tensors, problem, lattice, 0.0)
         by_offset = dict(zip(plus.offsets, plus.coef))
         sites = lattice.coords()
         for lam, tab in tables.items():
@@ -375,3 +426,135 @@ class TestDiagnostics:
         by_offset = dict(zip(combo.offsets, combo.coef))
         np.testing.assert_allclose(by_offset[(0,)], 1.0 - 0.5 * 2.0 / 3.0, atol=1e-14)
         np.testing.assert_allclose(by_offset[(1,)], -0.5 / 6.0, atol=1e-14)
+
+
+SPLIT_HAT = """\
+d = 1
+name = split-hat
+lambda = (-1) (0) (1)
+[cell]
+lo = -1
+hi = -1/2
+poly = 0: 1 1: 1
+[cell]
+lo = -1/2
+hi = 0
+poly = 0: 1 1: 1
+[cell]
+lo = 0
+hi = 1/2
+poly = 0: 1 1: -1
+[cell]
+lo = 1/2
+hi = 1
+poly = 0: 1 1: -1
+"""
+
+EQUIVALENCE_PROBLEMS = {
+    1: ('a.1.1 = "1 + 0.25*cos(x1 - t)"\nb.1 = "0.1*sin(x1)"\nc = "-0.2 + 0.1*cos(x1)"\n'
+        'sigma.1.1 = "0.3*cos(x1)"\nnu.1 = "0.2*sin(x1 + t)"\nsigma.1.2 = "0.1"\n'
+        'phi = "sin(x1)*cos(t)"'),
+    2: ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.1.2 = "0.1*sin(x2 - t)"\na.2.2 = "1"\n'
+        'b.1 = "0.1*sin(x1)"\nb.2 = "0.2"\nc = "-0.2 + 0.1*cos(x2)"\n'
+        'sigma.1.1 = "0.3*cos(x1)"\nsigma.2.1 = "0.2"\nnu.1 = "0.2*sin(x2)"\n'
+        'nu.2 = "0.5*cos(x1 + x2)"\nphi = "sin(x1)*cos(x2 + t)"'),
+    3: ('d = 3\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\na.3.3 = "1 + 0.1*sin(x3 - t)"\n'
+        'a.1.3 = "0.1*cos(x2)"\nb.1 = "0.1"\nb.3 = "0.2*sin(x1)"\nc = "-0.2"\n'
+        'sigma.3.1 = "0.3*cos(x1)"\nnu.1 = "0.1*sin(x2)"\nsigma.1.2 = "0.2*sin(x3)"\n'
+        'phi = "sin(x1)*cos(x2)*cos(x3)"'),
+}
+
+
+def _element(case):
+    return parse_element_text(SPLIT_HAT) if case == "split-hat" else build_element(case)
+
+
+class TestCellQuadrature:
+    """The cell quadrature reproduces the per-offset formula it replaced."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("case, n", [
+        ("hat1d", 16), ("tensor(2)", 8), ("tensor(3)", 6), ("triangle2d", 8), ("split-hat", 16),
+    ])
+    def test_matches_per_offset_formula(self, case, n, sign):
+        element = _element(case)
+        tensors = compute_reference_tensors(element)
+        problem = parse_problem_text(EQUIVALENCE_PROBLEMS[element.d])
+        lattice = build_torus(element.d, 2 * np.pi / n, n)
+        h, t = sign * lattice.h, 0.3
+        tables = build_overlap_tables(element, tensors.quad_degree)
+        quad = build_cell_quadrature(element, tensors.quad_degree)
+
+        def close(actual, expected):
+            scale = float(np.max(np.abs(expected)))
+            assert scale > 0.0
+            np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-13 * scale)
+
+        drift = assemble_drift(element, tensors, problem, lattice, t, quad, h)
+        assert drift.offsets == tuple(sorted(tables))
+        close(drift.coef, per_offset_drift(tables, problem, lattice, h, t))
+        for rho in (1, 2):
+            noise = assemble_noise(element, tensors, problem, lattice, t, rho, quad, h)
+            close(noise.coef, per_offset_noise(tables, problem, lattice, h, t, rho))
+        close(mollify_data(problem.phi, element, lattice, t, quad, h).values,
+              per_offset_mollify(problem.phi, element, lattice, h, t, tensors.quad_degree))
+
+    def test_split_cells_stay_within_lattice_cells(self):
+        quad = build_cell_quadrature(_element("split-hat"))
+        assert quad.shifts == ((-1,), (0,))
+        assert np.all((quad.zeta >= 0.0) & (quad.zeta < 1.0))
+        assert len(quad.zeta) == 2 * 5  # one Gauss rule on each half cell
+
+    def test_assembled_problem_rejects_degree_mismatch(self, hat_setup):
+        element, tensors, lattice = hat_setup
+        assert build_cell_quadrature(element).degree == tensors.quad_degree
+        problem = parse_problem_text('a.1.1 = "1 + 0.25*cos(x1)"\nphi = "sin(3*x1)"')
+        quad = build_cell_quadrature(element, tensors.quad_degree + 4)
+        with pytest.raises(ValueError, match="degree"):
+            AssembledProblem(element, tensors, problem, lattice,
+                             quad_degree=tensors.quad_degree, quad=quad)
+        ap = AssembledProblem(element, tensors, problem, lattice, quad=quad)
+        assert ap.quad.degree == tensors.quad_degree + 4
+        # operators and mollified data come from the one quadrature
+        expected = mollify_data(problem.phi, element, lattice, quad=quad)
+        assert np.array_equal(ap.phi_h().values, expected.values)
+        drift = assemble_drift(element, tensors, problem, lattice, 0.0, quad)
+        assert np.array_equal(ap.drift(0.0).coef, drift.coef)
+
+
+class TestEvaluationCount:
+    """Each distinct coefficient AST is evaluated once per (lattice cell, cell point)."""
+
+    @pytest.fixture()
+    def points_seen(self, monkeypatch):
+        seen = []
+        real = expr.eval_many
+
+        def counting(ast, x, t):
+            seen.append(len(x))
+            return real(ast, x, t)
+
+        monkeypatch.setattr(expr, "eval_many", counting)
+        return seen
+
+    @pytest.mark.parametrize("preset, n, per_cell", [("tensor(2)", 8, 25), ("tensor(3)", 6, 125)])
+    def test_drift(self, points_seen, preset, n, per_cell):
+        element = build_element(preset)
+        tensors = compute_reference_tensors(element)
+        problem = parse_problem_text(EQUIVALENCE_PROBLEMS[element.d])
+        lattice = build_torus(element.d, 2 * np.pi / n, n)
+        asts = [*problem.a.values(), *problem.b.values(), problem.c]
+        k = len({id(ast) for ast in asts})  # a.i.j and its mirror share one AST
+        assemble_drift(element, tensors, problem, lattice, 0.0)
+        assert sum(points_seen) == k * n**element.d * per_cell
+        assert len(points_seen) == k
+
+    @pytest.mark.parametrize("preset, n, per_cell", [("hat1d", 16, 5), ("tensor(2)", 8, 25)])
+    def test_mollify(self, points_seen, preset, n, per_cell):
+        element = build_element(preset)
+        problem = parse_problem_text(EQUIVALENCE_PROBLEMS[element.d])
+        lattice = build_torus(element.d, 2 * np.pi / n, n)
+        quad = build_cell_quadrature(element)
+        assert len(quad.zeta) == per_cell
+        mollify_data(problem.phi, element, lattice, quad=quad)
+        assert points_seen == [n**element.d * per_cell]
