@@ -43,8 +43,8 @@ def _at_offsets(ast, lattice, h, z, t):
 def per_offset_stencil(tables, lattice, h, t, terms):
     """Per-offset oracle: each overlap table evaluates its own coefficient points.
 
-    `terms` pairs an AST with basis(table) -> (m,) integrand weights.  Like
-    the assembly, the formula uses |h|."""
+    `terms` pairs an AST with basis(table, h) -> (m,) integrand weights.
+    Like the assembly, the formula uses |h|."""
     h = abs(h)
     offsets = tuple(sorted(tables))
     coef = np.zeros((len(offsets), *lattice.shape))
