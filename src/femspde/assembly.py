@@ -335,10 +335,13 @@ def quadrature_error_estimate(
 class AssembledProblem:
     """Element + coefficients + lattice, with operator assembly and caching.
 
-    Operators are re-assembled at every requested time point; when the
-    underlying expressions do not reference t, the first assembly is cached
-    and reused.  One CellQuadrature serves the operators and the mollified
-    data; a passed `quad` must have degree `quad_degree` when both are given.
+    Everything here depends on the lattice and not on the noise, so one
+    instance serves every sample and every integrate call on its lattice.
+    One rule governs reuse: a result is built once per key and then kept,
+    unless an expression it is built from references t, in which case it
+    is rebuilt at every requested time.  One CellQuadrature serves the
+    operators and the mollified data; a passed `quad` must have degree
+    `quad_degree` when both are given.
     """
 
     def __init__(
@@ -366,53 +369,43 @@ class AssembledProblem:
         self.h = _normalize_h(lattice, h)
         self.quad = quad
         self.mass = assemble_mass(element, tensors, lattice)
-        self._drift_cache: StencilOperator | None = None
-        self._noise_cache: dict[int, StencilOperator] = {}
-        self._f_cache: GridFunction | None = None
-        self._g_cache: dict[int, GridFunction] = {}
+        self._memo: dict = {}
 
-    def drift(self, t: float) -> StencilOperator:
-        if not self.problem.drift_time_dependent and self._drift_cache is not None:
-            return self._drift_cache
-        op = assemble_drift(
-            self.element, self.tensors, self.problem, self.lattice, t, self.quad, self.h
-        )
-        if not self.problem.drift_time_dependent:
-            self._drift_cache = op
-        return op
-
-    def noise(self, t: float, rho: int) -> StencilOperator:
-        if not self.problem.noise_time_dependent and rho in self._noise_cache:
-            return self._noise_cache[rho]
-        op = assemble_noise(
-            self.element, self.tensors, self.problem, self.lattice, t, rho, self.quad, self.h
-        )
-        if not self.problem.noise_time_dependent:
-            self._noise_cache[rho] = op
-        return op
-
-    def f_h(self, t: float) -> GridFunction:
-        if self.problem.f is None:
-            return GridFunction.zeros(self.lattice)
-        if not self.problem.f_time_dependent and self._f_cache is not None:
-            return self._f_cache
-        out = mollify_data(self.problem.f, self.element, self.lattice, t, self.quad, self.h)
-        if not self.problem.f_time_dependent:
-            self._f_cache = out
+    def memo(self, key, build, asts=()):
+        """build(), kept under key when no AST in asts references t."""
+        if key in self._memo:
+            return self._memo[key]
+        out = build()
+        if not any(ast is not None and expr.depends_on_t(ast) for ast in asts):
+            self._memo[key] = out
         return out
 
-    def g_h(self, t: float, rho: int) -> GridFunction:
-        ast = self.problem.g.get(rho)
+    def _mollify(self, ast: expr.Ast | None, t: float) -> GridFunction:
         if ast is None:
             return GridFunction.zeros(self.lattice)
-        if not self.problem.g_time_dependent and rho in self._g_cache:
-            return self._g_cache[rho]
-        out = mollify_data(ast, self.element, self.lattice, t, self.quad, self.h)
-        if not self.problem.g_time_dependent:
-            self._g_cache[rho] = out
-        return out
+        return mollify_data(ast, self.element, self.lattice, t, self.quad, self.h)
+
+    def drift(self, t: float) -> StencilOperator:
+        p = self.problem
+        return self.memo("drift", lambda: assemble_drift(
+            self.element, self.tensors, p, self.lattice, t, self.quad, self.h
+        ), [*p.a.values(), *p.b.values(), p.c])
+
+    def noise(self, t: float, rho: int) -> StencilOperator:
+        p = self.problem
+        asts = [ast for (_, r), ast in p.sigma.items() if r == rho] + [p.nu.get(rho)]
+        return self.memo(("noise", rho), lambda: assemble_noise(
+            self.element, self.tensors, p, self.lattice, t, rho, self.quad, self.h
+        ), asts)
+
+    def f_h(self, t: float) -> GridFunction:
+        f = self.problem.f
+        return self.memo("f", lambda: self._mollify(f, t), [f])
+
+    def g_h(self, t: float, rho: int) -> GridFunction:
+        g = self.problem.g.get(rho)
+        return self.memo(("g", rho), lambda: self._mollify(g, t), [g])
 
     def phi_h(self) -> GridFunction:
-        if self.problem.phi is None:
-            return GridFunction.zeros(self.lattice)
-        return mollify_data(self.problem.phi, self.element, self.lattice, 0.0, self.quad, self.h)
+        """Mollified initial data; phi is read at t = 0, so it is always kept."""
+        return self.memo("phi", lambda: self._mollify(self.problem.phi, 0.0))

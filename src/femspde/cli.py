@@ -56,6 +56,12 @@ OUTPUT_DIR_ENV = "FEMSPDE_OUT"
 
 RATIOS = {"quarter": RATIO_QUARTER, "sixteenth": RATIO_SIXTEENTH}
 
+# allowed values of the RunConfig string fields that select a behaviour
+CHOICES = {"ratio": tuple(RATIOS), "record": ("terminal", "all"), "h_sign": ("plus", "minus")}
+
+# accepted JSON types of the RunConfig number fields, by annotation
+_NUMBER_TYPES = {"float": (int, float), "int": (int,), "int | None": (int, type(None))}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage errors are exit 1
@@ -112,6 +118,17 @@ class RunConfig:
         command = doc.get("command")
         if command not in COMMANDS:
             raise UsageError(f"manifest names an unknown command {command!r}")
+        for f in dataclasses.fields(RunConfig):
+            if f.name not in cfg:
+                continue
+            value = cfg[f.name]
+            if f.name in CHOICES and value not in CHOICES[f.name]:
+                raise UsageError(f"manifest {f.name} must be one of "
+                                 f"{', '.join(CHOICES[f.name])}, got {value!r}")
+            kinds = _NUMBER_TYPES.get(f.type)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise UsageError(f"manifest {f.name} must be a number of type {f.type}, "
+                                 f"got {value!r}")
         try:
             return RunConfig(command=command, **cfg)
         except TypeError as exc:
@@ -159,8 +176,6 @@ def _load_element(config: RunConfig, structural_only: bool = False) -> FiniteEle
 
 
 def _h_sign(config: RunConfig) -> float:
-    if config.h_sign not in ("plus", "minus"):
-        raise UsageError(f"--h-sign must be plus or minus, got {config.h_sign!r}")
     return 1.0 if config.h_sign == "plus" else -1.0
 
 
@@ -306,7 +321,7 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho-max", type=int, default=None, help="noise truncation")
     p.add_argument("--tol", type=float, default=1e-10, help="linear solver tolerance")
     p.add_argument("--max-iter", type=int, default=2000, help="linear solver iteration cap")
-    p.add_argument("--h-sign", choices=("plus", "minus"), default="plus",
+    p.add_argument("--h-sign", choices=CHOICES["h_sign"], default="plus",
                    help="sign of h fed to assembly (the scheme is invariant)")
 
 
@@ -321,14 +336,14 @@ def build_argparser() -> _Parser:
     p = sub.add_parser("simulate", help="single solve of a problem")
     _add_common(p)
     _add_problem_args(p)
-    p.add_argument("--record", choices=("terminal", "all"), default="terminal")
+    p.add_argument("--record", choices=CHOICES["record"], default="terminal")
 
     p = sub.add_parser("convergence", help="mesh-ladder convergence study")
     _add_common(p)
     _add_problem_args(p)
     p.add_argument("--samples", type=int, default=1, help="Monte Carlo samples")
     p.add_argument("--jbar", type=int, default=1, help="extra extrapolation levels")
-    p.add_argument("--ratio", choices=tuple(RATIOS), default="quarter",
+    p.add_argument("--ratio", choices=CHOICES["ratio"], default="quarter",
                    help="per-halving error factor of the leading term")
     p.add_argument("--ladder", type=int, default=4, help="number of ladder meshes")
     p.add_argument("--ref-n", type=int, default=None,

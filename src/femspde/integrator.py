@@ -214,11 +214,6 @@ class Trajectory:
     sup_norm_0h: float
     record: str = "all"
 
-    def state_at(self, k: int) -> GridFunction:
-        if self.states is None:
-            raise ValueError("trajectory recorded terminal state only")
-        return self.states[k]
-
 
 # ---------------------------------------------------------------------------
 # stepping
@@ -272,12 +267,20 @@ def integrate(
         raise ValueError(f"noise path has {noise.steps} steps, integrator wants {steps}")
     if assembled.problem.has_noise and noise is None:
         raise ValueError("problem carries noise terms but no noise path was given")
+    rho = max(assembled.problem.active_rhos(), default=0)
+    if noise is not None and noise.rho_count < rho:
+        raise ValueError(
+            f"noise path has {noise.rho_count} Wiener indices, the problem uses rho = {rho}"
+        )
     dt = T / steps
     if noise is not None and abs(noise.dt - dt) > 1e-12 * max(dt, noise.dt):
         raise ValueError(f"noise dt {noise.dt} does not match T/steps = {dt}")
     lattice = assembled.lattice
 
-    u = solve_linear(assembled.mass, assembled.phi_h(), tol=cfg.tol, max_iter=cfg.max_iter)
+    # BiCGStab's U_0 depends on the tolerance and the iteration cap
+    u = assembled.memo(("u0", cfg.tol, cfg.max_iter), lambda: solve_linear(
+        assembled.mass, assembled.phi_h(), tol=cfg.tol, max_iter=cfg.max_iter
+    ))
     states = [u.copy()] if record == "all" else None
     sup = norm_0h(u)
     times = [0.0]

@@ -45,10 +45,6 @@ class Polynomial:
     def constant(d: int, value: float) -> "Polynomial":
         return Polynomial(d, {(0,) * d: value})
 
-    @staticmethod
-    def monomial(d: int, expo: tuple[int, ...], coeff: float = 1.0) -> "Polynomial":
-        return Polynomial(d, {tuple(expo): coeff})
-
     def degree(self) -> int:
         if not self.coeffs:
             return 0

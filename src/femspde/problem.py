@@ -89,19 +89,6 @@ class Problem:
             asts.append(self.c)
         return any(expr.depends_on_t(a) for a in asts)
 
-    @property
-    def noise_time_dependent(self) -> bool:
-        asts = list(self.sigma.values()) + list(self.nu.values())
-        return any(expr.depends_on_t(a) for a in asts)
-
-    @property
-    def f_time_dependent(self) -> bool:
-        return self.f is not None and expr.depends_on_t(self.f)
-
-    @property
-    def g_time_dependent(self) -> bool:
-        return any(expr.depends_on_t(a) for a in self.g.values())
-
     # -- vectorized evaluation ----------------------------------------------
 
     def eval_a(self, pts: np.ndarray, t: float) -> np.ndarray:
@@ -111,46 +98,12 @@ class Problem:
             out[:, i - 1, j - 1] = expr.eval_many(ast, pts, t)
         return out
 
-    def eval_b(self, pts: np.ndarray, t: float) -> np.ndarray:
-        n = pts.shape[0]
-        out = np.zeros((n, self.d))
-        for i, ast in self.b.items():
-            out[:, i - 1] = expr.eval_many(ast, pts, t)
-        return out
-
-    def eval_c(self, pts: np.ndarray, t: float) -> np.ndarray:
-        if self.c is None:
-            return np.zeros(pts.shape[0])
-        return expr.eval_many(self.c, pts, t)
-
     def eval_sigma(self, pts: np.ndarray, t: float) -> np.ndarray:
         n = pts.shape[0]
         out = np.zeros((n, self.d, self.rho_max))
         for (i, rho), ast in self.sigma.items():
             out[:, i - 1, rho - 1] = expr.eval_many(ast, pts, t)
         return out
-
-    def eval_nu(self, pts: np.ndarray, t: float, rho: int) -> np.ndarray:
-        ast = self.nu.get(rho)
-        if ast is None:
-            return np.zeros(pts.shape[0])
-        return expr.eval_many(ast, pts, t)
-
-    def eval_f(self, pts: np.ndarray, t: float) -> np.ndarray:
-        if self.f is None:
-            return np.zeros(pts.shape[0])
-        return expr.eval_many(self.f, pts, t)
-
-    def eval_g(self, pts: np.ndarray, t: float, rho: int) -> np.ndarray:
-        ast = self.g.get(rho)
-        if ast is None:
-            return np.zeros(pts.shape[0])
-        return expr.eval_many(ast, pts, t)
-
-    def eval_phi(self, pts: np.ndarray) -> np.ndarray:
-        if self.phi is None:
-            return np.zeros(pts.shape[0])
-        return expr.eval_many(self.phi, pts, 0.0)
 
     def active_rhos(self) -> list[int]:
         """Noise indices rho with any nonzero sigma, nu or g entry."""

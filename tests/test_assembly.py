@@ -405,18 +405,33 @@ class TestDiagnostics:
         assert err < 1e-8 / lattice.h**2
 
     def test_time_independent_operators_are_cached(self, hat_setup):
+        # a result is kept unless an expression it is built from references t
         element, tensors, lattice = hat_setup
-        static = parse_problem_text('a.1.1 = "1"\nsigma.1.1 = "0.3"\nf = "sin(x1)"')
+        text = ('a.1.1 = "{a}"\nsigma.1.1 = "{s}"\nsigma.1.2 = "0.1"\n'
+                'f = "{f}"\ng.1 = "{g}"\nphi = "sin(x1)"')
+        static = parse_problem_text(text.format(a="1", s="0.3", f="sin(x1)", g="0.1"))
         ap = AssembledProblem(element, tensors, static, lattice)
         assert ap.drift(0.0) is ap.drift(0.7)
         assert ap.noise(0.0, 1) is ap.noise(0.7, 1)
         assert ap.f_h(0.0) is ap.f_h(0.7)
-        timed = parse_problem_text('a.1.1 = "1 + 0.1*t"')
-        ap_t = AssembledProblem(element, tensors, timed, lattice)
-        assert ap_t.drift(0.0) is not ap_t.drift(0.7)
-        d0 = dict(zip(ap_t.drift(0.0).offsets, ap_t.drift(0.0).coef))
-        d7 = dict(zip(ap_t.drift(0.7).offsets, ap_t.drift(0.7).coef))
-        assert not np.allclose(d0[(0,)], d7[(0,)])
+        assert ap.g_h(0.0, 1) is ap.g_h(0.7, 1)
+        assert ap.phi_h() is ap.phi_h()
+        assert not np.array_equal(ap.noise(0.0, 1).coef, ap.noise(0.0, 2).coef)
+        assert not ap.g_h(0.0, 2).values.any()  # no g.2: one entry per index
+
+        timed = parse_problem_text(
+            text.format(a="1 + 0.1*t", s="0.3*t", f="sin(x1)*t", g="0.1*t"))
+        ap = AssembledProblem(element, tensors, timed, lattice)
+        for t in (0.0, 0.7):
+            assert np.array_equal(ap.drift(t).coef,
+                                  assemble_drift(element, tensors, timed, lattice, t).coef)
+            assert np.array_equal(ap.noise(t, 1).coef,
+                                  assemble_noise(element, tensors, timed, lattice, t, 1).coef)
+            assert np.array_equal(ap.f_h(t).values,
+                                  mollify_data(timed.f, element, lattice, t).values)
+            assert np.array_equal(ap.g_h(t, 1).values,
+                                  mollify_data(timed.g[1], element, lattice, t).values)
+        assert ap.noise(0.0, 2) is ap.noise(0.7, 2)  # sigma.1.2 does not reference t
 
     def test_scaled_add_unions_offsets(self, hat_setup):
         element, tensors, lattice = hat_setup

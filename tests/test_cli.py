@@ -303,3 +303,33 @@ class TestManifest:
         ])
         assert code == EXIT_OK
         assert run_dirs(tmp_path / "from-env")
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("convergence", "ratio", "half"),
+        ("simulate", "record", "every"),
+        ("simulate", "h_sign", "up"),
+        ("simulate", "n", "8"),
+        ("simulate", "T", None),
+        ("simulate", "steps", 2.5),
+        ("simulate", "tol", "small"),
+        ("simulate", "seed", True),
+    ])
+    def test_replay_rejects_bad_values(self, tmp_path, stoch_file, capsys,
+                                       command, key, value):
+        out = tmp_path / "o"
+        args = [command, "--preset", "hat1d", "--problem", stoch_file,
+                "--n", "8", "--T", "0.05", "--steps", "4", "--out", str(out)]
+        if command == "convergence":
+            args += ["--ladder", "3"]
+        assert main(args) == EXIT_OK
+        (run_dir,) = run_dirs(out)
+        doc = json.loads((out / run_dir / "manifest.json").read_text())
+        doc["config"][key] = value
+        manifest = tmp_path / "bad.json"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["replay", str(manifest), "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert len(run_dirs(out)) == 1

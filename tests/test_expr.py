@@ -223,14 +223,14 @@ class TestProblemFiles:
         assert problem.active_rhos() == [1]
         pts = np.array([[0.0], [np.pi]])
         np.testing.assert_allclose(problem.eval_a(pts, 0.0)[:, 0, 0], [1.25, 0.75])
-        np.testing.assert_allclose(problem.eval_phi(pts), [0.0, np.sin(np.pi)])
+        np.testing.assert_allclose(eval_many(problem.phi, pts, 0.0), [0.0, np.sin(np.pi)])
 
     def test_defaults_are_zero(self):
         problem = parse_problem_text('a.1.1 = "1"')
-        pts = np.array([[0.5]])
-        assert problem.eval_b(pts, 0.0)[0, 0] == 0.0
-        assert problem.eval_c(pts, 0.0)[0] == 0.0
-        assert problem.eval_f(pts, 0.0)[0] == 0.0
+        assert problem.b == {}
+        assert problem.c is None
+        assert problem.f is None
+        assert problem.phi is None
         assert not problem.has_noise
 
     def test_a_required(self):

@@ -260,6 +260,36 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="dt"):
             integrate(ap, NoisePath(1, 20, 0.5, 1), T=0.2, steps=20)
 
+    def test_too_few_noise_indices_rejected(self, hat):
+        ap = make_assembled(hat, 'a.1.1 = "1"\nsigma.1.2 = "0.3"\nphi = "sin(x1)"')
+        with pytest.raises(ValueError, match="Wiener indices"):
+            integrate(ap, NoisePath(1, 20, 0.01, rho_count=1), T=0.2, steps=20)
+        integrate(ap, NoisePath(1, 20, 0.01, rho_count=2), T=0.2, steps=20)
+
+    def test_reused_assembly_matches_fresh(self, hat):
+        # operators, data and U_0 kept from the first call change nothing in the second
+        text = ('a.1.1 = "1 + 0.25*cos(x1)"\nsigma.1.1 = "0.3"\ng.1 = "0.1"\n'
+                'f = "cos(x1)*sin(t)"\nphi = "sin(x1)"')
+        shared = make_assembled(hat, text)
+        for seed in (5, 6):
+            noise = NoisePath(seed, 16, 0.01, 1)
+            reused = integrate(shared, noise, T=0.16, steps=16)
+            fresh = integrate(make_assembled(hat, text), noise, T=0.16, steps=16)
+            for a, b in zip(reused.states, fresh.states, strict=True):
+                assert np.array_equal(a.values, b.values)
+            assert reused.sup_norm_0h == fresh.sup_norm_0h
+
+    def test_kept_initial_state_follows_solver_settings(self, hat):
+        # above the direct limit U_0 is a BiCGStab solve, so it depends on tol
+        text = 'a.1.1 = "1"\nphi = "sin(x1) + 0.5*cos(3*x1)"'
+        shared = make_assembled(hat, text, n=2 * DIRECT_SITE_LIMIT)
+        for tol in (1e-10, 1e-3):
+            cfg = SolverConfig(tol=tol)
+            fresh = make_assembled(hat, text, n=2 * DIRECT_SITE_LIMIT)
+            got = integrate(shared, None, T=1e-7, steps=1, cfg=cfg).states[0]
+            want = integrate(fresh, None, T=1e-7, steps=1, cfg=cfg).states[0]
+            assert np.array_equal(got.values, want.values)
+
     def test_singular_system_reports_step(self, hat):
         # dt * drift exactly cancels the mass operator when c = 1/dt
         ap = make_assembled(hat, 'a.1.1 = "0"\nc = "10"\nphi = "sin(x1)"')

@@ -130,6 +130,116 @@ class TestStochasticStudy:
         assert np.all(mix_rms < base_rms)
 
 
+MC_PROBLEM = """
+a.1.1 = "1 + 0.25*cos(x1)"
+sigma.1.1 = "0.3"
+g.1 = "0.1"
+f = "cos(x1)*sin(t)"
+phi = "sin(x1)"
+"""
+
+
+def fresh_study_errors(element, tensors, problem, cfg):
+    """Test-only oracle: the study with a fresh AssembledProblem per (sample, lattice).
+
+    Returns the base and mixture errors and every trajectory, in solve order.
+    """
+    from femspde.assembly import AssembledProblem
+    from femspde.integrator import integrate
+    from femspde.lattice import build_torus
+    from femspde.richardson import ExtrapolationPlan, combine, trajectory_error
+
+    steps = cfg.resolved_steps()
+    dt = cfg.T / steps
+    plan = ExtrapolationPlan.create(cfg.jbar, cfg.ratio)
+    needed = sorted({n * 2**j for n in [*cfg.ladder_n, cfg.ref_n] for j in range(plan.levels)})
+    base_sq = np.zeros(len(cfg.ladder_n))
+    mix_sq = np.zeros(len(cfg.ladder_n))
+    trajectories = []
+    for s in range(cfg.samples):
+        noise = NoisePath(sample_seed(cfg.base_seed, s), steps, dt, problem.rho_max)
+        states = {}
+        for n in needed:
+            ap = AssembledProblem(element, tensors, problem, build_torus(1, L / n, n))
+            trajectories.append(integrate(ap, noise, cfg.T, steps, record="all"))
+            states[n] = trajectories[-1].states
+
+        def mixture(n):
+            return [combine([states[n * 2**j][k] for j in range(plan.levels)], plan)
+                    for k in range(steps + 1)]
+
+        ref = mixture(cfg.ref_n)
+        for i, n in enumerate(cfg.ladder_n):
+            lattice = build_torus(1, L / n, n)
+            base_sq[i] += trajectory_error(states[n], ref, lattice) ** 2
+            mix_sq[i] += trajectory_error(mixture(n), ref, lattice) ** 2
+    base = np.sqrt(base_sq / cfg.samples).tolist()
+    return base, np.sqrt(mix_sq / cfg.samples).tolist(), trajectories
+
+
+class TestSharedLatticeWork:
+    """Each lattice is assembled once per study and reused by every sample."""
+
+    CFG = dict(L=L, ladder_n=[16, 32, 64], ref_n=128, T=0.05, jbar=1, samples=3, base_seed=11)
+
+    def test_each_lattice_built_once(self, hat, monkeypatch):
+        import femspde.assembly as assembly
+        import femspde.integrator as integrator
+
+        element, tensors = hat
+        problem = parse_problem_text(MC_PROBLEM)
+        counts = {"drift": 0, "noise": 0, "mollify": 0, "solver": 0}
+
+        def counting(name, fn, skip=lambda *a: False):
+            def wrapped(*args, **kwargs):
+                counts[name] += not skip(*args)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(assembly, "assemble_drift", counting("drift", assembly.assemble_drift))
+        monkeypatch.setattr(assembly, "assemble_noise", counting("noise", assembly.assemble_noise))
+        # f references t, so its mollification misses every step and is not counted
+        monkeypatch.setattr(assembly, "mollify_data", counting(
+            "mollify", assembly.mollify_data, lambda field, *rest: field is problem.f))
+
+        class CountingSolver(integrator.LinearSolver):
+            def __init__(self, *args, **kwargs):
+                counts["solver"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "LinearSolver", CountingSolver)
+        run_convergence_study(element, tensors, problem, StudyConfig(**self.CFG))
+        # 5 lattices (16 ... 256): drift, noise, phi_h, g_h and the mass
+        # factorization once each; the implicit system once per (sample, lattice)
+        assert counts == {"drift": 5, "noise": 5, "mollify": 10, "solver": 5 + 3 * 5}
+
+    def test_errors_equal_fresh_assembly(self, hat, monkeypatch):
+        import femspde.study as study
+
+        element, tensors = hat
+        problem = parse_problem_text(MC_PROBLEM)
+        cfg = StudyConfig(**self.CFG)
+        # the errors are maxima over time, which the initial-data error
+        # dominates; the trajectories also show the noise of each sample
+        seen = []
+        real = study.integrate
+
+        def recording(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(study, "integrate", recording)
+        result = run_convergence_study(element, tensors, problem, cfg)
+        monkeypatch.undo()
+        base, mix, trajectories = fresh_study_errors(element, tensors, problem, cfg)
+        assert result.base.errors == base
+        assert result.mixture.errors == mix
+        assert len(seen) == len(trajectories) == 3 * 5
+        for got, want in zip(seen, trajectories):
+            for a, b in zip(got.states, want.states, strict=True):
+                assert np.array_equal(a.values, b.values)
+
+
 class TestTwoDimensionalStudy:
     def test_product_element_orders(self):
         element = build_element("tensor(2)")
