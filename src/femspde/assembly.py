@@ -12,10 +12,12 @@ where A integrates the diffusion matrix against products of first
 derivatives of the element, B and S integrate the drift/noise vector fields
 against D psi_lam times psi, and C and N integrate the zero-order
 coefficients against psi_lam psi.  The integrals run over the intersection
-sub-cells of the reference tensors' overlap tables.  A CellQuadrature
-regroups their points by lattice cell, so each coefficient is evaluated once
-per cell, at x_c + h zeta with zeta in [0, 1)^d, and every stencil
-coefficient is a sum of cell-local products scattered by lattice shifts.
+sub-cells of the reference tensors' overlap tables, regrouped by lattice cell
+in the tensors' CellQuadrature (ReferenceTensors.quad, femspde.tensors), so
+each coefficient is evaluated once per cell, at x_c + h zeta with zeta in
+[0, 1)^d, and every stencil coefficient is a sum of cell-local products
+scattered by lattice shifts.  This module does only that lattice work; the
+quadrature and its degree belong to the tensors.
 
 Data fields are mollified by the scaled element: phi_h(x) is the integral of
 phi(x + h z) psi(z) dz, evaluated at the same cell points.
@@ -29,16 +31,13 @@ to |h| up front; tests pin the underlying identity numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expr
 from .elements import FiniteElement
 from .lattice import GridFunction, TorusLattice
-from .polynomials import cell_quadrature
 from .problem import Problem
-from .tensors import ReferenceTensors, build_overlap_tables, default_quad_degree
+from .tensors import CellQuadrature, ReferenceTensors, compute_reference_tensors
 
 Lam = tuple[int, ...]
 
@@ -118,82 +117,6 @@ class StencilOperator:
         return csr_matrix((data, (rows, cols)), shape=(total, total))
 
 
-# ---------------------------------------------------------------------------
-# cell quadrature
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CellQuadrature:
-    """Overlap-table and mollifier quadrature regrouped by lattice cell.
-
-    Every quadrature point z of an overlap table, and of the element's own
-    cells, splits as z = k + zeta with k = floor(z) in Z^d and zeta in
-    [0, 1)^d.  The point x + h z of site x is then x_c + h zeta for the
-    lattice cell c = x/h + k, so a coefficient sampled once at x_c + h zeta
-    for every cell c serves every table.  The distinct zeta are shared by all
-    term kinds; for each shift k one (P, |Gamma|) weight matrix per kind
-    holds the quadrature weight times the basis product.
-    """
-
-    degree: int
-    offsets: tuple[Lam, ...]  # Gamma, the stencil footprint
-    shifts: tuple[Lam, ...]   # lattice-cell shifts k
-    zeta: np.ndarray          # (P, d) distinct points in [0, 1)^d
-    diffusion: np.ndarray     # (d, d, K, P, G): w D_j psi_lam (-D_i psi) at [i-1, j-1]
-    transport: np.ndarray     # (d, K, P, G): w D_i psi_lam psi at [i-1]
-    reaction: np.ndarray      # (K, P, G): w psi_lam psi
-    mollifier: np.ndarray     # (K, P, 1): w psi
-
-
-def build_cell_quadrature(element: FiniteElement, quad_degree: int | None = None) -> CellQuadrature:
-    """Regroup the overlap tables and the element's own quadrature by lattice cell."""
-    degree = default_quad_degree(element) if quad_degree is None else quad_degree
-    tables = build_overlap_tables(element, degree)
-    offsets = tuple(sorted(tables))
-    d = element.d
-    data = [cell_quadrature(cell, degree) + (poly,) for cell, poly in element.psi.pieces]
-    data_pts = np.concatenate([pts for pts, _, _ in data])
-    data_w = np.concatenate([wts * poly.eval_many(pts) for pts, wts, poly in data])
-
-    points = np.concatenate([tables[lam].points for lam in offsets] + [data_pts])
-    cells = np.floor(points)
-    frac = points - cells
-    shifts, k_idx = np.unique(cells.astype(int), axis=0, return_inverse=True)
-    # one representative per distinct zeta; roundoff-level copies merge
-    _, first, p_idx = np.unique(np.round(frac, 12), axis=0, return_index=True,
-                                return_inverse=True)
-    k_idx, p_idx = k_idx.reshape(-1), p_idx.reshape(-1)
-    K, P, G = len(shifts), len(first), len(offsets)
-
-    diffusion = np.zeros((K, P, G, d, d))
-    transport = np.zeros((K, P, G, d))
-    reaction = np.zeros((K, P, G))
-    start = 0
-    for g, lam in enumerate(offsets):
-        tab = tables[lam]
-        stop = start + len(tab.weights)
-        at = (k_idx[start:stop], p_idx[start:stop], g)
-        w = tab.weights[:, None]
-        grad = w[:, :, None] * tab.dpsi_l.T[:, None, :] * -tab.dpsi_0.T[:, :, None]  # [m, i, j]
-        np.add.at(diffusion, at, grad)
-        np.add.at(transport, at, w * tab.dpsi_l.T * tab.psi_0[:, None])
-        np.add.at(reaction, at, tab.weights * tab.psi_l * tab.psi_0)
-        start = stop
-    mollifier = np.zeros((K, P, 1))
-    np.add.at(mollifier, (k_idx[start:], p_idx[start:], 0), data_w)
-    return CellQuadrature(
-        degree=degree,
-        offsets=offsets,
-        shifts=tuple(tuple(int(c) for c in k) for k in shifts),
-        zeta=frac[first],
-        diffusion=np.ascontiguousarray(diffusion.transpose(3, 4, 0, 1, 2)),
-        transport=np.ascontiguousarray(transport.transpose(3, 0, 1, 2)),
-        reaction=reaction,
-        mollifier=mollifier,
-    )
-
-
 def _normalize_h(lattice: TorusLattice, h: float | None) -> float:
     if h is None:
         return lattice.h
@@ -256,13 +179,11 @@ def assemble_drift(
     problem: Problem,
     lattice: TorusLattice,
     t: float,
-    quad: CellQuadrature | None = None,
     h: float | None = None,
 ) -> StencilOperator:
     """Drift stencil (1/h^2) A + (1/h) B + C at time t."""
     h = _normalize_h(lattice, h)
-    if quad is None:
-        quad = build_cell_quadrature(element, tensors.quad_degree)
+    quad = tensors.quad
     terms = [(ast, quad.diffusion[i - 1, j - 1] / h**2) for (i, j), ast in problem.a.items()]
     terms += [(ast, quad.transport[i - 1] / h) for i, ast in problem.b.items()]
     if problem.c is not None:
@@ -278,13 +199,11 @@ def assemble_noise(
     lattice: TorusLattice,
     t: float,
     rho: int,
-    quad: CellQuadrature | None = None,
     h: float | None = None,
 ) -> StencilOperator:
     """Noise stencil (1/h) S + N for one Wiener index rho at time t."""
     h = _normalize_h(lattice, h)
-    if quad is None:
-        quad = build_cell_quadrature(element, tensors.quad_degree)
+    quad = tensors.quad
     terms = [(ast, quad.transport[i - 1] / h) for (i, r), ast in problem.sigma.items() if r == rho]
     if rho in problem.nu:
         terms.append((problem.nu[rho], quad.reaction))
@@ -294,16 +213,14 @@ def assemble_noise(
 
 def mollify_data(
     field: expr.Ast,
-    element: FiniteElement,
+    tensors: ReferenceTensors,
     lattice: TorusLattice,
     t: float = 0.0,
-    quad: CellQuadrature | None = None,
     h: float | None = None,
 ) -> GridFunction:
     """Smooth a field with the scaled element: integral of field(x + h z) psi(z) dz."""
     h = _normalize_h(lattice, h)
-    if quad is None:
-        quad = build_cell_quadrature(element)
+    quad = tensors.quad
     values = _assemble_cells(quad, lattice, h, t, [(field, quad.mollifier)])[0]
     return GridFunction(lattice, values)
 
@@ -314,16 +231,13 @@ def quadrature_error_estimate(
     problem: Problem,
     lattice: TorusLattice,
     t: float = 0.0,
-    quad_degree: int | None = None,
 ) -> float:
     """Order-doubling diagnostic: max drift-coefficient change when the Gauss
     degree is doubled.  Zero up to roundoff for polynomial-exact integrands;
     otherwise an estimate of the coefficient quadrature error."""
-    degree = tensors.quad_degree if quad_degree is None else quad_degree
-    base = assemble_drift(element, tensors, problem, lattice, t,
-                          build_cell_quadrature(element, degree))
-    fine = assemble_drift(element, tensors, problem, lattice, t,
-                          build_cell_quadrature(element, 2 * degree))
+    base = assemble_drift(element, tensors, problem, lattice, t)
+    doubled = compute_reference_tensors(element, 2 * tensors.quad_degree)
+    fine = assemble_drift(element, doubled, problem, lattice, t)
     return float(np.max(np.abs(base.coef - fine.coef)))
 
 
@@ -339,9 +253,8 @@ class AssembledProblem:
     instance serves every sample and every integrate call on its lattice.
     One rule governs reuse: a result is built once per key and then kept,
     unless an expression it is built from references t, in which case it
-    is rebuilt at every requested time.  One CellQuadrature serves the
-    operators and the mollified data; a passed `quad` must have degree
-    `quad_degree` when both are given.
+    is rebuilt at every requested time.  The operators and the mollified
+    data integrate with the tensors' cell quadrature.
     """
 
     def __init__(
@@ -350,24 +263,13 @@ class AssembledProblem:
         tensors: ReferenceTensors,
         problem: Problem,
         lattice: TorusLattice,
-        quad_degree: int | None = None,
         h: float | None = None,
-        quad: CellQuadrature | None = None,
     ):
-        if quad is None:
-            quad = build_cell_quadrature(
-                element, tensors.quad_degree if quad_degree is None else quad_degree
-            )
-        elif quad_degree is not None and quad.degree != quad_degree:
-            raise ValueError(
-                f"cell quadrature has degree {quad.degree}, but quad_degree = {quad_degree}"
-            )
         self.element = element
         self.tensors = tensors
         self.problem = problem
         self.lattice = lattice
         self.h = _normalize_h(lattice, h)
-        self.quad = quad
         self.mass = assemble_mass(element, tensors, lattice)
         self._memo: dict = {}
 
@@ -383,19 +285,19 @@ class AssembledProblem:
     def _mollify(self, ast: expr.Ast | None, t: float) -> GridFunction:
         if ast is None:
             return GridFunction.zeros(self.lattice)
-        return mollify_data(ast, self.element, self.lattice, t, self.quad, self.h)
+        return mollify_data(ast, self.tensors, self.lattice, t, self.h)
 
     def drift(self, t: float) -> StencilOperator:
         p = self.problem
         return self.memo("drift", lambda: assemble_drift(
-            self.element, self.tensors, p, self.lattice, t, self.quad, self.h
+            self.element, self.tensors, p, self.lattice, t, self.h
         ), [*p.a.values(), *p.b.values(), p.c])
 
     def noise(self, t: float, rho: int) -> StencilOperator:
         p = self.problem
         asts = [ast for (_, r), ast in p.sigma.items() if r == rho] + [p.nu.get(rho)]
         return self.memo(("noise", rho), lambda: assemble_noise(
-            self.element, self.tensors, p, self.lattice, t, rho, self.quad, self.h
+            self.element, self.tensors, p, self.lattice, t, rho, self.h
         ), asts)
 
     def f_h(self, t: float) -> GridFunction:

@@ -62,6 +62,10 @@ CHOICES = {"ratio": tuple(RATIOS), "record": ("terminal", "all"), "h_sign": ("pl
 # accepted JSON types of the RunConfig number fields, by annotation
 _NUMBER_TYPES = {"float": (int, float), "int": (int,), "int | None": (int, type(None))}
 
+# run sizes that must be positive when set (None means derived); h = L / n and
+# dt = T / steps divide by them
+_POSITIVE = ("L", "n", "T", "steps", "dt_factor", "samples")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage errors are exit 1
@@ -100,6 +104,13 @@ class RunConfig:
     h_sign: str = "plus"
     svg: bool = False
     grid: int = 0  # symbol grid points per axis for verify-element (0 = default)
+
+    def __post_init__(self):
+        # command-line arguments and replayed manifests both pass through here
+        for name in _POSITIVE:
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise UsageError(f"{name} must be positive, got {value!r}")
 
     def to_manifest(self) -> dict:
         return {
@@ -220,10 +231,8 @@ def run_simulate(config: RunConfig, run_dir: str) -> int:
     steps = resolve_steps(config.T, config.L, config.n, config.dt_factor, config.steps)
     config.steps = steps  # manifest records the resolved time grid
     dt = config.T / steps
-    assembled = AssembledProblem(
-        element, tensors, problem, lattice,
-        quad_degree=config.quad_order, h=_h_sign(config) * lattice.h,
-    )
+    assembled = AssembledProblem(element, tensors, problem, lattice,
+                                 h=_h_sign(config) * lattice.h)
     noise = None
     if problem.has_noise:
         noise = NoisePath(config.seed, steps, dt, problem.rho_max)
@@ -267,7 +276,6 @@ def run_convergence(config: RunConfig, run_dir: str) -> int:
         base_seed=config.seed,
         dt_factor=config.dt_factor,
         steps=config.steps,
-        quad_degree=config.quad_order,
         solver=SolverConfig(tol=config.tol, max_iter=config.max_iter),
         h_sign=_h_sign(config),
     )
@@ -303,25 +311,24 @@ COMMANDS = {
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="built-in element: hat1d, tensor(d), triangle2d")
     p.add_argument("--element-file", help="path to an element definition file")
-    p.add_argument("--quad-order", type=int, default=None,
+    p.add_argument("--quad-order", type=int,
                    help="Gauss exactness degree per sub-cell (default: element-derived)")
-    p.add_argument("--out", default=None,
-                   help=f"output root (default: ${OUTPUT_DIR_ENV} or ./runs)")
+    p.add_argument("--out", help=f"output root (default: ${OUTPUT_DIR_ENV} or ./runs)")
 
 
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", required=True, help="path to a problem file")
-    p.add_argument("--L", type=float, default=2.0 * np.pi, help="torus side length")
-    p.add_argument("--n", type=int, default=32, help="sites per axis (coarsest for ladders)")
-    p.add_argument("--T", type=float, default=0.5, help="final time")
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--L", type=float, help="torus side length")
+    p.add_argument("--n", type=int, help="sites per axis (coarsest for ladders)")
+    p.add_argument("--T", type=float, help="final time")
+    p.add_argument("--steps", type=int,
                    help="time steps (default: dt = dt-factor * h_finest^2)")
-    p.add_argument("--dt-factor", type=float, default=0.5, help="dt rule constant")
-    p.add_argument("--seed", type=int, default=2024, help="base noise seed")
-    p.add_argument("--rho-max", type=int, default=None, help="noise truncation")
-    p.add_argument("--tol", type=float, default=1e-10, help="linear solver tolerance")
-    p.add_argument("--max-iter", type=int, default=2000, help="linear solver iteration cap")
-    p.add_argument("--h-sign", choices=CHOICES["h_sign"], default="plus",
+    p.add_argument("--dt-factor", type=float, help="dt rule constant")
+    p.add_argument("--seed", type=int, help="base noise seed")
+    p.add_argument("--rho-max", type=int, help="noise truncation")
+    p.add_argument("--tol", type=float, help="linear solver tolerance")
+    p.add_argument("--max-iter", type=int, help="linear solver iteration cap")
+    p.add_argument("--h-sign", choices=CHOICES["h_sign"],
                    help="sign of h fed to assembly (the scheme is invariant)")
 
 
@@ -329,24 +336,29 @@ def build_argparser() -> _Parser:
     parser = _Parser(prog="femspde", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-element", parents=[], help="check the element assumptions")
-    _add_common(p)
-    p.add_argument("--grid", type=int, default=0, help="symbol grid points per axis")
+    def add_run(name: str, summary: str) -> argparse.ArgumentParser:
+        # no argparse defaults: an option left out is absent from the namespace
+        # and RunConfig supplies its default; every destination except
+        # element_file, problem and out is a RunConfig field name
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        _add_common(p)
+        return p
 
-    p = sub.add_parser("simulate", help="single solve of a problem")
-    _add_common(p)
-    _add_problem_args(p)
-    p.add_argument("--record", choices=CHOICES["record"], default="terminal")
+    p = add_run("verify-element", "check the element assumptions")
+    p.add_argument("--grid", type=int, help="symbol grid points per axis")
 
-    p = sub.add_parser("convergence", help="mesh-ladder convergence study")
-    _add_common(p)
+    p = add_run("simulate", "single solve of a problem")
     _add_problem_args(p)
-    p.add_argument("--samples", type=int, default=1, help="Monte Carlo samples")
-    p.add_argument("--jbar", type=int, default=1, help="extra extrapolation levels")
-    p.add_argument("--ratio", choices=CHOICES["ratio"], default="quarter",
+    p.add_argument("--record", choices=CHOICES["record"])
+
+    p = add_run("convergence", "mesh-ladder convergence study")
+    _add_problem_args(p)
+    p.add_argument("--samples", type=int, help="Monte Carlo samples")
+    p.add_argument("--jbar", type=int, help="extra extrapolation levels")
+    p.add_argument("--ratio", choices=CHOICES["ratio"],
                    help="per-halving error factor of the leading term")
-    p.add_argument("--ladder", type=int, default=4, help="number of ladder meshes")
-    p.add_argument("--ref-n", type=int, default=None,
+    p.add_argument("--ladder", type=int, help="number of ladder meshes")
+    p.add_argument("--ref-n", type=int,
                    help="reference resolution (default: 4 x finest ladder mesh)")
     p.add_argument("--svg", action="store_true", help="also write a log-log SVG plot")
 
@@ -356,37 +368,22 @@ def build_argparser() -> _Parser:
     return parser
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file: {exc}") from exc
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    element_text = None
-    if getattr(args, "element_file", None):
-        try:
-            with open(args.element_file, "r", encoding="utf-8") as fh:
-                element_text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read element file: {exc}") from exc
-    problem_text = None
-    if getattr(args, "problem", None):
-        try:
-            with open(args.problem, "r", encoding="utf-8") as fh:
-                problem_text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read problem file: {exc}") from exc
-    cfg = RunConfig(command=args.command)
-    cfg.preset = getattr(args, "preset", None)
-    cfg.element_text = element_text
-    cfg.problem_text = problem_text
-    for name in ("L", "n", "T", "steps", "seed", "samples", "jbar", "ratio", "tol",
-                 "ladder", "record", "h_sign", "svg", "grid", "max_iter", "rho_max"):
-        arg_name = name
-        if hasattr(args, arg_name):
-            setattr(cfg, name, getattr(args, arg_name))
-    if hasattr(args, "dt_factor"):
-        cfg.dt_factor = args.dt_factor
-    if hasattr(args, "quad_order"):
-        cfg.quad_order = args.quad_order
-    if hasattr(args, "ref_n"):
-        cfg.ref_n = args.ref_n
-    return cfg
+    values = {f.name: getattr(args, f.name)
+              for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)}
+    if hasattr(args, "element_file"):
+        values["element_text"] = _read_text(args.element_file, "element")
+    if hasattr(args, "problem"):
+        values["problem_text"] = _read_text(args.problem, "problem")
+    return RunConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

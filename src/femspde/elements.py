@@ -111,7 +111,7 @@ def _triangle_pieces() -> list[tuple[Cell, Polynomial]]:
     ]
 
 
-def build_element(preset: str, quad_degree: int | None = None) -> FiniteElement:
+def build_element(preset: str) -> FiniteElement:
     """Construct a built-in element by name: 'hat1d', 'tensor(d)' or 'triangle2d'."""
     preset = preset.strip().lower()
     if preset == "hat1d":

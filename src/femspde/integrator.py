@@ -263,6 +263,10 @@ def integrate(
     |U|_{0,h} over all steps is tracked either way.
     """
     cfg = cfg or SolverConfig()
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
     if noise is not None and noise.steps != steps:
         raise ValueError(f"noise path has {noise.steps} steps, integrator wants {steps}")
     if assembled.problem.has_noise and noise is None:
@@ -327,7 +331,6 @@ def integrate_multilevel(
     steps: int,
     record: str = "all",
     cfg: SolverConfig | None = None,
-    quad_degree: int | None = None,
     h: float | None = None,
 ) -> list[Trajectory]:
     """Solve on lattices h, h/2, ..., h/2^(levels-1) with one shared noise path.
@@ -341,8 +344,7 @@ def integrate_multilevel(
     lattice = coarsest
     for j in range(levels):
         level_h = None if h is None else np.sign(h) * lattice.h
-        assembled = AssembledProblem(element, tensors, problem, lattice,
-                                     quad_degree=quad_degree, h=level_h)
+        assembled = AssembledProblem(element, tensors, problem, lattice, h=level_h)
         out.append(integrate(assembled, noise, T, steps, record=record, cfg=cfg))
         if j + 1 < levels:
             lattice = lattice.refine()

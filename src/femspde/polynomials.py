@@ -157,14 +157,6 @@ class Box:
     def contains(self, x, tol: float = 1e-12) -> bool:
         return all(l - tol <= xi <= h + tol for xi, l, h in zip(x, self.lo, self.hi))
 
-    def vertices(self) -> np.ndarray:
-        d = self.d
-        verts = np.empty((2**d, d))
-        for i in range(2**d):
-            for k in range(d):
-                verts[i, k] = self.hi[k] if (i >> k) & 1 else self.lo[k]
-        return verts
-
 
 @dataclass(frozen=True)
 class Simplex:
@@ -427,27 +419,6 @@ class PiecewisePolynomial:
                 out[sel] = poly.eval_many(pts[sel])
                 done[sel] = True
         return out
-
-    def derivative(self, axis: int) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(
-            self.d, [(cell, poly.derivative(axis)) for cell, poly in self.pieces]
-        )
-
-    def translated(self, shift) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(
-            self.d,
-            [(cell.translated(shift), poly.translated(shift)) for cell, poly in self.pieces],
-        )
-
-    def reflected(self) -> "PiecewisePolynomial":
-        out = []
-        for cell, poly in self.pieces:
-            if isinstance(cell, Box):
-                rcell: Cell = Box(tuple(-h for h in cell.hi), tuple(-l for l in cell.lo))
-            else:
-                rcell = Simplex(tuple(tuple(-c for c in v) for v in cell.verts))
-            out.append((rcell, poly.reflected()))
-        return PiecewisePolynomial(self.d, out)
 
     def integral(self, degree: int | None = None) -> float:
         return sum(integrate_poly(p, c, degree) for c, p in self.pieces)

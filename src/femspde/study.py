@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import AssembledProblem, build_cell_quadrature
+from .assembly import AssembledProblem
 from .elements import FiniteElement
 from .integrator import NoisePath, SolverConfig, integrate, sample_seed
 from .lattice import GridFunction, build_torus
@@ -38,7 +38,13 @@ from .tensors import ReferenceTensors
 def resolve_steps(T: float, L: float, n_finest: int, dt_factor: float,
                   steps: int | None = None) -> int:
     """Time steps for dt = dt_factor * h_finest^2, h_finest = L / n_finest; steps overrides."""
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    if not dt_factor > 0:
+        raise ValueError(f"dt_factor must be positive, got {dt_factor}")
     if steps is not None:
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
         return int(steps)
     h_finest = L / n_finest
     dt = dt_factor * h_finest**2
@@ -57,7 +63,6 @@ class StudyConfig:
     base_seed: int = 2024
     dt_factor: float = 0.5
     steps: int | None = None  # overrides the dt rule when set
-    quad_degree: int | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     h_sign: float = 1.0
 
@@ -99,12 +104,12 @@ def run_convergence_study(
     implicit-system factorization stays per integrate call.
     """
     _validate_ladder(cfg)
+    if cfg.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {cfg.samples}")
     d = problem.d
     steps = cfg.resolved_steps()
     dt = cfg.T / steps
     plan = ExtrapolationPlan.create(cfg.jbar, cfg.ratio)
-    degree = tensors.quad_degree if cfg.quad_degree is None else cfg.quad_degree
-    quad = build_cell_quadrature(element, degree)
 
     needed: set[int] = set()
     for n in [*cfg.ladder_n, cfg.ref_n]:
@@ -124,10 +129,8 @@ def run_convergence_study(
             assembled = kept.pop(n, None)
             if assembled is None:
                 lattice = build_torus(d, cfg.L / n, n)
-                assembled = AssembledProblem(
-                    element, tensors, problem, lattice,
-                    h=cfg.h_sign * lattice.h, quad=quad,
-                )
+                assembled = AssembledProblem(element, tensors, problem, lattice,
+                                             h=cfg.h_sign * lattice.h)
             traj = integrate(assembled, noise, cfg.T, steps, record="all", cfg=cfg.solver)
             solutions[n] = traj.states
             if s + 1 < cfg.samples:  # the last sample drops each lattice once solved

@@ -13,11 +13,19 @@ weighted by coordinate monomials) against its shifted copy:
 The integration domain per lambda is the common refinement of the shifted
 and unshifted cell decompositions; each sub-cell carries a Gauss rule exact
 for the polynomial integrands, so every entry is exact up to roundoff.
+
+Everything here depends only on the element and the Gauss degree.  The same
+overlap tables, regrouped by lattice cell into a CellQuadrature, give the
+quadrature that the lattice assembly (femspde.assembly) integrates variable
+coefficients with; ReferenceTensors.quad builds it on first use, at the
+tensors' degree, so one degree serves the tensors, the operators and the
+mollified data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,15 +53,12 @@ def default_quad_degree(element: FiniteElement) -> int:
     return max(8, 2 * element.psi.degree() + 2)
 
 
-def build_overlap_tables(
-    element: FiniteElement, quad_degree: int | None = None
-) -> dict[Lam, OverlapTable]:
+def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, OverlapTable]:
     """One quadrature table per neighbor shift on supp(psi_lam) ∩ supp(psi).
 
-    The reference tensors integrate over these tables; the operator assembly
-    regroups their points by lattice cell (assembly.build_cell_quadrature).
+    The reference tensors integrate over these tables; build_cell_quadrature
+    regroups their points by lattice cell for the operator assembly.
     """
-    degree = default_quad_degree(element) if quad_degree is None else quad_degree
     d = element.d
     tables: dict[Lam, OverlapTable] = {}
     for lam in element.gamma:
@@ -71,7 +76,7 @@ def build_overlap_tables(
             for cell_0, poly_0 in element.psi.pieces:
                 dpolys_0 = [poly_0.derivative(k) for k in range(d)]
                 for part in intersect_cells(shifted, cell_0):
-                    pts, wts = cell_quadrature(part, degree)
+                    pts, wts = cell_quadrature(part, quad_degree)
                     pts_parts.append(pts)
                     wts_parts.append(wts)
                     psil_parts.append(poly_ls.eval_many(pts))
@@ -93,11 +98,81 @@ def build_overlap_tables(
 
 
 @dataclass(frozen=True)
+class CellQuadrature:
+    """Overlap-table and mollifier quadrature regrouped by lattice cell.
+
+    Every quadrature point z of an overlap table, and of the element's own
+    cells, splits as z = k + zeta with k = floor(z) in Z^d and zeta in
+    [0, 1)^d.  The point x + h z of site x is then x_c + h zeta for the
+    lattice cell c = x/h + k, so a coefficient sampled once at x_c + h zeta
+    for every cell c serves every table.  The distinct zeta are shared by all
+    term kinds; for each shift k one (P, |Gamma|) weight matrix per kind
+    holds the quadrature weight times the basis product.
+    """
+
+    offsets: tuple[Lam, ...]  # Gamma, the stencil footprint
+    shifts: tuple[Lam, ...]   # lattice-cell shifts k
+    zeta: np.ndarray          # (P, d) distinct points in [0, 1)^d
+    diffusion: np.ndarray     # (d, d, K, P, G): w D_j psi_lam (-D_i psi) at [i-1, j-1]
+    transport: np.ndarray     # (d, K, P, G): w D_i psi_lam psi at [i-1]
+    reaction: np.ndarray      # (K, P, G): w psi_lam psi
+    mollifier: np.ndarray     # (K, P, 1): w psi
+
+
+def build_cell_quadrature(element: FiniteElement, quad_degree: int) -> CellQuadrature:
+    """Regroup the overlap tables and the element's own quadrature by lattice cell."""
+    tables = build_overlap_tables(element, quad_degree)
+    offsets = tuple(sorted(tables))
+    d = element.d
+    data = [cell_quadrature(cell, quad_degree) + (poly,) for cell, poly in element.psi.pieces]
+    data_pts = np.concatenate([pts for pts, _, _ in data])
+    data_w = np.concatenate([wts * poly.eval_many(pts) for pts, wts, poly in data])
+
+    points = np.concatenate([tables[lam].points for lam in offsets] + [data_pts])
+    cells = np.floor(points)
+    frac = points - cells
+    shifts, k_idx = np.unique(cells.astype(int), axis=0, return_inverse=True)
+    # one representative per distinct zeta; roundoff-level copies merge
+    _, first, p_idx = np.unique(np.round(frac, 12), axis=0, return_index=True,
+                                return_inverse=True)
+    k_idx, p_idx = k_idx.reshape(-1), p_idx.reshape(-1)
+    K, P, G = len(shifts), len(first), len(offsets)
+
+    diffusion = np.zeros((K, P, G, d, d))
+    transport = np.zeros((K, P, G, d))
+    reaction = np.zeros((K, P, G))
+    start = 0
+    for g, lam in enumerate(offsets):
+        tab = tables[lam]
+        stop = start + len(tab.weights)
+        at = (k_idx[start:stop], p_idx[start:stop], g)
+        w = tab.weights[:, None]
+        grad = w[:, :, None] * tab.dpsi_l.T[:, None, :] * -tab.dpsi_0.T[:, :, None]  # [m, i, j]
+        np.add.at(diffusion, at, grad)
+        np.add.at(transport, at, w * tab.dpsi_l.T * tab.psi_0[:, None])
+        np.add.at(reaction, at, tab.weights * tab.psi_l * tab.psi_0)
+        start = stop
+    mollifier = np.zeros((K, P, 1))
+    np.add.at(mollifier, (k_idx[start:], p_idx[start:], 0), data_w)
+    return CellQuadrature(
+        offsets=offsets,
+        shifts=tuple(tuple(int(c) for c in k) for k in shifts),
+        zeta=frac[first],
+        diffusion=np.ascontiguousarray(diffusion.transpose(3, 4, 0, 1, 2)),
+        transport=np.ascontiguousarray(transport.transpose(3, 0, 1, 2)),
+        reaction=reaction,
+        mollifier=mollifier,
+    )
+
+
+@dataclass(frozen=True)
 class ReferenceTensors:
     """Stencil-defining constants of an element, keyed by neighbor shift.
 
     Entries for shifts outside Gamma are identically zero; the accessors
-    return 0.0 accordingly.  Derivative indices run from 1 to d.
+    return 0.0 accordingly.  Derivative indices run from 1 to d.  `quad` is
+    the element's cell quadrature at `quad_degree`, built on first use: the
+    assembly needs it, computing and checking the tensors does not.
     """
 
     d: int
@@ -108,6 +183,11 @@ class ReferenceTensors:
     Q: dict[tuple[Lam, int, int, int, int], float]
     Qtilde: dict[tuple[Lam, int, int], float]
     quad_degree: int
+    element: FiniteElement = field(compare=False, repr=False)
+
+    @cached_property
+    def quad(self) -> CellQuadrature:
+        return build_cell_quadrature(self.element, self.quad_degree)
 
     def r(self, lam: Lam) -> float:
         return self.R.get(tuple(lam), 0.0)
@@ -142,14 +222,11 @@ class ReferenceTensors:
 
 
 def compute_reference_tensors(
-    element: FiniteElement,
-    quad_degree: int | None = None,
-    tables: dict[Lam, OverlapTable] | None = None,
+    element: FiniteElement, quad_degree: int | None = None
 ) -> ReferenceTensors:
     """Compute all reference tensors of an element by exact Gauss quadrature."""
     degree = default_quad_degree(element) if quad_degree is None else quad_degree
-    if tables is None:
-        tables = build_overlap_tables(element, degree)
+    tables = build_overlap_tables(element, degree)
     d = element.d
     R: dict[Lam, float] = {}
     Rbeta: dict[tuple[Lam, int], float] = {}
@@ -182,4 +259,5 @@ def compute_reference_tensors(
         Q=Q,
         Qtilde=Qt,
         quad_degree=degree,
+        element=element,
     )

@@ -8,7 +8,6 @@ from femspde.assembly import (
     assemble_drift,
     assemble_mass,
     assemble_noise,
-    build_cell_quadrature,
     mollify_data,
     quadrature_error_estimate,
 )
@@ -276,24 +275,24 @@ class TestMollify:
     def test_constant_preserved(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "1"\nphi = "1"')
-        out = mollify_data(problem.phi, element, lattice)
+        out = mollify_data(problem.phi, tensors, lattice)
         np.testing.assert_allclose(out.values, 1.0, atol=1e-13)
 
     def test_linear_preserved_away_from_wrap(self):
-        element = build_element("hat1d")
+        tensors = compute_reference_tensors(build_element("hat1d"))
         lattice = build_torus(1, 0.25, 32)  # L = 8
         problem = parse_problem_text('a.1.1 = "1"\nphi = "x1"')
-        out = mollify_data(problem.phi, element, lattice)
+        out = mollify_data(problem.phi, tensors, lattice)
         x = lattice.axis_coords()
         interior = (x > 1.0) & (x < 7.0)
         np.testing.assert_allclose(out.values[interior], x[interior], atol=1e-12)
 
     def test_quadratic_second_moment(self):
         # second moment of the hat: int z^2 (1 - |z|) dz = 1/6
-        element = build_element("hat1d")
+        tensors = compute_reference_tensors(build_element("hat1d"))
         lattice = build_torus(1, 0.25, 32)
         problem = parse_problem_text('a.1.1 = "1"\nphi = "x1^2"')
-        out = mollify_data(problem.phi, element, lattice)
+        out = mollify_data(problem.phi, tensors, lattice)
         x = lattice.axis_coords()
         interior = (x > 1.0) & (x < 7.0)
         expected = x[interior] ** 2 + lattice.h**2 / 6.0
@@ -302,7 +301,7 @@ class TestMollify:
     def test_sine_damping_factor(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "1"\nphi = "sin(x1)"')
-        out = mollify_data(problem.phi, element, lattice)
+        out = mollify_data(problem.phi, tensors, lattice)
         h = lattice.h
         factor = 2.0 * (1.0 - np.cos(h)) / h**2  # cosine transform of the hat
         np.testing.assert_allclose(out.values, factor * np.sin(lattice.axis_coords()),
@@ -428,9 +427,9 @@ class TestDiagnostics:
             assert np.array_equal(ap.noise(t, 1).coef,
                                   assemble_noise(element, tensors, timed, lattice, t, 1).coef)
             assert np.array_equal(ap.f_h(t).values,
-                                  mollify_data(timed.f, element, lattice, t).values)
+                                  mollify_data(timed.f, tensors, lattice, t).values)
             assert np.array_equal(ap.g_h(t, 1).values,
-                                  mollify_data(timed.g[1], element, lattice, t).values)
+                                  mollify_data(timed.g[1], tensors, lattice, t).values)
         assert ap.noise(0.0, 2) is ap.noise(0.7, 2)  # sigma.1.2 does not reference t
 
     def test_scaled_add_unions_offsets(self, hat_setup):
@@ -498,43 +497,40 @@ class TestCellQuadrature:
         lattice = build_torus(element.d, 2 * np.pi / n, n)
         h, t = sign * lattice.h, 0.3
         tables = build_overlap_tables(element, tensors.quad_degree)
-        quad = build_cell_quadrature(element, tensors.quad_degree)
 
         def close(actual, expected):
             scale = float(np.max(np.abs(expected)))
             assert scale > 0.0
             np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-13 * scale)
 
-        drift = assemble_drift(element, tensors, problem, lattice, t, quad, h)
+        drift = assemble_drift(element, tensors, problem, lattice, t, h)
         assert drift.offsets == tuple(sorted(tables))
         close(drift.coef, per_offset_drift(tables, problem, lattice, h, t))
         for rho in (1, 2):
-            noise = assemble_noise(element, tensors, problem, lattice, t, rho, quad, h)
+            noise = assemble_noise(element, tensors, problem, lattice, t, rho, h)
             close(noise.coef, per_offset_noise(tables, problem, lattice, h, t, rho))
-        close(mollify_data(problem.phi, element, lattice, t, quad, h).values,
+        close(mollify_data(problem.phi, tensors, lattice, t, h).values,
               per_offset_mollify(problem.phi, element, lattice, h, t, tensors.quad_degree))
 
     def test_split_cells_stay_within_lattice_cells(self):
-        quad = build_cell_quadrature(_element("split-hat"))
+        quad = compute_reference_tensors(_element("split-hat")).quad
         assert quad.shifts == ((-1,), (0,))
         assert np.all((quad.zeta >= 0.0) & (quad.zeta < 1.0))
         assert len(quad.zeta) == 2 * 5  # one Gauss rule on each half cell
 
-    def test_assembled_problem_rejects_degree_mismatch(self, hat_setup):
+    def test_assembled_problem_follows_tensor_degree(self, hat_setup):
+        # operators and mollified data come from the tensors' one quadrature
         element, tensors, lattice = hat_setup
-        assert build_cell_quadrature(element).degree == tensors.quad_degree
+        raised = compute_reference_tensors(element, tensors.quad_degree + 4)
         problem = parse_problem_text('a.1.1 = "1 + 0.25*cos(x1)"\nphi = "sin(3*x1)"')
-        quad = build_cell_quadrature(element, tensors.quad_degree + 4)
-        with pytest.raises(ValueError, match="degree"):
-            AssembledProblem(element, tensors, problem, lattice,
-                             quad_degree=tensors.quad_degree, quad=quad)
-        ap = AssembledProblem(element, tensors, problem, lattice, quad=quad)
-        assert ap.quad.degree == tensors.quad_degree + 4
-        # operators and mollified data come from the one quadrature
-        expected = mollify_data(problem.phi, element, lattice, quad=quad)
+        ap = AssembledProblem(element, raised, problem, lattice)
+        expected = mollify_data(problem.phi, raised, lattice)
         assert np.array_equal(ap.phi_h().values, expected.values)
-        drift = assemble_drift(element, tensors, problem, lattice, 0.0, quad)
+        drift = assemble_drift(element, raised, problem, lattice, 0.0)
         assert np.array_equal(ap.drift(0.0).coef, drift.coef)
+        # at the default degree these data differ, so the equalities pin the degree
+        assert not np.array_equal(expected.values,
+                                  mollify_data(problem.phi, tensors, lattice).values)
 
 
 class TestEvaluationCount:
@@ -567,9 +563,9 @@ class TestEvaluationCount:
     @pytest.mark.parametrize("preset, n, per_cell", [("hat1d", 16, 5), ("tensor(2)", 8, 25)])
     def test_mollify(self, points_seen, preset, n, per_cell):
         element = build_element(preset)
+        tensors = compute_reference_tensors(element)
         problem = parse_problem_text(EQUIVALENCE_PROBLEMS[element.d])
         lattice = build_torus(element.d, 2 * np.pi / n, n)
-        quad = build_cell_quadrature(element)
-        assert len(quad.zeta) == per_cell
-        mollify_data(problem.phi, element, lattice, quad=quad)
+        assert len(tensors.quad.zeta) == per_cell
+        mollify_data(problem.phi, tensors, lattice)
         assert points_seen == [n**element.d * per_cell]

@@ -38,7 +38,8 @@ class TestInvertibility:
 
     def test_identity_symbol(self):
         tensors = ReferenceTensors(
-            d=1, gamma=((0,),), R={(0,): 1.0}, Rbeta={}, Rab={}, Q={}, Qtilde={}, quad_degree=8
+            d=1, gamma=((0,),), R={(0,): 1.0}, Rbeta={}, Rab={}, Q={}, Qtilde={}, quad_degree=8,
+            element=None,
         )
         assert check_invertibility(tensors, 64) == pytest.approx(1.0, abs=1e-12)
 
@@ -73,7 +74,7 @@ class TestInvertibility:
         tensors = ReferenceTensors(
             d=1, gamma=((-1,), (0,), (1,)),
             R={(-1,): 0.1, (0,): 0.7, (1,): 0.3},
-            Rbeta={}, Rab={}, Q={}, Qtilde={}, quad_degree=8,
+            Rbeta={}, Rab={}, Q={}, Qtilde={}, quad_degree=8, element=None,
         )
         with pytest.raises(SymbolError):
             check_invertibility(tensors, 64)

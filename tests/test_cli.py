@@ -333,3 +333,41 @@ class TestManifest:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert len(run_dirs(out)) == 1
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "n", 0),
+        ("simulate", "steps", 0),
+        ("simulate", "steps", -3),
+        ("simulate", "dt_factor", 0.0),
+        ("simulate", "dt_factor", -1.0),
+        ("simulate", "T", 0.0),
+        ("simulate", "T", -1.0),
+        ("convergence", "samples", 0),
+        ("convergence", "samples", -2),
+    ])
+    def test_non_positive_run_sizes_rejected(self, tmp_path, stoch_file, capsys,
+                                             command, key, value):
+        # from the command line and from a replayed manifest alike: exit 1
+        # with an error naming the field, before any run directory exists
+        out = tmp_path / "o"
+        args = [command, "--preset", "hat1d", "--problem", stoch_file,
+                "--n", "8", "--T", "0.05", "--steps", "4", "--out", str(out)]
+        if command == "convergence":
+            args += ["--ladder", "3"]
+        capsys.readouterr()
+        assert main(args + ["--" + key.replace("_", "-"), str(value)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+        assert main(args) == EXIT_OK
+        (run_dir,) = run_dirs(out)
+        doc = json.loads((out / run_dir / "manifest.json").read_text())
+        doc["config"][key] = value
+        manifest = tmp_path / "bad.json"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", str(manifest), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert len(run_dirs(out)) == 1

@@ -266,6 +266,14 @@ class TestIntegrate:
             integrate(ap, NoisePath(1, 20, 0.01, rho_count=1), T=0.2, steps=20)
         integrate(ap, NoisePath(1, 20, 0.01, rho_count=2), T=0.2, steps=20)
 
+    @pytest.mark.parametrize("T, steps, field", [
+        (0.1, 0, "steps"), (0.1, -3, "steps"), (0.0, 4, "T"), (-1.0, 4, "T"),
+    ])
+    def test_non_positive_run_sizes_rejected(self, hat, T, steps, field):
+        ap = make_assembled(hat, 'a.1.1 = "1"\nphi = "sin(x1)"')
+        with pytest.raises(ValueError, match=field):
+            integrate(ap, None, T, steps)
+
     def test_reused_assembly_matches_fresh(self, hat):
         # operators, data and U_0 kept from the first call change nothing in the second
         text = ('a.1.1 = "1 + 0.25*cos(x1)"\nsigma.1.1 = "0.3"\ng.1 = "0.1"\n'

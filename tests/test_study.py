@@ -265,6 +265,23 @@ class TestValidation:
         cfg = StudyConfig(L=L, ladder_n=[8, 16, 32], ref_n=128, T=0.5)
         assert cfg.resolved_steps() == resolve_steps(0.5, L, 32, 0.5)
 
+    @pytest.mark.parametrize("T, dt_factor, steps, field", [
+        (0.0, 0.5, None, "T"), (-1.0, 0.5, 4, "T"),
+        (0.5, 0.0, None, "dt_factor"), (0.5, -1.0, None, "dt_factor"),
+        (0.5, 0.5, 0, "steps"), (0.5, 0.5, -3, "steps"),
+    ])
+    def test_non_positive_run_sizes_rejected(self, T, dt_factor, steps, field):
+        with pytest.raises(ValueError, match=field):
+            resolve_steps(T, L, 32, dt_factor, steps)
+
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_samples_below_one_rejected(self, hat, samples):
+        element, tensors = hat
+        problem = parse_problem_text(STOCH_PROBLEM)
+        cfg = StudyConfig(L=L, ladder_n=[8, 16, 32], ref_n=64, T=0.05, samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            run_convergence_study(element, tensors, problem, cfg)
+
     def test_ladder_requirements(self, hat):
         element, tensors = hat
         problem = parse_problem_text(DET_PROBLEM)

@@ -216,3 +216,62 @@ class TestInvariants:
         assert hat1d_tensors.r((5,)) == 0.0
         assert hat1d_tensors.rab((2,), 1, 1) == 0.0
         assert hat1d_tensors.q((-3,), 1, 1, 1, 1) == 0.0
+
+
+class TestCellQuadratureOwnership:
+    """The tensors build their cell quadrature once, and only when assembly needs it."""
+
+    @pytest.fixture()
+    def overlap_calls(self, monkeypatch):
+        import femspde.tensors as tensors_module
+
+        calls = []
+        real = tensors_module.build_overlap_tables
+
+        def counting(element, quad_degree):
+            calls.append(quad_degree)
+            return real(element, quad_degree)
+
+        monkeypatch.setattr(tensors_module, "build_overlap_tables", counting)
+        return calls
+
+    def test_verification_builds_no_quadrature(self, overlap_calls):
+        from femspde.checks import verify_element
+
+        tensors = compute_reference_tensors(build_element("tensor(4)"))
+        assert verify_element(tensors.element, tensors).passed
+        assert overlap_calls == [tensors.quad_degree]
+        assert "quad" not in vars(tensors)
+
+    def test_study_multilevel_and_problem_share_one_quadrature(self, overlap_calls,
+                                                              monkeypatch):
+        import numpy as np
+
+        import femspde.assembly as assembly
+        from femspde import (AssembledProblem, StudyConfig, build_torus, integrate_multilevel,
+                             parse_problem_text, run_convergence_study)
+
+        element = build_element("hat1d")
+        tensors = compute_reference_tensors(element)
+        assert len(overlap_calls) == 1
+        seen = []
+        real = assembly._assemble_cells
+
+        def recording(quad, *args):
+            seen.append(quad)
+            return real(quad, *args)
+
+        monkeypatch.setattr(assembly, "_assemble_cells", recording)
+        problem = parse_problem_text('a.1.1 = "1 + 0.25*cos(x1)"\nphi = "sin(x1)"')
+        L = 2 * np.pi
+        cfg = StudyConfig(L=L, ladder_n=[16, 32, 64], ref_n=128, T=0.05)  # 5 lattices
+        run_convergence_study(element, tensors, problem, cfg)
+        study_calls = len(seen)
+        integrate_multilevel(element, tensors, problem, build_torus(1, L / 16, 16), 3, None,
+                             T=0.05, steps=4)
+        multilevel_calls = len(seen) - study_calls
+        AssembledProblem(element, tensors, problem, build_torus(1, L / 8, 8)).drift(0.0)
+        assert len(overlap_calls) == 2
+        assert study_calls == 2 * 5 and multilevel_calls == 2 * 3  # drift and phi_h
+        assert len(seen) == study_calls + multilevel_calls + 1
+        assert all(quad is tensors.quad for quad in seen)
