@@ -21,6 +21,7 @@ from .integrator import (
     Trajectory,
     integrate,
     integrate_multilevel,
+    integrate_samples,
     sample_seed,
     solve_linear,
     step_implicit_em,
@@ -77,6 +78,7 @@ __all__ = [
     "inner_0h",
     "integrate",
     "integrate_multilevel",
+    "integrate_samples",
     "load_element_file",
     "load_problem_file",
     "mollify_data",

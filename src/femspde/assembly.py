@@ -62,15 +62,21 @@ class StencilOperator:
         self.coef = coef
         self.t = t
 
-    def apply(self, u: GridFunction) -> GridFunction:
-        if u.lattice != self.lattice:
+    def apply(self, u: GridFunction | np.ndarray) -> GridFunction | np.ndarray:
+        """op U for one GridFunction, or for every sample of a (samples, *lattice.shape)
+        block; each sample's sum runs over the offsets in the same order."""
+        one = isinstance(u, GridFunction)
+        if one and u.lattice != self.lattice:
             raise ValueError("stencil and grid function live on different lattices")
-        out = np.zeros(self.lattice.shape)
-        axes = tuple(range(self.lattice.d))
+        block = u.values[None] if one else u
+        if block.shape[1:] != self.lattice.shape:
+            raise ValueError(f"block shape {block.shape} does not match {self.lattice.shape}")
+        out = np.zeros(block.shape)
+        axes = tuple(range(1, self.lattice.d + 1))
         for k, lam in enumerate(self.offsets):
-            shifted = np.roll(u.values, shift=tuple(-c for c in lam), axis=axes)
+            shifted = np.roll(block, shift=tuple(-c for c in lam), axis=axes)
             out += self.coef[k] * shifted
-        return GridFunction(self.lattice, out)
+        return GridFunction(self.lattice, out[0]) if one else out
 
     def scaled_add(self, alpha: float, other: "StencilOperator", beta: float) -> "StencilOperator":
         """Return alpha*self + beta*other on the union of footprints."""

@@ -44,7 +44,7 @@ from .lattice import build_torus, write_grid_function_csv
 from .polynomials import GeometryError
 from .problem import ProblemFormatError, parse_problem_text
 from .richardson import RATIO_QUARTER, RATIO_SIXTEENTH, write_loglog_svg
-from .study import StudyConfig, resolve_steps, run_convergence_study
+from .study import MIN_LADDER, StudyConfig, resolve_steps, run_convergence_study
 from .tensors import compute_reference_tensors
 
 EXIT_OK = 0
@@ -63,8 +63,8 @@ CHOICES = {"ratio": tuple(RATIOS), "record": ("terminal", "all"), "h_sign": ("pl
 _NUMBER_TYPES = {"float": (int, float), "int": (int,), "int | None": (int, type(None))}
 
 # run sizes that must be positive when set (None means derived); h = L / n and
-# dt = T / steps divide by them
-_POSITIVE = ("L", "n", "T", "steps", "dt_factor", "samples")
+# dt = T / steps divide by them, and rho_max <= 0 would drop every noise term
+_POSITIVE = ("L", "n", "T", "steps", "dt_factor", "samples", "rho_max")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,6 +111,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise UsageError(f"{name} must be positive, got {value!r}")
+        if not self.ladder >= MIN_LADDER:
+            raise UsageError(f"ladder must be at least {MIN_LADDER}, got {self.ladder!r}")
 
     def to_manifest(self) -> dict:
         return {

@@ -8,7 +8,10 @@ One step solves
 
 so the drift is implicit and the stochastic increment explicit.  Coefficients
 are evaluated at t_{n+1} on the implicit side and at t_n inside the
-stochastic term.  The initial state solves mass U_0 = phi_h.
+stochastic term.  The initial state solves mass U_0 = phi_h.  Monte Carlo
+samples that differ only in their noise path advance together as one
+(samples, *lattice.shape) block (integrate_samples); integrate is its
+one-sample view.
 
 Noise increments come from a counter-based generator: the uint64 stream of
 Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
@@ -26,7 +29,7 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from .assembly import AssembledProblem, StencilOperator
-from .lattice import GridFunction, TorusLattice, norm_0h
+from .lattice import GridFunction, TorusLattice, norms_0h
 
 
 class SolverError(RuntimeError):
@@ -36,9 +39,10 @@ class SolverError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int | None = None, sample: int | None = None):
         super().__init__(message)
         self.step = step
+        self.sample = sample
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +102,6 @@ class NoisePath:
         raw = bg.random_raw(4)[n % 4]
         return float(np.sqrt(self.dt) * ndtri(_uniform_from_raw(np.array([raw], dtype=np.uint64))[0]))
 
-    def step_increments(self, n: int) -> np.ndarray:
-        return self.increments[:, n]
-
 
 # ---------------------------------------------------------------------------
 # linear solves
@@ -147,12 +148,19 @@ class LinearSolver:
             self._mat = mat
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = rhs.reshape(-1)
+        """Solve for one right-hand side of total_sites values, or for every row
+        of a (samples, total_sites) block: one multi-RHS LU solve, or one
+        BiCGStab run per row, each with its own residual check."""
+        rows = np.reshape(rhs, (-1, self.op.lattice.total_sites))
         if self.direct:
-            out = self._lu.solve(rhs)
+            out = self._lu.solve(rows.T).T
             if not np.all(np.isfinite(out)):
                 raise SolverError("sparse LU solve produced non-finite values")
-            return out
+        else:
+            out = np.stack([self._krylov(row, s, len(rows)) for s, row in enumerate(rows)])
+        return out[0] if np.ndim(rhs) == 1 else out
+
+    def _krylov(self, rhs: np.ndarray, column: int, columns: int) -> np.ndarray:
         from scipy.sparse.linalg import bicgstab
 
         norm = float(np.linalg.norm(rhs))
@@ -161,8 +169,10 @@ class LinearSolver:
         out, info = bicgstab(self._mat, rhs, rtol=self.cfg.tol, atol=0.0, maxiter=self.cfg.max_iter)
         residual = float(np.linalg.norm(self._mat @ out - rhs)) / norm
         if info != 0 or not np.isfinite(residual) or residual > 10 * self.cfg.tol:
+            where = f" in column {column}" if columns > 1 else ""
             raise SolverError(
-                f"iterative solver failed (info={info}) with relative residual {residual:.3e}",
+                f"iterative solver failed{where} (info={info}) with relative residual "
+                f"{residual:.3e}",
                 residual=residual,
             )
         return out
@@ -221,32 +231,115 @@ class Trajectory:
 
 
 def step_implicit_em(
-    u_n: GridFunction,
+    u_n: GridFunction | np.ndarray,
     assembled: AssembledProblem,
     t_n: float,
     dt: float,
     increments: np.ndarray | None,
     solver: LinearSolver | None = None,
     cfg: SolverConfig | None = None,
-) -> GridFunction:
-    """One drift-implicit Euler-Maruyama step from t_n to t_n + dt."""
+) -> GridFunction | np.ndarray:
+    """One drift-implicit Euler-Maruyama step from t_n to t_n + dt.
+
+    u_n is a (samples, *lattice.shape) block with increments shaped
+    (rho_count, samples), or one GridFunction with increments (rho_count,);
+    the result takes the same form.  All samples share one implicit system.
+    """
     cfg = cfg or SolverConfig()
+    one = isinstance(u_n, GridFunction)
+    block = u_n.values[None] if one else u_n
     t_next = t_n + dt
-    rhs = assembled.mass.apply(u_n)
+    rhs = assembled.mass.apply(block)
     if assembled.problem.f is not None:
-        rhs = rhs + dt * assembled.f_h(t_next)
+        rhs += dt * assembled.f_h(t_next).values
     if increments is not None and assembled.problem.has_noise:
+        dws = np.reshape(increments, (len(increments), -1, *[1] * assembled.lattice.d))
         for rho in assembled.problem.active_rhos():
-            dw = float(increments[rho - 1])
-            if dw == 0.0:
+            dw = dws[rho - 1]
+            if not np.any(dw):
                 continue
-            term = assembled.noise(t_n, rho).apply(u_n)
-            term = term + assembled.g_h(t_n, rho)
-            rhs = rhs + dw * term
+            term = assembled.noise(t_n, rho).apply(block) + assembled.g_h(t_n, rho).values
+            rhs += dw * term
     if solver is None:
         solver = LinearSolver(implicit_system(assembled, t_next, dt), cfg)
-    out = solver.solve(rhs.flat())
-    return GridFunction(u_n.lattice, out)
+    out = solver.solve(rhs.reshape(len(block), -1)).reshape(block.shape)
+    return GridFunction(u_n.lattice, out[0]) if one else out
+
+
+def integrate_samples(
+    assembled: AssembledProblem,
+    noises: list[NoisePath] | None,
+    T: float,
+    steps: int,
+    cfg: SolverConfig | None = None,
+    observe=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a block of samples from the mollified initial state to time T.
+
+    noises holds one NoisePath per sample, all on the integrator's time
+    grid, or is None for a single noise-free sample.  Every step is one
+    stencil apply per operator on the (samples, *lattice.shape) block and
+    one solve with a factorization shared by all samples (one per lattice,
+    or one per step when the drift depends on t).  observe(n, block), when
+    given, sees the block at every time index n = 0..steps.
+
+    Returns the terminal block and each sample's sup over time of |U|_{0,h}.
+    """
+    cfg = cfg or SolverConfig()
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    if assembled.problem.has_noise and noises is None:
+        raise ValueError("problem carries noise terms but no noise path was given")
+    if noises is not None and not noises:
+        raise ValueError("noises must hold at least one path")
+    dt = T / steps
+    rho = max(assembled.problem.active_rhos(), default=0)
+    for noise in noises or []:
+        if noise.steps != steps:
+            raise ValueError(f"noise path has {noise.steps} steps, integrator wants {steps}")
+        if noise.rho_count < rho:
+            raise ValueError(
+                f"noise path has {noise.rho_count} Wiener indices, the problem uses rho = {rho}"
+            )
+        if abs(noise.dt - dt) > 1e-12 * max(dt, noise.dt):
+            raise ValueError(f"noise dt {noise.dt} does not match T/steps = {dt}")
+    increments = None if noises is None else np.stack([p.increments for p in noises], axis=1)
+    lattice = assembled.lattice
+
+    # BiCGStab's U_0 depends on the tolerance and the iteration cap
+    u0 = assembled.memo(("u0", cfg.tol, cfg.max_iter), lambda: solve_linear(
+        assembled.mass, assembled.phi_h(), tol=cfg.tol, max_iter=cfg.max_iter
+    ))
+    block = np.repeat(u0.values[None], 1 if noises is None else len(noises), axis=0)
+    sup = norms_0h(lattice, block)
+    if observe is not None:
+        observe(0, block)
+
+    solver: LinearSolver | None = None
+    if not assembled.problem.drift_time_dependent:
+        try:
+            solver = LinearSolver(implicit_system(assembled, 0.0, dt), cfg)
+        except SolverError as exc:
+            raise IntegrationError(f"linear solve failed at step 0: {exc}", step=0) from exc
+
+    for n in range(steps):
+        incs = None if increments is None else increments[:, :, n]
+        try:
+            block = step_implicit_em(block, assembled, n * dt, dt, incs, solver=solver, cfg=cfg)
+        except SolverError as exc:
+            raise IntegrationError(f"linear solve failed at step {n}: {exc}", step=n) from exc
+        norms = norms_0h(lattice, block)
+        bad = ~(np.isfinite(block).reshape(len(block), -1).all(axis=1) & np.isfinite(norms))
+        if bad.any():
+            s = int(np.argmax(bad))
+            raise IntegrationError(f"non-finite state or |U|_0h at step {n} in sample {s}",
+                                   step=n, sample=s)
+        sup = np.maximum(sup, norms)
+        if observe is not None:
+            observe(n + 1, block)
+    return block, sup
 
 
 def integrate(
@@ -257,65 +350,26 @@ def integrate(
     record: str = "all",
     cfg: SolverConfig | None = None,
 ) -> Trajectory:
-    """Run the scheme from the mollified initial state to time T.
+    """Run the scheme for one sample from the mollified initial state to time T.
 
-    record: 'all' keeps every state, 'terminal' only the last; the sup of
-    |U|_{0,h} over all steps is tracked either way.
+    The one-sample view of integrate_samples.  record: 'all' keeps every
+    state, 'terminal' only the last; the sup of |U|_{0,h} over all steps is
+    tracked either way.
     """
-    cfg = cfg or SolverConfig()
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
-    if noise is not None and noise.steps != steps:
-        raise ValueError(f"noise path has {noise.steps} steps, integrator wants {steps}")
-    if assembled.problem.has_noise and noise is None:
-        raise ValueError("problem carries noise terms but no noise path was given")
-    rho = max(assembled.problem.active_rhos(), default=0)
-    if noise is not None and noise.rho_count < rho:
-        raise ValueError(
-            f"noise path has {noise.rho_count} Wiener indices, the problem uses rho = {rho}"
-        )
-    dt = T / steps
-    if noise is not None and abs(noise.dt - dt) > 1e-12 * max(dt, noise.dt):
-        raise ValueError(f"noise dt {noise.dt} does not match T/steps = {dt}")
     lattice = assembled.lattice
+    states = [] if record == "all" else None
 
-    # BiCGStab's U_0 depends on the tolerance and the iteration cap
-    u = assembled.memo(("u0", cfg.tol, cfg.max_iter), lambda: solve_linear(
-        assembled.mass, assembled.phi_h(), tol=cfg.tol, max_iter=cfg.max_iter
-    ))
-    states = [u.copy()] if record == "all" else None
-    sup = norm_0h(u)
-    times = [0.0]
+    def keep(n: int, block: np.ndarray) -> None:
+        states.append(GridFunction(lattice, block[0].copy()))
 
-    solver: LinearSolver | None = None
-    if not assembled.problem.drift_time_dependent:
-        try:
-            solver = LinearSolver(implicit_system(assembled, 0.0, dt), cfg)
-        except SolverError as exc:
-            raise IntegrationError(f"linear solve failed at step 0: {exc}", step=0) from exc
-
-    for n in range(steps):
-        t_n = n * dt
-        incs = noise.step_increments(n) if noise is not None else None
-        try:
-            u = step_implicit_em(u, assembled, t_n, dt, incs, solver=solver, cfg=cfg)
-        except SolverError as exc:
-            raise IntegrationError(f"linear solve failed at step {n}: {exc}", step=n) from exc
-        norm = norm_0h(u)
-        if not (np.all(np.isfinite(u.values)) and np.isfinite(norm)):
-            raise IntegrationError(f"non-finite state or |U|_0h at step {n}", step=n)
-        sup = max(sup, norm)
-        times.append((n + 1) * dt)
-        if record == "all":
-            states.append(u.copy())
+    terminal, sup = integrate_samples(assembled, None if noise is None else [noise], T, steps,
+                                      cfg, None if states is None else keep)
     return Trajectory(
         lattice=lattice,
-        times=np.asarray(times),
+        times=np.arange(steps + 1) * (T / steps),
         states=states,
-        terminal=u,
-        sup_norm_0h=sup,
+        terminal=GridFunction(lattice, terminal[0]),
+        sup_norm_0h=float(sup[0]),
         record=record,
     )
 

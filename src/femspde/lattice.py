@@ -60,12 +60,6 @@ class TorusLattice:
         """Halve h, double n; same torus length, coarse sites nested in fine."""
         return TorusLattice(self.d, self.h / 2.0, self.n * 2)
 
-    def refined(self, levels: int) -> "TorusLattice":
-        lat = self
-        for _ in range(levels):
-            lat = lat.refine()
-        return lat
-
 
 def build_torus(d: int, h: float, sites_per_axis: int) -> TorusLattice:
     return TorusLattice(d, float(h), int(sites_per_axis))
@@ -116,8 +110,13 @@ def _same_lattice(a: GridFunction, b: GridFunction) -> None:
 
 def norm_0h(u: GridFunction) -> float:
     """Discrete L2 norm: |U|_{0,h} = (h^d sum_x U(x)^2)^(1/2)."""
-    h = u.lattice.h
-    return float(np.sqrt(h**u.lattice.d * np.sum(u.values**2)))
+    return float(norms_0h(u.lattice, u.values[None])[0])
+
+
+def norms_0h(lattice: TorusLattice, block: np.ndarray) -> np.ndarray:
+    """|U|_{0,h} of every sample of a (samples, *lattice.shape) block."""
+    axes = tuple(range(1, lattice.d + 1))
+    return np.sqrt(lattice.h**lattice.d * np.sum(block**2, axis=axes))
 
 
 def inner_0h(u: GridFunction, v: GridFunction) -> float:

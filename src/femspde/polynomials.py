@@ -109,11 +109,6 @@ class Polynomial:
             coeffs = out
         return Polynomial(self.d, coeffs)
 
-    def reflected(self) -> "Polynomial":
-        """Return q with q(z) = p(-z)."""
-        out = {e: (c if sum(e) % 2 == 0 else -c) for e, c in self.coeffs.items()}
-        return Polynomial(self.d, out)
-
     def __repr__(self) -> str:
         terms = sorted(self.coeffs.items())
         return f"Polynomial(d={self.d}, {terms})"

@@ -198,6 +198,8 @@ def parse_problem_text(text: str, rho_max: int | None = None) -> Problem:
         else:
             rhos = [r for (_, r) in sigma] + list(nu) + list(g)
             rho_max = max(rhos, default=1)
+    if rho_max < 1:  # would drop every sigma, nu and g term
+        raise ProblemFormatError(f"rho_max must be >= 1, got {rho_max}")
 
     sigma = {k: v for k, v in sigma.items() if k[1] <= rho_max}
     nu = {k: v for k, v in nu.items() if k <= rho_max}

@@ -15,9 +15,19 @@ accelerated rate being measured.
 
 Stochastic studies average squared errors over per-sample seeds before
 fitting, i.e. they fit the root-mean-square (strong) error.  Only the noise
-path changes between samples: each lattice's AssembledProblem (operators,
-mollified data and U_0) is built by the first sample and reused by the
-later ones, and the last sample drops it once that lattice is solved.
+path changes between samples, so all samples advance as one block
+(integrator.integrate_samples): each lattice is assembled and factored
+once, and every step is one stencil apply per operator and one multi-RHS
+LU solve for the whole block.  Above DIRECT_SITE_LIMIT sites BiCGStab still
+runs once per sample (column).
+
+Nothing keeps whole trajectories.  The lattices run from the finest down;
+the reference mixture is kept injected onto the finest ladder mesh, each
+unfinished mixture keeps its finer levels' weighted terms injected onto its
+base mesh, and each ladder mesh's max-over-time errors are updated step by
+step while its own lattice runs, the last level of its mixture.  Stored
+states stay O(steps * samples * max(ladder)^d) for fixed jbar, plus one
+lattice's block and operators.
 """
 
 from __future__ import annotations
@@ -28,11 +38,14 @@ import numpy as np
 
 from .assembly import AssembledProblem
 from .elements import FiniteElement
-from .integrator import NoisePath, SolverConfig, integrate, sample_seed
-from .lattice import GridFunction, build_torus
+from .integrator import NoisePath, SolverConfig, integrate_samples, sample_seed
+from .lattice import build_torus, nesting_factor, norms_0h
 from .problem import Problem
-from .richardson import ConvergenceReport, ExtrapolationPlan, combine, trajectory_error
+from .richardson import ConvergenceReport, ExtrapolationPlan
 from .tensors import ReferenceTensors
+
+
+MIN_LADDER = 3  # meshes an order fit needs
 
 
 def resolve_steps(T: float, L: float, n_finest: int, dt_factor: float,
@@ -84,12 +97,15 @@ class StudyResult:
 
 def _validate_ladder(cfg: StudyConfig) -> None:
     ladder = list(cfg.ladder_n)
-    if len(ladder) < 3:
-        raise ValueError("the mesh ladder needs at least 3 levels for an order fit")
+    if len(ladder) < MIN_LADDER:
+        raise ValueError(f"the mesh ladder needs at least {MIN_LADDER} levels for an order fit")
     if sorted(ladder) != ladder or len(set(ladder)) != len(ladder):
         raise ValueError("ladder meshes must be strictly increasing")
     if cfg.ref_n < 2 * max(ladder):
         raise ValueError("reference mesh must be finer than the finest ladder mesh")
+    reference = build_torus(1, cfg.L / cfg.ref_n, cfg.ref_n)
+    for n in ladder:  # the reference is injected onto every ladder mesh
+        nesting_factor(reference, build_torus(1, cfg.L / n, n))
 
 
 def run_convergence_study(
@@ -100,8 +116,10 @@ def run_convergence_study(
 ) -> StudyResult:
     """Measure base and extrapolated convergence orders on a mesh ladder.
 
-    Each lattice is assembled once and reused by every sample; the
-    implicit-system factorization stays per integrate call.
+    The lattices are visited from the finest down; each is assembled once,
+    advances all samples as one block and is dropped when done.  Mixtures
+    sum their levels in level order, as richardson.combine does, so the
+    errors do not depend on the visiting order.
     """
     _validate_ladder(cfg)
     if cfg.samples < 1:
@@ -111,55 +129,80 @@ def run_convergence_study(
     dt = cfg.T / steps
     plan = ExtrapolationPlan.create(cfg.jbar, cfg.ratio)
 
-    needed: set[int] = set()
-    for n in [*cfg.ladder_n, cfg.ref_n]:
-        for j in range(cfg.jbar + 1):
-            needed.add(n * 2**j)
-    needed_sorted = sorted(needed)
+    noises = None
+    if problem.has_noise:
+        noises = [NoisePath(sample_seed(cfg.base_seed, s), steps, dt, problem.rho_max)
+                  for s in range(cfg.samples)]
+    rows = cfg.samples if noises else 1  # noise-free samples coincide: one row serves all
 
-    base_sq = np.zeros(len(cfg.ladder_n))
-    mix_sq = np.zeros(len(cfg.ladder_n))
-    kept: dict[int, AssembledProblem] = {}
-    for s in range(cfg.samples):
-        noise = None
-        if problem.has_noise:
-            noise = NoisePath(sample_seed(cfg.base_seed, s), steps, dt, problem.rho_max)
-        solutions: dict[int, list[GridFunction]] = {}
-        for n in needed_sorted:
-            assembled = kept.pop(n, None)
-            if assembled is None:
-                lattice = build_torus(d, cfg.L / n, n)
-                assembled = AssembledProblem(element, tensors, problem, lattice,
-                                             h=cfg.h_sign * lattice.h)
-            traj = integrate(assembled, noise, cfg.T, steps, record="all", cfg=cfg.solver)
-            solutions[n] = traj.states
-            if s + 1 < cfg.samples:  # the last sample drops each lattice once solved
-                kept[n] = assembled
+    # lattice m -> the (root mesh, level j) pairs it serves, m = root * 2^j
+    uses: dict[int, list[tuple[int, int]]] = {}
+    for root in [cfg.ref_n, *cfg.ladder_n]:
+        for j in range(plan.levels):
+            uses.setdefault(root * 2**j, []).append((root, j))
+    finest = max(cfg.ladder_n)
+    ref = np.empty((steps + 1, rows, *(finest,) * d))
+    # root -> {j: c_j U_j per time, injected onto the root (the reference: onto
+    # the finest ladder mesh)} for the levels j >= 1 already run
+    terms: dict[int, dict[int, np.ndarray]] = {}
+    index = {n: i for i, n in enumerate(cfg.ladder_n)}
+    base_err = np.zeros((len(cfg.ladder_n), rows))
+    mix_err = np.zeros((len(cfg.ladder_n), rows))
 
-        ref_states = _mixture_states(solutions, cfg.ref_n, plan)
-        for i, n in enumerate(cfg.ladder_n):
-            lattice = build_torus(d, cfg.L / n, n)
-            base_states = solutions[n]
-            mix_states = _mixture_states(solutions, n, plan)
-            base_sq[i] += trajectory_error(base_states, ref_states, lattice) ** 2
-            if cfg.jbar >= 1:
-                mix_sq[i] += trajectory_error(mix_states, ref_states, lattice) ** 2
+    def inject(block: np.ndarray, m: int, n: int) -> np.ndarray:
+        """The sites of lattice n out of a (rows, m, ..., m) block on lattice m."""
+        return block[(slice(None),) + (slice(None, None, m // n),) * d]
+
+    def target(root: int) -> int:
+        return finest if root == cfg.ref_n else root
+
+    for m in sorted(uses, reverse=True):
+        lattice = build_torus(d, cfg.L / m, m)
+        assembled = AssembledProblem(element, tensors, problem, lattice,
+                                     h=cfg.h_sign * lattice.h)
+        for root, j in uses[m]:
+            if j > 0:
+                terms.setdefault(root, {})[j] = np.empty((steps + 1, rows, *(target(root),) * d))
+
+        def observe(k: int, block: np.ndarray) -> None:
+            for root, j in uses[m]:
+                part = plan.coefficients[j] * inject(block, m, target(root))
+                if j > 0:
+                    terms[root][j][k] = part
+                    continue
+                # m is the root itself, its last level: sum the mixture in level
+                # order, as richardson.combine does
+                for level in range(1, plan.levels):
+                    part += terms[root][level][k]
+                if root == cfg.ref_n:
+                    ref[k] = part
+                    continue
+                i, r = index[root], inject(ref[k], finest, root)
+                base_err[i] = np.maximum(base_err[i], norms_0h(lattice, block - r))
+                if cfg.jbar >= 1:
+                    mix_err[i] = np.maximum(mix_err[i], norms_0h(lattice, part - r))
+
+        integrate_samples(assembled, noises, cfg.T, steps, cfg.solver, observe)
+        for root, j in uses[m]:
+            if j == 0:
+                terms.pop(root, None)
+        del assembled  # freed before the next lattice is assembled
 
     hs = [cfg.L / n for n in cfg.ladder_n]
-    base_errors = np.sqrt(base_sq / cfg.samples)
-    base = ConvergenceReport("base", hs, list(cfg.ladder_n), base_errors.tolist())
+    base = ConvergenceReport("base", hs, list(cfg.ladder_n), _rms(base_err, cfg.samples))
     mixture = None
     if cfg.jbar >= 1:
-        mix_errors = np.sqrt(mix_sq / cfg.samples)
         mixture = ConvergenceReport(
-            f"mixture jbar={cfg.jbar}", hs, list(cfg.ladder_n), mix_errors.tolist()
+            f"mixture jbar={cfg.jbar}", hs, list(cfg.ladder_n), _rms(mix_err, cfg.samples)
         )
     return StudyResult(base=base, mixture=mixture, steps=steps, dt=dt, samples=cfg.samples)
 
 
-def _mixture_states(
-    solutions: dict[int, list[GridFunction]], n: int, plan: ExtrapolationPlan
-) -> list[GridFunction]:
-    """Per-time mixture of the level solutions rooted at base mesh n."""
-    levels = [solutions[n * 2**j] for j in range(plan.levels)]
-    return [combine(list(states), plan) for states in zip(*levels)]
+def _rms(errors: np.ndarray, samples: int) -> list[float]:
+    """Root mean square over the samples of each ladder mesh's (rows,) errors,
+    summed in sample order; a single row stands for every sample."""
+    sq = np.zeros(len(errors))
+    for i, row in enumerate(errors):
+        for s in range(samples):
+            sq[i] += float(row[s % len(row)]) ** 2
+    return np.sqrt(sq / samples).tolist()

@@ -269,6 +269,25 @@ class TestApply:
         other = build_torus(1, lattice.h / 2, 2 * lattice.n)
         with pytest.raises(ValueError):
             mass.apply(GridFunction(other, np.zeros(other.shape)))
+        with pytest.raises(ValueError):
+            mass.apply(np.zeros((3, *other.shape)))
+
+    def test_sample_block_matches_each_sample(self, rng):
+        # a (samples, *shape) block gives each sample's own apply bit for bit
+        for preset in ("hat1d", "tensor(2)"):
+            element = build_element(preset)
+            tensors = compute_reference_tensors(element)
+            d = element.d
+            lattice = build_torus(d, 0.5, 8)
+            diffusion = "\n".join(f'a.{i}.{i} = "1 + 0.5*cos(x{i})"' for i in range(1, d + 1))
+            problem = parse_problem_text(f'd = {d}\n{diffusion}\nb.1 = "0.2"')
+            drift = assemble_drift(element, tensors, problem, lattice, 0.0)
+            block = rng.normal(size=(4, *lattice.shape))
+            got = drift.apply(block)
+            assert got.shape == block.shape
+            for sample, out in zip(block, got):
+                want = drift.apply(GridFunction(lattice, sample)).values
+                assert np.array_equal(out, want)
 
 
 class TestMollify:

@@ -344,6 +344,10 @@ class TestManifest:
         ("simulate", "T", -1.0),
         ("convergence", "samples", 0),
         ("convergence", "samples", -2),
+        ("simulate", "rho_max", 0),
+        ("simulate", "rho_max", -1),
+        ("convergence", "ladder", 2),
+        ("convergence", "ladder", 0),
     ])
     def test_non_positive_run_sizes_rejected(self, tmp_path, stoch_file, capsys,
                                              command, key, value):

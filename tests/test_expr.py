@@ -265,6 +265,16 @@ class TestProblemFiles:
         assert problem.rho_max == 1
         assert problem.active_rhos() == [1]
 
+    @pytest.mark.parametrize("text, rho_max", [
+        ('a.1.1="1"\nsigma.1.1="0.3"', 0),
+        ('a.1.1="1"\nsigma.1.1="0.3"', -1),
+        ('a.1.1="1"\nsigma.1.1="0.3"\nrho_max = 0', None),
+    ])
+    def test_rho_max_below_one_rejected(self, text, rho_max):
+        # truncating at rho_max < 1 would drop every sigma, nu and g term
+        with pytest.raises(ProblemFormatError, match="rho_max"):
+            parse_problem_text(text, rho_max=rho_max)
+
     def test_dimension_inferred_from_keys(self):
         problem = parse_problem_text('a.1.1="1"\na.2.2="1"\nphi="x2"')
         assert problem.d == 2

@@ -14,6 +14,7 @@ from femspde.integrator import (
     implicit_system,
     integrate,
     integrate_multilevel,
+    integrate_samples,
     sample_seed,
     solve_linear,
     splitmix64,
@@ -304,6 +305,100 @@ class TestIntegrate:
         with pytest.raises(IntegrationError) as err:
             integrate(ap, None, T=1.0, steps=10)
         assert err.value.step == 0
+
+
+BLOCK_PROBLEM = 'a.1.1 = "1 + 0.25*cos(x1)"\nsigma.1.1 = "0.3*cos(x1)"\nnu.1 = "0.2"\ng.1 = "0.1"\n'
+
+
+def block_noises(samples=3, steps=8, dt=0.01):
+    return [NoisePath(sample_seed(31, s), steps, dt, 1) for s in range(samples)]
+
+
+class TestSampleBlock:
+    """integrate_samples advances every sample as one block."""
+
+    @pytest.mark.parametrize("text", [
+        BLOCK_PROBLEM + 'phi = "sin(x1)"\nf = "cos(x1)*sin(t)"',
+        # t-dependent drift: one factorization per step, shared by the block
+        BLOCK_PROBLEM.replace("cos(x1)", "cos(x1 - t)", 1) + 'phi = "sin(x1)"',
+    ])
+    def test_block_equals_single_sample_runs(self, hat, text):
+        ap = make_assembled(hat, text)
+        noises = block_noises()
+        seen = []
+        terminal, sup = integrate_samples(ap, noises, 0.08, 8,
+                                          observe=lambda n, block: seen.append(block.copy()))
+        assert len(seen) == 9 and terminal.shape == (3, 16)
+        for s, noise in enumerate(noises):
+            traj = integrate(ap, noise, 0.08, 8)
+            for block, state in zip(seen, traj.states, strict=True):
+                assert np.array_equal(block[s], state.values)
+            assert sup[s] == traj.sup_norm_0h
+        assert not np.array_equal(seen[-1][0], seen[-1][1])
+
+    @pytest.mark.parametrize("text, factors", [
+        (BLOCK_PROBLEM, 2),  # U_0's mass solve, then one implicit system
+        (BLOCK_PROBLEM.replace("cos(x1)", "cos(x1 - t)", 1), 1 + 8),
+    ])
+    def test_factorizations_shared_by_samples(self, hat, monkeypatch, text, factors):
+        import femspde.integrator as integrator
+
+        built = []
+
+        class CountingSolver(integrator.LinearSolver):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(integrator, "LinearSolver", CountingSolver)
+        integrate_samples(make_assembled(hat, text), block_noises(), 0.08, 8)
+        assert len(built) == factors
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_sample_names_step_and_sample(self, hat):
+        # a huge increment leaves the solve finite but overflows |U|_0h
+        noises = block_noises()
+        noises[1].increments[0, 2] = 1e300
+        with pytest.raises(IntegrationError, match="step 2 in sample 1") as err:
+            integrate_samples(make_assembled(hat, BLOCK_PROBLEM), noises, 0.08, 8)
+        assert (err.value.step, err.value.sample) == (2, 1)
+
+    def test_non_finite_lu_solve_reports_step(self, hat):
+        noises = block_noises()
+        noises[2].increments[0, 5] = np.inf
+        with pytest.raises(IntegrationError, match="non-finite values") as err:
+            integrate_samples(make_assembled(hat, BLOCK_PROBLEM), noises, 0.08, 8)
+        assert err.value.step == 5
+
+    def test_cancelling_system_fails_at_step_zero(self, hat):
+        ap = make_assembled(hat, 'a.1.1 = "0"\nc = "10"\nsigma.1.1 = "0.3"')
+        with pytest.raises(IntegrationError, match="cancels") as err:
+            integrate_samples(ap, block_noises(steps=10, dt=0.1), 1.0, 10)
+        assert err.value.step == 0
+
+    def test_krylov_block_matches_rows_and_checks_each(self, hat, rng):
+        element, tensors = hat
+        n = 2 * DIRECT_SITE_LIMIT
+        lattice = build_torus(1, L / n, n)
+        solver = LinearSolver(assemble_mass(element, tensors, lattice), SolverConfig())
+        assert not solver.direct
+        rows = rng.normal(size=(2, n))
+        block = solver.solve(rows)
+        for row, out in zip(rows, block):
+            assert np.array_equal(out, solver.solve(row))
+        # each column's residual is checked: a zero column passes, the next fails
+        zero = StencilOperator(lattice, ((0,),), np.zeros((1, n)))
+        singular = LinearSolver(zero, SolverConfig(max_iter=50))
+        with pytest.raises(SolverError, match="column 1"):
+            singular.solve(np.stack([np.zeros(n), np.ones(n)]))
+
+    def test_mismatched_noise_paths_rejected(self, hat):
+        ap = make_assembled(hat, BLOCK_PROBLEM)
+        noises = block_noises()
+        with pytest.raises(ValueError, match="steps"):
+            integrate_samples(ap, noises + block_noises(1, steps=4), 0.08, 8)
+        with pytest.raises(ValueError, match="at least one"):
+            integrate_samples(ap, [], 0.08, 8)
 
 
 class TestMultilevel:

@@ -47,7 +47,7 @@ class TestRefine:
 
     def test_refine_twice(self):
         lat = build_torus(2, 0.5, 4)
-        fine = lat.refined(2)
+        fine = lat.refine().refine()
         assert fine.h == pytest.approx(0.125)
         assert fine.n == 16
 

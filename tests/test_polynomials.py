@@ -53,11 +53,6 @@ class TestPolynomial:
             pts = rng.normal(size=(20, d))
             np.testing.assert_allclose(q.eval_many(pts), p.eval_many(pts - t), atol=1e-12)
 
-    def test_reflect(self, rng):
-        p = random_poly(rng, 2, 3)
-        pts = rng.normal(size=(10, 2))
-        np.testing.assert_allclose(p.reflected().eval_many(pts), p.eval_many(-pts), atol=1e-14)
-
 
 class TestQuadrature:
     def test_box_rule_exact_for_monomials(self, rng):

@@ -209,35 +209,109 @@ class TestSharedLatticeWork:
 
         monkeypatch.setattr(integrator, "LinearSolver", CountingSolver)
         run_convergence_study(element, tensors, problem, StudyConfig(**self.CFG))
-        # 5 lattices (16 ... 256): drift, noise, phi_h, g_h and the mass
-        # factorization once each; the implicit system once per (sample, lattice)
-        assert counts == {"drift": 5, "noise": 5, "mollify": 10, "solver": 5 + 3 * 5}
+        # 5 lattices (16 ... 256): drift, noise, phi_h, g_h, the mass
+        # factorization and the implicit system once each, shared by all samples
+        assert counts == {"drift": 5, "noise": 5, "mollify": 10, "solver": 5 + 5}
 
     def test_errors_equal_fresh_assembly(self, hat, monkeypatch):
-        import femspde.study as study
+        import femspde.integrator as integrator
 
         element, tensors = hat
         problem = parse_problem_text(MC_PROBLEM)
         cfg = StudyConfig(**self.CFG)
         # the errors are maxima over time, which the initial-data error
-        # dominates; the trajectories also show the noise of each sample
-        seen = []
-        real = study.integrate
+        # dominates; the states also show the noise of each sample
+        blocks = {}  # lattice n -> the (samples, n) block at every step
+        real = integrator.step_implicit_em
 
-        def recording(*args, **kwargs):
-            seen.append(real(*args, **kwargs))
-            return seen[-1]
+        def recording(block, assembled, *args, **kwargs):
+            out = real(block, assembled, *args, **kwargs)
+            blocks.setdefault(assembled.lattice.n, [block]).append(out)
+            return out
 
-        monkeypatch.setattr(study, "integrate", recording)
+        monkeypatch.setattr(integrator, "step_implicit_em", recording)
         result = run_convergence_study(element, tensors, problem, cfg)
         monkeypatch.undo()
         base, mix, trajectories = fresh_study_errors(element, tensors, problem, cfg)
         assert result.base.errors == base
         assert result.mixture.errors == mix
-        assert len(seen) == len(trajectories) == 3 * 5
-        for got, want in zip(seen, trajectories):
-            for a, b in zip(got.states, want.states, strict=True):
-                assert np.array_equal(a.values, b.values)
+        needed = sorted(blocks)
+        assert len(needed) * cfg.samples == len(trajectories) == 3 * 5
+        for k, want in enumerate(trajectories):
+            s, n = divmod(k, len(needed))
+            got = blocks[needed[n]]
+            assert len(got) == len(want.states)
+            for block, state in zip(got, want.states):
+                assert block.shape == (cfg.samples, needed[n])
+                assert np.array_equal(block[s], state.values)
+
+
+# driven by the noise alone: phi = 0 and f = 0, so the errors are 0 without it
+NOISE_PROBLEM = """
+a.1.1 = "1 + 0.25*cos(x1)"
+sigma.1.1 = "0.3*cos(x1)"
+nu.1 = "0.2"
+g.1 = "0.1*sin(x1)"
+"""
+
+
+class TestNoiseDrivenStudy:
+    """Strong convergence on a problem whose errors come only from the noise.
+
+    On STOCH_PROBLEM the max-over-time errors sit at t = 0 and do not depend
+    on the noise, so they cannot tell one sample's path from another's.
+    """
+
+    CFG = dict(L=L, ladder_n=[16, 32, 64], ref_n=256, T=0.25, jbar=1, samples=10,
+               base_seed=2024)
+
+    def test_rms_orders_and_oracle(self, hat):
+        element, tensors = hat
+        problem = parse_problem_text(NOISE_PROBLEM)
+        cfg = StudyConfig(**self.CFG)
+        result = run_convergence_study(element, tensors, problem, cfg)
+        assert 1.9 <= result.base.fitted_order <= 2.1
+        assert 3.8 <= result.mixture.fitted_order <= 4.2
+        for mix_err, base_err in zip(result.mixture.errors, result.base.errors):
+            assert mix_err < base_err
+        base, mix, _ = fresh_study_errors(element, tensors, problem, cfg)
+        assert result.base.errors == base
+        assert result.mixture.errors == mix
+
+    def test_errors_vanish_without_noise(self, hat):
+        element, tensors = hat
+        text = "\n".join(line for line in NOISE_PROBLEM.splitlines()
+                         if not line.startswith(("sigma", "nu", "g")))
+        problem = parse_problem_text(text)
+        assert not problem.has_noise
+        result = run_convergence_study(element, tensors, problem, StudyConfig(**self.CFG))
+        assert result.base.errors == [0.0, 0.0, 0.0]
+        assert result.mixture.errors == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("jbar, ladder_n, ref_n", [(2, [16, 32, 64], 128),
+                                                       (3, [8, 16, 32], 128)])
+    def test_higher_mixtures_match_oracle(self, hat, jbar, ladder_n, ref_n):
+        # the lattices run finest first, yet every mixture sums its levels
+        # in level order, so even order-6 and order-8 errors agree
+        element, tensors = hat
+        problem = parse_problem_text(NOISE_PROBLEM)
+        cfg = StudyConfig(L=L, ladder_n=ladder_n, ref_n=ref_n, T=0.25, jbar=jbar, samples=3,
+                          base_seed=5)
+        result = run_convergence_study(element, tensors, problem, cfg)
+        base, mix, _ = fresh_study_errors(element, tensors, problem, cfg)
+        np.testing.assert_allclose(result.base.errors, base, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(result.mixture.errors, mix, rtol=1e-13, atol=0.0)
+
+    def test_cancelling_system_fails_at_step_zero(self, hat):
+        # dt * c = 1 with no diffusion: mass - dt * drift cancels, as in integrate
+        from femspde.integrator import IntegrationError
+
+        element, tensors = hat
+        problem = parse_problem_text('a.1.1 = "0"\nc = "10"\nphi = "sin(x1)"')
+        cfg = StudyConfig(L=L, ladder_n=[16, 32, 64], ref_n=128, T=0.1, steps=1)
+        with pytest.raises(IntegrationError, match="cancels") as err:
+            run_convergence_study(element, tensors, problem, cfg)
+        assert err.value.step == 0
 
 
 class TestTwoDimensionalStudy:
@@ -294,3 +368,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="reference"):
             run_convergence_study(element, tensors, problem,
                                   StudyConfig(L=L, ladder_n=[16, 32, 64], ref_n=64, T=0.1))
+        # the reference is injected onto every ladder mesh: 192 / 64 = 3
+        with pytest.raises(ValueError, match="power of two"):
+            run_convergence_study(element, tensors, problem,
+                                  StudyConfig(L=L, ladder_n=[16, 32, 64], ref_n=192, T=0.1))
