@@ -11,8 +11,8 @@ The study averages squared errors over per-sample seeds and fits the
 root-mean-square error: the base scheme converges at order ~2 and the
 two-level mixture at order ~4, with a strictly smaller error on every mesh.
 It runs on a problem driven by the noise alone (phi = 0, f = 0), so every
-error it reports comes from the coupled noise paths; all samples advance
-together as one block on each mesh.
+error it reports comes from the coupled noise paths; the samples advance
+together in blocks on each mesh.
 """
 
 import numpy as np

@@ -21,12 +21,19 @@ from .integrator import (
     Trajectory,
     integrate,
     integrate_multilevel,
-    integrate_samples,
     sample_seed,
     solve_linear,
     step_implicit_em,
 )
-from .lattice import GridFunction, TorusLattice, build_torus, inner_0h, norm_0h, restrict
+from .lattice import (
+    GridFunction,
+    SampleBlock,
+    TorusLattice,
+    build_torus,
+    inner_0h,
+    norm_0h,
+    restrict,
+)
 from .problem import Problem, load_problem_file, parse_problem_text
 from .richardson import (
     ConvergenceReport,
@@ -52,6 +59,7 @@ __all__ = [
     "NoisePath",
     "Problem",
     "ReferenceTensors",
+    "SampleBlock",
     "SolverConfig",
     "SolverError",
     "StencilOperator",
@@ -78,7 +86,6 @@ __all__ = [
     "inner_0h",
     "integrate",
     "integrate_multilevel",
-    "integrate_samples",
     "load_element_file",
     "load_problem_file",
     "mollify_data",

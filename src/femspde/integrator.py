@@ -10,8 +10,7 @@ so the drift is implicit and the stochastic increment explicit.  Coefficients
 are evaluated at t_{n+1} on the implicit side and at t_n inside the
 stochastic term.  The initial state solves mass U_0 = phi_h.  Monte Carlo
 samples that differ only in their noise path advance together as one
-(samples, *lattice.shape) block (integrate_samples); integrate is its
-one-sample view.
+(samples, *lattice.shape) block; one path is a block of one sample.
 
 Noise increments come from a counter-based generator: the uint64 stream of
 Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
@@ -29,7 +28,7 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from .assembly import AssembledProblem, StencilOperator
-from .lattice import GridFunction, TorusLattice, norms_0h
+from .lattice import GridFunction, SampleBlock, TorusLattice, norms_0h
 
 
 class SolverError(RuntimeError):
@@ -217,11 +216,14 @@ def implicit_system(assembled: AssembledProblem, t: float, dt: float) -> Stencil
 
 @dataclass
 class Trajectory:
+    """States of one run: GridFunctions and a float sup for one noise path,
+    SampleBlocks and one sup per sample for a list of paths."""
+
     lattice: TorusLattice
     times: np.ndarray
-    states: list[GridFunction] | None
-    terminal: GridFunction
-    sup_norm_0h: float
+    states: list[GridFunction] | list[SampleBlock] | None
+    terminal: GridFunction | SampleBlock
+    sup_norm_0h: float | np.ndarray
     record: str = "all"
 
 
@@ -231,82 +233,90 @@ class Trajectory:
 
 
 def step_implicit_em(
-    u_n: GridFunction | np.ndarray,
+    block: np.ndarray,
     assembled: AssembledProblem,
     t_n: float,
     dt: float,
     increments: np.ndarray | None,
     solver: LinearSolver | None = None,
     cfg: SolverConfig | None = None,
-) -> GridFunction | np.ndarray:
+) -> np.ndarray:
     """One drift-implicit Euler-Maruyama step from t_n to t_n + dt.
 
-    u_n is a (samples, *lattice.shape) block with increments shaped
-    (rho_count, samples), or one GridFunction with increments (rho_count,);
-    the result takes the same form.  All samples share one implicit system.
+    block is (samples, *lattice.shape) and increments (rho_count, samples);
+    all samples share one implicit system.
     """
     cfg = cfg or SolverConfig()
-    one = isinstance(u_n, GridFunction)
-    block = u_n.values[None] if one else u_n
     t_next = t_n + dt
     rhs = assembled.mass.apply(block)
     if assembled.problem.f is not None:
         rhs += dt * assembled.f_h(t_next).values
     if increments is not None and assembled.problem.has_noise:
-        dws = np.reshape(increments, (len(increments), -1, *[1] * assembled.lattice.d))
         for rho in assembled.problem.active_rhos():
-            dw = dws[rho - 1]
+            dw = increments[rho - 1].reshape(-1, *[1] * assembled.lattice.d)
             if not np.any(dw):
                 continue
             term = assembled.noise(t_n, rho).apply(block) + assembled.g_h(t_n, rho).values
             rhs += dw * term
     if solver is None:
         solver = LinearSolver(implicit_system(assembled, t_next, dt), cfg)
-    out = solver.solve(rhs.reshape(len(block), -1)).reshape(block.shape)
-    return GridFunction(u_n.lattice, out[0]) if one else out
+    return solver.solve(rhs.reshape(len(block), -1)).reshape(block.shape)
 
 
-def integrate_samples(
+def integrate(
     assembled: AssembledProblem,
-    noises: list[NoisePath] | None,
+    noise: NoisePath | list[NoisePath] | None,
     T: float,
     steps: int,
+    record: str = "all",
     cfg: SolverConfig | None = None,
     observe=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a block of samples from the mollified initial state to time T.
+) -> Trajectory:
+    """Run the scheme from the mollified initial state to time T.
 
-    noises holds one NoisePath per sample, all on the integrator's time
-    grid, or is None for a single noise-free sample.  Every step is one
-    stencil apply per operator on the (samples, *lattice.shape) block and
-    one solve with a factorization shared by all samples (one per lattice,
-    or one per step when the drift depends on t).  observe(n, block), when
+    noise is one NoisePath (None for a problem without noise terms) or a
+    list holding one NoisePath per Monte Carlo sample.  The samples advance
+    together as one (samples, *lattice.shape) block: every step is one
+    stencil apply per operator on the block and one solve with a
+    factorization shared by all samples (one per lattice, or one per step
+    when the drift depends on t).
+
+    record: 'all' keeps every state, 'terminal' only the last; the sup of
+    |U|_{0,h} over all steps is tracked either way.  observe(n, block), when
     given, sees the block at every time index n = 0..steps.
-
-    Returns the terminal block and each sample's sup over time of |U|_{0,h}.
     """
     cfg = cfg or SolverConfig()
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
+    single = not isinstance(noise, list)
+    noises = [noise] if single and noise is not None else noise
     if assembled.problem.has_noise and noises is None:
         raise ValueError("problem carries noise terms but no noise path was given")
     if noises is not None and not noises:
         raise ValueError("noises must hold at least one path")
     dt = T / steps
     rho = max(assembled.problem.active_rhos(), default=0)
-    for noise in noises or []:
-        if noise.steps != steps:
-            raise ValueError(f"noise path has {noise.steps} steps, integrator wants {steps}")
-        if noise.rho_count < rho:
+    for path in noises or []:
+        if path.steps != steps:
+            raise ValueError(f"noise path has {path.steps} steps, integrator wants {steps}")
+        if path.rho_count < rho:
             raise ValueError(
-                f"noise path has {noise.rho_count} Wiener indices, the problem uses rho = {rho}"
+                f"noise path has {path.rho_count} Wiener indices, the problem uses rho = {rho}"
             )
-        if abs(noise.dt - dt) > 1e-12 * max(dt, noise.dt):
-            raise ValueError(f"noise dt {noise.dt} does not match T/steps = {dt}")
+        if path.rho_count != noises[0].rho_count:
+            raise ValueError(
+                f"noise paths differ in rho_count: {path.rho_count} against "
+                f"{noises[0].rho_count}"
+            )
+        if abs(path.dt - dt) > 1e-12 * max(dt, path.dt):
+            raise ValueError(f"noise dt {path.dt} does not match T/steps = {dt}")
     increments = None if noises is None else np.stack([p.increments for p in noises], axis=1)
     lattice = assembled.lattice
+
+    def view(block: np.ndarray) -> GridFunction | SampleBlock:
+        return GridFunction(lattice, block[0]) if single else SampleBlock(lattice, block)
 
     # BiCGStab's U_0 depends on the tolerance and the iteration cap
     u0 = assembled.memo(("u0", cfg.tol, cfg.max_iter), lambda: solve_linear(
@@ -314,6 +324,7 @@ def integrate_samples(
     ))
     block = np.repeat(u0.values[None], 1 if noises is None else len(noises), axis=0)
     sup = norms_0h(lattice, block)
+    states = [view(block)] if record == "all" else None
     if observe is not None:
         observe(0, block)
 
@@ -334,42 +345,20 @@ def integrate_samples(
         bad = ~(np.isfinite(block).reshape(len(block), -1).all(axis=1) & np.isfinite(norms))
         if bad.any():
             s = int(np.argmax(bad))
-            raise IntegrationError(f"non-finite state or |U|_0h at step {n} in sample {s}",
-                                   step=n, sample=s)
+            where = "" if single else f" in sample {s}"
+            raise IntegrationError(f"non-finite state or |U|_0h at step {n}{where}",
+                                   step=n, sample=None if single else s)
         sup = np.maximum(sup, norms)
+        if states is not None:
+            states.append(view(block))
         if observe is not None:
             observe(n + 1, block)
-    return block, sup
-
-
-def integrate(
-    assembled: AssembledProblem,
-    noise: NoisePath | None,
-    T: float,
-    steps: int,
-    record: str = "all",
-    cfg: SolverConfig | None = None,
-) -> Trajectory:
-    """Run the scheme for one sample from the mollified initial state to time T.
-
-    The one-sample view of integrate_samples.  record: 'all' keeps every
-    state, 'terminal' only the last; the sup of |U|_{0,h} over all steps is
-    tracked either way.
-    """
-    lattice = assembled.lattice
-    states = [] if record == "all" else None
-
-    def keep(n: int, block: np.ndarray) -> None:
-        states.append(GridFunction(lattice, block[0].copy()))
-
-    terminal, sup = integrate_samples(assembled, None if noise is None else [noise], T, steps,
-                                      cfg, None if states is None else keep)
     return Trajectory(
         lattice=lattice,
-        times=np.arange(steps + 1) * (T / steps),
+        times=np.arange(steps + 1) * dt,
         states=states,
-        terminal=GridFunction(lattice, terminal[0]),
-        sup_norm_0h=float(sup[0]),
+        terminal=view(block),
+        sup_norm_0h=float(sup[0]) if single else sup,
         record=record,
     )
 

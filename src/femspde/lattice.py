@@ -103,6 +103,18 @@ class GridFunction:
     __rmul__ = __mul__
 
 
+class SampleBlock:
+    """Fields of several Monte Carlo samples over one lattice, stored (samples, n, ..., n)."""
+
+    __slots__ = ("lattice", "values")
+
+    def __init__(self, lattice: TorusLattice, values: np.ndarray):
+        if values.shape[1:] != lattice.shape:
+            raise ValueError(f"block shape {values.shape} does not match {lattice.shape}")
+        self.lattice = lattice
+        self.values = values
+
+
 def _same_lattice(a: GridFunction, b: GridFunction) -> None:
     if a.lattice != b.lattice:
         raise ValueError(f"lattice mismatch: {a.lattice} vs {b.lattice}")

@@ -15,19 +15,26 @@ accelerated rate being measured.
 
 Stochastic studies average squared errors over per-sample seeds before
 fitting, i.e. they fit the root-mean-square (strong) error.  Only the noise
-path changes between samples, so all samples advance as one block
-(integrator.integrate_samples): each lattice is assembled and factored
-once, and every step is one stencil apply per operator and one multi-RHS
-LU solve for the whole block.  Above DIRECT_SITE_LIMIT sites BiCGStab still
-runs once per sample (column).
+path changes between samples, so the samples advance together as one
+block (integrator.integrate with a list of noise paths): every step is one
+stencil apply per operator and one multi-RHS LU solve for the whole block,
+with one factorization per lattice.  Above DIRECT_SITE_LIMIT sites BiCGStab
+still runs once per sample (column).
 
-Nothing keeps whole trajectories.  The lattices run from the finest down;
-the reference mixture is kept injected onto the finest ladder mesh, each
-unfinished mixture keeps its finer levels' weighted terms injected onto its
-base mesh, and each ladder mesh's max-over-time errors are updated step by
-step while its own lattice runs, the last level of its mixture.  Stored
-states stay O(steps * samples * max(ladder)^d) for fixed jbar, plus one
-lattice's block and operators.
+A block holds at most DIRECT_SITE_LIMIT values on the study's largest
+lattice, or one sample when that lattice alone is larger: the samples run
+in chunks of max(1, DIRECT_SITE_LIMIT // sites of the largest lattice).
+Each chunk runs every lattice; with more than one chunk the lattices stay
+assembled until the last chunk, as they did when the samples ran one at a
+time.
+
+Nothing keeps whole trajectories.  Within a chunk the lattices run from the
+finest down; the reference mixture is kept injected onto the finest ladder
+mesh, each unfinished mixture keeps its finer levels' weighted terms
+injected onto its base mesh, and each ladder mesh's max-over-time errors
+are updated step by step while its own lattice runs, the last level of its
+mixture.  Stored states stay O(steps * chunk * max(ladder)^d) for fixed
+jbar, plus one lattice's block, whatever the sample count.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 
 from .assembly import AssembledProblem
 from .elements import FiniteElement
-from .integrator import NoisePath, SolverConfig, integrate_samples, sample_seed
+from .integrator import DIRECT_SITE_LIMIT, NoisePath, SolverConfig, integrate, sample_seed
 from .lattice import build_torus, nesting_factor, norms_0h
 from .problem import Problem
 from .richardson import ConvergenceReport, ExtrapolationPlan
@@ -116,10 +123,11 @@ def run_convergence_study(
 ) -> StudyResult:
     """Measure base and extrapolated convergence orders on a mesh ladder.
 
-    The lattices are visited from the finest down; each is assembled once,
-    advances all samples as one block and is dropped when done.  Mixtures
-    sum their levels in level order, as richardson.combine does, so the
-    errors do not depend on the visiting order.
+    Each chunk of samples visits the lattices from the finest down and
+    advances as one block on each; a lattice is assembled once and dropped
+    after the last chunk.  Mixtures sum their levels in level order, as
+    richardson.combine does, so the errors do not depend on the visiting
+    order or the chunks.
     """
     _validate_ladder(cfg)
     if cfg.samples < 1:
@@ -141,13 +149,14 @@ def run_convergence_study(
         for j in range(plan.levels):
             uses.setdefault(root * 2**j, []).append((root, j))
     finest = max(cfg.ladder_n)
-    ref = np.empty((steps + 1, rows, *(finest,) * d))
-    # root -> {j: c_j U_j per time, injected onto the root (the reference: onto
-    # the finest ladder mesh)} for the levels j >= 1 already run
-    terms: dict[int, dict[int, np.ndarray]] = {}
     index = {n: i for i, n in enumerate(cfg.ladder_n)}
     base_err = np.zeros((len(cfg.ladder_n), rows))
     mix_err = np.zeros((len(cfg.ladder_n), rows))
+    # the samples advance in chunks whose block on the largest lattice holds at
+    # most DIRECT_SITE_LIMIT values (one sample when that lattice is larger), so
+    # neither the block nor the stored states grow with the sample count
+    chunk = max(1, DIRECT_SITE_LIMIT // max(uses) ** d)
+    kept: dict[int, AssembledProblem] = {}  # lattices the next chunk reuses
 
     def inject(block: np.ndarray, m: int, n: int) -> np.ndarray:
         """The sites of lattice n out of a (rows, m, ..., m) block on lattice m."""
@@ -156,37 +165,52 @@ def run_convergence_study(
     def target(root: int) -> int:
         return finest if root == cfg.ref_n else root
 
-    for m in sorted(uses, reverse=True):
-        lattice = build_torus(d, cfg.L / m, m)
-        assembled = AssembledProblem(element, tensors, problem, lattice,
-                                     h=cfg.h_sign * lattice.h)
-        for root, j in uses[m]:
-            if j > 0:
-                terms.setdefault(root, {})[j] = np.empty((steps + 1, rows, *(target(root),) * d))
-
-        def observe(k: int, block: np.ndarray) -> None:
+    for first in range(0, rows, chunk):
+        part = slice(first, min(first + chunk, rows))
+        width = part.stop - first
+        ref = np.empty((steps + 1, width, *(finest,) * d))
+        # root -> {j: c_j U_j per time, injected onto the root (the reference:
+        # onto the finest ladder mesh)} for the levels j >= 1 already run
+        terms: dict[int, dict[int, np.ndarray]] = {}
+        for m in sorted(uses, reverse=True):
+            lattice = build_torus(d, cfg.L / m, m)
+            assembled = kept.pop(m, None)
+            if assembled is None:
+                assembled = AssembledProblem(element, tensors, problem, lattice,
+                                             h=cfg.h_sign * lattice.h)
             for root, j in uses[m]:
-                part = plan.coefficients[j] * inject(block, m, target(root))
                 if j > 0:
-                    terms[root][j][k] = part
-                    continue
-                # m is the root itself, its last level: sum the mixture in level
-                # order, as richardson.combine does
-                for level in range(1, plan.levels):
-                    part += terms[root][level][k]
-                if root == cfg.ref_n:
-                    ref[k] = part
-                    continue
-                i, r = index[root], inject(ref[k], finest, root)
-                base_err[i] = np.maximum(base_err[i], norms_0h(lattice, block - r))
-                if cfg.jbar >= 1:
-                    mix_err[i] = np.maximum(mix_err[i], norms_0h(lattice, part - r))
+                    terms.setdefault(root, {})[j] = np.empty(
+                        (steps + 1, width, *(target(root),) * d))
 
-        integrate_samples(assembled, noises, cfg.T, steps, cfg.solver, observe)
-        for root, j in uses[m]:
-            if j == 0:
-                terms.pop(root, None)
-        del assembled  # freed before the next lattice is assembled
+            def observe(k: int, block: np.ndarray) -> None:
+                for root, j in uses[m]:
+                    mixture = plan.coefficients[j] * inject(block, m, target(root))
+                    if j > 0:
+                        terms[root][j][k] = mixture
+                        continue
+                    # m is the root itself, its last level: sum the mixture in
+                    # level order, as richardson.combine does
+                    for level in range(1, plan.levels):
+                        mixture += terms[root][level][k]
+                    if root == cfg.ref_n:
+                        ref[k] = mixture
+                        continue
+                    i, r = index[root], inject(ref[k], finest, root)
+                    base_err[i, part] = np.maximum(base_err[i, part],
+                                                   norms_0h(lattice, block - r))
+                    if cfg.jbar >= 1:
+                        mix_err[i, part] = np.maximum(mix_err[i, part],
+                                                      norms_0h(lattice, mixture - r))
+
+            integrate(assembled, None if noises is None else noises[part], cfg.T, steps,
+                      record="terminal", cfg=cfg.solver, observe=observe)
+            for root, j in uses[m]:
+                if j == 0:
+                    terms.pop(root, None)
+            if part.stop < rows:
+                kept[m] = assembled
+            del assembled  # the last chunk frees it before the next lattice is assembled
 
     hs = [cfg.L / n for n in cfg.ladder_n]
     base = ConvergenceReport("base", hs, list(cfg.ladder_n), _rms(base_err, cfg.samples))

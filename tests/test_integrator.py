@@ -14,7 +14,6 @@ from femspde.integrator import (
     implicit_system,
     integrate,
     integrate_multilevel,
-    integrate_samples,
     sample_seed,
     solve_linear,
     splitmix64,
@@ -90,8 +89,8 @@ class TestStep:
     def test_zero_data_stays_zero(self, hat):
         ap = make_assembled(hat, 'a.1.1 = "1"')
         u0 = GridFunction.zeros(ap.lattice)
-        u1 = step_implicit_em(u0, ap, 0.0, 0.01, None)
-        np.testing.assert_array_equal(u1.values, 0.0)
+        u1 = step_implicit_em(u0.values[None], ap, 0.0, 0.01, None)[0]
+        np.testing.assert_array_equal(u1, 0.0)
 
     def test_pure_mass_problem_is_stationary(self, hat):
         ap = make_assembled(hat, 'a.1.1 = "0"\nphi = "sin(x1)"')
@@ -104,12 +103,12 @@ class TestStep:
         lattice = ap.lattice
         dt = 0.01
         u0 = solve_linear(ap.mass, ap.phi_h())
-        u1 = step_implicit_em(u0, ap, 0.0, dt, None)
+        u1 = step_implicit_em(u0.values[None], ap, 0.0, dt, None)[0]
         mass_mat = dense_from_stencil(ap.mass)
         drift_mat = dense_from_stencil(ap.drift(dt))
         rhs = mass_mat @ u0.flat() + dt * ap.f_h(dt).flat()
         expected = np.linalg.solve(mass_mat - dt * drift_mat, rhs)
-        np.testing.assert_allclose(u1.flat(), expected, atol=1e-10)
+        np.testing.assert_allclose(u1, expected, atol=1e-10)
 
     def test_fourier_mode_damping(self, hat):
         ap = make_assembled(hat, 'a.1.1 = "1"\nphi = "sin(x1)"')
@@ -117,10 +116,10 @@ class TestStep:
         h = lattice.h
         dt = 0.02
         u0 = solve_linear(ap.mass, ap.phi_h())
-        u1 = step_implicit_em(u0, ap, 0.0, dt, None)
+        u1 = step_implicit_em(u0.values[None], ap, 0.0, dt, None)[0]
         x = lattice.axis_coords()
         amp0 = 2.0 / lattice.n * float(u0.values @ np.sin(x))
-        amp1 = 2.0 / lattice.n * float(u1.values @ np.sin(x))
+        amp1 = 2.0 / lattice.n * float(u1 @ np.sin(x))
         mass_symbol = (2.0 + np.cos(h)) / 3.0
         lap_symbol = (2.0 - 2.0 * np.cos(h)) / h**2
         assert amp1 == pytest.approx(amp0 * mass_symbol / (mass_symbol + dt * lap_symbol),
@@ -315,7 +314,7 @@ def block_noises(samples=3, steps=8, dt=0.01):
 
 
 class TestSampleBlock:
-    """integrate_samples advances every sample as one block."""
+    """integrate advances a list of noise paths as one block."""
 
     @pytest.mark.parametrize("text", [
         BLOCK_PROBLEM + 'phi = "sin(x1)"\nf = "cos(x1)*sin(t)"',
@@ -326,14 +325,16 @@ class TestSampleBlock:
         ap = make_assembled(hat, text)
         noises = block_noises()
         seen = []
-        terminal, sup = integrate_samples(ap, noises, 0.08, 8,
-                                          observe=lambda n, block: seen.append(block.copy()))
-        assert len(seen) == 9 and terminal.shape == (3, 16)
+        block_traj = integrate(ap, noises, 0.08, 8,
+                               observe=lambda n, block: seen.append(block.copy()))
+        assert len(seen) == 9 and block_traj.terminal.values.shape == (3, 16)
+        for kept, block in zip(block_traj.states, seen, strict=True):
+            assert np.array_equal(kept.values, block)
         for s, noise in enumerate(noises):
             traj = integrate(ap, noise, 0.08, 8)
             for block, state in zip(seen, traj.states, strict=True):
                 assert np.array_equal(block[s], state.values)
-            assert sup[s] == traj.sup_norm_0h
+            assert block_traj.sup_norm_0h[s] == traj.sup_norm_0h
         assert not np.array_equal(seen[-1][0], seen[-1][1])
 
     @pytest.mark.parametrize("text, factors", [
@@ -351,7 +352,7 @@ class TestSampleBlock:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(integrator, "LinearSolver", CountingSolver)
-        integrate_samples(make_assembled(hat, text), block_noises(), 0.08, 8)
+        integrate(make_assembled(hat, text), block_noises(), 0.08, 8)
         assert len(built) == factors
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -360,20 +361,20 @@ class TestSampleBlock:
         noises = block_noises()
         noises[1].increments[0, 2] = 1e300
         with pytest.raises(IntegrationError, match="step 2 in sample 1") as err:
-            integrate_samples(make_assembled(hat, BLOCK_PROBLEM), noises, 0.08, 8)
+            integrate(make_assembled(hat, BLOCK_PROBLEM), noises, 0.08, 8)
         assert (err.value.step, err.value.sample) == (2, 1)
 
     def test_non_finite_lu_solve_reports_step(self, hat):
         noises = block_noises()
         noises[2].increments[0, 5] = np.inf
         with pytest.raises(IntegrationError, match="non-finite values") as err:
-            integrate_samples(make_assembled(hat, BLOCK_PROBLEM), noises, 0.08, 8)
+            integrate(make_assembled(hat, BLOCK_PROBLEM), noises, 0.08, 8)
         assert err.value.step == 5
 
     def test_cancelling_system_fails_at_step_zero(self, hat):
         ap = make_assembled(hat, 'a.1.1 = "0"\nc = "10"\nsigma.1.1 = "0.3"')
         with pytest.raises(IntegrationError, match="cancels") as err:
-            integrate_samples(ap, block_noises(steps=10, dt=0.1), 1.0, 10)
+            integrate(ap, block_noises(steps=10, dt=0.1), 1.0, 10)
         assert err.value.step == 0
 
     def test_krylov_block_matches_rows_and_checks_each(self, hat, rng):
@@ -396,9 +397,11 @@ class TestSampleBlock:
         ap = make_assembled(hat, BLOCK_PROBLEM)
         noises = block_noises()
         with pytest.raises(ValueError, match="steps"):
-            integrate_samples(ap, noises + block_noises(1, steps=4), 0.08, 8)
+            integrate(ap, noises + block_noises(1, steps=4), 0.08, 8)
+        with pytest.raises(ValueError, match="rho_count"):
+            integrate(ap, noises + [NoisePath(9, 8, 0.01, rho_count=2)], 0.08, 8)
         with pytest.raises(ValueError, match="at least one"):
-            integrate_samples(ap, [], 0.08, 8)
+            integrate(ap, [], 0.08, 8)
 
 
 class TestMultilevel:

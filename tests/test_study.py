@@ -182,17 +182,18 @@ class TestSharedLatticeWork:
 
     CFG = dict(L=L, ladder_n=[16, 32, 64], ref_n=128, T=0.05, jbar=1, samples=3, base_seed=11)
 
-    def test_each_lattice_built_once(self, hat, monkeypatch):
+    def count_work(self, hat, monkeypatch, cfg):
+        """Assemblies, mollifications and LinearSolvers of one study run."""
         import femspde.assembly as assembly
         import femspde.integrator as integrator
 
         element, tensors = hat
         problem = parse_problem_text(MC_PROBLEM)
-        counts = {"drift": 0, "noise": 0, "mollify": 0, "solver": 0}
+        seen = {"drift": 0, "noise": 0, "mollify": 0, "solver": 0}
 
         def counting(name, fn, skip=lambda *a: False):
             def wrapped(*args, **kwargs):
-                counts[name] += not skip(*args)
+                seen[name] += not skip(*args)
                 return fn(*args, **kwargs)
             return wrapped
 
@@ -204,14 +205,26 @@ class TestSharedLatticeWork:
 
         class CountingSolver(integrator.LinearSolver):
             def __init__(self, *args, **kwargs):
-                counts["solver"] += 1
+                seen["solver"] += 1
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(integrator, "LinearSolver", CountingSolver)
-        run_convergence_study(element, tensors, problem, StudyConfig(**self.CFG))
+        run_convergence_study(element, tensors, problem, cfg)
+        return seen
+
+    def test_each_lattice_built_once(self, hat, monkeypatch):
+        seen = self.count_work(hat, monkeypatch, StudyConfig(**self.CFG))
         # 5 lattices (16 ... 256): drift, noise, phi_h, g_h, the mass
         # factorization and the implicit system once each, shared by all samples
-        assert counts == {"drift": 5, "noise": 5, "mollify": 10, "solver": 5 + 5}
+        assert seen == {"drift": 5, "noise": 5, "mollify": 10, "solver": 5 + 5}
+
+    def test_chunks_share_each_lattice(self, hat, monkeypatch):
+        # 512 sites on the largest lattice: chunks of DIRECT_SITE_LIMIT // 512 = 8
+        # samples, so 20 samples run in 3 chunks, each factoring the implicit
+        # system of all 6 lattices again; the assembly is kept between chunks
+        cfg = StudyConfig(**{**self.CFG, "ref_n": 256, "samples": 20})
+        seen = self.count_work(hat, monkeypatch, cfg)
+        assert seen == {"drift": 6, "noise": 6, "mollify": 12, "solver": 6 + 3 * 6}
 
     def test_errors_equal_fresh_assembly(self, hat, monkeypatch):
         import femspde.integrator as integrator
