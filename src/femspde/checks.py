@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .elements import FiniteElement, lattice_points_in_box
 from .integrator import LinearSolver, SolverConfig
@@ -99,6 +98,8 @@ def check_invertibility(tensors: ReferenceTensors, grid_points_per_axis: int = 0
     minimizer with a derivative-free local search.  An even grid contains
     theta = pi per axis, where the built-in elements attain their minimum.
     """
+    from scipy.optimize import minimize  # only element verification needs it
+
     d = tensors.d
     if grid_points_per_axis <= 0:
         grid_points_per_axis = {1: 1024, 2: 128, 3: 32, 4: 16}.get(d, 16)

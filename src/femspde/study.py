@@ -18,15 +18,15 @@ fitting, i.e. they fit the root-mean-square (strong) error.  Only the noise
 path changes between samples, so the samples advance together as one
 block (integrator.integrate with a list of noise paths): every step is one
 stencil apply per operator and one multi-RHS LU solve for the whole block,
-with one factorization per lattice.  Above DIRECT_SITE_LIMIT sites BiCGStab
-still runs once per sample (column).
+with one factorization per lattice, kept between chunks.  Above
+DIRECT_SITE_LIMIT sites BiCGStab still runs once per sample (column),
+preconditioned by the FFT inverse of the x-averaged system.
 
 A block holds at most DIRECT_SITE_LIMIT values on the study's largest
 lattice, or one sample when that lattice alone is larger: the samples run
 in chunks of max(1, DIRECT_SITE_LIMIT // sites of the largest lattice).
 Each chunk runs every lattice; with more than one chunk the lattices stay
-assembled until the last chunk, as they did when the samples ran one at a
-time.
+assembled, their implicit system factored, until the last chunk.
 
 Nothing keeps whole trajectories.  Within a chunk the lattices run from the
 finest down; the reference mixture is kept injected onto the finest ladder

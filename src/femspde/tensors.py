@@ -17,9 +17,10 @@ for the polynomial integrands, so every entry is exact up to roundoff.
 Everything here depends only on the element and the Gauss degree.  The same
 overlap tables, regrouped by lattice cell into a CellQuadrature, give the
 quadrature that the lattice assembly (femspde.assembly) integrates variable
-coefficients with; ReferenceTensors.quad builds it on first use, at the
-tensors' degree, so one degree serves the tensors, the operators and the
-mollified data.
+coefficients with.  ReferenceTensors keeps the tables it was computed from
+and builds its quadrature from them on first use, so the tables are built
+once and one degree serves the tensors, the operators and the mollified
+data.
 """
 
 from __future__ import annotations
@@ -119,9 +120,11 @@ class CellQuadrature:
     mollifier: np.ndarray     # (K, P, 1): w psi
 
 
-def build_cell_quadrature(element: FiniteElement, quad_degree: int) -> CellQuadrature:
-    """Regroup the overlap tables and the element's own quadrature by lattice cell."""
-    tables = build_overlap_tables(element, quad_degree)
+def build_cell_quadrature(
+    element: FiniteElement, tables: dict[Lam, OverlapTable], quad_degree: int
+) -> CellQuadrature:
+    """Regroup overlap tables built at quad_degree, and the element's own
+    quadrature at that degree, by lattice cell."""
     offsets = tuple(sorted(tables))
     d = element.d
     data = [cell_quadrature(cell, quad_degree) + (poly,) for cell, poly in element.psi.pieces]
@@ -170,9 +173,11 @@ class ReferenceTensors:
     """Stencil-defining constants of an element, keyed by neighbor shift.
 
     Entries for shifts outside Gamma are identically zero; the accessors
-    return 0.0 accordingly.  Derivative indices run from 1 to d.  `quad` is
-    the element's cell quadrature at `quad_degree`, built on first use: the
-    assembly needs it, computing and checking the tensors does not.
+    return 0.0 accordingly.  Derivative indices run from 1 to d.  `tables`
+    are the overlap tables the tensors were computed from.  `quad` is the
+    element's cell quadrature at `quad_degree`, regrouped from those tables
+    on first use: the assembly needs it, computing and checking the tensors
+    does not.
     """
 
     d: int
@@ -184,10 +189,11 @@ class ReferenceTensors:
     Qtilde: dict[tuple[Lam, int, int], float]
     quad_degree: int
     element: FiniteElement = field(compare=False, repr=False)
+    tables: dict[Lam, OverlapTable] = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def quad(self) -> CellQuadrature:
-        return build_cell_quadrature(self.element, self.quad_degree)
+        return build_cell_quadrature(self.element, self.tables, self.quad_degree)
 
     def r(self, lam: Lam) -> float:
         return self.R.get(tuple(lam), 0.0)
@@ -260,4 +266,5 @@ def compute_reference_tensors(
         Qtilde=Qt,
         quad_degree=degree,
         element=element,
+        tables=tables,
     )

@@ -189,7 +189,90 @@ class TestSolveLinear:
             assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
+@pytest.fixture()
+def krylov_iters(monkeypatch):
+    """BiCGStab iterations, counted by wrapping the module attribute that
+    LinearSolver looks up at call time (as the benchmark tracer does)."""
+    import scipy.sparse.linalg
+
+    count = []
+    real = scipy.sparse.linalg.bicgstab
+
+    def counted(*args, callback=None, **kwargs):
+        return real(*args, callback=lambda xk: count.append(1), **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", counted)
+    return count
+
+
+class TestPreconditioner:
+    """BiCGStab is preconditioned by the FFT inverse of the x-averaged system."""
+
+    @pytest.mark.parametrize("preset, n, text", [
+        ("hat1d", 2 * DIRECT_SITE_LIMIT, None),
+        ("tensor(2)", 66, None),
+        ("tensor(3)", 18, None),
+        ("tensor(2)", 66, 'd = 2\na.1.1 = "1"\na.2.2 = "1"\nb.1 = "0.5"\nc = "-0.2"'),
+    ], ids=["hat1d-mass", "tensor2-mass", "tensor3-mass", "tensor2-constant-system"])
+    def test_circulant_systems_take_one_iteration(self, preset, n, text, krylov_iters, rng):
+        # the mass, or mass - dt * drift with no coefficient depending on x
+        element = build_element(preset)
+        tensors = compute_reference_tensors(element)
+        lattice = build_torus(element.d, L / n, n)
+        if text is None:
+            op = assemble_mass(element, tensors, lattice)
+        else:
+            ap = AssembledProblem(element, tensors, parse_problem_text(text), lattice)
+            op = implicit_system(ap, 0.0, 0.5 * lattice.h**2)
+        solver = LinearSolver(op, SolverConfig())
+        assert not solver.direct
+        rhs = rng.normal(size=lattice.total_sites)
+        got = solver.solve(rhs)
+        assert len(krylov_iters) <= 1
+        assert np.linalg.norm(op.to_csr() @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_vanishing_modes_act_as_identity(self):
+        # coefficients +1 and -1 on alternate sites: every averaged mode is 0,
+        # so the preconditioner is the identity and the system still solves
+        n = 2 * DIRECT_SITE_LIMIT
+        lattice = build_torus(1, L / n, n)
+        signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+        solver = LinearSolver(StencilOperator(lattice, ((0,),), signs[None]), SolverConfig())
+        rhs = np.linspace(1.0, 2.0, n)
+        np.testing.assert_allclose(solver.solve(rhs), signs * rhs, rtol=1e-10)
+
+    def test_x_varying_system_needs_few_iterations(self, krylov_iters):
+        # det2d_ladder's implicit system on its 128^2 reference: a = 1 + 0.25 cos x1
+        import scipy.sparse.linalg
+
+        from femspde.study import resolve_steps
+
+        element = build_element("tensor(2)")
+        tensors = compute_reference_tensors(element)
+        problem = parse_problem_text(
+            'd = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "0.1"\nc = "-0.2"\n'
+            'phi = "sin(x1)*cos(x2)"'
+        )
+        lattice = build_torus(2, L / 128, 128)
+        ap = AssembledProblem(element, tensors, problem, lattice)
+        op = implicit_system(ap, 0.0, 0.25 / resolve_steps(0.25, L, 32, 0.5))  # the study's dt
+        rhs = ap.mass.apply(ap.phi_h()).flat()
+        got = LinearSolver(op, SolverConfig()).solve(rhs)
+        preconditioned = len(krylov_iters)
+        assert preconditioned <= 3  # measured: 3
+        scipy.sparse.linalg.bicgstab(op.to_csr(), rhs, rtol=1e-10, atol=0.0)
+        plain = len(krylov_iters) - preconditioned  # measured: 12
+        assert plain >= 4 * preconditioned
+        want = spsolve(op.to_csr(), rhs)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
 class TestIntegrate:
+    def test_unknown_record_rejected(self, hat):
+        ap = make_assembled(hat, 'a.1.1 = "1"\nphi = "sin(x1)"')
+        with pytest.raises(ValueError, match="'all' or 'terminal'"):
+            integrate(ap, None, T=0.1, steps=2, record="everything")
+
     def test_zero_data_zero_trajectory(self, hat):
         ap = make_assembled(hat, 'a.1.1 = "1"')
         traj = integrate(ap, None, T=0.1, steps=5)

@@ -220,11 +220,11 @@ class TestSharedLatticeWork:
 
     def test_chunks_share_each_lattice(self, hat, monkeypatch):
         # 512 sites on the largest lattice: chunks of DIRECT_SITE_LIMIT // 512 = 8
-        # samples, so 20 samples run in 3 chunks, each factoring the implicit
-        # system of all 6 lattices again; the assembly is kept between chunks
+        # samples, so 20 samples run in 3 chunks; the assembly and the factored
+        # implicit system of all 6 lattices are kept between chunks
         cfg = StudyConfig(**{**self.CFG, "ref_n": 256, "samples": 20})
         seen = self.count_work(hat, monkeypatch, cfg)
-        assert seen == {"drift": 6, "noise": 6, "mollify": 12, "solver": 6 + 3 * 6}
+        assert seen == {"drift": 6, "noise": 6, "mollify": 12, "solver": 6 + 6}
 
     def test_errors_equal_fresh_assembly(self, hat, monkeypatch):
         import femspde.integrator as integrator

@@ -42,3 +42,29 @@ def test_command_table_resolves():
     commands = importlib.import_module("femspde.cli").COMMANDS
     module_name, attr = tracer.FUNCTIONS["cli.simulate"]
     assert getattr(importlib.import_module(module_name), attr) in commands.values()
+
+
+def test_krylov_solve_calls_patched_bicgstab(monkeypatch):
+    # the tracer counts Krylov iterations by replacing scipy.sparse.linalg.bicgstab,
+    # so LinearSolver must look the function up there at call time
+    import numpy as np
+    import scipy.sparse.linalg
+
+    from femspde import build_torus
+    from femspde.assembly import StencilOperator
+    from femspde.integrator import DIRECT_SITE_LIMIT, LinearSolver, SolverConfig
+
+    calls = []
+    real = scipy.sparse.linalg.bicgstab
+
+    def patched(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", patched)
+    n = 2 * DIRECT_SITE_LIMIT
+    lattice = build_torus(1, 2 * np.pi / n, n)
+    solver = LinearSolver(StencilOperator(lattice, ((0,),), np.full((1, n), 2.0)), SolverConfig())
+    assert not solver.direct
+    np.testing.assert_allclose(solver.solve(np.ones(n)), 0.5)
+    assert calls == [1]
