@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .assembly import AssembledProblem, StencilOperator, assemble_drift, assemble_mass, assemble_noise, mollify_data
 from .checks import AssumptionReport, check_cardinal, check_compatibility, check_invertibility, check_parabolicity, verify_element
-from .elements import FiniteElement, build_element, evaluate_psi, load_element_file, parse_element_text, validate_element
+from .elements import FiniteElement, build_element, evaluate_psi, parse_element_text, validate_element
 from .expr import EvalError, ExprSyntaxError, evaluate, parse, to_source
 from .integrator import (
     IntegrationError,
@@ -34,7 +34,7 @@ from .lattice import (
     norm_0h,
     restrict,
 )
-from .problem import Problem, load_problem_file, parse_problem_text
+from .problem import Problem, parse_problem_text
 from .richardson import (
     ConvergenceReport,
     ExtrapolationPlan,
@@ -86,8 +86,6 @@ __all__ = [
     "inner_0h",
     "integrate",
     "integrate_multilevel",
-    "load_element_file",
-    "load_problem_file",
     "mollify_data",
     "norm_0h",
     "parse",

@@ -19,6 +19,13 @@ each coefficient is evaluated once per cell, at x_c + h zeta with zeta in
 scattered by lattice shifts.  This module does only that lattice work; the
 quadrature and its degree belong to the tensors.
 
+Each operator is stored once, as a scipy CSR matrix (StencilOperator.matrix)
+whose rows hold the G coefficients of one site in offset order.  Applying
+it, factoring it, the BiCGStab matvec and residual, and the solver's
+preconditioner all use that matrix.  Operators with the same lattice and
+footprint share one read-only column pattern, so each costs one data array
+of sites x G values.
+
 Data fields are mollified by the scaled element: phi_h(x) is the integral of
 phi(x + h z) psi(z) dz, evaluated at the same cell points.
 
@@ -31,69 +38,75 @@ to |h| up front; tests pin the underlying identity numerically.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from . import expr
 from .elements import FiniteElement
 from .lattice import GridFunction, TorusLattice
 from .problem import Problem
-from .tensors import CellQuadrature, ReferenceTensors, compute_reference_tensors
+from .tensors import CellQuadrature, ReferenceTensors
 
 Lam = tuple[int, ...]
 
 
 class StencilOperator:
-    """Site-varying periodic stencil: (op U)(x) = sum_lam coef(lam, x) U(x + h lam)."""
+    """Site-varying periodic stencil: (op U)(x) = sum_lam coef(lam, x) U(x + h lam).
 
-    __slots__ = ("lattice", "offsets", "coef", "t")
+    The operator is its CSR matrix in C-order flat site indexing.  Row x
+    holds the G entries coef(lam, x), one per offset in offset order, at the
+    columns of the sites x + h lam; so the data is the coefficient array in
+    (sites, G) layout, and coef is a read-only (G, *lattice.shape) view of it.
+    The column pattern depends only on the lattice and the offsets, and
+    every operator with the same pair shares it read-only.
+    """
 
-    def __init__(
-        self,
-        lattice: TorusLattice,
-        offsets: tuple[Lam, ...],
-        coef: np.ndarray,
-        t: float | None = None,
-    ):
+    __slots__ = ("lattice", "offsets", "matrix")
+
+    def __init__(self, lattice: TorusLattice, offsets: tuple[Lam, ...], coef: np.ndarray):
+        offsets = tuple(tuple(int(c) for c in lam) for lam in offsets)
         coef = np.asarray(coef, dtype=float)
-        if coef.shape != (len(offsets), *lattice.shape):
+        if not offsets or coef.shape != (len(offsets), *lattice.shape):
             raise ValueError(f"coefficient array shape {coef.shape} does not match stencil")
+        data = np.ascontiguousarray(np.moveaxis(coef, 0, -1)).reshape(-1)
+        indices, indptr = _pattern(lattice, offsets)
+        total = lattice.total_sites
         self.lattice = lattice
-        self.offsets = tuple(tuple(int(c) for c in lam) for lam in offsets)
-        self.coef = coef
-        self.t = t
+        self.offsets = offsets
+        self.matrix = csr_matrix((data, indices, indptr), shape=(total, total))
+
+    @property
+    def coef(self) -> np.ndarray:
+        view = np.moveaxis(self.matrix.data.reshape(*self.lattice.shape, -1), -1, 0)
+        view.flags.writeable = False
+        return view
 
     def apply(self, u: GridFunction | np.ndarray) -> GridFunction | np.ndarray:
         """op U for one GridFunction, or for every sample of a (samples, *lattice.shape)
-        block; each sample's sum runs over the offsets in the same order."""
+        block as one sparse product; each row sums over the offsets in order."""
         one = isinstance(u, GridFunction)
         if one and u.lattice != self.lattice:
             raise ValueError("stencil and grid function live on different lattices")
         block = u.values[None] if one else u
         if block.shape[1:] != self.lattice.shape:
             raise ValueError(f"block shape {block.shape} does not match {self.lattice.shape}")
-        out = np.zeros(block.shape)
-        axes = tuple(range(1, self.lattice.d + 1))
-        for k, lam in enumerate(self.offsets):
-            shifted = np.roll(block, shift=tuple(-c for c in lam), axis=axes)
-            out += self.coef[k] * shifted
+        out = (self.matrix @ block.reshape(len(block), -1).T).T.reshape(block.shape)
         return GridFunction(self.lattice, out[0]) if one else out
 
     def scaled_add(self, alpha: float, other: "StencilOperator", beta: float) -> "StencilOperator":
-        """Return alpha*self + beta*other on the union of footprints."""
-        if other.lattice != self.lattice:
-            raise ValueError("cannot combine stencils on different lattices")
-        offsets = sorted(set(self.offsets) | set(other.offsets))
-        coef = np.zeros((len(offsets), *self.lattice.shape))
-        index = {lam: k for k, lam in enumerate(offsets)}
-        for k, lam in enumerate(self.offsets):
-            coef[index[lam]] += alpha * self.coef[k]
-        for k, lam in enumerate(other.offsets):
-            coef[index[lam]] += beta * other.coef[k]
-        return StencilOperator(self.lattice, tuple(offsets), coef, t=self.t)
+        """Return alpha*self + beta*other; both must have the same lattice and footprint."""
+        if other.lattice != self.lattice or other.offsets != self.offsets:
+            raise ValueError("cannot combine stencils on different lattices or footprints")
+        data = alpha * self.matrix.data
+        data += beta * other.matrix.data
+        coef = np.moveaxis(data.reshape(*self.lattice.shape, -1), -1, 0)
+        return StencilOperator(self.lattice, self.offsets, coef)
 
     def to_dense(self) -> np.ndarray:
         """Explicit matrix in C-order flat site indexing: the dense oracle for tests
-        (small lattices only; solvers use to_csr)."""
+        (small lattices only); its columns come from the offsets, not from matrix."""
         n = self.lattice.n
         shape = self.lattice.shape
         total = self.lattice.total_sites
@@ -105,22 +118,20 @@ class StencilOperator:
             mat[rows, cols] += self.coef[k].reshape(-1)
         return mat
 
-    def to_csr(self):
-        from scipy.sparse import csr_matrix
 
-        n = self.lattice.n
-        shape = self.lattice.shape
-        total = self.lattice.total_sites
-        idx = self.lattice.multi_indices()
-        rows = np.tile(np.arange(total), len(self.offsets))
-        cols = np.concatenate(
-            [
-                np.ravel_multi_index(((idx + np.asarray(lam)) % n).T, shape)
-                for lam in self.offsets
-            ]
-        )
-        data = np.concatenate([self.coef[k].reshape(-1) for k in range(len(self.offsets))])
-        return csr_matrix((data, (rows, cols)), shape=(total, total))
+@functools.lru_cache(maxsize=8)
+def _pattern(lattice: TorusLattice, offsets: tuple[Lam, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR indices and indptr of a stencil: row x holds the columns of
+    x + h lam, one per offset in offset order."""
+    idx = lattice.multi_indices()
+    cols = [np.ravel_multi_index(((idx + lam) % lattice.n).T, lattice.shape) for lam in offsets]
+    nnz = len(idx) * len(offsets)
+    dtype = np.int32 if nnz < 2**31 else np.int64
+    indices = np.stack(cols, axis=1).reshape(-1).astype(dtype)
+    indptr = np.arange(0, nnz + 1, len(offsets), dtype=dtype)
+    indices.flags.writeable = False
+    indptr.flags.writeable = False
+    return indices, indptr
 
 
 def _normalize_h(lattice: TorusLattice, h: float | None) -> float:
@@ -135,7 +146,8 @@ def _normalize_h(lattice: TorusLattice, h: float | None) -> float:
 def _assemble_cells(
     quad: CellQuadrature, lattice: TorusLattice, h: float, t: float, terms
 ) -> np.ndarray:
-    """Stencil coefficients sum_terms integral(coefficient * weight), shaped (G, *lattice.shape).
+    """Stencil coefficients sum_terms integral(coefficient * weight), a (G, *lattice.shape)
+    view of a (*lattice.shape, G) array, the layout of the operator's CSR data.
 
     `terms` pairs coefficient ASTs with (K, P, G) weight arrays.  Each
     distinct AST is evaluated once, at x_c + h zeta for every lattice cell c;
@@ -147,7 +159,7 @@ def _assemble_cells(
         prev = combined.get(id(ast))
         combined[id(ast)] = (ast, weights if prev is None else prev[1] + weights)
     if not combined:
-        return np.zeros((len(quad.offsets), *lattice.shape))
+        return np.moveaxis(np.zeros((*lattice.shape, len(quad.offsets))), -1, 0)
     n_shifts, n_zeta, width = terms[0][1].shape
     n_cells = lattice.total_sites
     pts = (lattice.coords()[:, None, :] + h * quad.zeta[None, :, :]).reshape(-1, lattice.d)
@@ -160,7 +172,7 @@ def _assemble_cells(
     axes = tuple(range(lattice.d))
     for k, shift in enumerate(quad.shifts):
         out += np.roll(local[..., k, :], tuple(-c for c in shift), axis=axes)
-    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+    return np.moveaxis(out, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +180,14 @@ def _assemble_cells(
 # ---------------------------------------------------------------------------
 
 
-def assemble_mass(
-    element: FiniteElement, tensors: ReferenceTensors, lattice: TorusLattice
-) -> StencilOperator:
+def assemble_mass(tensors: ReferenceTensors, lattice: TorusLattice) -> StencilOperator:
     """Mass stencil: constant coefficient R_lam at every site."""
     offsets = tensors.gamma
-    coef = np.empty((len(offsets), *lattice.shape))
-    for k, lam in enumerate(offsets):
-        coef[k].fill(tensors.r(lam))
-    return StencilOperator(lattice, offsets, coef)
+    rows = np.tile([tensors.r(lam) for lam in offsets], (*lattice.shape, 1))
+    return StencilOperator(lattice, offsets, np.moveaxis(rows, -1, 0))
 
 
 def assemble_drift(
-    element: FiniteElement,
     tensors: ReferenceTensors,
     problem: Problem,
     lattice: TorusLattice,
@@ -195,11 +202,10 @@ def assemble_drift(
     if problem.c is not None:
         terms.append((problem.c, quad.reaction))
     coef = _assemble_cells(quad, lattice, h, t, terms)
-    return StencilOperator(lattice, quad.offsets, coef, t=t)
+    return StencilOperator(lattice, quad.offsets, coef)
 
 
 def assemble_noise(
-    element: FiniteElement,
     tensors: ReferenceTensors,
     problem: Problem,
     lattice: TorusLattice,
@@ -214,7 +220,7 @@ def assemble_noise(
     if rho in problem.nu:
         terms.append((problem.nu[rho], quad.reaction))
     coef = _assemble_cells(quad, lattice, h, t, terms)
-    return StencilOperator(lattice, quad.offsets, coef, t=t)
+    return StencilOperator(lattice, quad.offsets, coef)
 
 
 def mollify_data(
@@ -231,36 +237,22 @@ def mollify_data(
     return GridFunction(lattice, values)
 
 
-def quadrature_error_estimate(
-    element: FiniteElement,
-    tensors: ReferenceTensors,
-    problem: Problem,
-    lattice: TorusLattice,
-    t: float = 0.0,
-) -> float:
-    """Order-doubling diagnostic: max drift-coefficient change when the Gauss
-    degree is doubled.  Zero up to roundoff for polynomial-exact integrands;
-    otherwise an estimate of the coefficient quadrature error."""
-    base = assemble_drift(element, tensors, problem, lattice, t)
-    doubled = compute_reference_tensors(element, 2 * tensors.quad_degree)
-    fine = assemble_drift(element, doubled, problem, lattice, t)
-    return float(np.max(np.abs(base.coef - fine.coef)))
-
-
 # ---------------------------------------------------------------------------
 # assembled problem with caching
 # ---------------------------------------------------------------------------
 
 
 class AssembledProblem:
-    """Element + coefficients + lattice, with operator assembly and caching.
+    """Reference tensors + coefficients + lattice, with operator assembly and caching.
 
     Everything here depends on the lattice and not on the noise, so one
     instance serves every sample and every integrate call on its lattice.
     One rule governs reuse: a result is built once per key and then kept,
     unless an expression it is built from references t, in which case it
     is rebuilt at every requested time.  The operators and the mollified
-    data integrate with the tensors' cell quadrature.
+    data integrate with the tensors' cell quadrature.  The element argument
+    is not read (the tensors carry their element); it keeps the positional
+    signature that callers use.
     """
 
     def __init__(
@@ -271,12 +263,11 @@ class AssembledProblem:
         lattice: TorusLattice,
         h: float | None = None,
     ):
-        self.element = element
         self.tensors = tensors
         self.problem = problem
         self.lattice = lattice
         self.h = _normalize_h(lattice, h)
-        self.mass = assemble_mass(element, tensors, lattice)
+        self.mass = assemble_mass(tensors, lattice)
         self._memo: dict = {}
 
     def memo(self, key, build, asts=()):
@@ -296,14 +287,14 @@ class AssembledProblem:
     def drift(self, t: float) -> StencilOperator:
         p = self.problem
         return self.memo("drift", lambda: assemble_drift(
-            self.element, self.tensors, p, self.lattice, t, self.h
+            self.tensors, p, self.lattice, t, self.h
         ), [*p.a.values(), *p.b.values(), p.c])
 
     def noise(self, t: float, rho: int) -> StencilOperator:
         p = self.problem
         asts = [ast for (_, r), ast in p.sigma.items() if r == rho] + [p.nu.get(rho)]
         return self.memo(("noise", rho), lambda: assemble_noise(
-            self.element, self.tensors, p, self.lattice, t, rho, self.h
+            self.tensors, p, self.lattice, t, rho, self.h
         ), asts)
 
     def f_h(self, t: float) -> GridFunction:

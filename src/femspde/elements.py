@@ -325,11 +325,6 @@ def parse_element_text(text: str) -> FiniteElement:
     return element
 
 
-def load_element_file(path) -> FiniteElement:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_element_text(fh.read())
-
-
 def _parse_lambda(text: str, d: int) -> set[tuple[int, ...]]:
     out = set()
     for chunk in text.replace("(", " ").replace(")", " ").split():
@@ -398,29 +393,3 @@ def _parse_poly(text: str, d: int) -> Polynomial:
     if leftover or not coeffs:
         raise ElementFormatError(f"bad polynomial term in {text.strip()!r}")
     return Polynomial(d, coeffs)
-
-
-def element_to_text(element: FiniteElement) -> str:
-    """Serialize an element in the documented file format."""
-    lines = [f"d = {element.d}", f"name = {element.name}"]
-    lam = " ".join("(" + ",".join(str(c) for c in v) + ")" for v in sorted(element.lambda_set))
-    lines.append(f"lambda = {lam}")
-    for cell, poly in element.psi.pieces:
-        lines.append("")
-        lines.append("[cell]")
-        if isinstance(cell, Box):
-            lines.append("type = box")
-            lines.append("lo = " + " ".join(repr(v) for v in cell.lo))
-            lines.append("hi = " + " ".join(repr(v) for v in cell.hi))
-        else:
-            lines.append("type = simplex")
-            lines.append(
-                "vertices = "
-                + " ; ".join(" ".join(repr(c) for c in v) for v in cell.verts)
-            )
-        terms = " ".join(
-            ",".join(str(e) for e in expo) + f": {coeff!r}"
-            for expo, coeff in sorted(poly.coeffs.items())
-        )
-        lines.append(f"poly = {terms}")
-    return "\n".join(lines) + "\n"

@@ -12,6 +12,8 @@ stochastic term.  The initial state solves mass U_0 = phi_h.  Monte Carlo
 samples that differ only in their noise path advance together as one
 (samples, *lattice.shape) block; one path is a block of one sample.
 
+Every operator is its CSR matrix (StencilOperator.matrix): the explicit
+terms are sparse products with it, and the implicit system is solved on it.
 Lattices of at most DIRECT_SITE_LIMIT sites are solved by sparse LU; larger
 ones by BiCGStab, preconditioned by the exact inverse of the x-averaged
 system.  Averaging every stencil coefficient over the sites gives a
@@ -137,28 +139,27 @@ class SolverConfig:
 class LinearSolver:
     """Factorization cache for repeated solves with one operator.
 
-    Lattices of at most DIRECT_SITE_LIMIT sites are factored by sparse LU
-    (SuperLU with a minimum-degree ordering on A^T + A); larger ones are
-    solved by BiCGStab to the relative tolerance cfg.tol, preconditioned by
-    the FFT inverse of the x-averaged operator.
+    Both paths use op.matrix.  Lattices of at most DIRECT_SITE_LIMIT sites
+    are factored by sparse LU (SuperLU with a minimum-degree ordering on
+    A^T + A, on a CSC copy); larger ones are solved by BiCGStab to the
+    relative tolerance cfg.tol, preconditioned by the FFT inverse of the
+    x-averaged operator.
     """
 
     def __init__(self, op: StencilOperator, cfg: SolverConfig):
         self.op = op
         self.cfg = cfg
         self.direct = op.lattice.total_sites <= DIRECT_SITE_LIMIT
-        mat = op.to_csr()
         if self.direct:
             try:
-                self._lu = scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                self._lu = scipy.sparse.linalg.splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
         else:
-            self._mat = mat
             shape = op.lattice.shape
             symbol = _averaged_symbol(op)
             self._precond = scipy.sparse.linalg.LinearOperator(
-                mat.shape, dtype=float,
+                op.matrix.shape, dtype=float,
                 matvec=lambda v: irfftn(rfftn(v.reshape(shape)) / symbol, s=shape).reshape(-1),
             )
 
@@ -182,9 +183,10 @@ class LinearSolver:
         norm = float(np.linalg.norm(rhs))
         if norm == 0.0:
             return np.zeros_like(rhs)
-        out, info = bicgstab(self._mat, rhs, rtol=self.cfg.tol, atol=0.0,
+        mat = self.op.matrix
+        out, info = bicgstab(mat, rhs, rtol=self.cfg.tol, atol=0.0,
                              maxiter=self.cfg.max_iter, M=self._precond)
-        residual = float(np.linalg.norm(self._mat @ out - rhs)) / norm
+        residual = float(np.linalg.norm(mat @ out - rhs)) / norm
         if info != 0 or not np.isfinite(residual) or residual > 10 * self.cfg.tol:
             where = f" in column {column}" if columns > 1 else ""
             raise SolverError(
@@ -207,7 +209,8 @@ def _averaged_symbol(op: StencilOperator) -> np.ndarray:
     lattice = op.lattice
     kernel = np.zeros(lattice.shape)
     lams = np.asarray(op.offsets)
-    np.add.at(kernel, tuple((-lams % lattice.n).T), op.coef.reshape(len(lams), -1).mean(axis=1))
+    means = op.matrix.data.reshape(-1, len(lams)).mean(axis=0)
+    np.add.at(kernel, tuple((-lams % lattice.n).T), means)
     symbol = rfftn(kernel)
     size = np.abs(symbol)
     symbol[size <= CANCELLATION_TOL * size.max()] = 1.0
@@ -237,8 +240,8 @@ def implicit_system(assembled: AssembledProblem, t: float, dt: float) -> Stencil
     mass = assembled.mass
     drift = assembled.drift(t)
     system = mass.scaled_add(1.0, drift, -dt)
-    scale = float(np.abs(mass.coef).max()) + dt * float(np.abs(drift.coef).max())
-    size = float(np.abs(system.coef).max())
+    scale = float(np.abs(mass.matrix.data).max()) + dt * float(np.abs(drift.matrix.data).max())
+    size = float(np.abs(system.matrix.data).max())
     if size <= CANCELLATION_TOL * scale:
         raise SolverError(
             f"mass - dt * drift cancels: max entry {size:.3e} against scale {scale:.3e}"
@@ -314,7 +317,7 @@ def integrate(
     noise is one NoisePath (None for a problem without noise terms) or a
     list holding one NoisePath per Monte Carlo sample.  The samples advance
     together as one (samples, *lattice.shape) block: every step is one
-    stencil apply per operator on the block and one solve with a
+    sparse product per operator on the block and one solve with a
     factorization shared by all samples (one per step when the drift
     depends on t; otherwise one per lattice and dt, which `assembled` keeps
     for later calls, as it keeps U_0).

@@ -206,8 +206,3 @@ def parse_problem_text(text: str, rho_max: int | None = None) -> Problem:
     g = {k: v for k, v in g.items() if k <= rho_max}
 
     return Problem(d=d, rho_max=rho_max, a=a, b=b, c=c, sigma=sigma, nu=nu, f=f, g=g, phi=phi)
-
-
-def load_problem_file(path, rho_max: int | None = None) -> Problem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem_text(fh.read(), rho_max=rho_max)

@@ -130,7 +130,7 @@ def test_criterion_2_invertibility_constant():
         delta = check_invertibility(tensors, 1024)
         assert delta == pytest.approx(1.0 / 3.0, abs=1e-9)
         lattice = build_torus(1, 1.0 / 64, 64)
-        mass = assemble_mass(hat, tensors, lattice)
+        mass = assemble_mass(tensors, lattice)
         eig_dense = float(np.linalg.eigvalsh(mass.to_dense()).min())
         assert eig_dense >= delta - 1e-8
         eig_power = smallest_eigenvalue_inverse_power(mass)

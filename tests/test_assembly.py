@@ -9,10 +9,10 @@ from femspde.assembly import (
     assemble_mass,
     assemble_noise,
     mollify_data,
-    quadrature_error_estimate,
 )
 from femspde.checks import check_invertibility, smallest_eigenvalue_inverse_power
 from femspde.elements import build_element, parse_element_text
+from femspde.integrator import LinearSolver, SolverConfig, _averaged_symbol, implicit_system
 from femspde.lattice import GridFunction, build_torus
 from femspde.polynomials import cell_quadrature
 from femspde.problem import parse_problem_text
@@ -92,13 +92,13 @@ def hat_setup():
 class TestMass:
     def test_constant_field_preserved(self, hat_setup):
         element, tensors, lattice = hat_setup
-        mass = assemble_mass(element, tensors, lattice)
+        mass = assemble_mass(tensors, lattice)
         u = GridFunction(lattice, np.ones(lattice.shape))
         np.testing.assert_allclose(mass.apply(u).values, 1.0, atol=1e-14)
 
     def test_spike_response(self, hat_setup):
         element, tensors, lattice = hat_setup
-        mass = assemble_mass(element, tensors, lattice)
+        mass = assemble_mass(tensors, lattice)
         spike = GridFunction(lattice, np.eye(lattice.n)[0])
         out = mass.apply(spike).values
         assert out[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
@@ -108,7 +108,7 @@ class TestMass:
 
     def test_matrix_symmetric(self, hat_setup):
         element, tensors, lattice = hat_setup
-        mass = assemble_mass(element, tensors, lattice)
+        mass = assemble_mass(tensors, lattice)
         dense = mass.to_dense()
         np.testing.assert_allclose(dense, dense.T, atol=1e-15)
 
@@ -116,7 +116,7 @@ class TestMass:
         element = build_element("hat1d")
         tensors = compute_reference_tensors(element)
         lattice = build_torus(1, 1.0 / 64.0, 64)
-        mass = assemble_mass(element, tensors, lattice)
+        mass = assemble_mass(tensors, lattice)
         delta = check_invertibility(tensors, 1024)
         eig_dense = float(np.linalg.eigvalsh(mass.to_dense()).min())
         eig_power = smallest_eigenvalue_inverse_power(mass)
@@ -131,7 +131,7 @@ class TestDrift:
     def test_laplacian_stencil(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "1"')
-        drift = assemble_drift(element, tensors, problem, lattice, 0.0)
+        drift = assemble_drift(tensors, problem, lattice, 0.0)
         h = lattice.h
         by_offset = dict(zip(drift.offsets, drift.coef))
         np.testing.assert_allclose(by_offset[(0,)], -2.0 / h**2, rtol=1e-13)
@@ -141,7 +141,7 @@ class TestDrift:
     def test_sine_is_discrete_eigenvector(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "1"')
-        drift = assemble_drift(element, tensors, problem, lattice, 0.0)
+        drift = assemble_drift(tensors, problem, lattice, 0.0)
         x = lattice.axis_coords()
         h = lattice.h
         u = GridFunction(lattice, np.sin(x))
@@ -159,15 +159,15 @@ class TestDrift:
             problem = parse_problem_text(
                 'a.1.1 = "1"' if element.d == 1 else 'a.1.1 = "1"\na.2.2 = "1"\nd = 2'
             )
-            drift = assemble_drift(element, tensors, problem, lattice, 0.0)
+            drift = assemble_drift(tensors, problem, lattice, 0.0)
             u = GridFunction(lattice, np.ones(lattice.shape))
             np.testing.assert_allclose(drift.apply(u).values, 0.0, atol=1e-12)
 
     def test_pure_reaction_equals_mass(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "0"\nc = "1"')
-        drift = assemble_drift(element, tensors, problem, lattice, 0.0)
-        mass = assemble_mass(element, tensors, lattice)
+        drift = assemble_drift(tensors, problem, lattice, 0.0)
+        mass = assemble_mass(tensors, lattice)
         by_offset = dict(zip(drift.offsets, drift.coef))
         for lam, coef in zip(mass.offsets, mass.coef):
             np.testing.assert_allclose(by_offset[lam], coef, atol=1e-13)
@@ -175,7 +175,7 @@ class TestDrift:
     def test_pure_advection_centered_difference(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "0"\nb.1 = "1"')
-        drift = assemble_drift(element, tensors, problem, lattice, 0.0)
+        drift = assemble_drift(tensors, problem, lattice, 0.0)
         h = lattice.h
         by_offset = dict(zip(drift.offsets, drift.coef))
         np.testing.assert_allclose(by_offset[(1,)], 0.5 / h, rtol=1e-13)
@@ -187,7 +187,7 @@ class TestDrift:
         tensors = compute_reference_tensors(element)
         lattice = build_torus(2, 0.25, 8)
         problem = parse_problem_text('a.1.1="2"\na.2.2="1"\na.1.2="0.25"\nb.1="0.3"\nc="1"\nd=2')
-        drift = assemble_drift(element, tensors, problem, lattice, 0.0)
+        drift = assemble_drift(tensors, problem, lattice, 0.0)
         for k in range(len(drift.offsets)):
             spread = float(drift.coef[k].max() - drift.coef[k].min())
             assert spread <= 1e-11 * max(1.0, abs(float(drift.coef[k].max())))
@@ -197,8 +197,8 @@ class TestNoise:
     def test_nu_only_equals_mass(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "1"\nnu.1 = "1"')
-        noise = assemble_noise(element, tensors, problem, lattice, 0.0, 1)
-        mass = assemble_mass(element, tensors, lattice)
+        noise = assemble_noise(tensors, problem, lattice, 0.0, 1)
+        mass = assemble_mass(tensors, lattice)
         by_offset = dict(zip(noise.offsets, noise.coef))
         for lam, coef in zip(mass.offsets, mass.coef):
             np.testing.assert_allclose(by_offset[lam], coef, atol=1e-13)
@@ -206,7 +206,7 @@ class TestNoise:
     def test_sigma_centered_difference(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "1"\nsigma.1.1 = "1"')
-        noise = assemble_noise(element, tensors, problem, lattice, 0.0, 1)
+        noise = assemble_noise(tensors, problem, lattice, 0.0, 1)
         h = lattice.h
         by_offset = dict(zip(noise.offsets, noise.coef))
         np.testing.assert_allclose(by_offset[(1,)], 0.5 / h, rtol=1e-13)
@@ -216,14 +216,14 @@ class TestNoise:
     def test_sigma_annihilates_constants(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "1"\nsigma.1.1 = "1"')
-        noise = assemble_noise(element, tensors, problem, lattice, 0.0, 1)
+        noise = assemble_noise(tensors, problem, lattice, 0.0, 1)
         u = GridFunction(lattice, np.ones(lattice.shape))
         np.testing.assert_allclose(noise.apply(u).values, 0.0, atol=1e-13)
 
     def test_inactive_rho_gives_zero_stencil(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "1"\nsigma.1.1 = "1"', rho_max=2)
-        noise = assemble_noise(element, tensors, problem, lattice, 0.0, 2)
+        noise = assemble_noise(tensors, problem, lattice, 0.0, 2)
         np.testing.assert_array_equal(noise.coef, 0.0)
 
 
@@ -245,7 +245,7 @@ class TestApply:
                 else 'a.1.1 = "1 + 0.5*cos(x1)"\na.2.2 = "1"\nb.1 = "0.2"\nc = "0.1*sin(x2)"\nd = 2'
             )
             problem = parse_problem_text(text)
-            drift = assemble_drift(element, tensors, problem, lattice, 0.0)
+            drift = assemble_drift(tensors, problem, lattice, 0.0)
             dense = dense_from_stencil(drift)
             for _ in range(5):
                 u = GridFunction(lattice, rng.normal(size=lattice.shape))
@@ -256,7 +256,7 @@ class TestApply:
     def test_linearity(self, hat_setup, rng):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "1 + 0.5*cos(x1)"\nb.1 = "0.1"')
-        op = assemble_drift(element, tensors, problem, lattice, 0.0)
+        op = assemble_drift(tensors, problem, lattice, 0.0)
         u = GridFunction(lattice, rng.normal(size=lattice.shape))
         v = GridFunction(lattice, rng.normal(size=lattice.shape))
         lhs = op.apply(2.5 * u + (-1.25) * v).values
@@ -265,7 +265,7 @@ class TestApply:
 
     def test_lattice_mismatch_rejected(self, hat_setup):
         element, tensors, lattice = hat_setup
-        mass = assemble_mass(element, tensors, lattice)
+        mass = assemble_mass(tensors, lattice)
         other = build_torus(1, lattice.h / 2, 2 * lattice.n)
         with pytest.raises(ValueError):
             mass.apply(GridFunction(other, np.zeros(other.shape)))
@@ -281,7 +281,7 @@ class TestApply:
             lattice = build_torus(d, 0.5, 8)
             diffusion = "\n".join(f'a.{i}.{i} = "1 + 0.5*cos(x{i})"' for i in range(1, d + 1))
             problem = parse_problem_text(f'd = {d}\n{diffusion}\nb.1 = "0.2"')
-            drift = assemble_drift(element, tensors, problem, lattice, 0.0)
+            drift = assemble_drift(tensors, problem, lattice, 0.0)
             block = rng.normal(size=(4, *lattice.shape))
             got = drift.apply(block)
             assert got.shape == block.shape
@@ -349,7 +349,7 @@ class TestConsistencyOrder:
         errors = []
         for n in (16, 32):
             lattice = build_torus(d, 2 * np.pi / n, n)
-            drift = assemble_drift(element, tensors, problem, lattice, 0.0)
+            drift = assemble_drift(tensors, problem, lattice, 0.0)
             x = lattice.coords()
             if d == 1:
                 u = np.sin(x[:, 0])
@@ -388,7 +388,7 @@ class TestSignInvariance:
         problem = parse_problem_text('a.1.1 = "1 + 0.25*cos(x1)"\nb.1 = "0.1"')
         h = lattice.h
         tables = build_overlap_tables(element, tensors.quad_degree)
-        plus = assemble_drift(element, tensors, problem, lattice, 0.0)
+        plus = assemble_drift(tensors, problem, lattice, 0.0)
         by_offset = dict(zip(plus.offsets, plus.coef))
         sites = lattice.coords()
         for lam, tab in tables.items():
@@ -410,18 +410,6 @@ class TestSignInvariance:
 
 
 class TestDiagnostics:
-    def test_quadrature_error_zero_for_constant_coefficients(self, hat_setup):
-        element, tensors, lattice = hat_setup
-        problem = parse_problem_text('a.1.1 = "1"\nb.1 = "0.5"\nc = "2"')
-        err = quadrature_error_estimate(element, tensors, problem, lattice)
-        assert err <= 1e-12 / lattice.h**2
-
-    def test_quadrature_error_small_for_smooth_coefficients(self, hat_setup):
-        element, tensors, lattice = hat_setup
-        problem = parse_problem_text('a.1.1 = "1 + 0.25*cos(x1)"')
-        err = quadrature_error_estimate(element, tensors, problem, lattice)
-        assert err < 1e-8 / lattice.h**2
-
     def test_time_independent_operators_are_cached(self, hat_setup):
         # a result is kept unless an expression it is built from references t
         element, tensors, lattice = hat_setup
@@ -442,23 +430,74 @@ class TestDiagnostics:
         ap = AssembledProblem(element, tensors, timed, lattice)
         for t in (0.0, 0.7):
             assert np.array_equal(ap.drift(t).coef,
-                                  assemble_drift(element, tensors, timed, lattice, t).coef)
+                                  assemble_drift(tensors, timed, lattice, t).coef)
             assert np.array_equal(ap.noise(t, 1).coef,
-                                  assemble_noise(element, tensors, timed, lattice, t, 1).coef)
+                                  assemble_noise(tensors, timed, lattice, t, 1).coef)
             assert np.array_equal(ap.f_h(t).values,
                                   mollify_data(timed.f, tensors, lattice, t).values)
             assert np.array_equal(ap.g_h(t, 1).values,
                                   mollify_data(timed.g[1], tensors, lattice, t).values)
         assert ap.noise(0.0, 2) is ap.noise(0.7, 2)  # sigma.1.2 does not reference t
 
-    def test_scaled_add_unions_offsets(self, hat_setup):
+    def test_scaled_add_needs_equal_footprints(self, hat_setup):
         element, tensors, lattice = hat_setup
-        mass = assemble_mass(element, tensors, lattice)
+        mass = assemble_mass(tensors, lattice)
         ident = StencilOperator(lattice, ((0,),), np.ones((1, lattice.n)))
-        combo = ident.scaled_add(1.0, mass, -0.5)
-        by_offset = dict(zip(combo.offsets, combo.coef))
-        np.testing.assert_allclose(by_offset[(0,)], 1.0 - 0.5 * 2.0 / 3.0, atol=1e-14)
-        np.testing.assert_allclose(by_offset[(1,)], -0.5 / 6.0, atol=1e-14)
+        with pytest.raises(ValueError, match="footprints"):
+            ident.scaled_add(1.0, mass, -0.5)
+        drift = assemble_drift(tensors, parse_problem_text('a.1.1 = "1 + 0.5*cos(x1)"'),
+                               lattice, 0.0)
+        combo = mass.scaled_add(1.0, drift, -0.5)
+        assert combo.offsets == mass.offsets == drift.offsets
+        assert np.array_equal(combo.coef, mass.coef - 0.5 * drift.coef)
+        np.testing.assert_allclose(combo.to_dense(),
+                                   mass.to_dense() - 0.5 * drift.to_dense(), atol=1e-12)
+
+
+class TestMatrix:
+    """Each operator is one CSR matrix on a column pattern shared per lattice."""
+
+    def test_duplicate_columns_agree_with_dense(self, rng):
+        # on n = 4 the offsets -2 and 2 reach the same column; the matvec,
+        # sparse LU and the averaged symbol must all sum the two entries
+        lattice = build_torus(1, 0.5, 4)
+        offsets = ((-2,), (0,), (2,))
+        coef = np.stack([rng.uniform(0.1, 0.5, 4), rng.uniform(3.0, 4.0, 4),
+                         rng.uniform(0.1, 0.5, 4)])
+        op = StencilOperator(lattice, offsets, coef)
+        dense = op.to_dense()
+        u = rng.normal(size=4)
+        np.testing.assert_allclose(op.apply(GridFunction(lattice, u)).values, dense @ u,
+                                   rtol=1e-14, atol=1e-14)
+        solver = LinearSolver(op, SolverConfig())
+        assert solver.direct
+        np.testing.assert_allclose(solver.solve(u), np.linalg.solve(dense, u), rtol=1e-13)
+        means = np.repeat(coef.mean(axis=1, keepdims=True), 4, axis=1)
+        averaged = StencilOperator(lattice, offsets, means).to_dense()
+        modes = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(3)) / 4)
+        np.testing.assert_allclose(averaged @ modes, modes * _averaged_symbol(op),
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_operators_share_one_read_only_pattern(self, hat_setup, rng):
+        element, tensors, lattice = hat_setup
+        problem = parse_problem_text('a.1.1 = "1 + 0.5*cos(x1)"\nsigma.1.1 = "0.3"\nnu.1 = "0.1"')
+        ap = AssembledProblem(element, tensors, problem, lattice)
+        ops = [ap.mass, ap.drift(0.0), ap.noise(0.0, 1), implicit_system(ap, 0.0, 0.01)]
+        indices, indptr = ops[0].matrix.indices, ops[0].matrix.indptr
+        for op in ops:
+            assert np.shares_memory(op.matrix.indices, indices)
+            assert np.shares_memory(op.matrix.indptr, indptr)
+        u = GridFunction(lattice, rng.normal(size=lattice.shape))
+        before = [op.apply(u).values for op in ops]
+        with pytest.raises(ValueError):
+            indices[0] = 1
+        with pytest.raises(ValueError):
+            ops[1].matrix.indptr[1] = 0
+        for op in ops:
+            with pytest.raises(ValueError):
+                op.matrix.sort_indices()
+        for op, want in zip(ops, before):
+            assert np.array_equal(op.apply(u).values, want)
 
 
 SPLIT_HAT = """\
@@ -522,11 +561,11 @@ class TestCellQuadrature:
             assert scale > 0.0
             np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-13 * scale)
 
-        drift = assemble_drift(element, tensors, problem, lattice, t, h)
+        drift = assemble_drift(tensors, problem, lattice, t, h)
         assert drift.offsets == tuple(sorted(tables))
         close(drift.coef, per_offset_drift(tables, problem, lattice, h, t))
         for rho in (1, 2):
-            noise = assemble_noise(element, tensors, problem, lattice, t, rho, h)
+            noise = assemble_noise(tensors, problem, lattice, t, rho, h)
             close(noise.coef, per_offset_noise(tables, problem, lattice, h, t, rho))
         close(mollify_data(problem.phi, tensors, lattice, t, h).values,
               per_offset_mollify(problem.phi, element, lattice, h, t, tensors.quad_degree))
@@ -545,7 +584,7 @@ class TestCellQuadrature:
         ap = AssembledProblem(element, raised, problem, lattice)
         expected = mollify_data(problem.phi, raised, lattice)
         assert np.array_equal(ap.phi_h().values, expected.values)
-        drift = assemble_drift(element, raised, problem, lattice, 0.0)
+        drift = assemble_drift(raised, problem, lattice, 0.0)
         assert np.array_equal(ap.drift(0.0).coef, drift.coef)
         # at the default degree these data differ, so the equalities pin the degree
         assert not np.array_equal(expected.values,
@@ -575,7 +614,7 @@ class TestEvaluationCount:
         lattice = build_torus(element.d, 2 * np.pi / n, n)
         asts = [*problem.a.values(), *problem.b.values(), problem.c]
         k = len({id(ast) for ast in asts})  # a.i.j and its mirror share one AST
-        assemble_drift(element, tensors, problem, lattice, 0.0)
+        assemble_drift(tensors, problem, lattice, 0.0)
         assert sum(points_seen) == k * n**element.d * per_cell
         assert len(points_seen) == k
 

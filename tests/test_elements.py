@@ -4,7 +4,6 @@ import pytest
 from femspde.elements import (
     ElementFormatError,
     build_element,
-    element_to_text,
     evaluate_psi,
     parse_element_text,
     validate_element,
@@ -130,14 +129,6 @@ class TestElementFiles:
         assert el.gamma == ((-1,), (0,), (1,))
         assert evaluate_psi(el, (0.25,)) == pytest.approx(0.75)
         validate_element(el)
-
-    def test_round_trip(self, triangle2d):
-        text = element_to_text(triangle2d)
-        back = parse_element_text(text)
-        assert back.gamma == triangle2d.gamma
-        pts = np.random.default_rng(0).uniform(-1, 1, size=(40, 2))
-        np.testing.assert_allclose(back.evaluate_many(pts), triangle2d.evaluate_many(pts),
-                                   atol=1e-14)
 
     def test_rational_coefficients(self):
         text = ELEMENT_TEXT.replace("poly = 0: 1  1: 1", "poly = 0: 2/2  1: 3/3")

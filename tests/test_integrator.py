@@ -138,7 +138,7 @@ class TestSolveLinear:
     def test_mass_roundtrip(self, hat, rng):
         element, tensors = hat
         lattice = build_torus(1, L / 32, 32)
-        mass = assemble_mass(element, tensors, lattice)
+        mass = assemble_mass(tensors, lattice)
         u = GridFunction(lattice, rng.normal(size=32))
         rhs = mass.apply(u)
         out = solve_linear(mass, rhs)
@@ -149,7 +149,7 @@ class TestSolveLinear:
         element, tensors = hat
         n = 2 * DIRECT_SITE_LIMIT
         lattice = build_torus(1, L / n, n)
-        mass = assemble_mass(element, tensors, lattice)
+        mass = assemble_mass(tensors, lattice)
         u = GridFunction(lattice, rng.normal(size=n))
         rhs = mass.apply(u)
         out = solve_linear(mass, rhs, tol=1e-12)
@@ -185,7 +185,7 @@ class TestSolveLinear:
             if solver.direct:
                 want, rtol = np.linalg.solve(op.to_dense(), rhs.flat()), 1e-12
             else:
-                want, rtol = spsolve(op.to_csr(), rhs.flat()), 1e-8
+                want, rtol = spsolve(op.matrix.copy(), rhs.flat()), 1e-8
             assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
@@ -220,7 +220,7 @@ class TestPreconditioner:
         tensors = compute_reference_tensors(element)
         lattice = build_torus(element.d, L / n, n)
         if text is None:
-            op = assemble_mass(element, tensors, lattice)
+            op = assemble_mass(tensors, lattice)
         else:
             ap = AssembledProblem(element, tensors, parse_problem_text(text), lattice)
             op = implicit_system(ap, 0.0, 0.5 * lattice.h**2)
@@ -229,7 +229,7 @@ class TestPreconditioner:
         rhs = rng.normal(size=lattice.total_sites)
         got = solver.solve(rhs)
         assert len(krylov_iters) <= 1
-        assert np.linalg.norm(op.to_csr() @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        assert np.linalg.norm(op.matrix @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_vanishing_modes_act_as_identity(self):
         # coefficients +1 and -1 on alternate sites: every averaged mode is 0,
@@ -260,10 +260,10 @@ class TestPreconditioner:
         got = LinearSolver(op, SolverConfig()).solve(rhs)
         preconditioned = len(krylov_iters)
         assert preconditioned <= 3  # measured: 3
-        scipy.sparse.linalg.bicgstab(op.to_csr(), rhs, rtol=1e-10, atol=0.0)
+        scipy.sparse.linalg.bicgstab(op.matrix, rhs, rtol=1e-10, atol=0.0)
         plain = len(krylov_iters) - preconditioned  # measured: 12
         assert plain >= 4 * preconditioned
-        want = spsolve(op.to_csr(), rhs)
+        want = spsolve(op.matrix.copy(), rhs)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
@@ -464,7 +464,7 @@ class TestSampleBlock:
         element, tensors = hat
         n = 2 * DIRECT_SITE_LIMIT
         lattice = build_torus(1, L / n, n)
-        solver = LinearSolver(assemble_mass(element, tensors, lattice), SolverConfig())
+        solver = LinearSolver(assemble_mass(tensors, lattice), SolverConfig())
         assert not solver.direct
         rows = rng.normal(size=(2, n))
         block = solver.solve(rows)

@@ -1,7 +1,9 @@
-"""The benchmark tracer patches femspde functions and methods by name.
+"""The benchmark tracer patches femspde functions and methods by name, and the
+benchmark workloads call femspde positionally.
 
-A refactor that renames or drops one of them breaks every traced benchmark
-run, so every name the tracer binds must resolve in femspde.
+A refactor that renames or drops one of those names, or moves a positional
+parameter, breaks the benchmark, so every name the tracer binds must resolve
+in femspde and every workload call must bind as the workloads make it.
 """
 
 import importlib
@@ -68,3 +70,44 @@ def test_krylov_solve_calls_patched_bicgstab(monkeypatch):
     assert not solver.direct
     np.testing.assert_allclose(solver.solve(np.ones(n)), 0.5)
     assert calls == [1]
+
+
+
+# positional calls that perfbench/workloads.py makes into femspde: the
+# parameter each positional argument lands in, and the keywords it passes
+BENCHMARK_CALLS = {
+    "AssembledProblem": (("element", "tensors", "problem", "lattice"), {}),
+    "integrate_multilevel": (
+        ("element", "tensors", "problem", "coarsest", "levels", "noise", "T", "steps"),
+        {"record": "terminal"},
+    ),
+    "integrate": (("assembled", "noise", "T", "steps"), {"record": "terminal"}),
+    "run_convergence_study": (("element", "tensors", "problem", "cfg"), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CALLS))
+def test_benchmark_calls_bind(name):
+    import inspect
+
+    import femspde
+
+    params, kwargs = BENCHMARK_CALLS[name]
+    bound = inspect.signature(getattr(femspde, name)).bind(*params, **kwargs)
+    assert [bound.arguments[p] for p in params] == list(params)
+
+
+def test_stencil_apply_accepts_grid_function():
+    # assembly3d checks drift(0.0).apply(ones) against c by partition of unity
+    import numpy as np
+
+    from femspde import AssembledProblem, GridFunction, build_element, build_torus
+    from femspde import compute_reference_tensors, parse_problem_text
+
+    element = build_element("hat1d")
+    lattice = build_torus(1, 2 * np.pi / 16, 16)
+    problem = parse_problem_text('a.1.1 = "1 + 0.25*cos(x1)"\nc = "-0.2"')
+    assembled = AssembledProblem(element, compute_reference_tensors(element), problem, lattice)
+    out = assembled.drift(0.0).apply(GridFunction(lattice, np.ones(lattice.shape)))
+    assert isinstance(out, GridFunction)
+    np.testing.assert_allclose(out.values, -0.2, atol=1e-10)
