@@ -14,10 +14,14 @@ against D psi_lam times psi, and C and N integrate the zero-order
 coefficients against psi_lam psi.  The integrals run over the intersection
 sub-cells of the reference tensors' overlap tables, regrouped by lattice cell
 in the tensors' CellQuadrature (ReferenceTensors.quad, femspde.tensors), so
-each coefficient is evaluated once per cell, at x_c + h zeta with zeta in
+every coefficient is needed only at the cell points x_c + h zeta with zeta in
 [0, 1)^d, and every stencil coefficient is a sum of cell-local products
-scattered by lattice shifts.  This module does only that lattice work; the
-quadrature and its degree belong to the tensors.
+scattered by lattice shifts.  The cell points are passed to the evaluator as
+one coordinate array per axis, so each coefficient is computed only along the
+lattice axes it references (a constant once, cos(x1) on n * P values) and its
+cell-local products are formed over that reduced shape and broadcast over
+the lattice.  This module does only that lattice work; the quadrature and its
+degree belong to the tensors.
 
 Each operator is stored once, as a scipy CSR matrix (StencilOperator.matrix)
 whose rows hold the G coefficients of one site in offset order.  Applying
@@ -149,10 +153,14 @@ def _assemble_cells(
     """Stencil coefficients sum_terms integral(coefficient * weight), a (G, *lattice.shape)
     view of a (*lattice.shape, G) array, the layout of the operator's CSR data.
 
-    `terms` pairs coefficient ASTs with (K, P, G) weight arrays.  Each
-    distinct AST is evaluated once, at x_c + h zeta for every lattice cell c;
-    shift k contributes the cell-local product V @ W_k, rolled by -k onto
-    the sites whose overlap tables reach into cell c.
+    `terms` pairs coefficient ASTs with (K, P, G) weight arrays.  The cell
+    points x_c + h zeta are given as one coordinate array per axis: x_k holds
+    the axis coordinates along lattice axis k (size 1 on the others) plus
+    h zeta[:, k] on a trailing P axis.  Each distinct AST is evaluated once on
+    those arrays, so its values span only the axes it references (a constant
+    is one value, cos(x1) is n * P), and shift k contributes the cell-local
+    product V @ W_k over that reduced shape, broadcast over the lattice and
+    rolled by -k onto the sites whose overlap tables reach into cell c.
     """
     combined: dict[int, tuple[expr.Ast, np.ndarray]] = {}  # mirrored entries share one AST
     for ast, weights in terms:
@@ -161,12 +169,19 @@ def _assemble_cells(
     if not combined:
         return np.moveaxis(np.zeros((*lattice.shape, len(quad.offsets))), -1, 0)
     n_shifts, n_zeta, width = terms[0][1].shape
-    n_cells = lattice.total_sites
-    pts = (lattice.coords()[:, None, :] + h * quad.zeta[None, :, :]).reshape(-1, lattice.d)
-    local = np.zeros((n_cells, n_shifts * width))
+    d = lattice.d
+    axis = lattice.axis_coords()
+    x = tuple(
+        axis.reshape(tuple(-1 if j == k else 1 for j in range(d)) + (1,)) + h * quad.zeta[:, k]
+        for k in range(d)
+    )
+    local = np.zeros((*lattice.shape, n_shifts * width))
     for ast, weights in combined.values():
-        vals = expr.eval_many(ast, pts, t).reshape(n_cells, n_zeta)
-        local += vals @ weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
+        vals = expr.eval_many(ast, x, t)
+        cells = vals.shape[:-1]
+        vals = np.broadcast_to(vals, (*cells, n_zeta)).reshape(-1, n_zeta)
+        w = weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
+        local += (vals @ w).reshape(*cells, n_shifts * width)
     local = local.reshape(*lattice.shape, n_shifts, width)
     out = np.zeros((*lattice.shape, width))
     axes = tuple(range(lattice.d))

@@ -247,10 +247,9 @@ def run_simulate(config: RunConfig, run_dir: str) -> int:
         with open(os.path.join(run_dir, "states.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("step,time,site,value\n")
             for k, state in enumerate(traj.states):
-                flat = state.flat()
-                tstr = format_float(traj.times[k])
-                for site in range(flat.size):
-                    fh.write(f"{k},{tstr},{site},{format_float(flat[site])}\n")
+                prefix = f"{k},{format_float(traj.times[k])},"
+                fh.write("".join([f"{prefix}{site},{format_float(v)}\n"
+                                  for site, v in enumerate(state.flat().tolist())]))
     _write_manifest(run_dir, config)
     sys.stdout.write(
         f"simulate: {steps} steps, dt = {dt:.6g}, sup |U|_0h = {traj.sup_norm_0h:.12g}\n"

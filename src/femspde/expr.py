@@ -8,8 +8,9 @@ integer-literal exponent.  Precedence from strongest to weakest:
 
 Parsing is whitespace-insensitive and deterministic; errors carry the byte
 offset of the offending token.  Evaluation is vectorized over numpy arrays
-of points and turns any NaN/Inf, division by zero or negative sqrt into an
-EvalError instead of propagating silent non-finite values.
+of points, or over per-axis coordinate arrays that broadcast together, and
+turns any NaN/Inf, division by zero or negative sqrt into an EvalError
+instead of propagating silent non-finite values.
 """
 
 from __future__ import annotations
@@ -283,18 +284,34 @@ def is_zero(ast: Ast) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def eval_many(ast: Ast, x: np.ndarray, t: float) -> np.ndarray:
-    """Evaluate over an (N, d) array of points at a fixed time.
+def eval_many(ast: Ast, x, t: float) -> np.ndarray:
+    """Evaluate at a fixed time, over points given in one of two forms.
 
-    Returns an (N,) array; raises EvalError on division by zero, sqrt of a
-    negative number, or a non-finite result.
+    - An (N, d) array of points: returns an (N,) array.
+    - A tuple of coordinate arrays, x[k - 1] holding the values of x<k>, that
+      broadcast together: returns the result in its own reduced shape, with
+      the ndim of that broadcast and size 1 along every axis that no
+      referenced coordinate spans.  A constant is a (1, ..., 1) array, and
+      cos(x1) has the size of x1's array, so an expression is computed only
+      on the distinct values of the variables it references.
+
+    Raises EvalError on division by zero, sqrt of a negative number, or a
+    non-finite result; every check sees every distinct value.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("points must be an (N, d) array")
+    if isinstance(x, tuple):
+        coords = tuple(np.asarray(c, dtype=float) for c in x)
+        ndim = len(np.broadcast_shapes(*(c.shape for c in coords)))
+    else:
+        pts = np.asarray(x, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError("points must be an (N, d) array")
+        coords = tuple(pts.T)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _eval(ast, x, float(t))
-    out = np.broadcast_to(out, (x.shape[0],)).astype(float, copy=False)
+        out = np.asarray(_eval(ast, coords, float(t)), dtype=float)
+    if isinstance(x, tuple):
+        out = out.reshape((1,) * (ndim - out.ndim) + out.shape)
+    else:
+        out = np.broadcast_to(out, (pts.shape[0],))
     if not np.all(np.isfinite(out)):
         raise EvalError("expression evaluated to a non-finite value")
     return out
@@ -312,15 +329,15 @@ def evaluate(ast: Ast, x, t: float) -> float:
     return float(eval_many(ast, pt, t)[0])
 
 
-def _eval(ast: Ast, x: np.ndarray, t: float):
+def _eval(ast: Ast, x: tuple[np.ndarray, ...], t: float):
     if isinstance(ast, Num):
         return np.float64(ast.value)
     if isinstance(ast, Var):
         if ast.axis == 0:
             return np.float64(t)
-        if ast.axis > x.shape[1]:
-            raise EvalError(f"variable {ast.name} out of range for {x.shape[1]} dims")
-        return x[:, ast.axis - 1]
+        if ast.axis > len(x):
+            raise EvalError(f"variable {ast.name} out of range for {len(x)} dims")
+        return x[ast.axis - 1]
     if isinstance(ast, Neg):
         return -_eval(ast.arg, x, t)
     if isinstance(ast, Call):

@@ -164,8 +164,10 @@ def restrict(fine: GridFunction, coarse: TorusLattice) -> GridFunction:
 
 
 def format_float(v: float) -> str:
-    """Scientific notation with 17 significant digits, '.' separator."""
-    return np.format_float_scientific(v, precision=16, unique=False, exp_digits=2)
+    """Scientific notation with 17 significant digits, '.' separator, at least
+    two exponent digits (the same text as numpy's format_float_scientific with
+    precision=16, unique=False, exp_digits=2)."""
+    return "%.16e" % v
 
 
 def grid_function_to_csv(u: GridFunction) -> str:

@@ -591,39 +591,156 @@ class TestCellQuadrature:
                                   mollify_data(problem.phi, tensors, lattice).values)
 
 
+def referenced_axes(ast):
+    """Lattice axes (0-based) of the variables x<k> an AST references."""
+    if isinstance(ast, expr.Var):
+        return {ast.axis - 1} if ast.axis > 0 else set()
+    if isinstance(ast, expr.Num):
+        return set()
+    if isinstance(ast, expr.BinOp):
+        return referenced_axes(ast.left) | referenced_axes(ast.right)
+    return referenced_axes(ast.base if isinstance(ast, expr.Pow) else ast.arg)
+
+
+def reduced_shape(ast, lattice, n_zeta):
+    """n along each referenced lattice axis, P on the point axis if any x<k> is referenced."""
+    axes = referenced_axes(ast)
+    spatial = tuple(lattice.n if k in axes else 1 for k in range(lattice.d))
+    return (*spatial, n_zeta if axes else 1)
+
+
 class TestEvaluationCount:
-    """Each distinct coefficient AST is evaluated once per (lattice cell, cell point)."""
+    """Each distinct coefficient AST is evaluated once per assembly, on per-axis
+    coordinate arrays that broadcast to (*lattice.shape, P), and its values span
+    only the lattice axes it references."""
 
     @pytest.fixture()
-    def points_seen(self, monkeypatch):
+    def calls(self, monkeypatch):
         seen = []
         real = expr.eval_many
 
-        def counting(ast, x, t):
-            seen.append(len(x))
-            return real(ast, x, t)
+        def recording(ast, x, t):
+            out = real(ast, x, t)
+            seen.append((ast, x, out))
+            return out
 
-        monkeypatch.setattr(expr, "eval_many", counting)
+        monkeypatch.setattr(expr, "eval_many", recording)
         return seen
 
+    @staticmethod
+    def check_calls(calls, lattice, per_cell):
+        for ast, x, out in calls:
+            assert isinstance(x, tuple) and len(x) == lattice.d
+            assert np.broadcast_shapes(*(c.shape for c in x)) == (*lattice.shape, per_cell)
+            assert out.shape == reduced_shape(ast, lattice, per_cell), expr.to_source(ast)
+
     @pytest.mark.parametrize("preset, n, per_cell", [("tensor(2)", 8, 25), ("tensor(3)", 6, 125)])
-    def test_drift(self, points_seen, preset, n, per_cell):
+    def test_drift(self, calls, preset, n, per_cell):
         element = build_element(preset)
         tensors = compute_reference_tensors(element)
         problem = parse_problem_text(EQUIVALENCE_PROBLEMS[element.d])
         lattice = build_torus(element.d, 2 * np.pi / n, n)
         asts = [*problem.a.values(), *problem.b.values(), problem.c]
-        k = len({id(ast) for ast in asts})  # a.i.j and its mirror share one AST
+        distinct = {id(ast) for ast in asts}  # a.i.j and its mirror share one AST
+        assert len(tensors.quad.zeta) == per_cell
         assemble_drift(tensors, problem, lattice, 0.0)
-        assert sum(points_seen) == k * n**element.d * per_cell
-        assert len(points_seen) == k
+        assert sorted(id(ast) for ast, _, _ in calls) == sorted(distinct)
+        self.check_calls(calls, lattice, per_cell)
+        sizes = {ast: out.size for ast, _, out in calls}
+        assert sizes[expr.parse("1")] == 1  # a.2.2: a constant is one value
+        assert sizes[expr.parse("1 + 0.25*cos(x1)")] == n * per_cell  # x1 only: not n^d * P
+        assert sum(sizes.values()) < len(distinct) * n**element.d * per_cell
 
     @pytest.mark.parametrize("preset, n, per_cell", [("hat1d", 16, 5), ("tensor(2)", 8, 25)])
-    def test_mollify(self, points_seen, preset, n, per_cell):
+    def test_mollify(self, calls, preset, n, per_cell):
         element = build_element(preset)
         tensors = compute_reference_tensors(element)
         problem = parse_problem_text(EQUIVALENCE_PROBLEMS[element.d])
         lattice = build_torus(element.d, 2 * np.pi / n, n)
         assert len(tensors.quad.zeta) == per_cell
-        mollify_data(problem.phi, tensors, lattice)
-        assert points_seen == [n**element.d * per_cell]
+        fields = [problem.phi, expr.parse("cos(x1)"), expr.parse("0.5 + t")]
+        for field in fields:
+            mollify_data(field, tensors, lattice, 0.3)
+        assert [ast for ast, _, _ in calls] == fields
+        self.check_calls(calls, lattice, per_cell)
+        assert [out.size for _, _, out in calls] == [n**element.d * per_cell, n * per_cell, 1]
+
+
+def full_point_cells(quad, lattice, h, t, terms):
+    """The point-array path the coordinate arrays replaced: every distinct AST
+    evaluated at all (cells * P, d) points x_c + h zeta, then one full
+    (cells, P) @ (P, K * G) contraction per AST."""
+    combined = {}
+    for ast, weights in terms:
+        prev = combined.get(id(ast))
+        combined[id(ast)] = (ast, weights if prev is None else prev[1] + weights)
+    if not combined:
+        return np.zeros((len(quad.offsets), *lattice.shape))
+    n_shifts, n_zeta, width = terms[0][1].shape
+    n_cells = lattice.total_sites
+    pts = (lattice.coords()[:, None, :] + h * quad.zeta[None, :, :]).reshape(-1, lattice.d)
+    local = np.zeros((n_cells, n_shifts * width))
+    for ast, weights in combined.values():
+        vals = expr.eval_many(ast, pts, t).reshape(n_cells, n_zeta)
+        local += vals @ weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
+    local = local.reshape(*lattice.shape, n_shifts, width)
+    out = np.zeros((*lattice.shape, width))
+    for k, shift in enumerate(quad.shifts):
+        out += np.roll(local[..., k, :], tuple(-c for c in shift), axis=tuple(range(lattice.d)))
+    return np.moveaxis(out, -1, 0)
+
+
+# constants, x1-only, products of different axes and t-dependent coefficients
+ORACLE_PROBLEMS = {
+    1: ('a.1.1 = "1 + 0.25*cos(x1)"\nb.1 = "0.1"\nc = "-0.2 + 0.1*sin(x1 - t)"\n'
+        'sigma.1.1 = "0.3"\nnu.1 = "0.2*t*cos(x1)"\nf = "t"\ng.1 = "0.1*sin(x1)"\n'
+        'phi = "sin(x1)"'),
+    2: ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.1.2 = "0.1*sin(x1)*cos(x2)"\na.2.2 = "1"\n'
+        'b.1 = "0.1"\nb.2 = "0.2*cos(x2 - t)"\nc = "-0.2 + t"\nsigma.1.1 = "0.3*cos(x1)"\n'
+        'sigma.2.1 = "0.2"\nnu.1 = "0.1*sin(x1)*cos(x2 + t)"\nf = "cos(x2)"\ng.1 = "0.5"\n'
+        'phi = "sin(x1)*cos(x2)"'),
+    3: ('d = 3\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\na.3.3 = "1 + 0.1*sin(x3 - t)"\n'
+        'a.1.3 = "0.1*cos(x2)*sin(x3)"\nb.1 = "0.1"\nb.2 = "t"\nc = "-0.2"\n'
+        'sigma.1.1 = "0.3*cos(x1)"\nnu.1 = "0.1*sin(x1)*cos(x2)*cos(x3)"\nf = "sin(x2)"\n'
+        'g.1 = "cos(x1)*sin(x3)"\nphi = "sin(x1)*cos(x2)*cos(x3)"'),
+}
+
+
+class TestFullPointOracle:
+    """Assembly on coordinate arrays agrees with the full point-array path."""
+
+    @pytest.mark.parametrize("preset, n", [
+        ("hat1d", 16), ("tensor(2)", 8), ("tensor(3)", 6), ("triangle2d", 8),
+    ])
+    def test_matches_full_point_path(self, monkeypatch, preset, n):
+        from femspde import assembly
+
+        element = build_element(preset)
+        tensors = compute_reference_tensors(element)
+        problem = parse_problem_text(ORACLE_PROBLEMS[element.d])
+        lattice = build_torus(element.d, 2 * np.pi / n, n)
+        t = 0.3
+
+        def build():
+            return [
+                assemble_drift(tensors, problem, lattice, t).coef,
+                assemble_noise(tensors, problem, lattice, t, 1).coef,
+                *(mollify_data(field, tensors, lattice, t).values
+                  for field in (problem.phi, problem.f, problem.g[1])),
+            ]
+
+        actual = build()
+        monkeypatch.setattr(assembly, "_assemble_cells", full_point_cells)
+        expected = build()
+        for a, e in zip(actual, expected):
+            scale = float(np.max(np.abs(e)))
+            assert scale > 0.0
+            np.testing.assert_allclose(a, e, rtol=0.0, atol=1e-14 * scale)
+
+    def test_domain_errors_raise(self):
+        element = build_element("tensor(2)")
+        tensors = compute_reference_tensors(element)
+        lattice = build_torus(2, 2 * np.pi / 8, 8)
+        for source in ("1/(x1 - x1)", "sqrt(sin(x1))", "1/(x2 - x2) + cos(x1)"):
+            with pytest.raises(expr.EvalError):
+                mollify_data(expr.parse(source), tensors, lattice)

@@ -161,6 +161,45 @@ class TestSimulate:
             b = (out / dirs[1] / name).read_bytes()
             assert a == b, f"{name} differs between run and replay"
 
+    def test_csv_outputs_match_per_site_writer(self, tmp_path, monkeypatch):
+        # states.csv and terminal.csv equal, byte for byte, a writer that formats
+        # one site at a time with numpy's 17-digit scientific formatter
+        from femspde import cli
+
+        def fmt(v):
+            return np.format_float_scientific(v, precision=16, unique=False, exp_digits=2)
+
+        trajectories = []
+        real = cli.integrate
+
+        def capture(*args, **kwargs):
+            trajectories.append(real(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(cli, "integrate", capture)
+        prob = tmp_path / "stoch2d.prob"
+        prob.write_text('d = 2\na.1.1 = "1"\na.2.2 = "1"\nsigma.1.1 = "0.3"\n'
+                        'g.1 = "0.1*cos(x2)"\nphi = "sin(x1)*cos(x2)"\n', encoding="utf-8")
+        out = tmp_path / "o"
+        code = main([
+            "simulate", "--preset", "tensor(2)", "--problem", str(prob), "--n", "8",
+            "--T", "0.1", "--steps", "6", "--seed", "5", "--record", "all", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        (traj,) = trajectories
+        (run_dir,) = run_dirs(out)
+        states = ["step,time,site,value\n"]
+        for k, state in enumerate(traj.states):
+            flat = state.flat()
+            for site in range(flat.size):
+                states.append(f"{k},{fmt(traj.times[k])},{site},{fmt(flat[site])}\n")
+        assert (out / run_dir / "states.csv").read_bytes() == "".join(states).encode()
+        lattice = traj.terminal.lattice
+        terminal = ["i1,i2,x1,x2,value\n"]
+        for idx, x, v in zip(lattice.multi_indices(), lattice.coords(), traj.terminal.flat()):
+            terminal.append(",".join([*map(str, idx), *map(fmt, x), fmt(v)]) + "\n")
+        assert (out / run_dir / "terminal.csv").read_bytes() == "".join(terminal).encode()
+
     def test_numerical_failure_exit_code(self, tmp_path):
         prob = tmp_path / "singular.prob"
         # c = 1/dt makes the implicit system exactly singular

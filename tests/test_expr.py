@@ -100,6 +100,52 @@ class TestEval:
         np.testing.assert_allclose(vec, scalars, rtol=1e-15)
 
 
+class TestCoordinateArrays:
+    """eval_many on a tuple of per-axis coordinate arrays that broadcast together."""
+
+    @staticmethod
+    def coords(n=6, p=3):
+        # x_k along axis k (size 1 on the other), plus a trailing point axis
+        a = np.linspace(0.0, 6.0, n)
+        z = np.linspace(0.0, 0.9, p)
+        return (a[:, None, None] + z, a[None, :, None] + 0.5 * z)
+
+    def test_matches_point_array(self):
+        x = self.coords()
+        pts = np.stack([c.ravel() for c in np.broadcast_arrays(*x)], axis=1)
+        for source in ("1", "t", "cos(x1)", "sin(x2) * t", "sin(x1)*cos(x2) + x1^2", "x2 / 3"):
+            ast = parse(source)
+            out = eval_many(ast, x, 0.7)
+            full = np.broadcast_to(out, (6, 6, 3)).reshape(-1)
+            np.testing.assert_array_equal(full, eval_many(ast, pts, 0.7))
+
+    def test_result_spans_referenced_axes_only(self):
+        x = self.coords()
+        assert eval_many(parse("2"), x, 0.0).shape == (1, 1, 1)
+        assert eval_many(parse("t + 1"), x, 0.5).shape == (1, 1, 1)
+        assert eval_many(parse("cos(x1)"), x, 0.0).shape == (6, 1, 3)
+        assert eval_many(parse("t*sin(x2)"), x, 0.5).shape == (1, 6, 3)
+        assert eval_many(parse("x1*x2"), x, 0.0).shape == (6, 6, 3)
+
+    @pytest.mark.parametrize("source", ["1/(x1 - x1)", "sqrt(sin(x1))", "exp(x1)^200",
+                                        "x2^-1", "cos(x1) + sqrt(x2 - 10)"])
+    def test_domain_errors_raise(self, source):
+        with pytest.raises(EvalError):
+            eval_many(parse(source), self.coords(), 0.0)
+
+    def test_variable_beyond_coordinates_rejected(self):
+        with pytest.raises(EvalError):
+            eval_many(parse("x3"), self.coords(), 0.0)
+
+    def test_point_array_form_unchanged(self):
+        pts = np.zeros((7, 2))
+        assert eval_many(parse("2"), pts, 0.0).shape == (7,)
+        assert eval_many(parse("x1 + x2"), pts, 0.0).shape == (7,)
+        for bad in (np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError):
+                eval_many(parse("x1"), bad, 0.0)
+
+
 class TestAnalysis:
     def test_validate_dimension(self):
         validate_dimension(parse("x1 + x2"), 2)

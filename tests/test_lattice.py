@@ -143,6 +143,29 @@ class TestCsv:
         assert text == "3.3333333333333331e-01"
         assert "." in text and "," not in text
 
+    def test_format_float_matches_numpy_formatter(self, rng):
+        # the text of np.format_float_scientific(precision=16, unique=False,
+        # exp_digits=2), on random bit patterns across the exponent range and on
+        # signed zeros, the smallest subnormal and three-digit exponents
+        pinned = [
+            (0.0, "0.0000000000000000e+00"),
+            (-0.0, "-0.0000000000000000e+00"),
+            (5e-324, "4.9406564584124654e-324"),
+            (-1e-300, "-1.0000000000000000e-300"),
+            (1.7976931348623157e308, "1.7976931348623157e+308"),
+            (1e100, "1.0000000000000000e+100"),
+            (-2.5e-5, "-2.5000000000000001e-05"),
+            (123456.789, "1.2345678900000000e+05"),
+        ]
+        for v, text in pinned:
+            assert format_float(v) == text
+        values = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        # python floats and numpy float64 scalars alike
+        for v in [*(v for v, _ in pinned), *values.tolist(), *values[:100]]:
+            assert format_float(v) == np.format_float_scientific(
+                v, precision=16, unique=False, exp_digits=2)
+
     def test_csv_layout(self, tmp_path):
         lat = build_torus(2, 0.5, 4)
         u = GridFunction(lat, np.arange(16, dtype=float).reshape(4, 4))

@@ -111,3 +111,33 @@ def test_stencil_apply_accepts_grid_function():
     out = assembled.drift(0.0).apply(GridFunction(lattice, np.ones(lattice.shape)))
     assert isinstance(out, GridFunction)
     np.testing.assert_allclose(out.values, -0.2, atol=1e-10)
+
+
+def test_eval_results_have_a_leading_axis(monkeypatch):
+    # the tracer counts expr.eval_points as len() of each eval_many result, so
+    # every result the assembly produces, constants included, must have ndim >= 1
+    import numpy as np
+
+    from femspde import AssembledProblem, build_element, build_torus, expr
+    from femspde import compute_reference_tensors, parse_problem_text
+
+    results = []
+    spans = tracer.Tracer()
+
+    def counted(out):
+        results.append(out)
+        spans._count("expr.eval_points", len(out))
+
+    monkeypatch.setattr(expr, "eval_many", spans.wrap("expr.eval", expr.eval_many, counted))
+    problem = parse_problem_text(
+        'd = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "t"\nc = "-0.2"\n'
+        'sigma.1.1 = "0.3"\nnu.1 = "0.2*sin(x2)"\nf = "2"\ng.1 = "t"\nphi = "sin(x1)*cos(x2)"'
+    )
+    element = build_element("tensor(2)")
+    lattice = build_torus(2, 2 * np.pi / 8, 8)
+    assembled = AssembledProblem(element, compute_reference_tensors(element), problem, lattice)
+    assembled.drift(0.0), assembled.noise(0.0, 1)
+    assembled.f_h(0.0), assembled.g_h(0.0, 1), assembled.phi_h()
+    assert len(results) == 9  # drift 4, noise 2, data 3
+    assert all(np.ndim(out) >= 1 for out in results)
+    assert spans.counts["expr.eval_points"] == sum(len(out) for out in results) > 0
