@@ -16,7 +16,6 @@ from .expr import EvalError, ExprSyntaxError, evaluate, parse, to_source
 from .integrator import (
     IntegrationError,
     NoisePath,
-    SolverConfig,
     SolverError,
     Trajectory,
     integrate,
@@ -60,7 +59,6 @@ __all__ = [
     "Problem",
     "ReferenceTensors",
     "SampleBlock",
-    "SolverConfig",
     "SolverError",
     "StencilOperator",
     "StudyConfig",

@@ -264,8 +264,9 @@ class AssembledProblem:
     instance serves every sample and every integrate call on its lattice.
     One rule governs reuse: a result is built once per key and then kept,
     unless an expression it is built from references t, in which case it
-    is rebuilt at every requested time.  The operators and the mollified
-    data integrate with the tensors' cell quadrature.  The element argument
+    is rebuilt at every requested time; the integrator keeps U_0 and the
+    factored implicit system here under the same rule.  The operators and
+    the mollified data integrate with the tensors' cell quadrature.  The element argument
     is not read (the tensors carry their element); it keeps the positional
     signature that callers use.
     """
@@ -299,11 +300,16 @@ class AssembledProblem:
             return GridFunction.zeros(self.lattice)
         return mollify_data(ast, self.tensors, self.lattice, t, self.h)
 
-    def drift(self, t: float) -> StencilOperator:
+    @property
+    def drift_asts(self) -> list:
+        """The drift's expressions; results built from the drift are kept under them."""
         p = self.problem
+        return [*p.a.values(), *p.b.values(), p.c]
+
+    def drift(self, t: float) -> StencilOperator:
         return self.memo("drift", lambda: assemble_drift(
-            self.tensors, p, self.lattice, t, self.h
-        ), [*p.a.values(), *p.b.values(), p.c])
+            self.tensors, self.problem, self.lattice, t, self.h
+        ), self.drift_asts)
 
     def noise(self, t: float, rho: int) -> StencilOperator:
         p = self.problem

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import FiniteElement, lattice_points_in_box
-from .integrator import LinearSolver, SolverConfig
+from .integrator import LinearSolver
 from .lattice import GridFunction
 from .tensors import ReferenceTensors
 
@@ -41,8 +41,8 @@ class IdentityRow:
     computed: float
     residual: float
 
-    def verdict(self, tol: float = RESIDUAL_TOL) -> str:
-        return "PASS" if self.residual < tol else "FAIL"
+    def verdict(self) -> str:
+        return "PASS" if self.residual < RESIDUAL_TOL else "FAIL"
 
 
 @dataclass
@@ -56,16 +56,14 @@ class AssumptionReport:
     cardinal_ok: bool
     cardinal_residual: float
     details: list[IdentityRow] = field(default_factory=list)
-    delta_threshold: float = DELTA_THRESHOLD
-    residual_tol: float = RESIDUAL_TOL
 
     @property
     def passed(self) -> bool:
         return (
             self.symmetry_ok
             and self.cardinal_ok
-            and self.delta_estimate > self.delta_threshold
-            and all(r < self.residual_tol for r in self.compatibility_residuals.values())
+            and self.delta_estimate > DELTA_THRESHOLD
+            and all(r < RESIDUAL_TOL for r in self.compatibility_residuals.values())
         )
 
 
@@ -222,7 +220,7 @@ def smallest_eigenvalue_inverse_power(
     which clusters for mass operators on fine tori.
     """
     lattice = op.lattice
-    solver = LinearSolver(op, SolverConfig())
+    solver = LinearSolver(op)
 
     def rayleigh(v: np.ndarray) -> float:
         return float(v @ op.apply(GridFunction(lattice, v.reshape(lattice.shape))).flat())
@@ -301,22 +299,16 @@ def check_parabolicity(
 # ---------------------------------------------------------------------------
 
 
-def verify_element(
-    element: FiniteElement,
-    tensors: ReferenceTensors,
-    grid_points_per_axis: int = 0,
-    delta_threshold: float = DELTA_THRESHOLD,
-    residual_tol: float = RESIDUAL_TOL,
-) -> AssumptionReport:
+def verify_element(element: FiniteElement, tensors: ReferenceTensors) -> AssumptionReport:
     """Assemble the full assumption report for an element."""
     sym_residual = tensors.symmetry_residual()
     symmetry_ok = sym_residual < 1e-12
-    symbol_min = check_invertibility(tensors, grid_points_per_axis)
+    symbol_min = check_invertibility(tensors)
     residuals, rows = check_compatibility(tensors)
     cardinal_ok, cardinal_residual = check_cardinal(element)
     rows.insert(0, IdentityRow("tensor reflection symmetry", 0.0, sym_residual, sym_residual))
-    rows.insert(1, IdentityRow("delta (symbol minimum)", delta_threshold, symbol_min,
-                               0.0 if symbol_min > delta_threshold else delta_threshold - symbol_min))
+    rows.insert(1, IdentityRow("delta (symbol minimum)", DELTA_THRESHOLD, symbol_min,
+                               max(DELTA_THRESHOLD - symbol_min, 0.0)))
     rows.append(IdentityRow("cardinal interpolation", 0.0, cardinal_residual, cardinal_residual))
     return AssumptionReport(
         element=element.name,
@@ -328,6 +320,4 @@ def verify_element(
         cardinal_ok=cardinal_ok,
         cardinal_residual=cardinal_residual,
         details=rows,
-        delta_threshold=delta_threshold,
-        residual_tol=residual_tol,
     )

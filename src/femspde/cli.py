@@ -39,7 +39,7 @@ from .elements import (
     validate_element_structure,
 )
 from .expr import ExprSyntaxError
-from .integrator import IntegrationError, NoisePath, SolverConfig, SolverError, integrate
+from .integrator import IntegrationError, NoisePath, SolverError, integrate
 from .lattice import build_torus, write_grid_function_csv
 from .polynomials import GeometryError
 from .problem import ProblemFormatError, parse_problem_text
@@ -65,6 +65,11 @@ _NUMBER_TYPES = {"float": (int, float), "int": (int,), "int | None": (int, type(
 # run sizes that must be positive when set (None means derived); h = L / n and
 # dt = T / steps divide by them, and rho_max <= 0 would drop every noise term
 _POSITIVE = ("L", "n", "T", "steps", "dt_factor", "samples", "rho_max")
+
+# keys of older manifests whose settings are now constants, with the one value
+# each can take: the solver tolerance and iteration cap, the Gauss degree (None:
+# element-derived) and verify-element's symbol grid (0: dimension-derived)
+_FIXED_KEYS = {"tol": 1e-10, "max_iter": 2000, "quad_order": None, "grid": 0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,15 +100,11 @@ class RunConfig:
     rho_max: int | None = None
     jbar: int = 1
     ratio: str = "quarter"
-    tol: float = 1e-10
-    max_iter: int = 2000
-    quad_order: int | None = None
     ladder: int = 4
     ref_n: int | None = None
     record: str = "terminal"
     h_sign: str = "plus"
     svg: bool = False
-    grid: int = 0  # symbol grid points per axis for verify-element (0 = default)
 
     def __post_init__(self):
         # command-line arguments and replayed manifests both pass through here
@@ -123,14 +124,21 @@ class RunConfig:
         }
 
     @staticmethod
-    def from_manifest(doc: dict) -> "RunConfig":
-        if doc.get("femspde_manifest") != 1:
+    def from_manifest(doc) -> "RunConfig":
+        if not isinstance(doc, dict) or doc.get("femspde_manifest") != 1:
             raise UsageError("not a femspde manifest")
         cfg = doc.get("config", {})
-        cfg.pop("command", None)
+        if not isinstance(cfg, dict):
+            raise UsageError(f"manifest config must be a JSON object, got {cfg!r}")
+        cfg = {k: v for k, v in cfg.items() if k != "command"}
         command = doc.get("command")
         if command not in COMMANDS:
             raise UsageError(f"manifest names an unknown command {command!r}")
+        for key, fixed in _FIXED_KEYS.items():
+            value = cfg.pop(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise UsageError(f"manifest {key} must be {json.dumps(fixed)} (a fixed "
+                                 f"setting), got {value!r}")
         for f in dataclasses.fields(RunConfig):
             if f.name not in cfg:
                 continue
@@ -167,10 +175,14 @@ def _make_run_dir(out: str | None, command: str) -> str:
     raise OSError(f"could not create a fresh run directory under {base!r}")
 
 
-def _write_manifest(run_dir: str, config: RunConfig) -> None:
-    text = json.dumps(config.to_manifest(), sort_keys=True, indent=2) + "\n"
-    with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
+def _write_text(run_dir: str, name: str, text: str) -> None:
+    with open(os.path.join(run_dir, name), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _write_manifest(run_dir: str, config: RunConfig) -> None:
+    _write_text(run_dir, "manifest.json",
+                json.dumps(config.to_manifest(), sort_keys=True, indent=2) + "\n")
 
 
 def _load_element(config: RunConfig, structural_only: bool = False) -> FiniteElement:
@@ -199,16 +211,14 @@ def _h_sign(config: RunConfig) -> float:
 
 def run_verify_element(config: RunConfig, run_dir: str) -> int:
     element = _load_element(config, structural_only=True)
-    tensors = compute_reference_tensors(element, config.quad_order)
-    report = verify_element(element, tensors, grid_points_per_axis=config.grid)
+    report = verify_element(element, compute_reference_tensors(element))
     lines = [
         f"{'identity':38s} {'target':>14s} {'computed':>24s} {'residual':>12s} verdict"
     ]
     for row in report.details:
-        verdict = row.verdict(report.residual_tol)
         lines.append(
             f"{row.name:38s} {row.target:14.6g} {row.computed:24.17g} "
-            f"{row.residual:12.3e} {verdict}"
+            f"{row.residual:12.3e} {row.verdict()}"
         )
     lines.append(
         f"element {report.element}: delta = {report.delta_estimate:.12g}, "
@@ -217,15 +227,14 @@ def run_verify_element(config: RunConfig, run_dir: str) -> int:
     )
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
-    with open(os.path.join(run_dir, "verify_report.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(table)
+    _write_text(run_dir, "verify_report.txt", table)
     _write_manifest(run_dir, config)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
 def run_simulate(config: RunConfig, run_dir: str) -> int:
     element = _load_element(config)
-    tensors = compute_reference_tensors(element, config.quad_order)
+    tensors = compute_reference_tensors(element)
     if config.problem_text is None:
         raise UsageError("simulate needs --problem")
     problem = parse_problem_text(config.problem_text, rho_max=config.rho_max)
@@ -238,8 +247,7 @@ def run_simulate(config: RunConfig, run_dir: str) -> int:
     noise = None
     if problem.has_noise:
         noise = NoisePath(config.seed, steps, dt, problem.rho_max)
-    cfg = SolverConfig(tol=config.tol, max_iter=config.max_iter)
-    traj = integrate(assembled, noise, config.T, steps, record=config.record, cfg=cfg)
+    traj = integrate(assembled, noise, config.T, steps, record=config.record)
     write_grid_function_csv(os.path.join(run_dir, "terminal.csv"), traj.terminal)
     if config.record == "all":
         from .lattice import format_float
@@ -260,7 +268,7 @@ def run_simulate(config: RunConfig, run_dir: str) -> int:
 
 def run_convergence(config: RunConfig, run_dir: str) -> int:
     element = _load_element(config)
-    tensors = compute_reference_tensors(element, config.quad_order)
+    tensors = compute_reference_tensors(element)
     if config.problem_text is None:
         raise UsageError("convergence needs --problem")
     problem = parse_problem_text(config.problem_text, rho_max=config.rho_max)
@@ -277,18 +285,20 @@ def run_convergence(config: RunConfig, run_dir: str) -> int:
         base_seed=config.seed,
         dt_factor=config.dt_factor,
         steps=config.steps,
-        solver=SolverConfig(tol=config.tol, max_iter=config.max_iter),
         h_sign=_h_sign(config),
     )
     result = run_convergence_study(element, tensors, problem, study)
     config.steps = result.steps  # manifest records the resolved time grid
-    result.base.write_csv(os.path.join(run_dir, "base_report.csv"))
+    # every report is formatted before any is written: a report whose errors
+    # admit no order fit (a zero error) raises here and leaves no file behind
+    tables = [report.to_csv() for report in result.reports()]
+    for name, table in zip(("base_report.csv", "mixture_report.csv"), tables):
+        _write_text(run_dir, name, table)
     summary = [
         f"convergence: {result.steps} steps, dt = {result.dt:.6g}, samples = {result.samples}",
         f"base fitted order     = {result.base.fitted_order:.4f}",
     ]
     if result.mixture is not None:
-        result.mixture.write_csv(os.path.join(run_dir, "mixture_report.csv"))
         summary.append(f"mixture fitted order  = {result.mixture.fitted_order:.4f}")
     if config.svg:
         write_loglog_svg(os.path.join(run_dir, "convergence.svg"), result.reports())
@@ -312,8 +322,6 @@ COMMANDS = {
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="built-in element: hat1d, tensor(d), triangle2d")
     p.add_argument("--element-file", help="path to an element definition file")
-    p.add_argument("--quad-order", type=int,
-                   help="Gauss exactness degree per sub-cell (default: element-derived)")
     p.add_argument("--out", help=f"output root (default: ${OUTPUT_DIR_ENV} or ./runs)")
 
 
@@ -327,8 +335,6 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt-factor", type=float, help="dt rule constant")
     p.add_argument("--seed", type=int, help="base noise seed")
     p.add_argument("--rho-max", type=int, help="noise truncation")
-    p.add_argument("--tol", type=float, help="linear solver tolerance")
-    p.add_argument("--max-iter", type=int, help="linear solver iteration cap")
     p.add_argument("--h-sign", choices=CHOICES["h_sign"],
                    help="sign of h fed to assembly (the scheme is invariant)")
 
@@ -345,8 +351,7 @@ def build_argparser() -> _Parser:
         _add_common(p)
         return p
 
-    p = add_run("verify-element", "check the element assumptions")
-    p.add_argument("--grid", type=int, help="symbol grid points per axis")
+    add_run("verify-element", "check the element assumptions")
 
     p = add_run("simulate", "single solve of a problem")
     _add_problem_args(p)

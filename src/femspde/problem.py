@@ -82,13 +82,6 @@ class Problem:
     def has_noise(self) -> bool:
         return bool(self.sigma or self.nu or self.g)
 
-    @property
-    def drift_time_dependent(self) -> bool:
-        asts = list(self.a.values()) + list(self.b.values())
-        if self.c is not None:
-            asts.append(self.c)
-        return any(expr.depends_on_t(a) for a in asts)
-
     # -- vectorized evaluation ----------------------------------------------
 
     def eval_a(self, pts: np.ndarray, t: float) -> np.ndarray:

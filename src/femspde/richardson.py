@@ -108,7 +108,8 @@ def estimate_order(errors: list[tuple[float, float]]) -> float:
     if len(set(hs.tolist())) != len(hs):
         raise ValueError("mesh sizes must be distinct")
     if np.any(es <= 0.0):
-        raise ValueError("errors must be positive; exact reproduction is reported separately")
+        raise ValueError(f"an order fit needs positive errors, got {es.tolist()} (a zero "
+                         "error means the scheme reproduces the solution on that mesh)")
     slope, _ = np.polyfit(np.log(hs), np.log(es), 1)
     return float(slope)
 
@@ -136,17 +137,15 @@ class ConvergenceReport:
         return estimate_order(list(zip(self.hs, self.errors)))
 
     def to_csv(self) -> str:
+        """The report as CSV text; estimate_order's ValueError when an error is not positive."""
+        fitted = format_float(self.fitted_order)  # checks the errors before local_orders divides
         buf = io.StringIO()
         buf.write("h,n,error,order_local\n")
         for h, n, e, o in zip(self.hs, self.ns, self.errors, self.local_orders):
             cols = [format_float(h), str(n), format_float(e), "" if o is None else format_float(o)]
             buf.write(",".join(cols) + "\n")
-        buf.write(f"fitted_order,,,{format_float(self.fitted_order)}\n")
+        buf.write(f"fitted_order,,,{fitted}\n")
         return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

@@ -39,13 +39,13 @@ jbar, plus one lattice's block, whatever the sample count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import AssembledProblem
 from .elements import FiniteElement
-from .integrator import DIRECT_SITE_LIMIT, NoisePath, SolverConfig, integrate, sample_seed
+from .integrator import DIRECT_SITE_LIMIT, NoisePath, integrate, sample_seed
 from .lattice import build_torus, nesting_factor, norms_0h
 from .problem import Problem
 from .richardson import ConvergenceReport, ExtrapolationPlan
@@ -83,7 +83,6 @@ class StudyConfig:
     base_seed: int = 2024
     dt_factor: float = 0.5
     steps: int | None = None  # overrides the dt rule when set
-    solver: SolverConfig = field(default_factory=SolverConfig)
     h_sign: float = 1.0
 
     def resolved_steps(self) -> int:
@@ -204,7 +203,7 @@ def run_convergence_study(
                                                       norms_0h(lattice, mixture - r))
 
             integrate(assembled, None if noises is None else noises[part], cfg.T, steps,
-                      record="terminal", cfg=cfg.solver, observe=observe)
+                      record="terminal", observe=observe)
             for root, j in uses[m]:
                 if j == 0:
                     terms.pop(root, None)

@@ -12,7 +12,7 @@ from femspde.assembly import (
 )
 from femspde.checks import check_invertibility, smallest_eigenvalue_inverse_power
 from femspde.elements import build_element, parse_element_text
-from femspde.integrator import LinearSolver, SolverConfig, _averaged_symbol, implicit_system
+from femspde.integrator import LinearSolver, _averaged_symbol, implicit_system
 from femspde.lattice import GridFunction, build_torus
 from femspde.polynomials import cell_quadrature
 from femspde.problem import parse_problem_text
@@ -469,7 +469,7 @@ class TestMatrix:
         u = rng.normal(size=4)
         np.testing.assert_allclose(op.apply(GridFunction(lattice, u)).values, dense @ u,
                                    rtol=1e-14, atol=1e-14)
-        solver = LinearSolver(op, SolverConfig())
+        solver = LinearSolver(op)
         assert solver.direct
         np.testing.assert_allclose(solver.solve(u), np.linalg.solve(dense, u), rtol=1e-13)
         means = np.repeat(coef.mean(axis=1, keepdims=True), 4, axis=1)

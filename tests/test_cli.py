@@ -44,6 +44,18 @@ def run_dirs(out):
     return sorted(p for p in os.listdir(out) if p.startswith("run-"))
 
 
+def assert_replay_is_byte_identical(out, manifest, first):
+    """Replay manifest under out; every file of the new run equals the one in run first."""
+    assert main(["replay", str(manifest), "--out", str(out)]) == EXIT_OK
+    (second,) = [d for d in run_dirs(out) if d != first]
+    names = sorted(os.listdir(out / first))
+    assert names == sorted(os.listdir(out / second))
+    for name in names:
+        a = (out / first / name).read_bytes()
+        b = (out / second / name).read_bytes()
+        assert a == b, f"{name} differs between run and replay"
+
+
 @pytest.fixture()
 def problem_file(tmp_path):
     path = tmp_path / "det.prob"
@@ -261,6 +273,21 @@ poly = 0: 1  1: -1
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--does-not-exist"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command, option", [
+        ("simulate", "--tol"), ("simulate", "--max-iter"), ("convergence", "--tol"),
+        ("simulate", "--quad-order"), ("verify-element", "--quad-order"),
+        ("verify-element", "--grid"),
+    ])
+    def test_fixed_settings_are_not_options(self, tmp_path, stoch_file, capsys,
+                                            command, option):
+        # the solver tolerance and cap, the Gauss degree and the symbol grid are constants
+        args = [command, "--preset", "hat1d", "--out", str(tmp_path / "o"), option, "4"]
+        if command != "verify-element":
+            args += ["--problem", stoch_file]
+        assert main(args) == EXIT_USAGE
+        assert option in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestConvergence:
     def test_deterministic_orders_and_reports(self, tmp_path, problem_file, capsys):
@@ -307,6 +334,34 @@ class TestConvergence:
             outs.append((out / run_dir / "base_report.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_replay_with_two_extra_levels_is_byte_identical(self, tmp_path, problem_file):
+        out = tmp_path / "o"
+        code = main([
+            "convergence", "--preset", "hat1d", "--problem", problem_file,
+            "--n", "16", "--ladder", "3", "--ref-n", "128", "--T", "0.1",
+            "--jbar", "2", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        (first,) = run_dirs(out)
+        assert (out / first / "mixture_report.csv").exists()
+        assert_replay_is_byte_identical(out, out / first / "manifest.json", first)
+
+    def test_exact_reproduction_is_an_error_without_reports(self, tmp_path, capsys):
+        # no data: every error is exactly 0, so no order can be fitted
+        prob = tmp_path / "exact.prob"
+        prob.write_text('a.1.1 = "1"\n', encoding="utf-8")
+        out = tmp_path / "o"
+        code = main([
+            "convergence", "--preset", "hat1d", "--problem", str(prob),
+            "--n", "8", "--ladder", "3", "--T", "0.05", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "positive errors" in captured.err
+        assert "Traceback" not in captured.err
+        (run_dir,) = run_dirs(out)
+        assert os.listdir(out / run_dir) == []
+
     def test_svg_written_when_requested(self, tmp_path, problem_file):
         out = tmp_path / "o"
         code = main([
@@ -351,6 +406,11 @@ class TestManifest:
         ("simulate", "T", None),
         ("simulate", "steps", 2.5),
         ("simulate", "tol", "small"),
+        ("simulate", "tol", 1e-8),
+        ("simulate", "max_iter", 50),
+        ("simulate", "quad_order", 6),
+        ("simulate", "grid", 64),
+        ("simulate", "grid", False),
         ("simulate", "seed", True),
     ])
     def test_replay_rejects_bad_values(self, tmp_path, stoch_file, capsys,
@@ -372,6 +432,34 @@ class TestManifest:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert len(run_dirs(out)) == 1
+
+    @pytest.mark.parametrize("doc", [[], {"femspde_manifest": 1, "command": "simulate",
+                                          "config": []}], ids=["list", "config-list"])
+    def test_replay_rejects_non_object_manifests(self, tmp_path, capsys, doc):
+        manifest = tmp_path / "bad.json"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["replay", str(manifest), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-element"])
+    def test_older_manifest_replays_byte_identically(self, tmp_path, stoch_file, command):
+        # manifests written while the solver tolerance and cap, the Gauss degree
+        # and the symbol grid were options carry them at these values
+        out = tmp_path / "o"
+        args = [command, "--preset", "hat1d", "--out", str(out)]
+        if command == "simulate":
+            args += ["--problem", stoch_file, "--n", "16", "--T", "0.1", "--steps", "16",
+                     "--seed", "321", "--record", "all"]
+        assert main(args) == EXIT_OK
+        (first,) = run_dirs(out)
+        doc = json.loads((out / first / "manifest.json").read_text())
+        assert not {"tol", "max_iter", "quad_order", "grid"} & set(doc["config"])
+        doc["config"].update(tol=1e-10, max_iter=2000, quad_order=None, grid=0)
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        assert_replay_is_byte_identical(out, older, first)
 
     @pytest.mark.parametrize("command, key, value", [
         ("simulate", "n", 0),

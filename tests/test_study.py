@@ -41,6 +41,15 @@ class TestDeterministicStudy:
         assert 3.6 <= result.mixture.fitted_order <= 4.5
         assert result.dt == pytest.approx(cfg.T / result.steps)
 
+    def test_two_extra_levels_reach_order_six(self, hat):
+        # the paper's acceleration "to any order": jbar extra levels give 2 (jbar + 1)
+        element, tensors = hat
+        problem = parse_problem_text(DET_PROBLEM)
+        cfg = StudyConfig(L=L, ladder_n=[16, 32, 64], ref_n=256, T=0.25, jbar=2)
+        result = run_convergence_study(element, tensors, problem, cfg)
+        assert 1.85 <= result.base.fitted_order <= 2.3
+        assert 5.7 <= result.mixture.fitted_order <= 6.6  # measured: 6.05
+
     def test_wrong_ratio_fails_to_accelerate(self, hat):
         element, tensors = hat
         problem = parse_problem_text(DET_PROBLEM)
@@ -291,6 +300,14 @@ class TestNoiseDrivenStudy:
         assert result.base.errors == base
         assert result.mixture.errors == mix
 
+    def test_two_extra_levels_reach_order_six(self, hat):
+        element, tensors = hat
+        problem = parse_problem_text(NOISE_PROBLEM)
+        cfg = StudyConfig(**{**self.CFG, "jbar": 2, "samples": 5})
+        result = run_convergence_study(element, tensors, problem, cfg)
+        assert 1.9 <= result.base.fitted_order <= 2.1
+        assert 5.7 <= result.mixture.fitted_order <= 6.6  # measured: 6.09
+
     def test_errors_vanish_without_noise(self, hat):
         element, tensors = hat
         text = "\n".join(line for line in NOISE_PROBLEM.splitlines()
@@ -328,19 +345,28 @@ class TestNoiseDrivenStudy:
 
 
 class TestTwoDimensionalStudy:
+    PROBLEM = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "0.1"\n'
+               'c = "-0.2"\nf = "sin(x1)*cos(x2)"\nphi = "sin(x1)*cos(x2)"')
+
     def test_product_element_orders(self):
         element = build_element("tensor(2)")
         tensors = compute_reference_tensors(element)
-        problem = parse_problem_text(
-            'd = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "0.1"\n'
-            'c = "-0.2"\nf = "sin(x1)*cos(x2)"\nphi = "sin(x1)*cos(x2)"'
-        )
+        problem = parse_problem_text(self.PROBLEM)
         cfg = StudyConfig(L=L, ladder_n=[8, 16, 32], ref_n=128, T=0.25, jbar=1, ratio=0.25)
         result = run_convergence_study(element, tensors, problem, cfg)
         # the reference ladder tops out at 256^2 sites, exercising the
         # iterative solver branch above the dense site limit
         assert 1.8 <= result.base.fitted_order <= 2.3
         assert 3.6 <= result.mixture.fitted_order <= 4.5
+
+    def test_two_extra_levels_reach_order_six(self):
+        element = build_element("tensor(2)")
+        tensors = compute_reference_tensors(element)
+        problem = parse_problem_text(self.PROBLEM)
+        cfg = StudyConfig(L=L, ladder_n=[8, 16, 32], ref_n=64, T=0.25, jbar=2)
+        result = run_convergence_study(element, tensors, problem, cfg)
+        assert 1.8 <= result.base.fitted_order <= 2.3
+        assert 5.7 <= result.mixture.fitted_order <= 6.6  # measured: 6.27
 
 
 class TestValidation:

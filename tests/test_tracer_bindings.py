@@ -54,7 +54,7 @@ def test_krylov_solve_calls_patched_bicgstab(monkeypatch):
 
     from femspde import build_torus
     from femspde.assembly import StencilOperator
-    from femspde.integrator import DIRECT_SITE_LIMIT, LinearSolver, SolverConfig
+    from femspde.integrator import DIRECT_SITE_LIMIT, LinearSolver
 
     calls = []
     real = scipy.sparse.linalg.bicgstab
@@ -66,7 +66,7 @@ def test_krylov_solve_calls_patched_bicgstab(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", patched)
     n = 2 * DIRECT_SITE_LIMIT
     lattice = build_torus(1, 2 * np.pi / n, n)
-    solver = LinearSolver(StencilOperator(lattice, ((0,),), np.full((1, n), 2.0)), SolverConfig())
+    solver = LinearSolver(StencilOperator(lattice, ((0,),), np.full((1, n), 2.0)))
     assert not solver.direct
     np.testing.assert_allclose(solver.solve(np.ones(n)), 0.5)
     assert calls == [1]
