@@ -243,8 +243,8 @@ def smallest_eigenvalue_inverse_power(
 # ---------------------------------------------------------------------------
 
 
-def check_cardinal(element: FiniteElement, tol: float = 1e-12) -> tuple[bool, float]:
-    """True iff psi(0) = 1 and psi vanishes at every other lattice point."""
+def check_cardinal(element: FiniteElement) -> tuple[bool, float]:
+    """True iff psi(0) = 1 and psi vanishes at every other lattice point, to 1e-12."""
     lo, hi = element.psi.support_bbox()
     points = lattice_points_in_box(element.lambda_set, lo, hi)
     worst = abs(element.evaluate(np.zeros(element.d)) - 1.0)
@@ -252,7 +252,7 @@ def check_cardinal(element: FiniteElement, tol: float = 1e-12) -> tuple[bool, fl
         if all(c == 0 for c in lam):
             continue
         worst = max(worst, abs(element.evaluate(np.asarray(lam, dtype=float))))
-    return worst <= tol, worst
+    return worst <= 1e-12, worst
 
 
 # ---------------------------------------------------------------------------

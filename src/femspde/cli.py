@@ -9,7 +9,8 @@ Three subcommands cover the workflow:
 plus ``femspde replay manifest.json`` which re-executes a recorded run.
 Every run writes its outputs under a timestamped directory containing a
 manifest sufficient for bit-exact replay: problem and element sources are
-inlined, so a manifest is self-contained.
+inlined, so a manifest is self-contained.  A command makes the directory
+only once its run has finished, so a failed run leaves none behind.
 
 Exit codes: 0 success/PASS, 1 usage or input error, 2 verification FAIL,
 3 numerical failure.
@@ -57,7 +58,7 @@ OUTPUT_DIR_ENV = "FEMSPDE_OUT"
 RATIOS = {"quarter": RATIO_QUARTER, "sixteenth": RATIO_SIXTEENTH}
 
 # allowed values of the RunConfig string fields that select a behaviour
-CHOICES = {"ratio": tuple(RATIOS), "record": ("terminal", "all"), "h_sign": ("plus", "minus")}
+CHOICES = {"ratio": tuple(RATIOS), "record": ("terminal", "all")}
 
 # accepted JSON types of the RunConfig number fields, by annotation
 _NUMBER_TYPES = {"float": (int, float), "int": (int,), "int | None": (int, type(None))}
@@ -66,10 +67,12 @@ _NUMBER_TYPES = {"float": (int, float), "int": (int,), "int | None": (int, type(
 # dt = T / steps divide by them, and rho_max <= 0 would drop every noise term
 _POSITIVE = ("L", "n", "T", "steps", "dt_factor", "samples", "rho_max")
 
-# keys of older manifests whose settings are now constants, with the one value
-# each can take: the solver tolerance and iteration cap, the Gauss degree (None:
-# element-derived) and verify-element's symbol grid (0: dimension-derived)
-_FIXED_KEYS = {"tol": 1e-10, "max_iter": 2000, "quad_order": None, "grid": 0}
+# keys of older manifests whose settings are now fixed, with the values each
+# can take: the solver tolerance and iteration cap, the Gauss degree (None:
+# element-derived), verify-element's symbol grid (0: dimension-derived) and the
+# sign of h (h is the lattice spacing; both signs gave byte-identical outputs)
+_FIXED_KEYS = {"tol": (1e-10,), "max_iter": (2000,), "quad_order": (None,), "grid": (0,),
+               "h_sign": ("plus", "minus")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,7 +106,6 @@ class RunConfig:
     ladder: int = 4
     ref_n: int | None = None
     record: str = "terminal"
-    h_sign: str = "plus"
     svg: bool = False
 
     def __post_init__(self):
@@ -134,11 +136,12 @@ class RunConfig:
         command = doc.get("command")
         if command not in COMMANDS:
             raise UsageError(f"manifest names an unknown command {command!r}")
-        for key, fixed in _FIXED_KEYS.items():
-            value = cfg.pop(key, fixed)
-            if type(value) is not type(fixed) or value != fixed:
-                raise UsageError(f"manifest {key} must be {json.dumps(fixed)} (a fixed "
-                                 f"setting), got {value!r}")
+        for key, accepted in _FIXED_KEYS.items():
+            value = cfg.pop(key, accepted[0])
+            if not any(type(value) is type(a) and value == a for a in accepted):
+                raise UsageError(f"manifest {key} must be "
+                                 f"{' or '.join(json.dumps(a) for a in accepted)} "
+                                 f"(a fixed setting), got {value!r}")
         for f in dataclasses.fields(RunConfig):
             if f.name not in cfg:
                 continue
@@ -200,16 +203,12 @@ def _load_element(config: RunConfig, structural_only: bool = False) -> FiniteEle
     return element
 
 
-def _h_sign(config: RunConfig) -> float:
-    return 1.0 if config.h_sign == "plus" else -1.0
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations (driven by a RunConfig, replayable)
 # ---------------------------------------------------------------------------
 
 
-def run_verify_element(config: RunConfig, run_dir: str) -> int:
+def run_verify_element(config: RunConfig, out: str | None) -> int:
     element = _load_element(config, structural_only=True)
     report = verify_element(element, compute_reference_tensors(element))
     lines = [
@@ -227,12 +226,13 @@ def run_verify_element(config: RunConfig, run_dir: str) -> int:
     )
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
+    run_dir = _make_run_dir(out, config.command)
     _write_text(run_dir, "verify_report.txt", table)
     _write_manifest(run_dir, config)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
-def run_simulate(config: RunConfig, run_dir: str) -> int:
+def run_simulate(config: RunConfig, out: str | None) -> int:
     element = _load_element(config)
     tensors = compute_reference_tensors(element)
     if config.problem_text is None:
@@ -242,12 +242,12 @@ def run_simulate(config: RunConfig, run_dir: str) -> int:
     steps = resolve_steps(config.T, config.L, config.n, config.dt_factor, config.steps)
     config.steps = steps  # manifest records the resolved time grid
     dt = config.T / steps
-    assembled = AssembledProblem(element, tensors, problem, lattice,
-                                 h=_h_sign(config) * lattice.h)
+    assembled = AssembledProblem(element, tensors, problem, lattice)
     noise = None
     if problem.has_noise:
         noise = NoisePath(config.seed, steps, dt, problem.rho_max)
     traj = integrate(assembled, noise, config.T, steps, record=config.record)
+    run_dir = _make_run_dir(out, config.command)
     write_grid_function_csv(os.path.join(run_dir, "terminal.csv"), traj.terminal)
     if config.record == "all":
         from .lattice import format_float
@@ -266,7 +266,7 @@ def run_simulate(config: RunConfig, run_dir: str) -> int:
     return EXIT_OK
 
 
-def run_convergence(config: RunConfig, run_dir: str) -> int:
+def run_convergence(config: RunConfig, out: str | None) -> int:
     element = _load_element(config)
     tensors = compute_reference_tensors(element)
     if config.problem_text is None:
@@ -285,13 +285,13 @@ def run_convergence(config: RunConfig, run_dir: str) -> int:
         base_seed=config.seed,
         dt_factor=config.dt_factor,
         steps=config.steps,
-        h_sign=_h_sign(config),
     )
     result = run_convergence_study(element, tensors, problem, study)
     config.steps = result.steps  # manifest records the resolved time grid
     # every report is formatted before any is written: a report whose errors
     # admit no order fit (a zero error) raises here and leaves no file behind
     tables = [report.to_csv() for report in result.reports()]
+    run_dir = _make_run_dir(out, config.command)
     for name, table in zip(("base_report.csv", "mixture_report.csv"), tables):
         _write_text(run_dir, name, table)
     summary = [
@@ -335,8 +335,6 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt-factor", type=float, help="dt rule constant")
     p.add_argument("--seed", type=int, help="base noise seed")
     p.add_argument("--rho-max", type=int, help="noise truncation")
-    p.add_argument("--h-sign", choices=CHOICES["h_sign"],
-                   help="sign of h fed to assembly (the scheme is invariant)")
 
 
 def build_argparser() -> _Parser:
@@ -406,8 +404,7 @@ def main(argv: list[str] | None = None) -> int:
             config = RunConfig.from_manifest(doc)
         else:
             config = _config_from_args(args)
-        run_dir = _make_run_dir(getattr(args, "out", None), config.command)
-        return COMMANDS[config.command](config, run_dir)
+        return COMMANDS[config.command](config, getattr(args, "out", None))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

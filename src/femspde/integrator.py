@@ -257,7 +257,6 @@ class Trajectory:
     states: list[GridFunction] | list[SampleBlock] | None
     terminal: GridFunction | SampleBlock
     sup_norm_0h: float | np.ndarray
-    record: str = "all"
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +384,6 @@ def integrate(
         states=states,
         terminal=view(block),
         sup_norm_0h=float(sup[0]) if single else sup,
-        record=record,
     )
 
 
@@ -399,7 +397,6 @@ def integrate_multilevel(
     T: float,
     steps: int,
     record: str = "all",
-    h: float | None = None,
 ) -> list[Trajectory]:
     """Solve on lattices h, h/2, ..., h/2^(levels-1) with one shared noise path.
 
@@ -411,8 +408,7 @@ def integrate_multilevel(
     out = []
     lattice = coarsest
     for j in range(levels):
-        level_h = None if h is None else np.sign(h) * lattice.h
-        assembled = AssembledProblem(element, tensors, problem, lattice, h=level_h)
+        assembled = AssembledProblem(element, tensors, problem, lattice)
         out.append(integrate(assembled, noise, T, steps, record=record))
         if j + 1 < levels:
             lattice = lattice.refine()

@@ -351,9 +351,8 @@ def cell_quadrature(cell: Cell, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wt.ravel() * jac
 
 
-def integrate_poly(poly: Polynomial, cell: Cell, degree: int | None = None) -> float:
-    deg = poly.degree() if degree is None else degree
-    pts, wts = cell_quadrature(cell, deg)
+def integrate_poly(poly: Polynomial, cell: Cell) -> float:
+    pts, wts = cell_quadrature(cell, poly.degree())
     return float(wts @ poly.eval_many(pts))
 
 
@@ -415,32 +414,33 @@ class PiecewisePolynomial:
                 done[sel] = True
         return out
 
-    def integral(self, degree: int | None = None) -> float:
-        return sum(integrate_poly(p, c, degree) for c, p in self.pieces)
+    def integral(self) -> float:
+        return sum(integrate_poly(p, c) for c, p in self.pieces)
 
-    def check_disjoint(self, tol: float = 1e-12) -> None:
-        """Raise if two cells share interior volume."""
+    def check_disjoint(self) -> None:
+        """Raise if two cells share interior volume (more than 1e-12)."""
         for i in range(len(self.pieces)):
             for j in range(i + 1, len(self.pieces)):
                 parts = intersect_cells(self.pieces[i][0], self.pieces[j][0])
                 overlap = sum(cell_volume(c) for c in parts)
-                if overlap > tol:
+                if overlap > 1e-12:
                     raise GeometryError(
                         f"cells {i} and {j} overlap with measure {overlap:.3e}"
                     )
 
-    def check_continuity(self, samples_per_face: int = 5, tol: float = 1e-9) -> float:
-        """Max jump of the function across sampled cell-boundary points."""
+    def check_continuity(self) -> float:
+        """Max jump of the function across sampled cell-boundary points (5 per
+        face); a jump above 1e-9 raises."""
         worst = 0.0
         for cell, poly in self.pieces:
-            for x in _boundary_samples(cell, samples_per_face):
+            for x in _boundary_samples(cell, 5):
                 here = float(poly(x))
                 for other_cell, other_poly in self.pieces:
                     if other_cell is cell:
                         continue
                     if other_cell.contains(x, tol=1e-10):
                         worst = max(worst, abs(here - float(other_poly(x))))
-        if worst > tol:
+        if worst > 1e-9:
             raise GeometryError(f"discontinuity of size {worst:.3e} across cell faces")
         return worst
 

@@ -83,7 +83,6 @@ class StudyConfig:
     base_seed: int = 2024
     dt_factor: float = 0.5
     steps: int | None = None  # overrides the dt rule when set
-    h_sign: float = 1.0
 
     def resolved_steps(self) -> int:
         return resolve_steps(self.T, self.L, max(self.ladder_n), self.dt_factor, self.steps)
@@ -175,8 +174,7 @@ def run_convergence_study(
             lattice = build_torus(d, cfg.L / m, m)
             assembled = kept.pop(m, None)
             if assembled is None:
-                assembled = AssembledProblem(element, tensors, problem, lattice,
-                                             h=cfg.h_sign * lattice.h)
+                assembled = AssembledProblem(element, tensors, problem, lattice)
             for root, j in uses[m]:
                 if j > 0:
                     terms.setdefault(root, {})[j] = np.empty(

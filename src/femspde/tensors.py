@@ -61,6 +61,7 @@ def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, 
     regroups their points by lattice cell for the operator assembly.
     """
     d = element.d
+    derivatives = [[poly.derivative(k) for k in range(d)] for _, poly in element.psi.pieces]
     tables: dict[Lam, OverlapTable] = {}
     for lam in element.gamma:
         shift = np.asarray(lam, dtype=float)
@@ -74,8 +75,7 @@ def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, 
             poly_ls = poly_l.translated(shift)
             dpolys_l = [poly_ls.derivative(k) for k in range(d)]
             shifted = cell_l.translated(shift)
-            for cell_0, poly_0 in element.psi.pieces:
-                dpolys_0 = [poly_0.derivative(k) for k in range(d)]
+            for (cell_0, poly_0), dpolys_0 in zip(element.psi.pieces, derivatives):
                 for part in intersect_cells(shifted, cell_0):
                     pts, wts = cell_quadrature(part, quad_degree)
                     pts_parts.append(pts)

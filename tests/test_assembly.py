@@ -39,12 +39,11 @@ def _at_offsets(ast, lattice, h, z, t):
     return expr.eval_many(ast, pts.reshape(-1, lattice.d), t).reshape(lattice.total_sites, -1)
 
 
-def per_offset_stencil(tables, lattice, h, t, terms):
-    """Per-offset oracle: each overlap table evaluates its own coefficient points.
+def raw_stencil(tables, lattice, h, t, terms):
+    """The raw per-offset formula at the signed step h: each overlap table
+    evaluates its own coefficient points mod(x + h z, L).
 
-    `terms` pairs an AST with basis(table, h) -> (m,) integrand weights.
-    Like the assembly, the formula uses |h|."""
-    h = abs(h)
+    `terms` pairs an AST with basis(table, h) -> (m,) integrand weights."""
     offsets = tuple(sorted(tables))
     coef = np.zeros((len(offsets), *lattice.shape))
     for k, lam in enumerate(offsets):
@@ -55,30 +54,71 @@ def per_offset_stencil(tables, lattice, h, t, terms):
     return coef
 
 
-def per_offset_drift(tables, problem, lattice, h, t):
+def drift_terms(problem):
     terms = [(ast, lambda tab, h, i=i, j=j: tab.dpsi_l[j - 1] * -tab.dpsi_0[i - 1] / h**2)
              for (i, j), ast in problem.a.items()]
     terms += [(ast, lambda tab, h, i=i: tab.dpsi_l[i - 1] * tab.psi_0 / h)
               for i, ast in problem.b.items()]
     if problem.c is not None:
         terms.append((problem.c, lambda tab, h: tab.psi_l * tab.psi_0))
-    return per_offset_stencil(tables, lattice, h, t, terms)
+    return terms
 
 
-def per_offset_noise(tables, problem, lattice, h, t, rho):
+def noise_terms(problem, rho):
     terms = [(ast, lambda tab, h, i=i: tab.dpsi_l[i - 1] * tab.psi_0 / h)
              for (i, r), ast in problem.sigma.items() if r == rho]
     if rho in problem.nu:
         terms.append((problem.nu[rho], lambda tab, h: tab.psi_l * tab.psi_0))
-    return per_offset_stencil(tables, lattice, h, t, terms)
+    return terms
 
 
-def per_offset_mollify(field, element, lattice, h, t, degree):
-    """Oracle mollifier: Gauss points of the element's own cells, at mod(x + |h| z, L)."""
+def raw_mollified(field, element, lattice, h, t, degree):
+    """The raw mollifier at the signed step h: Gauss points of the element's
+    own cells, at mod(x + h z, L)."""
     parts = [cell_quadrature(cell, degree) + (poly,) for cell, poly in element.psi.pieces]
     z = np.concatenate([pts for pts, _, _ in parts])
     w = np.concatenate([wts * poly.eval_many(pts) for pts, wts, poly in parts])
-    return (_at_offsets(field, lattice, abs(h), z, t) @ w).reshape(lattice.shape)
+    return (_at_offsets(field, lattice, h, z, t) @ w).reshape(lattice.shape)
+
+
+def per_offset_drift(tables, problem, lattice, t):
+    return raw_stencil(tables, lattice, lattice.h, t, drift_terms(problem))
+
+
+def per_offset_noise(tables, problem, lattice, t, rho):
+    return raw_stencil(tables, lattice, lattice.h, t, noise_terms(problem, rho))
+
+
+def per_offset_mollify(field, element, lattice, t, degree):
+    return raw_mollified(field, element, lattice, lattice.h, t, degree)
+
+
+def assert_minus_h_identity(element, problem, lattice, t):
+    """The raw formula at -h, built from the overlap tables, equals the
+    assembled drift and noise stencils at the negated offset -lambda, and the
+    assembled mollified phi, to 1e-13 of the largest entry: substituting
+    z -> -z flips each shift, and psi's symmetry the odd-order terms with
+    their 1/h.  The assembly itself only ever uses the lattice spacing h > 0."""
+    tensors = compute_reference_tensors(element)
+    tables = build_overlap_tables(element, tensors.quad_degree)
+    h = -lattice.h
+
+    def close(actual, expected):
+        scale = float(np.max(np.abs(expected)))
+        assert scale > 0.0
+        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-13 * scale)
+
+    def at_negated_offsets(op):
+        by_offset = dict(zip(op.offsets, op.coef))
+        return np.stack([by_offset[tuple(-c for c in lam)] for lam in sorted(tables)])
+
+    close(raw_stencil(tables, lattice, h, t, drift_terms(problem)),
+          at_negated_offsets(assemble_drift(tensors, problem, lattice, t)))
+    for rho in problem.active_rhos():
+        close(raw_stencil(tables, lattice, h, t, noise_terms(problem, rho)),
+              at_negated_offsets(assemble_noise(tensors, problem, lattice, t, rho)))
+    close(raw_mollified(problem.phi, element, lattice, h, t, tensors.quad_degree),
+          mollify_data(problem.phi, tensors, lattice, t).values)
 
 
 @pytest.fixture(scope="module")
@@ -367,46 +407,13 @@ class TestConsistencyOrder:
 
 
 class TestSignInvariance:
-    def test_negative_h_assembles_identically(self, hat_setup):
-        element, tensors, lattice = hat_setup
-        problem = parse_problem_text(
-            'a.1.1 = "1 + 0.25*cos(x1)"\nb.1 = "0.1"\nsigma.1.1 = "0.3"'
-        )
-        plus = AssembledProblem(element, tensors, problem, lattice, h=lattice.h)
-        minus = AssembledProblem(element, tensors, problem, lattice, h=-lattice.h)
-        for op_p, op_m in (
-            (plus.drift(0.0), minus.drift(0.0)),
-            (plus.noise(0.0, 1), minus.noise(0.0, 1)),
-        ):
-            assert op_p.offsets == op_m.offsets
-            assert np.array_equal(op_p.coef, op_m.coef)
-
     def test_signed_assembly_identity(self, hat_setup):
         # the change of variables z -> -z maps the raw formula at -h to the
         # +h stencil with the footprint shift negated; verify numerically
-        element, tensors, lattice = hat_setup
-        problem = parse_problem_text('a.1.1 = "1 + 0.25*cos(x1)"\nb.1 = "0.1"')
-        h = lattice.h
-        tables = build_overlap_tables(element, tensors.quad_degree)
-        plus = assemble_drift(tensors, problem, lattice, 0.0)
-        by_offset = dict(zip(plus.offsets, plus.coef))
-        sites = lattice.coords()
-        for lam, tab in tables.items():
-            pts = np.mod(sites[:, None, :] + (-h) * tab.points[None, :, :], lattice.L)
-            avals = 1.0 + 0.25 * np.cos(pts[..., 0])
-            bvals = np.full_like(avals, 0.1)
-            w = tab.weights
-            raw = (avals @ (w * tab.dpsi_l[0] * (-tab.dpsi_0[0]))) / (-h) ** 2
-            raw += (bvals @ (w * tab.dpsi_l[0] * tab.psi_0)) / (-h)
-            neg_lam = tuple(-c for c in lam)
-            np.testing.assert_allclose(raw, by_offset[neg_lam].reshape(-1),
-                                       rtol=1e-12, atol=1e-12)
-
-    def test_wrong_magnitude_h_rejected(self, hat_setup):
-        element, tensors, lattice = hat_setup
-        problem = parse_problem_text('a.1.1 = "1"')
-        with pytest.raises(ValueError, match="lattice spacing"):
-            AssembledProblem(element, tensors, problem, lattice, h=0.5 * lattice.h)
+        element, _, lattice = hat_setup
+        problem = parse_problem_text('a.1.1 = "1 + 0.25*cos(x1)"\nb.1 = "0.1"\n'
+                                     'sigma.1.1 = "0.3*sin(x1)"\nphi = "sin(x1)"')
+        assert_minus_h_identity(element, problem, lattice, 0.0)
 
 
 class TestDiagnostics:
@@ -544,16 +551,15 @@ def _element(case):
 class TestCellQuadrature:
     """The cell quadrature reproduces the per-offset formula it replaced."""
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("case, n", [
         ("hat1d", 16), ("tensor(2)", 8), ("tensor(3)", 6), ("triangle2d", 8), ("split-hat", 16),
     ])
-    def test_matches_per_offset_formula(self, case, n, sign):
+    def test_matches_per_offset_formula(self, case, n):
         element = _element(case)
         tensors = compute_reference_tensors(element)
         problem = parse_problem_text(EQUIVALENCE_PROBLEMS[element.d])
         lattice = build_torus(element.d, 2 * np.pi / n, n)
-        h, t = sign * lattice.h, 0.3
+        t = 0.3
         tables = build_overlap_tables(element, tensors.quad_degree)
 
         def close(actual, expected):
@@ -561,14 +567,14 @@ class TestCellQuadrature:
             assert scale > 0.0
             np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-13 * scale)
 
-        drift = assemble_drift(tensors, problem, lattice, t, h)
+        drift = assemble_drift(tensors, problem, lattice, t)
         assert drift.offsets == tuple(sorted(tables))
-        close(drift.coef, per_offset_drift(tables, problem, lattice, h, t))
+        close(drift.coef, per_offset_drift(tables, problem, lattice, t))
         for rho in (1, 2):
-            noise = assemble_noise(tensors, problem, lattice, t, rho, h)
-            close(noise.coef, per_offset_noise(tables, problem, lattice, h, t, rho))
-        close(mollify_data(problem.phi, tensors, lattice, t, h).values,
-              per_offset_mollify(problem.phi, element, lattice, h, t, tensors.quad_degree))
+            noise = assemble_noise(tensors, problem, lattice, t, rho)
+            close(noise.coef, per_offset_noise(tables, problem, lattice, t, rho))
+        close(mollify_data(problem.phi, tensors, lattice, t).values,
+              per_offset_mollify(problem.phi, element, lattice, t, tensors.quad_degree))
 
     def test_split_cells_stay_within_lattice_cells(self):
         quad = compute_reference_tensors(_element("split-hat")).quad
@@ -666,7 +672,7 @@ class TestEvaluationCount:
         assert [out.size for _, _, out in calls] == [n**element.d * per_cell, n * per_cell, 1]
 
 
-def full_point_cells(quad, lattice, h, t, terms):
+def full_point_cells(quad, lattice, t, terms):
     """The point-array path the coordinate arrays replaced: every distinct AST
     evaluated at all (cells * P, d) points x_c + h zeta, then one full
     (cells, P) @ (P, K * G) contraction per AST."""
@@ -678,7 +684,8 @@ def full_point_cells(quad, lattice, h, t, terms):
         return np.zeros((len(quad.offsets), *lattice.shape))
     n_shifts, n_zeta, width = terms[0][1].shape
     n_cells = lattice.total_sites
-    pts = (lattice.coords()[:, None, :] + h * quad.zeta[None, :, :]).reshape(-1, lattice.d)
+    pts = (lattice.coords()[:, None, :] + lattice.h * quad.zeta[None, :, :])
+    pts = pts.reshape(-1, lattice.d)
     local = np.zeros((n_cells, n_shifts * width))
     for ast, weights in combined.values():
         vals = expr.eval_many(ast, pts, t).reshape(n_cells, n_zeta)

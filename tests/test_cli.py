@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -45,7 +46,8 @@ def run_dirs(out):
 
 
 def assert_replay_is_byte_identical(out, manifest, first):
-    """Replay manifest under out; every file of the new run equals the one in run first."""
+    """Replay manifest under out; every file of the new run equals the one in run
+    first.  Returns the new run's directory name."""
     assert main(["replay", str(manifest), "--out", str(out)]) == EXIT_OK
     (second,) = [d for d in run_dirs(out) if d != first]
     names = sorted(os.listdir(out / first))
@@ -54,6 +56,7 @@ def assert_replay_is_byte_identical(out, manifest, first):
         a = (out / first / name).read_bytes()
         b = (out / second / name).read_bytes()
         assert a == b, f"{name} differs between run and replay"
+    return second
 
 
 @pytest.fixture()
@@ -221,6 +224,7 @@ class TestSimulate:
             "--n", "8", "--T", "1.0", "--steps", "10", "--out", str(tmp_path / "o"),
         ])
         assert code == EXIT_NUMERICAL
+        assert not (tmp_path / "o").exists()
 
     def test_custom_element_file_matches_preset(self, tmp_path, problem_file):
         hat_text = """\
@@ -269,6 +273,7 @@ poly = 0: 1  1: -1
             "--out", str(tmp_path / "o"),
         ])
         assert code == EXIT_USAGE
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--does-not-exist"]) == EXIT_USAGE
@@ -276,11 +281,12 @@ poly = 0: 1  1: -1
     @pytest.mark.parametrize("command, option", [
         ("simulate", "--tol"), ("simulate", "--max-iter"), ("convergence", "--tol"),
         ("simulate", "--quad-order"), ("verify-element", "--quad-order"),
-        ("verify-element", "--grid"),
+        ("verify-element", "--grid"), ("simulate", "--h-sign"),
     ])
     def test_fixed_settings_are_not_options(self, tmp_path, stoch_file, capsys,
                                             command, option):
-        # the solver tolerance and cap, the Gauss degree and the symbol grid are constants
+        # the solver tolerance and cap, the Gauss degree and the symbol grid are
+        # constants, and h is the lattice spacing
         args = [command, "--preset", "hat1d", "--out", str(tmp_path / "o"), option, "4"]
         if command != "verify-element":
             args += ["--problem", stoch_file]
@@ -334,12 +340,13 @@ class TestConvergence:
             outs.append((out / run_dir / "base_report.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_replay_with_two_extra_levels_is_byte_identical(self, tmp_path, problem_file):
+    @pytest.mark.parametrize("jbar", [2, 3])
+    def test_replay_with_extra_levels_is_byte_identical(self, tmp_path, problem_file, jbar):
         out = tmp_path / "o"
         code = main([
             "convergence", "--preset", "hat1d", "--problem", problem_file,
             "--n", "16", "--ladder", "3", "--ref-n", "128", "--T", "0.1",
-            "--jbar", "2", "--out", str(out),
+            "--jbar", str(jbar), "--out", str(out),
         ])
         assert code == EXIT_OK
         (first,) = run_dirs(out)
@@ -359,8 +366,7 @@ class TestConvergence:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "positive errors" in captured.err
         assert "Traceback" not in captured.err
-        (run_dir,) = run_dirs(out)
-        assert os.listdir(out / run_dir) == []
+        assert not out.exists()
 
     def test_svg_written_when_requested(self, tmp_path, problem_file):
         out = tmp_path / "o"
@@ -446,7 +452,8 @@ class TestManifest:
     @pytest.mark.parametrize("command", ["simulate", "verify-element"])
     def test_older_manifest_replays_byte_identically(self, tmp_path, stoch_file, command):
         # manifests written while the solver tolerance and cap, the Gauss degree
-        # and the symbol grid were options carry them at these values
+        # and the symbol grid were options carry them at these values, and the
+        # sign of h as either value
         out = tmp_path / "o"
         args = [command, "--preset", "hat1d", "--out", str(out)]
         if command == "simulate":
@@ -455,11 +462,14 @@ class TestManifest:
         assert main(args) == EXIT_OK
         (first,) = run_dirs(out)
         doc = json.loads((out / first / "manifest.json").read_text())
-        assert not {"tol", "max_iter", "quad_order", "grid"} & set(doc["config"])
-        doc["config"].update(tol=1e-10, max_iter=2000, quad_order=None, grid=0)
-        older = tmp_path / "older.json"
-        older.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        assert_replay_is_byte_identical(out, older, first)
+        assert not {"tol", "max_iter", "quad_order", "grid", "h_sign"} & set(doc["config"])
+        for h_sign in ("plus", "minus"):
+            doc["config"].update(tol=1e-10, max_iter=2000, quad_order=None, grid=0,
+                                 h_sign=h_sign)
+            older = tmp_path / f"older-{h_sign}.json"
+            older.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
+                             encoding="utf-8")
+            shutil.rmtree(out / assert_replay_is_byte_identical(out, older, first))
 
     @pytest.mark.parametrize("command, key, value", [
         ("simulate", "n", 0),

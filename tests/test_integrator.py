@@ -528,17 +528,3 @@ class TestMultilevel:
         corr = float(np.corrcoef(coarse_vals, fine_vals)[0, 1])
         assert corr > 0.9
 
-
-class TestSignInvariance:
-    def test_full_pipeline_bit_identical_under_h_flip(self, hat):
-        element, tensors = hat
-        problem = parse_problem_text(
-            'a.1.1 = "1 + 0.25*cos(x1)"\nsigma.1.1 = "0.3"\ng.1 = "0.1"\nphi = "sin(x1)"'
-        )
-        lattice = build_torus(1, L / 16, 16)
-        outs = []
-        for sign in (1.0, -1.0):
-            ap = AssembledProblem(element, tensors, problem, lattice, h=sign * lattice.h)
-            noise = NoisePath(99, 16, 0.01, 1)
-            outs.append(integrate(ap, noise, T=0.16, steps=16))
-        assert np.array_equal(outs[0].terminal.values, outs[1].terminal.values)
