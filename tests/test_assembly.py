@@ -81,18 +81,6 @@ def raw_mollified(field, element, lattice, h, t, degree):
     return (_at_offsets(field, lattice, h, z, t) @ w).reshape(lattice.shape)
 
 
-def per_offset_drift(tables, problem, lattice, t):
-    return raw_stencil(tables, lattice, lattice.h, t, drift_terms(problem))
-
-
-def per_offset_noise(tables, problem, lattice, t, rho):
-    return raw_stencil(tables, lattice, lattice.h, t, noise_terms(problem, rho))
-
-
-def per_offset_mollify(field, element, lattice, t, degree):
-    return raw_mollified(field, element, lattice, lattice.h, t, degree)
-
-
 def assert_minus_h_identity(element, problem, lattice, t):
     """The raw formula at -h, built from the overlap tables, equals the
     assembled drift and noise stencils at the negated offset -lambda, and the
@@ -551,15 +539,18 @@ def _element(case):
 class TestCellQuadrature:
     """The cell quadrature reproduces the per-offset formula it replaced."""
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("case, n", [
         ("hat1d", 16), ("tensor(2)", 8), ("tensor(3)", 6), ("triangle2d", 8), ("split-hat", 16),
     ])
-    def test_matches_per_offset_formula(self, case, n):
+    def test_matches_per_offset_formula(self, case, n, sign):
+        # at sign = -1 the raw formula runs at -h: it equals the assembled
+        # stencils at the negated offset -lambda and the same mollified data
         element = _element(case)
         tensors = compute_reference_tensors(element)
         problem = parse_problem_text(EQUIVALENCE_PROBLEMS[element.d])
         lattice = build_torus(element.d, 2 * np.pi / n, n)
-        t = 0.3
+        h, t = sign * lattice.h, 0.3
         tables = build_overlap_tables(element, tensors.quad_degree)
 
         def close(actual, expected):
@@ -567,14 +558,18 @@ class TestCellQuadrature:
             assert scale > 0.0
             np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-13 * scale)
 
-        drift = assemble_drift(tensors, problem, lattice, t)
-        assert drift.offsets == tuple(sorted(tables))
-        close(drift.coef, per_offset_drift(tables, problem, lattice, t))
+        def signed(op):
+            assert op.offsets == tuple(sorted(tables))
+            by_offset = dict(zip(op.offsets, op.coef))
+            return np.stack([by_offset[tuple(int(sign) * c for c in lam)] for lam in op.offsets])
+
+        close(signed(assemble_drift(tensors, problem, lattice, t)),
+              raw_stencil(tables, lattice, h, t, drift_terms(problem)))
         for rho in (1, 2):
-            noise = assemble_noise(tensors, problem, lattice, t, rho)
-            close(noise.coef, per_offset_noise(tables, problem, lattice, t, rho))
+            close(signed(assemble_noise(tensors, problem, lattice, t, rho)),
+                  raw_stencil(tables, lattice, h, t, noise_terms(problem, rho)))
         close(mollify_data(problem.phi, tensors, lattice, t).values,
-              per_offset_mollify(problem.phi, element, lattice, t, tensors.quad_degree))
+              raw_mollified(problem.phi, element, lattice, h, t, tensors.quad_degree))
 
     def test_split_cells_stay_within_lattice_cells(self):
         quad = compute_reference_tensors(_element("split-hat")).quad
