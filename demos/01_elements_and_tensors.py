@@ -10,14 +10,14 @@ itself, computed by Gauss rules that are exact for the polynomial integrands.
 
 import numpy as np
 
-from femspde import build_element, compute_reference_tensors, evaluate_psi
+from femspde import build_element, compute_reference_tensors
 
 # -- the classical 1-D hat ---------------------------------------------------
 
 hat = build_element("hat1d")
 print("hat1d")
 print("  neighbor set Gamma:", hat.gamma)
-print("  psi(0) =", evaluate_psi(hat, (0.0,)), "  psi(0.5) =", evaluate_psi(hat, (0.5,)))
+print("  psi(0) =", hat.psi((0.0,)), "  psi(0.5) =", hat.psi((0.5,)))
 
 tensors = compute_reference_tensors(hat)
 print("  mass row      R_0, R_1   =", tensors.r((0,)), ",", tensors.r((1,)))
@@ -47,4 +47,4 @@ print("  R factorizes:", ten_tensors.r((1, 0)), "=", 1 / 6 * 2 / 3)
 
 # Evaluating psi anywhere is exact piecewise-polynomial evaluation:
 pts = np.array([[0.25, 0.25], [0.75, -0.25], [1.5, 0.0]])
-print("  psi at", pts.tolist(), "->", ten.evaluate_many(pts))
+print("  psi at", pts.tolist(), "->", ten.psi.eval_many(pts))

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .assembly import AssembledProblem, StencilOperator, assemble_drift, assemble_mass, assemble_noise, mollify_data
 from .checks import AssumptionReport, check_cardinal, check_compatibility, check_invertibility, check_parabolicity, verify_element
-from .elements import FiniteElement, build_element, evaluate_psi, parse_element_text, validate_element
+from .elements import FiniteElement, build_element, parse_element_text, validate_element
 from .expr import EvalError, ExprSyntaxError, evaluate, parse, to_source
 from .integrator import (
     IntegrationError,
@@ -79,7 +79,6 @@ __all__ = [
     "error_norm",
     "estimate_order",
     "evaluate",
-    "evaluate_psi",
     "extrapolation_coefficients",
     "inner_0h",
     "integrate",

@@ -65,14 +65,15 @@ _NUMBER_TYPES = {"float": (int, float), "int": (int,), "int | None": (int, type(
 
 # run sizes that must be positive when set (None means derived); h = L / n and
 # dt = T / steps divide by them, and rho_max <= 0 would drop every noise term
-_POSITIVE = ("L", "n", "T", "steps", "dt_factor", "samples", "rho_max")
+_POSITIVE = ("L", "n", "T", "steps", "samples", "rho_max")
 
 # keys of older manifests whose settings are now fixed, with the values each
 # can take: the solver tolerance and iteration cap, the Gauss degree (None:
-# element-derived), verify-element's symbol grid (0: dimension-derived) and the
+# element-derived), verify-element's symbol grid (0: dimension-derived), the
 # sign of h (h is the lattice spacing; both signs gave byte-identical outputs)
+# and the time-step rule's constant (study.DT_FACTOR)
 _FIXED_KEYS = {"tol": (1e-10,), "max_iter": (2000,), "quad_order": (None,), "grid": (0,),
-               "h_sign": ("plus", "minus")}
+               "h_sign": ("plus", "minus"), "dt_factor": (0.5,)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,7 +98,6 @@ class RunConfig:
     n: int = 32
     T: float = 0.5
     steps: int | None = None
-    dt_factor: float = 0.5
     seed: int = 2024
     samples: int = 1
     rho_max: int | None = None
@@ -211,6 +211,7 @@ def _load_element(config: RunConfig, structural_only: bool = False) -> FiniteEle
 def run_verify_element(config: RunConfig, out: str | None) -> int:
     element = _load_element(config, structural_only=True)
     report = verify_element(element, compute_reference_tensors(element))
+    cardinal = next(row for row in report.details if row.name == "cardinal interpolation")
     lines = [
         f"{'identity':38s} {'target':>14s} {'computed':>24s} {'residual':>12s} verdict"
     ]
@@ -221,7 +222,7 @@ def run_verify_element(config: RunConfig, out: str | None) -> int:
         )
     lines.append(
         f"element {report.element}: delta = {report.delta_estimate:.12g}, "
-        f"cardinal {'ok' if report.cardinal_ok else 'VIOLATED'}, "
+        f"cardinal {'ok' if cardinal.ok else 'VIOLATED'}, "
         f"overall {'PASS' if report.passed else 'FAIL'}"
     )
     table = "\n".join(lines) + "\n"
@@ -239,7 +240,7 @@ def run_simulate(config: RunConfig, out: str | None) -> int:
         raise UsageError("simulate needs --problem")
     problem = parse_problem_text(config.problem_text, rho_max=config.rho_max)
     lattice = build_torus(problem.d, config.L / config.n, config.n)
-    steps = resolve_steps(config.T, config.L, config.n, config.dt_factor, config.steps)
+    steps = resolve_steps(config.T, config.L, config.n, config.steps)
     config.steps = steps  # manifest records the resolved time grid
     dt = config.T / steps
     assembled = AssembledProblem(element, tensors, problem, lattice)
@@ -283,7 +284,6 @@ def run_convergence(config: RunConfig, out: str | None) -> int:
         ratio=RATIOS[config.ratio],
         samples=config.samples,
         base_seed=config.seed,
-        dt_factor=config.dt_factor,
         steps=config.steps,
     )
     result = run_convergence_study(element, tensors, problem, study)
@@ -331,8 +331,7 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="sites per axis (coarsest for ladders)")
     p.add_argument("--T", type=float, help="final time")
     p.add_argument("--steps", type=int,
-                   help="time steps (default: dt = dt-factor * h_finest^2)")
-    p.add_argument("--dt-factor", type=float, help="dt rule constant")
+                   help="time steps (default: dt = 0.5 h_finest^2)")
     p.add_argument("--seed", type=int, help="base noise seed")
     p.add_argument("--rho-max", type=int, help="noise truncation")
 

@@ -51,17 +51,6 @@ class FiniteElement:
     def d(self) -> int:
         return self.psi.d
 
-    def evaluate(self, x) -> float:
-        return self.psi(x)
-
-    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.psi.eval_many(pts)
-
-
-def evaluate_psi(element: FiniteElement, x) -> float:
-    """Point evaluation of the mother function; zero outside its support."""
-    return element.evaluate(x)
-
 
 # ---------------------------------------------------------------------------
 # presets

@@ -392,13 +392,11 @@ class PiecewisePolynomial:
         return np.min(los, axis=0), np.max(his, axis=0)
 
     def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        for cell, poly in self.pieces:
-            if cell.contains(x):
-                return float(poly(x))
-        return 0.0
+        return float(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        """Value at each of an (m, d) array of points from the first cell that
+        contains it; zero outside the support."""
         pts = np.asarray(pts, dtype=float)
         out = np.zeros(pts.shape[0])
         done = np.zeros(pts.shape[0], dtype=bool)

@@ -4,7 +4,7 @@ For every base mesh n in the ladder the study solves on levels n 2^j for
 j = 0..jbar, forms the extrapolation mixture, and measures errors against a
 reference solve at a finer resolution.  All solves in one sample share one
 time grid and one noise path, so differences isolate the spatial error; the
-time step follows dt = dt_factor * h_finest^2 with h_finest the finest base
+time step follows dt = DT_FACTOR * h_finest^2 with h_finest the finest base
 mesh in the ladder.
 
 The reference is made mixture-consistent: when jbar >= 1 the reference field
@@ -53,21 +53,19 @@ from .tensors import ReferenceTensors
 
 
 MIN_LADDER = 3  # meshes an order fit needs
+DT_FACTOR = 0.5  # dt = DT_FACTOR * h_finest^2 unless the step count is given
 
 
-def resolve_steps(T: float, L: float, n_finest: int, dt_factor: float,
-                  steps: int | None = None) -> int:
-    """Time steps for dt = dt_factor * h_finest^2, h_finest = L / n_finest; steps overrides."""
+def resolve_steps(T: float, L: float, n_finest: int, steps: int | None = None) -> int:
+    """Time steps for dt = DT_FACTOR * h_finest^2, h_finest = L / n_finest; steps overrides."""
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
-    if not dt_factor > 0:
-        raise ValueError(f"dt_factor must be positive, got {dt_factor}")
     if steps is not None:
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
         return int(steps)
     h_finest = L / n_finest
-    dt = dt_factor * h_finest**2
+    dt = DT_FACTOR * h_finest**2
     return max(1, int(np.ceil(T / dt)))
 
 
@@ -81,11 +79,10 @@ class StudyConfig:
     ratio: float = 0.25
     samples: int = 1
     base_seed: int = 2024
-    dt_factor: float = 0.5
     steps: int | None = None  # overrides the dt rule when set
 
     def resolved_steps(self) -> int:
-        return resolve_steps(self.T, self.L, max(self.ladder_n), self.dt_factor, self.steps)
+        return resolve_steps(self.T, self.L, max(self.ladder_n), self.steps)
 
 
 @dataclass

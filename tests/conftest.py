@@ -38,3 +38,26 @@ def triangle2d_tensors(triangle2d):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def skew_hat_text():
+    # hat1d whose right piece has slope -0.99999999997: psi(1) = 3e-11, and
+    # the tensors miss reflection symmetry by about as much
+    return """\
+d = 1
+name = skew-hat
+lambda = (-1) (0) (1)
+
+[cell]
+type = box
+lo = -1
+hi = 0
+poly = 0: 1  1: 1
+
+[cell]
+type = box
+lo = 0
+hi = 1
+poly = 0: 1  1: -0.99999999997
+"""

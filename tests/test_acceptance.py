@@ -154,7 +154,7 @@ def test_criterion_4_deterministic_convergence():
         tensors = compute_reference_tensors(element)
         problem = parse_problem_text(DET_PROBLEM)
         cfg = StudyConfig(L=L, ladder_n=[16, 32, 64, 128], ref_n=512, T=0.5,
-                          jbar=1, ratio=0.25, dt_factor=0.5)
+                          jbar=1, ratio=0.25)
         result = run_convergence_study(element, tensors, problem, cfg)
         assert 1.85 <= result.base.fitted_order <= 2.3, result.base.errors
         assert 3.6 <= result.mixture.fitted_order <= 4.5, result.mixture.errors
@@ -166,7 +166,7 @@ def test_criterion_5_vandermonde_discrimination():
         tensors = compute_reference_tensors(element)
         problem = parse_problem_text(DET_PROBLEM)
         cfg = StudyConfig(L=L, ladder_n=[16, 32, 64, 128], ref_n=512, T=0.5,
-                          jbar=1, ratio=0.0625, dt_factor=0.5)
+                          jbar=1, ratio=0.0625)
         result = run_convergence_study(element, tensors, problem, cfg)
         assert result.mixture.fitted_order < 3.0, result.mixture.errors
 

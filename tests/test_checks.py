@@ -180,8 +180,6 @@ class TestFullReport:
         tensors = compute_reference_tensors(element)
         report = verify_element(element, tensors)
         assert report.passed
-        assert report.symmetry_ok
-        assert report.cardinal_ok
         assert report.delta_estimate > 1e-8
         deltas = {"hat1d": 1.0 / 3.0, "tensor(2)": 1.0 / 9.0, "triangle2d": 0.25}
         assert report.delta_estimate == pytest.approx(deltas[preset], abs=1e-9)
@@ -205,3 +203,30 @@ class TestFullReport:
         report = verify_element(element, tensors)
         assert not report.passed
         assert report.compatibility_residuals["sum_R"] == pytest.approx(3.0, abs=1e-9)
+
+
+class TestOneVerdictPerRow:
+    SKEW_FAILS = {"tensor reflection symmetry", "cardinal interpolation"}
+
+    def test_skew_hat_fails_exactly_on_symmetry_and_cardinal(self, skew_hat_text):
+        # both residuals are about 3e-11: below the compatibility tolerance
+        # 1e-10, above the symmetry and cardinal rules' 1e-12
+        element = parse_element_text(skew_hat_text)
+        report = verify_element(element, compute_reference_tensors(element))
+        assert not report.passed
+        assert len(report.details) == 9
+        for row in report.details:
+            assert row.verdict() == ("FAIL" if row.name in self.SKEW_FAILS else "PASS"), row
+
+    @pytest.mark.parametrize("name", [
+        "hat1d", "tensor(1)", "tensor(2)", "tensor(3)", "triangle2d", "scaled-hat", "skew-hat",
+    ])
+    def test_passed_is_every_row_passing(self, name, hat1d, skew_hat_text):
+        if name == "scaled-hat":
+            element = scaled_element(hat1d, 2.0)
+        elif name == "skew-hat":
+            element = parse_element_text(skew_hat_text)
+        else:
+            element = build_element(name)
+        report = verify_element(element, compute_reference_tensors(element))
+        assert report.passed == all(row.verdict() == "PASS" for row in report.details)

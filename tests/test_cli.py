@@ -98,6 +98,18 @@ class TestVerifyElement:
         assert "overall FAIL" in out
         assert "FAIL" in [line.split()[-1] for line in out.splitlines() if "sum R = 1" in line][0]
 
+    def test_skew_element_fails_on_symmetry_and_cardinal_rows(self, tmp_path, capsys,
+                                                                skew_hat_text):
+        element = tmp_path / "skew.element"
+        element.write_text(skew_hat_text, encoding="utf-8")
+        code = main(["verify-element", "--element-file", str(element), "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY_FAIL
+        verdicts = {line[:38].strip(): line.split()[-1] for line in out.splitlines()[1:-1]}
+        assert {name for name, verdict in verdicts.items() if verdict == "FAIL"} == {
+            "tensor reflection symmetry", "cardinal interpolation"}
+        assert "cardinal VIOLATED, overall FAIL" in out
+
     def test_malformed_element_is_input_error(self, tmp_path, capsys):
         element = tmp_path / "broken.element"
         element.write_text("d = 1\n", encoding="utf-8")
@@ -282,11 +294,12 @@ poly = 0: 1  1: -1
         ("simulate", "--tol"), ("simulate", "--max-iter"), ("convergence", "--tol"),
         ("simulate", "--quad-order"), ("verify-element", "--quad-order"),
         ("verify-element", "--grid"), ("simulate", "--h-sign"),
+        ("simulate", "--dt-factor"), ("convergence", "--dt-factor"),
     ])
     def test_fixed_settings_are_not_options(self, tmp_path, stoch_file, capsys,
                                             command, option):
-        # the solver tolerance and cap, the Gauss degree and the symbol grid are
-        # constants, and h is the lattice spacing
+        # the solver tolerance and cap, the Gauss degree, the symbol grid and
+        # the time-step rule are constants, and h is the lattice spacing
         args = [command, "--preset", "hat1d", "--out", str(tmp_path / "o"), option, "4"]
         if command != "verify-element":
             args += ["--problem", stoch_file]
@@ -417,6 +430,8 @@ class TestManifest:
         ("simulate", "quad_order", 6),
         ("simulate", "grid", 64),
         ("simulate", "grid", False),
+        ("simulate", "dt_factor", 0.0),
+        ("simulate", "dt_factor", -1.0),
         ("simulate", "seed", True),
     ])
     def test_replay_rejects_bad_values(self, tmp_path, stoch_file, capsys,
@@ -451,9 +466,9 @@ class TestManifest:
 
     @pytest.mark.parametrize("command", ["simulate", "verify-element"])
     def test_older_manifest_replays_byte_identically(self, tmp_path, stoch_file, command):
-        # manifests written while the solver tolerance and cap, the Gauss degree
-        # and the symbol grid were options carry them at these values, and the
-        # sign of h as either value
+        # manifests written while the solver tolerance and cap, the Gauss degree,
+        # the symbol grid and the time-step constant were options carry them at
+        # these values, and the sign of h as either value
         out = tmp_path / "o"
         args = [command, "--preset", "hat1d", "--out", str(out)]
         if command == "simulate":
@@ -462,10 +477,11 @@ class TestManifest:
         assert main(args) == EXIT_OK
         (first,) = run_dirs(out)
         doc = json.loads((out / first / "manifest.json").read_text())
-        assert not {"tol", "max_iter", "quad_order", "grid", "h_sign"} & set(doc["config"])
+        fixed = {"tol", "max_iter", "quad_order", "grid", "h_sign", "dt_factor"}
+        assert not fixed & set(doc["config"])
         for h_sign in ("plus", "minus"):
             doc["config"].update(tol=1e-10, max_iter=2000, quad_order=None, grid=0,
-                                 h_sign=h_sign)
+                                 h_sign=h_sign, dt_factor=0.5)
             older = tmp_path / f"older-{h_sign}.json"
             older.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
                              encoding="utf-8")
@@ -475,8 +491,6 @@ class TestManifest:
         ("simulate", "n", 0),
         ("simulate", "steps", 0),
         ("simulate", "steps", -3),
-        ("simulate", "dt_factor", 0.0),
-        ("simulate", "dt_factor", -1.0),
         ("simulate", "T", 0.0),
         ("simulate", "T", -1.0),
         ("convergence", "samples", 0),

@@ -4,7 +4,6 @@ import pytest
 from femspde.elements import (
     ElementFormatError,
     build_element,
-    evaluate_psi,
     parse_element_text,
     validate_element,
 )
@@ -53,21 +52,21 @@ class TestPresets:
 
 class TestEvaluate:
     def test_hat_values(self, hat1d):
-        assert evaluate_psi(hat1d, (0.0,)) == pytest.approx(1.0)
-        assert evaluate_psi(hat1d, (0.5,)) == pytest.approx(0.5)
-        assert evaluate_psi(hat1d, (-0.5,)) == pytest.approx(0.5)
-        assert evaluate_psi(hat1d, (1.5,)) == 0.0
+        assert hat1d.psi((0.0,)) == pytest.approx(1.0)
+        assert hat1d.psi((0.5,)) == pytest.approx(0.5)
+        assert hat1d.psi((-0.5,)) == pytest.approx(0.5)
+        assert hat1d.psi((1.5,)) == 0.0
 
     def test_triangle_cell_location(self, triangle2d):
         # (0.25, 0.5) lies where x1 <= x2, the piece with value 1 - x2
-        assert evaluate_psi(triangle2d, (0.25, 0.5)) == pytest.approx(0.5)
-        assert evaluate_psi(triangle2d, (0.5, 0.25)) == pytest.approx(0.5)
-        assert evaluate_psi(triangle2d, (-0.25, 0.25)) == pytest.approx(0.5)
-        assert evaluate_psi(triangle2d, (0.9, -0.9)) == 0.0
+        assert triangle2d.psi((0.25, 0.5)) == pytest.approx(0.5)
+        assert triangle2d.psi((0.5, 0.25)) == pytest.approx(0.5)
+        assert triangle2d.psi((-0.25, 0.25)) == pytest.approx(0.5)
+        assert triangle2d.psi((0.9, -0.9)) == 0.0
 
     def test_tensor_product_structure(self, tensor2, rng):
         pts = rng.uniform(-1.2, 1.2, size=(50, 2))
-        vals = tensor2.evaluate_many(pts)
+        vals = tensor2.psi.eval_many(pts)
         hats = np.clip(1.0 - np.abs(pts), 0.0, None)
         np.testing.assert_allclose(vals, hats[:, 0] * hats[:, 1], atol=1e-14)
 
@@ -127,13 +126,13 @@ class TestElementFiles:
     def test_parse_custom_hat(self):
         el = parse_element_text(ELEMENT_TEXT)
         assert el.gamma == ((-1,), (0,), (1,))
-        assert evaluate_psi(el, (0.25,)) == pytest.approx(0.75)
+        assert el.psi((0.25,)) == pytest.approx(0.75)
         validate_element(el)
 
     def test_rational_coefficients(self):
         text = ELEMENT_TEXT.replace("poly = 0: 1  1: 1", "poly = 0: 2/2  1: 3/3")
         el = parse_element_text(text)
-        assert evaluate_psi(el, (-0.5,)) == pytest.approx(0.5)
+        assert el.psi((-0.5,)) == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
         "mutation, message",

@@ -254,7 +254,7 @@ class TestPreconditioner:
         )
         lattice = build_torus(2, L / 128, 128)
         ap = AssembledProblem(element, tensors, problem, lattice)
-        op = implicit_system(ap, 0.0, 0.25 / resolve_steps(0.25, L, 32, 0.5))  # the study's dt
+        op = implicit_system(ap, 0.0, 0.25 / resolve_steps(0.25, L, 32))  # the study's dt
         rhs = ap.mass.apply(ap.phi_h()).flat()
         got = LinearSolver(op).solve(rhs)
         preconditioned = len(krylov_iters)

@@ -372,21 +372,19 @@ class TestTwoDimensionalStudy:
 
 class TestValidation:
     def test_dt_rule(self):
-        # dt = dt_factor * (L / n_finest)^2, rounded up to whole steps
-        assert resolve_steps(0.5, L, 32, 0.5) == 26
-        assert resolve_steps(1e-9, L, 32, 0.5) == 1
-        assert resolve_steps(0.5, L, 32, 0.5, steps=7) == 7
+        # dt = 0.5 * (L / n_finest)^2, rounded up to whole steps
+        assert resolve_steps(0.5, L, 32) == 26
+        assert resolve_steps(1e-9, L, 32) == 1
+        assert resolve_steps(0.5, L, 32, steps=7) == 7
         cfg = StudyConfig(L=L, ladder_n=[8, 16, 32], ref_n=128, T=0.5)
-        assert cfg.resolved_steps() == resolve_steps(0.5, L, 32, 0.5)
+        assert cfg.resolved_steps() == resolve_steps(0.5, L, 32)
 
-    @pytest.mark.parametrize("T, dt_factor, steps, field", [
-        (0.0, 0.5, None, "T"), (-1.0, 0.5, 4, "T"),
-        (0.5, 0.0, None, "dt_factor"), (0.5, -1.0, None, "dt_factor"),
-        (0.5, 0.5, 0, "steps"), (0.5, 0.5, -3, "steps"),
+    @pytest.mark.parametrize("T, steps, field", [
+        (0.0, None, "T"), (-1.0, 4, "T"), (0.5, 0, "steps"), (0.5, -3, "steps"),
     ])
-    def test_non_positive_run_sizes_rejected(self, T, dt_factor, steps, field):
+    def test_non_positive_run_sizes_rejected(self, T, steps, field):
         with pytest.raises(ValueError, match=field):
-            resolve_steps(T, L, 32, dt_factor, steps)
+            resolve_steps(T, L, 32, steps)
 
     @pytest.mark.parametrize("samples", [0, -2])
     def test_samples_below_one_rejected(self, hat, samples):
