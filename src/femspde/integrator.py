@@ -367,7 +367,7 @@ def integrate(
         except SolverError as exc:
             raise IntegrationError(f"linear solve failed at step {n}: {exc}", step=n) from exc
         norms = norms_0h(lattice, block)
-        bad = ~(np.isfinite(block).reshape(len(block), -1).all(axis=1) & np.isfinite(norms))
+        bad = ~np.isfinite(norms)  # a NaN or inf entry makes its sample's norm non-finite
         if bad.any():
             s = int(np.argmax(bad))
             where = "" if single else f" in sample {s}"

@@ -18,13 +18,17 @@ fitting, i.e. they fit the root-mean-square (strong) error.  Only the noise
 path changes between samples, so the samples advance together as one
 block (integrator.integrate with a list of noise paths): every step is one
 stencil apply per operator and one multi-RHS LU solve for the whole block,
-with one factorization per lattice, kept between chunks.  Above
-DIRECT_SITE_LIMIT sites BiCGStab still runs once per sample (column),
-preconditioned by the FFT inverse of the x-averaged system.
+with one factorization per lattice, kept between chunks.  Above the
+solver's site limit (4096 sites) BiCGStab still runs once per sample
+(column), preconditioned by the FFT inverse of the x-averaged system, so
+there the chunk size changes only the memory.
 
-A block holds at most DIRECT_SITE_LIMIT values on the study's largest
-lattice, or one sample when that lattice alone is larger: the samples run
-in chunks of max(1, DIRECT_SITE_LIMIT // sites of the largest lattice).
+The samples run in chunks sized by the bytes a chunk stores.  One sample
+stores, at every time index, the reference and each mixture's finer-level
+terms, and while a step runs BLOCK_COPIES copies of its state on the
+largest lattice.  A chunk holds as many samples as fit in
+STUDY_CHUNK_BYTES, so the stored states stay under that budget, or at one
+sample's worth when a single sample exceeds it, whatever the sample count.
 Each chunk runs every lattice; with more than one chunk the lattices stay
 assembled, their implicit system factored, until the last chunk.
 
@@ -33,8 +37,7 @@ finest down; the reference mixture is kept injected onto the finest ladder
 mesh, each unfinished mixture keeps its finer levels' weighted terms
 injected onto its base mesh, and each ladder mesh's max-over-time errors
 are updated step by step while its own lattice runs, the last level of its
-mixture.  Stored states stay O(steps * chunk * max(ladder)^d) for fixed
-jbar, plus one lattice's block, whatever the sample count.
+mixture.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import numpy as np
 
 from .assembly import AssembledProblem
 from .elements import FiniteElement
-from .integrator import DIRECT_SITE_LIMIT, NoisePath, integrate, sample_seed
+from .integrator import NoisePath, integrate, sample_seed
 from .lattice import build_torus, nesting_factor, norms_0h
 from .problem import Problem
 from .richardson import ConvergenceReport, ExtrapolationPlan
@@ -54,6 +57,10 @@ from .tensors import ReferenceTensors
 
 MIN_LADDER = 3  # meshes an order fit needs
 DT_FACTOR = 0.5  # dt = DT_FACTOR * h_finest^2 unless the step count is given
+STUDY_CHUNK_BYTES = 64 * 2**20  # stored-state budget of one chunk of Monte Carlo samples
+# copies of a sample's state that a step keeps live on its lattice: the block,
+# the right-hand side, one applied operator and the solve's output
+BLOCK_COPIES = 4
 
 
 def resolve_steps(T: float, L: float, n_finest: int, steps: int | None = None) -> int:
@@ -61,6 +68,8 @@ def resolve_steps(T: float, L: float, n_finest: int, steps: int | None = None) -
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
     if steps is not None:
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {steps!r}")
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
         return int(steps)
@@ -147,11 +156,6 @@ def run_convergence_study(
     index = {n: i for i, n in enumerate(cfg.ladder_n)}
     base_err = np.zeros((len(cfg.ladder_n), rows))
     mix_err = np.zeros((len(cfg.ladder_n), rows))
-    # the samples advance in chunks whose block on the largest lattice holds at
-    # most DIRECT_SITE_LIMIT values (one sample when that lattice is larger), so
-    # neither the block nor the stored states grow with the sample count
-    chunk = max(1, DIRECT_SITE_LIMIT // max(uses) ** d)
-    kept: dict[int, AssembledProblem] = {}  # lattices the next chunk reuses
 
     def inject(block: np.ndarray, m: int, n: int) -> np.ndarray:
         """The sites of lattice n out of a (rows, m, ..., m) block on lattice m."""
@@ -159,6 +163,15 @@ def run_convergence_study(
 
     def target(root: int) -> int:
         return finest if root == cfg.ref_n else root
+
+    # bytes one sample stores: at every time index the reference and each
+    # mixture's terms j >= 1, and BLOCK_COPIES states on the largest lattice
+    # while a step runs; a chunk holds the samples that fit in STUDY_CHUNK_BYTES
+    stored = finest**d + sum((plan.levels - 1) * target(root) ** d
+                             for root in [cfg.ref_n, *cfg.ladder_n])
+    per_sample = 8 * ((steps + 1) * stored + BLOCK_COPIES * max(uses) ** d)
+    chunk = max(1, min(rows, STUDY_CHUNK_BYTES // per_sample))
+    kept: dict[int, AssembledProblem] = {}  # lattices the next chunk reuses
 
     for first in range(0, rows, chunk):
         part = slice(first, min(first + chunk, rows))

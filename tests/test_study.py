@@ -176,6 +176,33 @@ def fresh_study_errors(element, tensors, problem, cfg):
     return base, np.sqrt(mix_sq / cfg.samples).tolist(), trajectories
 
 
+def sample_bytes(cfg):
+    """Bytes one sample of a 1-D study stores, by the rule study.py documents:
+    at every time index the reference and each mixture's terms j >= 1 injected
+    onto their ladder meshes, plus BLOCK_COPIES states on the largest lattice."""
+    from femspde.study import BLOCK_COPIES
+
+    levels = cfg.jbar + 1
+    stored = levels * max(cfg.ladder_n) + (levels - 1) * sum(cfg.ladder_n)
+    largest = cfg.ref_n * 2**cfg.jbar
+    return 8 * ((cfg.resolved_steps() + 1) * stored + BLOCK_COPIES * largest)
+
+
+def count_integrate_calls(monkeypatch):
+    """Patch the study's integrate to count its calls per lattice size n."""
+    import femspde.study as study
+
+    runs = {}
+    real = study.integrate
+
+    def counting(assembled, *args, **kwargs):
+        runs[assembled.lattice.n] = runs.get(assembled.lattice.n, 0) + 1
+        return real(assembled, *args, **kwargs)
+
+    monkeypatch.setattr(study, "integrate", counting)
+    return runs
+
+
 class TestSharedLatticeWork:
     """Each lattice is assembled once per study and reused by every sample."""
 
@@ -218,12 +245,16 @@ class TestSharedLatticeWork:
         assert seen == {"drift": 5, "noise": 5, "mollify": 10, "solver": 5 + 5}
 
     def test_chunks_share_each_lattice(self, hat, monkeypatch):
-        # 512 sites on the largest lattice: chunks of DIRECT_SITE_LIMIT // 512 = 8
-        # samples, so 20 samples run in 3 chunks; the assembly and the factored
-        # implicit system of all 6 lattices are kept between chunks
+        # a budget of 8 samples runs 20 samples in 3 chunks; the assembly and
+        # the factored implicit system of all 6 lattices are kept between chunks
+        import femspde.study as study
+
         cfg = StudyConfig(**{**self.CFG, "ref_n": 256, "samples": 20})
+        monkeypatch.setattr(study, "STUDY_CHUNK_BYTES", 8 * sample_bytes(cfg))
+        runs = count_integrate_calls(monkeypatch)
         seen = self.count_work(hat, monkeypatch, cfg)
         assert seen == {"drift": 6, "noise": 6, "mollify": 12, "solver": 6 + 6}
+        assert runs == {m: 3 for m in (16, 32, 64, 128, 256, 512)}
 
     def test_errors_equal_fresh_assembly(self, hat, monkeypatch):
         import femspde.integrator as integrator
@@ -343,6 +374,42 @@ class TestNoiseDrivenStudy:
         assert err.value.step == 0
 
 
+class TestChunks:
+    """The samples run in chunks that fit study.STUDY_CHUNK_BYTES; the chunks
+    change how often each lattice runs, never the errors."""
+
+    def test_chunking_keeps_errors(self, hat, monkeypatch):
+        import femspde.study as study
+
+        element, tensors = hat
+        problem = parse_problem_text(NOISE_PROBLEM)
+        cfg = StudyConfig(**TestNoiseDrivenStudy.CFG)
+        assert cfg.samples == 10  # chunks of 3 leave an uneven last chunk
+        # chunk -> budget: below one sample, just under 4 samples, the default
+        budgets = {1: 1, 3: 4 * sample_bytes(cfg) - 1, 10: study.STUDY_CHUNK_BYTES}
+        errors = []
+        for chunk, budget in budgets.items():
+            monkeypatch.setattr(study, "STUDY_CHUNK_BYTES", budget)
+            runs = count_integrate_calls(monkeypatch)
+            result = run_convergence_study(element, tensors, problem, cfg)
+            monkeypatch.undo()
+            errors.append((result.base.errors, result.mixture.errors))
+            chunks = -(-cfg.samples // chunk)
+            assert runs == {m: chunks for m in (16, 32, 64, 128, 256, 512)}, chunk
+        assert errors[0] == errors[1] == errors[2]
+
+    def test_benchmark_shaped_study_runs_one_chunk(self, hat, monkeypatch):
+        # the stoch1d_mc benchmark's shape: about 0.12 MB per sample, so its
+        # 30 samples run as one block on each lattice
+        element, tensors = hat
+        problem = parse_problem_text(STOCH_PROBLEM)
+        cfg = StudyConfig(L=L, ladder_n=[16, 32, 64], ref_n=256, T=0.25, samples=30)
+        assert sample_bytes(cfg) == 8 * (53 * 240 + 4 * 512)
+        runs = count_integrate_calls(monkeypatch)
+        run_convergence_study(element, tensors, problem, cfg)
+        assert runs == {m: 1 for m in (16, 32, 64, 128, 256, 512)}
+
+
 class TestTwoDimensionalStudy:
     PROBLEM = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "0.1"\n'
                'c = "-0.2"\nf = "sin(x1)*cos(x2)"\nphi = "sin(x1)*cos(x2)"')
@@ -385,6 +452,19 @@ class TestValidation:
     def test_non_positive_run_sizes_rejected(self, T, steps, field):
         with pytest.raises(ValueError, match=field):
             resolve_steps(T, L, 32, steps)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, "3", True])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match=f"steps must be an integer, got {steps!r}"):
+            resolve_steps(0.5, L, 32, steps)
+        cfg = StudyConfig(L=L, ladder_n=[8, 16, 32], ref_n=128, T=0.5, steps=steps)
+        with pytest.raises(ValueError, match=f"got {steps!r}"):
+            cfg.resolved_steps()
+
+    def test_numpy_integer_steps_accepted(self):
+        assert resolve_steps(0.5, L, 32, np.int64(7)) == 7
+        cfg = StudyConfig(L=L, ladder_n=[8, 16, 32], ref_n=128, T=0.5, steps=np.int32(3))
+        assert cfg.resolved_steps() == 3
 
     @pytest.mark.parametrize("samples", [0, -2])
     def test_samples_below_one_rejected(self, hat, samples):
