@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .assembly import AssembledProblem
@@ -66,6 +67,10 @@ _NUMBER_TYPES = {"float": (int, float), "int": (int,), "int | None": (int, type(
 # run sizes that must be positive when set (None means derived); h = L / n and
 # dt = T / steps divide by them, and rho_max <= 0 would drop every noise term
 _POSITIVE = ("L", "n", "T", "steps", "samples", "rho_max")
+
+# environment variables that set the BLAS/OpenMP thread counts; replay is
+# bit-exact only at the same counts, so the manifest records them
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # keys of older manifests whose settings are now fixed, with the values each
 # can take: the solver tolerance and iteration cap, the Gauss degree (None:
@@ -123,6 +128,13 @@ class RunConfig:
             "version": __version__,
             "command": self.command,
             "config": dataclasses.asdict(self),
+            # what the run ran on; replay reads none of it
+            "environment": {
+                "python": ".".join(str(v) for v in sys.version_info[:3]),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                **{name: os.environ.get(name) for name in THREAD_ENV},
+            },
         }
 
     @staticmethod

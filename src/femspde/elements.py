@@ -156,48 +156,62 @@ def finish_element(name: str, psi: PiecewisePolynomial, lambda_set) -> FiniteEle
 def lattice_points_in_box(lambda_set, lo, hi) -> list[tuple[int, ...]]:
     """Integer-combination closure of Lambda intersected with box [lo, hi].
 
-    BFS over sums of Lambda vectors; since Lambda = -Lambda the closure is the
-    subgroup generated by Lambda, and restricting each step to the box plus a
-    one-generator margin reaches every group point inside the box.
+    Breadth-first search over sums of Lambda vectors, one frontier array per
+    step; since Lambda = -Lambda the closure is the subgroup generated by
+    Lambda, and restricting each step to the box plus a one-generator margin
+    reaches every group point inside the box.  Points come in lexicographic
+    order.
     """
-    lam = [np.asarray(v, dtype=int) for v in lambda_set]
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    margin = max((np.abs(v).max() for v in lam), default=0)
-    zero = tuple(0 for _ in lo)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            base = np.asarray(p, dtype=int)
-            for v in lam:
-                q = tuple((base + v).tolist())
-                if q in seen:
-                    continue
-                if np.any(np.asarray(q) < lo - margin) or np.any(np.asarray(q) > hi + margin):
-                    continue
-                seen.add(q)
-                nxt.append(q)
-        frontier = nxt
-    return [p for p in seen if np.all(np.asarray(p) >= lo) and np.all(np.asarray(p) <= hi)]
+    d = len(lo)
+    lam = np.array(list(lambda_set), dtype=int).reshape(-1, d)
+    margin = max((abs(c) for v in lambda_set for c in v), default=0)
+    # the integer points of the box widened by the margin, as a boolean grid
+    first = np.ceil(lo - margin).astype(int)
+    extent = np.maximum(np.floor(hi + margin).astype(int) - first + 1, 0)
+
+    def grid_of(points: np.ndarray) -> np.ndarray:
+        offset = points - first
+        grid = np.zeros(extent, dtype=bool)
+        grid[tuple(offset[np.all((offset >= 0) & (offset < extent), axis=1)].T)] = True
+        return grid
+
+    frontier = np.zeros((1, d), dtype=int)
+    reached = grid_of(frontier)
+    while frontier.size:
+        new = grid_of((frontier[:, None, :] + lam).reshape(-1, d)) & ~reached
+        reached |= new
+        frontier = np.argwhere(new) + first
+    points = np.argwhere(reached) + first
+    inside = np.all((points >= lo) & (points <= hi), axis=1)
+    return [tuple(p) for p in points[inside].tolist()]
 
 
 def support_overlap_measure(element: FiniteElement, lam: tuple[int, ...]) -> float:
-    """Lebesgue measure of supp(psi shifted by lam) intersected with supp(psi)."""
+    """Lebesgue measure of supp(psi shifted by lam) intersected with supp(psi).
+
+    Only cell pairs whose bounding boxes overlap are intersected
+    (PiecewisePolynomial.piece_pairs).
+    """
     shift = np.asarray(lam, dtype=float)
+    cells = [cell for cell, _ in element.psi.pieces]
     total = 0.0
-    for cell, _ in element.psi.pieces:
-        shifted = cell.translated(shift)
-        for other, _ in element.psi.pieces:
-            for part in intersect_cells(shifted, other):
-                total += cell_volume(part)
+    for i, j in element.psi.piece_pairs(shift):
+        for part in intersect_cells(cells[i].translated(shift), cells[j]):
+            total += cell_volume(part)
     return total
 
 
 def compute_gamma(element: FiniteElement) -> list[tuple[int, ...]]:
+    """The shifts lam of the Lambda lattice whose translated support overlaps
+    supp(psi) in more than 1e-12 measure.
+
+    Candidates are the lattice points of [lo - hi, hi - lo] for the support's
+    bounding box [lo, hi]; for each, only the cell pairs whose shifted
+    bounding boxes overlap by more than OVERLAP_TOL are intersected.
+    """
     lo, hi = element.psi.support_bbox()
-    # supports can only overlap for shifts within [lo - hi, hi - lo]
     candidates = lattice_points_in_box(element.lambda_set, lo - hi, hi - lo)
     gamma = []
     for lam in candidates:

@@ -10,6 +10,7 @@ top of this module are exact up to roundoff.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,6 +19,11 @@ import numpy as np
 
 class GeometryError(ValueError):
     """Raised when cell data is degenerate or inconsistently oriented."""
+
+
+# geometric tolerance of cell intersection: cells that overlap by no more than
+# this along some axis do not intersect
+OVERLAP_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +155,15 @@ class Box:
         shift = np.asarray(shift, dtype=float)
         return Box(tuple(np.asarray(self.lo) + shift), tuple(np.asarray(self.hi) + shift))
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        return all(l - tol <= xi <= h + tol for xi, l, h in zip(x, self.lo, self.hi))
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+
+    def contains(self, pts, tol: float = 1e-12) -> np.ndarray:
+        """Mask of the rows of an (m, d) point array that lie in the closed box
+        widened by tol, by comparison with its corners."""
+        lo, hi = self.bounds()
+        pts = np.asarray(pts, dtype=float)
+        return np.all((pts >= lo - tol) & (pts <= hi + tol), axis=1)
 
 
 @dataclass(frozen=True)
@@ -181,14 +194,18 @@ class Simplex:
         shift = np.asarray(shift, dtype=float)
         return Simplex(tuple(tuple(np.asarray(v) + shift) for v in self.verts))
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         v = np.asarray(self.verts, dtype=float)
-        mat = (v[1:] - v[0]).T
-        try:
-            bary = np.linalg.solve(mat, np.asarray(x, dtype=float) - v[0])
-        except np.linalg.LinAlgError:
-            return False
-        return bool(bary.min() >= -tol and bary.sum() <= 1 + tol)
+        return v.min(axis=0), v.max(axis=0)
+
+    def contains(self, pts, tol: float = 1e-12) -> np.ndarray:
+        """Mask of the rows of an (m, d) point array whose barycentric
+        coordinates all exceed -tol and sum to at most 1 + tol; one solve
+        gives the coordinates of every point."""
+        v = np.asarray(self.verts, dtype=float)
+        pts = np.asarray(pts, dtype=float)
+        bary = np.linalg.solve((v[1:] - v[0]).T, (pts - v[0]).T)  # (d, m)
+        return (bary.min(axis=0) >= -tol) & (bary.sum(axis=0) <= 1 + tol)
 
 
 Cell = Box | Simplex
@@ -227,11 +244,11 @@ def _clip_halfplane(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
     for i in range(n):
         p, q = poly[i], poly[(i + 1) % n]
         vp, vq = vals[i], vals[(i + 1) % n]
-        if vp <= 1e-14:
+        if vp <= OVERLAP_TOL:
             out.append(p)
-            if vq > 1e-14 and vp < -1e-14:
+            if vq > OVERLAP_TOL and vp < -OVERLAP_TOL:
                 out.append(p + (q - p) * (vp / (vp - vq)))
-        elif vq < -1e-14:
+        elif vq < -OVERLAP_TOL:
             out.append(p + (q - p) * (vp / (vp - vq)))
     if len(out) < 3:
         return np.empty((0, 2))
@@ -255,9 +272,9 @@ def _fan_triangulate(poly: np.ndarray) -> list[Simplex]:
     for i in range(1, len(poly) - 1):
         pts = np.array([poly[0], poly[i], poly[i + 1]])
         area = _signed_area(pts)
-        if area < -1e-14:
+        if area < -OVERLAP_TOL:
             raise GeometryError("clipped region has inconsistent orientation")
-        if area > 1e-14:
+        if area > OVERLAP_TOL:
             tris.append(Simplex(tuple(map(tuple, pts))))
     return tris
 
@@ -276,7 +293,7 @@ def intersect_cells(a: Cell, b: Cell) -> list[Cell]:
     if isinstance(a, Box) and isinstance(b, Box):
         lo = tuple(max(l1, l2) for l1, l2 in zip(a.lo, b.lo))
         hi = tuple(min(h1, h2) for h1, h2 in zip(a.hi, b.hi))
-        if any(h - l <= 1e-14 for l, h in zip(lo, hi)):
+        if any(h - l <= OVERLAP_TOL for l, h in zip(lo, hi)):
             return []
         return [Box(lo, hi)]
     d = a.d
@@ -284,7 +301,7 @@ def intersect_cells(a: Cell, b: Cell) -> list[Cell]:
         ab = _as_interval(a)
         bb = _as_interval(b)
         lo, hi = max(ab[0], bb[0]), min(ab[1], bb[1])
-        return [] if hi - lo <= 1e-14 else [Box((lo,), (hi,))]
+        return [] if hi - lo <= OVERLAP_TOL else [Box((lo,), (hi,))]
     if d != 2:
         raise GeometryError("simplex intersection only implemented for d <= 2")
     poly = _polygon_of(a)
@@ -292,7 +309,7 @@ def intersect_cells(a: Cell, b: Cell) -> list[Cell]:
         poly = _clip_halfplane(poly, normal, offset)
         if len(poly) == 0:
             return []
-    if abs(_signed_area(poly)) <= 1e-14:
+    if abs(_signed_area(poly)) <= OVERLAP_TOL:
         return []
     return list(_fan_triangulate(poly))
 
@@ -309,10 +326,17 @@ def _as_interval(cell: Cell) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def gauss_points_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 1], exact to degree 2n - 1."""
+    """Gauss-Legendre nodes/weights on [0, 1], exact to degree 2n - 1.
+
+    Computed once per n; the arrays are shared and read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def _points_for_degree(degree: int) -> int:
@@ -341,11 +365,13 @@ def cell_quadrature(cell: Cell, degree: int) -> tuple[np.ndarray, np.ndarray]:
         raise GeometryError("simplex quadrature only implemented for d <= 2")
     # Duffy transform: (u, v) in [0,1]^2 -> v0 + u (v1 - v0) + u v (v2 - v1);
     # a total-degree-D polynomial pulls back to degree 2D + 1, still Gaussian-exact.
+    # The vertices are taken in lexicographic order, so the rule depends on the
+    # triangle alone, not on where its vertex list starts.
     n = degree + 1
     u1, wu = gauss_points_1d(n)
     u, v = np.meshgrid(u1, u1, indexing="ij")
     wt = np.outer(wu, wu)
-    v0, v1, v2 = (np.asarray(p, dtype=float) for p in cell.verts)
+    v0, v1, v2 = (np.asarray(p, dtype=float) for p in sorted(cell.verts))
     pts = v0 + u.ravel()[:, None] * (v1 - v0) + (u * v).ravel()[:, None] * (v2 - v1)
     jac = 2.0 * cell.volume() * u.ravel()
     return pts, wt.ravel() * jac
@@ -375,21 +401,29 @@ class PiecewisePolynomial:
             if cell.d != d or poly.d != d:
                 raise ValueError("piece dimension mismatch")
         self.pieces = list(pieces)
+        # (n, d) bounding-box corners of the cells, in piece order
+        bounds = [cell.bounds() for cell, _ in self.pieces]
+        self.cell_lo = np.array([lo for lo, _ in bounds]).reshape(-1, d)
+        self.cell_hi = np.array([hi for _, hi in bounds]).reshape(-1, d)
 
     def degree(self) -> int:
         return max((p.degree() for _, p in self.pieces), default=0)
 
     def support_bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        los, his = [], []
-        for cell, _ in self.pieces:
-            if isinstance(cell, Box):
-                los.append(cell.lo)
-                his.append(cell.hi)
-            else:
-                v = np.asarray(cell.verts)
-                los.append(v.min(axis=0))
-                his.append(v.max(axis=0))
-        return np.min(los, axis=0), np.max(his, axis=0)
+        return self.cell_lo.min(axis=0), self.cell_hi.max(axis=0)
+
+    def piece_pairs(self, shift) -> list[tuple[int, int]]:
+        """Index pairs (i, j), i-major, such that the bounding boxes of cell i
+        moved by shift and of cell j overlap by more than OVERLAP_TOL along
+        every axis.
+
+        intersect_cells finds no volume for any other pair: the two cells
+        meet at most in a slab no wider than OVERLAP_TOL.
+        """
+        shift = np.asarray(shift, dtype=float)
+        width = (np.minimum(self.cell_hi[:, None] + shift, self.cell_hi[None])
+                 - np.maximum(self.cell_lo[:, None] + shift, self.cell_lo[None]))
+        return [tuple(p) for p in np.argwhere(np.all(width > OVERLAP_TOL, axis=2)).tolist()]
 
     def __call__(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -401,12 +435,10 @@ class PiecewisePolynomial:
         out = np.zeros(pts.shape[0])
         done = np.zeros(pts.shape[0], dtype=bool)
         for cell, poly in self.pieces:
-            mask = ~done
-            if not mask.any():
+            idx = np.nonzero(~done)[0]
+            if not idx.size:
                 break
-            idx = np.nonzero(mask)[0]
-            hit = np.array([cell.contains(pts[i]) for i in idx])
-            sel = idx[hit]
+            sel = idx[cell.contains(pts[idx])]
             if sel.size:
                 out[sel] = poly.eval_many(pts[sel])
                 done[sel] = True
@@ -416,28 +448,38 @@ class PiecewisePolynomial:
         return sum(integrate_poly(p, c) for c, p in self.pieces)
 
     def check_disjoint(self) -> None:
-        """Raise if two cells share interior volume (more than 1e-12)."""
-        for i in range(len(self.pieces)):
-            for j in range(i + 1, len(self.pieces)):
-                parts = intersect_cells(self.pieces[i][0], self.pieces[j][0])
-                overlap = sum(cell_volume(c) for c in parts)
-                if overlap > 1e-12:
-                    raise GeometryError(
-                        f"cells {i} and {j} overlap with measure {overlap:.3e}"
-                    )
+        """Raise if two cells share interior volume (more than 1e-12).
+
+        Only pairs whose bounding boxes overlap (piece_pairs) are intersected.
+        """
+        for i, j in self.piece_pairs(np.zeros(self.d)):
+            if i >= j:
+                continue
+            parts = intersect_cells(self.pieces[i][0], self.pieces[j][0])
+            overlap = sum(cell_volume(c) for c in parts)
+            if overlap > 1e-12:
+                raise GeometryError(
+                    f"cells {i} and {j} overlap with measure {overlap:.3e}"
+                )
 
     def check_continuity(self) -> float:
         """Max jump of the function across sampled cell-boundary points (5 per
-        face); a jump above 1e-9 raises."""
+        face); a jump above 1e-9 raises.
+
+        For each pair of distinct cells, every boundary sample of the first
+        that the second contains (to 1e-10) is compared at once.
+        """
         worst = 0.0
         for cell, poly in self.pieces:
-            for x in _boundary_samples(cell, 5):
-                here = float(poly(x))
-                for other_cell, other_poly in self.pieces:
-                    if other_cell is cell:
-                        continue
-                    if other_cell.contains(x, tol=1e-10):
-                        worst = max(worst, abs(here - float(other_poly(x))))
+            samples = _boundary_samples(cell, 5)
+            here = poly.eval_many(samples)
+            for other_cell, other_poly in self.pieces:
+                if other_cell is cell:
+                    continue
+                hit = other_cell.contains(samples, tol=1e-10)
+                if hit.any():
+                    jump = np.abs(here[hit] - other_poly.eval_many(samples[hit]))
+                    worst = max(worst, float(jump.max()))
         if worst > 1e-9:
             raise GeometryError(f"discontinuity of size {worst:.3e} across cell faces")
         return worst

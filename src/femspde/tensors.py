@@ -57,43 +57,50 @@ def default_quad_degree(element: FiniteElement) -> int:
 def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, OverlapTable]:
     """One quadrature table per neighbor shift on supp(psi_lam) ∩ supp(psi).
 
-    The reference tensors integrate over these tables; build_cell_quadrature
-    regroups their points by lattice cell for the operator assembly.
+    The points come from every cell pair (shifted cell i, cell j) whose
+    bounding boxes overlap (PiecewisePolynomial.piece_pairs), i-major; each
+    piece's polynomials are then evaluated once on all the points that lie in
+    its cell.  The reference tensors integrate over these tables;
+    build_cell_quadrature regroups their points by lattice cell for the
+    operator assembly.
     """
     d = element.d
-    derivatives = [[poly.derivative(k) for k in range(d)] for _, poly in element.psi.pieces]
+    pieces = element.psi.pieces
+    derivatives = [[poly.derivative(k) for k in range(d)] for _, poly in pieces]
     tables: dict[Lam, OverlapTable] = {}
     for lam in element.gamma:
         shift = np.asarray(lam, dtype=float)
-        pts_parts: list[np.ndarray] = []
-        wts_parts: list[np.ndarray] = []
-        psil_parts: list[np.ndarray] = []
-        psi0_parts: list[np.ndarray] = []
-        dpsil_parts: list[np.ndarray] = []
-        dpsi0_parts: list[np.ndarray] = []
-        for cell_l, poly_l in element.psi.pieces:
-            poly_ls = poly_l.translated(shift)
-            dpolys_l = [poly_ls.derivative(k) for k in range(d)]
-            shifted = cell_l.translated(shift)
-            for (cell_0, poly_0), dpolys_0 in zip(element.psi.pieces, derivatives):
-                for part in intersect_cells(shifted, cell_0):
-                    pts, wts = cell_quadrature(part, quad_degree)
-                    pts_parts.append(pts)
-                    wts_parts.append(wts)
-                    psil_parts.append(poly_ls.eval_many(pts))
-                    psi0_parts.append(poly_0.eval_many(pts))
-                    dpsil_parts.append(np.stack([p.eval_many(pts) for p in dpolys_l]))
-                    dpsi0_parts.append(np.stack([p.eval_many(pts) for p in dpolys_0]))
-        if not pts_parts:
+        rules: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        for i, j in element.psi.piece_pairs(shift):
+            for part in intersect_cells(pieces[i][0].translated(shift), pieces[j][0]):
+                rules.append((i, j) + cell_quadrature(part, quad_degree))
+        if not rules:
             continue
+        points = np.concatenate([pts for _, _, pts, _ in rules])
+        # piece index of psi_lam and of psi at each point
+        piece_l = np.concatenate([np.full(len(wts), i) for i, _, _, wts in rules])
+        piece_0 = np.concatenate([np.full(len(wts), j) for _, j, _, wts in rules])
+        psi_l, dpsi_l = np.empty(len(points)), np.empty((d, len(points)))
+        psi_0, dpsi_0 = np.empty(len(points)), np.empty((d, len(points)))
+        for i in sorted({i for i, _, _, _ in rules}):
+            at = piece_l == i
+            pts = points[at]
+            poly = pieces[i][1].translated(shift)
+            psi_l[at] = poly.eval_many(pts)
+            dpsi_l[:, at] = [poly.derivative(k).eval_many(pts) for k in range(d)]
+        for j in sorted({j for _, j, _, _ in rules}):
+            at = piece_0 == j
+            pts = points[at]
+            psi_0[at] = pieces[j][1].eval_many(pts)
+            dpsi_0[:, at] = [p.eval_many(pts) for p in derivatives[j]]
         tables[lam] = OverlapTable(
             lam=lam,
-            points=np.concatenate(pts_parts),
-            weights=np.concatenate(wts_parts),
-            psi_l=np.concatenate(psil_parts),
-            psi_0=np.concatenate(psi0_parts),
-            dpsi_l=np.concatenate(dpsil_parts, axis=1),
-            dpsi_0=np.concatenate(dpsi0_parts, axis=1),
+            points=points,
+            weights=np.concatenate([wts for _, _, _, wts in rules]),
+            psi_l=psi_l,
+            psi_0=psi_0,
+            dpsi_l=dpsi_l,
+            dpsi_0=dpsi_0,
         )
     return tables
 

@@ -571,6 +571,14 @@ class TestCellQuadrature:
         close(mollify_data(problem.phi, tensors, lattice, t).values,
               raw_mollified(problem.phi, element, lattice, h, t, tensors.quad_degree))
 
+    def test_triangle_cells_share_one_point_set(self):
+        # every overlap part of triangle2d lies in one of the two triangles of
+        # the criss-cross unit cell, and each carries the same 9 x 9 Duffy rule
+        # whatever corner its vertex list starts at
+        tensors = compute_reference_tensors(_element("triangle2d"))
+        assert tensors.quad_degree == 8
+        assert len(tensors.quad.zeta) == 2 * 9 * 9
+
     def test_split_cells_stay_within_lattice_cells(self):
         quad = compute_reference_tensors(_element("split-hat")).quad
         assert quad.shifts == ((-1,), (0,))

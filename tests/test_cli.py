@@ -1,9 +1,11 @@
 import json
 import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from femspde.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 
@@ -407,6 +409,46 @@ class TestManifest:
         assert doc["command"] == "simulate"
         assert doc["config"]["problem_text"] == STOCH_PROBLEM
         assert doc["config"]["seed"] == 2024
+
+    def test_manifest_records_environment(self, tmp_path, stoch_file, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "hat1d", "--problem", stoch_file,
+                     "--n", "8", "--T", "0.05", "--steps", "4", "--out", str(out)]) == EXIT_OK
+        (run_dir,) = run_dirs(out)
+        doc = json.loads((out / run_dir / "manifest.json").read_text())
+        assert doc["environment"] == {
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "OMP_NUM_THREADS": "3",
+            "OPENBLAS_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": None,
+        }
+
+    @pytest.mark.parametrize("environment", [None, {"python": "3.10.0", "numpy": "1.24.0",
+                                                    "OMP_NUM_THREADS": "8"}],
+                             ids=["older", "other-runtime"])
+    def test_replay_ignores_recorded_environment(self, tmp_path, stoch_file, environment):
+        # manifests written before the environment was recorded, and manifests
+        # from another runtime, replay to the same bytes; the replay records
+        # the environment it runs in
+        out = tmp_path / "o"
+        assert main(["convergence", "--preset", "hat1d", "--problem", stoch_file,
+                     "--n", "8", "--T", "0.05", "--ladder", "3", "--samples", "2",
+                     "--out", str(out)]) == EXIT_OK
+        (first,) = run_dirs(out)
+        doc = json.loads((out / first / "manifest.json").read_text())
+        assert "environment" in doc
+        if environment is None:
+            del doc["environment"]
+        else:
+            doc["environment"] = environment
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        assert_replay_is_byte_identical(out, older, first)
 
     def test_env_var_default_output(self, tmp_path, stoch_file, monkeypatch):
         monkeypatch.setenv("FEMSPDE_OUT", str(tmp_path / "from-env"))

@@ -1,0 +1,306 @@
+"""The element layer's array geometry against the scalar code it replaced.
+
+Each oracle below is the per-point or all-pairs loop that containment, the
+piecewise evaluation, the overlap measure, the continuity check, the overlap
+tables and the lattice-point search used before they worked on arrays.  The
+array code must agree with them exactly (``==``) on every built-in element
+and on the element-file fixtures of the suite.
+"""
+
+import numpy as np
+import pytest
+
+from femspde.elements import (
+    build_element,
+    compute_gamma,
+    lattice_points_in_box,
+    parse_element_text,
+    support_overlap_measure,
+)
+from femspde.polynomials import (
+    Box,
+    GeometryError,
+    PiecewisePolynomial,
+    Polynomial,
+    Simplex,
+    _boundary_samples,
+    cell_quadrature,
+    cell_volume,
+    intersect_cells,
+)
+from femspde.tensors import build_overlap_tables, default_quad_degree
+
+from .test_assembly import SPLIT_HAT
+from .test_cli import SCALED_ELEMENT
+from .test_elements import ELEMENT_TEXT
+
+# triangle2d written out as an element file, each vertex list starting at a
+# different corner than the preset's
+TRIANGLE_FILE = """\
+d = 2
+name = triangle-file
+lambda = (0,0) (1,0) (-1,0) (0,1) (0,-1)
+[cell]
+type = simplex
+vertices = 1 1 ; 0 0 ; 1 0
+poly = 0,0: 1  1,0: -1
+[cell]
+type = simplex
+vertices = 0 1 ; 0 0 ; 1 1
+poly = 0,0: 1  0,1: -1
+[cell]
+type = simplex
+vertices = 0 0 ; 0 1 ; -1 0
+poly = 0,0: 1  1,0: 1  0,1: -1
+[cell]
+type = simplex
+vertices = -1 -1 ; 0 0 ; -1 0
+poly = 0,0: 1  1,0: 1
+[cell]
+type = simplex
+vertices = -1 -1 ; 0 -1 ; 0 0
+poly = 0,0: 1  0,1: 1
+[cell]
+type = simplex
+vertices = 1 0 ; 0 0 ; 0 -1
+poly = 0,0: 1  1,0: -1  0,1: 1
+"""
+
+PRESETS = ["hat1d", "tensor(1)", "tensor(2)", "tensor(3)", "tensor(4)", "triangle2d"]
+FILES = {"custom-hat": ELEMENT_TEXT, "scaled-hat": SCALED_ELEMENT, "split-hat": SPLIT_HAT,
+         "triangle-file": TRIANGLE_FILE}
+CASES = PRESETS + sorted(FILES) + ["skew-hat"]
+
+
+@pytest.fixture(scope="module")
+def elements(skew_hat_text):
+    out = {name: build_element(name) for name in PRESETS}
+    out.update({name: parse_element_text(text) for name, text in FILES.items()})
+    out["skew-hat"] = parse_element_text(skew_hat_text)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the scalar oracles
+# ---------------------------------------------------------------------------
+
+
+def point_in(cell, x, tol=1e-12):
+    """The containment test of one point."""
+    if isinstance(cell, Box):
+        return all(l - tol <= xi <= h + tol for xi, l, h in zip(x, cell.lo, cell.hi))
+    v = np.asarray(cell.verts, dtype=float)
+    bary = np.linalg.solve((v[1:] - v[0]).T, np.asarray(x, dtype=float) - v[0])
+    return bool(bary.min() >= -tol and bary.sum() <= 1 + tol)
+
+
+def contains_oracle(cell, pts, tol=1e-12):
+    """One containment test per point."""
+    return np.array([point_in(cell, x, tol) for x in pts], dtype=bool)
+
+
+def eval_oracle(psi, pts):
+    """Each point takes the value of the first cell that contains it."""
+    out = np.zeros(len(pts))
+    for i, x in enumerate(pts):
+        for cell, poly in psi.pieces:
+            if point_in(cell, x):
+                out[i] = poly(x)
+                break
+    return out
+
+
+def overlap_measure_oracle(element, lam):
+    """Intersect every cell of the shifted support with every cell of psi."""
+    shift = np.asarray(lam, dtype=float)
+    total = 0.0
+    for cell, _ in element.psi.pieces:
+        shifted = cell.translated(shift)
+        for other, _ in element.psi.pieces:
+            for part in intersect_cells(shifted, other):
+                total += cell_volume(part)
+    return total
+
+
+def continuity_oracle(psi):
+    """Max jump, one boundary sample and one other cell at a time."""
+    worst = 0.0
+    for cell, poly in psi.pieces:
+        for x in _boundary_samples(cell, 5):
+            here = float(poly(x))
+            for other_cell, other_poly in psi.pieces:
+                if other_cell is cell:
+                    continue
+                if point_in(other_cell, x, tol=1e-10):
+                    worst = max(worst, abs(here - float(other_poly(x))))
+    return worst
+
+
+def tables_oracle(element, quad_degree):
+    """Every cell pair intersected; each part's basis values evaluated alone."""
+    d = element.d
+    derivatives = [[poly.derivative(k) for k in range(d)] for _, poly in element.psi.pieces]
+    tables = {}
+    for lam in element.gamma:
+        shift = np.asarray(lam, dtype=float)
+        parts = []
+        for cell_l, poly_l in element.psi.pieces:
+            poly_ls = poly_l.translated(shift)
+            dpolys_l = [poly_ls.derivative(k) for k in range(d)]
+            shifted = cell_l.translated(shift)
+            for (cell_0, poly_0), dpolys_0 in zip(element.psi.pieces, derivatives):
+                for part in intersect_cells(shifted, cell_0):
+                    pts, wts = cell_quadrature(part, quad_degree)
+                    parts.append((pts, wts, poly_ls.eval_many(pts), poly_0.eval_many(pts),
+                                  np.stack([p.eval_many(pts) for p in dpolys_l]),
+                                  np.stack([p.eval_many(pts) for p in dpolys_0])))
+        if parts:
+            columns = list(zip(*parts))
+            tables[lam] = [np.concatenate(c, axis=-1 if k >= 4 else 0)
+                           for k, c in enumerate(columns)]
+    return tables
+
+
+def lattice_points_oracle(lambda_set, lo, hi):
+    """Breadth-first search over a set of tuples, one point at a time."""
+    lam = [np.asarray(v, dtype=int) for v in lambda_set]
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    margin = max((np.abs(v).max() for v in lam), default=0)
+    zero = tuple(0 for _ in lo)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for v in lam:
+                q = tuple((np.asarray(p) + v).tolist())
+                if q in seen or np.any(np.asarray(q) < lo - margin) \
+                        or np.any(np.asarray(q) > hi + margin):
+                    continue
+                seen.add(q)
+                nxt.append(q)
+        frontier = nxt
+    return {p for p in seen if np.all(np.asarray(p) >= lo) and np.all(np.asarray(p) <= hi)}
+
+
+# ---------------------------------------------------------------------------
+# sample points
+# ---------------------------------------------------------------------------
+
+
+def sample_points(psi, count=400):
+    """Random points around the support, cell corners (also moved out by
+    exactly the containment tolerances), lattice points and boundary samples
+    of every cell (faces shared by two cells included), at most `count` of
+    the last kind."""
+    rng = np.random.default_rng(7)
+    lo, hi = psi.support_bbox()
+    random = lo - 0.25 + rng.random((count, psi.d)) * (hi - lo + 0.5)
+    corners = np.concatenate([psi.cell_lo - tol for tol in (0.0, 1e-12, 1e-10)]
+                             + [psi.cell_hi + tol for tol in (0.0, 1e-12, 1e-10)])
+    grid = np.stack(np.meshgrid(*[np.arange(np.floor(a) - 1, np.ceil(b) + 2)
+                                  for a, b in zip(lo, hi)], indexing="ij"), -1)
+    faces = np.concatenate([_boundary_samples(cell, 5) for cell, _ in psi.pieces])
+    faces = faces[rng.permutation(len(faces))[:count]]
+    return np.concatenate([random, corners, grid.reshape(-1, psi.d), faces])
+
+
+# ---------------------------------------------------------------------------
+# the array code against the oracles
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", CASES)
+class TestArrayGeometryMatchesOracles:
+    def test_containment(self, elements, case):
+        psi = elements[case].psi
+        pts = sample_points(psi)
+        for cell, _ in psi.pieces:
+            for tol in (1e-12, 1e-10):
+                got = cell.contains(pts, tol=tol)
+                assert got.dtype == bool and got.shape == (len(pts),)
+                np.testing.assert_array_equal(got, contains_oracle(cell, pts, tol))
+
+    def test_evaluation(self, elements, case):
+        psi = elements[case].psi
+        pts = sample_points(psi)
+        np.testing.assert_array_equal(psi.eval_many(pts), eval_oracle(psi, pts))
+
+    def test_overlap_measure_and_gamma(self, elements, case):
+        element = elements[case]
+        lo, hi = element.psi.support_bbox()
+        candidates = lattice_points_in_box(element.lambda_set, lo - hi, hi - lo)
+        oracle = {lam: overlap_measure_oracle(element, lam) for lam in candidates}
+        assert {lam: support_overlap_measure(element, lam) for lam in candidates} == oracle
+        assert element.gamma == tuple(sorted(lam for lam, m in oracle.items() if m > 1e-12))
+        assert sorted(compute_gamma(element)) == list(element.gamma)
+
+    def test_continuity(self, elements, case):
+        psi = elements[case].psi
+        assert psi.check_continuity() == continuity_oracle(psi)
+
+    def test_overlap_tables(self, elements, case):
+        element = elements[case]
+        degree = default_quad_degree(element)
+        tables = build_overlap_tables(element, degree)
+        oracle = tables_oracle(element, degree)
+        assert list(tables) == list(oracle)
+        for lam, tab in tables.items():
+            got = [tab.points, tab.weights, tab.psi_l, tab.psi_0, tab.dpsi_l, tab.dpsi_0]
+            for a, b in zip(got, oracle[lam]):
+                assert a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+
+    def test_lattice_points(self, elements, case):
+        element = elements[case]
+        lo, hi = element.psi.support_bbox()
+        for box in ((lo, hi), (lo - hi, hi - lo), (lo + 0.5, hi + 1.5)):
+            got = lattice_points_in_box(element.lambda_set, *box)
+            assert got == sorted(got)
+            assert set(got) == lattice_points_oracle(element.lambda_set, *box)
+
+
+def test_lattice_points_of_a_sublattice():
+    # Lambda generates only the points of even coordinate sum; the margin of
+    # the search keeps every such point of the box reachable
+    lam = {(0, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)}
+    for box in (([-2, -2], [2, 2]), ([0.5, -3], [3.5, 0]), ([0.2, 0.2], [0.8, 0.8])):
+        got = lattice_points_in_box(lam, *box)
+        assert set(got) == lattice_points_oracle(lam, *box)
+    # (2, 0) is reached only through (1, 1) or (1, -1), outside the box
+    assert lattice_points_in_box(lam, [0.5, -0.2], [3.5, 0.2]) == [(2, 0)]
+    assert lattice_points_in_box({(0,)}, [0.2], [0.8]) == []
+
+
+# ---------------------------------------------------------------------------
+# faces and jumps
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cells", [
+    [Box((-1.0, 0.0), (0.0, 1.0)), Box((0.0, 0.0), (1.0, 1.0))],
+    [Simplex(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))), Simplex(((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)))],
+], ids=["boxes", "triangles"])
+class TestSharedFaces:
+    def test_face_point_takes_first_containing_cell(self, cells):
+        one, two = Polynomial.constant(2, 1.0), Polynomial.constant(2, 2.0)
+        face = _boundary_samples(cells[0], 5)
+        on_both = face[cells[1].contains(face)]
+        assert len(on_both) == 5
+        forward = PiecewisePolynomial(2, [(cells[0], one), (cells[1], two)])
+        backward = PiecewisePolynomial(2, [(cells[1], two), (cells[0], one)])
+        assert list(forward.eval_many(on_both)) == [1.0] * 5
+        assert list(backward.eval_many(on_both)) == [2.0] * 5
+        np.testing.assert_array_equal(forward.eval_many(face), eval_oracle(forward, face))
+        np.testing.assert_array_equal(backward.eval_many(face), eval_oracle(backward, face))
+
+    def test_discontinuity_raises_with_the_oracle_jump(self, cells):
+        # psi jumps by 0.25 x2 across the shared face
+        left = Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0})
+        right = Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 0.25})
+        psi = PiecewisePolynomial(2, [(cells[0], left), (cells[1], right)])
+        jump = continuity_oracle(psi)
+        assert jump > 1e-9
+        with pytest.raises(GeometryError, match=f"discontinuity of size {jump:.3e} "):
+            psi.check_continuity()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,15 @@ class TestQuadrature:
             approx = float(wts @ (pts[:, 0] ** p * pts[:, 1] ** q))
             exact = 1.0 / ((q + 1) * (p + q + 2))
             assert approx == pytest.approx(exact, abs=1e-14, rel=1e-13)
+
+    @pytest.mark.parametrize("verts", [((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)),
+                                       ((-1.0, 0.0), (0.0, 0.5), (0.5, -2.0))])
+    def test_triangle_rule_ignores_vertex_order(self, verts):
+        pts, wts = cell_quadrature(Simplex(verts), degree=8)
+        for order in itertools.permutations(verts):
+            other_pts, other_wts = cell_quadrature(Simplex(order), degree=8)
+            np.testing.assert_array_equal(other_pts, pts)
+            np.testing.assert_array_equal(other_wts, wts)
 
     def test_triangle_volume(self):
         tri = Simplex(((0.0, 0.0), (2.0, 0.0), (0.0, 1.0)))

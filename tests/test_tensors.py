@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from femspde.elements import build_element
@@ -275,3 +277,43 @@ class TestCellQuadratureOwnership:
         assert study_calls == 2 * 5 and multilevel_calls == 2 * 3  # drift and phi_h
         assert len(seen) == study_calls + multilevel_calls + 1
         assert all(quad is tensors.quad for quad in seen)
+
+
+class TestSetUpWork:
+    """Element set-up intersects only cell pairs whose bounding boxes overlap,
+    and computes each Gauss rule once."""
+
+    def test_tensor3_setup_counts(self, monkeypatch):
+        import femspde.elements as elements
+        import femspde.polynomials as polynomials
+        import femspde.tensors as tensors_module
+        from femspde.elements import validate_element
+
+        intersections = []
+        real_intersect = polynomials.intersect_cells
+
+        def counting_intersect(a, b):
+            intersections.append((a, b))
+            return real_intersect(a, b)
+
+        for module in (polynomials, elements, tensors_module):
+            monkeypatch.setattr(module, "intersect_cells", counting_intersect)
+        rules = Counter()
+        real_leggauss = np.polynomial.legendre.leggauss
+
+        def counting_leggauss(n):
+            rules[n] += 1
+            return real_leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+        polynomials.gauss_points_1d.cache_clear()
+        element = build_element("tensor(3)")
+        validate_element(element)
+        tensors = compute_reference_tensors(element)
+        # 64 overlapping (shifted cell, cell) pairs over the 27 shifts of Gamma,
+        # once for Gamma and once for the overlap tables; all 8 x 8 pairs of
+        # 125 candidate shifts were 8000 for Gamma alone
+        assert len(intersections) <= 200
+        assert rules and set(rules.values()) == {1}
+        x, w = polynomials.gauss_points_1d(tensors.quad_degree // 2 + 1)
+        assert not x.flags.writeable and not w.flags.writeable
