@@ -19,15 +19,18 @@ print("hat1d")
 print("  neighbor set Gamma:", hat.gamma)
 print("  psi(0) =", hat.psi((0.0,)), "  psi(0.5) =", hat.psi((0.5,)))
 
+# Each tensor is an array whose axis 0 runs over Gamma, in the order of
+# tensors.gamma; derivative axes count from 0.
 tensors = compute_reference_tensors(hat)
-print("  mass row      R_0, R_1   =", tensors.r((0,)), ",", tensors.r((1,)))
-print("  stiffness     R11_0, R11_1 =", tensors.rab((0,), 1, 1), ",", tensors.rab((1,), 1, 1))
-print("  first deriv   R1_{+1}    =", tensors.rbeta((1,), 1))
+zero, one = tensors.gamma.index((0,)), tensors.gamma.index((1,))
+print("  mass row      R_0, R_1   =", tensors.R[zero], ",", tensors.R[one])
+print("  stiffness     R11_0, R11_1 =", tensors.Rab[zero, 0, 0], ",", tensors.Rab[one, 0, 0])
+print("  first deriv   R1_{+1}    =", tensors.Rbeta[one, 0])
 
 # The mass row sums to one and the stiffness row to zero; these are the
 # zeroth compatibility identities that make the scheme consistent.
-print("  sum R  =", sum(tensors.r(lam) for lam in tensors.gamma))
-print("  sum R11 =", sum(tensors.rab(lam, 1, 1) for lam in tensors.gamma))
+print("  sum R  =", sum(tensors.R))
+print("  sum R11 =", sum(tensors.Rab[:, 0, 0]))
 
 # -- the P1 element on the criss-cross triangulation -------------------------
 
@@ -35,7 +38,8 @@ tri = build_element("triangle2d")
 tri_tensors = compute_reference_tensors(tri)
 print("\ntriangle2d")
 print("  |Gamma| =", len(tri.gamma), "(six neighbors plus the origin)")
-print("  (psi, psi) =", tri_tensors.r((0, 0)), " neighbor overlap =", tri_tensors.r((1, 0)))
+zero, east = tri_tensors.gamma.index((0, 0)), tri_tensors.gamma.index((1, 0))
+print("  (psi, psi) =", tri_tensors.R[zero], " neighbor overlap =", tri_tensors.R[east])
 
 # -- products of hats in any dimension ---------------------------------------
 
@@ -43,7 +47,7 @@ ten = build_element("tensor(2)")
 ten_tensors = compute_reference_tensors(ten)
 print("\ntensor(2)")
 print("  |Gamma| =", len(ten.gamma), "(the full 3x3 neighborhood)")
-print("  R factorizes:", ten_tensors.r((1, 0)), "=", 1 / 6 * 2 / 3)
+print("  R factorizes:", ten_tensors.R[ten_tensors.gamma.index((1, 0))], "=", 1 / 6 * 2 / 3)
 
 # Evaluating psi anywhere is exact piecewise-polynomial evaluation:
 pts = np.array([[0.25, 0.25], [0.75, -0.25], [1.5, 0.0]])

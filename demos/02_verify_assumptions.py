@@ -33,7 +33,7 @@ for preset in ("hat1d", "tensor(2)", "triangle2d"):
 # stencil; for the hat it is exactly 1/3, attained at the highest frequency.
 hat = build_element("hat1d")
 tensors = compute_reference_tensors(hat)
-delta = check_invertibility(tensors, 1024)
+delta = check_invertibility(tensors)
 print("\nhat1d symbol minimum:", delta, "(= 1/3)")
 
 # -- spot-check parabolicity of a coefficient set ------------------------------

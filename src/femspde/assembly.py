@@ -187,9 +187,8 @@ def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms
 
 def assemble_mass(tensors: ReferenceTensors, lattice: TorusLattice) -> StencilOperator:
     """Mass stencil: constant coefficient R_lam at every site."""
-    offsets = tensors.gamma
-    rows = np.tile([tensors.r(lam) for lam in offsets], (*lattice.shape, 1))
-    return StencilOperator(lattice, offsets, np.moveaxis(rows, -1, 0))
+    rows = np.tile(tensors.R, (*lattice.shape, 1))
+    return StencilOperator(lattice, tensors.gamma, np.moveaxis(rows, -1, 0))
 
 
 def assemble_drift(

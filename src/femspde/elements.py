@@ -28,7 +28,6 @@ from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
     Simplex,
-    cell_volume,
     intersect_cells,
     parse_number,
 )
@@ -199,7 +198,7 @@ def support_overlap_measure(element: FiniteElement, lam: tuple[int, ...]) -> flo
     total = 0.0
     for i, j in element.psi.piece_pairs(shift):
         for part in intersect_cells(cells[i].translated(shift), cells[j]):
-            total += cell_volume(part)
+            total += part.volume()
     return total
 
 
@@ -240,14 +239,12 @@ def validate_element(element: FiniteElement) -> dict[str, float]:
     """Check the element invariants; returns the residuals that were measured.
 
     Verifies cell disjointness, continuity across faces, psi(-x) = psi(x) at
-    200 sampled points (a fixed seed), Lambda = -Lambda, and the normalisation
-    integral of psi to 1e-10.  Raises GeometryError / ValueError when a check
-    fails.
+    200 sampled points (a fixed seed), and the normalisation integral of psi
+    to 1e-10.  Raises GeometryError / ValueError when a check fails.
+    Lambda = -Lambda is finish_element's rule, so every element has it.
     """
     psi = element.psi
     jump = validate_element_structure(element)
-    if {tuple(-c for c in v) for v in element.lambda_set} != element.lambda_set:
-        raise ValueError("Lambda is not symmetric")
     lo, hi = psi.support_bbox()
     pts = lo + np.random.default_rng(0).random((200, element.d)) * (hi - lo)
     sym_residual = float(np.max(np.abs(psi.eval_many(pts) - psi.eval_many(-pts))))
@@ -370,10 +367,9 @@ def _parse_cell(block: dict[str, str], d: int) -> tuple[Cell, Polynomial]:
 def _parse_poly(text: str, d: int) -> Polynomial:
     import re
 
+    terms = list(re.finditer(r"(\S+?)\s*:\s*(\S+)", text))
     coeffs: dict[tuple[int, ...], float] = {}
-    consumed = 0
-    for match in re.finditer(r"(\S+?)\s*:\s*(\S+)", text):
-        consumed += len(match.group(0))
+    for match in terms:
         expo_text, coeff_text = match.group(1), match.group(2)
         parts = expo_text.split(",")
         if len(parts) != d:
@@ -384,8 +380,8 @@ def _parse_poly(text: str, d: int) -> Polynomial:
         except ValueError:
             raise ElementFormatError(f"bad polynomial term {match.group(0)!r}") from None
         coeffs[expo] = coeffs.get(expo, 0.0) + coeff
-    leftover = len("".join(text.split())) - len("".join("".join(
-        m.group(0) for m in re.finditer(r"(\S+?)\s*:\s*(\S+)", text)).split()))
+    # every non-blank character must belong to some term
+    leftover = len("".join(text.split())) - sum(len("".join(m.group(0).split())) for m in terms)
     if leftover or not coeffs:
         raise ElementFormatError(f"bad polynomial term in {text.strip()!r}")
     return Polynomial(d, coeffs)

@@ -11,6 +11,7 @@ top of this module are exact up to roundoff.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,7 +111,7 @@ class Polynomial:
                     new = list(expo)
                     new[axis] = i
                     key = tuple(new)
-                    coef = c * _binom(e, i) * (-t) ** (e - i)
+                    coef = c * math.comb(e, i) * (-t) ** (e - i)
                     out[key] = out.get(key, 0.0) + coef
             coeffs = out
         return Polynomial(self.d, coeffs)
@@ -118,12 +119,6 @@ class Polynomial:
     def __repr__(self) -> str:
         terms = sorted(self.coeffs.items())
         return f"Polynomial(d={self.d}, {terms})"
-
-
-def _binom(n: int, k: int) -> float:
-    from math import comb
-
-    return float(comb(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +204,6 @@ class Simplex:
 
 
 Cell = Box | Simplex
-
-
-def cell_volume(cell: Cell) -> float:
-    return cell.volume()
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +447,7 @@ class PiecewisePolynomial:
             if i >= j:
                 continue
             parts = intersect_cells(self.pieces[i][0], self.pieces[j][0])
-            overlap = sum(cell_volume(c) for c in parts)
+            overlap = sum(c.volume() for c in parts)
             if overlap > 1e-12:
                 raise GeometryError(
                     f"cells {i} and {j} overlap with measure {overlap:.3e}"

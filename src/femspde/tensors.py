@@ -2,13 +2,18 @@
 
 For shifts lambda in the neighbor set Gamma the tensors are the inner
 products of the mother function (and its first derivatives, optionally
-weighted by coordinate monomials) against its shifted copy:
+weighted by coordinate monomials) against its shifted copy.  Each tensor
+is one array whose axis 0 runs over Gamma, in the order of `gamma`, with
+0-based derivative and coordinate axes after it:
 
-    R          (psi_lam, psi)
-    Rbeta[b]   (D_b psi_lam, psi)
-    Rab[a,b]   (D_b psi_lam, -D_a psi)
-    Q[i,j,k,l] integral of z_k z_l D_j psi_lam(z) (-D_i psi(z)) dz
-    Qtilde[i,k] integral of z_k D_i psi_lam(z) psi(z) dz
+    R[g]            (psi_lam, psi)
+    Rbeta[g,b]      (D_b psi_lam, psi)
+    Rab[g,a,b]      (D_b psi_lam, -D_a psi)
+    Q[g,i,j,k,l]    integral of z_k z_l D_j psi_lam(z) (-D_i psi(z)) dz
+    Qtilde[g,i,k]   integral of z_k D_i psi_lam(z) psi(z) dz
+
+for lam = gamma[g].  The moment identities that femspde.checks verifies
+are sums over axis 0.
 
 The integration domain per lambda is the common refinement of the shifted
 and unshifted cell decompositions; each sub-cell carries a Gauss rule exact
@@ -175,63 +180,50 @@ def build_cell_quadrature(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceTensors:
-    """Stencil-defining constants of an element, keyed by neighbor shift.
+    """Stencil-defining constants of an element, as arrays over Gamma.
 
-    Entries for shifts outside Gamma are identically zero; the accessors
-    return 0.0 accordingly.  Derivative indices run from 1 to d.  `tables`
-    are the overlap tables the tensors were computed from.  `quad` is the
-    element's cell quadrature at `quad_degree`, regrouped from those tables
-    on first use: the assembly needs it, computing and checking the tensors
-    does not.
+    Axis 0 of every tensor runs over the shifts of `gamma`, in that order;
+    the derivative and coordinate axes run from 0 to d - 1.  Shifts outside
+    Gamma have identically zero tensors and no row.  `tables` are the overlap
+    tables the tensors were computed from.  `quad` is the element's cell
+    quadrature at `quad_degree`, regrouped from those tables on first use:
+    the assembly needs it, computing and checking the tensors does not.
+    Instances compare by identity (eq=False), never by their arrays.
     """
 
     d: int
     gamma: tuple[Lam, ...]
-    R: dict[Lam, float]
-    Rbeta: dict[tuple[Lam, int], float]
-    Rab: dict[tuple[Lam, int, int], float]
-    Q: dict[tuple[Lam, int, int, int, int], float]
-    Qtilde: dict[tuple[Lam, int, int], float]
+    R: np.ndarray       # (G,)
+    Rbeta: np.ndarray   # (G, d)
+    Rab: np.ndarray     # (G, d, d)
+    Q: np.ndarray       # (G, d, d, d, d)
+    Qtilde: np.ndarray  # (G, d, d)
     quad_degree: int
-    element: FiniteElement = field(compare=False, repr=False)
-    tables: dict[Lam, OverlapTable] = field(default_factory=dict, compare=False, repr=False)
+    element: FiniteElement = field(repr=False)
+    tables: dict[Lam, OverlapTable] = field(default_factory=dict, repr=False)
 
     @cached_property
     def quad(self) -> CellQuadrature:
         return build_cell_quadrature(self.element, self.tables, self.quad_degree)
 
-    def r(self, lam: Lam) -> float:
-        return self.R.get(tuple(lam), 0.0)
-
-    def rbeta(self, lam: Lam, beta: int) -> float:
-        return self.Rbeta.get((tuple(lam), beta), 0.0)
-
-    def rab(self, lam: Lam, alpha: int, beta: int) -> float:
-        return self.Rab.get((tuple(lam), alpha, beta), 0.0)
-
-    def q(self, lam: Lam, i: int, j: int, k: int, l: int) -> float:
-        return self.Q.get((tuple(lam), i, j, k, l), 0.0)
-
-    def qtilde(self, lam: Lam, i: int, k: int) -> float:
-        return self.Qtilde.get((tuple(lam), i, k), 0.0)
-
     def symmetry_residual(self) -> float:
         """Largest violation of the reflection identities of the tensors.
 
         R and Rab are even under lam -> -lam, Rbeta is odd; a symmetric
-        element satisfies all three exactly.
+        element satisfies all three exactly.  A shift whose reflection lies
+        outside Gamma is compared with zero.
         """
-        worst = 0.0
-        for lam in self.gamma:
-            neg = tuple(-c for c in lam)
-            worst = max(worst, abs(self.r(lam) - self.r(neg)))
-            for b in range(1, self.d + 1):
-                worst = max(worst, abs(self.rbeta(lam, b) + self.rbeta(neg, b)))
-                for a in range(1, self.d + 1):
-                    worst = max(worst, abs(self.rab(lam, a, b) - self.rab(neg, a, b)))
-        return worst
+        row = {lam: g for g, lam in enumerate(self.gamma)}
+        reflect = [row.get(tuple(-c for c in lam), len(self.gamma)) for lam in self.gamma]
+
+        def reflected(t: np.ndarray) -> np.ndarray:
+            return np.concatenate([t, np.zeros((1, *t.shape[1:]))])[reflect]
+
+        return float(max(np.max(np.abs(self.R - reflected(self.R))),
+                         np.max(np.abs(self.Rbeta + reflected(self.Rbeta))),
+                         np.max(np.abs(self.Rab - reflected(self.Rab)))))
 
 
 def compute_reference_tensors(
@@ -240,37 +232,28 @@ def compute_reference_tensors(
     """Compute all reference tensors of an element by exact Gauss quadrature."""
     degree = default_quad_degree(element) if quad_degree is None else quad_degree
     tables = build_overlap_tables(element, degree)
-    d = element.d
-    R: dict[Lam, float] = {}
-    Rbeta: dict[tuple[Lam, int], float] = {}
-    Rab: dict[tuple[Lam, int, int], float] = {}
-    Q: dict[tuple[Lam, int, int, int, int], float] = {}
-    Qt: dict[tuple[Lam, int, int], float] = {}
-    for lam, tab in tables.items():
+    gamma = tuple(sorted(tables))
+    d, G = element.d, len(gamma)
+    R, Rbeta, Rab = np.empty(G), np.empty((G, d)), np.empty((G, d, d))
+    Q, Qtilde = np.empty((G, d, d, d, d)), np.empty((G, d, d))
+    for g, lam in enumerate(gamma):
+        tab = tables[lam]
         w = tab.weights
         z = tab.points
-        R[lam] = float(w @ (tab.psi_l * tab.psi_0))
-        for b in range(d):
-            Rbeta[(lam, b + 1)] = float(w @ (tab.dpsi_l[b] * tab.psi_0))
-            for a in range(d):
-                Rab[(lam, a + 1, b + 1)] = float(-w @ (tab.dpsi_l[b] * tab.dpsi_0[a]))
+        R[g] = w @ (tab.psi_l * tab.psi_0)
+        Rbeta[g] = [w @ (dl * tab.psi_0) for dl in tab.dpsi_l]
+        Rab[g] = [[-w @ (dl * d0) for dl in tab.dpsi_l] for d0 in tab.dpsi_0]
         # Q[i,j,k,l] = sum_m w_m z_mk z_ml dpsi_l[j] (-dpsi_0[i])
-        qfull = np.einsum("m,mk,ml,jm,im->ijkl", w, z, z, tab.dpsi_l, -tab.dpsi_0)
-        qtfull = np.einsum("m,mk,im->ik", w, z, tab.dpsi_l * tab.psi_0)
-        for i in range(d):
-            for k in range(d):
-                Qt[(lam, i + 1, k + 1)] = float(qtfull[i, k])
-                for j in range(d):
-                    for l in range(d):
-                        Q[(lam, i + 1, j + 1, k + 1, l + 1)] = float(qfull[i, j, k, l])
+        Q[g] = np.einsum("m,mk,ml,jm,im->ijkl", w, z, z, tab.dpsi_l, -tab.dpsi_0)
+        Qtilde[g] = np.einsum("m,mk,im->ik", w, z, tab.dpsi_l * tab.psi_0)
     return ReferenceTensors(
         d=d,
-        gamma=tuple(sorted(tables.keys())),
+        gamma=gamma,
         R=R,
         Rbeta=Rbeta,
         Rab=Rab,
         Q=Q,
-        Qtilde=Qt,
+        Qtilde=Qtilde,
         quad_degree=degree,
         element=element,
         tables=tables,

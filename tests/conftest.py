@@ -61,3 +61,26 @@ lo = 0
 hi = 1
 poly = 0: 1  1: -0.99999999997
 """
+
+
+@pytest.fixture(scope="session")
+def large_scaled_hat_text():
+    # hat1d with every value scaled by 1000.3: R(lam) and R(-lam) differ by
+    # about 6e-11 in floating point
+    return """\
+d = 1
+name = scaled-hat
+lambda = (-1) (0) (1)
+
+[cell]
+type = box
+lo = -1
+hi = 0
+poly = 0: 1000.3  1: 1000.3
+
+[cell]
+type = box
+lo = 0
+hi = 1
+poly = 0: 1000.3  1: -1000.3
+"""

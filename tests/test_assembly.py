@@ -145,7 +145,7 @@ class TestMass:
         tensors = compute_reference_tensors(element)
         lattice = build_torus(1, 1.0 / 64.0, 64)
         mass = assemble_mass(tensors, lattice)
-        delta = check_invertibility(tensors, 1024)
+        delta = check_invertibility(tensors)
         eig_dense = float(np.linalg.eigvalsh(mass.to_dense()).min())
         eig_power = smallest_eigenvalue_inverse_power(mass)
         assert eig_dense >= delta - 1e-10

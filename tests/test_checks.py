@@ -1,8 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from femspde.checks import (
-    SymbolError,
     check_cardinal,
     check_compatibility,
     check_invertibility,
@@ -16,9 +17,38 @@ from femspde.problem import parse_problem_text
 from femspde.tensors import ReferenceTensors, compute_reference_tensors
 
 
-def scaled_element(hat1d, factor):
-    pieces = [(cell, poly.scaled(factor)) for cell, poly in hat1d.psi.pieces]
-    return finish_element("scaled-hat", PiecewisePolynomial(1, pieces), hat1d.lambda_set)
+def scaled_element(element, factor):
+    pieces = [(cell, poly.scaled(factor)) for cell, poly in element.psi.pieces]
+    return finish_element("scaled-hat", PiecewisePolynomial(element.d, pieces),
+                          element.lambda_set)
+
+
+def compatibility_oracle(t):
+    """Worst (label, target, value) of each identity family, from one term per
+    (shift, index) summed in Gamma order, the first worst index in
+    itertools.product order."""
+    G, axes = range(len(t.gamma)), range(t.d)
+    lam = t.gamma
+    families = {
+        "sum_R": [("sum R = 1", 1.0, sum(t.R[g] for g in G))],
+        "sum_Rij": [(f"sum R^{{{i + 1}{j + 1}}} = 0", 0.0, sum(t.Rab[g, i, j] for g in G))
+                    for i, j in itertools.product(axes, repeat=2)],
+        "first_moment": [(f"sum lam_{k + 1} R^{i + 1} = {int(i == k)}", float(i == k),
+                          sum(lam[g][k] * t.Rbeta[g, i] for g in G))
+                         for i, k in itertools.product(axes, repeat=2)],
+        "second_moment": [(f"sum lam_{k + 1} lam_{l + 1} R^{{{i + 1}{j + 1}}} = {tgt:g}", tgt,
+                           sum(lam[g][k] * lam[g][l] * t.Rab[g, i, j] for g in G))
+                          for i, j, k, l in itertools.product(axes, repeat=4)
+                          for tgt in [(2.0 if i == j else 1.0) * ({i, j} == {k, l})]],
+        "sum_Q": [(f"sum Q^{{{i + 1}{j + 1},{k + 1}{l + 1}}} = 0", 0.0,
+                   sum(t.Q[g, i, j, k, l] for g in G))
+                  for i, j, k, l in itertools.product(axes, repeat=4)],
+        "sum_Qtilde": [(f"sum Qtilde^{{{i + 1},{k + 1}}} = 0", 0.0,
+                        sum(t.Qtilde[g, i, k] for g in G))
+                       for i, k in itertools.product(axes, repeat=2)],
+    }
+    return {name: max(cases, key=lambda case: abs(case[2] - case[1]))
+            for name, cases in families.items()}
 
 
 def brute_force_symbol_min(tensors, grid):
@@ -26,25 +56,25 @@ def brute_force_symbol_min(tensors, grid):
     grids = np.meshgrid(*([axis] * tensors.d), indexing="ij")
     thetas = np.stack([g.ravel() for g in grids], axis=1)
     vals = np.zeros(thetas.shape[0])
-    for lam in tensors.gamma:
-        vals += tensors.r(lam) * np.cos(thetas @ np.asarray(lam, dtype=float))
+    for lam, r in zip(tensors.gamma, tensors.R):
+        vals += r * np.cos(thetas @ np.asarray(lam, dtype=float))
     return float(vals.min())
 
 
 class TestInvertibility:
     def test_hat1d_delta_is_one_third(self, hat1d_tensors):
-        delta = check_invertibility(hat1d_tensors, 1024)
+        delta = check_invertibility(hat1d_tensors)
         assert delta == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_identity_symbol(self):
         tensors = ReferenceTensors(
-            d=1, gamma=((0,),), R={(0,): 1.0}, Rbeta={}, Rab={}, Q={}, Qtilde={}, quad_degree=8,
-            element=None,
+            d=1, gamma=((0,),), R=np.ones(1), Rbeta=np.zeros((1, 1)), Rab=np.zeros((1, 1, 1)),
+            Q=np.zeros((1, 1, 1, 1, 1)), Qtilde=np.zeros((1, 1, 1)), quad_degree=8, element=None,
         )
-        assert check_invertibility(tensors, 64) == pytest.approx(1.0, abs=1e-12)
+        assert check_invertibility(tensors) == pytest.approx(1.0, abs=1e-12)
 
     def test_tensor2_delta_one_ninth(self, tensor2_tensors):
-        delta = check_invertibility(tensor2_tensors, 128)
+        delta = check_invertibility(tensor2_tensors)
         assert delta == pytest.approx(1.0 / 9.0, abs=1e-9)
         brute = brute_force_symbol_min(tensor2_tensors, 1024)
         assert abs(delta - brute) < 1e-5
@@ -58,7 +88,7 @@ class TestInvertibility:
 
     def test_triangle_delta_one_quarter(self, triangle2d_tensors):
         # symbol 1/2 + (cos t1 + cos t2 + cos(t1+t2))/6, minimized at (2pi/3, 2pi/3)
-        delta = check_invertibility(triangle2d_tensors, 128)
+        delta = check_invertibility(triangle2d_tensors)
         assert delta == pytest.approx(0.25, abs=1e-9)
         assert delta > 0.0
 
@@ -70,14 +100,18 @@ class TestInvertibility:
             atol=1e-12,
         )
 
-    def test_broken_symmetry_raises(self):
+    def test_uneven_mass_tensor_is_left_to_the_symmetry_rule(self):
+        # the symbol is the cosine sum whatever R holds; an uneven R is the
+        # symmetry residual's to report
         tensors = ReferenceTensors(
-            d=1, gamma=((-1,), (0,), (1,)),
-            R={(-1,): 0.1, (0,): 0.7, (1,): 0.3},
-            Rbeta={}, Rab={}, Q={}, Qtilde={}, quad_degree=8, element=None,
+            d=1, gamma=((-1,), (0,), (1,)), R=np.array([0.1, 0.7, 0.3]),
+            Rbeta=np.zeros((3, 1)), Rab=np.zeros((3, 1, 1)), Q=np.zeros((3, 1, 1, 1, 1)),
+            Qtilde=np.zeros((3, 1, 1)), quad_degree=8, element=None,
         )
-        with pytest.raises(SymbolError):
-            check_invertibility(tensors, 64)
+        assert tensors.symmetry_residual() == pytest.approx(0.2, abs=1e-15)
+        thetas = np.array([[0.0], [np.pi / 2], [np.pi]])
+        np.testing.assert_allclose(symbol_values(tensors, thetas), [1.1, 0.7, 0.3], atol=1e-15)
+        assert check_invertibility(tensors) == pytest.approx(0.3, abs=1e-12)
 
 
 class TestCompatibility:
@@ -93,14 +127,13 @@ class TestCompatibility:
             assert value < 1e-12, f"{name} residual {value}"
 
     def test_hat_first_moment_identity_value(self, hat1d_tensors):
-        total = sum(lam[0] * hat1d_tensors.rbeta(lam, 1) for lam in hat1d_tensors.gamma)
+        t = hat1d_tensors
+        total = sum(lam[0] * rbeta[0] for lam, rbeta in zip(t.gamma, t.Rbeta))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_triangle_mixed_second_moment(self, triangle2d_tensors):
-        total = sum(
-            lam[0] * lam[1] * triangle2d_tensors.rab(lam, 1, 2)
-            for lam in triangle2d_tensors.gamma
-        )
+        t = triangle2d_tensors
+        total = sum(lam[0] * lam[1] * rab[0, 1] for lam, rab in zip(t.gamma, t.Rab))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_psi_breaks_normalisation(self, hat1d):
@@ -111,6 +144,30 @@ class TestCompatibility:
         assert residuals["sum_R"] == pytest.approx(1.0, abs=1e-10)
         summary = {row.name: row for row in rows}
         assert summary["sum R = 1"].computed == pytest.approx(2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("name", [
+        "hat1d", "tensor(2)", "tensor(3)", "triangle2d", "scaled-triangle", "skew-hat",
+        "large-scaled-hat",
+    ])
+    def test_rows_match_per_index_oracle(self, name, skew_hat_text, large_scaled_hat_text):
+        # each family's sum over Gamma and its worst index equal, bit for bit,
+        # the per-(shift, index) loop; the scaled triangle ties its worst
+        # indices, so the first one in product order must win
+        if name == "scaled-triangle":
+            element = scaled_element(build_element("triangle2d"), 1.5)
+        elif name == "skew-hat":
+            element = parse_element_text(skew_hat_text)
+        elif name == "large-scaled-hat":
+            element = parse_element_text(large_scaled_hat_text)
+        else:
+            element = build_element(name)
+        tensors = compute_reference_tensors(element)
+        residuals, rows = check_compatibility(tensors)
+        oracle = compatibility_oracle(tensors)
+        assert list(residuals) == list(oracle)
+        for (family, (label, target, value)), row in zip(oracle.items(), rows):
+            assert (row.name, row.target, row.computed) == (label, target, value), family
+            assert row.residual == residuals[family] == abs(value - target)
 
     def test_residual_scaling_is_metamorphic(self, hat1d):
         for s in (0.5, 1.5, 3.0):
@@ -196,6 +253,19 @@ class TestFullReport:
         assert check_invertibility(tensors) == pytest.approx((1.0 / 3.0) ** 4, abs=1e-9)
         ok, _ = check_cardinal(element)
         assert ok
+
+    def test_large_scaled_hat_is_reported(self, large_scaled_hat_text):
+        # psi scaled by 1000.3 keeps R(lam) = R(-lam) only to 6.1e-11 in floating
+        # point; the symmetry rule (1e-12) reads FAIL, which is its own verdict,
+        # and every other row is still computed and reported
+        element = parse_element_text(large_scaled_hat_text)
+        report = verify_element(element, compute_reference_tensors(element))
+        assert not report.passed
+        assert len(report.details) == 9
+        symmetry = report.details[0]
+        assert symmetry.name == "tensor reflection symmetry" and symmetry.verdict() == "FAIL"
+        assert 1e-12 < symmetry.residual < 1e-10
+        assert report.delta_estimate == pytest.approx(1000.3**2 / 3.0, rel=1e-12)
 
     def test_scaled_element_fails(self, hat1d):
         element = scaled_element(hat1d, 2.0)

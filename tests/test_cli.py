@@ -112,6 +112,25 @@ class TestVerifyElement:
             "tensor reflection symmetry", "cardinal interpolation"}
         assert "cardinal VIOLATED, overall FAIL" in out
 
+    def test_large_scaled_element_prints_every_row(self, tmp_path, capsys,
+                                                  large_scaled_hat_text):
+        # the tensors of this hat miss reflection symmetry by 6.1e-11 in
+        # floating point: the symmetry row reads FAIL under its own 1e-12 rule,
+        # and the element is reported with all its rows instead of raising
+        element = tmp_path / "large.element"
+        element.write_text(large_scaled_hat_text, encoding="utf-8")
+        code = main(["verify-element", "--element-file", str(element), "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY_FAIL
+        rows = out.splitlines()[1:-1]
+        assert len(rows) == 9
+        verdicts = {line[:38].strip(): line.split()[-1] for line in rows}
+        assert verdicts["tensor reflection symmetry"] == "FAIL"
+        assert verdicts["delta (symbol minimum)"] == "PASS"
+        assert "overall FAIL" in out
+        (run_dir,) = run_dirs(tmp_path)
+        assert (tmp_path / run_dir / "verify_report.txt").read_text(encoding="utf-8") == out
+
     def test_malformed_element_is_input_error(self, tmp_path, capsys):
         element = tmp_path / "broken.element"
         element.write_text("d = 1\n", encoding="utf-8")

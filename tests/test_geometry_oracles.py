@@ -25,7 +25,6 @@ from femspde.polynomials import (
     Simplex,
     _boundary_samples,
     cell_quadrature,
-    cell_volume,
     intersect_cells,
 )
 from femspde.tensors import build_overlap_tables, default_quad_degree
@@ -118,7 +117,7 @@ def overlap_measure_oracle(element, lam):
         shifted = cell.translated(shift)
         for other, _ in element.psi.pieces:
             for part in intersect_cells(shifted, other):
-                total += cell_volume(part)
+                total += part.volume()
     return total
 
 

@@ -10,7 +10,6 @@ from femspde.polynomials import (
     Polynomial,
     Simplex,
     cell_quadrature,
-    cell_volume,
     intersect_cells,
     parse_number,
 )
@@ -97,7 +96,7 @@ class TestIntersection:
         b = Box((0.5, -1.0), (2.0, 0.75))
         parts = intersect_cells(a, b)
         assert len(parts) == 1
-        assert sum(cell_volume(c) for c in parts) == pytest.approx(0.5 * 0.75)
+        assert sum(c.volume() for c in parts) == pytest.approx(0.5 * 0.75)
 
     def test_box_box_disjoint(self):
         a = Box((0.0,), (1.0,))
@@ -109,14 +108,14 @@ class TestIntersection:
         tri = Simplex(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
         box = Box((0.5, 0.0), (2.0, 2.0))
         parts = intersect_cells(tri, box)
-        area = sum(cell_volume(c) for c in parts)
+        area = sum(c.volume() for c in parts)
         assert area == pytest.approx(0.125, abs=1e-14)
 
     def test_triangle_triangle_shifted(self):
         tri = Simplex(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
         shifted = tri.translated((0.5, 0.0))
         parts = intersect_cells(tri, shifted)
-        area = sum(cell_volume(c) for c in parts)
+        area = sum(c.volume() for c in parts)
         # overlap of the two congruent triangles, computed by hand
         assert area == pytest.approx(0.125, abs=1e-12)
 

@@ -4,8 +4,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from femspde.elements import build_element
+from femspde.elements import build_element, support_overlap_measure
 from femspde.tensors import compute_reference_tensors
+
+
+def row(t, lam):
+    """Index of the shift lam along axis 0 of the arrays of tensors t."""
+    return t.gamma.index(tuple(lam))
 
 
 def poly1d_integral(coeffs, a, b):
@@ -22,29 +27,30 @@ class TestHat1d:
     def test_mass_entries(self, hat1d_tensors):
         t = hat1d_tensors
         # R_0 = 2 * int_0^1 (1-z)^2 = 2/3 ; R_{+-1} = int_0^1 z(1-z) = 1/6
-        assert t.r((0,)) == pytest.approx(float(2 * poly1d_integral([1, -2, 1], 0, 1)), abs=1e-12)
-        assert t.r((0,)) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        exact = float(2 * poly1d_integral([1, -2, 1], 0, 1))
+        assert t.R[row(t, (0,))] == pytest.approx(exact, abs=1e-12)
+        assert t.R[row(t, (0,))] == pytest.approx(2.0 / 3.0, abs=1e-12)
         for eps in (-1, 1):
-            assert t.r((eps,)) == pytest.approx(1.0 / 6.0, abs=1e-12)
+            assert t.R[row(t, (eps,))] == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_stiffness_entries(self, hat1d_tensors):
         t = hat1d_tensors
-        assert t.rab((0,), 1, 1) == pytest.approx(-2.0, abs=1e-12)
+        assert t.Rab[row(t, (0,)), 0, 0] == pytest.approx(-2.0, abs=1e-12)
         for eps in (-1, 1):
-            assert t.rab((eps,), 1, 1) == pytest.approx(1.0, abs=1e-12)
+            assert t.Rab[row(t, (eps,)), 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_first_derivative_entries(self, hat1d_tensors):
         t = hat1d_tensors
-        assert t.rbeta((0,), 1) == pytest.approx(0.0, abs=1e-12)
+        assert t.Rbeta[row(t, (0,)), 0] == pytest.approx(0.0, abs=1e-12)
         for eps in (-1, 1):
-            assert t.rbeta((eps,), 1) == pytest.approx(eps / 2.0, abs=1e-12)
+            assert t.Rbeta[row(t, (eps,)), 0] == pytest.approx(eps / 2.0, abs=1e-12)
 
     def test_q_entries(self, hat1d_tensors):
         t = hat1d_tensors
         # Q^{11,11}_0 = -int_{-1}^1 z^2 (psi')^2 = -2/3; at +-1: +int_0^1 z^2 = 1/3
-        assert t.q((0,), 1, 1, 1, 1) == pytest.approx(-2.0 / 3.0, abs=1e-12)
+        assert t.Q[row(t, (0,)), 0, 0, 0, 0] == pytest.approx(-2.0 / 3.0, abs=1e-12)
         for eps in (-1, 1):
-            assert t.q((eps,), 1, 1, 1, 1) == pytest.approx(1.0 / 3.0, abs=1e-12)
+            assert t.Q[row(t, (eps,)), 0, 0, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_qtilde_entries(self, hat1d_tensors):
         # independent exact oracle on the hat geometry; psi_{+1}(z) = z and
@@ -54,13 +60,13 @@ class TestHat1d:
         assert plus_one == F(1, 6)
         at_zero = poly1d_integral([0, 1, 1], -1, 0) - poly1d_integral([0, 1, -1], 0, 1)
         assert at_zero == F(-1, 3)
-        assert t.qtilde((1,), 1, 1) == pytest.approx(float(plus_one), abs=1e-12)
-        assert t.qtilde((-1,), 1, 1) == pytest.approx(float(plus_one), abs=1e-12)
-        assert t.qtilde((0,), 1, 1) == pytest.approx(float(at_zero), abs=1e-12)
+        assert t.Qtilde[row(t, (1,)), 0, 0] == pytest.approx(float(plus_one), abs=1e-12)
+        assert t.Qtilde[row(t, (-1,)), 0, 0] == pytest.approx(float(plus_one), abs=1e-12)
+        assert t.Qtilde[row(t, (0,)), 0, 0] == pytest.approx(float(at_zero), abs=1e-12)
 
     def test_qtilde_sums_to_zero(self, hat1d_tensors):
         t = hat1d_tensors
-        total = sum(t.qtilde(lam, 1, 1) for lam in t.gamma)
+        total = sum(t.Qtilde[:, 0, 0])
         assert total == pytest.approx(0.0, abs=1e-12)
 
 
@@ -69,10 +75,10 @@ class TestTriangle2d:
 
     def test_mass_entries(self, triangle2d_tensors):
         t = triangle2d_tensors
-        assert t.r((0, 0)) == pytest.approx(0.5, abs=1e-12)
-        for lam in t.gamma:
+        assert t.R[row(t, (0, 0))] == pytest.approx(0.5, abs=1e-12)
+        for lam, r in zip(t.gamma, t.R):
             if lam != (0, 0):
-                assert t.r(lam) == pytest.approx(1.0 / 12.0, abs=1e-12)
+                assert r == pytest.approx(1.0 / 12.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "lam, alpha, beta, expected",
@@ -88,9 +94,8 @@ class TestTriangle2d:
         ],
     )
     def test_stiffness_entries(self, triangle2d_tensors, lam, alpha, beta, expected):
-        assert triangle2d_tensors.rab(lam, alpha, beta) == pytest.approx(
-            float(expected), abs=1e-12
-        )
+        t = triangle2d_tensors
+        assert t.Rab[row(t, lam), alpha - 1, beta - 1] == pytest.approx(float(expected), abs=1e-12)
 
     @pytest.mark.parametrize(
         "lam, beta, expected",
@@ -106,7 +111,8 @@ class TestTriangle2d:
         ],
     )
     def test_first_derivative_entries(self, triangle2d_tensors, lam, beta, expected):
-        assert triangle2d_tensors.rbeta(lam, beta) == pytest.approx(float(expected), abs=1e-12)
+        t = triangle2d_tensors
+        assert t.Rbeta[row(t, lam), beta - 1] == pytest.approx(float(expected), abs=1e-12)
 
     @pytest.mark.parametrize(
         "lam, idx, expected",
@@ -129,8 +135,9 @@ class TestTriangle2d:
         ],
     )
     def test_q_entries(self, triangle2d_tensors, lam, idx, expected):
-        i, j, k, l = idx
-        assert triangle2d_tensors.q(lam, i, j, k, l) == pytest.approx(float(expected), abs=1e-12)
+        t = triangle2d_tensors
+        assert t.Q[(row(t, lam), *(n - 1 for n in idx))] == pytest.approx(float(expected),
+                                                                          abs=1e-12)
 
     @pytest.mark.parametrize(
         "lam, idx, expected",
@@ -146,8 +153,9 @@ class TestTriangle2d:
         ],
     )
     def test_qtilde_entries(self, triangle2d_tensors, lam, idx, expected):
-        i, k = idx
-        assert triangle2d_tensors.qtilde(lam, i, k) == pytest.approx(float(expected), abs=1e-12)
+        t = triangle2d_tensors
+        assert t.Qtilde[(row(t, lam), *(n - 1 for n in idx))] == pytest.approx(float(expected),
+                                                                               abs=1e-12)
 
 
 class TestTensorProductElement:
@@ -155,34 +163,31 @@ class TestTensorProductElement:
         # 1-D factors: r(0) = 2/3, r(+-1) = 1/6; the product element multiplies them
         r1 = {0: F(2, 3), 1: F(1, 6), -1: F(1, 6)}
         t = tensor2_tensors
-        for lam in t.gamma:
-            expected = float(r1[lam[0]] * r1[lam[1]])
-            assert t.r(lam) == pytest.approx(expected, abs=1e-12)
-        assert t.r((1, 0)) == pytest.approx(1.0 / 9.0, abs=1e-12)
-        assert t.r((1, 1)) == pytest.approx(1.0 / 36.0, abs=1e-12)
+        for lam, r in zip(t.gamma, t.R):
+            assert r == pytest.approx(float(r1[lam[0]] * r1[lam[1]]), abs=1e-12)
+        assert t.R[row(t, (1, 0))] == pytest.approx(1.0 / 9.0, abs=1e-12)
+        assert t.R[row(t, (1, 1))] == pytest.approx(1.0 / 36.0, abs=1e-12)
 
     def test_stiffness_factorizes(self, tensor2_tensors):
         # (D1 psi_lam, D1* psi) = -(hat'_{l1}, hat')_x (hat_{l2}, hat)_y
         dd = {0: F(2), 1: F(-1), -1: F(-1)}  # (hat'_{l}, hat')
         r1 = {0: F(2, 3), 1: F(1, 6), -1: F(1, 6)}
         t = tensor2_tensors
-        for lam in t.gamma:
-            expected = float(-dd[lam[0]] * r1[lam[1]])
-            assert t.rab(lam, 1, 1) == pytest.approx(expected, abs=1e-12)
+        for lam, rab in zip(t.gamma, t.Rab):
+            assert rab[0, 0] == pytest.approx(float(-dd[lam[0]] * r1[lam[1]]), abs=1e-12)
 
     def test_mixed_stiffness_factorizes(self, tensor2_tensors):
         # (D2 psi_lam, D1* psi) = -(hat_{l1}, hat')_x (hat'_{l2}, hat)_y
         # 1-D pieces: (hat_l, hat') = -l/2, (hat'_l, hat) = l/2
         t = tensor2_tensors
-        for lam in t.gamma:
-            expected = float(-F(-lam[0], 2) * F(lam[1], 2))
-            assert t.rab(lam, 1, 2) == pytest.approx(expected, abs=1e-12)
-        assert t.rab((1, 1), 1, 2) == pytest.approx(0.25, abs=1e-12)
+        for lam, rab in zip(t.gamma, t.Rab):
+            assert rab[0, 1] == pytest.approx(float(-F(-lam[0], 2) * F(lam[1], 2)), abs=1e-12)
+        assert t.Rab[row(t, (1, 1)), 0, 1] == pytest.approx(0.25, abs=1e-12)
 
     def test_sum_of_mass_entries_is_one(self, tensor2_tensors):
         # the per-shift values carry no multiplicity factor; summing the 2^k
         # shifts with k nonzero entries over k reproduces the unit total
-        total = sum(tensor2_tensors.r(lam) for lam in tensor2_tensors.gamma)
+        total = sum(tensor2_tensors.R)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -193,31 +198,41 @@ class TestInvariants:
         tensors = compute_reference_tensors(element)
         assert tensors.symmetry_residual() < 1e-12
 
+    def test_reflection_outside_gamma_counts_as_zero(self):
+        # -lam = (-1,) has no row, so lam = (1,) is compared with zero tensors
+        from femspde.tensors import ReferenceTensors
+
+        t = ReferenceTensors(
+            d=1, gamma=((0,), (1,)), R=np.array([0.5, 0.25]), Rbeta=np.array([[0.0], [0.375]]),
+            Rab=np.array([[[2.0]], [[0.125]]]), Q=np.zeros((2, 1, 1, 1, 1)),
+            Qtilde=np.zeros((2, 1, 1)), quad_degree=8, element=None,
+        )
+        assert t.symmetry_residual() == 0.375
+
     @pytest.mark.parametrize("preset", ["hat1d", "tensor(2)", "triangle2d"])
     def test_mass_sums_to_one(self, preset):
         element = build_element(preset)
         tensors = compute_reference_tensors(element)
-        assert sum(tensors.R.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(tensors.R) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("preset", ["hat1d", "tensor(2)", "triangle2d"])
     def test_quadrature_exactness_under_order_doubling(self, preset):
         element = build_element(preset)
         base = compute_reference_tensors(element)
         doubled = compute_reference_tensors(element, quad_degree=2 * base.quad_degree)
-        for store, ref in (
-            (base.R, doubled.R),
-            (base.Rbeta, doubled.Rbeta),
-            (base.Rab, doubled.Rab),
-            (base.Q, doubled.Q),
-            (base.Qtilde, doubled.Qtilde),
-        ):
-            for key, val in store.items():
-                assert abs(val - ref[key]) <= 1e-13
+        assert doubled.gamma == base.gamma
+        for name in ("R", "Rbeta", "Rab", "Q", "Qtilde"):
+            assert np.max(np.abs(getattr(base, name) - getattr(doubled, name))) <= 1e-13, name
 
-    def test_off_gamma_entries_are_zero(self, hat1d_tensors):
-        assert hat1d_tensors.r((5,)) == 0.0
-        assert hat1d_tensors.rab((2,), 1, 1) == 0.0
-        assert hat1d_tensors.q((-3,), 1, 1, 1, 1) == 0.0
+    def test_off_gamma_entries_are_zero(self, hat1d, hat1d_tensors):
+        # a shift whose translated support misses supp(psi) has zero tensors,
+        # so it has no row: the arrays hold one row per shift of Gamma
+        t = hat1d_tensors
+        for lam in [(5,), (2,), (-3,)]:
+            assert support_overlap_measure(hat1d, lam) == 0.0
+            assert lam not in t.gamma
+        shapes = [a.shape for a in (t.R, t.Rbeta, t.Rab, t.Q, t.Qtilde)]
+        assert shapes == [(3,), (3, 1), (3, 1, 1), (3, 1, 1, 1, 1), (3, 1, 1)]
 
 
 class TestCellQuadratureOwnership:
