@@ -50,7 +50,7 @@ for k in range(50):
     noise = NoisePath(sample_seed(7, k), steps=16, dt=0.01, rho_count=1)
     levels = integrate_multilevel(element, tensors, problem, coarse, 2, noise,
                                   T=0.16, steps=16, record="terminal")
-    pairs.append((levels[0].terminal.values[site], levels[1].terminal.values[2 * site]))
+    pairs.append((levels[0].terminal.values[0, site], levels[1].terminal.values[0, 2 * site]))
 corr = np.corrcoef(np.asarray(pairs).T)[0, 1]
 print(f"correlation of the coarse/fine values at x = pi/2 over 50 paths: {corr:.4f}")
 

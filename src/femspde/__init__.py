@@ -21,16 +21,12 @@ from .integrator import (
     integrate,
     integrate_multilevel,
     sample_seed,
-    solve_linear,
     step_implicit_em,
 )
 from .lattice import (
     GridFunction,
-    SampleBlock,
     TorusLattice,
     build_torus,
-    inner_0h,
-    norm_0h,
     restrict,
 )
 from .problem import Problem, parse_problem_text
@@ -58,7 +54,6 @@ __all__ = [
     "NoisePath",
     "Problem",
     "ReferenceTensors",
-    "SampleBlock",
     "SolverError",
     "StencilOperator",
     "StudyConfig",
@@ -80,18 +75,15 @@ __all__ = [
     "estimate_order",
     "evaluate",
     "extrapolation_coefficients",
-    "inner_0h",
     "integrate",
     "integrate_multilevel",
     "mollify_data",
-    "norm_0h",
     "parse",
     "parse_element_text",
     "parse_problem_text",
     "restrict",
     "run_convergence_study",
     "sample_seed",
-    "solve_linear",
     "step_implicit_em",
     "to_source",
     "validate_element",

@@ -88,17 +88,14 @@ class StencilOperator:
         view.flags.writeable = False
         return view
 
-    def apply(self, u: GridFunction | np.ndarray) -> GridFunction | np.ndarray:
-        """op U for one GridFunction, or for every sample of a (samples, *lattice.shape)
-        block as one sparse product; each row sums over the offsets in order."""
-        one = isinstance(u, GridFunction)
-        if one and u.lattice != self.lattice:
+    def apply(self, u: GridFunction) -> GridFunction:
+        """op U for every sample of the block as one sparse product; each row
+        sums over the offsets in order."""
+        if u.lattice != self.lattice:
             raise ValueError("stencil and grid function live on different lattices")
-        block = u.values[None] if one else u
-        if block.shape[1:] != self.lattice.shape:
-            raise ValueError(f"block shape {block.shape} does not match {self.lattice.shape}")
+        block = u.values
         out = (self.matrix @ block.reshape(len(block), -1).T).T.reshape(block.shape)
-        return GridFunction(self.lattice, out[0]) if one else out
+        return GridFunction(self.lattice, out)
 
     def scaled_add(self, alpha: float, other: "StencilOperator", beta: float) -> "StencilOperator":
         """Return alpha*self + beta*other; both must have the same lattice and footprint."""
@@ -231,7 +228,8 @@ def mollify_data(
     lattice: TorusLattice,
     t: float = 0.0,
 ) -> GridFunction:
-    """Smooth a field with the scaled element: integral of field(x + h z) psi(z) dz."""
+    """Smooth a field with the scaled element: integral of field(x + h z) psi(z) dz,
+    as a one-sample GridFunction."""
     quad = tensors.quad
     values = _assemble_cells(quad, lattice, t, [(field, quad.mollifier)])[0]
     return GridFunction(lattice, values)
@@ -251,9 +249,11 @@ class AssembledProblem:
     unless an expression it is built from references t, in which case it
     is rebuilt at every requested time; the integrator keeps U_0 and the
     factored implicit system here under the same rule.  The operators and
-    the mollified data integrate with the tensors' cell quadrature.  The element argument
-    is not read (the tensors carry their element); it keeps the positional
-    signature that callers use.
+    the mollified data integrate with the tensors' cell quadrature; the data
+    are one-sample GridFunctions.  The problem, the tensors and the lattice
+    must have one dimension (a ValueError names all three otherwise).  The
+    element argument is not read (the tensors carry their element); it keeps
+    the positional signature that callers use.
     """
 
     def __init__(
@@ -263,6 +263,9 @@ class AssembledProblem:
         problem: Problem,
         lattice: TorusLattice,
     ):
+        if not problem.d == tensors.d == lattice.d:
+            raise ValueError(f"dimension mismatch: problem.d = {problem.d}, tensors.d = "
+                             f"{tensors.d}, lattice.d = {lattice.d}")
         self.tensors = tensors
         self.problem = problem
         self.lattice = lattice
@@ -280,7 +283,7 @@ class AssembledProblem:
 
     def _mollify(self, ast: expr.Ast | None, t: float) -> GridFunction:
         if ast is None:
-            return GridFunction.zeros(self.lattice)
+            return GridFunction(self.lattice, np.zeros(self.lattice.shape))
         return mollify_data(ast, self.tensors, self.lattice, t)
 
     @property

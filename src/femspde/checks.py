@@ -177,13 +177,13 @@ def smallest_eigenvalue_inverse_power(
     solver = LinearSolver(op)
 
     def rayleigh(v: np.ndarray) -> float:
-        return float(v @ op.apply(GridFunction(lattice, v.reshape(lattice.shape))).flat())
+        return float(v @ op.apply(GridFunction(lattice, v.reshape(lattice.shape))).values.ravel())
 
     v = np.random.default_rng(seed).normal(size=lattice.total_sites)
     v /= np.linalg.norm(v)
     value = rayleigh(v)
     for _ in range(iters):
-        w = solver.solve(v)
+        w = solver.solve(v[None])[0]
         w /= np.linalg.norm(w)
         new_value = rayleigh(w)
         if abs(new_value - value) < tol * max(1.0, abs(new_value)):

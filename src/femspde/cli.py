@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -64,8 +65,9 @@ CHOICES = {"ratio": tuple(RATIOS), "record": ("terminal", "all")}
 # accepted JSON types of the RunConfig number fields, by annotation
 _NUMBER_TYPES = {"float": (int, float), "int": (int,), "int | None": (int, type(None))}
 
-# run sizes that must be positive when set (None means derived); h = L / n and
-# dt = T / steps divide by them, and rho_max <= 0 would drop every noise term
+# run sizes that must be finite and positive when set (None means derived);
+# h = L / n and dt = T / steps divide by them, and rho_max <= 0 would drop
+# every noise term
 _POSITIVE = ("L", "n", "T", "steps", "samples", "rho_max")
 
 # environment variables that set the BLAS/OpenMP thread counts; replay is
@@ -117,8 +119,8 @@ class RunConfig:
         # command-line arguments and replayed manifests both pass through here
         for name in _POSITIVE:
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise UsageError(f"{name} must be positive, got {value!r}")
+            if value is not None and not 0 < value < math.inf:
+                raise UsageError(f"{name} must be finite and positive, got {value!r}")
         if not self.ladder >= MIN_LADDER:
             raise UsageError(f"ladder must be at least {MIN_LADDER}, got {self.ladder!r}")
 
@@ -270,7 +272,7 @@ def run_simulate(config: RunConfig, out: str | None) -> int:
             for k, state in enumerate(traj.states):
                 prefix = f"{k},{format_float(traj.times[k])},"
                 fh.write("".join([f"{prefix}{site},{format_float(v)}\n"
-                                  for site, v in enumerate(state.flat().tolist())]))
+                                  for site, v in enumerate(state.values.ravel().tolist())]))
     _write_manifest(run_dir, config)
     sys.stdout.write(
         f"simulate: {steps} steps, dt = {dt:.6g}, sup |U|_0h = {traj.sup_norm_0h:.12g}\n"

@@ -338,8 +338,8 @@ def _parse_cell(block: dict[str, str], d: int) -> tuple[Cell, Polynomial]:
     poly = _parse_poly(block["poly"], d)
     if kind == "box":
         try:
-            lo = tuple(parse_number(v) for v in block["lo"].split())
-            hi = tuple(parse_number(v) for v in block["hi"].split())
+            lo = _parse_point(block["lo"])
+            hi = _parse_point(block["hi"])
         except KeyError as exc:
             raise ElementFormatError(f"box cell missing {exc.args[0]!r}") from None
         if len(lo) != d or len(hi) != d:
@@ -353,7 +353,7 @@ def _parse_cell(block: dict[str, str], d: int) -> tuple[Cell, Polynomial]:
             raise ElementFormatError("simplex cell missing 'vertices'")
         verts = []
         for chunk in block["vertices"].split(";"):
-            coords = tuple(parse_number(v) for v in chunk.split())
+            coords = _parse_point(chunk)
             if len(coords) != d:
                 raise ElementFormatError(f"simplex vertex {chunk.strip()!r} has wrong dimension")
             verts.append(coords)
@@ -362,6 +362,13 @@ def _parse_cell(block: dict[str, str], d: int) -> tuple[Cell, Polynomial]:
         except GeometryError as exc:
             raise ElementFormatError(str(exc)) from None
     raise ElementFormatError(f"unknown cell type {kind!r}")
+
+
+def _parse_point(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(parse_number(v) for v in text.split())
+    except ValueError as exc:
+        raise ElementFormatError(f"bad coordinate in {text.strip()!r}: {exc}") from None
 
 
 def _parse_poly(text: str, d: int) -> Polynomial:

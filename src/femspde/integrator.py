@@ -8,9 +8,10 @@ One step solves
 
 so the drift is implicit and the stochastic increment explicit.  Coefficients
 are evaluated at t_{n+1} on the implicit side and at t_n inside the
-stochastic term.  The initial state solves mass U_0 = phi_h.  Monte Carlo
-samples that differ only in their noise path advance together as one
-(samples, *lattice.shape) block; one path is a block of one sample.
+stochastic term.  The initial state solves mass U_0 = phi_h.  Every state
+is a GridFunction, a (samples, *lattice.shape) block: Monte Carlo samples
+that differ only in their noise path advance together, and one path is a
+block of one sample.
 
 Every operator is its CSR matrix (StencilOperator.matrix): the explicit
 terms are sparse products with it, and the implicit system is solved on it.
@@ -34,6 +35,7 @@ their seeds with a splitmix64 mix of the base seed and the sample index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +45,7 @@ from scipy.fft import irfftn, rfftn
 from scipy.special import ndtri
 
 from .assembly import AssembledProblem, StencilOperator
-from .lattice import GridFunction, SampleBlock, TorusLattice, norms_0h
+from .lattice import GridFunction, TorusLattice, norms_0h
 
 
 class SolverError(RuntimeError):
@@ -163,17 +165,18 @@ class LinearSolver:
             )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one right-hand side of total_sites values, or for every row
-        of a (samples, total_sites) block: one multi-RHS LU solve, or one
-        BiCGStab run per row, each with its own residual check."""
-        rows = np.reshape(rhs, (-1, self.op.lattice.total_sites))
+        """Solve for every row of a (samples, total_sites) block: one multi-RHS
+        LU solve, or one BiCGStab run per row, each with its own residual check."""
+        if rhs.ndim != 2 or rhs.shape[1] != self.op.lattice.total_sites:
+            raise ValueError(f"right-hand side shape {rhs.shape} is not "
+                             f"(samples, {self.op.lattice.total_sites})")
         if self.direct:
-            out = self._lu.solve(rows.T).T
+            out = self._lu.solve(rhs.T).T
             if not np.all(np.isfinite(out)):
                 raise SolverError("sparse LU solve produced non-finite values")
         else:
-            out = np.stack([self._krylov(row, s, len(rows)) for s, row in enumerate(rows)])
-        return out[0] if np.ndim(rhs) == 1 else out
+            out = np.stack([self._krylov(row, s, len(rhs)) for s, row in enumerate(rhs)])
+        return out
 
     def _krylov(self, rhs: np.ndarray, column: int, columns: int) -> np.ndarray:
         # looked up at call time, so that a wrapper bound to the module attribute sees every run
@@ -216,14 +219,6 @@ def _averaged_symbol(op: StencilOperator) -> np.ndarray:
     return symbol
 
 
-def solve_linear(system: StencilOperator, rhs: GridFunction) -> GridFunction:
-    """Solve system U = rhs: sparse LU up to DIRECT_SITE_LIMIT sites, BiCGStab above."""
-    if rhs.lattice != system.lattice:
-        raise ValueError("rhs lattice does not match the system")
-    out = LinearSolver(system).solve(rhs.flat())
-    return GridFunction(rhs.lattice, out)
-
-
 def implicit_system(assembled: AssembledProblem, t: float, dt: float) -> StencilOperator:
     """The implicit step operator mass - dt * drift(t).
 
@@ -249,14 +244,15 @@ def implicit_system(assembled: AssembledProblem, t: float, dt: float) -> Stencil
 
 @dataclass
 class Trajectory:
-    """States of one run: GridFunctions and a float sup for one noise path,
-    SampleBlocks and one sup per sample for a list of paths."""
+    """States of one run, each a GridFunction holding every sample: states at
+    every time index (None unless recorded), the terminal state, and the
+    maximum of |U|_{0,h} over the time indices and the samples."""
 
     lattice: TorusLattice
     times: np.ndarray
-    states: list[GridFunction] | list[SampleBlock] | None
-    terminal: GridFunction | SampleBlock
-    sup_norm_0h: float | np.ndarray
+    states: list[GridFunction] | None
+    terminal: GridFunction
+    sup_norm_0h: float
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +261,16 @@ class Trajectory:
 
 
 def step_implicit_em(
-    block: np.ndarray,
+    u: GridFunction,
     assembled: AssembledProblem,
     t_n: float,
     dt: float,
     increments: np.ndarray | None,
-) -> np.ndarray:
+) -> GridFunction:
     """One drift-implicit Euler-Maruyama step from t_n to t_n + dt.
 
-    block is (samples, *lattice.shape) and increments (rho_count, samples);
-    all samples share one implicit system, factored once and kept by
+    increments is (rho_count, samples), one column per sample of u; all
+    samples share one implicit system, factored once and kept by
     `assembled` for every later step with this dt unless the drift
     references t.
     """
@@ -283,7 +279,7 @@ def step_implicit_em(
     # peak RSS of a tensor(2) study with a 256^2 reference by 5 %
     solver = assembled.memo(("system", dt), lambda: LinearSolver(
         implicit_system(assembled, t_next, dt)), assembled.drift_asts)
-    rhs = assembled.mass.apply(block)
+    rhs = assembled.mass.apply(u).values
     if assembled.problem.f is not None:
         rhs += dt * assembled.f_h(t_next).values
     if increments is not None and assembled.problem.has_noise:
@@ -291,9 +287,9 @@ def step_implicit_em(
             dw = increments[rho - 1].reshape(-1, *[1] * assembled.lattice.d)
             if not np.any(dw):
                 continue
-            term = assembled.noise(t_n, rho).apply(block) + assembled.g_h(t_n, rho).values
+            term = assembled.noise(t_n, rho).apply(u).values + assembled.g_h(t_n, rho).values
             rhs += dw * term
-    return solver.solve(rhs.reshape(len(block), -1)).reshape(block.shape)
+    return GridFunction(u.lattice, solver.solve(rhs.reshape(len(rhs), -1)).reshape(rhs.shape))
 
 
 def integrate(
@@ -306,27 +302,26 @@ def integrate(
 ) -> Trajectory:
     """Run the scheme from the mollified initial state to time T.
 
-    noise is one NoisePath (None for a problem without noise terms) or a
-    list holding one NoisePath per Monte Carlo sample.  The samples advance
-    together as one (samples, *lattice.shape) block: every step is one
-    sparse product per operator on the block and one solve with a
+    noise is one NoisePath (a block of one sample; None for a problem
+    without noise terms) or a list holding one NoisePath per Monte Carlo
+    sample.  The samples advance together as one GridFunction: every step
+    is one sparse product per operator on the block and one solve with a
     factorization shared by all samples (one per step when the drift
     depends on t; otherwise one per lattice and dt, which `assembled` keeps
     for later calls, as it keeps U_0).
 
     record: 'all' keeps every state, 'terminal' only the last (any other
-    value is a ValueError); the sup of |U|_{0,h} over all steps is tracked
-    either way.  observe(n, block), when given, sees the block at every time
-    index n = 0..steps.
+    value is a ValueError); the maximum of |U|_{0,h} over all steps and
+    samples is tracked either way.  observe(n, u), when given, sees the
+    GridFunction u at every time index n = 0..steps.
     """
     if record not in ("all", "terminal"):
         raise ValueError(f"record must be 'all' or 'terminal', got {record!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
-    single = not isinstance(noise, list)
-    noises = [noise] if single and noise is not None else noise
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
+    noises = [noise] if isinstance(noise, NoisePath) else noise
     if assembled.problem.has_noise and noises is None:
         raise ValueError("problem carries noise terms but no noise path was given")
     if noises is not None and not noises:
@@ -350,40 +345,42 @@ def integrate(
     increments = None if noises is None else np.stack([p.increments for p in noises], axis=1)
     lattice = assembled.lattice
 
-    def view(block: np.ndarray) -> GridFunction | SampleBlock:
-        return GridFunction(lattice, block[0]) if single else SampleBlock(lattice, block)
+    def initial() -> GridFunction:
+        phi = assembled.phi_h().values
+        return GridFunction(lattice, LinearSolver(assembled.mass).solve(
+            phi.reshape(1, -1)).reshape(phi.shape))
 
-    u0 = assembled.memo("u0", lambda: solve_linear(assembled.mass, assembled.phi_h()))
-    block = np.repeat(u0.values[None], 1 if noises is None else len(noises), axis=0)
-    sup = norms_0h(lattice, block)
-    states = [view(block)] if record == "all" else None
+    u0 = assembled.memo("u0", initial)
+    u = GridFunction(lattice, np.repeat(u0.values, 1 if noises is None else len(noises), axis=0))
+    sup = float(norms_0h(lattice, u.values).max())
+    states = [u] if record == "all" else None
     if observe is not None:
-        observe(0, block)
+        observe(0, u)
 
     for n in range(steps):
         incs = None if increments is None else increments[:, :, n]
         try:
-            block = step_implicit_em(block, assembled, n * dt, dt, incs)
+            u = step_implicit_em(u, assembled, n * dt, dt, incs)
         except SolverError as exc:
             raise IntegrationError(f"linear solve failed at step {n}: {exc}", step=n) from exc
-        norms = norms_0h(lattice, block)
+        norms = norms_0h(lattice, u.values)
         bad = ~np.isfinite(norms)  # a NaN or inf entry makes its sample's norm non-finite
         if bad.any():
             s = int(np.argmax(bad))
-            where = "" if single else f" in sample {s}"
+            where = f" in sample {s}" if len(norms) > 1 else ""
             raise IntegrationError(f"non-finite state or |U|_0h at step {n}{where}",
-                                   step=n, sample=None if single else s)
-        sup = np.maximum(sup, norms)
+                                   step=n, sample=s)
+        sup = max(sup, float(norms.max()))
         if states is not None:
-            states.append(view(block))
+            states.append(u)
         if observe is not None:
-            observe(n + 1, block)
+            observe(n + 1, u)
     return Trajectory(
         lattice=lattice,
         times=np.arange(steps + 1) * dt,
         states=states,
-        terminal=view(block),
-        sup_norm_0h=float(sup[0]) if single else sup,
+        terminal=u,
+        sup_norm_0h=sup,
     )
 
 

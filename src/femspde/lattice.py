@@ -1,5 +1,10 @@
 """Periodic lattices on a torus and real-valued grid functions over them.
 
+A GridFunction is the one state type: a block of Monte Carlo samples over
+one lattice, stored (samples, n, ..., n), where one noise path is a block of
+one sample.  Every layer (stencil products, norms, restriction, the
+integrator's states) takes and returns that form.
+
 A lattice is the restriction of h Z^d to a torus of side L = n h, with an
 even number n of sites per axis so that halving h keeps the coarse sites a
 subset of the fine ones.  Restriction between nested lattices is plain
@@ -11,6 +16,7 @@ averaging is wanted.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +31,8 @@ class TorusLattice:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be positive")
-        if self.h <= 0.0:
-            raise ValueError("mesh size h must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"mesh size h must be finite and positive, got {self.h}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"sites per axis must be even and >= 4, got {self.n}")
 
@@ -66,75 +72,31 @@ def build_torus(d: int, h: float, sites_per_axis: int) -> TorusLattice:
 
 
 class GridFunction:
-    """Real field over the sites of a TorusLattice, stored shaped (n, ..., n)."""
+    """Real fields of a block of samples over the sites of a TorusLattice.
+
+    values is always (samples, n, ..., n).  Values shaped lattice.shape are
+    one sample and gain the leading axis (a view, not a copy); any other
+    shape is a ValueError.
+    """
 
     __slots__ = ("lattice", "values")
 
     def __init__(self, lattice: TorusLattice, values: np.ndarray):
         values = np.asarray(values, dtype=float)
-        if values.shape == (lattice.total_sites,):
-            values = values.reshape(lattice.shape)
-        if values.shape != lattice.shape:
-            raise ValueError(f"values shape {values.shape} does not match {lattice.shape}")
-        self.lattice = lattice
-        self.values = values
-
-    @staticmethod
-    def zeros(lattice: TorusLattice) -> "GridFunction":
-        return GridFunction(lattice, np.zeros(lattice.shape))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.lattice, self.values.copy())
-
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        _same_lattice(self, other)
-        return GridFunction(self.lattice, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        _same_lattice(self, other)
-        return GridFunction(self.lattice, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.lattice, self.values * scalar)
-
-    __rmul__ = __mul__
-
-
-class SampleBlock:
-    """Fields of several Monte Carlo samples over one lattice, stored (samples, n, ..., n)."""
-
-    __slots__ = ("lattice", "values")
-
-    def __init__(self, lattice: TorusLattice, values: np.ndarray):
+        if values.ndim == lattice.d:
+            values = values[None]
         if values.shape[1:] != lattice.shape:
-            raise ValueError(f"block shape {values.shape} does not match {lattice.shape}")
+            raise ValueError(f"values shape {values.shape} is neither {lattice.shape} nor "
+                             f"(samples, *{lattice.shape})")
         self.lattice = lattice
         self.values = values
-
-
-def _same_lattice(a: GridFunction, b: GridFunction) -> None:
-    if a.lattice != b.lattice:
-        raise ValueError(f"lattice mismatch: {a.lattice} vs {b.lattice}")
-
-
-def norm_0h(u: GridFunction) -> float:
-    """Discrete L2 norm: |U|_{0,h} = (h^d sum_x U(x)^2)^(1/2)."""
-    return float(norms_0h(u.lattice, u.values[None])[0])
 
 
 def norms_0h(lattice: TorusLattice, block: np.ndarray) -> np.ndarray:
-    """|U|_{0,h} of every sample of a (samples, *lattice.shape) block."""
+    """|U|_{0,h} = (h^d sum_x U(x)^2)^(1/2) of every sample of a
+    (samples, *lattice.shape) block."""
     axes = tuple(range(1, lattice.d + 1))
     return np.sqrt(lattice.h**lattice.d * np.sum(block**2, axis=axes))
-
-
-def inner_0h(u: GridFunction, v: GridFunction) -> float:
-    _same_lattice(u, v)
-    h = u.lattice.h
-    return float(h**u.lattice.d * np.sum(u.values * v.values))
 
 
 def nesting_factor(fine: TorusLattice, coarse: TorusLattice) -> int:
@@ -152,9 +114,9 @@ def nesting_factor(fine: TorusLattice, coarse: TorusLattice) -> int:
 
 
 def restrict(fine: GridFunction, coarse: TorusLattice) -> GridFunction:
-    """Injection: sample the fine field at the coarse sites."""
+    """Injection: sample every sample's fine field at the coarse sites."""
     step = nesting_factor(fine.lattice, coarse)
-    sl = (slice(None, None, step),) * coarse.d
+    sl = (slice(None),) + (slice(None, None, step),) * coarse.d
     return GridFunction(coarse, fine.values[sl].copy())
 
 
@@ -171,14 +133,16 @@ def format_float(v: float) -> str:
 
 
 def grid_function_to_csv(u: GridFunction) -> str:
-    """One row per site: multi-index, coordinates, value; LF line endings."""
+    """One row per site of a one-sample field: multi-index, coordinates, value; LF line endings."""
+    if len(u.values) != 1:
+        raise ValueError(f"a CSV holds one sample, got {len(u.values)}")
     d = u.lattice.d
     buf = io.StringIO()
     header = [f"i{k + 1}" for k in range(d)] + [f"x{k + 1}" for k in range(d)] + ["value"]
     buf.write(",".join(header) + "\n")
     idx = u.lattice.multi_indices()
     xs = u.lattice.coords()
-    flat = u.flat()
+    flat = u.values.reshape(-1)
     for row in range(idx.shape[0]):
         cols = [str(int(i)) for i in idx[row]]
         cols += [format_float(x) for x in xs[row]]

@@ -504,8 +504,13 @@ def _boundary_samples(cell: Cell, m: int) -> np.ndarray:
 
 
 def parse_number(text: str) -> float:
-    """Parse a decimal or rational literal like '2/3' to float."""
+    """Parse a decimal or rational literal like '2/3' to a finite float; ValueError
+    for anything else, a zero denominator, nan and inf included."""
     text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    try:
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value

@@ -20,7 +20,7 @@ from html import escape
 
 import numpy as np
 
-from .lattice import GridFunction, TorusLattice, format_float, norm_0h, restrict
+from .lattice import GridFunction, TorusLattice, format_float, norms_0h, restrict
 
 RATIO_QUARTER = 0.25
 RATIO_SIXTEENTH = 0.0625
@@ -71,31 +71,34 @@ class ExtrapolationPlan:
 
 
 def combine(level_solutions: list[GridFunction], plan: ExtrapolationPlan) -> GridFunction:
-    """Mixture of nested-level solutions, restricted by injection to the coarsest."""
+    """Mixture of nested-level solutions, restricted by injection to the coarsest,
+    sample by sample."""
     if len(level_solutions) != plan.levels:
         raise ValueError(f"expected {plan.levels} level solutions, got {len(level_solutions)}")
     coarse = level_solutions[0].lattice
-    out = np.zeros(coarse.shape)
+    out = np.zeros(level_solutions[0].values.shape)
     for c, sol in zip(plan.coefficients, level_solutions):
         out += c * restrict(sol, coarse).values
     return GridFunction(coarse, out)
 
 
-def error_norm(u: GridFunction, reference: GridFunction) -> float:
-    """|u - reference|_{0,h} on a shared lattice."""
-    return norm_0h(u - reference)
+def error_norm(u: GridFunction, reference: GridFunction) -> np.ndarray:
+    """|u - reference|_{0,h} of every sample, on a shared lattice."""
+    if u.lattice != reference.lattice:
+        raise ValueError(f"lattice mismatch: {u.lattice} vs {reference.lattice}")
+    return norms_0h(u.lattice, u.values - reference.values)
 
 
 def trajectory_error(
     states: list[GridFunction], ref_states: list[GridFunction], lattice: TorusLattice
-) -> float:
-    """Max over recorded times of the norm of the difference, both restricted."""
+) -> np.ndarray:
+    """Per sample, the max over recorded times of the norm of the difference,
+    both restricted."""
     if len(states) != len(ref_states):
         raise ValueError("trajectories record different numbers of states")
     worst = 0.0
     for u, ref in zip(states, ref_states):
-        diff = restrict(u, lattice) - restrict(ref, lattice)
-        worst = max(worst, norm_0h(diff))
+        worst = np.maximum(worst, error_norm(restrict(u, lattice), restrict(ref, lattice)))
     return worst
 
 

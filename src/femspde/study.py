@@ -42,6 +42,7 @@ mixture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ import numpy as np
 from .assembly import AssembledProblem
 from .elements import FiniteElement
 from .integrator import NoisePath, integrate, sample_seed
-from .lattice import build_torus, nesting_factor, norms_0h
+from .lattice import GridFunction, build_torus, nesting_factor, norms_0h
 from .problem import Problem
 from .richardson import ConvergenceReport, ExtrapolationPlan
 from .tensors import ReferenceTensors
@@ -65,8 +66,8 @@ BLOCK_COPIES = 4
 
 def resolve_steps(T: float, L: float, n_finest: int, steps: int | None = None) -> int:
     """Time steps for dt = DT_FACTOR * h_finest^2, h_finest = L / n_finest; steps overrides."""
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and positive, got {T}")
     if steps is not None:
         if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
             raise ValueError(f"steps must be an integer, got {steps!r}")
@@ -190,7 +191,8 @@ def run_convergence_study(
                     terms.setdefault(root, {})[j] = np.empty(
                         (steps + 1, width, *(target(root),) * d))
 
-            def observe(k: int, block: np.ndarray) -> None:
+            def observe(k: int, u: GridFunction) -> None:
+                block = u.values
                 for root, j in uses[m]:
                     mixture = plan.coefficients[j] * inject(block, m, target(root))
                     if j > 0:

@@ -106,7 +106,7 @@ def assert_minus_h_identity(element, problem, lattice, t):
         close(raw_stencil(tables, lattice, h, t, noise_terms(problem, rho)),
               at_negated_offsets(assemble_noise(tensors, problem, lattice, t, rho)))
     close(raw_mollified(problem.phi, element, lattice, h, t, tensors.quad_degree),
-          mollify_data(problem.phi, tensors, lattice, t).values)
+          mollify_data(problem.phi, tensors, lattice, t).values[0])
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,7 @@ class TestMass:
         element, tensors, lattice = hat_setup
         mass = assemble_mass(tensors, lattice)
         spike = GridFunction(lattice, np.eye(lattice.n)[0])
-        out = mass.apply(spike).values
+        out = mass.apply(spike).values[0]
         assert out[0] == pytest.approx(2.0 / 3.0, abs=1e-14)
         assert out[1] == pytest.approx(1.0 / 6.0, abs=1e-14)
         assert out[-1] == pytest.approx(1.0 / 6.0, abs=1e-14)
@@ -173,7 +173,7 @@ class TestDrift:
         x = lattice.axis_coords()
         h = lattice.h
         u = GridFunction(lattice, np.sin(x))
-        out = drift.apply(u).values
+        out = drift.apply(u).values[0]
         eigenvalue = (2.0 * np.cos(h) - 2.0) / h**2
         np.testing.assert_allclose(out, eigenvalue * np.sin(x), atol=1e-12)
         # second-order consistency with the continuum operator
@@ -278,7 +278,7 @@ class TestApply:
             for _ in range(5):
                 u = GridFunction(lattice, rng.normal(size=lattice.shape))
                 np.testing.assert_allclose(
-                    drift.apply(u).flat(), dense @ u.flat(), atol=1e-13, rtol=1e-13
+                    drift.apply(u).values.ravel(), dense @ u.values.ravel(), atol=1e-13, rtol=1e-13
                 )
 
     def test_linearity(self, hat_setup, rng):
@@ -287,7 +287,7 @@ class TestApply:
         op = assemble_drift(tensors, problem, lattice, 0.0)
         u = GridFunction(lattice, rng.normal(size=lattice.shape))
         v = GridFunction(lattice, rng.normal(size=lattice.shape))
-        lhs = op.apply(2.5 * u + (-1.25) * v).values
+        lhs = op.apply(GridFunction(lattice, 2.5 * u.values + (-1.25) * v.values)).values
         rhs = 2.5 * op.apply(u).values - 1.25 * op.apply(v).values
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -298,7 +298,7 @@ class TestApply:
         with pytest.raises(ValueError):
             mass.apply(GridFunction(other, np.zeros(other.shape)))
         with pytest.raises(ValueError):
-            mass.apply(np.zeros((3, *other.shape)))
+            mass.apply(GridFunction(other, np.zeros((3, *other.shape))))
 
     def test_sample_block_matches_each_sample(self, rng):
         # a (samples, *shape) block gives each sample's own apply bit for bit
@@ -311,11 +311,11 @@ class TestApply:
             problem = parse_problem_text(f'd = {d}\n{diffusion}\nb.1 = "0.2"')
             drift = assemble_drift(tensors, problem, lattice, 0.0)
             block = rng.normal(size=(4, *lattice.shape))
-            got = drift.apply(block)
+            got = drift.apply(GridFunction(lattice, block)).values
             assert got.shape == block.shape
             for sample, out in zip(block, got):
                 want = drift.apply(GridFunction(lattice, sample)).values
-                assert np.array_equal(out, want)
+                assert np.array_equal(out[None], want)
 
 
 class TestMollify:
@@ -332,7 +332,7 @@ class TestMollify:
         out = mollify_data(problem.phi, tensors, lattice)
         x = lattice.axis_coords()
         interior = (x > 1.0) & (x < 7.0)
-        np.testing.assert_allclose(out.values[interior], x[interior], atol=1e-12)
+        np.testing.assert_allclose(out.values[0, interior], x[interior], atol=1e-12)
 
     def test_quadratic_second_moment(self):
         # second moment of the hat: int z^2 (1 - |z|) dz = 1/6
@@ -343,7 +343,7 @@ class TestMollify:
         x = lattice.axis_coords()
         interior = (x > 1.0) & (x < 7.0)
         expected = x[interior] ** 2 + lattice.h**2 / 6.0
-        np.testing.assert_allclose(out.values[interior], expected, atol=1e-12)
+        np.testing.assert_allclose(out.values[0, interior], expected, atol=1e-12)
 
     def test_sine_damping_factor(self, hat_setup):
         element, tensors, lattice = hat_setup
@@ -351,7 +351,7 @@ class TestMollify:
         out = mollify_data(problem.phi, tensors, lattice)
         h = lattice.h
         factor = 2.0 * (1.0 - np.cos(h)) / h**2  # cosine transform of the hat
-        np.testing.assert_allclose(out.values, factor * np.sin(lattice.axis_coords()),
+        np.testing.assert_allclose(out.values[0], factor * np.sin(lattice.axis_coords()),
                                    atol=1e-12)
 
 
@@ -388,7 +388,7 @@ class TestConsistencyOrder:
                 du = [np.cos(x[:, 0]) * np.cos(x[:, 1]), -np.sin(x[:, 0]) * np.sin(x[:, 1])]
                 lap = -2.0 * u
             target = exact(x, u, du, lap)
-            out = drift.apply(GridFunction(lattice, u.reshape(lattice.shape))).flat()
+            out = drift.apply(GridFunction(lattice, u.reshape(lattice.shape))).values.ravel()
             errors.append(float(np.max(np.abs(out - target))))
         ratio = errors[0] / errors[1]
         assert 3.2 <= ratio <= 4.8  # halving h quarters the error, 20% slack
@@ -405,6 +405,15 @@ class TestSignInvariance:
 
 
 class TestDiagnostics:
+    def test_dimension_mismatch_rejected(self, hat_setup):
+        element, tensors, lattice = hat_setup
+        plane = parse_problem_text('d = 2\na.1.1 = "1"\na.2.2 = "1"')
+        with pytest.raises(ValueError, match="problem.d = 2, tensors.d = 1, lattice.d = 1"):
+            AssembledProblem(element, tensors, plane, lattice)
+        line = parse_problem_text('a.1.1 = "1"')
+        with pytest.raises(ValueError, match="problem.d = 1, tensors.d = 1, lattice.d = 2"):
+            AssembledProblem(element, tensors, line, build_torus(2, 0.5, 8))
+
     def test_time_independent_operators_are_cached(self, hat_setup):
         # a result is kept unless an expression it is built from references t
         element, tensors, lattice = hat_setup
@@ -462,11 +471,12 @@ class TestMatrix:
         op = StencilOperator(lattice, offsets, coef)
         dense = op.to_dense()
         u = rng.normal(size=4)
-        np.testing.assert_allclose(op.apply(GridFunction(lattice, u)).values, dense @ u,
+        np.testing.assert_allclose(op.apply(GridFunction(lattice, u)).values[0], dense @ u,
                                    rtol=1e-14, atol=1e-14)
         solver = LinearSolver(op)
         assert solver.direct
-        np.testing.assert_allclose(solver.solve(u), np.linalg.solve(dense, u), rtol=1e-13)
+        np.testing.assert_allclose(solver.solve(u[None])[0], np.linalg.solve(dense, u),
+                                   rtol=1e-13)
         means = np.repeat(coef.mean(axis=1, keepdims=True), 4, axis=1)
         averaged = StencilOperator(lattice, offsets, means).to_dense()
         modes = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(3)) / 4)
@@ -568,7 +578,7 @@ class TestCellQuadrature:
         for rho in (1, 2):
             close(signed(assemble_noise(tensors, problem, lattice, t, rho)),
                   raw_stencil(tables, lattice, h, t, noise_terms(problem, rho)))
-        close(mollify_data(problem.phi, tensors, lattice, t).values,
+        close(mollify_data(problem.phi, tensors, lattice, t).values[0],
               raw_mollified(problem.phi, element, lattice, h, t, tensors.quad_degree))
 
     def test_triangle_cells_share_one_point_set(self):

@@ -140,8 +140,45 @@ class TestVerifyElement:
     def test_missing_element_choice(self, tmp_path):
         assert main(["verify-element", "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("old, new", [
+        ("lo = -1\n", "lo = 1/0\n"),
+        ("lo = -1\n", "lo = nan\n"),
+        ("poly = 0: 2  1: 2\n", "poly = 0: 2  1: nan\n"),
+    ], ids=["zero-denominator", "nan-corner", "nan-coefficient"])
+    def test_bad_numbers_are_input_errors(self, tmp_path, capsys, old, new):
+        element = tmp_path / "bad.element"
+        element.write_text(SCALED_ELEMENT.replace(old, new, 1), encoding="utf-8")
+        code = main(["verify-element", "--element-file", str(element), "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert not run_dirs(tmp_path)
+
+
+PLANE_PROBLEM = 'd = 2\na.1.1 = "1"\na.2.2 = "1"\nphi = "sin(x1)*cos(x2)"\n'
+
 
 class TestSimulate:
+    @pytest.mark.parametrize("command, preset, text, dims", [
+        ("simulate", "hat1d", PLANE_PROBLEM, (2, 1, 2)),
+        ("simulate", "tensor(2)", DET_PROBLEM, (1, 2, 1)),
+        ("convergence", "hat1d", PLANE_PROBLEM, (2, 1, 2)),
+        ("convergence", "tensor(2)", DET_PROBLEM, (1, 2, 1)),
+    ], ids=["simulate-hat1d", "simulate-tensor2", "convergence-hat1d", "convergence-tensor2"])
+    def test_element_and_problem_dimensions_must_agree(self, tmp_path, capsys, command,
+                                                       preset, text, dims):
+        prob = tmp_path / "p.prob"
+        prob.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        args = [command, "--preset", preset, "--problem", str(prob), "--n", "8",
+                "--T", "0.05", "--steps", "2", "--out", str(out)]
+        if command == "convergence":
+            args += ["--ladder", "3"]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: dimension mismatch: problem.d = {}, tensors.d = {}, lattice.d = {}\n"
+            .format(*dims))
+        assert not out.exists()
+
     def test_zero_data_writes_zero_field(self, tmp_path):
         prob = tmp_path / "zero.prob"
         prob.write_text('a.1.1 = "1"\n', encoding="utf-8")
@@ -182,9 +219,9 @@ class TestSimulate:
         ap = AssembledProblem(element, tensors, problem, lattice)
         mass = dense_from_stencil(ap.mass)
         drift = dense_from_stencil(ap.drift(0.0))
-        f = ap.f_h(0.0).flat()
+        f = ap.f_h(0.0).values.ravel()
         dt = 0.1 / 32
-        u = np.linalg.solve(mass, ap.phi_h().flat())
+        u = np.linalg.solve(mass, ap.phi_h().values.ravel())
         system = mass - dt * drift
         for _ in range(32):
             u = np.linalg.solve(system, mass @ u + dt * f)
@@ -238,13 +275,14 @@ class TestSimulate:
         (run_dir,) = run_dirs(out)
         states = ["step,time,site,value\n"]
         for k, state in enumerate(traj.states):
-            flat = state.flat()
+            flat = state.values[0].ravel()
             for site in range(flat.size):
                 states.append(f"{k},{fmt(traj.times[k])},{site},{fmt(flat[site])}\n")
         assert (out / run_dir / "states.csv").read_bytes() == "".join(states).encode()
         lattice = traj.terminal.lattice
         terminal = ["i1,i2,x1,x2,value\n"]
-        for idx, x, v in zip(lattice.multi_indices(), lattice.coords(), traj.terminal.flat()):
+        for idx, x, v in zip(lattice.multi_indices(), lattice.coords(),
+                             traj.terminal.values[0].ravel()):
             terminal.append(",".join([*map(str, idx), *map(fmt, x), fmt(v)]) + "\n")
         assert (out / run_dir / "terminal.csv").read_bytes() == "".join(terminal).encode()
 
@@ -560,6 +598,11 @@ class TestManifest:
         ("simulate", "rho_max", -1),
         ("convergence", "ladder", 2),
         ("convergence", "ladder", 0),
+        ("simulate", "T", np.inf),
+        ("convergence", "T", np.inf),
+        ("simulate", "T", np.nan),
+        ("simulate", "L", np.inf),
+        ("convergence", "L", np.nan),
     ])
     def test_non_positive_run_sizes_rejected(self, tmp_path, stoch_file, capsys,
                                              command, key, value):
@@ -587,3 +630,12 @@ class TestManifest:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert len(run_dirs(out)) == 1
+
+    def test_infinite_T_without_steps_rejected(self, tmp_path, stoch_file, capsys):
+        # without --steps the time-step rule would round T / dt = inf to an integer
+        out = tmp_path / "o"
+        code = main(["simulate", "--preset", "hat1d", "--problem", stoch_file, "--n", "8",
+                     "--T", "inf", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: T must be finite and positive, got inf\n"
+        assert not out.exists()

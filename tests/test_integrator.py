@@ -14,11 +14,10 @@ from femspde.integrator import (
     integrate,
     integrate_multilevel,
     sample_seed,
-    solve_linear,
     splitmix64,
     step_implicit_em,
 )
-from femspde.lattice import GridFunction, build_torus
+from femspde.lattice import GridFunction, build_torus, norms_0h
 from femspde.problem import parse_problem_text
 from femspde.tensors import compute_reference_tensors
 from tests.test_assembly import dense_from_stencil
@@ -84,12 +83,19 @@ class TestNoisePath:
         assert splitmix64(0) != 0
 
 
+def solve(op: StencilOperator, rhs: GridFunction) -> GridFunction:
+    """op U = rhs for every sample of rhs, through LinearSolver."""
+    block = rhs.values
+    out = LinearSolver(op).solve(block.reshape(len(block), -1))
+    return GridFunction(rhs.lattice, out.reshape(block.shape))
+
+
 class TestStep:
     def test_zero_data_stays_zero(self, hat):
         ap = make_assembled(hat, 'a.1.1 = "1"')
-        u0 = GridFunction.zeros(ap.lattice)
-        u1 = step_implicit_em(u0.values[None], ap, 0.0, 0.01, None)[0]
-        np.testing.assert_array_equal(u1, 0.0)
+        u0 = GridFunction(ap.lattice, np.zeros(ap.lattice.shape))
+        u1 = step_implicit_em(u0, ap, 0.0, 0.01, None)
+        np.testing.assert_array_equal(u1.values, 0.0)
 
     def test_pure_mass_problem_is_stationary(self, hat):
         ap = make_assembled(hat, 'a.1.1 = "0"\nphi = "sin(x1)"')
@@ -101,11 +107,11 @@ class TestStep:
         ap = make_assembled(hat, 'a.1.1 = "1"\nphi = "sin(x1)"\nf = "0.3*cos(x1)"')
         lattice = ap.lattice
         dt = 0.01
-        u0 = solve_linear(ap.mass, ap.phi_h())
-        u1 = step_implicit_em(u0.values[None], ap, 0.0, dt, None)[0]
+        u0 = solve(ap.mass, ap.phi_h())
+        u1 = step_implicit_em(u0, ap, 0.0, dt, None).values[0]
         mass_mat = dense_from_stencil(ap.mass)
         drift_mat = dense_from_stencil(ap.drift(dt))
-        rhs = mass_mat @ u0.flat() + dt * ap.f_h(dt).flat()
+        rhs = mass_mat @ u0.values[0] + dt * ap.f_h(dt).values[0]
         expected = np.linalg.solve(mass_mat - dt * drift_mat, rhs)
         np.testing.assert_allclose(u1, expected, atol=1e-10)
 
@@ -114,10 +120,10 @@ class TestStep:
         lattice = ap.lattice
         h = lattice.h
         dt = 0.02
-        u0 = solve_linear(ap.mass, ap.phi_h())
-        u1 = step_implicit_em(u0.values[None], ap, 0.0, dt, None)[0]
+        u0 = solve(ap.mass, ap.phi_h())
+        u1 = step_implicit_em(u0, ap, 0.0, dt, None).values[0]
         x = lattice.axis_coords()
-        amp0 = 2.0 / lattice.n * float(u0.values @ np.sin(x))
+        amp0 = 2.0 / lattice.n * float(u0.values[0] @ np.sin(x))
         amp1 = 2.0 / lattice.n * float(u1 @ np.sin(x))
         mass_symbol = (2.0 + np.cos(h)) / 3.0
         lap_symbol = (2.0 - 2.0 * np.cos(h)) / h**2
@@ -131,8 +137,15 @@ class TestSolveLinear:
         lattice = build_torus(1, L / 16, 16)
         ident = StencilOperator(lattice, ((0,),), np.ones((1, 16)))
         rhs = GridFunction(lattice, rng.normal(size=16))
-        out = solve_linear(ident, rhs)
+        out = solve(ident, rhs)
         np.testing.assert_allclose(out.values, rhs.values, atol=1e-15)
+
+    def test_solve_takes_only_blocks(self):
+        lattice = build_torus(1, L / 16, 16)
+        solver = LinearSolver(StencilOperator(lattice, ((0,),), np.ones((1, 16))))
+        for rhs in (np.ones(16), np.ones((1, 8)), np.ones((1, 16, 1))):
+            with pytest.raises(ValueError, match="samples, 16"):
+                solver.solve(rhs)
 
     def test_mass_roundtrip(self, hat, rng):
         element, tensors = hat
@@ -140,7 +153,7 @@ class TestSolveLinear:
         mass = assemble_mass(tensors, lattice)
         u = GridFunction(lattice, rng.normal(size=32))
         rhs = mass.apply(u)
-        out = solve_linear(mass, rhs)
+        out = solve(mass, rhs)
         np.testing.assert_allclose(out.values, u.values, atol=1e-10)
 
     def test_mass_roundtrip_iterative(self, hat, rng):
@@ -151,7 +164,7 @@ class TestSolveLinear:
         mass = assemble_mass(tensors, lattice)
         u = GridFunction(lattice, rng.normal(size=n))
         rhs = mass.apply(u)
-        out = solve_linear(mass, rhs)
+        out = solve(mass, rhs)
         np.testing.assert_allclose(out.values, u.values, atol=1e-8)
 
     def test_singular_system_fails(self):
@@ -160,7 +173,7 @@ class TestSolveLinear:
             zero = StencilOperator(lattice, ((0,),), np.zeros((1, n)))
             rhs = GridFunction(lattice, np.ones(n))
             with pytest.raises(SolverError):
-                solve_linear(zero, rhs)
+                solve(zero, rhs)
 
     @pytest.mark.parametrize(
         "preset, n_direct, n_krylov",
@@ -180,11 +193,11 @@ class TestSolveLinear:
             rhs = GridFunction(lattice, rng.normal(size=lattice.shape))
             solver = LinearSolver(op)
             assert solver.direct == (n == n_direct)
-            got = solver.solve(rhs.flat())
+            got = solver.solve(rhs.values.reshape(1, -1))[0]
             if solver.direct:
-                want, rtol = np.linalg.solve(op.to_dense(), rhs.flat()), 1e-12
+                want, rtol = np.linalg.solve(op.to_dense(), rhs.values.ravel()), 1e-12
             else:
-                want, rtol = spsolve(op.matrix.copy(), rhs.flat()), 1e-8
+                want, rtol = spsolve(op.matrix.copy(), rhs.values.ravel()), 1e-8
             assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
@@ -226,7 +239,7 @@ class TestPreconditioner:
         solver = LinearSolver(op)
         assert not solver.direct
         rhs = rng.normal(size=lattice.total_sites)
-        got = solver.solve(rhs)
+        got = solver.solve(rhs[None])[0]
         assert len(krylov_iters) <= 1
         assert np.linalg.norm(op.matrix @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -238,7 +251,7 @@ class TestPreconditioner:
         signs = np.where(np.arange(n) % 2, -1.0, 1.0)
         solver = LinearSolver(StencilOperator(lattice, ((0,),), signs[None]))
         rhs = np.linspace(1.0, 2.0, n)
-        np.testing.assert_allclose(solver.solve(rhs), signs * rhs, rtol=1e-10)
+        np.testing.assert_allclose(solver.solve(rhs[None])[0], signs * rhs, rtol=1e-10)
 
     def test_x_varying_system_needs_few_iterations(self, krylov_iters):
         # det2d_ladder's implicit system on its 128^2 reference: a = 1 + 0.25 cos x1
@@ -255,8 +268,8 @@ class TestPreconditioner:
         lattice = build_torus(2, L / 128, 128)
         ap = AssembledProblem(element, tensors, problem, lattice)
         op = implicit_system(ap, 0.0, 0.25 / resolve_steps(0.25, L, 32))  # the study's dt
-        rhs = ap.mass.apply(ap.phi_h()).flat()
-        got = LinearSolver(op).solve(rhs)
+        rhs = ap.mass.apply(ap.phi_h()).values.ravel()
+        got = LinearSolver(op).solve(rhs[None])[0]
         preconditioned = len(krylov_iters)
         assert preconditioned <= 3  # measured: 3
         scipy.sparse.linalg.bicgstab(op.matrix, rhs, rtol=1e-10, atol=0.0)
@@ -291,7 +304,7 @@ class TestIntegrate:
         mollify = 2.0 * (1.0 - np.cos(h)) / h**2
         amp = mollify / mass_symbol  # initial mass solve
         amp *= (mass_symbol / (mass_symbol + dt * lap_symbol)) ** steps
-        measured = 2.0 / lattice.n * float(traj.terminal.values @ np.sin(x))
+        measured = 2.0 / lattice.n * float(traj.terminal.values[0] @ np.sin(x))
         assert measured == pytest.approx(amp, abs=1e-10)
 
     def test_sup_norm_non_increasing_for_heat(self, hat):
@@ -350,6 +363,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("T, steps, field", [
         (0.1, 0, "steps"), (0.1, -3, "steps"), (0.0, 4, "T"), (-1.0, 4, "T"),
+        (np.inf, 4, "T"), (np.nan, 4, "T"),
     ])
     def test_non_positive_run_sizes_rejected(self, hat, T, steps, field):
         ap = make_assembled(hat, 'a.1.1 = "1"\nphi = "sin(x1)"')
@@ -408,15 +422,19 @@ class TestSampleBlock:
         noises = block_noises()
         seen = []
         block_traj = integrate(ap, noises, 0.08, 8,
-                               observe=lambda n, block: seen.append(block.copy()))
+                               observe=lambda n, u: seen.append(u.values.copy()))
         assert len(seen) == 9 and block_traj.terminal.values.shape == (3, 16)
         for kept, block in zip(block_traj.states, seen, strict=True):
             assert np.array_equal(kept.values, block)
+        # each sample's max over time of |U|_0h, from the blocks observe saw
+        sups = np.max([norms_0h(ap.lattice, block) for block in seen], axis=0)
         for s, noise in enumerate(noises):
             traj = integrate(ap, noise, 0.08, 8)
             for block, state in zip(seen, traj.states, strict=True):
-                assert np.array_equal(block[s], state.values)
-            assert block_traj.sup_norm_0h[s] == traj.sup_norm_0h
+                assert np.array_equal(block[s], state.values[0])
+            assert sups[s] == traj.sup_norm_0h
+        assert block_traj.sup_norm_0h == float(sups.max())
+        assert isinstance(block_traj.sup_norm_0h, float)
         assert not np.array_equal(seen[-1][0], seen[-1][1])
 
     @pytest.mark.parametrize("text, factors", [
@@ -446,6 +464,16 @@ class TestSampleBlock:
             integrate(make_assembled(hat, BLOCK_PROBLEM), noises, 0.08, 8)
         assert (err.value.step, err.value.sample) == (2, 1)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_one_path_failure_is_sample_zero(self, hat):
+        # a block of one sample: the message does not name the sample
+        noise = block_noises(1)[0]
+        noise.increments[0, 2] = 1e300
+        with pytest.raises(IntegrationError) as err:
+            integrate(make_assembled(hat, BLOCK_PROBLEM), noise, 0.08, 8)
+        assert str(err.value) == "non-finite state or |U|_0h at step 2"
+        assert (err.value.step, err.value.sample) == (2, 0)
+
     def test_non_finite_lu_solve_reports_step(self, hat):
         noises = block_noises()
         noises[2].increments[0, 5] = np.inf
@@ -468,7 +496,7 @@ class TestSampleBlock:
         rows = rng.normal(size=(2, n))
         block = solver.solve(rows)
         for row, out in zip(rows, block):
-            assert np.array_equal(out, solver.solve(row))
+            assert np.array_equal(out, solver.solve(row[None])[0])
         # each column's residual is checked: a zero column passes, the next fails
         zero = StencilOperator(lattice, ((0,),), np.zeros((1, n)))
         singular = LinearSolver(zero)
@@ -487,6 +515,13 @@ class TestSampleBlock:
 
 
 class TestMultilevel:
+    def test_dimension_mismatch_rejected(self, hat):
+        element, tensors = hat
+        problem = parse_problem_text('d = 2\na.1.1 = "1"\na.2.2 = "1"')
+        with pytest.raises(ValueError, match="problem.d = 2, tensors.d = 1, lattice.d = 2"):
+            integrate_multilevel(element, tensors, problem, build_torus(2, L / 8, 8), 2, None,
+                                 T=0.1, steps=2)
+
     def test_single_level_equals_integrate(self, hat):
         element, tensors = hat
         problem = parse_problem_text('a.1.1 = "1"\nphi = "sin(x1)"')
@@ -523,8 +558,8 @@ class TestMultilevel:
             noise = NoisePath(sample_seed(2718, k), 16, 0.01, 1)
             levels = integrate_multilevel(element, tensors, problem, coarse, 2, noise,
                                           T=0.16, steps=16, record="terminal")
-            coarse_vals.append(levels[0].terminal.values[site])
-            fine_vals.append(levels[1].terminal.values[2 * site])
+            coarse_vals.append(levels[0].terminal.values[0, site])
+            fine_vals.append(levels[1].terminal.values[0, 2 * site])
         corr = float(np.corrcoef(coarse_vals, fine_vals)[0, 1])
         assert corr > 0.9
 

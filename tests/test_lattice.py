@@ -8,8 +8,7 @@ from femspde.lattice import (
     build_torus,
     format_float,
     grid_function_to_csv,
-    inner_0h,
-    norm_0h,
+    norms_0h,
     restrict,
     write_grid_function_csv,
 )
@@ -35,6 +34,9 @@ class TestBuild:
             build_torus(1, 0.25, 2)
         with pytest.raises(ValueError):
             build_torus(1, -0.25, 8)
+        for h in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                build_torus(1, h, 8)
 
 
 class TestRefine:
@@ -57,6 +59,26 @@ class TestRefine:
         np.testing.assert_allclose(lat.axis_coords(), fine.axis_coords()[::2])
 
 
+class TestGridFunction:
+    def test_one_sample_gains_leading_axis_without_copy(self):
+        lat = build_torus(2, 0.5, 4)
+        vals = np.arange(16, dtype=float).reshape(4, 4)
+        u = GridFunction(lat, vals)
+        assert u.values.shape == (1, 4, 4)
+        assert np.shares_memory(u.values, vals)
+
+    def test_block_is_kept_as_given(self, rng):
+        lat = build_torus(2, 0.5, 4)
+        block = rng.normal(size=(3, 4, 4))
+        assert GridFunction(lat, block).values is block
+
+    @pytest.mark.parametrize("shape", [(16,), (4,), (4, 4, 4, 4), (2, 4, 8), ()])
+    def test_other_shapes_rejected(self, shape):
+        # the flat (sites,) form included
+        with pytest.raises(ValueError, match="neither"):
+            GridFunction(build_torus(2, 0.5, 4), np.zeros(shape))
+
+
 class TestRestrict:
     def test_constant_field(self):
         coarse = build_torus(1, 0.5, 4)
@@ -71,8 +93,17 @@ class TestRestrict:
         wave = GridFunction(fine, np.sin(2 * np.pi * fine.axis_coords() / fine.L))
         v = restrict(wave, coarse)
         np.testing.assert_allclose(
-            v.values, np.sin(2 * np.pi * coarse.axis_coords() / coarse.L), atol=1e-15
+            v.values[0], np.sin(2 * np.pi * coarse.axis_coords() / coarse.L), atol=1e-15
         )
+
+    def test_block_restricts_each_sample(self, rng):
+        coarse = build_torus(2, 0.5, 4)
+        fine = coarse.refine()
+        block = rng.normal(size=(3, *fine.shape))
+        got = restrict(GridFunction(fine, block), coarse).values
+        assert got.shape == (3, *coarse.shape)
+        for sample, out in zip(block, got):
+            assert np.array_equal(out[None], restrict(GridFunction(fine, sample), coarse).values)
 
     def test_two_step_composition(self, rng):
         coarse = build_torus(2, 0.5, 4)
@@ -88,7 +119,7 @@ class TestRestrict:
         fine = coarse.refine()
         u = GridFunction(coarse, rng.normal(size=coarse.shape))
         padded = np.zeros(fine.shape)
-        padded[::2] = u.values
+        padded[::2] = u.values[0]
         assert np.array_equal(restrict(GridFunction(fine, padded), coarse).values, u.values)
 
     def test_non_nested_rejected(self):
@@ -105,36 +136,21 @@ class TestRestrict:
 class TestNorms:
     def test_constant_norm_equals_torus_length(self):
         lat = build_torus(1, 0.25, 8)
-        u = GridFunction(lat, np.ones(lat.shape))
-        assert norm_0h(u) ** 2 == pytest.approx(2.0)  # h^d * n = L
+        (norm,) = norms_0h(lat, np.ones((1, *lat.shape)))
+        assert norm**2 == pytest.approx(2.0)  # h^d * n = L
 
     def test_zero(self):
         lat = build_torus(1, 0.25, 8)
-        assert norm_0h(GridFunction.zeros(lat)) == 0.0
+        assert norms_0h(lat, np.zeros((1, *lat.shape)))[0] == 0.0
 
     def test_against_fsum_oracle(self, rng):
         lat = build_torus(2, 0.1, 16)
-        vals = rng.normal(size=lat.shape)
-        u = GridFunction(lat, vals)
-        oracle = math.fsum(lat.h**2 * v * v for v in vals.ravel())
-        assert norm_0h(u) ** 2 == pytest.approx(oracle, rel=1e-13)
-        oracle_ip = math.fsum(lat.h**2 * v * w for v, w in zip(vals.ravel(), vals.ravel()[::-1]))
-        v = GridFunction(lat, vals.ravel()[::-1].reshape(lat.shape))
-        assert inner_0h(u, v) == pytest.approx(oracle_ip, rel=1e-12, abs=1e-13)
-
-    def test_cauchy_schwarz(self, rng):
-        lat = build_torus(1, 0.125, 16)
-        u = GridFunction(lat, rng.normal(size=lat.shape))
-        v = GridFunction(lat, rng.normal(size=lat.shape))
-        assert abs(inner_0h(u, v)) <= norm_0h(u) * norm_0h(v) + 1e-14
-
-    def test_mismatched_lattices_rejected(self):
-        u = GridFunction(build_torus(1, 0.25, 8), np.zeros(8))
-        v = GridFunction(build_torus(1, 0.25, 16), np.zeros(16))
-        with pytest.raises(ValueError):
-            inner_0h(u, v)
-        with pytest.raises(ValueError):
-            _ = u + v
+        block = rng.normal(size=(3, *lat.shape))
+        norms = norms_0h(lat, block)
+        assert norms.shape == (3,)
+        for vals, norm in zip(block, norms):
+            oracle = math.fsum(lat.h**2 * v * v for v in vals.ravel())
+            assert norm**2 == pytest.approx(oracle, rel=1e-13)
 
 
 class TestCsv:
@@ -189,3 +205,8 @@ class TestCsv:
         text = grid_function_to_csv(u)
         parsed = [float(line.split(",")[-1]) for line in text.strip().split("\n")[1:]]
         np.testing.assert_array_equal(np.asarray(parsed), vals)
+
+    def test_one_sample_per_file(self):
+        lat = build_torus(1, 0.5, 4)
+        with pytest.raises(ValueError, match="one sample"):
+            grid_function_to_csv(GridFunction(lat, np.zeros((2, 4))))

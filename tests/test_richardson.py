@@ -99,7 +99,7 @@ class TestCombine:
         out = combine(
             [GridFunction(self.coarse, coarse_vals), GridFunction(self.fine, fine_vals)], plan
         )
-        np.testing.assert_allclose(out.values, truth, atol=1e-13)
+        np.testing.assert_allclose(out.values[0], truth, atol=1e-13)
 
     def test_linearity_in_each_level(self, rng):
         plan = ExtrapolationPlan.create(1)
@@ -108,7 +108,8 @@ class TestCombine:
         u1 = GridFunction(self.fine, rng.normal(size=16))
         v1 = GridFunction(self.fine, rng.normal(size=16))
         # linear in the fine level with the coarse level frozen at zero
-        left = combine([zero0, 2.0 * u1 + 3.0 * v1], plan).values
+        left = combine([zero0, GridFunction(self.fine, 2.0 * u1.values + 3.0 * v1.values)],
+                       plan).values
         right = 2.0 * combine([zero0, u1], plan).values + 3.0 * combine([zero0, v1], plan).values
         np.testing.assert_allclose(left, right, atol=1e-12)
         # additive across levels
@@ -116,6 +117,17 @@ class TestCombine:
         split = combine([u0, GridFunction(self.fine, np.zeros(16))], plan).values
         split = split + combine([zero0, u1], plan).values
         np.testing.assert_allclose(both, split, atol=1e-12)
+
+    def test_block_combines_each_sample(self, rng):
+        plan = ExtrapolationPlan.create(1)
+        coarse = rng.normal(size=(3, 8))
+        fine = rng.normal(size=(3, 16))
+        got = combine([GridFunction(self.coarse, coarse), GridFunction(self.fine, fine)], plan)
+        assert got.values.shape == (3, 8)
+        for s in range(3):
+            want = combine([GridFunction(self.coarse, coarse[s]),
+                            GridFunction(self.fine, fine[s])], plan)
+            assert np.array_equal(got.values[s:s + 1], want.values)
 
     def test_wrong_level_count_rejected(self):
         plan = ExtrapolationPlan.create(1)
@@ -127,22 +139,31 @@ class TestErrorNorm:
     def test_identical_fields(self, rng):
         lat = build_torus(1, 0.5, 8)
         u = GridFunction(lat, rng.normal(size=8))
-        assert error_norm(u, u) == 0.0
+        assert np.array_equal(error_norm(u, u), [0.0])
 
     def test_constant_offset(self):
         lat = build_torus(2, 0.5, 4)  # L = 2, d = 2
         u = GridFunction(lat, np.zeros(lat.shape))
         v = GridFunction(lat, np.full(lat.shape, 0.125))
-        assert error_norm(u, v) == pytest.approx(0.125 * 2.0)  # eps * sqrt(L^d)
+        assert error_norm(u, v) == pytest.approx([0.125 * 2.0])  # eps * sqrt(L^d)
 
     def test_matches_direct_summation(self, rng):
         import math
 
         lat = build_torus(1, 0.25, 16)
-        u = GridFunction(lat, rng.normal(size=16))
-        v = GridFunction(lat, rng.normal(size=16))
-        oracle = math.sqrt(math.fsum(0.25 * (a - b) ** 2 for a, b in zip(u.values, v.values)))
-        assert error_norm(u, v) == pytest.approx(oracle, rel=1e-13)
+        u = GridFunction(lat, rng.normal(size=(3, 16)))
+        v = GridFunction(lat, rng.normal(size=(3, 16)))
+        errors = error_norm(u, v)
+        assert errors.shape == (3,)
+        for a, b, error in zip(u.values, v.values, errors):
+            oracle = math.sqrt(math.fsum(0.25 * (x - y) ** 2 for x, y in zip(a, b)))
+            assert error == pytest.approx(oracle, rel=1e-13)
+
+    def test_mismatched_lattices_rejected(self):
+        u = GridFunction(build_torus(1, 0.25, 8), np.zeros(8))
+        v = GridFunction(build_torus(1, 0.25, 16), np.zeros(16))
+        with pytest.raises(ValueError, match="lattice mismatch"):
+            error_norm(u, v)
 
 
 class TestEstimateOrder:

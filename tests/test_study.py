@@ -92,8 +92,8 @@ class TestStochasticStudy:
         # terminal-time errors exercise the coupled evolution itself
         from femspde.assembly import AssembledProblem
         from femspde.integrator import integrate
-        from femspde.lattice import build_torus, norm_0h, restrict
-        from femspde.richardson import ExtrapolationPlan, combine, estimate_order
+        from femspde.lattice import build_torus, restrict
+        from femspde.richardson import ExtrapolationPlan, combine, error_norm, estimate_order
 
         element, tensors = hat
         problem = parse_problem_text(STOCH_PROBLEM)
@@ -118,9 +118,10 @@ class TestStochasticStudy:
             ref = combine([terminal[ref_n], terminal[2 * ref_n]], plan)
             for i, n in enumerate(ladder):
                 lattice = build_torus(1, L / n, n)
-                base_sq[i] += norm_0h(restrict(ref, lattice) - restrict(terminal[n], lattice)) ** 2
+                ref_here = restrict(ref, lattice)
+                base_sq[i] += error_norm(ref_here, restrict(terminal[n], lattice))[0] ** 2
                 mix = combine([terminal[n], terminal[2 * n]], plan)
-                mix_sq[i] += norm_0h(restrict(ref, lattice) - mix) ** 2
+                mix_sq[i] += error_norm(ref_here, mix)[0] ** 2
         hs = [L / n for n in ladder]
         base_rms = np.sqrt(base_sq / samples)
         mix_rms = np.sqrt(mix_sq / samples)
@@ -170,8 +171,8 @@ def fresh_study_errors(element, tensors, problem, cfg):
         ref = mixture(cfg.ref_n)
         for i, n in enumerate(cfg.ladder_n):
             lattice = build_torus(1, L / n, n)
-            base_sq[i] += trajectory_error(states[n], ref, lattice) ** 2
-            mix_sq[i] += trajectory_error(mixture(n), ref, lattice) ** 2
+            base_sq[i] += trajectory_error(states[n], ref, lattice)[0] ** 2
+            mix_sq[i] += trajectory_error(mixture(n), ref, lattice)[0] ** 2
     base = np.sqrt(base_sq / cfg.samples).tolist()
     return base, np.sqrt(mix_sq / cfg.samples).tolist(), trajectories
 
@@ -267,9 +268,9 @@ class TestSharedLatticeWork:
         blocks = {}  # lattice n -> the (samples, n) block at every step
         real = integrator.step_implicit_em
 
-        def recording(block, assembled, *args, **kwargs):
-            out = real(block, assembled, *args, **kwargs)
-            blocks.setdefault(assembled.lattice.n, [block]).append(out)
+        def recording(u, assembled, *args, **kwargs):
+            out = real(u, assembled, *args, **kwargs)
+            blocks.setdefault(assembled.lattice.n, [u.values]).append(out.values)
             return out
 
         monkeypatch.setattr(integrator, "step_implicit_em", recording)
@@ -286,7 +287,7 @@ class TestSharedLatticeWork:
             assert len(got) == len(want.states)
             for block, state in zip(got, want.states):
                 assert block.shape == (cfg.samples, needed[n])
-                assert np.array_equal(block[s], state.values)
+                assert np.array_equal(block[s], state.values[0])
 
 
 # driven by the noise alone: phi = 0 and f = 0, so the errors are 0 without it
@@ -448,6 +449,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("T, steps, field", [
         (0.0, None, "T"), (-1.0, 4, "T"), (0.5, 0, "steps"), (0.5, -3, "steps"),
+        (np.inf, None, "T"), (np.inf, 4, "T"), (np.nan, None, "T"),
     ])
     def test_non_positive_run_sizes_rejected(self, T, steps, field):
         with pytest.raises(ValueError, match=field):

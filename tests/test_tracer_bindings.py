@@ -68,7 +68,7 @@ def test_krylov_solve_calls_patched_bicgstab(monkeypatch):
     lattice = build_torus(1, 2 * np.pi / n, n)
     solver = LinearSolver(StencilOperator(lattice, ((0,),), np.full((1, n), 2.0)))
     assert not solver.direct
-    np.testing.assert_allclose(solver.solve(np.ones(n)), 0.5)
+    np.testing.assert_allclose(solver.solve(np.ones((1, n))), 0.5)
     assert calls == [1]
 
 
