@@ -278,8 +278,10 @@ Element files are UTF-8 key-value text.  Header keys precede [cell] blocks:
     vertices = 0 0 ; 1 0 ; 1 1
     poly = 0,0: 1  1,0: -1
 
-Numbers may be decimals or rationals like 2/3.  Polynomial terms map an
-exponent tuple to a coefficient.  Lines starting with '#' are comments.
+d is an integer.  A simplex cell is a triangle, so `type = simplex` is 2-D
+only; use `type = box` in every other dimension.  Numbers may be decimals or
+rationals like 2/3.  Polynomial terms map an exponent tuple to a
+coefficient.  Lines starting with '#' are comments.
 """
 
 
@@ -303,10 +305,12 @@ def parse_element_text(text: str) -> FiniteElement:
         if key in target:
             raise ElementFormatError(f"line {lineno}: duplicate key {key!r}")
         target[key] = value
+    if "d" not in header:
+        raise ElementFormatError("missing header key 'd'")
     try:
         d = int(header["d"])
-    except KeyError:
-        raise ElementFormatError("missing header key 'd'") from None
+    except ValueError:
+        raise ElementFormatError(f"d must be an integer, got {header['d']!r}") from None
     if "lambda" not in header:
         raise ElementFormatError("missing header key 'lambda'")
     lam = _parse_lambda(header["lambda"], d)

@@ -241,38 +241,25 @@ def parse(source: str) -> Ast:
 # ---------------------------------------------------------------------------
 
 
-def max_axis(ast: Ast) -> int:
+def axes(ast: Ast) -> set[int]:
+    """The axes an expression references: k for x<k>, 0 for t."""
     if isinstance(ast, Var):
-        return ast.axis
+        return {ast.axis}
     if isinstance(ast, Num):
-        return 0
-    if isinstance(ast, Neg):
-        return max_axis(ast.arg)
-    if isinstance(ast, Call):
-        return max_axis(ast.arg)
-    if isinstance(ast, Pow):
-        return max_axis(ast.base)
-    return max(max_axis(ast.left), max_axis(ast.right))
+        return set()
+    if isinstance(ast, BinOp):
+        return axes(ast.left) | axes(ast.right)
+    return axes(ast.base if isinstance(ast, Pow) else ast.arg)
 
 
 def validate_dimension(ast: Ast, d: int) -> None:
-    axis = max_axis(ast)
+    axis = max(axes(ast), default=0)
     if axis > d:
         raise ValueError(f"expression uses x{axis} but the problem dimension is {d}")
 
 
 def depends_on_t(ast: Ast) -> bool:
-    if isinstance(ast, Var):
-        return ast.axis == 0
-    if isinstance(ast, Num):
-        return False
-    if isinstance(ast, Neg):
-        return depends_on_t(ast.arg)
-    if isinstance(ast, Call):
-        return depends_on_t(ast.arg)
-    if isinstance(ast, Pow):
-        return depends_on_t(ast.base)
-    return depends_on_t(ast.left) or depends_on_t(ast.right)
+    return 0 in axes(ast)
 
 
 def is_zero(ast: Ast) -> bool:

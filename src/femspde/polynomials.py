@@ -1,7 +1,7 @@
 """Exact piecewise-polynomial machinery: cells, clipping and Gauss quadrature.
 
 Functions here are the geometric backbone for the element library: mother
-functions are stored as polynomials on axis-aligned boxes or simplices, and
+functions are stored as polynomials on axis-aligned boxes or triangles, and
 every inner product the scheme needs reduces to integrating a polynomial
 over intersections of (possibly shifted) cells.  All quadrature rules are
 chosen exact for the requested total degree, so tensor entries computed on
@@ -163,14 +163,17 @@ class Box:
 
 @dataclass(frozen=True)
 class Simplex:
-    """Simplex with d+1 vertices in d dimensions (d <= 2 used by built-ins)."""
+    """Triangle: simplex cells are 2-D only; boxes serve every dimension."""
 
     verts: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         d = len(self.verts[0])
-        if len(self.verts) != d + 1:
-            raise GeometryError("simplex needs d+1 vertices")
+        if d != 2:
+            raise GeometryError(f"a simplex cell is a triangle (d = 2), got d = {d}; "
+                                "use type = box")
+        if len(self.verts) != 3:
+            raise GeometryError("a triangle needs 3 vertices")
         if self.volume() <= 0.0:
             raise GeometryError(f"degenerate simplex {self.verts}")
 
@@ -180,10 +183,7 @@ class Simplex:
 
     def volume(self) -> float:
         v = np.asarray(self.verts, dtype=float)
-        mat = v[1:] - v[0]
-        from math import factorial
-
-        return abs(float(np.linalg.det(mat))) / factorial(self.d)
+        return abs(float(np.linalg.det(v[1:] - v[0]))) / 2
 
     def translated(self, shift) -> "Simplex":
         shift = np.asarray(shift, dtype=float)
@@ -278,8 +278,8 @@ def _fan_triangulate(poly: np.ndarray) -> list[Simplex]:
 def intersect_cells(a: Cell, b: Cell) -> list[Cell]:
     """Intersect two convex cells; returns a list of disjoint cells (may be empty).
 
-    Boxes intersect boxes analytically in any dimension; anything involving a
-    simplex is handled by polygon clipping and is limited to d <= 2.
+    Boxes intersect boxes analytically in any dimension; a simplex is a
+    triangle, so anything involving one is clipped as a polygon.
     """
     if isinstance(a, Box) and isinstance(b, Box):
         lo = tuple(max(l1, l2) for l1, l2 in zip(a.lo, b.lo))
@@ -287,14 +287,6 @@ def intersect_cells(a: Cell, b: Cell) -> list[Cell]:
         if any(h - l <= OVERLAP_TOL for l, h in zip(lo, hi)):
             return []
         return [Box(lo, hi)]
-    d = a.d
-    if d == 1:
-        ab = _as_interval(a)
-        bb = _as_interval(b)
-        lo, hi = max(ab[0], bb[0]), min(ab[1], bb[1])
-        return [] if hi - lo <= OVERLAP_TOL else [Box((lo,), (hi,))]
-    if d != 2:
-        raise GeometryError("simplex intersection only implemented for d <= 2")
     poly = _polygon_of(a)
     for normal, offset in _halfplanes(_polygon_of(b)):
         poly = _clip_halfplane(poly, normal, offset)
@@ -303,13 +295,6 @@ def intersect_cells(a: Cell, b: Cell) -> list[Cell]:
     if abs(_signed_area(poly)) <= OVERLAP_TOL:
         return []
     return list(_fan_triangulate(poly))
-
-
-def _as_interval(cell: Cell) -> tuple[float, float]:
-    if isinstance(cell, Box):
-        return cell.lo[0], cell.hi[0]
-    xs = [v[0] for v in cell.verts]
-    return min(xs), max(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +334,6 @@ def cell_quadrature(cell: Cell, degree: int) -> tuple[np.ndarray, np.ndarray]:
         hi = np.asarray(cell.hi)
         pts = lo + pts01 * (hi - lo)
         return pts, wts * cell.volume()
-    if cell.d == 1:
-        lo, hi = _as_interval(cell)
-        return cell_quadrature(Box((lo,), (hi,)), degree)
-    if cell.d != 2:
-        raise GeometryError("simplex quadrature only implemented for d <= 2")
     # Duffy transform: (u, v) in [0,1]^2 -> v0 + u (v1 - v0) + u v (v2 - v1);
     # a total-degree-D polynomial pulls back to degree 2D + 1, still Gaussian-exact.
     # The vertices are taken in lexicographic order, so the rule depends on the

@@ -14,10 +14,11 @@ A problem file is key-value text; values are expressions in x1..xd and t:
     phi = "sin(x1)"
 
 Quotes around values are optional.  Keys that are absent default to zero,
-except the diffusion matrix `a`, which is required.  `a` must be symmetric:
-a missing mirror entry is filled in from its transpose, and providing both
-with different expressions is an error.  The l2-valued coefficients sigma,
-nu and g are truncated to rho <= rho_max.
+except the diffusion matrix `a`, which is required.  KEY_INDICES gives the
+indices each key takes: an axis i in 1..d, a Wiener index rho >= 1.  `a`
+must be symmetric: a missing mirror entry is filled in from its transpose,
+and providing both with different expressions is an error.  The l2-valued
+coefficients sigma, nu and g are truncated to rho <= rho_max.
 """
 
 from __future__ import annotations
@@ -32,6 +33,28 @@ from .expr import Ast
 
 class ProblemFormatError(ValueError):
     """Raised for malformed problem files."""
+
+
+# The indices of each key, in field order: "i" is an axis in 1..d, "rho" a
+# Wiener index >= 1.  A field with one index is keyed by an int, one with two
+# by a pair, and one with none holds an expression or None.
+KEY_INDICES: dict[str, tuple[str, ...]] = {
+    "a": ("i", "i"),
+    "b": ("i",),
+    "c": (),
+    "sigma": ("i", "rho"),
+    "nu": ("rho",),
+    "f": (),
+    "g": ("rho",),
+    "phi": (),
+}
+# the terms whose structural zeros are dropped, so that noise detection sees
+# only real terms; the required `a` and the data `phi` keep theirs
+ZERO_DROPPED = ("b", "c", "sigma", "nu", "f", "g")
+
+
+def _index(key) -> tuple[int, ...]:
+    return key if isinstance(key, tuple) else (key,)
 
 
 @dataclass
@@ -52,22 +75,29 @@ class Problem:
             raise ProblemFormatError("problem dimension must be >= 1")
         if not self.a:
             raise ProblemFormatError("the diffusion matrix 'a' is required")
+        for head, kinds in KEY_INDICES.items():
+            terms = getattr(self, head)
+            if not kinds:
+                terms = {} if terms is None else {(): terms}
+            kept = {}
+            for key, ast in terms.items():
+                index = _index(key)
+                if any(n < 1 or (kind == "i" and n > self.d) for kind, n in zip(kinds, index)):
+                    name = ".".join(map(str, (head, *index)))
+                    raise ProblemFormatError(f"key {name!r} is out of range: axes run "
+                                             f"over 1..{self.d}, Wiener indices from 1")
+                expr.validate_dimension(ast, self.d)
+                truncated = "rho" in kinds and index[-1] > self.rho_max
+                if not truncated and not (head in ZERO_DROPPED and expr.is_zero(ast)):
+                    kept[key] = ast
+            setattr(self, head, kept if kinds else kept.get(()))
+        # after the keys, so that one with a Wiener index below 1 is named
+        if self.rho_max < 1:  # would drop every sigma, nu and g term
+            raise ProblemFormatError(f"rho_max must be >= 1, got {self.rho_max}")
         self._symmetrize_a()
-        for ast in self._all_exprs():
-            expr.validate_dimension(ast, self.d)
-
-    def _all_exprs(self):
-        out = list(self.a.values()) + list(self.b.values()) + list(self.sigma.values())
-        out += list(self.nu.values()) + list(self.g.values())
-        for ast in (self.c, self.f, self.phi):
-            if ast is not None:
-                out.append(ast)
-        return out
 
     def _symmetrize_a(self):
         for (i, j), ast in list(self.a.items()):
-            if not (1 <= i <= self.d and 1 <= j <= self.d):
-                raise ProblemFormatError(f"a.{i}.{j} is outside dimension {self.d}")
             mirror = self.a.get((j, i))
             if mirror is None:
                 self.a[(j, i)] = ast
@@ -100,13 +130,19 @@ class Problem:
 
     def active_rhos(self) -> list[int]:
         """Noise indices rho with any nonzero sigma, nu or g entry."""
-        rhos = {r for (_, r) in self.sigma} | set(self.nu) | set(self.g)
-        return sorted(r for r in rhos if r <= self.rho_max)
+        return sorted({r for (_, r) in self.sigma} | set(self.nu) | set(self.g))
 
 
 # ---------------------------------------------------------------------------
 # problem file parsing
 # ---------------------------------------------------------------------------
+
+
+def _header_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ProblemFormatError(f"{key} must be an integer, got {text!r}") from None
 
 
 def parse_problem_text(text: str, rho_max: int | None = None) -> Problem:
@@ -128,74 +164,40 @@ def parse_problem_text(text: str, rho_max: int | None = None) -> Problem:
     d_decl = entries.pop("d", None)
     rho_decl = entries.pop("rho_max", None)
 
-    a: dict[tuple[int, int], Ast] = {}
-    b: dict[int, Ast] = {}
-    sigma: dict[tuple[int, int], Ast] = {}
-    nu: dict[int, Ast] = {}
-    g: dict[int, Ast] = {}
-    c = f = phi = None
-
-    def parse_value(key: str, source: str) -> Ast:
+    # each field's terms in file order, a key without indices under ()
+    terms: dict[str, dict] = {head: {} for head in KEY_INDICES}
+    for key, value in entries.items():
+        head, *parts = key.split(".")
+        if head not in KEY_INDICES or len(parts) != len(KEY_INDICES[head]):
+            raise ProblemFormatError(f"unknown key {key!r}")
         try:
-            return expr.parse(source)
+            index = tuple(int(p) for p in parts)
+        except ValueError:
+            raise ProblemFormatError(f"bad index in key {key!r}") from None
+        try:
+            ast = expr.parse(value)
         except expr.ExprSyntaxError as exc:
             raise ProblemFormatError(f"key {key!r}: {exc}") from exc
-
-    for key, value in entries.items():
-        parts = key.split(".")
-        head = parts[0]
-        try:
-            if head == "a" and len(parts) == 3:
-                a[(int(parts[1]), int(parts[2]))] = parse_value(key, value)
-            elif head == "b" and len(parts) == 2:
-                b[int(parts[1])] = parse_value(key, value)
-            elif head == "c" and len(parts) == 1:
-                c = parse_value(key, value)
-            elif head == "sigma" and len(parts) == 3:
-                sigma[(int(parts[1]), int(parts[2]))] = parse_value(key, value)
-            elif head == "nu" and len(parts) == 2:
-                nu[int(parts[1])] = parse_value(key, value)
-            elif head == "f" and len(parts) == 1:
-                f = parse_value(key, value)
-            elif head == "g" and len(parts) == 2:
-                g[int(parts[1])] = parse_value(key, value)
-            elif head == "phi" and len(parts) == 1:
-                phi = parse_value(key, value)
-            else:
-                raise ProblemFormatError(f"unknown key {key!r}")
-        except ValueError as exc:
-            if isinstance(exc, ProblemFormatError):
-                raise
-            raise ProblemFormatError(f"bad index in key {key!r}") from None
-
-    # drop structural zeros so that noise detection sees only real terms
-    b = {k: v for k, v in b.items() if not expr.is_zero(v)}
-    sigma = {k: v for k, v in sigma.items() if not expr.is_zero(v)}
-    nu = {k: v for k, v in nu.items() if not expr.is_zero(v)}
-    g = {k: v for k, v in g.items() if not expr.is_zero(v)}
-    if c is not None and expr.is_zero(c):
-        c = None
-    if f is not None and expr.is_zero(f):
-        f = None
+        slot = index[0] if len(index) == 1 else index
+        if slot in terms[head]:  # b.1 and b.01, say
+            raise ProblemFormatError(f"key {key!r} repeats the index of an earlier key")
+        terms[head][slot] = ast
 
     if d_decl is not None:
-        d = int(d_decl)
+        d = _header_int("d", d_decl)
     else:
-        axes = [expr.max_axis(ast) for ast in a.values()]
-        idx = [max(i, j) for (i, j) in a]
+        axes = [axis for ast in terms["a"].values() for axis in expr.axes(ast)]
+        idx = [max(i, j) for (i, j) in terms["a"]]
         d = max(axes + idx + [1])
 
     if rho_max is None:
         if rho_decl is not None:
-            rho_max = int(rho_decl)
-        else:
-            rhos = [r for (_, r) in sigma] + list(nu) + list(g)
+            rho_max = _header_int("rho_max", rho_decl)
+        else:  # the largest Wiener index of a nonzero term; it is its key's last index
+            rhos = [_index(key)[-1] for head, kinds in KEY_INDICES.items() if "rho" in kinds
+                    for key, ast in terms[head].items() if not expr.is_zero(ast)]
             rho_max = max(rhos, default=1)
-    if rho_max < 1:  # would drop every sigma, nu and g term
-        raise ProblemFormatError(f"rho_max must be >= 1, got {rho_max}")
 
-    sigma = {k: v for k, v in sigma.items() if k[1] <= rho_max}
-    nu = {k: v for k, v in nu.items() if k <= rho_max}
-    g = {k: v for k, v in g.items() if k <= rho_max}
-
-    return Problem(d=d, rho_max=rho_max, a=a, b=b, c=c, sigma=sigma, nu=nu, f=f, g=g, phi=phi)
+    return Problem(d=d, rho_max=rho_max, **{
+        head: terms[head] if kinds else terms[head].get(()) for head, kinds in KEY_INDICES.items()
+    })

@@ -60,7 +60,9 @@ def default_quad_degree(element: FiniteElement) -> int:
 
 
 def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, OverlapTable]:
-    """One quadrature table per neighbor shift on supp(psi_lam) ∩ supp(psi).
+    """One quadrature table per neighbor shift on supp(psi_lam) ∩ supp(psi),
+    keyed in Gamma order; no table is empty, since each overlap has measure
+    above 1e-12.
 
     The points come from every cell pair (shifted cell i, cell j) whose
     bounding boxes overlap (PiecewisePolynomial.piece_pairs), i-major; each
@@ -79,8 +81,6 @@ def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, 
         for i, j in element.psi.piece_pairs(shift):
             for part in intersect_cells(pieces[i][0].translated(shift), pieces[j][0]):
                 rules.append((i, j) + cell_quadrature(part, quad_degree))
-        if not rules:
-            continue
         points = np.concatenate([pts for _, _, pts, _ in rules])
         # piece index of psi_lam and of psi at each point
         piece_l = np.concatenate([np.full(len(wts), i) for i, _, _, wts in rules])
@@ -132,14 +132,12 @@ class CellQuadrature:
     mollifier: np.ndarray     # (K, P, 1): w psi
 
 
-def build_cell_quadrature(
-    element: FiniteElement, tables: dict[Lam, OverlapTable], quad_degree: int
-) -> CellQuadrature:
-    """Regroup overlap tables built at quad_degree, and the element's own
-    quadrature at that degree, by lattice cell."""
-    offsets = tuple(sorted(tables))
-    d = element.d
-    data = [cell_quadrature(cell, quad_degree) + (poly,) for cell, poly in element.psi.pieces]
+def build_cell_quadrature(tensors: ReferenceTensors) -> CellQuadrature:
+    """Regroup the overlap tables of the tensors, and the element's own
+    quadrature at their degree, by lattice cell; the offsets are Gamma."""
+    offsets, tables, d = tensors.gamma, tensors.tables, tensors.d
+    data = [cell_quadrature(cell, tensors.quad_degree) + (poly,)
+            for cell, poly in tensors.element.psi.pieces]
     data_pts = np.concatenate([pts for pts, _, _ in data])
     data_w = np.concatenate([wts * poly.eval_many(pts) for pts, wts, poly in data])
 
@@ -206,7 +204,7 @@ class ReferenceTensors:
 
     @cached_property
     def quad(self) -> CellQuadrature:
-        return build_cell_quadrature(self.element, self.tables, self.quad_degree)
+        return build_cell_quadrature(self)
 
     def symmetry_residual(self) -> float:
         """Largest violation of the reflection identities of the tensors.
@@ -232,7 +230,7 @@ def compute_reference_tensors(
     """Compute all reference tensors of an element by exact Gauss quadrature."""
     degree = default_quad_degree(element) if quad_degree is None else quad_degree
     tables = build_overlap_tables(element, degree)
-    gamma = tuple(sorted(tables))
+    gamma = element.gamma
     d, G = element.d, len(gamma)
     R, Rbeta, Rab = np.empty(G), np.empty((G, d)), np.empty((G, d, d))
     Q, Qtilde = np.empty((G, d, d, d, d)), np.empty((G, d, d))

@@ -42,6 +42,44 @@ hi = 1
 poly = 0: 2  1: -2
 """
 
+# psi = 3/2 + 3/2 x on [-1, -1/2] and 1 + 3/2 x on [-1/2, 0], mirrored: it jumps
+# by 1/2 at x = -1/2 and 1/2, so written with boxes the file is an input error
+SPLIT_SIMPLEX_ELEMENT = """\
+d = 1
+name = split-hat
+lambda = (-1) (0) (1)
+
+[cell]
+type = simplex
+vertices = -1 ; -1/2
+poly = 0: 3/2  1: 3/2
+
+[cell]
+type = simplex
+vertices = -1/2 ; 0
+poly = 0: 1  1: 3/2
+
+[cell]
+type = simplex
+vertices = 0 ; 1/2
+poly = 0: 1  1: -3/2
+
+[cell]
+type = simplex
+vertices = 1/2 ; 1
+poly = 0: 3/2  1: -3/2
+"""
+
+SIMPLEX_3D_ELEMENT = """\
+d = 3
+lambda = (0,0,0) (1,0,0) (-1,0,0) (0,1,0) (0,-1,0) (0,0,1) (0,0,-1)
+
+[cell]
+type = simplex
+vertices = 0 0 0 ; 1 0 0 ; 0 1 0 ; 0 0 1
+poly = 0,0,0: 6
+"""
+
 
 def run_dirs(out):
     return sorted(p for p in os.listdir(out) if p.startswith("run-"))
@@ -153,6 +191,25 @@ class TestVerifyElement:
         assert capsys.readouterr().err.startswith("input error: ")
         assert not run_dirs(tmp_path)
 
+    @pytest.mark.parametrize("command, text, d", [
+        ("verify-element", SPLIT_SIMPLEX_ELEMENT, 1),
+        ("simulate", SPLIT_SIMPLEX_ELEMENT, 1),
+        ("verify-element", SIMPLEX_3D_ELEMENT, 3),
+    ], ids=["1d-verify-element", "1d-simulate", "3d-verify-element"])
+    def test_simplex_cells_are_2d_only(self, tmp_path, capsys, command, text, d):
+        element = tmp_path / "e.element"
+        element.write_text(text, encoding="utf-8")
+        prob = tmp_path / "p.prob"
+        prob.write_text(DET_PROBLEM, encoding="utf-8")
+        out = tmp_path / "o"
+        args = [command, "--element-file", str(element), "--out", str(out)]
+        if command == "simulate":
+            args += ["--problem", str(prob), "--n", "8", "--T", "0.05", "--steps", "2"]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"input error: a simplex cell is a triangle (d = 2), got d = {d}; use type = box\n")
+        assert not out.exists()
+
 
 PLANE_PROBLEM = 'd = 2\na.1.1 = "1"\na.2.2 = "1"\nphi = "sin(x1)*cos(x2)"\n'
 
@@ -177,6 +234,41 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: dimension mismatch: problem.d = {}, tensors.d = {}, lattice.d = {}\n"
             .format(*dims))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset, text, key", [
+        ("tensor(2)", PLANE_PROBLEM + 'b.0 = "0.3"\n', "b.0"),
+        ("tensor(2)", PLANE_PROBLEM + 'b.3 = "0.3"\n', "b.3"),
+        ("hat1d", STOCH_PROBLEM.replace("sigma.1.1", "sigma.0.1"), "sigma.0.1"),
+        ("hat1d", "rho_max = 2\n" + STOCH_PROBLEM.replace("g.1", "g.0") + 'g.2 = "0.1"\n', "g.0"),
+    ], ids=["b.0", "b.3", "sigma.0.1", "g.0"])
+    def test_out_of_range_keys_are_input_errors(self, tmp_path, capsys, preset, text, key):
+        prob = tmp_path / "p.prob"
+        prob.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", preset, "--problem", str(prob), "--n", "8",
+                     "--T", "0.05", "--steps", "2", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"input error: key {key!r} is out of range")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("element, problem, message", [
+        (None, "d = x\n" + DET_PROBLEM, "d must be an integer, got 'x'"),
+        (None, "rho_max = two\n" + STOCH_PROBLEM, "rho_max must be an integer, got 'two'"),
+        (SCALED_ELEMENT.replace("d = 1", "d = one"), DET_PROBLEM, "d must be an integer, got 'one'"),
+    ], ids=["problem-d", "problem-rho_max", "element-d"])
+    def test_header_integers_name_their_key(self, tmp_path, capsys, element, problem, message):
+        prob = tmp_path / "p.prob"
+        prob.write_text(problem, encoding="utf-8")
+        out = tmp_path / "o"
+        args = ["simulate", "--problem", str(prob), "--n", "8", "--T", "0.05", "--steps", "2",
+                "--out", str(out)]
+        if element is None:
+            args += ["--preset", "hat1d"]
+        else:
+            (tmp_path / "e.element").write_text(element, encoding="utf-8")
+            args += ["--element-file", str(tmp_path / "e.element")]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == f"input error: {message}\n"
         assert not out.exists()
 
     def test_zero_data_writes_zero_field(self, tmp_path):

@@ -138,6 +138,7 @@ class TestElementFiles:
         "mutation, message",
         [
             (lambda s: s.replace("d = 1\n", ""), "missing header key 'd'"),
+            (lambda s: s.replace("d = 1\n", "d = 1.5\n"), "d must be an integer, got '1.5'"),
             (lambda s: s.replace("lambda = (-1) (0) (1)\n", ""), "missing header key 'lambda'"),
             (lambda s: s.replace("poly = 0: 1  1: -1", "poly = 0:1 oops"), "bad polynomial term"),
             (lambda s: s.replace("lo = -1", "lo = 1"), "empty or inverted box"),

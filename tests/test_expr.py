@@ -321,6 +321,30 @@ class TestProblemFiles:
         with pytest.raises(ProblemFormatError, match="rho_max"):
             parse_problem_text(text, rho_max=rho_max)
 
+    @pytest.mark.parametrize("text, key", [
+        ('d = 2\na.1.1="1"\na.2.2="1"\nb.0="0.3"', "b.0"),
+        ('d = 2\na.1.1="1"\na.2.2="1"\nb.3="0.3"', "b.3"),
+        ('d = 1\na.1.1="1"\na.1.2="1"', "a.1.2"),
+        ('a.1.1="1"\nsigma.0.1="0.3"', "sigma.0.1"),
+        ('rho_max = 2\na.1.1="1"\ng.0="0.3"\ng.2="0.1"', "g.0"),
+        ('a.1.1="1"\nnu.0="0.2"', "nu.0"),
+        # a zero term, or one above rho_max, is dropped only after its key is checked
+        ('a.1.1="1"\nb.0="0"', "b.0"),
+        ('rho_max = 1\na.1.1="1"\nsigma.2.3="0.1"', "sigma.2.3"),
+    ], ids=["b.0", "b.3", "a.1.2", "sigma.0.1", "g.0", "nu.0", "zero-b.0", "truncated-sigma.2.3"])
+    def test_index_out_of_range_rejected(self, text, key):
+        with pytest.raises(ProblemFormatError, match=f"key '{key}' is out of range"):
+            parse_problem_text(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ('a.1.1="1"\nb.1="0.1"\nb.1="0.2"', "line 3: duplicate key 'b.1'"),
+        ('a.1.1="1"\nb.1="0.1"\nb.01="0.2"', "key 'b.01' repeats the index"),
+        ('d = 2\na.1.1="1"\na.2.2="1"\na.1.2="0.5"\na.1.02="0.7"', "key 'a.1.02' repeats"),
+    ], ids=["same-key", "b.01", "a.1.02"])
+    def test_repeated_index_rejected(self, text, message):
+        with pytest.raises(ProblemFormatError, match=message):
+            parse_problem_text(text)
+
     def test_dimension_inferred_from_keys(self):
         problem = parse_problem_text('a.1.1="1"\na.2.2="1"\nphi="x2"')
         assert problem.d == 2

@@ -119,6 +119,16 @@ class TestIntersection:
         # overlap of the two congruent triangles, computed by hand
         assert area == pytest.approx(0.125, abs=1e-12)
 
+    @pytest.mark.parametrize("verts, message", [
+        (((0.0,), (1.0,)), "got d = 1; use type = box"),
+        (((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+         "got d = 3; use type = box"),
+        (((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)), "needs 3 vertices"),
+    ], ids=["1d", "3d", "quadrilateral"])
+    def test_simplex_is_a_triangle(self, verts, message):
+        with pytest.raises(GeometryError, match=message):
+            Simplex(verts)
+
     def test_degenerate_simplex_rejected(self):
         with pytest.raises(GeometryError):
             Simplex(((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)))
