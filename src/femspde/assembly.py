@@ -247,8 +247,8 @@ class AssembledProblem:
     instance serves every sample and every integrate call on its lattice.
     One rule governs reuse: a result is built once per key and then kept,
     unless an expression it is built from references t, in which case it
-    is rebuilt at every requested time; the integrator keeps U_0 and the
-    factored implicit system here under the same rule.  The operators and
+    is rebuilt at every requested time (keeps is that rule); the integrator
+    keeps U_0 and the implicit system's solver here under it.  The operators and
     the mollified data integrate with the tensors' cell quadrature; the data
     are one-sample GridFunctions.  The problem, the tensors and the lattice
     must have one dimension (a ValueError names all three otherwise).  The
@@ -272,12 +272,17 @@ class AssembledProblem:
         self.mass = assemble_mass(tensors, lattice)
         self._memo: dict = {}
 
+    @staticmethod
+    def keeps(asts) -> bool:
+        """Whether a result built from asts is kept: no AST in asts references t."""
+        return not any(ast is not None and expr.depends_on_t(ast) for ast in asts)
+
     def memo(self, key, build, asts=()):
-        """build(), kept under key when no AST in asts references t."""
+        """build(), kept under key when keeps(asts)."""
         if key in self._memo:
             return self._memo[key]
         out = build()
-        if not any(ast is not None and expr.depends_on_t(ast) for ast in asts):
+        if self.keeps(asts):
             self._memo[key] = out
         return out
 

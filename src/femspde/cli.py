@@ -43,7 +43,7 @@ from .elements import (
 )
 from .expr import ExprSyntaxError
 from .integrator import IntegrationError, NoisePath, SolverError, integrate
-from .lattice import build_torus, write_grid_function_csv
+from .lattice import build_torus, write_grid_function_csv, write_states_csv
 from .polynomials import GeometryError
 from .problem import ProblemFormatError, parse_problem_text
 from .richardson import RATIO_QUARTER, RATIO_SIXTEENTH, write_loglog_svg
@@ -265,14 +265,7 @@ def run_simulate(config: RunConfig, out: str | None) -> int:
     run_dir = _make_run_dir(out, config.command)
     write_grid_function_csv(os.path.join(run_dir, "terminal.csv"), traj.terminal)
     if config.record == "all":
-        from .lattice import format_float
-
-        with open(os.path.join(run_dir, "states.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("step,time,site,value\n")
-            for k, state in enumerate(traj.states):
-                prefix = f"{k},{format_float(traj.times[k])},"
-                fh.write("".join([f"{prefix}{site},{format_float(v)}\n"
-                                  for site, v in enumerate(state.values.ravel().tolist())]))
+        write_states_csv(os.path.join(run_dir, "states.csv"), traj.times, traj.states)
     _write_manifest(run_dir, config)
     sys.stdout.write(
         f"simulate: {steps} steps, dt = {dt:.6g}, sup |U|_0h = {traj.sup_norm_0h:.12g}\n"

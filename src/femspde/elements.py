@@ -311,6 +311,8 @@ def parse_element_text(text: str) -> FiniteElement:
         d = int(header["d"])
     except ValueError:
         raise ElementFormatError(f"d must be an integer, got {header['d']!r}") from None
+    if d < 1:
+        raise ElementFormatError("element dimension must be >= 1")
     if "lambda" not in header:
         raise ElementFormatError("missing header key 'lambda'")
     lam = _parse_lambda(header["lambda"], d)

@@ -15,16 +15,27 @@ block of one sample.
 
 Every operator is its CSR matrix (StencilOperator.matrix): the explicit
 terms are sparse products with it, and the implicit system is solved on it.
-Lattices of at most DIRECT_SITE_LIMIT sites are solved by sparse LU; larger
-ones by BiCGStab, preconditioned by the exact inverse of the x-averaged
-system.  Averaging every stencil coefficient over the sites gives a
+Averaging every stencil coefficient over the sites gives a
 constant-coefficient periodic stencil, a circulant matrix that one real FFT
-diagonalizes (Chan and Ng, SIAM Rev. 38, 1996).  When the system is itself
-circulant, as the mass always is and mass - dt * drift is when no
+diagonalizes (Chan and Ng, SIAM Rev. 38, 1996).  The mass is the constant
+stencil R_lam, so it is its own average: U_0 is one FFT division of phi_h
+by the mass symbol (solve_mass), with no factorization and no iteration.
+
+Only a system that is reused is factored.  LinearSolver uses sparse LU when
+the lattice has at most DIRECT_SITE_LIMIT sites and the factorization is
+reused or the lattice is 1-D; otherwise BiCGStab, preconditioned by the FFT
+inverse of the x-averaged system.  A system is reused when it is kept for
+later steps (no drift expression references t) or when one solve covers more
+than one column (a block of samples).  So a t-dependent system of one sample
+in d >= 2 runs BiCGStab on every lattice: on a 2-vCPU x86 host, factoring a
+32^2 tensor(2) system and solving once costs 3.6 ms against 0.8 ms for one
+BiCGStab solve, while in 1-D the factor and solve stays faster (0.2 against
+0.95 ms at 64 sites).
+When the system is itself circulant, as mass - dt * drift is when no
 coefficient depends on x, the preconditioner is its inverse and BiCGStab
 stops within one iteration.  BiCGStab runs to the fixed relative tolerance
 KRYLOV_TOL = 1e-10 within KRYLOV_MAX_ITER = 2000 iterations, which bounds the
-accuracy of every solve on a lattice above DIRECT_SITE_LIMIT sites.
+accuracy of every solve that takes it.
 
 Noise increments come from a counter-based generator: the uint64 stream of
 Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
@@ -139,26 +150,37 @@ KRYLOV_MAX_ITER = 2000
 
 
 class LinearSolver:
-    """Factorization cache for repeated solves with one operator.
+    """Solves with one operator, factored only where the factorization pays.
 
-    Both paths use op.matrix.  Lattices of at most DIRECT_SITE_LIMIT sites
-    are factored by sparse LU (SuperLU with a minimum-degree ordering on
-    A^T + A, on a CSC copy); larger ones are solved by BiCGStab to the
-    relative tolerance KRYLOV_TOL, preconditioned by the FFT inverse of the
-    x-averaged operator.
+    Both paths use op.matrix.  The operator is factored by sparse LU (SuperLU
+    with a minimum-degree ordering on A^T + A, on a CSC copy) when its
+    lattice has at most DIRECT_SITE_LIMIT sites and either the factorization
+    is reused or the lattice is 1-D.  Otherwise it is solved by BiCGStab to
+    the relative tolerance KRYLOV_TOL, preconditioned by the FFT inverse of
+    the x-averaged operator; modes of that symbol with |symbol| <=
+    CANCELLATION_TOL * max|symbol|, and every mode when it vanishes, are left
+    alone, so a singular system still fails at the residual check.
+
+    reused says whether the factorization would serve more than one solve or
+    more than one column.  The integrator derives it from the problem and
+    the block width; other callers keep the default, which factors every
+    lattice up to DIRECT_SITE_LIMIT sites.
     """
 
-    def __init__(self, op: StencilOperator):
+    def __init__(self, op: StencilOperator, reused: bool = True):
         self.op = op
-        self.direct = op.lattice.total_sites <= DIRECT_SITE_LIMIT
+        lattice = op.lattice
+        self.direct = lattice.total_sites <= DIRECT_SITE_LIMIT and (reused or lattice.d == 1)
         if self.direct:
             try:
                 self._lu = scipy.sparse.linalg.splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
         else:
-            shape = op.lattice.shape
+            shape = lattice.shape
             symbol = _averaged_symbol(op)
+            size = np.abs(symbol)
+            symbol[size <= CANCELLATION_TOL * size.max()] = 1.0
             self._precond = scipy.sparse.linalg.LinearOperator(
                 op.matrix.shape, dtype=float,
                 matvec=lambda v: irfftn(rfftn(v.reshape(shape)) / symbol, s=shape).reshape(-1),
@@ -204,19 +226,32 @@ def _averaged_symbol(op: StencilOperator) -> np.ndarray:
 
     That stencil is the circular convolution with the kernel
     K[-lam mod n] = mean_x coef(lam, x), so its eigenvalues are rfftn(K).
-    Modes with |symbol| <= CANCELLATION_TOL * max|symbol|, and every mode
-    when the symbol vanishes, are set to 1: the preconditioner leaves them
-    alone, and a singular system still fails at the solver's residual check.
     """
     lattice = op.lattice
     kernel = np.zeros(lattice.shape)
     lams = np.asarray(op.offsets)
     means = op.matrix.data.reshape(-1, len(lams)).mean(axis=0)
     np.add.at(kernel, tuple((-lams % lattice.n).T), means)
-    symbol = rfftn(kernel)
+    return rfftn(kernel)
+
+
+def solve_mass(mass: StencilOperator, block: np.ndarray) -> np.ndarray:
+    """mass^-1 applied to every sample of a (samples, *lattice.shape) block.
+
+    The mass has the same coefficients R_lam at every site, so it is the
+    circulant matrix of its averaged symbol and one FFT division inverts it.
+    Raises SolverError when |symbol| <= CANCELLATION_TOL * max|symbol| at
+    any mode: the mass is then singular to rounding.
+    """
+    shape = mass.lattice.shape
+    symbol = _averaged_symbol(mass)
     size = np.abs(symbol)
-    symbol[size <= CANCELLATION_TOL * size.max()] = 1.0
-    return symbol
+    smallest = float(size.min())
+    if not smallest > CANCELLATION_TOL * float(size.max()):
+        raise SolverError(f"mass is singular: its symbol falls to {smallest:.3e} "
+                          f"against a maximum of {float(size.max()):.3e}")
+    axes = tuple(range(1, len(shape) + 1))
+    return irfftn(rfftn(block, axes=axes) / symbol, s=shape, axes=axes)
 
 
 def implicit_system(assembled: AssembledProblem, t: float, dt: float) -> StencilOperator:
@@ -270,15 +305,18 @@ def step_implicit_em(
     """One drift-implicit Euler-Maruyama step from t_n to t_n + dt.
 
     increments is (rho_count, samples), one column per sample of u; all
-    samples share one implicit system, factored once and kept by
-    `assembled` for every later step with this dt unless the drift
-    references t.
+    samples share one implicit system, built once and kept by `assembled`
+    for every later step with this dt unless the drift references t.  The
+    system counts as reused for LinearSolver when it is kept or u holds more
+    than one sample.
     """
     t_next = t_n + dt
+    asts = assembled.drift_asts
+    reused = assembled.keeps(asts) or len(u.values) > 1
     # factored before the right-hand side is formed: the other order raised the
     # peak RSS of a tensor(2) study with a 256^2 reference by 5 %
     solver = assembled.memo(("system", dt), lambda: LinearSolver(
-        implicit_system(assembled, t_next, dt)), assembled.drift_asts)
+        implicit_system(assembled, t_next, dt), reused=reused), asts)
     rhs = assembled.mass.apply(u).values
     if assembled.problem.f is not None:
         rhs += dt * assembled.f_h(t_next).values
@@ -305,10 +343,10 @@ def integrate(
     noise is one NoisePath (a block of one sample; None for a problem
     without noise terms) or a list holding one NoisePath per Monte Carlo
     sample.  The samples advance together as one GridFunction: every step
-    is one sparse product per operator on the block and one solve with a
-    factorization shared by all samples (one per step when the drift
-    depends on t; otherwise one per lattice and dt, which `assembled` keeps
-    for later calls, as it keeps U_0).
+    is one sparse product per operator on the block and one solve of a
+    system shared by all samples (one per step when the drift depends on t;
+    otherwise one per lattice and dt, which `assembled` keeps for later
+    calls, as it keeps U_0, the FFT solve of the mass for phi_h).
 
     record: 'all' keeps every state, 'terminal' only the last (any other
     value is a ValueError); the maximum of |U|_{0,h} over all steps and
@@ -346,9 +384,7 @@ def integrate(
     lattice = assembled.lattice
 
     def initial() -> GridFunction:
-        phi = assembled.phi_h().values
-        return GridFunction(lattice, LinearSolver(assembled.mass).solve(
-            phi.reshape(1, -1)).reshape(phi.shape))
+        return GridFunction(lattice, solve_mass(assembled.mass, assembled.phi_h().values))
 
     u0 = assembled.memo("u0", initial)
     u = GridFunction(lattice, np.repeat(u0.values, 1 if noises is None else len(noises), axis=0))

@@ -15,7 +15,6 @@ averaging is wanted.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -125,32 +124,55 @@ def restrict(fine: GridFunction, coarse: TorusLattice) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
+# the text of one value: scientific notation with 17 significant digits, '.'
+# separator, at least two exponent digits (numpy's format_float_scientific with
+# precision=16, unique=False, exp_digits=2)
+FLOAT_FORMAT = "%.16e"
+
+
 def format_float(v: float) -> str:
-    """Scientific notation with 17 significant digits, '.' separator, at least
-    two exponent digits (the same text as numpy's format_float_scientific with
-    precision=16, unique=False, exp_digits=2)."""
-    return "%.16e" % v
+    """One value in FLOAT_FORMAT."""
+    return FLOAT_FORMAT % v
+
+
+def _one_sample(u: GridFunction) -> np.ndarray:
+    if len(u.values) != 1:
+        raise ValueError(f"a CSV holds one sample, got {len(u.values)}")
+    return u.values.reshape(-1)
 
 
 def grid_function_to_csv(u: GridFunction) -> str:
-    """One row per site of a one-sample field: multi-index, coordinates, value; LF line endings."""
-    if len(u.values) != 1:
-        raise ValueError(f"a CSV holds one sample, got {len(u.values)}")
+    """One row per site of a one-sample field: multi-index, coordinates, value; LF line endings.
+
+    The rows are one %-format call: the multi-indices are written into a
+    per-site row template, and the coordinates and values fill it in order.
+    """
+    flat = _one_sample(u)
     d = u.lattice.d
-    buf = io.StringIO()
     header = [f"i{k + 1}" for k in range(d)] + [f"x{k + 1}" for k in range(d)] + ["value"]
-    buf.write(",".join(header) + "\n")
-    idx = u.lattice.multi_indices()
-    xs = u.lattice.coords()
-    flat = u.values.reshape(-1)
-    for row in range(idx.shape[0]):
-        cols = [str(int(i)) for i in idx[row]]
-        cols += [format_float(x) for x in xs[row]]
-        cols.append(format_float(flat[row]))
-        buf.write(",".join(cols) + "\n")
-    return buf.getvalue()
+    floats = "," + ",".join([FLOAT_FORMAT] * (d + 1)) + "\n"
+    template = "".join([",".join(map(str, i)) + floats
+                        for i in u.lattice.multi_indices().tolist()])
+    values = np.column_stack([u.lattice.coords(), flat]).ravel().tolist()
+    return ",".join(header) + "\n" + template % tuple(values)
 
 
 def write_grid_function_csv(path, u: GridFunction) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(grid_function_to_csv(u))
+
+
+def write_states_csv(path, times: np.ndarray, states: list[GridFunction]) -> None:
+    """A trajectory of one-sample fields as rows step,time,site,value; LF line endings.
+
+    Each state is one %-format call over a per-site row template, built once:
+    the step-and-time prefix and the value alternate in its arguments.
+    """
+    sites = len(_one_sample(states[0]))
+    template = "".join([f"%s{site},{FLOAT_FORMAT}\n" for site in range(sites)])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("step,time,site,value\n")
+        for k, state in enumerate(states):
+            args = [f"{k},{format_float(times[k])},"] * (2 * sites)
+            args[1::2] = _one_sample(state).tolist()
+            fh.write(template % tuple(args))

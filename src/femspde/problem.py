@@ -82,11 +82,14 @@ class Problem:
             kept = {}
             for key, ast in terms.items():
                 index = _index(key)
+                name = ".".join(map(str, (head, *index)))
                 if any(n < 1 or (kind == "i" and n > self.d) for kind, n in zip(kinds, index)):
-                    name = ".".join(map(str, (head, *index)))
                     raise ProblemFormatError(f"key {name!r} is out of range: axes run "
                                              f"over 1..{self.d}, Wiener indices from 1")
-                expr.validate_dimension(ast, self.d)
+                try:
+                    expr.validate_dimension(ast, self.d)
+                except ValueError as exc:
+                    raise ProblemFormatError(f"key {name!r}: {exc}") from None
                 truncated = "rho" in kinds and index[-1] > self.rho_max
                 if not truncated and not (head in ZERO_DROPPED and expr.is_zero(ast)):
                     kept[key] = ast

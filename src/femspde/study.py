@@ -18,10 +18,12 @@ fitting, i.e. they fit the root-mean-square (strong) error.  Only the noise
 path changes between samples, so the samples advance together as one
 block (integrator.integrate with a list of noise paths): every step is one
 stencil apply per operator and one multi-RHS LU solve for the whole block,
-with one factorization per lattice, kept between chunks.  Above the
-solver's site limit (4096 sites) BiCGStab still runs once per sample
-(column), preconditioned by the FFT inverse of the x-averaged system, so
-there the chunk size changes only the memory.
+with one factorization per lattice, kept between chunks (one per step
+when the drift depends on t; a block of one sample then runs BiCGStab
+instead in 2-D and 3-D, by the integrator's rule).  Above the solver's
+site limit (4096 sites) BiCGStab still runs once per sample (column),
+preconditioned by the FFT inverse of the x-averaged system, so there the
+chunk size changes only the memory.
 
 The samples run in chunks sized by the bytes a chunk stores.  One sample
 stores, at every time index, the reference and each mixture's finer-level

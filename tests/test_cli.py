@@ -8,6 +8,7 @@ import pytest
 import scipy
 
 from femspde.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from tests.test_integrator import TIMEDEP_2D
 
 DET_PROBLEM = """\
 a.1.1 = "1 + 0.25*cos(x1)"
@@ -191,6 +192,16 @@ class TestVerifyElement:
         assert capsys.readouterr().err.startswith("input error: ")
         assert not run_dirs(tmp_path)
 
+    @pytest.mark.parametrize("d", ["0", "-2"])
+    def test_element_dimension_below_one_is_input_error(self, tmp_path, capsys, d):
+        element = tmp_path / "e.element"
+        element.write_text(SCALED_ELEMENT.replace("d = 1", f"d = {d}"), encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["verify-element", "--element-file", str(element), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "input error: element dimension must be >= 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, text, d", [
         ("verify-element", SPLIT_SIMPLEX_ELEMENT, 1),
         ("simulate", SPLIT_SIMPLEX_ELEMENT, 1),
@@ -269,6 +280,16 @@ class TestSimulate:
             args += ["--element-file", str(tmp_path / "e.element")]
         assert main(args) == EXIT_USAGE
         assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not out.exists()
+
+    def test_expression_beyond_dimension_is_input_error(self, tmp_path, capsys):
+        prob = tmp_path / "p.prob"
+        prob.write_text('d = 1\na.1.1 = "1"\nphi = "x3"\n', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "hat1d", "--problem", str(prob), "--n", "8",
+                     "--T", "0.05", "--steps", "2", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "input error: key 'phi': expression uses x3 but the problem dimension is 1\n")
         assert not out.exists()
 
     def test_zero_data_writes_zero_field(self, tmp_path):
@@ -388,6 +409,78 @@ class TestSimulate:
         ])
         assert code == EXIT_NUMERICAL
         assert not (tmp_path / "o").exists()
+
+    def test_vanishing_mass_symbol_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a hat whose mass tensor is R = (1/2, 0, 1/2): its symbol cos(theta)
+        # vanishes at theta = pi/2, so U_0 has no solution on n = 8
+        import dataclasses
+
+        from femspde import cli
+
+        real = cli.compute_reference_tensors
+
+        def singular_mass(element):
+            return dataclasses.replace(real(element), R=np.array([0.5, 0.0, 0.5]))
+
+        monkeypatch.setattr(cli, "compute_reference_tensors", singular_mass)
+        prob = tmp_path / "heat.prob"
+        prob.write_text('a.1.1 = "1"\nphi = "sin(x1)"\n', encoding="utf-8")
+        code = main(["simulate", "--preset", "hat1d", "--problem", str(prob), "--n", "8",
+                     "--T", "0.1", "--steps", "4", "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: mass is singular")
+        assert not (tmp_path / "o").exists()
+
+    def test_time_dependent_2d_simulate_factors_nothing(self, tmp_path, monkeypatch):
+        # one sample and a drift that changes every step: each system serves one
+        # solve, so BiCGStab solves it and SuperLU is never called
+        import scipy.sparse.linalg
+
+        calls = []
+        real = scipy.sparse.linalg.splu
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted)
+        prob = tmp_path / "timedep.prob"
+        prob.write_text(TIMEDEP_2D, encoding="utf-8")
+        out = tmp_path / "o"
+        args = ["simulate", "--preset", "tensor(2)", "--problem", str(prob), "--n", "16",
+                "--T", "0.05", "--steps", "5", "--seed", "3", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        assert calls == []
+        # the same run with a kept drift factors its system once
+        prob.write_text(TIMEDEP_2D.replace("x1 - t", "x1").replace("sin(t)", "1"),
+                        encoding="utf-8")
+        assert main(args) == EXIT_OK
+        assert calls == [1]
+
+    def test_krylov_outputs_do_not_depend_on_thread_count(self, tmp_path):
+        # single-use systems in 2-D run BiCGStab on up to DIRECT_SITE_LIMIT sites;
+        # at 64^2 its inner products are short enough that OpenBLAS does not
+        # split them across threads, so the outputs are byte-identical
+        import subprocess
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        prob = tmp_path / "timedep.prob"
+        prob.write_text(TIMEDEP_2D, encoding="utf-8")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"o{threads}"
+            env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "femspde.cli", "simulate", "--preset",
+                 "tensor(2)", "--problem", str(prob), "--n", "64", "--T", "0.02", "--steps",
+                 "20", "--seed", "5", "--record", "all", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+            (run_dir,) = run_dirs(out)
+            outputs.append([(out / run_dir / name).read_bytes()
+                            for name in ("terminal.csv", "states.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_custom_element_file_matches_preset(self, tmp_path, problem_file):
         hat_text = """\

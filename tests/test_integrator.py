@@ -14,6 +14,7 @@ from femspde.integrator import (
     integrate,
     integrate_multilevel,
     sample_seed,
+    solve_mass,
     splitmix64,
     step_implicit_em,
 )
@@ -279,6 +280,92 @@ class TestPreconditioner:
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
+# cli2d_timedep's problem: a t-dependent drift in 2-D
+TIMEDEP_2D = ('d = 2\na.1.1 = "1 + 0.25*cos(x1 - t)"\na.2.2 = "1"\nb.1 = "0.1*sin(t)"\n'
+              'c = "-0.2"\nsigma.1.1 = "0.2*cos(x2)"\ng.1 = "0.1"\n'
+              'f = "sin(x1)*cos(x2)*cos(t)"\nphi = "sin(x1)*cos(x2)"\n')
+
+
+class TestSolverRule:
+    """Sparse LU only for a system that is reused (kept for later steps or
+    solved for several columns) or 1-D, up to DIRECT_SITE_LIMIT sites; the
+    mass is inverted by one FFT division."""
+
+    @pytest.mark.parametrize("preset, n, t_dependent, samples, direct", [
+        ("hat1d", 64, True, 1, True),
+        ("tensor(2)", 32, True, 1, False),
+        ("tensor(2)", 32, True, 3, True),
+        ("tensor(2)", 32, False, 1, True),
+        ("tensor(3)", 8, False, 1, True),
+        ("tensor(2)", 66, False, 1, False),
+        ("tensor(2)", 66, True, 3, False),
+        ("hat1d", 2 * DIRECT_SITE_LIMIT, False, 3, False),
+    ], ids=["1d-single-use", "2d-single-use", "2d-three-columns", "2d-kept", "3d-kept",
+            "2d-kept-above-limit", "2d-three-columns-above-limit", "1d-kept-above-limit"])
+    def test_step_picks_solver(self, monkeypatch, rng, preset, n, t_dependent, samples, direct):
+        import femspde.integrator as integrator
+
+        element = build_element(preset)
+        tensors = compute_reference_tensors(element)
+        d = element.d
+        a11 = "1 + 0.25*cos(x1 - t)" if t_dependent else "1 + 0.25*cos(x1)"
+        diffusion = "\n".join(f'a.{i}.{i} = "1"' for i in range(2, d + 1))
+        problem = parse_problem_text(f'd = {d}\na.1.1 = "{a11}"\n{diffusion}')
+        lattice = build_torus(d, L / n, n)
+        ap = AssembledProblem(element, tensors, problem, lattice)
+        built = []
+
+        class RecordingSolver(integrator.LinearSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.direct)
+
+        monkeypatch.setattr(integrator, "LinearSolver", RecordingSolver)
+        u = GridFunction(lattice, rng.normal(size=(samples, *lattice.shape)))
+        step_implicit_em(u, ap, 0.0, 0.5 * lattice.h**2, None)
+        assert built == [direct]
+
+    @pytest.mark.parametrize("preset, n", [
+        ("hat1d", 64), ("tensor(2)", 16), ("triangle2d", 16), ("tensor(3)", 8),
+    ])
+    def test_fft_initial_state_equals_lu(self, preset, n):
+        element = build_element(preset)
+        tensors = compute_reference_tensors(element)
+        d = element.d
+        diffusion = "\n".join(f'a.{i}.{i} = "1"' for i in range(1, d + 1))
+        phi = "*".join(f"(1 + sin({k}*x{k}))" for k in range(1, d + 1))
+        problem = parse_problem_text(f'd = {d}\n{diffusion}\nphi = "{phi}"')
+        lattice = build_torus(d, L / n, n)
+        ap = AssembledProblem(element, tensors, problem, lattice)
+        got = integrate(ap, None, T=1e-3, steps=1).states[0].values
+        solver = LinearSolver(ap.mass)
+        assert solver.direct
+        want = solver.solve(ap.phi_h().values.reshape(1, -1)).reshape(got.shape)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_single_use_krylov_equals_lu(self):
+        # cli2d_timedep's implicit system on its 32^2 lattice, at its dt
+        element = build_element("tensor(2)")
+        tensors = compute_reference_tensors(element)
+        lattice = build_torus(2, L / 32, 32)
+        ap = AssembledProblem(element, tensors, parse_problem_text(TIMEDEP_2D), lattice)
+        dt = 0.25 / 50
+        op = implicit_system(ap, 0.3, dt)
+        rhs = (ap.mass.apply(ap.phi_h()).values + dt * ap.f_h(0.3).values).reshape(1, -1)
+        krylov = LinearSolver(op, reused=False)
+        lu = LinearSolver(op)
+        assert (krylov.direct, lu.direct) == (False, True)
+        got, want = krylov.solve(rhs), lu.solve(rhs)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_vanishing_mass_symbol_raises(self):
+        # R = (1/2, 0, 1/2) has the symbol cos(theta), which is 0 at theta = pi/2
+        lattice = build_torus(1, L / 8, 8)
+        mass = StencilOperator(lattice, ((-1,), (0,), (1,)), np.tile([[0.5], [0.0], [0.5]], 8))
+        with pytest.raises(SolverError, match="mass is singular"):
+            solve_mass(mass, np.ones((1, 8)))
+
+
 class TestIntegrate:
     def test_unknown_record_rejected(self, hat):
         ap = make_assembled(hat, 'a.1.1 = "1"\nphi = "sin(x1)"')
@@ -438,8 +525,8 @@ class TestSampleBlock:
         assert not np.array_equal(seen[-1][0], seen[-1][1])
 
     @pytest.mark.parametrize("text, factors", [
-        (BLOCK_PROBLEM, 2),  # U_0's mass solve, then one implicit system
-        (BLOCK_PROBLEM.replace("cos(x1)", "cos(x1 - t)", 1), 1 + 8),
+        (BLOCK_PROBLEM, 1),  # one implicit system; U_0 is an FFT solve, not a LinearSolver
+        (BLOCK_PROBLEM.replace("cos(x1)", "cos(x1 - t)", 1), 8),
     ])
     def test_factorizations_shared_by_samples(self, hat, monkeypatch, text, factors):
         import femspde.integrator as integrator

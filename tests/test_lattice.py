@@ -11,6 +11,7 @@ from femspde.lattice import (
     norms_0h,
     restrict,
     write_grid_function_csv,
+    write_states_csv,
 )
 
 
@@ -197,6 +198,31 @@ class TestCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.decode("utf-8") == text
+
+    @pytest.mark.parametrize("d, n", [(1, 8), (2, 4)])
+    def test_rows_equal_per_value_writer(self, tmp_path, rng, d, n):
+        # the one-call writers give the bytes of a writer that formats each
+        # value with its own format_float call, negative zero included
+        lat = build_torus(d, 2.0 * np.pi / n, n)
+        states = [GridFunction(lat, rng.normal(size=lat.shape)) for _ in range(3)]
+        states[1].values.flat[1] = -0.0
+        states[2].values.flat[0] = 0.0
+        times = np.array([0.0, 0.1, 0.2])
+        for u in states:
+            rows = [",".join([f"i{k + 1}" for k in range(d)] + [f"x{k + 1}" for k in range(d)]
+                             + ["value"]) + "\n"]
+            for idx, x, v in zip(lat.multi_indices(), lat.coords(), u.values.ravel()):
+                rows.append(",".join([*(str(int(i)) for i in idx), *map(format_float, x),
+                                      format_float(v)]) + "\n")
+            assert grid_function_to_csv(u) == "".join(rows)
+        rows = ["step,time,site,value\n"]
+        for k, u in enumerate(states):
+            for site, v in enumerate(u.values.ravel()):
+                rows.append(f"{k},{format_float(times[k])},{site},{format_float(v)}\n")
+        path = tmp_path / "states.csv"
+        write_states_csv(path, times, states)
+        assert path.read_bytes() == "".join(rows).encode()
+        assert b"-0.0000000000000000e+00" in path.read_bytes()
 
     def test_roundtrip_precision(self):
         lat = build_torus(1, 1.0 / 3.0, 6)
