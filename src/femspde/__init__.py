@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .assembly import AssembledProblem, StencilOperator, assemble_drift, assemble_mass, assemble_noise, mollify_data
 from .checks import AssumptionReport, check_cardinal, check_compatibility, check_invertibility, check_parabolicity, verify_element
 from .elements import FiniteElement, build_element, parse_element_text, validate_element
-from .expr import EvalError, ExprSyntaxError, evaluate, parse, to_source
+from .expr import EvalError, ExprSyntaxError, parse
 from .integrator import (
     IntegrationError,
     NoisePath,
@@ -73,7 +73,6 @@ __all__ = [
     "compute_reference_tensors",
     "error_norm",
     "estimate_order",
-    "evaluate",
     "extrapolation_coefficients",
     "integrate",
     "integrate_multilevel",
@@ -85,7 +84,6 @@ __all__ = [
     "run_convergence_study",
     "sample_seed",
     "step_implicit_em",
-    "to_source",
     "validate_element",
     "verify_element",
 ]

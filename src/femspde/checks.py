@@ -228,22 +228,18 @@ def check_parabolicity(
     """
     d = problem.d
     per_axis = max(2, int(round(sample_points ** (1.0 / d))))
-    axes = [np.linspace(0.0, L, per_axis, endpoint=False)] * d
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    # one coordinate array per axis, spanning its own axis of the per_axis^d grid
+    x = np.ix_(*[np.linspace(0.0, L, per_axis, endpoint=False)] * d)
     times = np.linspace(0.0, T, max(1, t_samples))
     worst = np.inf
     for t in times:
-        amat = problem.eval_a(pts, t)  # (N, d, d)
+        amat = problem.eval_a(x, t).reshape(-1, d, d)
         asym = float(np.max(np.abs(amat - np.swapaxes(amat, 1, 2))))
         if asym > 1e-10:
             raise ValueError(f"diffusion matrix not symmetric: deviation {asym:.3e}")
-        sig = problem.eval_sigma(pts, t)  # (N, d, rho)
+        sig = problem.eval_sigma(x, t).reshape(-1, d, problem.rho_max)
         m = amat - 0.5 * np.einsum("nir,njr->nij", sig, sig)
-        if d == 1:
-            worst = min(worst, float(m[:, 0, 0].min()))
-        else:
-            worst = min(worst, float(np.linalg.eigvalsh(m)[:, 0].min()))
+        worst = min(worst, float(np.linalg.eigvalsh(m)[:, 0].min()))
     return worst
 
 

@@ -62,8 +62,16 @@ RATIOS = {"quarter": RATIO_QUARTER, "sixteenth": RATIO_SIXTEENTH}
 # allowed values of the RunConfig string fields that select a behaviour
 CHOICES = {"ratio": tuple(RATIOS), "record": ("terminal", "all")}
 
-# accepted JSON types of the RunConfig number fields, by annotation
-_NUMBER_TYPES = {"float": (int, float), "int": (int,), "int | None": (int, type(None))}
+# the JSON values each RunConfig field accepts, by its annotation, and how the
+# error names them; a bool is never a number
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "bool": ((bool,), "true or false"),
+    "float": ((int, float), "a number"),
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+}
 
 # run sizes that must be finite and positive when set (None means derived);
 # h = L / n and dt = T / steps divide by them, and rho_max <= 0 would drop
@@ -160,13 +168,12 @@ class RunConfig:
             if f.name not in cfg:
                 continue
             value = cfg[f.name]
+            kinds, wanted = _JSON_TYPES[f.type]
+            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+                raise UsageError(f"manifest {f.name} must be {wanted}, got {value!r}")
             if f.name in CHOICES and value not in CHOICES[f.name]:
                 raise UsageError(f"manifest {f.name} must be one of "
                                  f"{', '.join(CHOICES[f.name])}, got {value!r}")
-            kinds = _NUMBER_TYPES.get(f.type)
-            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-                raise UsageError(f"manifest {f.name} must be a number of type {f.type}, "
-                                 f"got {value!r}")
         try:
             return RunConfig(command=command, **cfg)
         except TypeError as exc:

@@ -1,4 +1,4 @@
-"""Closed-form coefficient expressions: parser, evaluator, printer.
+"""Closed-form coefficient expressions: parser and evaluator.
 
 The grammar is deliberately small: numbers, the variables x1..xd and t,
 unary minus, sin/cos/exp/sqrt, the binary operators + - * / and ^ with an
@@ -7,10 +7,11 @@ integer-literal exponent.  Precedence from strongest to weakest:
     ^   unary -   * /   + -
 
 Parsing is whitespace-insensitive and deterministic; errors carry the byte
-offset of the offending token.  Evaluation is vectorized over numpy arrays
-of points, or over per-axis coordinate arrays that broadcast together, and
-turns any NaN/Inf, division by zero or negative sqrt into an EvalError
-instead of propagating silent non-finite values.
+offset of the offending token.  Parsed ASTs are frozen dataclasses, so two
+expressions are the same exactly when their trees compare equal.  Evaluation
+takes one coordinate form, a tuple of per-axis arrays that broadcast
+together, and turns any NaN/Inf, division by zero or negative sqrt into an
+EvalError instead of propagating silent non-finite values.
 """
 
 from __future__ import annotations
@@ -271,34 +272,25 @@ def is_zero(ast: Ast) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def eval_many(ast: Ast, x, t: float) -> np.ndarray:
-    """Evaluate at a fixed time, over points given in one of two forms.
+def eval_many(ast: Ast, x: tuple, t: float) -> np.ndarray:
+    """Evaluate at a fixed time on a tuple of coordinate arrays.
 
-    - An (N, d) array of points: returns an (N,) array.
-    - A tuple of coordinate arrays, x[k - 1] holding the values of x<k>, that
-      broadcast together: returns the result in its own reduced shape, with
-      the ndim of that broadcast and size 1 along every axis that no
-      referenced coordinate spans.  A constant is a (1, ..., 1) array, and
-      cos(x1) has the size of x1's array, so an expression is computed only
-      on the distinct values of the variables it references.
+    x[k - 1] holds the values of x<k>, and the arrays broadcast together.  The
+    result has its own reduced shape: the ndim of that broadcast, with size 1
+    along every axis that no referenced coordinate spans.  A constant is a
+    (1, ..., 1) array, and cos(x1) has the size of x1's array, so an
+    expression is computed only on the distinct values of the variables it
+    references.  An (N, d) point array pts is passed as tuple(pts.T); a
+    constant then comes back as a (1,) array, which broadcasts to (N,).
 
     Raises EvalError on division by zero, sqrt of a negative number, or a
     non-finite result; every check sees every distinct value.
     """
-    if isinstance(x, tuple):
-        coords = tuple(np.asarray(c, dtype=float) for c in x)
-        ndim = len(np.broadcast_shapes(*(c.shape for c in coords)))
-    else:
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("points must be an (N, d) array")
-        coords = tuple(pts.T)
+    coords = tuple(np.asarray(c, dtype=float) for c in x)
+    ndim = len(np.broadcast_shapes(*(c.shape for c in coords)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = np.asarray(_eval(ast, coords, float(t)), dtype=float)
-    if isinstance(x, tuple):
-        out = out.reshape((1,) * (ndim - out.ndim) + out.shape)
-    else:
-        out = np.broadcast_to(out, (pts.shape[0],))
+    out = out.reshape((1,) * (ndim - out.ndim) + out.shape)
     if not np.all(np.isfinite(out)):
         raise EvalError("expression evaluated to a non-finite value")
     return out
@@ -308,12 +300,6 @@ def _finite(value):
     if not np.all(np.isfinite(value)):
         raise EvalError("non-finite intermediate value (overflow or domain error)")
     return value
-
-
-def evaluate(ast: Ast, x, t: float) -> float:
-    """Scalar evaluation at one point."""
-    pt = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(eval_many(ast, pt, t)[0])
 
 
 def _eval(ast: Ast, x: tuple[np.ndarray, ...], t: float):
@@ -359,55 +345,3 @@ def _eval(ast: Ast, x: tuple[np.ndarray, ...], t: float):
                 raise EvalError("division by zero")
             return _finite(left / right)
     raise EvalError(f"cannot evaluate node {ast!r}")
-
-
-# ---------------------------------------------------------------------------
-# printing (round-trips through parse)
-# ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def to_source(ast: Ast) -> str:
-    return _print(ast)
-
-
-def _prec(ast: Ast) -> int:
-    if isinstance(ast, (Num, Var, Call)):
-        return _PREC["atom"]
-    if isinstance(ast, Pow):
-        return _PREC["^"]
-    if isinstance(ast, Neg):
-        return _PREC["neg"]
-    return _PREC[ast.op]
-
-
-def _print(ast: Ast) -> str:
-    if isinstance(ast, Num):
-        if ast.value < 0.0:
-            # negative literals only arise from constructed ASTs
-            return f"({ast.value!r})"
-        return repr(ast.value)
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Call):
-        return f"{ast.fn}({_print(ast.arg)})"
-    if isinstance(ast, Neg):
-        inner = _print(ast.arg)
-        if _prec(ast.arg) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(ast, Pow):
-        base = _print(ast.base)
-        if _prec(ast.base) < _PREC["atom"]:
-            base = f"({base})"
-        return f"{base}^{ast.exponent}"
-    left = _print(ast.left)
-    right = _print(ast.right)
-    if _prec(ast.left) < _prec(ast):
-        left = f"({left})"
-    # binary operators parse left-associatively, so a right child of equal
-    # precedence needs parentheses to survive a print/parse round trip
-    if _prec(ast.right) <= _prec(ast):
-        right = f"({right})"
-    return f"{left} {ast.op} {right}"

@@ -52,9 +52,7 @@ class TorusLattice:
 
     def coords(self) -> np.ndarray:
         """All site coordinates as an (n^d, d) array in C order."""
-        axes = [self.axis_coords()] * self.d
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return self.h * self.multi_indices()
 
     def multi_indices(self) -> np.ndarray:
         axes = [np.arange(self.n)] * self.d

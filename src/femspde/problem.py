@@ -17,8 +17,9 @@ Quotes around values are optional.  Keys that are absent default to zero,
 except the diffusion matrix `a`, which is required.  KEY_INDICES gives the
 indices each key takes: an axis i in 1..d, a Wiener index rho >= 1.  `a`
 must be symmetric: a missing mirror entry is filled in from its transpose,
-and providing both with different expressions is an error.  The l2-valued
-coefficients sigma, nu and g are truncated to rho <= rho_max.
+and providing both with expressions that parse to different trees is an
+error.  The l2-valued coefficients sigma, nu and g are truncated to
+rho <= rho_max.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class Problem:
             mirror = self.a.get((j, i))
             if mirror is None:
                 self.a[(j, i)] = ast
-            elif i != j and expr.to_source(mirror) != expr.to_source(ast):
+            elif i != j and mirror != ast:  # frozen dataclasses: equal trees
                 raise ProblemFormatError(
                     f"a.{i}.{j} and a.{j}.{i} differ; the diffusion matrix must be symmetric"
                 )
@@ -117,18 +118,19 @@ class Problem:
 
     # -- vectorized evaluation ----------------------------------------------
 
-    def eval_a(self, pts: np.ndarray, t: float) -> np.ndarray:
-        n = pts.shape[0]
-        out = np.zeros((n, self.d, self.d))
-        for (i, j), ast in self.a.items():
-            out[:, i - 1, j - 1] = expr.eval_many(ast, pts, t)
-        return out
+    def eval_a(self, x: tuple, t: float) -> np.ndarray:
+        """a at the points of coordinate arrays x (see expr.eval_many): (*shape, d, d)."""
+        return self._eval_matrix(self.a, self.d, x, t)
 
-    def eval_sigma(self, pts: np.ndarray, t: float) -> np.ndarray:
-        n = pts.shape[0]
-        out = np.zeros((n, self.d, self.rho_max))
-        for (i, rho), ast in self.sigma.items():
-            out[:, i - 1, rho - 1] = expr.eval_many(ast, pts, t)
+    def eval_sigma(self, x: tuple, t: float) -> np.ndarray:
+        """sigma at the points of coordinate arrays x: (*shape, d, rho_max)."""
+        return self._eval_matrix(self.sigma, self.rho_max, x, t)
+
+    def _eval_matrix(self, terms, columns, x, t):
+        shape = np.broadcast_shapes(*(np.shape(c) for c in x))
+        out = np.zeros((*shape, self.d, columns))
+        for (i, j), ast in terms.items():
+            out[..., i - 1, j - 1] = expr.eval_many(ast, x, t)
         return out
 
     def active_rhos(self) -> list[int]:

@@ -36,7 +36,9 @@ def dense_from_stencil(op):
 def _at_offsets(ast, lattice, h, z, t):
     """Coefficient at mod(x + h z, L) for every site x and point z; (sites, points)."""
     pts = np.mod(lattice.coords()[:, None, :] + h * z[None, :, :], lattice.L)
-    return expr.eval_many(ast, pts.reshape(-1, lattice.d), t).reshape(lattice.total_sites, -1)
+    flat = pts.reshape(-1, lattice.d)
+    vals = np.broadcast_to(expr.eval_many(ast, tuple(flat.T), t), (len(flat),))
+    return vals.reshape(lattice.total_sites, -1)
 
 
 def raw_stencil(tables, lattice, h, t, terms):
@@ -651,7 +653,7 @@ class TestEvaluationCount:
         for ast, x, out in calls:
             assert isinstance(x, tuple) and len(x) == lattice.d
             assert np.broadcast_shapes(*(c.shape for c in x)) == (*lattice.shape, per_cell)
-            assert out.shape == reduced_shape(ast, lattice, per_cell), expr.to_source(ast)
+            assert out.shape == reduced_shape(ast, lattice, per_cell), repr(ast)
 
     @pytest.mark.parametrize("preset, n, per_cell", [("tensor(2)", 8, 25), ("tensor(3)", 6, 125)])
     def test_drift(self, calls, preset, n, per_cell):
@@ -701,7 +703,8 @@ def full_point_cells(quad, lattice, t, terms):
     pts = pts.reshape(-1, lattice.d)
     local = np.zeros((n_cells, n_shifts * width))
     for ast, weights in combined.values():
-        vals = expr.eval_many(ast, pts, t).reshape(n_cells, n_zeta)
+        vals = np.broadcast_to(expr.eval_many(ast, tuple(pts.T), t), (len(pts),))
+        vals = vals.reshape(n_cells, n_zeta)
         local += vals @ weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
     local = local.reshape(*lattice.shape, n_shifts, width)
     out = np.zeros((*lattice.shape, width))

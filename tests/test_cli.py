@@ -717,6 +717,10 @@ class TestManifest:
         ("simulate", "dt_factor", 0.0),
         ("simulate", "dt_factor", -1.0),
         ("simulate", "seed", True),
+        ("simulate", "preset", 5),
+        ("simulate", "element_text", 3),
+        ("simulate", "problem_text", ["a.1.1 = 1"]),
+        ("convergence", "svg", "no"),
     ])
     def test_replay_rejects_bad_values(self, tmp_path, stoch_file, capsys,
                                        command, key, value):

@@ -13,10 +13,8 @@ from femspde.expr import (
     Pow,
     Var,
     depends_on_t,
-    evaluate,
     eval_many,
     parse,
-    to_source,
     validate_dimension,
 )
 from femspde.problem import ProblemFormatError, parse_problem_text
@@ -33,16 +31,16 @@ class TestParse:
         assert err.value.offset == 3
 
     def test_power_binds_tighter_than_mul(self):
-        assert evaluate(parse("2^3*x1"), (1.0,), 0.0) == pytest.approx(8.0)
+        assert eval_many(parse("2^3*x1"), (1.0,), 0.0) == pytest.approx(8.0)
 
     def test_power_binds_tighter_than_unary_minus(self):
-        assert evaluate(parse("-2^2"), (0.0,), 0.0) == pytest.approx(-4.0)
+        assert eval_many(parse("-2^2"), (0.0,), 0.0) == pytest.approx(-4.0)
 
     def test_left_associative_subtraction(self):
-        assert evaluate(parse("4 - 2 - 1"), (0.0,), 0.0) == pytest.approx(1.0)
+        assert eval_many(parse("4 - 2 - 1"), (0.0,), 0.0) == pytest.approx(1.0)
 
     def test_parentheses(self):
-        assert evaluate(parse("(1 + 2) * 3"), (0.0,), 0.0) == pytest.approx(9.0)
+        assert eval_many(parse("(1 + 2) * 3"), (0.0,), 0.0) == pytest.approx(9.0)
 
     def test_unknown_identifier(self):
         with pytest.raises(ExprSyntaxError, match="unknown identifier"):
@@ -57,7 +55,7 @@ class TestParse:
             parse("x1^2.5")
 
     def test_negative_integer_exponent(self):
-        assert evaluate(parse("2^-2"), (0.0,), 0.0) == pytest.approx(0.25)
+        assert eval_many(parse("2^-2"), (0.0,), 0.0) == pytest.approx(0.25)
 
     def test_unexpected_character_offset(self):
         with pytest.raises(ExprSyntaxError) as err:
@@ -72,31 +70,31 @@ class TestParse:
 
 class TestEval:
     def test_sum_of_variables(self):
-        assert evaluate(parse("x1+x2"), (1.0, 2.0), 0.0) == pytest.approx(3.0)
+        assert eval_many(parse("x1+x2"), (1.0, 2.0), 0.0) == pytest.approx(3.0)
 
     def test_exp_zero(self):
-        assert evaluate(parse("exp(0)"), (0.0,), 0.0) == pytest.approx(1.0)
+        assert eval_many(parse("exp(0)"), (0.0,), 0.0) == pytest.approx(1.0)
 
     def test_division_by_zero(self):
         with pytest.raises(EvalError):
-            evaluate(parse("1/(x1-1)"), (1.0,), 0.0)
+            eval_many(parse("1/(x1-1)"), (1.0,), 0.0)
 
     def test_sqrt_negative(self):
         with pytest.raises(EvalError):
-            evaluate(parse("sqrt(x1)"), (-1.0,), 0.0)
+            eval_many(parse("sqrt(x1)"), (-1.0,), 0.0)
 
     def test_overflow_reported(self):
         with pytest.raises(EvalError):
-            evaluate(parse("exp(x1)^9"), (400.0,), 0.0)
+            eval_many(parse("exp(x1)^9"), (400.0,), 0.0)
 
     def test_time_variable(self):
-        assert evaluate(parse("t*x1"), (3.0,), 2.0) == pytest.approx(6.0)
+        assert eval_many(parse("t*x1"), (3.0,), 2.0) == pytest.approx(6.0)
 
     def test_vectorized_matches_scalar(self, rng):
         ast = parse("sin(x1)*cos(x2) + t*x1^2")
         pts = rng.normal(size=(50, 2))
-        vec = eval_many(ast, pts, 0.7)
-        scalars = [evaluate(ast, p, 0.7) for p in pts]
+        vec = eval_many(ast, tuple(pts.T), 0.7)
+        scalars = [eval_many(ast, tuple(p), 0.7) for p in pts]
         np.testing.assert_allclose(vec, scalars, rtol=1e-15)
 
 
@@ -117,7 +115,8 @@ class TestCoordinateArrays:
             ast = parse(source)
             out = eval_many(ast, x, 0.7)
             full = np.broadcast_to(out, (6, 6, 3)).reshape(-1)
-            np.testing.assert_array_equal(full, eval_many(ast, pts, 0.7))
+            points = np.broadcast_to(eval_many(ast, tuple(pts.T), 0.7), (len(pts),))
+            np.testing.assert_array_equal(full, points)
 
     def test_result_spans_referenced_axes_only(self):
         x = self.coords()
@@ -136,14 +135,6 @@ class TestCoordinateArrays:
     def test_variable_beyond_coordinates_rejected(self):
         with pytest.raises(EvalError):
             eval_many(parse("x3"), self.coords(), 0.0)
-
-    def test_point_array_form_unchanged(self):
-        pts = np.zeros((7, 2))
-        assert eval_many(parse("2"), pts, 0.0).shape == (7,)
-        assert eval_many(parse("x1 + x2"), pts, 0.0).shape == (7,)
-        for bad in (np.zeros(3), np.zeros((2, 2, 2))):
-            with pytest.raises(ValueError):
-                eval_many(parse("x1"), bad, 0.0)
 
 
 class TestAnalysis:
@@ -217,11 +208,6 @@ def reference_eval(ast, x, t, stats):
 
 
 class TestRoundTripAndReference:
-    def test_print_parse_round_trip(self, rng):
-        for _ in range(400):
-            ast = random_ast(rng, 3, 4)
-            assert parse(to_source(ast)) == ast
-
     def test_eval_matches_reference_on_random_asts(self, rng):
         agreements = 0
         for _ in range(10_000):
@@ -235,11 +221,11 @@ class TestRoundTripAndReference:
                     raise EvalError("non-finite")
             except (EvalError, OverflowError, ValueError):
                 with pytest.raises(EvalError):
-                    evaluate(ast, x, t)
+                    eval_many(ast, x, t)
                 continue
             if stats[0] > 1e3:
                 continue
-            got = evaluate(ast, x, t)
+            got = eval_many(ast, x, t)
             # ulp-scale agreement: relative 1e-15, except near trig zero
             # crossings where the bound is one ulp of the largest operand
             assert got == pytest.approx(expected, rel=1e-15, abs=1e-13 * max(stats[0], 1.0))
@@ -268,8 +254,8 @@ class TestProblemFiles:
         assert problem.has_noise
         assert problem.active_rhos() == [1]
         pts = np.array([[0.0], [np.pi]])
-        np.testing.assert_allclose(problem.eval_a(pts, 0.0)[:, 0, 0], [1.25, 0.75])
-        np.testing.assert_allclose(eval_many(problem.phi, pts, 0.0), [0.0, np.sin(np.pi)])
+        np.testing.assert_allclose(problem.eval_a(tuple(pts.T), 0.0)[:, 0, 0], [1.25, 0.75])
+        np.testing.assert_allclose(eval_many(problem.phi, tuple(pts.T), 0.0), [0.0, np.sin(np.pi)])
 
     def test_defaults_are_zero(self):
         problem = parse_problem_text('a.1.1 = "1"')
@@ -285,16 +271,23 @@ class TestProblemFiles:
 
     def test_unquoted_values(self):
         problem = parse_problem_text("a.1.1 = 2\nphi = sin(x1)")
-        assert problem.eval_a(np.array([[0.0]]), 0.0)[0, 0, 0] == 2.0
+        assert problem.eval_a((0.0,), 0.0)[0, 0] == 2.0
 
     def test_mirror_of_off_diagonal(self):
         problem = parse_problem_text('a.1.1="1"\na.2.2="1"\na.1.2="0.5"\nd = 2')
-        amat = problem.eval_a(np.array([[0.1, 0.2]]), 0.0)[0]
+        amat = problem.eval_a((0.1, 0.2), 0.0)
         assert amat[0, 1] == amat[1, 0] == 0.5
+        # a mirror given explicitly is accepted when it parses to the same tree
+        problem = parse_problem_text('a.1.1="1"\na.2.2="1"\na.1.2="2*x1"\na.2.1="2.0 * (x1)"')
+        amat = problem.eval_a((0.1, 0.2), 0.0)
+        assert amat[0, 1] == amat[1, 0] == 0.2
 
     def test_conflicting_mirror_rejected(self):
         with pytest.raises(ProblemFormatError, match="symmetric"):
             parse_problem_text('a.1.1="1"\na.2.2="1"\na.1.2="0.5"\na.2.1="0.6"\nd=2')
+        # the same values written as a different tree are rejected too
+        with pytest.raises(ProblemFormatError, match="symmetric"):
+            parse_problem_text('a.1.1="1"\na.2.2="1"\na.1.2="2*x1"\na.2.1="x1*2"')
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ProblemFormatError, match="unknown key"):
