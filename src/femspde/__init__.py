@@ -32,7 +32,6 @@ from .lattice import (
 from .problem import Problem, parse_problem_text
 from .richardson import (
     ConvergenceReport,
-    ExtrapolationPlan,
     combine,
     error_norm,
     estimate_order,
@@ -47,7 +46,6 @@ __all__ = [
     "ConvergenceReport",
     "EvalError",
     "ExprSyntaxError",
-    "ExtrapolationPlan",
     "FiniteElement",
     "GridFunction",
     "IntegrationError",

@@ -29,12 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import FiniteElement, lattice_points_in_box
-from .integrator import LinearSolver
-from .lattice import GridFunction
 from .tensors import ReferenceTensors
 
 DELTA_THRESHOLD = 1e-8
 RESIDUAL_TOL = 1e-10
+# check_parabolicity's sampling: points of [0, L)^d and times of [0, T]
+PARABOLICITY_POINTS = 10_000
+PARABOLICITY_TIMES = 3
 
 
 @dataclass
@@ -54,7 +55,6 @@ class IdentityRow:
 @dataclass
 class AssumptionReport:
     element: str
-    d: int
     delta_estimate: float
     compatibility_residuals: dict[str, float]
     details: list[IdentityRow]
@@ -163,35 +163,6 @@ def check_compatibility(tensors: ReferenceTensors) -> tuple[dict[str, float], li
     return {family: row.residual for family, row in zip(families, rows)}, rows
 
 
-def smallest_eigenvalue_inverse_power(
-    op, iters: int = 200, tol: float = 1e-13, seed: int = 0
-) -> float:
-    """Smallest eigenvalue of a symmetric stencil operator by inverse power
-    iteration, factoring the operator once through LinearSolver.
-
-    The Rayleigh estimate approaches the minimum from above, so it certifies
-    lower bounds; its accuracy is limited by the gap to the next eigenvalue,
-    which clusters for mass operators on fine tori.
-    """
-    lattice = op.lattice
-    solver = LinearSolver(op)
-
-    def rayleigh(v: np.ndarray) -> float:
-        return float(v @ op.apply(GridFunction(lattice, v.reshape(lattice.shape))).values.ravel())
-
-    v = np.random.default_rng(seed).normal(size=lattice.total_sites)
-    v /= np.linalg.norm(v)
-    value = rayleigh(v)
-    for _ in range(iters):
-        w = solver.solve(v[None])[0]
-        w /= np.linalg.norm(w)
-        new_value = rayleigh(w)
-        if abs(new_value - value) < tol * max(1.0, abs(new_value)):
-            return new_value
-        v, value = w, new_value
-    return value
-
-
 # ---------------------------------------------------------------------------
 # cardinal interpolation property
 # ---------------------------------------------------------------------------
@@ -213,24 +184,20 @@ def check_cardinal(element: FiniteElement) -> tuple[bool, float]:
 # ---------------------------------------------------------------------------
 
 
-def check_parabolicity(
-    problem,
-    L: float,
-    T: float = 1.0,
-    sample_points: int = 10_000,
-    t_samples: int = 3,
-) -> float:
+def check_parabolicity(problem, L: float, T: float = 1.0) -> float:
     """Smallest eigenvalue of a - sigma sigma^T / 2 over sampled (t, x).
 
-    A positive return spot-checks the strong parabolicity condition; sampling
-    can only refute the condition, not prove it.  Raises ValueError if the
-    sampled diffusion matrix is not symmetric.
+    Samples about PARABOLICITY_POINTS points of [0, L)^d, a regular grid, at
+    PARABOLICITY_TIMES equispaced times of [0, T].  A positive return
+    spot-checks the strong parabolicity condition; sampling can only refute
+    the condition, not prove it.  Raises ValueError if the sampled diffusion
+    matrix is not symmetric.
     """
     d = problem.d
-    per_axis = max(2, int(round(sample_points ** (1.0 / d))))
+    per_axis = max(2, int(round(PARABOLICITY_POINTS ** (1.0 / d))))
     # one coordinate array per axis, spanning its own axis of the per_axis^d grid
     x = np.ix_(*[np.linspace(0.0, L, per_axis, endpoint=False)] * d)
-    times = np.linspace(0.0, T, max(1, t_samples))
+    times = np.linspace(0.0, T, PARABOLICITY_TIMES)
     worst = np.inf
     for t in times:
         amat = problem.eval_a(x, t).reshape(-1, d, d)
@@ -263,7 +230,6 @@ def verify_element(element: FiniteElement, tensors: ReferenceTensors) -> Assumpt
                             cardinal_ok))
     return AssumptionReport(
         element=element.name,
-        d=element.d,
         delta_estimate=max(symbol_min, 0.0),
         compatibility_residuals=residuals,
         details=rows,

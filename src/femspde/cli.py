@@ -41,14 +41,14 @@ from .elements import (
     validate_element,
     validate_element_structure,
 )
-from .expr import ExprSyntaxError
+from .expr import EvalError, ExprSyntaxError
 from .integrator import IntegrationError, NoisePath, SolverError, integrate
 from .lattice import build_torus, write_grid_function_csv, write_states_csv
 from .polynomials import GeometryError
-from .problem import ProblemFormatError, parse_problem_text
+from .problem import Problem, ProblemFormatError, parse_problem_text
 from .richardson import RATIO_QUARTER, RATIO_SIXTEENTH, write_loglog_svg
 from .study import MIN_LADDER, StudyConfig, resolve_steps, run_convergence_study
-from .tensors import compute_reference_tensors
+from .tensors import ReferenceTensors, compute_reference_tensors
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -224,6 +224,16 @@ def _load_element(config: RunConfig, structural_only: bool = False) -> FiniteEle
     return element
 
 
+def _load_inputs(config: RunConfig) -> tuple[FiniteElement, ReferenceTensors, Problem]:
+    """The element, its reference tensors and the problem of a simulate or
+    convergence run."""
+    element = _load_element(config)
+    tensors = compute_reference_tensors(element)
+    if config.problem_text is None:
+        raise UsageError(f"{config.command} needs --problem")
+    return element, tensors, parse_problem_text(config.problem_text, rho_max=config.rho_max)
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations (driven by a RunConfig, replayable)
 # ---------------------------------------------------------------------------
@@ -255,11 +265,7 @@ def run_verify_element(config: RunConfig, out: str | None) -> int:
 
 
 def run_simulate(config: RunConfig, out: str | None) -> int:
-    element = _load_element(config)
-    tensors = compute_reference_tensors(element)
-    if config.problem_text is None:
-        raise UsageError("simulate needs --problem")
-    problem = parse_problem_text(config.problem_text, rho_max=config.rho_max)
+    element, tensors, problem = _load_inputs(config)
     lattice = build_torus(problem.d, config.L / config.n, config.n)
     steps = resolve_steps(config.T, config.L, config.n, config.steps)
     config.steps = steps  # manifest records the resolved time grid
@@ -282,11 +288,7 @@ def run_simulate(config: RunConfig, out: str | None) -> int:
 
 
 def run_convergence(config: RunConfig, out: str | None) -> int:
-    element = _load_element(config)
-    tensors = compute_reference_tensors(element)
-    if config.problem_text is None:
-        raise UsageError("convergence needs --problem")
-    problem = parse_problem_text(config.problem_text, rho_max=config.rho_max)
+    element, tensors, problem = _load_inputs(config)
     ladder = [config.n * 2**k for k in range(config.ladder)]
     ref_n = config.ref_n if config.ref_n is not None else 4 * max(ladder)
     study = StudyConfig(
@@ -421,7 +423,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ElementFormatError, ProblemFormatError, ExprSyntaxError, GeometryError) as exc:
+    except (ElementFormatError, ProblemFormatError, ExprSyntaxError, EvalError,
+            GeometryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, IntegrationError) as exc:

@@ -3,7 +3,7 @@
 Built-in presets:
 
 ``hat1d``
-    the classical piecewise-linear hat on [-1, 1].
+    the classical piecewise-linear hat on [-1, 1]: ``tensor(1)`` by its own name.
 ``tensor(d)``
     the d-fold product of 1-D hats on (-1, 1]^d, 1 <= d <= 4.
 ``triangle2d``
@@ -56,13 +56,6 @@ class FiniteElement:
 # ---------------------------------------------------------------------------
 
 
-def _hat_pieces_1d() -> list[tuple[Cell, Polynomial]]:
-    return [
-        (Box((-1.0,), (0.0,)), Polynomial(1, {(0,): 1.0, (1,): 1.0})),
-        (Box((0.0,), (1.0,)), Polynomial(1, {(0,): 1.0, (1,): -1.0})),
-    ]
-
-
 def _tensor_pieces(d: int) -> list[tuple[Cell, Polynomial]]:
     pieces: list[tuple[Cell, Polynomial]] = []
     for signs in np.ndindex(*([2] * d)):
@@ -102,25 +95,23 @@ def _triangle_pieces() -> list[tuple[Cell, Polynomial]]:
 def build_element(preset: str) -> FiniteElement:
     """Construct a built-in element by name: 'hat1d', 'tensor(d)' or 'triangle2d'."""
     preset = preset.strip().lower()
-    if preset == "hat1d":
-        pieces = _hat_pieces_1d()
-        lam = {(-1,), (0,), (1,)}
-        name = "hat1d"
-        d = 1
-    elif preset.startswith("tensor"):
-        arg = preset[len("tensor"):].strip("() ")
-        try:
-            d = int(arg)
-        except ValueError as exc:
-            raise ValueError(f"bad tensor dimension in preset {preset!r}") from exc
-        if not 1 <= d <= 4:
-            raise ValueError(f"tensor element dimension must be in 1..4, got {d}")
+    if preset == "hat1d" or preset.startswith("tensor"):
+        if preset == "hat1d":  # the 1-D product element under its own name
+            d, name = 1, "hat1d"
+        else:
+            arg = preset[len("tensor"):].strip("() ")
+            try:
+                d = int(arg)
+            except ValueError as exc:
+                raise ValueError(f"bad tensor dimension in preset {preset!r}") from exc
+            if not 1 <= d <= 4:
+                raise ValueError(f"tensor element dimension must be in 1..4, got {d}")
+            name = f"tensor({d})"
         pieces = _tensor_pieces(d)
         lam = {(0,) * d}
         for k in range(d):
             for s in (-1, 1):
                 lam.add(tuple(s if j == k else 0 for j in range(d)))
-        name = f"tensor({d})"
     elif preset == "triangle2d":
         pieces = _triangle_pieces()
         lam = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
@@ -133,15 +124,16 @@ def build_element(preset: str) -> FiniteElement:
 
 
 def finish_element(name: str, psi: PiecewisePolynomial, lambda_set) -> FiniteElement:
-    """Validate psi/Lambda and derive Gamma from support overlaps."""
+    """Validate psi/Lambda and derive Gamma from support overlaps; an invalid
+    Lambda is an ElementFormatError."""
     lam = frozenset(tuple(int(c) for c in v) for v in lambda_set)
     d = psi.d
     if (0,) * d not in lam:
-        raise ValueError("Lambda must contain the zero vector")
+        raise ElementFormatError("Lambda must contain the zero vector")
     if any(len(v) != d for v in lam):
-        raise ValueError("Lambda vectors must match the dimension of psi")
+        raise ElementFormatError("Lambda vectors must match the dimension of psi")
     if {tuple(-c for c in v) for v in lam} != lam:
-        raise ValueError("Lambda must be symmetric (Lambda = -Lambda)")
+        raise ElementFormatError("Lambda must be symmetric (Lambda = -Lambda)")
     element = FiniteElement(name=name, psi=psi, lambda_set=lam)
     gamma = tuple(sorted(compute_gamma(element)))
     return FiniteElement(name=name, psi=psi, lambda_set=lam, gamma=gamma)
@@ -240,7 +232,7 @@ def validate_element(element: FiniteElement) -> dict[str, float]:
 
     Verifies cell disjointness, continuity across faces, psi(-x) = psi(x) at
     200 sampled points (a fixed seed), and the normalisation integral of psi
-    to 1e-10.  Raises GeometryError / ValueError when a check fails.
+    to 1e-10.  Raises GeometryError / ElementFormatError when a check fails.
     Lambda = -Lambda is finish_element's rule, so every element has it.
     """
     psi = element.psi
@@ -249,10 +241,10 @@ def validate_element(element: FiniteElement) -> dict[str, float]:
     pts = lo + np.random.default_rng(0).random((200, element.d)) * (hi - lo)
     sym_residual = float(np.max(np.abs(psi.eval_many(pts) - psi.eval_many(-pts))))
     if sym_residual > 1e-9:
-        raise ValueError(f"psi(-x) != psi(x): residual {sym_residual:.3e}")
+        raise ElementFormatError(f"psi(-x) != psi(x): residual {sym_residual:.3e}")
     mass = psi.integral()
     if abs(mass - 1.0) > 1e-10:
-        raise ValueError(f"psi does not integrate to 1: got {mass!r}")
+        raise ElementFormatError(f"psi does not integrate to 1: got {mass!r}")
     return {"continuity_jump": jump, "symmetry": sym_residual, "mass_defect": abs(mass - 1.0)}
 
 
@@ -280,8 +272,8 @@ Element files are UTF-8 key-value text.  Header keys precede [cell] blocks:
 
 d is an integer.  A simplex cell is a triangle, so `type = simplex` is 2-D
 only; use `type = box` in every other dimension.  Numbers may be decimals or
-rationals like 2/3.  Polynomial terms map an exponent tuple to a
-coefficient.  Lines starting with '#' are comments.
+rationals like 2/3.  Polynomial terms map an exponent tuple of
+non-negative integers to a coefficient.  Lines starting with '#' are comments.
 """
 
 
@@ -392,6 +384,8 @@ def _parse_poly(text: str, d: int) -> Polynomial:
             coeff = parse_number(coeff_text)
         except ValueError:
             raise ElementFormatError(f"bad polynomial term {match.group(0)!r}") from None
+        if any(e < 0 for e in expo):
+            raise ElementFormatError(f"negative exponent in polynomial term {match.group(0)!r}")
         coeffs[expo] = coeffs.get(expo, 0.0) + coeff
     # every non-blank character must belong to some term
     leftover = len("".join(text.split())) - sum(len("".join(m.group(0).split())) for m in terms)

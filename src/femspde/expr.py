@@ -120,9 +120,11 @@ def _tokenize(src: str) -> list[_Token]:
                         j += 1
             text = src[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ExprSyntaxError(f"bad number literal {text!r}", _byte_offset(src, i))
+            if not np.isfinite(value):
+                raise ExprSyntaxError(f"number literal {text!r} overflows", _byte_offset(src, i))
             tokens.append(_Token("num", text, _byte_offset(src, i)))
             i = j
             continue

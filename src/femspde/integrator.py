@@ -163,8 +163,8 @@ class LinearSolver:
 
     reused says whether the factorization would serve more than one solve or
     more than one column.  The integrator derives it from the problem and
-    the block width; other callers keep the default, which factors every
-    lattice up to DIRECT_SITE_LIMIT sites.
+    the block width, and is the only library caller; only tests rely on the
+    default, which factors every lattice up to DIRECT_SITE_LIMIT sites.
     """
 
     def __init__(self, op: StencilOperator, reused: bool = True):
@@ -283,7 +283,6 @@ class Trajectory:
     every time index (None unless recorded), the terminal state, and the
     maximum of |U|_{0,h} over the time indices and the samples."""
 
-    lattice: TorusLattice
     times: np.ndarray
     states: list[GridFunction] | None
     terminal: GridFunction
@@ -412,7 +411,6 @@ def integrate(
         if observe is not None:
             observe(n + 1, u)
     return Trajectory(
-        lattice=lattice,
         times=np.arange(steps + 1) * dt,
         states=states,
         terminal=u,

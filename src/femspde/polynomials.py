@@ -92,9 +92,6 @@ class Polynomial:
                 out[key] = out.get(key, 0.0) + ca * cb
         return Polynomial(self.d, out)
 
-    def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial(self.d, {e: c * factor for e, c in self.coeffs.items()})
-
     def translated(self, shift) -> "Polynomial":
         """Return q with q(z) = p(z - shift), i.e. the graph moved by +shift."""
         shift = np.asarray(shift, dtype=float)

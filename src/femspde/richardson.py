@@ -53,31 +53,15 @@ def extrapolation_coefficients(jbar: int, ratio: float = RATIO_QUARTER) -> np.nd
     return coeffs
 
 
-@dataclass(frozen=True)
-class ExtrapolationPlan:
-    """Number of levels, per-halving error ratio, and mixture coefficients."""
-
-    jbar: int
-    ratio: float
-    coefficients: tuple[float, ...]
-
-    @staticmethod
-    def create(jbar: int, ratio: float = RATIO_QUARTER) -> "ExtrapolationPlan":
-        return ExtrapolationPlan(jbar, ratio, tuple(extrapolation_coefficients(jbar, ratio)))
-
-    @property
-    def levels(self) -> int:
-        return self.jbar + 1
-
-
-def combine(level_solutions: list[GridFunction], plan: ExtrapolationPlan) -> GridFunction:
-    """Mixture of nested-level solutions, restricted by injection to the coarsest,
-    sample by sample."""
-    if len(level_solutions) != plan.levels:
-        raise ValueError(f"expected {plan.levels} level solutions, got {len(level_solutions)}")
+def combine(level_solutions: list[GridFunction], coefficients: np.ndarray) -> GridFunction:
+    """Mixture of nested-level solutions with extrapolation_coefficients' weights,
+    restricted by injection to the coarsest, sample by sample."""
+    if len(level_solutions) != len(coefficients):
+        raise ValueError(f"expected {len(coefficients)} level solutions, "
+                         f"got {len(level_solutions)}")
     coarse = level_solutions[0].lattice
     out = np.zeros(level_solutions[0].values.shape)
-    for c, sol in zip(plan.coefficients, level_solutions):
+    for c, sol in zip(coefficients, level_solutions):
         out += c * restrict(sol, coarse).values
     return GridFunction(coarse, out)
 

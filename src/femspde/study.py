@@ -54,7 +54,7 @@ from .elements import FiniteElement
 from .integrator import NoisePath, integrate, sample_seed
 from .lattice import GridFunction, build_torus, nesting_factor, norms_0h
 from .problem import Problem
-from .richardson import ConvergenceReport, ExtrapolationPlan
+from .richardson import ConvergenceReport, extrapolation_coefficients
 from .tensors import ReferenceTensors
 
 
@@ -142,7 +142,8 @@ def run_convergence_study(
     d = problem.d
     steps = cfg.resolved_steps()
     dt = cfg.T / steps
-    plan = ExtrapolationPlan.create(cfg.jbar, cfg.ratio)
+    coefficients = extrapolation_coefficients(cfg.jbar, cfg.ratio)
+    levels = len(coefficients)
 
     noises = None
     if problem.has_noise:
@@ -153,7 +154,7 @@ def run_convergence_study(
     # lattice m -> the (root mesh, level j) pairs it serves, m = root * 2^j
     uses: dict[int, list[tuple[int, int]]] = {}
     for root in [cfg.ref_n, *cfg.ladder_n]:
-        for j in range(plan.levels):
+        for j in range(levels):
             uses.setdefault(root * 2**j, []).append((root, j))
     finest = max(cfg.ladder_n)
     index = {n: i for i, n in enumerate(cfg.ladder_n)}
@@ -170,7 +171,7 @@ def run_convergence_study(
     # bytes one sample stores: at every time index the reference and each
     # mixture's terms j >= 1, and BLOCK_COPIES states on the largest lattice
     # while a step runs; a chunk holds the samples that fit in STUDY_CHUNK_BYTES
-    stored = finest**d + sum((plan.levels - 1) * target(root) ** d
+    stored = finest**d + sum((levels - 1) * target(root) ** d
                              for root in [cfg.ref_n, *cfg.ladder_n])
     per_sample = 8 * ((steps + 1) * stored + BLOCK_COPIES * max(uses) ** d)
     chunk = max(1, min(rows, STUDY_CHUNK_BYTES // per_sample))
@@ -196,13 +197,13 @@ def run_convergence_study(
             def observe(k: int, u: GridFunction) -> None:
                 block = u.values
                 for root, j in uses[m]:
-                    mixture = plan.coefficients[j] * inject(block, m, target(root))
+                    mixture = coefficients[j] * inject(block, m, target(root))
                     if j > 0:
                         terms[root][j][k] = mixture
                         continue
                     # m is the root itself, its last level: sum the mixture in
                     # level order, as richardson.combine does
-                    for level in range(1, plan.levels):
+                    for level in range(1, levels):
                         mixture += terms[root][level][k]
                     if root == cfg.ref_n:
                         ref[k] = mixture

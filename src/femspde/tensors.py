@@ -45,7 +45,6 @@ Lam = tuple[int, ...]
 class OverlapTable:
     """Quadrature table on supp(psi_lam) ∩ supp(psi) with basis values."""
 
-    lam: Lam
     points: np.ndarray   # (m, d)
     weights: np.ndarray  # (m,)
     psi_l: np.ndarray    # psi_lam at points
@@ -99,7 +98,6 @@ def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, 
             psi_0[at] = pieces[j][1].eval_many(pts)
             dpsi_0[:, at] = [p.eval_many(pts) for p in derivatives[j]]
         tables[lam] = OverlapTable(
-            lam=lam,
             points=points,
             weights=np.concatenate([wts for _, _, _, wts in rules]),
             psi_l=psi_l,

@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 
 from femspde.assembly import AssembledProblem, assemble_mass
-from femspde.checks import (
-    check_invertibility,
-    smallest_eigenvalue_inverse_power,
-    verify_element,
-)
+from femspde.checks import check_invertibility, verify_element
 from femspde.cli import EXIT_OK, main
 from femspde.elements import build_element
 from femspde.integrator import LinearSolver, step_implicit_em
@@ -137,8 +133,6 @@ def test_criterion_2_invertibility_constant():
         mass = assemble_mass(tensors, lattice)
         eig_dense = float(np.linalg.eigvalsh(mass.to_dense()).min())
         assert eig_dense >= delta - 1e-8
-        eig_power = smallest_eigenvalue_inverse_power(mass)
-        assert eig_power >= delta - 1e-8
 
 
 def test_criterion_3_sign_invariance():

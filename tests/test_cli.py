@@ -192,6 +192,30 @@ class TestVerifyElement:
         assert capsys.readouterr().err.startswith("input error: ")
         assert not run_dirs(tmp_path)
 
+    @pytest.mark.parametrize("command, old, new, message", [
+        ("verify-element", "lambda = (-1) (0) (1)", "lambda = (-1) (1)",
+         "Lambda must contain the zero vector"),
+        ("verify-element", "lambda = (-1) (0) (1)", "lambda = (0) (1)",
+         "Lambda must be symmetric (Lambda = -Lambda)"),
+        ("verify-element", "poly = 0: 2  1: 2\n", "poly = 0: 2  -1: 2\n",
+         "negative exponent in polynomial term '-1: 2'"),
+        # verify-element reports the mass in its table; a run rejects the element
+        ("simulate", "", "", "psi does not integrate to 1: got 2.0"),
+    ], ids=["lambda-without-zero", "asymmetric-lambda", "negative-exponent", "mass-not-one"])
+    def test_element_rule_violations_are_input_errors(self, tmp_path, capsys, command, old, new,
+                                                      message):
+        element = tmp_path / "e.element"
+        element.write_text(SCALED_ELEMENT.replace(old, new, 1), encoding="utf-8")
+        prob = tmp_path / "p.prob"
+        prob.write_text(DET_PROBLEM, encoding="utf-8")
+        out = tmp_path / "o"
+        args = [command, "--element-file", str(element), "--out", str(out)]
+        if command == "simulate":
+            args += ["--problem", str(prob), "--n", "8", "--T", "0.05", "--steps", "2"]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("d", ["0", "-2"])
     def test_element_dimension_below_one_is_input_error(self, tmp_path, capsys, d):
         element = tmp_path / "e.element"
@@ -290,6 +314,34 @@ class TestSimulate:
                      "--T", "0.05", "--steps", "2", "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == (
             "input error: key 'phi': expression uses x3 but the problem dimension is 1\n")
+        assert not out.exists()
+
+    def test_overflowing_literal_is_input_error(self, tmp_path, capsys):
+        prob = tmp_path / "p.prob"
+        prob.write_text('d = 1\na.1.1 = "1"\nphi = "1e999"\n', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "hat1d", "--problem", str(prob), "--n", "8",
+                     "--T", "0.05", "--steps", "2", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "input error: key 'phi': number literal '1e999' overflows (byte offset 0)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("simulate", DET_PROBLEM.replace('c = "-0.2"', 'c = "1/0"'), "division by zero"),
+        ("convergence", 'a.1.1 = "sqrt(cos(x1))"\nphi = "sin(x1)"\n',
+         "sqrt of a negative value"),
+    ], ids=["simulate-division", "convergence-sqrt"])
+    def test_evaluation_faults_are_input_errors(self, tmp_path, capsys, command, text,
+                                                message):
+        prob = tmp_path / "p.prob"
+        prob.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        args = [command, "--preset", "hat1d", "--problem", str(prob), "--n", "8",
+                "--T", "0.05", "--steps", "2", "--out", str(out)]
+        if command == "convergence":
+            args += ["--ladder", "3"]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == f"input error: {message}\n"
         assert not out.exists()
 
     def test_zero_data_writes_zero_field(self, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,29 @@ from femspde.elements import (
     validate_element,
 )
 from femspde.polynomials import gauss_points_1d
+from femspde.tensors import CellQuadrature, compute_reference_tensors
 
 
 class TestPresets:
     def test_hat1d_gamma(self, hat1d):
         assert hat1d.gamma == ((-1,), (0,), (1,))
         assert hat1d.lambda_set == frozenset({(-1,), (0,), (1,)})
+
+    def test_hat1d_is_tensor1_by_its_own_name(self):
+        hat, tensor = build_element("hat1d"), build_element("tensor(1)")
+        assert (hat.name, tensor.name) == ("hat1d", "tensor(1)")
+        assert [cell for cell, _ in hat.psi.pieces] == [cell for cell, _ in tensor.psi.pieces]
+        # the coefficient dicts agree in order too, so every sum runs alike
+        assert ([list(poly.coeffs.items()) for _, poly in hat.psi.pieces]
+                == [list(poly.coeffs.items()) for _, poly in tensor.psi.pieces])
+        assert hat.lambda_set == tensor.lambda_set
+        assert hat.gamma == tensor.gamma
+        hat_t, tensor_t = compute_reference_tensors(hat), compute_reference_tensors(tensor)
+        for name in ("R", "Rbeta", "Rab", "Q", "Qtilde"):
+            assert np.array_equal(getattr(hat_t, name), getattr(tensor_t, name)), name
+        for f in dataclasses.fields(CellQuadrature):
+            a, b = getattr(hat_t.quad, f.name), getattr(tensor_t.quad, f.name)
+            assert a == b if isinstance(a, tuple) else np.array_equal(a, b), f.name
 
     def test_triangle2d_gamma(self, triangle2d):
         expected = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}
@@ -151,10 +170,10 @@ class TestElementFiles:
 
     def test_asymmetric_lambda_rejected(self):
         text = ELEMENT_TEXT.replace("lambda = (-1) (0) (1)", "lambda = (0) (1)")
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ElementFormatError, match="symmetric"):
             parse_element_text(text)
 
     def test_missing_zero_rejected(self):
         text = ELEMENT_TEXT.replace("lambda = (-1) (0) (1)", "lambda = (-1) (1)")
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(ElementFormatError, match="zero"):
             parse_element_text(text)

@@ -62,6 +62,12 @@ class TestParse:
             parse("x1 + @")
         assert err.value.offset == 5
 
+    @pytest.mark.parametrize("source, offset", [("1e999", 0), ("x1 + 2e400*t", 5)])
+    def test_overflowing_literal_rejected_at_its_offset(self, source, offset):
+        with pytest.raises(ExprSyntaxError, match="overflows") as err:
+            parse(source)
+        assert err.value.offset == offset
+
     def test_byte_offset_utf8(self):
         # non-ASCII bytes before the error shift the byte offset
         with pytest.raises(ExprSyntaxError):

@@ -6,7 +6,6 @@ import pytest
 from femspde.lattice import GridFunction, build_torus
 from femspde.richardson import (
     ConvergenceReport,
-    ExtrapolationPlan,
     combine,
     error_norm,
     estimate_order,
@@ -75,64 +74,65 @@ class TestCombine:
         self.finest = self.fine.refine()
 
     def test_single_level_identity(self, rng):
-        plan = ExtrapolationPlan.create(0)
+        coeffs = extrapolation_coefficients(0)
         u = GridFunction(self.coarse, rng.normal(size=8))
-        out = combine([u], plan)
+        out = combine([u], coeffs)
         np.testing.assert_array_equal(out.values, u.values)
 
     def test_constant_levels_reproduce_constant(self):
-        plan = ExtrapolationPlan.create(1)
+        coeffs = extrapolation_coefficients(1)
         levels = [
             GridFunction(self.coarse, np.full(8, 7.5)),
             GridFunction(self.fine, np.full(16, 7.5)),
         ]
-        np.testing.assert_allclose(combine(levels, plan).values, 7.5, atol=1e-13)
+        np.testing.assert_allclose(combine(levels, coeffs).values, 7.5, atol=1e-13)
 
     def test_manufactured_h2_error_cancels(self, rng):
         # level j carries the same truth plus a pure h^2 term scaled by 4^-j
-        plan = ExtrapolationPlan.create(1)
+        coeffs = extrapolation_coefficients(1)
         truth = rng.normal(size=8)
         defect = rng.normal(size=8)
         coarse_vals = truth + defect
         fine_vals = np.zeros(16)
         fine_vals[::2] = truth + 0.25 * defect  # only shared sites matter
         out = combine(
-            [GridFunction(self.coarse, coarse_vals), GridFunction(self.fine, fine_vals)], plan
+            [GridFunction(self.coarse, coarse_vals), GridFunction(self.fine, fine_vals)], coeffs
         )
         np.testing.assert_allclose(out.values[0], truth, atol=1e-13)
 
     def test_linearity_in_each_level(self, rng):
-        plan = ExtrapolationPlan.create(1)
+        coeffs = extrapolation_coefficients(1)
         zero0 = GridFunction(self.coarse, np.zeros(8))
         u0 = GridFunction(self.coarse, rng.normal(size=8))
         u1 = GridFunction(self.fine, rng.normal(size=16))
         v1 = GridFunction(self.fine, rng.normal(size=16))
         # linear in the fine level with the coarse level frozen at zero
         left = combine([zero0, GridFunction(self.fine, 2.0 * u1.values + 3.0 * v1.values)],
-                       plan).values
-        right = 2.0 * combine([zero0, u1], plan).values + 3.0 * combine([zero0, v1], plan).values
+                       coeffs).values
+        right = (2.0 * combine([zero0, u1], coeffs).values
+                 + 3.0 * combine([zero0, v1], coeffs).values)
         np.testing.assert_allclose(left, right, atol=1e-12)
         # additive across levels
-        both = combine([u0, u1], plan).values
-        split = combine([u0, GridFunction(self.fine, np.zeros(16))], plan).values
-        split = split + combine([zero0, u1], plan).values
+        both = combine([u0, u1], coeffs).values
+        split = combine([u0, GridFunction(self.fine, np.zeros(16))], coeffs).values
+        split = split + combine([zero0, u1], coeffs).values
         np.testing.assert_allclose(both, split, atol=1e-12)
 
     def test_block_combines_each_sample(self, rng):
-        plan = ExtrapolationPlan.create(1)
+        coeffs = extrapolation_coefficients(1)
         coarse = rng.normal(size=(3, 8))
         fine = rng.normal(size=(3, 16))
-        got = combine([GridFunction(self.coarse, coarse), GridFunction(self.fine, fine)], plan)
+        got = combine([GridFunction(self.coarse, coarse), GridFunction(self.fine, fine)], coeffs)
         assert got.values.shape == (3, 8)
         for s in range(3):
             want = combine([GridFunction(self.coarse, coarse[s]),
-                            GridFunction(self.fine, fine[s])], plan)
+                            GridFunction(self.fine, fine[s])], coeffs)
             assert np.array_equal(got.values[s:s + 1], want.values)
 
     def test_wrong_level_count_rejected(self):
-        plan = ExtrapolationPlan.create(1)
+        coeffs = extrapolation_coefficients(1)
         with pytest.raises(ValueError):
-            combine([GridFunction(self.coarse, np.zeros(8))], plan)
+            combine([GridFunction(self.coarse, np.zeros(8))], coeffs)
 
 
 class TestErrorNorm:

@@ -93,7 +93,7 @@ class TestStochasticStudy:
         from femspde.assembly import AssembledProblem
         from femspde.integrator import integrate
         from femspde.lattice import build_torus, restrict
-        from femspde.richardson import ExtrapolationPlan, combine, error_norm, estimate_order
+        from femspde.richardson import combine, error_norm, estimate_order, extrapolation_coefficients
 
         element, tensors = hat
         problem = parse_problem_text(STOCH_PROBLEM)
@@ -103,7 +103,7 @@ class TestStochasticStudy:
         h_f = L / 64
         steps = int(np.ceil(T / (0.5 * h_f**2)))
         dt = T / steps
-        plan = ExtrapolationPlan.create(1, 0.25)
+        coeffs = extrapolation_coefficients(1, 0.25)
         needed = sorted({n * 2**j for n in [*ladder, ref_n] for j in (0, 1)})
         base_sq = np.zeros(3)
         mix_sq = np.zeros(3)
@@ -115,12 +115,12 @@ class TestStochasticStudy:
                 lattice = build_torus(1, L / n, n)
                 ap = AssembledProblem(element, tensors, problem, lattice)
                 terminal[n] = integrate(ap, noise, T, steps, record="terminal").terminal
-            ref = combine([terminal[ref_n], terminal[2 * ref_n]], plan)
+            ref = combine([terminal[ref_n], terminal[2 * ref_n]], coeffs)
             for i, n in enumerate(ladder):
                 lattice = build_torus(1, L / n, n)
                 ref_here = restrict(ref, lattice)
                 base_sq[i] += error_norm(ref_here, restrict(terminal[n], lattice))[0] ** 2
-                mix = combine([terminal[n], terminal[2 * n]], plan)
+                mix = combine([terminal[n], terminal[2 * n]], coeffs)
                 mix_sq[i] += error_norm(ref_here, mix)[0] ** 2
         hs = [L / n for n in ladder]
         base_rms = np.sqrt(base_sq / samples)
@@ -147,12 +147,13 @@ def fresh_study_errors(element, tensors, problem, cfg):
     from femspde.assembly import AssembledProblem
     from femspde.integrator import integrate
     from femspde.lattice import build_torus
-    from femspde.richardson import ExtrapolationPlan, combine, trajectory_error
+    from femspde.richardson import combine, extrapolation_coefficients, trajectory_error
 
     steps = cfg.resolved_steps()
     dt = cfg.T / steps
-    plan = ExtrapolationPlan.create(cfg.jbar, cfg.ratio)
-    needed = sorted({n * 2**j for n in [*cfg.ladder_n, cfg.ref_n] for j in range(plan.levels)})
+    coeffs = extrapolation_coefficients(cfg.jbar, cfg.ratio)
+    levels = len(coeffs)
+    needed = sorted({n * 2**j for n in [*cfg.ladder_n, cfg.ref_n] for j in range(levels)})
     base_sq = np.zeros(len(cfg.ladder_n))
     mix_sq = np.zeros(len(cfg.ladder_n))
     trajectories = []
@@ -165,7 +166,7 @@ def fresh_study_errors(element, tensors, problem, cfg):
             states[n] = trajectories[-1].states
 
         def mixture(n):
-            return [combine([states[n * 2**j][k] for j in range(plan.levels)], plan)
+            return [combine([states[n * 2**j][k] for j in range(levels)], coeffs)
                     for k in range(steps + 1)]
 
         ref = mixture(cfg.ref_n)
