@@ -33,6 +33,7 @@ from .tensors import ReferenceTensors
 
 DELTA_THRESHOLD = 1e-8
 RESIDUAL_TOL = 1e-10
+NEWTON_STEPS = 6  # polishing steps after the symbol's grid minimum
 # check_parabolicity's sampling: points of [0, L)^d and times of [0, T]
 PARABOLICITY_POINTS = 10_000
 PARABOLICITY_TIMES = 3
@@ -87,12 +88,12 @@ def check_invertibility(tensors: ReferenceTensors) -> float:
     """Sharp invertibility constant: minimum of the mass symbol over frequencies.
 
     Samples S(theta) on a regular grid of [0, 2pi)^d, 1024, 128, 32 or 16
-    points per axis for d = 1, 2, 3, 4 (16 beyond), and polishes the minimizer
-    with a derivative-free local search.  An even grid contains theta = pi per
-    axis, where the built-in elements attain their minimum.
+    points per axis for d = 1, 2, 3, 4 (16 beyond), and polishes the best
+    point by NEWTON_STEPS Newton steps on the closed-form gradient and Hessian,
+    each solved by least squares so that a singular Hessian does no harm.  An
+    even grid contains theta = pi per axis, where the built-in elements attain
+    their minimum.
     """
-    from scipy.optimize import minimize  # only element verification needs it
-
     d = tensors.d
     per_axis = {1: 1024, 2: 128, 3: 32, 4: 16}.get(d, 16)
     axis = np.linspace(0.0, 2.0 * np.pi, per_axis, endpoint=False)
@@ -100,19 +101,14 @@ def check_invertibility(tensors: ReferenceTensors) -> float:
     thetas = np.stack([g.ravel() for g in grids], axis=1)
     vals = symbol_values(tensors, thetas)
     best = int(np.argmin(vals))
-    best_val = float(vals[best])
-    start = thetas[best]
-
-    def objective(theta):
-        return float(symbol_values(tensors, theta.reshape(1, -1))[0])
-
-    res = minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000},
-    )
-    return min(best_val, float(res.fun))
+    lam = np.asarray(tensors.gamma, dtype=float)  # (G, d)
+    theta = thetas[best]
+    for _ in range(NEWTON_STEPS):
+        phase = lam @ theta
+        grad = -(tensors.R * np.sin(phase)) @ lam
+        hess = -(lam.T * (tensors.R * np.cos(phase))) @ lam
+        theta = theta - np.linalg.lstsq(hess, grad, rcond=None)[0]
+    return min(float(vals[best]), float(symbol_values(tensors, theta)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .lattice import GridFunction, TorusLattice, format_float, norms_0h, restric
 
 RATIO_QUARTER = 0.25
 RATIO_SIXTEENTH = 0.0625
+MIN_LADDER = 3  # meshes an order fit needs
 
 
 def extrapolation_coefficients(jbar: int, ratio: float = RATIO_QUARTER) -> np.ndarray:
@@ -88,8 +89,8 @@ def trajectory_error(
 
 def estimate_order(errors: list[tuple[float, float]]) -> float:
     """Least-squares slope of log(error) against log(h)."""
-    if len(errors) < 3:
-        raise ValueError("order estimation needs at least 3 mesh levels")
+    if len(errors) < MIN_LADDER:
+        raise ValueError(f"order estimation needs at least {MIN_LADDER} mesh levels")
     hs = np.asarray([h for h, _ in errors], dtype=float)
     es = np.asarray([e for _, e in errors], dtype=float)
     if len(set(hs.tolist())) != len(hs):

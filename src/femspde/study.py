@@ -54,11 +54,10 @@ from .elements import FiniteElement
 from .integrator import NoisePath, integrate, sample_seed
 from .lattice import GridFunction, build_torus, nesting_factor, norms_0h
 from .problem import Problem
-from .richardson import ConvergenceReport, extrapolation_coefficients
+from .richardson import MIN_LADDER, ConvergenceReport, extrapolation_coefficients
 from .tensors import ReferenceTensors
 
 
-MIN_LADDER = 3  # meshes an order fit needs
 DT_FACTOR = 0.5  # dt = DT_FACTOR * h_finest^2 unless the step count is given
 STUDY_CHUNK_BYTES = 64 * 2**20  # stored-state budget of one chunk of Monte Carlo samples
 # copies of a sample's state that a step keeps live on its lattice: the block,
@@ -116,7 +115,8 @@ def _validate_ladder(cfg: StudyConfig) -> None:
     if sorted(ladder) != ladder or len(set(ladder)) != len(ladder):
         raise ValueError("ladder meshes must be strictly increasing")
     if cfg.ref_n < 2 * max(ladder):
-        raise ValueError("reference mesh must be finer than the finest ladder mesh")
+        raise ValueError(f"reference mesh needs at least {2 * max(ladder)} sites per axis (twice "
+                         f"the finest ladder mesh, {max(ladder)}), got {cfg.ref_n}")
     reference = build_torus(1, cfg.L / cfg.ref_n, cfg.ref_n)
     for n in ladder:  # the reference is injected onto every ladder mesh
         nesting_factor(reference, build_torus(1, cfg.L / n, n))

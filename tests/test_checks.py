@@ -1,4 +1,5 @@
 import ast
+import importlib
 import itertools
 from pathlib import Path
 
@@ -68,7 +69,7 @@ def brute_force_symbol_min(tensors, grid):
 class TestInvertibility:
     def test_hat1d_delta_is_one_third(self, hat1d_tensors):
         delta = check_invertibility(hat1d_tensors)
-        assert delta == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert delta == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_identity_symbol(self):
         tensors = ReferenceTensors(
@@ -79,7 +80,7 @@ class TestInvertibility:
 
     def test_tensor2_delta_one_ninth(self, tensor2_tensors):
         delta = check_invertibility(tensor2_tensors)
-        assert delta == pytest.approx(1.0 / 9.0, abs=1e-9)
+        assert delta == pytest.approx(1.0 / 9.0, abs=1e-15)
         brute = brute_force_symbol_min(tensor2_tensors, 1024)
         assert abs(delta - brute) < 1e-5
 
@@ -88,12 +89,12 @@ class TestInvertibility:
         element = build_element("tensor(3)")
         tensors = compute_reference_tensors(element)
         delta = check_invertibility(tensors)
-        assert delta == pytest.approx(1.0 / 27.0, abs=1e-9)
+        assert delta == pytest.approx(1.0 / 27.0, abs=1e-15)
 
     def test_triangle_delta_one_quarter(self, triangle2d_tensors):
         # symbol 1/2 + (cos t1 + cos t2 + cos(t1+t2))/6, minimized at (2pi/3, 2pi/3)
         delta = check_invertibility(triangle2d_tensors)
-        assert delta == pytest.approx(0.25, abs=1e-9)
+        assert delta == pytest.approx(0.25, abs=1e-15)
         assert delta > 0.0
 
     def test_symbol_even_in_theta(self, triangle2d_tensors, rng):
@@ -254,7 +255,7 @@ class TestFullReport:
         assert len(element.gamma) == 81
         residuals, _ = check_compatibility(tensors)
         assert max(residuals.values()) < 1e-12
-        assert check_invertibility(tensors) == pytest.approx((1.0 / 3.0) ** 4, abs=1e-9)
+        assert check_invertibility(tensors) == pytest.approx(1.0 / 81.0, abs=1e-15)
         ok, _ = check_cardinal(element)
         assert ok
 
@@ -306,9 +307,9 @@ class TestOneVerdictPerRow:
         assert report.passed == all(row.verdict() == "PASS" for row in report.details)
 
 
-def test_checks_imports_nothing_from_the_integrator():
-    # the verification layer reads elements and tensors only, never the solver
-    tree = ast.parse(Path(femspde.checks.__file__).read_text(encoding="utf-8"))
+def imported_names(module):
+    """Every module and imported name that module's source imports, at any depth."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -316,4 +317,18 @@ def test_checks_imports_nothing_from_the_integrator():
         elif isinstance(node, ast.ImportFrom):
             base = "." * node.level + (node.module or "")
             imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return imported
+
+
+def test_checks_imports_nothing_from_the_integrator():
+    # the verification layer reads elements and tensors only, never the solver
+    imported = imported_names(femspde.checks)
     assert not [name for name in imported if "integrator" in name.split(".")]
+
+
+@pytest.mark.parametrize("layer", ["polynomials", "elements", "tensors", "expr", "problem",
+                                   "checks"])
+def test_element_and_verification_layers_import_no_scipy(layer):
+    # only the assembly, the integrator and the CLI's version record need scipy
+    imported = imported_names(importlib.import_module(f"femspde.{layer}"))
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]

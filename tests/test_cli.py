@@ -677,6 +677,21 @@ class TestConvergence:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    def test_coarse_reference_names_the_rule_and_both_sizes(self, tmp_path, problem_file,
+                                                             capsys):
+        # the ladder 8, 16, 32, 64 needs a reference of at least 2 * 64 sites;
+        # 100 is finer than 64 but breaks that rule
+        out = tmp_path / "o"
+        code = main([
+            "convergence", "--preset", "hat1d", "--problem", problem_file,
+            "--n", "8", "--ref-n", "100", "--T", "0.05", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("error: reference mesh needs at least 128 sites per axis "
+                       "(twice the finest ladder mesh, 64), got 100\n")
+        assert not out.exists()
+
     def test_svg_written_when_requested(self, tmp_path, problem_file):
         out = tmp_path / "o"
         code = main([
