@@ -15,27 +15,33 @@ block of one sample.
 
 Every operator is its CSR matrix (StencilOperator.matrix): the explicit
 terms are sparse products with it, and the implicit system is solved on it.
-Averaging every stencil coefficient over the sites gives a
-constant-coefficient periodic stencil, a circulant matrix that one real FFT
-diagonalizes (Chan and Ng, SIAM Rev. 38, 1996).  The mass is the constant
-stencil R_lam, so it is its own average: U_0 is one FFT division of phi_h
-by the mass symbol (solve_mass), with no factorization and no iteration.
+A coefficient array that is constant along a lattice axis commutes with the
+shifts along it, so a real FFT over the axes no coefficient varies along
+splits the system into one independent periodic block per Fourier mode
+(Hockney's Fourier-analysis method; Swarztrauber, SIAM Rev. 19, 1977).  The
+direct path of LinearSolver factors those blocks together by sparse LU.
+With no invariant axis the one block is the whole lattice; with every axis
+invariant (the mass, which has the coefficients R_lam at every site, or
+mass - dt * drift when no coefficient depends on x) each block is one site
+and the solve is one FFT division by the symbol, with no factorization.
+U_0 solves with the mass that way, for phi_h.
 
-Only a system that is reused is factored.  LinearSolver uses sparse LU when
-the lattice has at most DIRECT_SITE_LIMIT sites and the factorization is
-reused or the lattice is 1-D; otherwise BiCGStab, preconditioned by the FFT
-inverse of the x-averaged system.  A system is reused when it is kept for
-later steps (no drift expression references t) or when one solve covers more
-than one column (a block of samples).  So a t-dependent system of one sample
-in d >= 2 runs BiCGStab on every lattice: on a 2-vCPU x86 host, factoring a
-32^2 tensor(2) system and solving once costs 3.6 ms against 0.8 ms for one
-BiCGStab solve, while in 1-D the factor and solve stays faster (0.2 against
-0.95 ms at 64 sites).
-When the system is itself circulant, as mass - dt * drift is when no
-coefficient depends on x, the preconditioner is its inverse and BiCGStab
-stops within one iteration.  BiCGStab runs to the fixed relative tolerance
-KRYLOV_TOL = 1e-10 within KRYLOV_MAX_ITER = 2000 iterations, which bounds the
-accuracy of every solve that takes it.
+Only a system that is reused is factored: LinearSolver takes the direct path
+when the factorization is reused or the lattice is 1-D, and a block has at
+most DIRECT_SITE_LIMIT sites; otherwise BiCGStab, preconditioned by the FFT
+inverse of the x-averaged system (Chan and Ng, SIAM Rev. 38, 1996).  A
+system is reused when it is kept for later steps (no drift expression
+references t) or when one solve covers more than one column (a block of
+samples).  So a t-dependent system of one sample in d >= 2 runs BiCGStab on
+every lattice: on a 2-vCPU x86 host, factoring a 32^2 tensor(2) system and
+solving once costs 3.6 ms against 0.8 ms for one BiCGStab solve, while in
+1-D the factor and solve stays faster (0.2 against 0.95 ms at 64 sites).  A
+kept tensor(2) system with a^11 = 1 + 0.25 cos x1 on 256^2 sites splits into
+129 blocks of 256 sites, formed and factored in about 30 ms with 2e5 entries
+in L + U; each solve then takes about 2 ms, where BiCGStab took about 3.5
+iterations.  BiCGStab runs to the fixed relative tolerance KRYLOV_TOL = 1e-10
+within KRYLOV_MAX_ITER = 2000 iterations, which bounds the accuracy of every
+solve that takes it.
 
 Noise increments come from a counter-based generator: the uint64 stream of
 Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
@@ -134,9 +140,11 @@ class NoisePath:
 # linear solves
 # ---------------------------------------------------------------------------
 
-# Sparse LU up to this many sites, BiCGStab above: on a 20^3 tensor(3) system (2-vCPU
-# x86 host) sparse LU costs 1.4 s and 6.8e6 fill entries per factorization, while
-# preconditioned BiCGStab takes 159 iterations, about 0.2 s, for a whole 40-step run.
+# Sparse LU of blocks of up to this many sites, BiCGStab above.  A block holds the
+# sites along the axes some coefficient varies along, n^(varying axes) of them.  On a
+# 20^3 tensor(3) system that varies along every axis (2-vCPU x86 host) sparse LU costs
+# 1.4 s and 6.8e6 fill entries per factorization, while preconditioned BiCGStab takes
+# 159 iterations, about 0.2 s, for a whole 40-step run.
 DIRECT_SITE_LIMIT = 4096
 
 # mass - dt * drift counts as singular when its entries cancel to this fraction of
@@ -152,31 +160,41 @@ KRYLOV_MAX_ITER = 2000
 class LinearSolver:
     """Solves with one operator, factored only where the factorization pays.
 
-    Both paths use op.matrix.  The operator is factored by sparse LU (SuperLU
-    with a minimum-degree ordering on A^T + A, on a CSC copy) when its
-    lattice has at most DIRECT_SITE_LIMIT sites and either the factorization
-    is reused or the lattice is 1-D.  Otherwise it is solved by BiCGStab to
-    the relative tolerance KRYLOV_TOL, preconditioned by the FFT inverse of
-    the x-averaged operator; modes of that symbol with |symbol| <=
-    CANCELLATION_TOL * max|symbol|, and every mode when it vanishes, are left
-    alone, so a singular system still fails at the residual check.
+    The direct path splits the operator before it factors it.  An axis along
+    which every coefficient is bit-for-bit constant is invariant: the stencil
+    commutes with shifts along it, so a real FFT over the invariant axes turns
+    the system into one independent periodic block per Fourier mode on the
+    other, varying axes (Hockney, J. ACM 12, 1965; Swarztrauber, SIAM Rev. 19,
+    1977).  _mode_blocks forms the blocks; they are factored together, as one
+    block-diagonal complex matrix, by sparse LU (SuperLU with a minimum-degree
+    ordering on A^T + A).  With no invariant axis the one block is op.matrix
+    itself, factored as a real CSC copy.  With every axis invariant each
+    block is one site, its mode's symbol, and the solve is one FFT division;
+    a symbol with |symbol| <= CANCELLATION_TOL * max|symbol| at some mode is
+    a SolverError, the system being singular to rounding.
+
+    The direct path is taken when the factorization is reused or the lattice
+    is 1-D, and a block has at most DIRECT_SITE_LIMIT sites.  Otherwise the
+    system is solved by BiCGStab on op.matrix to the relative tolerance
+    KRYLOV_TOL, preconditioned by the FFT inverse of the x-averaged operator;
+    modes of that symbol with |symbol| <= CANCELLATION_TOL * max|symbol|, and
+    every mode when it vanishes, are left alone, so a singular system still
+    fails at the residual check.
 
     reused says whether the factorization would serve more than one solve or
     more than one column.  The integrator derives it from the problem and
-    the block width, and is the only library caller; only tests rely on the
-    default, which factors every lattice up to DIRECT_SITE_LIMIT sites.
+    the block width; U_0's solve with the mass and the tests rely on the
+    default.
     """
 
     def __init__(self, op: StencilOperator, reused: bool = True):
-        self.op = op
-        lattice = op.lattice
-        self.direct = lattice.total_sites <= DIRECT_SITE_LIMIT and (reused or lattice.d == 1)
+        self.lattice = lattice = op.lattice
+        self.direct = reused or lattice.d == 1
         if self.direct:
-            try:
-                self._lu = scipy.sparse.linalg.splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-                raise SolverError(f"sparse factorization failed: {exc}") from exc
-        else:
+            self._axes = _invariant_axes(op)
+            self.direct = lattice.n ** (lattice.d - len(self._axes)) <= DIRECT_SITE_LIMIT
+        if not self.direct:
+            self._matrix = op.matrix
             shape = lattice.shape
             symbol = _averaged_symbol(op)
             size = np.abs(symbol)
@@ -185,19 +203,50 @@ class LinearSolver:
                 op.matrix.shape, dtype=float,
                 matvec=lambda v: irfftn(rfftn(v.reshape(shape)) / symbol, s=shape).reshape(-1),
             )
+        elif len(self._axes) == lattice.d:  # op is its own x-average
+            self._symbol = _averaged_symbol(op)
+            size = np.abs(self._symbol)
+            smallest, largest = float(size.min()), float(size.max())
+            if not smallest > CANCELLATION_TOL * largest:
+                raise SolverError(f"singular: its symbol falls to {smallest:.3e} "
+                                  f"against a maximum of {largest:.3e}")
+        else:
+            if self._axes:
+                # panel_size=1, relax=1 keep SuperLU's dense panel workspace at O(N): on
+                # the 33 024 rows of a 256^2 tensor(2) system split along x2 (2-vCPU x86
+                # host) they factor in 22 ms, where the defaults take 43 ms and raise
+                # the peak RSS of a process that has just assembled it by 4.5 MB
+                matrix, options = _mode_blocks(op, self._axes), {"panel_size": 1, "relax": 1}
+            else:
+                matrix, options = op.matrix.tocsc(), {}
+            try:
+                self._lu = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A", **options)
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise SolverError(f"sparse factorization failed: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for every row of a (samples, total_sites) block: one multi-RHS
-        LU solve, or one BiCGStab run per row, each with its own residual check."""
-        if rhs.ndim != 2 or rhs.shape[1] != self.op.lattice.total_sites:
+        """Solve for every row of a (samples, total_sites) block: one FFT over
+        the invariant axes, one multi-RHS solve of every mode's block and one
+        inverse FFT, or one BiCGStab run per row, each with its own residual check."""
+        lattice = self.lattice
+        if rhs.ndim != 2 or rhs.shape[1] != lattice.total_sites:
             raise ValueError(f"right-hand side shape {rhs.shape} is not "
-                             f"(samples, {self.op.lattice.total_sites})")
-        if self.direct:
-            out = self._lu.solve(rhs.T).T
-            if not np.all(np.isfinite(out)):
-                raise SolverError("sparse LU solve produced non-finite values")
+                             f"(samples, {lattice.total_sites})")
+        if not self.direct:
+            return np.stack([self._krylov(row, s, len(rhs)) for s, row in enumerate(rhs)])
+        axes = tuple(k + 1 for k in self._axes)  # axis 0 holds the samples
+        block = rhs.reshape(len(rhs), *lattice.shape)
+        if axes:
+            block = rfftn(block, axes=axes)
+        if len(axes) == lattice.d:
+            block = block / self._symbol
         else:
-            out = np.stack([self._krylov(row, s, len(rhs)) for s, row in enumerate(rhs)])
+            block = self._lu.solve(block.reshape(len(rhs), -1).T).T.reshape(block.shape)
+        if axes:
+            block = irfftn(block, s=(lattice.n,) * len(axes), axes=axes)
+        out = block.reshape(len(rhs), -1)
+        if not np.all(np.isfinite(out)):
+            raise SolverError("direct solve produced non-finite values")
         return out
 
     def _krylov(self, rhs: np.ndarray, column: int, columns: int) -> np.ndarray:
@@ -207,7 +256,7 @@ class LinearSolver:
         norm = float(np.linalg.norm(rhs))
         if norm == 0.0:
             return np.zeros_like(rhs)
-        mat = self.op.matrix
+        mat = self._matrix
         out, info = bicgstab(mat, rhs, rtol=KRYLOV_TOL, atol=0.0,
                              maxiter=KRYLOV_MAX_ITER, M=self._precond)
         residual = float(np.linalg.norm(mat @ out - rhs)) / norm
@@ -221,37 +270,63 @@ class LinearSolver:
         return out
 
 
+def _invariant_axes(op: StencilOperator) -> tuple[int, ...]:
+    """The lattice axes along which op's (sites, G) coefficients are bit-for-bit constant."""
+    coef = op.matrix.data.reshape(*op.lattice.shape, -1)
+    return tuple(k for k in range(op.lattice.d) if (coef == coef.take([0], axis=k)).all())
+
+
+def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of op's per-mode blocks after a real FFT over `axes`.
+
+    The offsets are grouped by their components off `axes` (shifts, (groups,
+    d), zero on `axes`).  At each site x of the other axes, group g has the
+    kernel K[x, g, -lam_axes mod n] = the sum over its lam of the mean over
+    `axes` of coef(lam, x), so rfftn over `axes` gives the entry of mode m's
+    block in row x, column x + shift_g: the sum of coef(lam, x)
+    exp(2 pi i m.lam / n).  When op does not vary along `axes` each mean is
+    the coefficient itself up to the rounding of the sum.  Returns the
+    entries, (*mode shape, groups) with the modes on `axes` and the sites on
+    the other axes, and the shifts.
+    """
+    lattice = op.lattice
+    n, d = lattice.n, lattice.d
+    lams = np.asarray(op.offsets)
+    coef = op.matrix.data.reshape(*lattice.shape, len(lams))
+    means = np.moveaxis(coef, axes, range(len(axes))).reshape(n ** len(axes), -1).mean(axis=0)
+    means = means.reshape(*(n,) * (d - len(axes)), len(lams))
+    off = [tuple(0 if k in axes else c for k, c in enumerate(lam)) for lam in op.offsets]
+    shifts = list(dict.fromkeys(off))
+    group = np.array([shifts.index(s) for s in off])
+    varying = [k for k in range(d) if k not in axes]
+    kernel = np.zeros((*lattice.shape, len(shifts)))  # the varying axes first, then `axes`
+    np.add.at(kernel, (..., *(-lams[:, list(axes)] % n).T, group), means)
+    kernel = np.moveaxis(kernel, range(len(varying)), varying)
+    return rfftn(kernel, axes=axes), np.array(shifts)
+
+
 def _averaged_symbol(op: StencilOperator) -> np.ndarray:
-    """rfftn symbol of the stencil whose coefficients are op's averaged over the sites.
+    """rfftn symbol of the stencil whose coefficients are op's averaged over the sites:
+    the one-site blocks of a split over every axis.
 
     That stencil is the circular convolution with the kernel
     K[-lam mod n] = mean_x coef(lam, x), so its eigenvalues are rfftn(K).
     """
-    lattice = op.lattice
-    kernel = np.zeros(lattice.shape)
-    lams = np.asarray(op.offsets)
-    means = op.matrix.data.reshape(-1, len(lams)).mean(axis=0)
-    np.add.at(kernel, tuple((-lams % lattice.n).T), means)
-    return rfftn(kernel)
+    return _mode_symbols(op, tuple(range(op.lattice.d)))[0][..., 0]
 
 
-def solve_mass(mass: StencilOperator, block: np.ndarray) -> np.ndarray:
-    """mass^-1 applied to every sample of a (samples, *lattice.shape) block.
-
-    The mass has the same coefficients R_lam at every site, so it is the
-    circulant matrix of its averaged symbol and one FFT division inverts it.
-    Raises SolverError when |symbol| <= CANCELLATION_TOL * max|symbol| at
-    any mode: the mass is then singular to rounding.
-    """
-    shape = mass.lattice.shape
-    symbol = _averaged_symbol(mass)
-    size = np.abs(symbol)
-    smallest = float(size.min())
-    if not smallest > CANCELLATION_TOL * float(size.max()):
-        raise SolverError(f"mass is singular: its symbol falls to {smallest:.3e} "
-                          f"against a maximum of {float(size.max()):.3e}")
-    axes = tuple(range(1, len(shape) + 1))
-    return irfftn(rfftn(block, axes=axes) / symbol, s=shape, axes=axes)
+def _mode_blocks(op: StencilOperator, axes: tuple[int, ...]) -> scipy.sparse.csc_matrix:
+    """Every mode's block of op after a real FFT over `axes`, as one complex CSC
+    matrix in the C order of the (*mode shape) spectrum."""
+    entries, shifts = _mode_symbols(op, axes)
+    shape = entries.shape[:-1]
+    rows = np.indices(shape).reshape(len(shape), -1)
+    cols = np.stack([np.ravel_multi_index(rows + lam[:, None], shape, mode="wrap")
+                     for lam in shifts], axis=1)
+    total, width = cols.shape
+    indptr = np.arange(0, total * width + 1, width)
+    return scipy.sparse.csr_matrix((entries.reshape(-1), cols.reshape(-1), indptr),
+                                   shape=(total, total)).tocsc()
 
 
 def implicit_system(assembled: AssembledProblem, t: float, dt: float) -> StencilOperator:
@@ -383,7 +458,12 @@ def integrate(
     lattice = assembled.lattice
 
     def initial() -> GridFunction:
-        return GridFunction(lattice, solve_mass(assembled.mass, assembled.phi_h().values))
+        phi = assembled.phi_h().values
+        try:
+            solver = LinearSolver(assembled.mass)
+        except SolverError as exc:  # the mass is constant: its symbol vanishes at a mode
+            raise SolverError(f"mass is {exc}") from exc
+        return GridFunction(lattice, solver.solve(phi.reshape(1, -1)).reshape(phi.shape))
 
     u0 = assembled.memo("u0", initial)
     u = GridFunction(lattice, np.repeat(u0.values, 1 if noises is None else len(noises), axis=0))

@@ -6,6 +6,7 @@ from femspde.assembly import AssembledProblem, StencilOperator, assemble_mass
 from femspde.elements import build_element
 from femspde.integrator import (
     DIRECT_SITE_LIMIT,
+    KRYLOV_TOL,
     IntegrationError,
     LinearSolver,
     NoisePath,
@@ -14,7 +15,6 @@ from femspde.integrator import (
     integrate,
     integrate_multilevel,
     sample_seed,
-    solve_mass,
     splitmix64,
     step_implicit_em,
 )
@@ -158,23 +158,29 @@ class TestSolveLinear:
         np.testing.assert_allclose(out.values, u.values, atol=1e-10)
 
     def test_mass_roundtrip_iterative(self, hat, rng):
-        # BiCGStab is reached through a lattice above the direct-solve limit
+        # BiCGStab is reached through a lattice above the direct-solve limit and
+        # rows of the mass scaled by a factor that varies along the axis
         element, tensors = hat
         n = 2 * DIRECT_SITE_LIMIT
         lattice = build_torus(1, L / n, n)
-        mass = assemble_mass(tensors, lattice)
+        scale = 1.0 + 0.25 * np.cos(lattice.axis_coords())
+        mass = StencilOperator(lattice, tensors.gamma, assemble_mass(tensors, lattice).coef * scale)
+        assert not LinearSolver(mass).direct
         u = GridFunction(lattice, rng.normal(size=n))
         rhs = mass.apply(u)
         out = solve(mass, rhs)
         np.testing.assert_allclose(out.values, u.values, atol=1e-8)
 
     def test_singular_system_fails(self):
-        for n in (16, 2 * DIRECT_SITE_LIMIT):  # sparse LU, then BiCGStab
+        # zero at every site (FFT division), then zero on every other site
+        # (sparse LU, then BiCGStab)
+        for n, parity in ((16, False), (16, True), (2 * DIRECT_SITE_LIMIT, True)):
             lattice = build_torus(1, L / n, n)
-            zero = StencilOperator(lattice, ((0,),), np.zeros((1, n)))
+            coef = np.arange(n) % 2 if parity else np.zeros(n)
+            singular = StencilOperator(lattice, ((0,),), coef[None].astype(float))
             rhs = GridFunction(lattice, np.ones(n))
             with pytest.raises(SolverError):
-                solve(zero, rhs)
+                solve(singular, rhs)
 
     @pytest.mark.parametrize(
         "preset, n_direct, n_krylov",
@@ -182,10 +188,12 @@ class TestSolveLinear:
          ("triangle2d", 16, 66)],
     )
     def test_paths_match_reference_solvers(self, preset, n_direct, n_krylov, rng):
+        # a diffusion that varies along every axis: no axis splits off, so the
+        # whole lattice is one block and n_krylov is above DIRECT_SITE_LIMIT
         element = build_element(preset)
         tensors = compute_reference_tensors(element)
         d = element.d
-        diffusion = "\n".join(f'a.{i}.{i} = "1"' for i in range(1, d + 1))
+        diffusion = "\n".join(f'a.{i}.{i} = "1 + 0.25*cos(x{i})"' for i in range(1, d + 1))
         problem = parse_problem_text(f'd = {d}\n{diffusion}\nb.1 = "0.5"\nc = "-0.2"')
         for n in (n_direct, n_krylov):
             lattice = build_torus(d, L / n, n)
@@ -228,7 +236,9 @@ class TestPreconditioner:
         ("tensor(2)", 66, 'd = 2\na.1.1 = "1"\na.2.2 = "1"\nb.1 = "0.5"\nc = "-0.2"'),
     ], ids=["hat1d-mass", "tensor2-mass", "tensor3-mass", "tensor2-constant-system"])
     def test_circulant_systems_take_one_iteration(self, preset, n, text, krylov_iters, rng):
-        # the mass, or mass - dt * drift with no coefficient depending on x
+        # the mass, or mass - dt * drift with no coefficient depending on x:
+        # every axis is invariant, so a reused system is solved by one FFT
+        # division at any size, with no BiCGStab iteration
         element = build_element(preset)
         tensors = compute_reference_tensors(element)
         lattice = build_torus(element.d, L / n, n)
@@ -238,6 +248,25 @@ class TestPreconditioner:
             ap = AssembledProblem(element, tensors, parse_problem_text(text), lattice)
             op = implicit_system(ap, 0.0, 0.5 * lattice.h**2)
         solver = LinearSolver(op)
+        assert solver.direct
+        rhs = rng.normal(size=lattice.total_sites)
+        got = solver.solve(rhs[None])[0]
+        assert krylov_iters == []
+        assert np.linalg.norm(op.matrix @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("preset, n", [("tensor(2)", 32), ("tensor(3)", 8)])
+    def test_single_use_circulant_system_takes_one_iteration(self, preset, n, krylov_iters, rng):
+        # a single-use system runs BiCGStab, whose preconditioner inverts a
+        # circulant system exactly
+        element = build_element(preset)
+        tensors = compute_reference_tensors(element)
+        d = element.d
+        diffusion = "\n".join(f'a.{i}.{i} = "1"' for i in range(1, d + 1))
+        problem = parse_problem_text(f'd = {d}\n{diffusion}\nb.1 = "0.5"\nc = "-0.2"')
+        lattice = build_torus(d, L / n, n)
+        ap = AssembledProblem(element, tensors, problem, lattice)
+        op = implicit_system(ap, 0.0, 0.5 * lattice.h**2)
+        solver = LinearSolver(op, reused=False)
         assert not solver.direct
         rhs = rng.normal(size=lattice.total_sites)
         got = solver.solve(rhs[None])[0]
@@ -255,7 +284,8 @@ class TestPreconditioner:
         np.testing.assert_allclose(solver.solve(rhs[None])[0], signs * rhs, rtol=1e-10)
 
     def test_x_varying_system_needs_few_iterations(self, krylov_iters):
-        # det2d_ladder's implicit system on its 128^2 reference: a = 1 + 0.25 cos x1
+        # det2d_ladder's implicit system on its 128^2 reference: a = 1 + 0.25 cos x1,
+        # solved once (a reused one splits along x2 and takes no iteration)
         import scipy.sparse.linalg
 
         from femspde.study import resolve_steps
@@ -270,7 +300,7 @@ class TestPreconditioner:
         ap = AssembledProblem(element, tensors, problem, lattice)
         op = implicit_system(ap, 0.0, 0.25 / resolve_steps(0.25, L, 32))  # the study's dt
         rhs = ap.mass.apply(ap.phi_h()).values.ravel()
-        got = LinearSolver(op).solve(rhs[None])[0]
+        got = LinearSolver(op, reused=False).solve(rhs[None])[0]
         preconditioned = len(krylov_iters)
         assert preconditioned <= 3  # measured: 3
         scipy.sparse.linalg.bicgstab(op.matrix, rhs, rtol=1e-10, atol=0.0)
@@ -287,29 +317,40 @@ TIMEDEP_2D = ('d = 2\na.1.1 = "1 + 0.25*cos(x1 - t)"\na.2.2 = "1"\nb.1 = "0.1*si
 
 
 class TestSolverRule:
-    """Sparse LU only for a system that is reused (kept for later steps or
-    solved for several columns) or 1-D, up to DIRECT_SITE_LIMIT sites; the
-    mass is inverted by one FFT division."""
+    """The direct path only for a system that is reused (kept for later steps
+    or solved for several columns) or 1-D, with at most DIRECT_SITE_LIMIT
+    sites per block: n^(axes some coefficient varies along).  The mass is
+    inverted by one FFT division."""
 
-    @pytest.mark.parametrize("preset, n, t_dependent, samples, direct", [
-        ("hat1d", 64, True, 1, True),
-        ("tensor(2)", 32, True, 1, False),
-        ("tensor(2)", 32, True, 3, True),
-        ("tensor(2)", 32, False, 1, True),
-        ("tensor(3)", 8, False, 1, True),
-        ("tensor(2)", 66, False, 1, False),
-        ("tensor(2)", 66, True, 3, False),
-        ("hat1d", 2 * DIRECT_SITE_LIMIT, False, 3, False),
+    @pytest.mark.parametrize("preset, n, t_dependent, samples, varying, direct", [
+        ("hat1d", 64, True, 1, 1, True),
+        ("tensor(2)", 32, True, 1, 1, False),
+        ("tensor(2)", 32, True, 3, 1, True),
+        ("tensor(2)", 32, False, 1, 1, True),
+        ("tensor(3)", 8, False, 1, 1, True),
+        ("tensor(2)", 66, False, 1, 1, True),
+        ("tensor(2)", 66, True, 3, 1, True),
+        ("hat1d", 2 * DIRECT_SITE_LIMIT, False, 3, 1, False),
+        ("tensor(2)", 66, False, 1, 2, False),
+        ("tensor(2)", 66, True, 3, 2, False),
+        ("tensor(3)", 18, False, 1, 2, True),
+        ("tensor(3)", 18, False, 1, 3, False),
     ], ids=["1d-single-use", "2d-single-use", "2d-three-columns", "2d-kept", "3d-kept",
-            "2d-kept-above-limit", "2d-three-columns-above-limit", "1d-kept-above-limit"])
-    def test_step_picks_solver(self, monkeypatch, rng, preset, n, t_dependent, samples, direct):
+            "2d-kept-above-limit", "2d-three-columns-above-limit", "1d-kept-above-limit",
+            "2d-kept-varying-above-limit", "2d-three-columns-varying-above-limit",
+            "3d-kept-two-varying", "3d-kept-varying-above-limit"])
+    def test_step_picks_solver(self, monkeypatch, rng, preset, n, t_dependent, samples,
+                               varying, direct):
+        # a^11 depends on x1 (and on t when t_dependent); a^ii on x_i for the
+        # first `varying` axes, so n^varying sites per block
         import femspde.integrator as integrator
 
         element = build_element(preset)
         tensors = compute_reference_tensors(element)
         d = element.d
         a11 = "1 + 0.25*cos(x1 - t)" if t_dependent else "1 + 0.25*cos(x1)"
-        diffusion = "\n".join(f'a.{i}.{i} = "1"' for i in range(2, d + 1))
+        coefs = [f"1 + 0.25*cos(x{i})" if i <= varying else "1" for i in range(2, d + 1)]
+        diffusion = "\n".join(f'a.{i}.{i} = "{a}"' for i, a in enumerate(coefs, start=2))
         problem = parse_problem_text(f'd = {d}\na.1.1 = "{a11}"\n{diffusion}')
         lattice = build_torus(d, L / n, n)
         ap = AssembledProblem(element, tensors, problem, lattice)
@@ -338,9 +379,7 @@ class TestSolverRule:
         lattice = build_torus(d, L / n, n)
         ap = AssembledProblem(element, tensors, problem, lattice)
         got = integrate(ap, None, T=1e-3, steps=1).states[0].values
-        solver = LinearSolver(ap.mass)
-        assert solver.direct
-        want = solver.solve(ap.phi_h().values.reshape(1, -1)).reshape(got.shape)
+        want = spsolve(ap.mass.matrix.tocsc(), ap.phi_h().values.ravel()).reshape(got.shape)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_single_use_krylov_equals_lu(self):
@@ -358,12 +397,155 @@ class TestSolverRule:
         got, want = krylov.solve(rhs), lu.solve(rhs)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
-    def test_vanishing_mass_symbol_raises(self):
+    def test_vanishing_mass_symbol_raises(self, hat):
         # R = (1/2, 0, 1/2) has the symbol cos(theta), which is 0 at theta = pi/2
+        import dataclasses
+
+        element, tensors = hat
+        tensors = dataclasses.replace(tensors, R=np.array([0.5, 0.0, 0.5]))
         lattice = build_torus(1, L / 8, 8)
-        mass = StencilOperator(lattice, ((-1,), (0,), (1,)), np.tile([[0.5], [0.0], [0.5]], 8))
+        problem = parse_problem_text('a.1.1 = "1"\nphi = "sin(x1)"')
+        ap = AssembledProblem(element, tensors, problem, lattice)
         with pytest.raises(SolverError, match="mass is singular"):
-            solve_mass(mass, np.ones((1, 8)))
+            integrate(ap, None, T=0.1, steps=2)
+
+    def test_vanishing_symbol_raises(self):
+        lattice = build_torus(1, L / 8, 8)
+        op = StencilOperator(lattice, ((-1,), (0,), (1,)), np.tile([[0.5], [0.0], [0.5]], 8))
+        with pytest.raises(SolverError, match="singular: its symbol falls to .* of 1.000e"):
+            LinearSolver(op)
+
+
+DET2D = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "0.1"\nc = "-0.2"\n'
+         'f = "sin(x1)*cos(x2)"\nphi = "sin(x1)*cos(x2)"\n')
+
+
+def split_system(preset, n, text):
+    """The implicit system of `text` on an n^d lattice of `preset`, at dt = h^2 / 2."""
+    element = build_element(preset)
+    tensors = compute_reference_tensors(element)
+    lattice = build_torus(element.d, L / n, n)
+    ap = AssembledProblem(element, tensors, parse_problem_text(text), lattice)
+    return implicit_system(ap, 0.0, 0.5 * lattice.h**2)
+
+
+class TestSplit:
+    """A real FFT over the axes no coefficient varies along splits the direct
+    solve into one block per mode; every split agrees with the dense oracle."""
+
+    @pytest.mark.parametrize("preset, n, text, axes", [
+        ("hat1d", 32, 'a.1.1 = "1"\nb.1 = "0.5"\nc = "-0.2"', (0,)),
+        ("tensor(2)", 16, DET2D, (1,)),
+        ("tensor(3)", 8, 'd = 3\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\n'
+         'a.3.3 = "1 + 0.1*sin(x3)"\nb.1 = "0.1"\nc = "-0.2"', (1,)),
+        ("triangle2d", 16, 'd = 2\na.1.1 = "1"\na.2.2 = "1 + 0.25*cos(x2)"\nb.1 = "0.3"\n'
+         'c = "-0.2"', (0,)),
+    ], ids=["hat1d-constant", "tensor2-x1", "tensor3-x1-x3", "triangle2d-x2"])
+    def test_split_matches_dense_oracle(self, preset, n, text, axes, rng):
+        op = split_system(preset, n, text)
+        solver = LinearSolver(op)
+        assert solver.direct and solver._axes == axes
+        rhs = rng.normal(size=(3, op.lattice.total_sites))
+        got = solver.solve(rhs)
+        want = np.linalg.solve(op.to_dense(), rhs.T).T
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_block_equals_column_solves(self, rng):
+        solver = LinearSolver(split_system("tensor(2)", 16, DET2D))
+        rhs = rng.normal(size=(3, 256))
+        block = solver.solve(rhs)
+        for row, out in zip(rhs, block):
+            assert np.array_equal(out, solver.solve(row[None])[0])
+
+    def test_one_perturbed_site_stops_the_split(self, rng):
+        # scaling the row of site (3, 5) leaves no invariant axis, so the whole
+        # lattice is one block: factored on 16^2 sites, BiCGStab on 66^2
+        for n, direct in ((16, True), (66, False)):
+            op = split_system("tensor(2)", n, DET2D)
+            coef = op.coef.copy()
+            coef[:, 3, 5] *= 1.0 + 1e-3
+            perturbed = StencilOperator(op.lattice, op.offsets, coef)
+            solver = LinearSolver(perturbed)
+            assert (LinearSolver(op)._axes, solver._axes) == ((1,), ())
+            assert solver.direct == direct
+        small = StencilOperator(build_torus(2, L / 16, 16), op.offsets, coef[:, :16, :16])
+        rhs = rng.normal(size=256)
+        got = LinearSolver(small).solve(rhs[None])[0]
+        want = np.linalg.solve(small.to_dense(), rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_singular_mode_block_reports_step(self, monkeypatch):
+        # from step 2 on, the system w(x1) (1 - shift along x2) has the zero
+        # block at mode 0 along x2; the drift depends on t, so a block of 3
+        # samples builds a system at every step
+        import femspde.integrator as integrator
+
+        element = build_element("tensor(2)")
+        tensors = compute_reference_tensors(element)
+        lattice = build_torus(2, L / 8, 8)
+        problem = parse_problem_text('d = 2\na.1.1 = "1 + 0.25*cos(x1 - t)"\na.2.2 = "1"\n'
+                                     'phi = "sin(x1)"')
+        ap = AssembledProblem(element, tensors, problem, lattice)
+        weight = np.broadcast_to((1.5 + np.cos(lattice.axis_coords()))[:, None], (8, 8))
+        singular = StencilOperator(lattice, ((0, 0), (0, 1)), np.stack([weight, -weight]))
+        real = integrator.implicit_system
+        dt = 0.01
+        monkeypatch.setattr(integrator, "implicit_system",
+                            lambda ap, t, dt: singular if t > 2.5 * dt else real(ap, t, dt))
+        with pytest.raises(IntegrationError, match="at step 2: sparse factorization") as err:
+            integrate(ap, [NoisePath(s, 5, dt) for s in range(3)], 5 * dt, 5)
+        assert err.value.step == 2
+
+    def test_split_matches_krylov_on_det2d(self):
+        # det2d_ladder's system on its 128^2 reference, at the study's dt: the
+        # split and BiCGStab, the path it replaces, agree to 10 * KRYLOV_TOL
+        from femspde.study import resolve_steps
+
+        element = build_element("tensor(2)")
+        tensors = compute_reference_tensors(element)
+        lattice = build_torus(2, L / 128, 128)
+        ap = AssembledProblem(element, tensors, parse_problem_text(DET2D), lattice)
+        op = implicit_system(ap, 0.0, 0.25 / resolve_steps(0.25, L, 32))
+        rhs = ap.mass.apply(ap.phi_h()).values.reshape(1, -1)
+        split = LinearSolver(op)
+        assert split.direct and split._axes == (1,)
+        got, want = split.solve(rhs), LinearSolver(op, reused=False).solve(rhs)
+        assert np.linalg.norm(got - want) <= 10 * KRYLOV_TOL * np.linalg.norm(want)
+
+
+SPLIT_HASHES = """
+import hashlib
+import numpy as np
+from femspde.integrator import LinearSolver
+from tests.test_integrator import DET2D, split_system
+
+op = split_system("tensor(2)", 128, DET2D)
+solver = LinearSolver(op)
+assert solver._axes == (1,)
+rhs = np.random.default_rng(7).normal(size=(3, op.lattice.total_sites))
+for block in (rhs[:1], rhs):
+    print(hashlib.sha256(solver.solve(block).tobytes()).hexdigest())
+"""
+
+
+def test_split_solve_does_not_depend_on_thread_count():
+    # the 128^2 tensor(2) system splits along x2 into 65 blocks of 128 sites;
+    # its 1- and 3-column solutions are byte-identical at 1 and 2 BLAS threads
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", SPLIT_HASHES], env=env,
+                              capture_output=True, text=True, timeout=300, cwd=root)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.split())
+    assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
 
 
 class TestIntegrate:
@@ -471,8 +653,8 @@ class TestIntegrate:
             assert reused.sup_norm_0h == fresh.sup_norm_0h
 
     def test_kept_iterative_initial_state_matches_fresh(self, hat):
-        # above the direct limit U_0 is a BiCGStab solve; the one kept by the
-        # first call is the one a fresh assembly computes
+        # above DIRECT_SITE_LIMIT sites U_0 is still one FFT division; the one
+        # kept by the first call is the one a fresh assembly computes
         text = 'a.1.1 = "1"\nphi = "sin(x1) + 0.5*cos(3*x1)"'
         shared = make_assembled(hat, text, n=2 * DIRECT_SITE_LIMIT)
         for _ in range(2):
@@ -525,7 +707,7 @@ class TestSampleBlock:
         assert not np.array_equal(seen[-1][0], seen[-1][1])
 
     @pytest.mark.parametrize("text, factors", [
-        (BLOCK_PROBLEM, 1),  # one implicit system; U_0 is an FFT solve, not a LinearSolver
+        (BLOCK_PROBLEM, 1),  # one implicit system
         (BLOCK_PROBLEM.replace("cos(x1)", "cos(x1 - t)", 1), 8),
     ])
     def test_factorizations_shared_by_samples(self, hat, monkeypatch, text, factors):
@@ -540,7 +722,7 @@ class TestSampleBlock:
 
         monkeypatch.setattr(integrator, "LinearSolver", CountingSolver)
         integrate(make_assembled(hat, text), block_noises(), 0.08, 8)
-        assert len(built) == factors
+        assert len(built) == factors + 1  # and the mass's, for U_0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_sample_names_step_and_sample(self, hat):
@@ -575,18 +757,23 @@ class TestSampleBlock:
         assert err.value.step == 0
 
     def test_krylov_block_matches_rows_and_checks_each(self, hat, rng):
+        # systems that vary along the axis, so that nothing splits off and
+        # 8192 sites are above DIRECT_SITE_LIMIT
         element, tensors = hat
         n = 2 * DIRECT_SITE_LIMIT
         lattice = build_torus(1, L / n, n)
-        solver = LinearSolver(assemble_mass(tensors, lattice))
+        scale = 1.0 + 0.25 * np.cos(lattice.axis_coords())
+        mass = assemble_mass(tensors, lattice)
+        solver = LinearSolver(StencilOperator(lattice, tensors.gamma, mass.coef * scale))
         assert not solver.direct
         rows = rng.normal(size=(2, n))
         block = solver.solve(rows)
         for row, out in zip(rows, block):
             assert np.array_equal(out, solver.solve(row[None])[0])
         # each column's residual is checked: a zero column passes, the next fails
-        zero = StencilOperator(lattice, ((0,),), np.zeros((1, n)))
-        singular = LinearSolver(zero)
+        parity = StencilOperator(lattice, ((0,),), (np.arange(n) % 2)[None].astype(float))
+        singular = LinearSolver(parity)
+        assert not singular.direct
         with pytest.raises(SolverError, match="column 1"):
             singular.solve(np.stack([np.zeros(n), np.ones(n)]))
 

@@ -242,20 +242,20 @@ class TestSharedLatticeWork:
 
     def test_each_lattice_built_once(self, hat, monkeypatch):
         seen = self.count_work(hat, monkeypatch, StudyConfig(**self.CFG))
-        # 5 lattices (16 ... 256): drift, noise, phi_h, g_h and the implicit
-        # system once each, shared by all samples (U_0 is an FFT solve)
-        assert seen == {"drift": 5, "noise": 5, "mollify": 10, "solver": 5}
+        # 5 lattices (16 ... 256): drift, noise, phi_h, g_h, the implicit
+        # system and the mass (for U_0) once each, shared by all samples
+        assert seen == {"drift": 5, "noise": 5, "mollify": 10, "solver": 10}
 
     def test_chunks_share_each_lattice(self, hat, monkeypatch):
-        # a budget of 8 samples runs 20 samples in 3 chunks; the assembly and
-        # the factored implicit system of all 6 lattices are kept between chunks
+        # a budget of 8 samples runs 20 samples in 3 chunks; the assembly, U_0
+        # and the factored implicit system of all 6 lattices are kept between chunks
         import femspde.study as study
 
         cfg = StudyConfig(**{**self.CFG, "ref_n": 256, "samples": 20})
         monkeypatch.setattr(study, "STUDY_CHUNK_BYTES", 8 * sample_bytes(cfg))
         runs = count_integrate_calls(monkeypatch)
         seen = self.count_work(hat, monkeypatch, cfg)
-        assert seen == {"drift": 6, "noise": 6, "mollify": 12, "solver": 6}
+        assert seen == {"drift": 6, "noise": 6, "mollify": 12, "solver": 12}
         assert runs == {m: 3 for m in (16, 32, 64, 128, 256, 512)}
 
     def test_errors_equal_fresh_assembly(self, hat, monkeypatch):

@@ -64,9 +64,13 @@ def test_krylov_solve_calls_patched_bicgstab(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", patched)
+    # coefficients that vary along the axis (so nothing splits off) and sum to
+    # 2 at every site; diagonally dominant, so the solution of ones is 1/2
     n = 2 * DIRECT_SITE_LIMIT
     lattice = build_torus(1, 2 * np.pi / n, n)
-    solver = LinearSolver(StencilOperator(lattice, ((0,),), np.full((1, n), 2.0)))
+    wave = 0.25 * np.cos(lattice.axis_coords())
+    coef = np.stack([1.5 - wave, 0.5 + wave])
+    solver = LinearSolver(StencilOperator(lattice, ((0,), (1,)), coef))
     assert not solver.direct
     np.testing.assert_allclose(solver.solve(np.ones((1, n))), 0.5)
     assert calls == [1]
