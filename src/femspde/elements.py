@@ -62,13 +62,11 @@ def _tensor_pieces(d: int) -> list[tuple[Cell, Polynomial]]:
         # orthant cell: coordinate k spans [-1,0] for sign 0 and [0,1] for sign 1
         lo = tuple(-1.0 if s == 0 else 0.0 for s in signs)
         hi = tuple(0.0 if s == 0 else 1.0 for s in signs)
-        poly = Polynomial.constant(d, 1.0)
-        for k, s in enumerate(signs):
-            expo = tuple(1 if j == k else 0 for j in range(d))
-            slope = 1.0 if s == 0 else -1.0
-            factor = Polynomial(d, {(0,) * d: 1.0, expo: slope})
-            poly = poly * factor
-        pieces.append((Box(lo, hi), poly))
+        # the product of (1 + x_k) for sign 0 and (1 - x_k) for sign 1, expanded:
+        # the monomial of the axes with exponent 1 has the product of their slopes
+        coeffs = {expo: (-1.0) ** sum(s * e for s, e in zip(signs, expo))
+                  for expo in np.ndindex(*([2] * d))}
+        pieces.append((Box(lo, hi), Polynomial(d, coeffs)))
     return pieces
 
 

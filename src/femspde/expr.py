@@ -1,8 +1,9 @@
 """Closed-form coefficient expressions: parser and evaluator.
 
-The grammar is deliberately small: numbers, the variables x1..xd and t,
-unary minus, sin/cos/exp/sqrt, the binary operators + - * / and ^ with an
-integer-literal exponent.  Precedence from strongest to weakest:
+The grammar is deliberately small: numbers, the variables x1..xd (x and
+ASCII digits) and t, unary minus, sin/cos/exp/sqrt, the binary operators
++ - * / and ^ with an integer-literal exponent.  Precedence from strongest
+to weakest:
 
     ^   unary -   * /   + -
 
@@ -16,6 +17,7 @@ EvalError instead of propagating silent non-finite values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +82,17 @@ Ast = Num | Var | Neg | Call | BinOp | Pow
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*/^()")
+# one alternative per token kind, tried in this order at each position: a
+# number is digits and dots with an optional signed exponent (a bare "1e" is
+# the number 1 and the identifier e), an identifier a letter or underscore and
+# then word characters, and any other character is an error
+_TOKEN = re.compile(r"""
+    (?P<num> (?:\d|\.\d) [\d.]* (?:[eE][+-]?\d+)? )
+  | (?P<ident> [^\W\d]\w* )
+  | (?P<op> [-+*/^()] )
+  | (?P<space> \s+ )
+  | (?P<other> . )
+""", re.VERBOSE | re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -96,47 +108,22 @@ def _byte_offset(src: str, pos: int) -> int:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(src):
+        kind, text = match.lastgroup, match.group()
+        if kind == "space":
             continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, _byte_offset(src, i)))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
+        offset = _byte_offset(src, match.start())
+        if kind == "other":
+            raise ExprSyntaxError(f"unexpected character {text!r}", offset)
+        if kind == "num":
             try:
                 value = float(text)
             except ValueError:
-                raise ExprSyntaxError(f"bad number literal {text!r}", _byte_offset(src, i))
+                raise ExprSyntaxError(f"bad number literal {text!r}", offset) from None
             if not np.isfinite(value):
-                raise ExprSyntaxError(f"number literal {text!r} overflows", _byte_offset(src, i))
-            tokens.append(_Token("num", text, _byte_offset(src, i)))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", src[i:j], _byte_offset(src, i)))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", _byte_offset(src, i))
-    tokens.append(_Token("end", "", _byte_offset(src, n)))
+                raise ExprSyntaxError(f"number literal {text!r} overflows", offset)
+        tokens.append(_Token(kind, text, offset))
+    tokens.append(_Token("end", "", _byte_offset(src, len(src))))
     return tokens
 
 
@@ -214,10 +201,10 @@ class _Parser:
             if name == "t":
                 return Var("t", 0)
             if name.startswith("x") and name[1:].isdigit():
-                axis = int(name[1:])
-                if axis < 1:
+                # x and ASCII digits: x0, x² and x١ are not variables
+                if not name[1:].isascii() or int(name[1:]) < 1:
                     raise ExprSyntaxError(f"bad variable {name!r}", tok.offset)
-                return Var(name, axis)
+                return Var(name, int(name[1:]))
             if name in FUNCTIONS:
                 nxt = self.peek()
                 if not (nxt.kind == "op" and nxt.text == "("):

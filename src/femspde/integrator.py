@@ -66,9 +66,7 @@ from .lattice import GridFunction, TorusLattice, norms_0h
 
 
 class SolverError(RuntimeError):
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """Raised when a linear system is singular to rounding or its solve fails."""
 
 
 class IntegrationError(RuntimeError):
@@ -262,11 +260,8 @@ class LinearSolver:
         residual = float(np.linalg.norm(mat @ out - rhs)) / norm
         if info != 0 or not np.isfinite(residual) or residual > 10 * KRYLOV_TOL:
             where = f" in column {column}" if columns > 1 else ""
-            raise SolverError(
-                f"iterative solver failed{where} (info={info}) with relative residual "
-                f"{residual:.3e}",
-                residual=residual,
-            )
+            raise SolverError(f"iterative solver failed{where} (info={info}) with relative "
+                              f"residual {residual:.3e}")
         return out
 
 

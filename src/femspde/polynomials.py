@@ -48,10 +48,6 @@ class Polynomial:
                 if c != 0.0:
                     self.coeffs[expo] = self.coeffs.get(expo, 0.0) + float(c)
 
-    @staticmethod
-    def constant(d: int, value: float) -> "Polynomial":
-        return Polynomial(d, {(0,) * d: value})
-
     def degree(self) -> int:
         if not self.coeffs:
             return 0
@@ -83,35 +79,6 @@ class Polynomial:
                 key = tuple(new)
                 out[key] = out.get(key, 0.0) + c * e
         return Polynomial(self.d, out)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[tuple[int, ...], float] = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return Polynomial(self.d, out)
-
-    def translated(self, shift) -> "Polynomial":
-        """Return q with q(z) = p(z - shift), i.e. the graph moved by +shift."""
-        shift = np.asarray(shift, dtype=float)
-        coeffs = dict(self.coeffs)
-        for axis in range(self.d):
-            t = shift[axis]
-            if t == 0.0:
-                continue
-            out: dict[tuple[int, ...], float] = {}
-            for expo, c in coeffs.items():
-                e = expo[axis]
-                # (z - t)^e expanded binomially
-                for i in range(e + 1):
-                    new = list(expo)
-                    new[axis] = i
-                    key = tuple(new)
-                    coef = c * math.comb(e, i) * (-t) ** (e - i)
-                    out[key] = out.get(key, 0.0) + coef
-            coeffs = out
-        return Polynomial(self.d, coeffs)
 
     def __repr__(self) -> str:
         terms = sorted(self.coeffs.items())

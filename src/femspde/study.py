@@ -20,8 +20,11 @@ block (integrator.integrate with a list of noise paths): every step is one
 stencil apply per operator and one multi-RHS LU solve for the whole block,
 with one factorization per lattice, kept between chunks (one per step
 when the drift depends on t; a block of one sample then runs BiCGStab
-instead in 2-D and 3-D, by the integrator's rule).  Above the solver's
-site limit (4096 sites) BiCGStab still runs once per sample (column),
+instead in 2-D and 3-D, by the integrator's rule).  The solver's site
+limit (4096 sites) counts the sites of one block, n^(varying axes): a
+system constant along some axis is split by an FFT over those axes, and
+its blocks are factored and run no BiCGStab while they are within the
+limit.  Above it BiCGStab still runs once per sample (column),
 preconditioned by the FFT inverse of the x-averaged system, so there the
 chunk size changes only the memory.
 

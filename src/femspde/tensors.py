@@ -64,15 +64,27 @@ def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, 
     above 1e-12.
 
     The points come from every cell pair (shifted cell i, cell j) whose
-    bounding boxes overlap (PiecewisePolynomial.piece_pairs), i-major; each
-    piece's polynomials are then evaluated once on all the points that lie in
-    its cell.  The reference tensors integrate over these tables;
-    build_cell_quadrature regroups their points by lattice cell for the
-    operator assembly.
+    bounding boxes overlap (PiecewisePolynomial.piece_pairs), i-major.
+    psi_lam is psi at z - lam: piece i and its derivatives are evaluated at
+    the points minus lam, and piece j of psi at the points themselves.  The
+    reference tensors integrate over these tables; build_cell_quadrature
+    regroups their points by lattice cell for the operator assembly.
     """
     d = element.d
     pieces = element.psi.pieces
     derivatives = [[poly.derivative(k) for k in range(d)] for _, poly in pieces]
+
+    def basis_values(piece: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """psi and its derivatives at pts, the row of each point from the
+        polynomials of its piece, each piece evaluated once on all its points."""
+        values, grads = np.empty(len(pts)), np.empty((d, len(pts)))
+        for k in set(piece.tolist()):
+            at = piece == k
+            sub = pts[at]
+            values[at] = pieces[k][1].eval_many(sub)
+            grads[:, at] = [p.eval_many(sub) for p in derivatives[k]]
+        return values, grads
+
     tables: dict[Lam, OverlapTable] = {}
     for lam in element.gamma:
         shift = np.asarray(lam, dtype=float)
@@ -84,19 +96,8 @@ def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, 
         # piece index of psi_lam and of psi at each point
         piece_l = np.concatenate([np.full(len(wts), i) for i, _, _, wts in rules])
         piece_0 = np.concatenate([np.full(len(wts), j) for _, j, _, wts in rules])
-        psi_l, dpsi_l = np.empty(len(points)), np.empty((d, len(points)))
-        psi_0, dpsi_0 = np.empty(len(points)), np.empty((d, len(points)))
-        for i in sorted({i for i, _, _, _ in rules}):
-            at = piece_l == i
-            pts = points[at]
-            poly = pieces[i][1].translated(shift)
-            psi_l[at] = poly.eval_many(pts)
-            dpsi_l[:, at] = [poly.derivative(k).eval_many(pts) for k in range(d)]
-        for j in sorted({j for _, j, _, _ in rules}):
-            at = piece_0 == j
-            pts = points[at]
-            psi_0[at] = pieces[j][1].eval_many(pts)
-            dpsi_0[:, at] = [p.eval_many(pts) for p in derivatives[j]]
+        psi_l, dpsi_l = basis_values(piece_l, points - shift)
+        psi_0, dpsi_0 = basis_values(piece_0, points)
         tables[lam] = OverlapTable(
             points=points,
             weights=np.concatenate([wts for _, _, _, wts in rules]),

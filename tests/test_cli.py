@@ -326,6 +326,16 @@ class TestSimulate:
             "input error: key 'phi': number literal '1e999' overflows (byte offset 0)\n")
         assert not out.exists()
 
+    def test_non_ascii_variable_is_input_error(self, tmp_path, capsys):
+        prob = tmp_path / "p.prob"
+        prob.write_text('a.1.1 = "1 + x²"\nphi = "sin(x1)"\n', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "hat1d", "--problem", str(prob), "--n", "8",
+                     "--T", "0.05", "--steps", "2", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "input error: key 'a.1.1': bad variable 'x²' (byte offset 4)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, text, message", [
         ("simulate", DET_PROBLEM.replace('c = "-0.2"', 'c = "1/0"'), "division by zero"),
         ("convergence", 'a.1.1 = "sqrt(cos(x1))"\nphi = "sin(x1)"\n',

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from femspde.expr import (
     Num,
     Pow,
     Var,
+    _tokenize,
     depends_on_t,
     eval_many,
     parse,
@@ -72,6 +74,43 @@ class TestParse:
         # non-ASCII bytes before the error shift the byte offset
         with pytest.raises(ExprSyntaxError):
             parse("x1 + µ")
+
+    @pytest.mark.parametrize("name", ["x²", "x1²", "x١"])
+    def test_variable_is_x_and_ascii_digits(self, name):
+        # a superscript or a non-ASCII decimal digit makes no variable, nor a
+        # second name for x1
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(f"1 + {name}")
+        assert str(err.value) == f"bad variable {name!r} (byte offset 4)"
+
+    def test_short_strings_parse_or_raise_syntax_error(self):
+        alphabet = "x1t0.e+-*/^() ²١µ"
+        for size in range(4):
+            for chars in itertools.product(alphabet, repeat=size):
+                try:
+                    parse("".join(chars))
+                except ExprSyntaxError:
+                    pass
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("1.2.3", "bad number literal '1.2.3' (byte offset 0)"),
+    ("1e", [("num", "1", 0), ("ident", "e", 1), ("end", "", 2)]),
+    (".5e-3*x1", [("num", ".5e-3", 0), ("op", "*", 5), ("ident", "x1", 6), ("end", "", 8)]),
+    ("1_000", [("num", "1", 0), ("ident", "_000", 1), ("end", "", 5)]),
+    ("2e+", [("num", "2", 0), ("ident", "e", 1), ("op", "+", 2), ("end", "", 3)]),
+    ("x1 + @", "unexpected character '@' (byte offset 5)"),
+    ("x1 + µ", [("ident", "x1", 0), ("op", "+", 3), ("ident", "µ", 5), ("end", "", 7)]),
+    ("", [("end", "", 0)]),
+    ("\t x1\n", [("ident", "x1", 2), ("end", "", 5)]),
+])
+def test_token_corpus(source, expected):
+    # each token's kind, text and byte offset, or the tokenizer's error
+    try:
+        got = [(tok.kind, tok.text, tok.offset) for tok in _tokenize(source)]
+    except ExprSyntaxError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 class TestEval:

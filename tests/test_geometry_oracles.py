@@ -136,22 +136,21 @@ def continuity_oracle(psi):
 
 
 def tables_oracle(element, quad_degree):
-    """Every cell pair intersected; each part's basis values evaluated alone."""
+    """Every cell pair intersected; each part's basis values evaluated alone,
+    psi_lam as psi at the points minus lam."""
     d = element.d
     derivatives = [[poly.derivative(k) for k in range(d)] for _, poly in element.psi.pieces]
     tables = {}
     for lam in element.gamma:
         shift = np.asarray(lam, dtype=float)
         parts = []
-        for cell_l, poly_l in element.psi.pieces:
-            poly_ls = poly_l.translated(shift)
-            dpolys_l = [poly_ls.derivative(k) for k in range(d)]
+        for (cell_l, poly_l), dpolys_l in zip(element.psi.pieces, derivatives):
             shifted = cell_l.translated(shift)
             for (cell_0, poly_0), dpolys_0 in zip(element.psi.pieces, derivatives):
                 for part in intersect_cells(shifted, cell_0):
                     pts, wts = cell_quadrature(part, quad_degree)
-                    parts.append((pts, wts, poly_ls.eval_many(pts), poly_0.eval_many(pts),
-                                  np.stack([p.eval_many(pts) for p in dpolys_l]),
+                    parts.append((pts, wts, poly_l.eval_many(pts - shift), poly_0.eval_many(pts),
+                                  np.stack([p.eval_many(pts - shift) for p in dpolys_l]),
                                   np.stack([p.eval_many(pts) for p in dpolys_0])))
         if parts:
             columns = list(zip(*parts))
@@ -251,6 +250,14 @@ class TestArrayGeometryMatchesOracles:
                 assert a.shape == b.shape
                 np.testing.assert_array_equal(a, b)
 
+    def test_overlap_tables_hold_psi_at_shifted_points(self, elements, case):
+        # psi_lam is psi at z - lam, bit for bit, and psi_0 is psi itself
+        element = elements[case]
+        for lam, tab in build_overlap_tables(element, default_quad_degree(element)).items():
+            shifted = tab.points - np.asarray(lam, dtype=float)
+            np.testing.assert_array_equal(tab.psi_l, element.psi.eval_many(shifted))
+            np.testing.assert_array_equal(tab.psi_0, element.psi.eval_many(tab.points))
+
     def test_lattice_points(self, elements, case):
         element = elements[case]
         lo, hi = element.psi.support_bbox()
@@ -283,7 +290,7 @@ def test_lattice_points_of_a_sublattice():
 ], ids=["boxes", "triangles"])
 class TestSharedFaces:
     def test_face_point_takes_first_containing_cell(self, cells):
-        one, two = Polynomial.constant(2, 1.0), Polynomial.constant(2, 2.0)
+        one, two = Polynomial(2, {(0, 0): 1.0}), Polynomial(2, {(0, 0): 2.0})
         face = _boundary_samples(cells[0], 5)
         on_both = face[cells[1].contains(face)]
         assert len(on_both) == 5
