@@ -252,8 +252,8 @@ class AssembledProblem:
     the mollified data integrate with the tensors' cell quadrature; the data
     are one-sample GridFunctions.  The problem, the tensors and the lattice
     must have one dimension (a ValueError names all three otherwise).  The
-    element argument is not read (the tensors carry their element); it keeps
-    the positional signature that callers use.
+    element argument is not read (the tensors' tables hold all the assembly
+    needs); it keeps the positional signature that callers use.
     """
 
     def __init__(

@@ -28,7 +28,6 @@ from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
     Simplex,
-    intersect_cells,
     parse_number,
 )
 
@@ -178,18 +177,9 @@ def lattice_points_in_box(lambda_set, lo, hi) -> list[tuple[int, ...]]:
 
 
 def support_overlap_measure(element: FiniteElement, lam: tuple[int, ...]) -> float:
-    """Lebesgue measure of supp(psi shifted by lam) intersected with supp(psi).
-
-    Only cell pairs whose bounding boxes overlap are intersected
-    (PiecewisePolynomial.piece_pairs).
-    """
-    shift = np.asarray(lam, dtype=float)
-    cells = [cell for cell, _ in element.psi.pieces]
-    total = 0.0
-    for i, j in element.psi.piece_pairs(shift):
-        for part in intersect_cells(cells[i].translated(shift), cells[j]):
-            total += part.volume()
-    return total
+    """Lebesgue measure of supp(psi shifted by lam) intersected with supp(psi):
+    the total volume of the parts of PiecewisePolynomial.overlaps(lam)."""
+    return sum((part.volume() for _, _, part in element.psi.overlaps(lam)), 0.0)
 
 
 def compute_gamma(element: FiniteElement) -> list[tuple[int, ...]]:
@@ -197,16 +187,11 @@ def compute_gamma(element: FiniteElement) -> list[tuple[int, ...]]:
     supp(psi) in more than 1e-12 measure.
 
     Candidates are the lattice points of [lo - hi, hi - lo] for the support's
-    bounding box [lo, hi]; for each, only the cell pairs whose shifted
-    bounding boxes overlap by more than OVERLAP_TOL are intersected.
+    bounding box [lo, hi]; each is measured by support_overlap_measure.
     """
     lo, hi = element.psi.support_bbox()
     candidates = lattice_points_in_box(element.lambda_set, lo - hi, hi - lo)
-    gamma = []
-    for lam in candidates:
-        if support_overlap_measure(element, lam) > 1e-12:
-            gamma.append(lam)
-    return gamma
+    return [lam for lam in candidates if support_overlap_measure(element, lam) > 1e-12]
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Closed-form coefficient expressions: parser and evaluator.
 
 The grammar is deliberately small: numbers, the variables x1..xd (x and
-ASCII digits) and t, unary minus, sin/cos/exp/sqrt, the binary operators
-+ - * / and ^ with an integer-literal exponent.  Precedence from strongest
-to weakest:
+ASCII digits, the first of them 1-9) and t, unary minus, sin/cos/exp/sqrt,
+the binary operators + - * / and ^ with an integer-literal exponent.
+Precedence from strongest to weakest:
 
     ^   unary -   * /   + -
 
 Parsing is whitespace-insensitive and deterministic; errors carry the byte
-offset of the offending token.  Parsed ASTs are frozen dataclasses, so two
-expressions are the same exactly when their trees compare equal.  Evaluation
-takes one coordinate form, a tuple of per-axis arrays that broadcast
-together, and turns any NaN/Inf, division by zero or negative sqrt into an
-EvalError instead of propagating silent non-finite values.
+offset of the offending token.  MAX_DEPTH bounds the nesting of parentheses,
+calls and unary minuses and the depth of the tree, so neither the parser nor
+a walk of the tree (evaluation, comparison, axes) nears the recursion limit.
+Parsed ASTs are frozen dataclasses, so two expressions are the same exactly
+when their trees compare equal.  Evaluation takes one coordinate form, a
+tuple of per-axis arrays that broadcast together, and turns any NaN/Inf,
+division by zero or negative sqrt into an EvalError instead of propagating
+silent non-finite values.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
+
+# deepest nesting of parentheses, calls and unary minuses, and deepest tree
+# (edges from the root to a leaf), that an expression may have
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 class ExprSyntaxError(ValueError):
@@ -134,9 +142,10 @@ def _tokenize(src: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.nesting = 0
+        self.depths: dict[int, int] = {}  # id of each node built -> depth of its tree
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -151,6 +160,25 @@ class _Parser:
         if tok.kind != "op" or tok.text != op:
             raise ExprSyntaxError(f"expected {op!r}, got {tok.text!r}", tok.offset)
 
+    def node(self, tok: _Token, ast: Ast) -> Ast:
+        """ast, built at tok from children that passed through here; a tree
+        deeper than MAX_DEPTH is refused at tok."""
+        children = [v for v in vars(ast).values() if isinstance(v, Ast)]
+        depth = self.depths[id(ast)] = max((self.depths[id(c)] + 1 for c in children), default=0)
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(_TOO_DEEP, tok.offset)
+        return ast
+
+    def nested(self, tok: _Token, parse) -> Ast:
+        """parse() one nesting level below tok; a level beyond MAX_DEPTH is
+        refused at tok, before the parser recurses into it."""
+        if self.nesting == MAX_DEPTH:
+            raise ExprSyntaxError(_TOO_DEEP, tok.offset)
+        self.nesting += 1
+        ast = parse()
+        self.nesting -= 1
+        return ast
+
     def parse(self) -> Ast:
         node = self.expr()
         tok = self.peek()
@@ -161,27 +189,27 @@ class _Parser:
     def expr(self) -> Ast:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
-            node = BinOp(op, node, self.term())
+            tok = self.take()
+            node = self.node(tok, BinOp(tok.text, node, self.term()))
         return node
 
     def term(self) -> Ast:
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take().text
-            node = BinOp(op, node, self.unary())
+            tok = self.take()
+            node = self.node(tok, BinOp(tok.text, node, self.unary()))
         return node
 
     def unary(self) -> Ast:
         if self.peek().kind == "op" and self.peek().text == "-":
-            self.take()
-            return Neg(self.unary())
+            tok = self.take()
+            return self.node(tok, Neg(self.nested(tok, self.unary)))
         return self.power()
 
     def power(self) -> Ast:
         base = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.take()
+            caret = self.take()
             sign = 1
             if self.peek().kind == "op" and self.peek().text == "-":
                 self.take()
@@ -189,33 +217,34 @@ class _Parser:
             tok = self.take()
             if tok.kind != "num" or any(c in tok.text for c in ".eE"):
                 raise ExprSyntaxError("exponent must be an integer literal", tok.offset)
-            return Pow(base, sign * int(tok.text))
+            return self.node(caret, Pow(base, sign * int(tok.text)))
         return base
 
     def atom(self) -> Ast:
         tok = self.take()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return self.node(tok, Num(float(tok.text)))
         if tok.kind == "ident":
             name = tok.text
             if name == "t":
-                return Var("t", 0)
+                return self.node(tok, Var("t", 0))
             if name.startswith("x") and name[1:].isdigit():
-                # x and ASCII digits: x0, x² and x١ are not variables
-                if not name[1:].isascii() or int(name[1:]) < 1:
+                # x and ASCII digits, the first 1-9: x0, x01, x² and x١ are not
+                # variables, so x1 has no second spelling
+                if not name[1:].isascii() or name[1] == "0":
                     raise ExprSyntaxError(f"bad variable {name!r}", tok.offset)
-                return Var(name, int(name[1:]))
+                return self.node(tok, Var(name, int(name[1:])))
             if name in FUNCTIONS:
                 nxt = self.peek()
                 if not (nxt.kind == "op" and nxt.text == "("):
                     raise ExprSyntaxError(f"function {name!r} needs one argument", nxt.offset)
                 self.take()
-                arg = self.expr()
+                arg = self.nested(tok, self.expr)
                 self.expect_op(")")
-                return Call(name, arg)
+                return self.node(tok, Call(name, arg))
             raise ExprSyntaxError(f"unknown identifier {name!r}", tok.offset)
         if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
+            node = self.nested(tok, self.expr)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(f"unexpected token {tok.text or 'end of input'!r}", tok.offset)

@@ -347,18 +347,20 @@ class PiecewisePolynomial:
     def support_bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.cell_lo.min(axis=0), self.cell_hi.max(axis=0)
 
-    def piece_pairs(self, shift) -> list[tuple[int, int]]:
-        """Index pairs (i, j), i-major, such that the bounding boxes of cell i
-        moved by shift and of cell j overlap by more than OVERLAP_TOL along
-        every axis.
+    def overlaps(self, shift) -> list[tuple[int, int, Cell]]:
+        """(i, j, part) for every part of (cell i + shift) ∩ cell j, i-major:
+        the one place where cells are intersected.
 
-        intersect_cells finds no volume for any other pair: the two cells
-        meet at most in a slab no wider than OVERLAP_TOL.
+        Only pairs whose bounding boxes overlap by more than OVERLAP_TOL along
+        every axis are intersected; any other pair meets at most in a slab no
+        wider than OVERLAP_TOL, where intersect_cells finds no volume.
         """
         shift = np.asarray(shift, dtype=float)
         width = (np.minimum(self.cell_hi[:, None] + shift, self.cell_hi[None])
                  - np.maximum(self.cell_lo[:, None] + shift, self.cell_lo[None]))
-        return [tuple(p) for p in np.argwhere(np.all(width > OVERLAP_TOL, axis=2)).tolist()]
+        pairs = np.argwhere(np.all(width > OVERLAP_TOL, axis=2)).tolist()
+        return [(i, j, part) for i, j in pairs for part in
+                intersect_cells(self.pieces[i][0].translated(shift), self.pieces[j][0])]
 
     def __call__(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -383,19 +385,14 @@ class PiecewisePolynomial:
         return sum(integrate_poly(p, c) for c, p in self.pieces)
 
     def check_disjoint(self) -> None:
-        """Raise if two cells share interior volume (more than 1e-12).
-
-        Only pairs whose bounding boxes overlap (piece_pairs) are intersected.
-        """
-        for i, j in self.piece_pairs(np.zeros(self.d)):
-            if i >= j:
-                continue
-            parts = intersect_cells(self.pieces[i][0], self.pieces[j][0])
-            overlap = sum(c.volume() for c in parts)
-            if overlap > 1e-12:
-                raise GeometryError(
-                    f"cells {i} and {j} overlap with measure {overlap:.3e}"
-                )
+        """Raise if two cells share interior volume (more than 1e-12): the
+        parts of overlaps(0) summed per pair i < j."""
+        overlap: dict[tuple[int, int], float] = {}
+        for i, j, part in self.overlaps(np.zeros(self.d)):
+            overlap[i, j] = overlap.get((i, j), 0.0) + part.volume()
+        for (i, j), measure in overlap.items():
+            if i < j and measure > 1e-12:
+                raise GeometryError(f"cells {i} and {j} overlap with measure {measure:.3e}")
 
     def check_continuity(self) -> float:
         """Max jump of the function across sampled cell-boundary points (5 per

@@ -16,16 +16,16 @@ for lam = gamma[g].  The moment identities that femspde.checks verifies
 are sums over axis 0.
 
 The integration domain per lambda is the common refinement of the shifted
-and unshifted cell decompositions; each sub-cell carries a Gauss rule exact
-for the polynomial integrands, so every entry is exact up to roundoff.
+and unshifted cell decompositions (PiecewisePolynomial.overlaps); each part
+carries a Gauss rule exact for the polynomial integrands, so every entry is
+exact up to roundoff.
 
-Everything here depends only on the element and the Gauss degree.  The same
-overlap tables, regrouped by lattice cell into a CellQuadrature, give the
-quadrature that the lattice assembly (femspde.assembly) integrates variable
-coefficients with.  ReferenceTensors keeps the tables it was computed from
-and builds its quadrature from them on first use, so the tables are built
-once and one degree serves the tensors, the operators and the mollified
-data.
+Everything here depends only on the element, whose degree sets the Gauss
+degree.  The same overlap tables, regrouped by lattice cell into a
+CellQuadrature, give the quadrature that the lattice assembly
+(femspde.assembly) integrates variable coefficients and data with; the data
+integrate against psi itself, the zero shift's table.  ReferenceTensors
+builds its quadrature from its own tables alone, on first use.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .elements import FiniteElement
-from .polynomials import cell_quadrature, intersect_cells
+from .polynomials import cell_quadrature
 
 Lam = tuple[int, ...]
 
@@ -63,12 +63,12 @@ def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, 
     keyed in Gamma order; no table is empty, since each overlap has measure
     above 1e-12.
 
-    The points come from every cell pair (shifted cell i, cell j) whose
-    bounding boxes overlap (PiecewisePolynomial.piece_pairs), i-major.
-    psi_lam is psi at z - lam: piece i and its derivatives are evaluated at
-    the points minus lam, and piece j of psi at the points themselves.  The
-    reference tensors integrate over these tables; build_cell_quadrature
-    regroups their points by lattice cell for the operator assembly.
+    One Gauss rule covers each part of (cell i + lam) ∩ cell j, in the order
+    of PiecewisePolynomial.overlaps.  psi_lam is psi at z - lam: piece i and
+    its derivatives are evaluated at the points minus lam, and piece j of psi
+    at the points themselves.  The reference tensors integrate over these
+    tables; build_cell_quadrature regroups their points by lattice cell for
+    the operator assembly.
     """
     d = element.d
     pieces = element.psi.pieces
@@ -88,10 +88,8 @@ def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, 
     tables: dict[Lam, OverlapTable] = {}
     for lam in element.gamma:
         shift = np.asarray(lam, dtype=float)
-        rules: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        for i, j in element.psi.piece_pairs(shift):
-            for part in intersect_cells(pieces[i][0].translated(shift), pieces[j][0]):
-                rules.append((i, j) + cell_quadrature(part, quad_degree))
+        rules = [(i, j) + cell_quadrature(part, quad_degree)
+                 for i, j, part in element.psi.overlaps(shift)]
         points = np.concatenate([pts for _, _, pts, _ in rules])
         # piece index of psi_lam and of psi at each point
         piece_l = np.concatenate([np.full(len(wts), i) for i, _, _, wts in rules])
@@ -111,15 +109,16 @@ def build_overlap_tables(element: FiniteElement, quad_degree: int) -> dict[Lam, 
 
 @dataclass(frozen=True)
 class CellQuadrature:
-    """Overlap-table and mollifier quadrature regrouped by lattice cell.
+    """The overlap tables regrouped by lattice cell.
 
-    Every quadrature point z of an overlap table, and of the element's own
-    cells, splits as z = k + zeta with k = floor(z) in Z^d and zeta in
-    [0, 1)^d.  The point x + h z of site x is then x_c + h zeta for the
-    lattice cell c = x/h + k, so a coefficient sampled once at x_c + h zeta
-    for every cell c serves every table.  The distinct zeta are shared by all
-    term kinds; for each shift k one (P, |Gamma|) weight matrix per kind
-    holds the quadrature weight times the basis product.
+    Every quadrature point z of an overlap table splits as z = k + zeta with
+    k = floor(z) in Z^d and zeta in [0, 1)^d.  The point x + h z of site x is
+    then x_c + h zeta for the lattice cell c = x/h + k, so a coefficient
+    sampled once at x_c + h zeta for every cell c serves every table.  The
+    distinct zeta are shared by all term kinds; for each shift k one (P, |Gamma|)
+    weight matrix per kind holds the quadrature weight times the basis
+    product.  The mollifier integrates against psi, so its weights come from
+    the zero shift's table, whose parts are psi's cells.
     """
 
     offsets: tuple[Lam, ...]  # Gamma, the stencil footprint
@@ -128,19 +127,16 @@ class CellQuadrature:
     diffusion: np.ndarray     # (d, d, K, P, G): w D_j psi_lam (-D_i psi) at [i-1, j-1]
     transport: np.ndarray     # (d, K, P, G): w D_i psi_lam psi at [i-1]
     reaction: np.ndarray      # (K, P, G): w psi_lam psi
-    mollifier: np.ndarray     # (K, P, 1): w psi
+    mollifier: np.ndarray     # (K, P, 1): w psi on the zero shift's table
 
 
 def build_cell_quadrature(tensors: ReferenceTensors) -> CellQuadrature:
-    """Regroup the overlap tables of the tensors, and the element's own
-    quadrature at their degree, by lattice cell; the offsets are Gamma."""
+    """Regroup the overlap tables of the tensors by lattice cell, one shift at
+    a time, straight into the layouts the assembly reads; the offsets are
+    Gamma.  The zero shift's parts are psi's cells, so its table also gives
+    the mollifier (check_disjoint bounds any other part at 1e-12 measure)."""
     offsets, tables, d = tensors.gamma, tensors.tables, tensors.d
-    data = [cell_quadrature(cell, tensors.quad_degree) + (poly,)
-            for cell, poly in tensors.element.psi.pieces]
-    data_pts = np.concatenate([pts for pts, _, _ in data])
-    data_w = np.concatenate([wts * poly.eval_many(pts) for pts, wts, poly in data])
-
-    points = np.concatenate([tables[lam].points for lam in offsets] + [data_pts])
+    points = np.concatenate([tables[lam].points for lam in offsets])
     cells = np.floor(points)
     frac = points - cells
     shifts, k_idx = np.unique(cells.astype(int), axis=0, return_inverse=True)
@@ -150,31 +146,25 @@ def build_cell_quadrature(tensors: ReferenceTensors) -> CellQuadrature:
     k_idx, p_idx = k_idx.reshape(-1), p_idx.reshape(-1)
     K, P, G = len(shifts), len(first), len(offsets)
 
-    diffusion = np.zeros((K, P, G, d, d))
-    transport = np.zeros((K, P, G, d))
+    diffusion = np.zeros((d, d, K, P, G))
+    transport = np.zeros((d, K, P, G))
     reaction = np.zeros((K, P, G))
+    mollifier = np.zeros((K, P, 1))
     start = 0
     for g, lam in enumerate(offsets):
         tab = tables[lam]
         stop = start + len(tab.weights)
         at = (k_idx[start:stop], p_idx[start:stop], g)
-        w = tab.weights[:, None]
-        grad = w[:, :, None] * tab.dpsi_l.T[:, None, :] * -tab.dpsi_0.T[:, :, None]  # [m, i, j]
-        np.add.at(diffusion, at, grad)
-        np.add.at(transport, at, w * tab.dpsi_l.T * tab.psi_0[:, None])
-        np.add.at(reaction, at, tab.weights * tab.psi_l * tab.psi_0)
+        w = tab.weights
+        # [i, j, m] = w D_j psi_lam (-D_i psi) at point m
+        np.add.at(diffusion, (..., *at), w * tab.dpsi_l[None] * -tab.dpsi_0[:, None])
+        np.add.at(transport, (..., *at), w * tab.dpsi_l * tab.psi_0)
+        np.add.at(reaction, at, w * tab.psi_l * tab.psi_0)
+        if lam == (0,) * d:
+            np.add.at(mollifier, at[:2] + (0,), w * tab.psi_0)
         start = stop
-    mollifier = np.zeros((K, P, 1))
-    np.add.at(mollifier, (k_idx[start:], p_idx[start:], 0), data_w)
-    return CellQuadrature(
-        offsets=offsets,
-        shifts=tuple(tuple(int(c) for c in k) for k in shifts),
-        zeta=frac[first],
-        diffusion=np.ascontiguousarray(diffusion.transpose(3, 4, 0, 1, 2)),
-        transport=np.ascontiguousarray(transport.transpose(3, 0, 1, 2)),
-        reaction=reaction,
-        mollifier=mollifier,
-    )
+    shifts = tuple(tuple(int(c) for c in k) for k in shifts)
+    return CellQuadrature(offsets, shifts, frac[first], diffusion, transport, reaction, mollifier)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,9 +174,9 @@ class ReferenceTensors:
     Axis 0 of every tensor runs over the shifts of `gamma`, in that order;
     the derivative and coordinate axes run from 0 to d - 1.  Shifts outside
     Gamma have identically zero tensors and no row.  `tables` are the overlap
-    tables the tensors were computed from.  `quad` is the element's cell
-    quadrature at `quad_degree`, regrouped from those tables on first use:
-    the assembly needs it, computing and checking the tensors does not.
+    tables the tensors were computed from, at Gauss degree `quad_degree`.
+    `quad` is their cell quadrature, regrouped from those tables alone on
+    first use: the assembly needs it, computing and checking the tensors not.
     Instances compare by identity (eq=False), never by their arrays.
     """
 
@@ -198,7 +188,6 @@ class ReferenceTensors:
     Q: np.ndarray       # (G, d, d, d, d)
     Qtilde: np.ndarray  # (G, d, d)
     quad_degree: int
-    element: FiniteElement = field(repr=False)
     tables: dict[Lam, OverlapTable] = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -223,11 +212,10 @@ class ReferenceTensors:
                          np.max(np.abs(self.Rab - reflected(self.Rab)))))
 
 
-def compute_reference_tensors(
-    element: FiniteElement, quad_degree: int | None = None
-) -> ReferenceTensors:
-    """Compute all reference tensors of an element by exact Gauss quadrature."""
-    degree = default_quad_degree(element) if quad_degree is None else quad_degree
+def compute_reference_tensors(element: FiniteElement) -> ReferenceTensors:
+    """Compute all reference tensors of an element by exact Gauss quadrature
+    at default_quad_degree(element)."""
+    degree = default_quad_degree(element)
     tables = build_overlap_tables(element, degree)
     gamma = element.gamma
     d, G = element.d, len(gamma)
@@ -252,6 +240,5 @@ def compute_reference_tensors(
         Q=Q,
         Qtilde=Qtilde,
         quad_degree=degree,
-        element=element,
         tables=tables,
     )

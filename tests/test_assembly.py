@@ -592,10 +592,15 @@ class TestCellQuadrature:
         assert np.all((quad.zeta >= 0.0) & (quad.zeta < 1.0))
         assert len(quad.zeta) == 2 * 5  # one Gauss rule on each half cell
 
-    def test_assembled_problem_follows_tensor_degree(self, hat_setup):
+    def test_assembled_problem_follows_tensor_degree(self, hat_setup, monkeypatch):
         # operators and mollified data come from the tensors' one quadrature
+        import femspde.tensors as tensors_module
+
         element, tensors, lattice = hat_setup
-        raised = compute_reference_tensors(element, tensors.quad_degree + 4)
+        monkeypatch.setattr(tensors_module, "default_quad_degree",
+                            lambda _: tensors.quad_degree + 4)
+        raised = compute_reference_tensors(element)
+        assert raised.quad_degree == tensors.quad_degree + 4
         problem = parse_problem_text('a.1.1 = "1 + 0.25*cos(x1)"\nphi = "sin(3*x1)"')
         ap = AssembledProblem(element, raised, problem, lattice)
         expected = mollify_data(problem.phi, raised, lattice)

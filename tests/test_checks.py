@@ -74,7 +74,7 @@ class TestInvertibility:
     def test_identity_symbol(self):
         tensors = ReferenceTensors(
             d=1, gamma=((0,),), R=np.ones(1), Rbeta=np.zeros((1, 1)), Rab=np.zeros((1, 1, 1)),
-            Q=np.zeros((1, 1, 1, 1, 1)), Qtilde=np.zeros((1, 1, 1)), quad_degree=8, element=None,
+            Q=np.zeros((1, 1, 1, 1, 1)), Qtilde=np.zeros((1, 1, 1)), quad_degree=8,
         )
         assert check_invertibility(tensors) == pytest.approx(1.0, abs=1e-12)
 
@@ -111,7 +111,7 @@ class TestInvertibility:
         tensors = ReferenceTensors(
             d=1, gamma=((-1,), (0,), (1,)), R=np.array([0.1, 0.7, 0.3]),
             Rbeta=np.zeros((3, 1)), Rab=np.zeros((3, 1, 1)), Q=np.zeros((3, 1, 1, 1, 1)),
-            Qtilde=np.zeros((3, 1, 1)), quad_degree=8, element=None,
+            Qtilde=np.zeros((3, 1, 1)), quad_degree=8,
         )
         assert tensors.symmetry_residual() == pytest.approx(0.2, abs=1e-15)
         thetas = np.array([[0.0], [np.pi / 2], [np.pi]])
@@ -324,6 +324,13 @@ def test_checks_imports_nothing_from_the_integrator():
     # the verification layer reads elements and tensors only, never the solver
     imported = imported_names(femspde.checks)
     assert not [name for name in imported if "integrator" in name.split(".")]
+
+
+@pytest.mark.parametrize("layer", ["elements", "tensors"])
+def test_cells_are_intersected_only_in_polynomials(layer):
+    # PiecewisePolynomial.overlaps is the one caller of intersect_cells
+    imported = imported_names(importlib.import_module(f"femspde.{layer}"))
+    assert not [name for name in imported if name.split(".")[-1] == "intersect_cells"]
 
 
 @pytest.mark.parametrize("layer", ["polynomials", "elements", "tensors", "expr", "problem",

@@ -8,6 +8,7 @@ import pytest
 import scipy
 
 from femspde.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from femspde.expr import MAX_DEPTH
 from tests.test_integrator import TIMEDEP_2D
 
 DET_PROBLEM = """\
@@ -324,6 +325,32 @@ class TestSimulate:
                      "--T", "0.05", "--steps", "2", "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == (
             "input error: key 'phi': number literal '1e999' overflows (byte offset 0)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, offset", [
+        ("(" * 400 + "x1" + ")" * 400, MAX_DEPTH),
+        ("sin(" * 400 + "x1" + ")" * 400, 4 * MAX_DEPTH),
+        ("-" * 2000 + "1", MAX_DEPTH),
+        ("1" + "+0*x1" * 1999, 1 + 5 * (MAX_DEPTH - 1)),
+    ], ids=["parentheses", "calls", "unary-minus", "long-sum"])
+    def test_deep_expression_is_input_error(self, tmp_path, capsys, value, offset):
+        prob = tmp_path / "p.prob"
+        prob.write_text(f'a.1.1 = "{value}"\nphi = "sin(x1)"\n', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "hat1d", "--problem", str(prob), "--n", "8",
+                     "--T", "0.05", "--steps", "2", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("input error: key 'a.1.1': expression nested "
+                                           f"deeper than {MAX_DEPTH} levels (byte offset {offset})\n")
+        assert not out.exists()
+
+    def test_zero_led_variable_is_input_error(self, tmp_path, capsys):
+        prob = tmp_path / "p.prob"
+        prob.write_text('a.1.1 = "1 + 0.1*cos(x01)"\nphi = "sin(x1)"\n', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", "--preset", "hat1d", "--problem", str(prob), "--n", "8",
+                     "--T", "0.05", "--steps", "2", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "input error: key 'a.1.1': bad variable 'x01' (byte offset 12)\n")
         assert not out.exists()
 
     def test_non_ascii_variable_is_input_error(self, tmp_path, capsys):

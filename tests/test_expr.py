@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from femspde.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     EvalError,
@@ -82,6 +83,43 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as err:
             parse(f"1 + {name}")
         assert str(err.value) == f"bad variable {name!r} (byte offset 4)"
+
+    def test_variable_digits_start_with_one_to_nine(self):
+        # x01 would be a second spelling of x1, and x0 names no axis
+        for name in ("x0", "x01", "x007"):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse(name)
+            assert str(err.value) == f"bad variable {name!r} (byte offset 0)"
+        assert parse("x10") == Var("x10", 10)
+
+    @pytest.mark.parametrize("source, offset", [
+        ("(" * 1000 + "x1" + ")" * 1000, MAX_DEPTH),
+        ("sin(" * 1000 + "x1" + ")" * 1000, 4 * MAX_DEPTH),
+        ("-" * 1000 + "1", MAX_DEPTH),
+        ("1" + "+0*x1" * 1999, 1 + 5 * (MAX_DEPTH - 1)),
+    ], ids=["parentheses", "calls", "unary-minus", "long-sum"])
+    def test_deep_expression_is_a_syntax_error(self, source, offset):
+        # refused at the token that passes the bound, before the parser (or a
+        # walk of the tree) reaches the interpreter's recursion limit
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(source)
+        assert str(err.value) == (
+            f"expression nested deeper than {MAX_DEPTH} levels (byte offset {offset})")
+
+    def test_depth_bound_is_inclusive(self):
+        # MAX_DEPTH levels of each shape parse to the usual tree; one more is refused
+        negs, calls, total = Num(1.0), Var("x1", 1), Num(1.0)
+        for _ in range(MAX_DEPTH):
+            negs, calls, total = Neg(negs), Call("sin", calls), BinOp("+", total, Num(1.0))
+        assert parse("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH) == Var("x1", 1)
+        assert parse("-" * MAX_DEPTH + "1") == negs
+        assert parse("sin(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH) == calls
+        assert parse("+".join(["1"] * (MAX_DEPTH + 1))) == total
+        for source in ("(" * (MAX_DEPTH + 1) + "x1" + ")" * (MAX_DEPTH + 1),
+                       "-" * (MAX_DEPTH + 1) + "1", "+".join(["1"] * (MAX_DEPTH + 2)),
+                       "(" + "-" * MAX_DEPTH + "x1)^2"):
+            with pytest.raises(ExprSyntaxError, match="nested deeper"):
+                parse(source)
 
     def test_short_strings_parse_or_raise_syntax_error(self):
         alphabet = "x1t0.e+-*/^() ²١µ"
@@ -333,6 +371,13 @@ class TestProblemFiles:
         # the same values written as a different tree are rejected too
         with pytest.raises(ProblemFormatError, match="symmetric"):
             parse_problem_text('a.1.1="1"\na.2.2="1"\na.1.2="2*x1"\na.2.1="x1*2"')
+
+    def test_zero_led_variable_rejected(self):
+        # x01 is no second spelling of x1, so this is not a symmetry conflict
+        with pytest.raises(ProblemFormatError) as err:
+            parse_problem_text('a.1.1="1"\na.2.2="1"\na.1.2="0.1*cos(x1)"\n'
+                               'a.2.1="0.1*cos(x01)"')
+        assert str(err.value) == "key 'a.2.1': bad variable 'x01' (byte offset 8)"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ProblemFormatError, match="unknown key"):

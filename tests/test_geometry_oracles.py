@@ -2,7 +2,9 @@
 
 Each oracle below is the per-point or all-pairs loop that containment, the
 piecewise evaluation, the overlap measure, the continuity check, the overlap
-tables and the lattice-point search used before they worked on arrays.  The
+tables and the lattice-point search used before they worked on arrays, and
+the per-cell quadrature of psi that the mollifier used before it came from
+the zero shift's overlap table.  The
 array code must agree with them exactly (``==``) on every built-in element
 and on the element-file fixtures of the suite.
 """
@@ -27,7 +29,7 @@ from femspde.polynomials import (
     cell_quadrature,
     intersect_cells,
 )
-from femspde.tensors import build_overlap_tables, default_quad_degree
+from femspde.tensors import build_overlap_tables, compute_reference_tensors, default_quad_degree
 
 from .test_assembly import SPLIT_HAT
 from .test_cli import SCALED_ELEMENT
@@ -159,6 +161,20 @@ def tables_oracle(element, quad_degree):
     return tables
 
 
+def mollifier_oracle(element, quad, quad_degree):
+    """psi's cells integrated one at a time, each point's w psi added, in
+    cell and point order, at its lattice cell and distinct zeta."""
+    shift_row = {k: r for r, k in enumerate(quad.shifts)}
+    zeta_row = {tuple(np.round(z, 12)): p for p, z in enumerate(quad.zeta)}
+    out = np.zeros((len(quad.shifts), len(quad.zeta), 1))
+    for cell, poly in element.psi.pieces:
+        pts, wts = cell_quadrature(cell, quad_degree)
+        for z, w in zip(pts, wts * poly.eval_many(pts)):
+            k = np.floor(z)
+            out[shift_row[tuple(int(c) for c in k)], zeta_row[tuple(np.round(z - k, 12))], 0] += w
+    return out
+
+
 def lattice_points_oracle(lambda_set, lo, hi):
     """Breadth-first search over a set of tuples, one point at a time."""
     lam = [np.asarray(v, dtype=int) for v in lambda_set]
@@ -257,6 +273,26 @@ class TestArrayGeometryMatchesOracles:
             shifted = tab.points - np.asarray(lam, dtype=float)
             np.testing.assert_array_equal(tab.psi_l, element.psi.eval_many(shifted))
             np.testing.assert_array_equal(tab.psi_0, element.psi.eval_many(tab.points))
+
+    def test_zero_shift_parts_are_the_cells(self, elements, case):
+        # the mollifier's quadrature is the zero shift's table because each
+        # cell overlaps itself alone, in one part that carries the cell's rule
+        element = elements[case]
+        psi, degree = element.psi, default_quad_degree(element)
+        parts = psi.overlaps(np.zeros(psi.d))
+        assert [(i, j) for i, j, _ in parts] == [(i, i) for i in range(len(psi.pieces))]
+        for (cell, _), (_, _, part) in zip(psi.pieces, parts):
+            for got, own in zip(cell_quadrature(part, degree), cell_quadrature(cell, degree)):
+                assert got.shape == own.shape
+                np.testing.assert_array_equal(got, own)
+
+    def test_mollifier_is_psis_own_quadrature(self, elements, case):
+        element = elements[case]
+        tensors = compute_reference_tensors(element)
+        quad = tensors.quad
+        oracle = mollifier_oracle(element, quad, tensors.quad_degree)
+        assert quad.mollifier.shape == oracle.shape
+        np.testing.assert_array_equal(quad.mollifier, oracle)
 
     def test_lattice_points(self, elements, case):
         element = elements[case]

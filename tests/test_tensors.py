@@ -205,7 +205,7 @@ class TestInvariants:
         t = ReferenceTensors(
             d=1, gamma=((0,), (1,)), R=np.array([0.5, 0.25]), Rbeta=np.array([[0.0], [0.375]]),
             Rab=np.array([[[2.0]], [[0.125]]]), Q=np.zeros((2, 1, 1, 1, 1)),
-            Qtilde=np.zeros((2, 1, 1)), quad_degree=8, element=None,
+            Qtilde=np.zeros((2, 1, 1)), quad_degree=8,
         )
         assert t.symmetry_residual() == 0.375
 
@@ -216,10 +216,14 @@ class TestInvariants:
         assert sum(tensors.R) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("preset", ["hat1d", "tensor(2)", "triangle2d"])
-    def test_quadrature_exactness_under_order_doubling(self, preset):
+    def test_quadrature_exactness_under_order_doubling(self, preset, monkeypatch):
+        import femspde.tensors as tensors_module
+
         element = build_element(preset)
         base = compute_reference_tensors(element)
-        doubled = compute_reference_tensors(element, quad_degree=2 * base.quad_degree)
+        monkeypatch.setattr(tensors_module, "default_quad_degree", lambda _: 2 * base.quad_degree)
+        doubled = compute_reference_tensors(element)
+        assert doubled.quad_degree == 2 * base.quad_degree
         assert doubled.gamma == base.gamma
         for name in ("R", "Rbeta", "Rab", "Q", "Qtilde"):
             assert np.max(np.abs(getattr(base, name) - getattr(doubled, name))) <= 1e-13, name
@@ -255,8 +259,9 @@ class TestCellQuadratureOwnership:
     def test_verification_builds_no_quadrature(self, overlap_calls):
         from femspde.checks import verify_element
 
-        tensors = compute_reference_tensors(build_element("tensor(4)"))
-        assert verify_element(tensors.element, tensors).passed
+        element = build_element("tensor(4)")
+        tensors = compute_reference_tensors(element)
+        assert verify_element(element, tensors).passed
         assert overlap_calls == [tensors.quad_degree]
         assert "quad" not in vars(tensors)
 
@@ -299,9 +304,7 @@ class TestSetUpWork:
     and computes each Gauss rule once."""
 
     def test_tensor3_setup_counts(self, monkeypatch):
-        import femspde.elements as elements
         import femspde.polynomials as polynomials
-        import femspde.tensors as tensors_module
         from femspde.elements import validate_element
 
         intersections = []
@@ -311,8 +314,8 @@ class TestSetUpWork:
             intersections.append((a, b))
             return real_intersect(a, b)
 
-        for module in (polynomials, elements, tensors_module):
-            monkeypatch.setattr(module, "intersect_cells", counting_intersect)
+        # PiecewisePolynomial.overlaps is the one caller
+        monkeypatch.setattr(polynomials, "intersect_cells", counting_intersect)
         rules = Counter()
         real_leggauss = np.polynomial.legendre.leggauss
 
@@ -326,8 +329,9 @@ class TestSetUpWork:
         validate_element(element)
         tensors = compute_reference_tensors(element)
         # 64 overlapping (shifted cell, cell) pairs over the 27 shifts of Gamma,
-        # once for Gamma and once for the overlap tables; all 8 x 8 pairs of
-        # 125 candidate shifts were 8000 for Gamma alone
+        # once for Gamma and once for the overlap tables, and the 8 cells with
+        # themselves for the disjointness check: 136; all 8 x 8 pairs of 125
+        # candidate shifts were 8000 for Gamma alone
         assert len(intersections) <= 200
         assert rules and set(rules.values()) == {1}
         x, w = polynomials.gauss_points_1d(tensors.quad_degree // 2 + 1)
