@@ -18,17 +18,19 @@ every coefficient is needed only at the cell points x_c + h zeta with zeta in
 [0, 1)^d, and every stencil coefficient is a sum of cell-local products
 scattered by lattice shifts.  The cell points are passed to the evaluator as
 one coordinate array per axis, so each coefficient is computed only along the
-lattice axes it references (a constant once, cos(x1) on n * P values) and its
-cell-local products are formed over that reduced shape and broadcast over
-the lattice.  This module does only that lattice work; the quadrature and its
-degree belong to the tensors.
+lattice axes it references (a constant once, cos(x1) on n * P values).  The
+cell-local products and their per-shift sums are formed only over the axes
+that some coefficient spans, and the result is broadcast over the lattice in
+one copy, which becomes the operator's data.  This module does only that
+lattice work; the quadrature and its degree belong to the tensors.
 
 Each operator is stored once, as a scipy CSR matrix (StencilOperator.matrix)
 whose rows hold the G coefficients of one site in offset order.  Applying
 it, factoring it, the BiCGStab matvec and residual, and the solver's
 preconditioner all use that matrix.  Operators with the same lattice and
-footprint share one read-only column pattern, so each costs one data array
-of sites x G values.
+footprint share one read-only column pattern, built as one broadcast sum of
+per-axis column terms, so each operator costs one data array of sites x G
+values.
 
 Data fields are mollified by the scaled element: phi_h(x) is the integral of
 phi(x + h z) psi(z) dz, evaluated at the same cell points.
@@ -106,31 +108,22 @@ class StencilOperator:
         coef = np.moveaxis(data.reshape(*self.lattice.shape, -1), -1, 0)
         return StencilOperator(self.lattice, self.offsets, coef)
 
-    def to_dense(self) -> np.ndarray:
-        """Explicit matrix in C-order flat site indexing: the dense oracle for tests
-        (small lattices only); its columns come from the offsets, not from matrix."""
-        n = self.lattice.n
-        shape = self.lattice.shape
-        total = self.lattice.total_sites
-        idx = self.lattice.multi_indices()
-        rows = np.arange(total)
-        mat = np.zeros((total, total))
-        for k, lam in enumerate(self.offsets):
-            cols = np.ravel_multi_index(((idx + np.asarray(lam)) % n).T, shape)
-            mat[rows, cols] += self.coef[k].reshape(-1)
-        return mat
-
 
 @functools.lru_cache(maxsize=8)
 def _pattern(lattice: TorusLattice, offsets: tuple[Lam, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only CSR indices and indptr of a stencil: row x holds the columns of
-    x + h lam, one per offset in offset order."""
-    idx = lattice.multi_indices()
-    cols = [np.ravel_multi_index(((idx + lam) % lattice.n).T, lattice.shape) for lam in offsets]
-    nnz = len(idx) * len(offsets)
+    x + h lam, one per offset in offset order.  The columns are one (*shape, G)
+    array, the broadcast sum over the axes k of ((i + lam_k) mod n) n^(d-1-k)."""
+    n, d, G = lattice.n, lattice.d, len(offsets)
+    nnz = lattice.total_sites * G
     dtype = np.int32 if nnz < 2**31 else np.int64
-    indices = np.stack(cols, axis=1).reshape(-1).astype(dtype)
-    indptr = np.arange(0, nnz + 1, len(offsets), dtype=dtype)
+    indices = np.zeros((*lattice.shape, G), dtype=dtype)
+    i = np.arange(n)[:, None]
+    for k, lam in enumerate(np.asarray(offsets).T):
+        axis = (i + lam) % n * n ** (d - 1 - k)
+        indices += axis.reshape((1,) * k + (n,) + (1,) * (d - 1 - k) + (G,)).astype(dtype)
+    indices = indices.reshape(-1)
+    indptr = np.arange(0, nnz + 1, G, dtype=dtype)
     indices.flags.writeable = False
     indptr.flags.writeable = False
     return indices, indptr
@@ -138,43 +131,45 @@ def _pattern(lattice: TorusLattice, offsets: tuple[Lam, ...]) -> tuple[np.ndarra
 
 def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms) -> np.ndarray:
     """Stencil coefficients sum_terms integral(coefficient * weight), a (G, *lattice.shape)
-    view of a (*lattice.shape, G) array, the layout of the operator's CSR data.
+    view of a contiguous (*lattice.shape, G) array, the layout of the operator's CSR data.
 
     `terms` pairs coefficient ASTs with (K, P, G) weight arrays.  The cell
     points x_c + h zeta are given as one coordinate array per axis: x_k holds
     the axis coordinates along lattice axis k (size 1 on the others) plus
     h zeta[:, k] on a trailing P axis.  Each distinct AST is evaluated once on
     those arrays, so its values span only the axes it references (a constant
-    is one value, cos(x1) is n * P), and shift k contributes the cell-local
-    product V @ W_k over that reduced shape, broadcast over the lattice and
-    rolled by -k onto the sites whose overlap tables reach into cell c.
+    is one value, cos(x1) is n * P).  The stencil spans the broadcast of those
+    reduced shapes: shift k contributes the cell-local products V @ W_k, summed
+    over the terms on that span and rolled by -k onto the sites whose overlap
+    tables reach into cell c.  Along an axis that no term references every value
+    is equal and the roll is the identity, so broadcasting the (*span, G) sum over
+    the lattice gives every site the additions, in the order, of a full-lattice sum.
     """
     combined: dict[int, tuple[expr.Ast, np.ndarray]] = {}  # mirrored entries share one AST
     for ast, weights in terms:
         prev = combined.get(id(ast))
         combined[id(ast)] = (ast, weights if prev is None else prev[1] + weights)
-    if not combined:
-        return np.moveaxis(np.zeros((*lattice.shape, len(quad.offsets))), -1, 0)
-    n_shifts, n_zeta, width = terms[0][1].shape
+    n_shifts, n_zeta, width = terms[0][1].shape if terms else quad.reaction.shape
     d, h = lattice.d, lattice.h
     axis = lattice.axis_coords()
     x = tuple(
         axis.reshape(tuple(-1 if j == k else 1 for j in range(d)) + (1,)) + h * quad.zeta[:, k]
         for k in range(d)
     )
-    local = np.zeros((*lattice.shape, n_shifts * width))
-    for ast, weights in combined.values():
-        vals = expr.eval_many(ast, x, t)
+    values = [(expr.eval_many(ast, x, t), weights) for ast, weights in combined.values()]
+    span = np.broadcast_shapes((1,) * d, *(vals.shape[:-1] for vals, _ in values))
+    local = np.zeros((*span, n_shifts * width))
+    for vals, weights in values:
         cells = vals.shape[:-1]
         vals = np.broadcast_to(vals, (*cells, n_zeta)).reshape(-1, n_zeta)
         w = weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
         local += (vals @ w).reshape(*cells, n_shifts * width)
-    local = local.reshape(*lattice.shape, n_shifts, width)
-    out = np.zeros((*lattice.shape, width))
-    axes = tuple(range(lattice.d))
+    local = local.reshape(*span, n_shifts, width)
+    out = np.zeros((*span, width))
+    axes = tuple(range(d))
     for k, shift in enumerate(quad.shifts):
         out += np.roll(local[..., k, :], tuple(-c for c in shift), axis=axes)
-    return np.moveaxis(out, -1, 0)
+    return np.moveaxis(np.broadcast_to(out, (*lattice.shape, width)).copy(), -1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,8 @@ class LinearSolver:
         if axes:
             block = rfftn(block, axes=axes)
         if len(axes) == lattice.d:
-            block = block / self._symbol
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                block = block / self._symbol
         else:
             block = self._lu.solve(block.reshape(len(rhs), -1).T).T.reshape(block.shape)
         if axes:
@@ -327,12 +328,16 @@ def _mode_blocks(op: StencilOperator, axes: tuple[int, ...]) -> scipy.sparse.csc
 def implicit_system(assembled: AssembledProblem, t: float, dt: float) -> StencilOperator:
     """The implicit step operator mass - dt * drift(t).
 
-    Raises SolverError when its entries cancel to rounding level against the
-    terms that formed it, e.g. c = 1/dt with no diffusion.
+    Raises SolverError when an entry overflows, or when its entries cancel to
+    rounding level against the terms that formed it, e.g. c = 1/dt with no
+    diffusion.
     """
     mass = assembled.mass
     drift = assembled.drift(t)
-    system = mass.scaled_add(1.0, drift, -dt)
+    with np.errstate(over="ignore"):
+        system = mass.scaled_add(1.0, drift, -dt)
+    if not np.all(np.isfinite(system.matrix.data)):
+        raise SolverError(f"mass - dt * drift overflows at dt = {dt:.3e}")
     scale = float(np.abs(mass.matrix.data).max()) + dt * float(np.abs(drift.matrix.data).max())
     size = float(np.abs(system.matrix.data).max())
     if size <= CANCELLATION_TOL * scale:
@@ -387,15 +392,17 @@ def step_implicit_em(
     solver = assembled.memo(("system", dt), lambda: LinearSolver(
         implicit_system(assembled, t_next, dt), reused=reused), asts)
     rhs = assembled.mass.apply(u).values
-    if assembled.problem.f is not None:
-        rhs += dt * assembled.f_h(t_next).values
-    if increments is not None and assembled.problem.has_noise:
-        for rho in assembled.problem.active_rhos():
-            dw = increments[rho - 1].reshape(-1, *[1] * assembled.lattice.d)
-            if not np.any(dw):
-                continue
-            term = assembled.noise(t_n, rho).apply(u).values + assembled.g_h(t_n, rho).values
-            rhs += dw * term
+    # an overflow here leaves a non-finite entry, which the solve reports
+    with np.errstate(over="ignore"):
+        if assembled.problem.f is not None:
+            rhs += dt * assembled.f_h(t_next).values
+        if increments is not None and assembled.problem.has_noise:
+            for rho in assembled.problem.active_rhos():
+                dw = increments[rho - 1].reshape(-1, *[1] * assembled.lattice.d)
+                if not np.any(dw):
+                    continue
+                term = assembled.noise(t_n, rho).apply(u).values + assembled.g_h(t_n, rho).values
+                rhs += dw * term
     return GridFunction(u.lattice, solver.solve(rhs.reshape(len(rhs), -1)).reshape(rhs.shape))
 
 

@@ -91,9 +91,10 @@ class GridFunction:
 
 def norms_0h(lattice: TorusLattice, block: np.ndarray) -> np.ndarray:
     """|U|_{0,h} = (h^d sum_x U(x)^2)^(1/2) of every sample of a
-    (samples, *lattice.shape) block."""
+    (samples, *lattice.shape) block; inf where it overflows."""
     axes = tuple(range(1, lattice.d + 1))
-    return np.sqrt(lattice.h**lattice.d * np.sum(block**2, axis=axes))
+    with np.errstate(over="ignore"):
+        return np.sqrt(lattice.h**lattice.d * np.sum(block**2, axis=axes))
 
 
 def nesting_factor(fine: TorusLattice, coarse: TorusLattice) -> int:

@@ -130,41 +130,59 @@ class CellQuadrature:
     mollifier: np.ndarray     # (K, P, 1): w psi on the zero shift's table
 
 
-def build_cell_quadrature(tensors: ReferenceTensors) -> CellQuadrature:
-    """Regroup the overlap tables of the tensors by lattice cell, one shift at
-    a time, straight into the layouts the assembly reads; the offsets are
-    Gamma.  The zero shift's parts are psi's cells, so its table also gives
-    the mollifier (check_disjoint bounds any other part at 1e-12 measure)."""
-    offsets, tables, d = tensors.gamma, tensors.tables, tensors.d
-    points = np.concatenate([tables[lam].points for lam in offsets])
-    cells = np.floor(points)
-    frac = points - cells
-    shifts, k_idx = np.unique(cells.astype(int), axis=0, return_inverse=True)
-    # one representative per distinct zeta; roundoff-level copies merge
-    _, first, p_idx = np.unique(np.round(frac, 12), axis=0, return_index=True,
-                                return_inverse=True)
-    k_idx, p_idx = k_idx.reshape(-1), p_idx.reshape(-1)
-    K, P, G = len(shifts), len(first), len(offsets)
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0)'s first occurrences and inverse for an (M, d) array, by
+    one 1-D np.unique on an int64 key packing per-column ranks, column 0 most significant
+    (below the product of the column counts: 6^4 for tensor(4)'s zeta, 54^2 for triangle2d)."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        values, rank = np.unique(column, return_inverse=True)
+        key = key * len(values) + rank
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
 
-    diffusion = np.zeros((d, d, K, P, G))
-    transport = np.zeros((d, K, P, G))
-    reaction = np.zeros((K, P, G))
-    mollifier = np.zeros((K, P, 1))
-    start = 0
-    for g, lam in enumerate(offsets):
-        tab = tables[lam]
-        stop = start + len(tab.weights)
-        at = (k_idx[start:stop], p_idx[start:stop], g)
-        w = tab.weights
-        # [i, j, m] = w D_j psi_lam (-D_i psi) at point m
-        np.add.at(diffusion, (..., *at), w * tab.dpsi_l[None] * -tab.dpsi_0[:, None])
-        np.add.at(transport, (..., *at), w * tab.dpsi_l * tab.psi_0)
-        np.add.at(reaction, at, w * tab.psi_l * tab.psi_0)
-        if lam == (0,) * d:
-            np.add.at(mollifier, at[:2] + (0,), w * tab.psi_0)
-        start = stop
-    shifts = tuple(tuple(int(c) for c in k) for k in shifts)
-    return CellQuadrature(offsets, shifts, frac[first], diffusion, transport, reaction, mollifier)
+
+def _split_points(points: np.ndarray) -> tuple[tuple[Lam, ...], np.ndarray, np.ndarray]:
+    """The distinct lattice-cell shifts k = floor(z) and the distinct zeta = z - k
+    of an (M, d) point array, each in np.unique(axis=0)'s order, and every
+    point's flat (k, p) index into (K, P); its (M, d) temporaries die on return."""
+    cells = np.floor(points)
+    first_k, k_idx = _distinct_rows(cells)
+    frac = points - cells
+    # one representative per distinct zeta; roundoff-level copies merge
+    first_p, p_idx = _distinct_rows(np.round(frac, 12))
+    shifts = tuple(tuple(int(c) for c in k) for k in cells[first_k])
+    return shifts, frac[first_p], k_idx * len(first_p) + p_idx
+
+
+def build_cell_quadrature(tensors: ReferenceTensors) -> CellQuadrature:
+    """Regroup the overlap tables of the tensors by lattice cell into the layouts the
+    assembly reads; the offsets are Gamma.  Each component of a kind is one np.bincount
+    on the points' flat (k, p, g) index, which adds every target's weights in point
+    order.  The zero shift's parts are psi's cells, so its table also gives the
+    mollifier (check_disjoint bounds any other part at 1e-12 measure)."""
+    offsets, tables, d = tensors.gamma, tensors.tables, tensors.d
+    shifts, zeta, cell_point = _split_points(
+        np.concatenate([tables[lam].points for lam in offsets]))
+    K, P, G = len(shifts), len(zeta), len(offsets)
+    sizes = [len(tables[lam].weights) for lam in offsets]
+    at = cell_point * G + np.repeat(np.arange(G), sizes)
+
+    def scatter(weights) -> np.ndarray:
+        """(K, P, G) sums of weights(table) over every table, in Gamma order."""
+        values = np.concatenate([weights(tables[lam]) for lam in offsets])
+        return np.bincount(at, values, K * P * G).reshape(K, P, G)
+
+    diffusion, transport = np.empty((d, d, K, P, G)), np.empty((d, K, P, G))
+    for i in range(d):
+        for j in range(d):  # w D_j psi_lam (-D_i psi)
+            diffusion[i, j] = scatter(lambda tab: tab.weights * tab.dpsi_l[j] * -tab.dpsi_0[i])
+        transport[i] = scatter(lambda tab: tab.weights * tab.dpsi_l[i] * tab.psi_0)
+    reaction = scatter(lambda tab: tab.weights * tab.psi_l * tab.psi_0)
+    start, zero = sum(sizes[:offsets.index((0,) * d)]), tables[(0,) * d]
+    mollifier = np.bincount(cell_point[start:start + len(zero.weights)],
+                            zero.weights * zero.psi_0, K * P).reshape(K, P, 1)
+    return CellQuadrature(offsets, shifts, zeta, diffusion, transport, reaction, mollifier)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,12 @@ from femspde.lattice import GridFunction, build_torus
 from femspde.problem import parse_problem_text
 from femspde.study import StudyConfig, run_convergence_study
 from femspde.tensors import compute_reference_tensors
-from tests.test_assembly import EQUIVALENCE_PROBLEMS, assert_minus_h_identity, dense_from_stencil
+from tests.test_assembly import (
+    EQUIVALENCE_PROBLEMS,
+    assert_minus_h_identity,
+    dense,
+    dense_from_stencil,
+)
 from tests.test_tensors import row
 
 L = 2 * np.pi
@@ -131,7 +136,7 @@ def test_criterion_2_invertibility_constant():
         assert delta == pytest.approx(1.0 / 3.0, abs=1e-9)
         lattice = build_torus(1, 1.0 / 64, 64)
         mass = assemble_mass(tensors, lattice)
-        eig_dense = float(np.linalg.eigvalsh(mass.to_dense()).min())
+        eig_dense = float(np.linalg.eigvalsh(dense(mass)).min())
         assert eig_dense >= delta - 1e-8
 
 

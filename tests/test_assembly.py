@@ -33,6 +33,19 @@ def dense_from_stencil(op):
     return mat
 
 
+def dense(op):
+    """Explicit matrix of a stencil operator in C-order flat site indexing, for
+    small lattices; its columns come from the offsets, not from op.matrix."""
+    lat = op.lattice
+    idx = lat.multi_indices()
+    rows = np.arange(lat.total_sites)
+    mat = np.zeros((lat.total_sites, lat.total_sites))
+    for k, lam in enumerate(op.offsets):
+        cols = np.ravel_multi_index(((idx + np.asarray(lam)) % lat.n).T, lat.shape)
+        mat[rows, cols] += op.coef[k].reshape(-1)
+    return mat
+
+
 def _at_offsets(ast, lattice, h, z, t):
     """Coefficient at mod(x + h z, L) for every site x and point z; (sites, points)."""
     pts = np.mod(lattice.coords()[:, None, :] + h * z[None, :, :], lattice.L)
@@ -139,8 +152,8 @@ class TestMass:
     def test_matrix_symmetric(self, hat_setup):
         element, tensors, lattice = hat_setup
         mass = assemble_mass(tensors, lattice)
-        dense = mass.to_dense()
-        np.testing.assert_allclose(dense, dense.T, atol=1e-15)
+        mat = dense(mass)
+        np.testing.assert_allclose(mat, mat.T, atol=1e-15)
 
     def test_smallest_eigenvalue_bounded_by_delta(self):
         element = build_element("hat1d")
@@ -148,7 +161,7 @@ class TestMass:
         lattice = build_torus(1, 1.0 / 64.0, 64)
         mass = assemble_mass(tensors, lattice)
         delta = check_invertibility(tensors)
-        eig_dense = float(np.linalg.eigvalsh(mass.to_dense()).min())
+        eig_dense = float(np.linalg.eigvalsh(dense(mass)).min())
         assert eig_dense >= delta - 1e-10
 
 
@@ -451,8 +464,8 @@ class TestDiagnostics:
         combo = mass.scaled_add(1.0, drift, -0.5)
         assert combo.offsets == mass.offsets == drift.offsets
         assert np.array_equal(combo.coef, mass.coef - 0.5 * drift.coef)
-        np.testing.assert_allclose(combo.to_dense(),
-                                   mass.to_dense() - 0.5 * drift.to_dense(), atol=1e-12)
+        np.testing.assert_allclose(dense(combo),
+                                   dense(mass) - 0.5 * dense(drift), atol=1e-12)
 
 
 class TestMatrix:
@@ -466,16 +479,16 @@ class TestMatrix:
         coef = np.stack([rng.uniform(0.1, 0.5, 4), rng.uniform(3.0, 4.0, 4),
                          rng.uniform(0.1, 0.5, 4)])
         op = StencilOperator(lattice, offsets, coef)
-        dense = op.to_dense()
+        mat = dense(op)
         u = rng.normal(size=4)
-        np.testing.assert_allclose(op.apply(GridFunction(lattice, u)).values[0], dense @ u,
+        np.testing.assert_allclose(op.apply(GridFunction(lattice, u)).values[0], mat @ u,
                                    rtol=1e-14, atol=1e-14)
         solver = LinearSolver(op)
         assert solver.direct
-        np.testing.assert_allclose(solver.solve(u[None])[0], np.linalg.solve(dense, u),
+        np.testing.assert_allclose(solver.solve(u[None])[0], np.linalg.solve(mat, u),
                                    rtol=1e-13)
         means = np.repeat(coef.mean(axis=1, keepdims=True), 4, axis=1)
-        averaged = StencilOperator(lattice, offsets, means).to_dense()
+        averaged = dense(StencilOperator(lattice, offsets, means))
         modes = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(3)) / 4)
         np.testing.assert_allclose(averaged @ modes, modes * _averaged_symbol(op),
                                    rtol=1e-13, atol=1e-13)
@@ -685,6 +698,28 @@ class TestEvaluationCount:
         assert [ast for ast, _, _ in calls] == fields
         self.check_calls(calls, lattice, per_cell)
         assert [out.size for _, _, out in calls] == [n**element.d * per_cell, n * per_cell, 1]
+
+
+def test_drift_assembly_allocates_no_lattice_wide_shift_array():
+    # assembly3d's problem on tensor(3) at 20^3: no drift coefficient spans more
+    # than two axes, so the per-shift sums stay off the full lattice; numpy
+    # reports its allocations to tracemalloc
+    import tracemalloc
+
+    tensors = compute_reference_tensors(build_element("tensor(3)"))
+    problem = parse_problem_text(
+        'd = 3\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\na.3.3 = "1 + 0.1*sin(x3)"\n'
+        'b.1 = "0.1"\nc = "-0.2"\n')
+    lattice = build_torus(3, 2 * np.pi / 20, 20)
+    width = len(tensors.quad.offsets)  # built before the measurement
+    tracemalloc.start()
+    try:
+        assemble_drift(tensors, problem, lattice, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (sites, K * G) array of the K = 8 cell shifts alone would take 8 * sites * G * 8 bytes
+    assert peak < 3 * lattice.total_sites * width * 8
 
 
 def full_point_cells(quad, lattice, t, terms):

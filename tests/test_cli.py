@@ -520,6 +520,22 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("numerical failure: mass is singular")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("T, steps, message", [
+        # U reaches about 1e289 at step 1: finite, but its norm overflows
+        ("10", "3", "non-finite state or |U|_0h at step 1"),
+        # dt * drift overflows before mass - dt * drift can cancel
+        ("1e308", "1", "linear solve failed at step 0: mass - dt * drift overflows at "
+                       "dt = 1.000e+308"),
+    ], ids=["norm", "system"])
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys, T, steps, message):
+        prob = tmp_path / "growth.prob"
+        prob.write_text('a.1.1 = "1"\nphi = "sin(x1)"\nf = "exp(100*t)"\n', encoding="utf-8")
+        code = main(["simulate", "--preset", "hat1d", "--problem", str(prob), "--n", "8",
+                     "--T", T, "--steps", steps, "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_time_dependent_2d_simulate_factors_nothing(self, tmp_path, monkeypatch):
         # one sample and a drift that changes every step: each system serves one
         # solve, so BiCGStab solves it and SuperLU is never called

@@ -7,11 +7,19 @@ the per-cell quadrature of psi that the mollifier used before it came from
 the zero shift's overlap table.  The
 array code must agree with them exactly (``==``) on every built-in element
 and on the element-file fixtures of the suite.
+
+Three more oracles are the lattice-wide code that the cell quadrature, the
+CSR column pattern and the stencil assembly replaced: row-wise ``np.unique``
+and ``np.add.at`` scatters, one ``ravel_multi_index`` per offset, and sums
+over full-lattice arrays rolled once per cell shift.  Their arrays must be
+``==`` to the current ones, dtype and sign bits included.
 """
 
 import numpy as np
 import pytest
 
+from femspde import assembly, expr
+from femspde.assembly import assemble_drift, assemble_noise, mollify_data
 from femspde.elements import (
     build_element,
     compute_gamma,
@@ -29,9 +37,17 @@ from femspde.polynomials import (
     cell_quadrature,
     intersect_cells,
 )
-from femspde.tensors import build_overlap_tables, compute_reference_tensors, default_quad_degree
+from femspde.lattice import build_torus
+from femspde.problem import parse_problem_text
+from femspde.tensors import (
+    CellQuadrature,
+    build_cell_quadrature,
+    build_overlap_tables,
+    compute_reference_tensors,
+    default_quad_degree,
+)
 
-from .test_assembly import SPLIT_HAT
+from .test_assembly import ORACLE_PROBLEMS, SPLIT_HAT
 from .test_cli import SCALED_ELEMENT
 from .test_elements import ELEMENT_TEXT
 
@@ -198,6 +214,78 @@ def lattice_points_oracle(lambda_set, lo, hi):
     return {p for p in seen if np.all(np.asarray(p) >= lo) and np.all(np.asarray(p) <= hi)}
 
 
+def cell_quadrature_oracle(tensors):
+    """Row-wise np.unique of the cell shifts and rounded zeta, and one np.add.at
+    per kind and table."""
+    offsets, tables, d = tensors.gamma, tensors.tables, tensors.d
+    points = np.concatenate([tables[lam].points for lam in offsets])
+    cells = np.floor(points)
+    frac = points - cells
+    shifts, k_idx = np.unique(cells.astype(int), axis=0, return_inverse=True)
+    _, first, p_idx = np.unique(np.round(frac, 12), axis=0, return_index=True,
+                                return_inverse=True)
+    k_idx, p_idx = k_idx.reshape(-1), p_idx.reshape(-1)
+    K, P, G = len(shifts), len(first), len(offsets)
+    diffusion = np.zeros((d, d, K, P, G))
+    transport = np.zeros((d, K, P, G))
+    reaction = np.zeros((K, P, G))
+    mollifier = np.zeros((K, P, 1))
+    start = 0
+    for g, lam in enumerate(offsets):
+        tab = tables[lam]
+        stop = start + len(tab.weights)
+        at = (k_idx[start:stop], p_idx[start:stop], g)
+        w = tab.weights
+        np.add.at(diffusion, (..., *at), w * tab.dpsi_l[None] * -tab.dpsi_0[:, None])
+        np.add.at(transport, (..., *at), w * tab.dpsi_l * tab.psi_0)
+        np.add.at(reaction, at, w * tab.psi_l * tab.psi_0)
+        if lam == (0,) * d:
+            np.add.at(mollifier, at[:2] + (0,), w * tab.psi_0)
+        start = stop
+    shifts = tuple(tuple(int(c) for c in k) for k in shifts)
+    return CellQuadrature(offsets, shifts, frac[first], diffusion, transport, reaction, mollifier)
+
+
+def pattern_oracle(lattice, offsets):
+    """One ravel_multi_index over the sites per offset."""
+    idx = lattice.multi_indices()
+    cols = [np.ravel_multi_index(((idx + lam) % lattice.n).T, lattice.shape) for lam in offsets]
+    nnz = len(idx) * len(offsets)
+    dtype = np.int32 if nnz < 2**31 else np.int64
+    indices = np.stack(cols, axis=1).reshape(-1).astype(dtype)
+    return indices, np.arange(0, nnz + 1, len(offsets), dtype=dtype)
+
+
+def assemble_cells_oracle(quad, lattice, t, terms):
+    """Every term added into one (*lattice.shape, K * G) array, rolled over every
+    axis once per cell shift."""
+    combined = {}
+    for ast, weights in terms:
+        prev = combined.get(id(ast))
+        combined[id(ast)] = (ast, weights if prev is None else prev[1] + weights)
+    if not combined:
+        return np.moveaxis(np.zeros((*lattice.shape, len(quad.offsets))), -1, 0)
+    n_shifts, n_zeta, width = terms[0][1].shape
+    d, h = lattice.d, lattice.h
+    axis = lattice.axis_coords()
+    x = tuple(
+        axis.reshape(tuple(-1 if j == k else 1 for j in range(d)) + (1,)) + h * quad.zeta[:, k]
+        for k in range(d)
+    )
+    local = np.zeros((*lattice.shape, n_shifts * width))
+    for ast, weights in combined.values():
+        vals = expr.eval_many(ast, x, t)
+        cells = vals.shape[:-1]
+        vals = np.broadcast_to(vals, (*cells, n_zeta)).reshape(-1, n_zeta)
+        w = weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
+        local += (vals @ w).reshape(*cells, n_shifts * width)
+    local = local.reshape(*lattice.shape, n_shifts, width)
+    out = np.zeros((*lattice.shape, width))
+    for k, shift in enumerate(quad.shifts):
+        out += np.roll(local[..., k, :], tuple(-c for c in shift), axis=tuple(range(d)))
+    return np.moveaxis(out, -1, 0)
+
+
 # ---------------------------------------------------------------------------
 # sample points
 # ---------------------------------------------------------------------------
@@ -223,6 +311,14 @@ def sample_points(psi, count=400):
 # ---------------------------------------------------------------------------
 # the array code against the oracles
 # ---------------------------------------------------------------------------
+
+
+def assert_identical(got, want):
+    """== with the same dtype, shape and sign bits."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -294,6 +390,21 @@ class TestArrayGeometryMatchesOracles:
         assert quad.mollifier.shape == oracle.shape
         np.testing.assert_array_equal(quad.mollifier, oracle)
 
+    def test_cell_quadrature(self, elements, case):
+        tensors = compute_reference_tensors(elements[case])
+        got, want = build_cell_quadrature(tensors), cell_quadrature_oracle(tensors)
+        assert got.offsets == want.offsets and got.shifts == want.shifts
+        for name in ("zeta", "diffusion", "transport", "reaction", "mollifier"):
+            assert_identical(getattr(got, name), getattr(want, name))
+
+    def test_pattern(self, elements, case):
+        element = elements[case]
+        for n in (4, 6, 16) if element.d < 4 else (4, 6):
+            lattice = build_torus(element.d, 1.0, n)
+            for got, want in zip(assembly._pattern(lattice, element.gamma),
+                                 pattern_oracle(lattice, element.gamma)):
+                assert_identical(got, want)
+
     def test_lattice_points(self, elements, case):
         element = elements[case]
         lo, hi = element.psi.support_bbox()
@@ -301,6 +412,50 @@ class TestArrayGeometryMatchesOracles:
             got = lattice_points_in_box(element.lambda_set, *box)
             assert got == sorted(got)
             assert set(got) == lattice_points_oracle(element.lambda_set, *box)
+
+
+def span_problem(d, span):
+    """Every coefficient and field a product of t-dependent cosines over the axes
+    of span (a function of t alone when span is empty)."""
+    v = "*".join(f"cos(x{k + 1} + {0.1 * (k + 1)}*t)" for k in span) or "(1 + t)"
+    lines = [f"d = {d}"] + [f'a.{k}.{k} = "1 + 0.25*{v}"' for k in range(1, d + 1)]
+    lines += [f'a.1.2 = "0.1*{v}"'] if d > 1 else []
+    lines += [f'b.{k} = "0.1*{v}"' for k in range(1, d + 1)]
+    lines += [f'c = "-0.2*{v}"', f'sigma.1.1 = "0.3*{v}"', f'nu.1 = "0.2*{v}"', f'f = "{v}"',
+              f'g.1 = "0.5*{v}"', f'phi = "{v}"']
+    return parse_problem_text("\n".join(lines))
+
+
+def spans(d):
+    """No axis, the first, the last, the first and last, and every axis."""
+    return sorted({(), (0,), (d - 1,), (0, d - 1), tuple(range(d))})
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c != "tensor(4)"])
+def test_assembly_matches_full_lattice_oracle(elements, case, monkeypatch):
+    # drift, noise and mollified data of coefficients spanning every set of
+    # axes, and of the mixed problems of test_assembly, bit for bit
+    element = elements[case]
+    tensors = compute_reference_tensors(element)
+    d = element.d
+    problems = [span_problem(d, span) for span in spans(d)]
+    problems.append(parse_problem_text(ORACLE_PROBLEMS[d]))
+
+    def build(lattice, problem):
+        return [assemble_drift(tensors, problem, lattice, 0.3).matrix.data,
+                assemble_noise(tensors, problem, lattice, 0.3, 1).matrix.data,
+                *(mollify_data(field, tensors, lattice, 0.3).values
+                  for field in (problem.phi, problem.f, problem.g[1]))]
+
+    for n in (4, 6, 10, 16):
+        lattice = build_torus(d, 2 * np.pi / n, n)
+        got = [build(lattice, problem) for problem in problems]
+        with monkeypatch.context() as patch:
+            patch.setattr(assembly, "_assemble_cells", assemble_cells_oracle)
+            want = [build(lattice, problem) for problem in problems]
+        for arrays, oracles in zip(got, want):
+            for a, b in zip(arrays, oracles):
+                assert_identical(a, b)
 
 
 def test_lattice_points_of_a_sublattice():

@@ -21,7 +21,7 @@ from femspde.integrator import (
 from femspde.lattice import GridFunction, build_torus, norms_0h
 from femspde.problem import parse_problem_text
 from femspde.tensors import compute_reference_tensors
-from tests.test_assembly import dense_from_stencil
+from tests.test_assembly import dense, dense_from_stencil
 
 L = 2 * np.pi
 
@@ -204,7 +204,7 @@ class TestSolveLinear:
             assert solver.direct == (n == n_direct)
             got = solver.solve(rhs.values.reshape(1, -1))[0]
             if solver.direct:
-                want, rtol = np.linalg.solve(op.to_dense(), rhs.values.ravel()), 1e-12
+                want, rtol = np.linalg.solve(dense(op), rhs.values.ravel()), 1e-12
             else:
                 want, rtol = spsolve(op.matrix.copy(), rhs.values.ravel()), 1e-8
             assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
@@ -447,7 +447,7 @@ class TestSplit:
         assert solver.direct and solver._axes == axes
         rhs = rng.normal(size=(3, op.lattice.total_sites))
         got = solver.solve(rhs)
-        want = np.linalg.solve(op.to_dense(), rhs.T).T
+        want = np.linalg.solve(dense(op), rhs.T).T
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_block_equals_column_solves(self, rng):
@@ -471,7 +471,7 @@ class TestSplit:
         small = StencilOperator(build_torus(2, L / 16, 16), op.offsets, coef[:, :16, :16])
         rhs = rng.normal(size=256)
         got = LinearSolver(small).solve(rhs[None])[0]
-        want = np.linalg.solve(small.to_dense(), rhs)
+        want = np.linalg.solve(dense(small), rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_singular_mode_block_reports_step(self, monkeypatch):
