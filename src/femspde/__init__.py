@@ -32,8 +32,6 @@ from .lattice import (
 from .problem import Problem, parse_problem_text
 from .richardson import (
     ConvergenceReport,
-    combine,
-    error_norm,
     estimate_order,
     extrapolation_coefficients,
 )
@@ -67,9 +65,7 @@ __all__ = [
     "check_compatibility",
     "check_invertibility",
     "check_parabolicity",
-    "combine",
     "compute_reference_tensors",
-    "error_norm",
     "estimate_order",
     "extrapolation_coefficients",
     "integrate",

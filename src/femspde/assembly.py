@@ -30,7 +30,7 @@ it, factoring it, the BiCGStab matvec and residual, and the solver's
 preconditioner all use that matrix.  Operators with the same lattice and
 footprint share one read-only column pattern, built as one broadcast sum of
 per-axis column terms, so each operator costs one data array of sites x G
-values.
+values; the solver's per-mode blocks take their columns from the same rule.
 
 Data fields are mollified by the scaled element: phi_h(x) is the integral of
 phi(x + h z) psi(z) dz, evaluated at the same cell points.
@@ -46,6 +46,7 @@ Richardson mixture relies on; tests pin the identity numerically.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -78,7 +79,7 @@ class StencilOperator:
         if not offsets or coef.shape != (len(offsets), *lattice.shape):
             raise ValueError(f"coefficient array shape {coef.shape} does not match stencil")
         data = np.ascontiguousarray(np.moveaxis(coef, 0, -1)).reshape(-1)
-        indices, indptr = _pattern(lattice, offsets)
+        indices, indptr = _pattern(lattice.shape, offsets)
         total = lattice.total_sites
         self.lattice = lattice
         self.offsets = offsets
@@ -110,17 +111,19 @@ class StencilOperator:
 
 
 @functools.lru_cache(maxsize=8)
-def _pattern(lattice: TorusLattice, offsets: tuple[Lam, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only CSR indices and indptr of a stencil: row x holds the columns of
-    x + h lam, one per offset in offset order.  The columns are one (*shape, G)
-    array, the broadcast sum over the axes k of ((i + lam_k) mod n) n^(d-1-k)."""
-    n, d, G = lattice.n, lattice.d, len(offsets)
-    nnz = lattice.total_sites * G
+def _pattern(shape: tuple[int, ...], offsets: tuple[Lam, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR indices and indptr of a periodic stencil on a grid of `shape`:
+    row x holds the columns of x + lam, one per offset in offset order.  The
+    columns are one (*shape, G) array, the broadcast sum over the axes k of
+    ((i + lam_k) mod n_k) times the stride of axis k.  Operators share their
+    lattice's pattern through the cache; LinearSolver's per-mode blocks use the
+    rule uncached (_pattern.__wrapped__)."""
+    d, G = len(shape), len(offsets)
+    nnz = math.prod(shape) * G
     dtype = np.int32 if nnz < 2**31 else np.int64
-    indices = np.zeros((*lattice.shape, G), dtype=dtype)
-    i = np.arange(n)[:, None]
-    for k, lam in enumerate(np.asarray(offsets).T):
-        axis = (i + lam) % n * n ** (d - 1 - k)
+    indices = np.zeros((*shape, G), dtype=dtype)
+    for k, (n, lam) in enumerate(zip(shape, np.asarray(offsets).T)):
+        axis = (np.arange(n)[:, None] + lam) % n * math.prod(shape[k + 1:])
         indices += axis.reshape((1,) * k + (n,) + (1,) * (d - 1 - k) + (G,)).astype(dtype)
     indices = indices.reshape(-1)
     indptr = np.arange(0, nnz + 1, G, dtype=dtype)

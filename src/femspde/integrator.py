@@ -14,34 +14,10 @@ that differ only in their noise path advance together, and one path is a
 block of one sample.
 
 Every operator is its CSR matrix (StencilOperator.matrix): the explicit
-terms are sparse products with it, and the implicit system is solved on it.
-A coefficient array that is constant along a lattice axis commutes with the
-shifts along it, so a real FFT over the axes no coefficient varies along
-splits the system into one independent periodic block per Fourier mode
-(Hockney's Fourier-analysis method; Swarztrauber, SIAM Rev. 19, 1977).  The
-direct path of LinearSolver factors those blocks together by sparse LU.
-With no invariant axis the one block is the whole lattice; with every axis
-invariant (the mass, which has the coefficients R_lam at every site, or
-mass - dt * drift when no coefficient depends on x) each block is one site
-and the solve is one FFT division by the symbol, with no factorization.
-U_0 solves with the mass that way, for phi_h.
-
-Only a system that is reused is factored: LinearSolver takes the direct path
-when the factorization is reused or the lattice is 1-D, and a block has at
-most DIRECT_SITE_LIMIT sites; otherwise BiCGStab, preconditioned by the FFT
-inverse of the x-averaged system (Chan and Ng, SIAM Rev. 38, 1996).  A
-system is reused when it is kept for later steps (no drift expression
-references t) or when one solve covers more than one column (a block of
-samples).  So a t-dependent system of one sample in d >= 2 runs BiCGStab on
-every lattice: on a 2-vCPU x86 host, factoring a 32^2 tensor(2) system and
-solving once costs 3.6 ms against 0.8 ms for one BiCGStab solve, while in
-1-D the factor and solve stays faster (0.2 against 0.95 ms at 64 sites).  A
-kept tensor(2) system with a^11 = 1 + 0.25 cos x1 on 256^2 sites splits into
-129 blocks of 256 sites, formed and factored in about 30 ms with 2e5 entries
-in L + U; each solve then takes about 2 ms, where BiCGStab took about 3.5
-iterations.  BiCGStab runs to the fixed relative tolerance KRYLOV_TOL = 1e-10
-within KRYLOV_MAX_ITER = 2000 iterations, which bounds the accuracy of every
-solve that takes it.
+terms are sparse products with it, and LinearSolver solves the implicit
+system and U_0's mass system by a real FFT over the axes no coefficient
+varies along, then sparse LU of the per-mode blocks or BiCGStab, by the rule
+its docstring states.
 
 Noise increments come from a counter-based generator: the uint64 stream of
 Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
@@ -61,7 +37,7 @@ from numpy.random import Philox
 from scipy.fft import irfftn, rfftn
 from scipy.special import ndtri
 
-from .assembly import AssembledProblem, StencilOperator
+from .assembly import AssembledProblem, Lam, StencilOperator, _pattern
 from .lattice import GridFunction, TorusLattice, norms_0h
 
 
@@ -150,39 +126,54 @@ DIRECT_SITE_LIMIT = 4096
 # test on S alone sees it
 CANCELLATION_TOL = 1e-12
 
-# BiCGStab's relative tolerance and iteration cap
+# BiCGStab's relative tolerance and iteration cap, which bound the accuracy of every
+# solve that takes it
 KRYLOV_TOL = 1e-10
 KRYLOV_MAX_ITER = 2000
 
 
 class LinearSolver:
-    """Solves with one operator, factored only where the factorization pays.
+    """Solves with one operator by a Fourier split, factored only where the
+    factorization pays.
 
-    The direct path splits the operator before it factors it.  An axis along
-    which every coefficient is bit-for-bit constant is invariant: the stencil
-    commutes with shifts along it, so a real FFT over the invariant axes turns
-    the system into one independent periodic block per Fourier mode on the
-    other, varying axes (Hockney, J. ACM 12, 1965; Swarztrauber, SIAM Rev. 19,
-    1977).  _mode_blocks forms the blocks; they are factored together, as one
+    An axis along which every coefficient is bit-for-bit constant is
+    invariant: the stencil commutes with shifts along it, so a real FFT over
+    the invariant axes turns the system into one independent periodic block
+    per Fourier mode on the other, varying axes (Hockney, J. ACM 12, 1965;
+    Swarztrauber, SIAM Rev. 19, 1977).  Every solve here is such a split,
+    _split_solve: the FFT, each mode's solve and the inverse FFT.
+    _mode_blocks forms the blocks; they are factored together, as one
     block-diagonal complex matrix, by sparse LU (SuperLU with a minimum-degree
     ordering on A^T + A).  With no invariant axis the one block is op.matrix
-    itself, factored as a real CSC copy.  With every axis invariant each
-    block is one site, its mode's symbol, and the solve is one FFT division;
-    a symbol with |symbol| <= CANCELLATION_TOL * max|symbol| at some mode is
-    a SolverError, the system being singular to rounding.
+    itself, factored as a real CSC copy.  With every axis invariant (the
+    mass, or mass - dt * drift when no coefficient depends on x) each block is
+    one site, its mode's symbol, and the mode's solve is a division by it.
 
     The direct path is taken when the factorization is reused or the lattice
     is 1-D, and a block has at most DIRECT_SITE_LIMIT sites.  Otherwise the
     system is solved by BiCGStab on op.matrix to the relative tolerance
-    KRYLOV_TOL, preconditioned by the FFT inverse of the x-averaged operator;
-    modes of that symbol with |symbol| <= CANCELLATION_TOL * max|symbol|, and
-    every mode when it vanishes, are left alone, so a singular system still
-    fails at the residual check.
+    KRYLOV_TOL, preconditioned by the split over every axis of the x-averaged
+    operator, whose coefficients are op's averaged over the sites (Chan and
+    Ng, SIAM Rev. 38, 1996).
+
+    A mode whose |symbol| is not above CANCELLATION_TOL * max|symbol|
+    vanishes.  On the direct path a vanishing mode is a SolverError, the
+    system being singular to rounding; the preconditioner leaves such modes
+    alone, and every mode when the whole symbol vanishes, so a singular
+    system still fails at BiCGStab's residual check.
 
     reused says whether the factorization would serve more than one solve or
-    more than one column.  The integrator derives it from the problem and
-    the block width; U_0's solve with the mass and the tests rely on the
-    default.
+    more than one column: the system is kept for later steps (no drift
+    expression references t) or one solve covers a block of samples.  The
+    integrator derives it from the problem and the block width; U_0's solve
+    with the mass and the tests rely on the default.  So a t-dependent system
+    of one sample in d >= 2 runs BiCGStab on every lattice: on a 2-vCPU x86
+    host, factoring a 32^2 tensor(2) system and solving once costs 3.6 ms
+    against 0.8 ms for one BiCGStab solve, while in 1-D the factor and solve
+    stays faster (0.2 against 0.95 ms at 64 sites).  A kept tensor(2) system
+    with a^11 = 1 + 0.25 cos x1 on 256^2 sites splits into 129 blocks of 256
+    sites, formed and factored in about 30 ms with 2e5 entries in L + U; each
+    solve then takes about 2 ms, where BiCGStab took about 3.5 iterations.
     """
 
     def __init__(self, op: StencilOperator, reused: bool = True):
@@ -191,23 +182,15 @@ class LinearSolver:
         if self.direct:
             self._axes = _invariant_axes(op)
             self.direct = lattice.n ** (lattice.d - len(self._axes)) <= DIRECT_SITE_LIMIT
-        if not self.direct:
-            self._matrix = op.matrix
-            shape = lattice.shape
-            symbol = _averaged_symbol(op)
+        every = tuple(range(lattice.d))
+        if not self.direct or self._axes == every:  # op's x-average, or op itself
+            self._factor = symbol = _mode_symbols(op, every)[0][..., 0]
             size = np.abs(symbol)
-            symbol[size <= CANCELLATION_TOL * size.max()] = 1.0
-            self._precond = scipy.sparse.linalg.LinearOperator(
-                op.matrix.shape, dtype=float,
-                matvec=lambda v: irfftn(rfftn(v.reshape(shape)) / symbol, s=shape).reshape(-1),
-            )
-        elif len(self._axes) == lattice.d:  # op is its own x-average
-            self._symbol = _averaged_symbol(op)
-            size = np.abs(self._symbol)
-            smallest, largest = float(size.min()), float(size.max())
-            if not smallest > CANCELLATION_TOL * largest:
-                raise SolverError(f"singular: its symbol falls to {smallest:.3e} "
-                                  f"against a maximum of {largest:.3e}")
+            vanishing = ~(size > CANCELLATION_TOL * size.max())  # a NaN mode too
+            if self.direct and vanishing.any():
+                raise SolverError(f"singular: its symbol falls to {size.min():.3e} "
+                                  f"against a maximum of {size.max():.3e}")
+            symbol[vanishing] = 1.0
         else:
             if self._axes:
                 # panel_size=1, relax=1 keep SuperLU's dense panel workspace at O(N): on
@@ -218,32 +201,33 @@ class LinearSolver:
             else:
                 matrix, options = op.matrix.tocsc(), {}
             try:
-                self._lu = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A", **options)
+                self._factor = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                                                        **options)
             except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
+        if not self.direct:
+            # the matvec holds the symbol, not the solver: a cycle through the solver
+            # would keep every single-use system alive until the cyclic collector runs
+            shape = lattice.shape
+            self._matrix = op.matrix
+            self._precond = scipy.sparse.linalg.LinearOperator(
+                op.matrix.shape, dtype=float,
+                matvec=lambda v: _split_solve(v.reshape(1, *shape), every, symbol).reshape(-1),
+            )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for every row of a (samples, total_sites) block: one FFT over
-        the invariant axes, one multi-RHS solve of every mode's block and one
-        inverse FFT, or one BiCGStab run per row, each with its own residual check."""
+        """Solve for every row of a (samples, total_sites) block: one split of
+        the whole block, or one BiCGStab run per row, each with its own
+        residual check."""
         lattice = self.lattice
         if rhs.ndim != 2 or rhs.shape[1] != lattice.total_sites:
             raise ValueError(f"right-hand side shape {rhs.shape} is not "
                              f"(samples, {lattice.total_sites})")
         if not self.direct:
             return np.stack([self._krylov(row, s, len(rhs)) for s, row in enumerate(rhs)])
-        axes = tuple(k + 1 for k in self._axes)  # axis 0 holds the samples
         block = rhs.reshape(len(rhs), *lattice.shape)
-        if axes:
-            block = rfftn(block, axes=axes)
-        if len(axes) == lattice.d:
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                block = block / self._symbol
-        else:
-            block = self._lu.solve(block.reshape(len(rhs), -1).T).T.reshape(block.shape)
-        if axes:
-            block = irfftn(block, s=(lattice.n,) * len(axes), axes=axes)
-        out = block.reshape(len(rhs), -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            out = _split_solve(block, self._axes, self._factor).reshape(len(rhs), -1)
         if not np.all(np.isfinite(out)):
             raise SolverError("direct solve produced non-finite values")
         return out
@@ -266,24 +250,40 @@ class LinearSolver:
         return out
 
 
+def _split_solve(block: np.ndarray, axes: tuple[int, ...], factor) -> np.ndarray:
+    """Solve for every sample of a (samples, *shape) block with a system split
+    by a real FFT over the lattice `axes`: the FFT, each mode's solve and the
+    inverse FFT.  Over every axis each block is one site and factor is the
+    symbol, which the modes are divided by; otherwise factor is the SuperLU
+    factorization of every mode's block, in the C order of the spectrum."""
+    axes = tuple(k + 1 for k in axes)  # axis 0 holds the samples
+    modes = rfftn(block, axes=axes) if axes else block
+    if len(axes) == block.ndim - 1:
+        modes = modes / factor
+    else:
+        modes = factor.solve(modes.reshape(len(block), -1).T).T.reshape(modes.shape)
+    return irfftn(modes, s=[block.shape[k] for k in axes], axes=axes) if axes else modes
+
+
 def _invariant_axes(op: StencilOperator) -> tuple[int, ...]:
     """The lattice axes along which op's (sites, G) coefficients are bit-for-bit constant."""
     coef = op.matrix.data.reshape(*op.lattice.shape, -1)
     return tuple(k for k in range(op.lattice.d) if (coef == coef.take([0], axis=k)).all())
 
 
-def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarray, list[Lam]]:
     """The entries of op's per-mode blocks after a real FFT over `axes`.
 
-    The offsets are grouped by their components off `axes` (shifts, (groups,
-    d), zero on `axes`).  At each site x of the other axes, group g has the
-    kernel K[x, g, -lam_axes mod n] = the sum over its lam of the mean over
-    `axes` of coef(lam, x), so rfftn over `axes` gives the entry of mode m's
-    block in row x, column x + shift_g: the sum of coef(lam, x)
-    exp(2 pi i m.lam / n).  When op does not vary along `axes` each mean is
-    the coefficient itself up to the rounding of the sum.  Returns the
-    entries, (*mode shape, groups) with the modes on `axes` and the sites on
-    the other axes, and the shifts.
+    The offsets are grouped by their components off `axes` (shifts, zero on
+    `axes`).  At each site x of the other axes, group g has the kernel
+    K[x, g, -lam_axes mod n] = the sum over its lam of the mean over `axes`
+    of coef(lam, x), so rfftn over `axes` gives the entry of mode m's block in
+    row x, column x + shift_g: the sum of coef(lam, x) exp(2 pi i m.lam / n).
+    When op does not vary along `axes` each mean is the coefficient itself up
+    to the rounding of the sum.  Over every axis there is one group, the
+    zero shift, and its entries are the symbol of op's x-average.  Returns
+    the entries, (*mode shape, groups) with the modes on `axes` and the sites
+    on the other axes, and the shifts.
     """
     lattice = op.lattice
     n, d = lattice.n, lattice.d
@@ -298,30 +298,19 @@ def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarra
     kernel = np.zeros((*lattice.shape, len(shifts)))  # the varying axes first, then `axes`
     np.add.at(kernel, (..., *(-lams[:, list(axes)] % n).T, group), means)
     kernel = np.moveaxis(kernel, range(len(varying)), varying)
-    return rfftn(kernel, axes=axes), np.array(shifts)
-
-
-def _averaged_symbol(op: StencilOperator) -> np.ndarray:
-    """rfftn symbol of the stencil whose coefficients are op's averaged over the sites:
-    the one-site blocks of a split over every axis.
-
-    That stencil is the circular convolution with the kernel
-    K[-lam mod n] = mean_x coef(lam, x), so its eigenvalues are rfftn(K).
-    """
-    return _mode_symbols(op, tuple(range(op.lattice.d)))[0][..., 0]
+    return rfftn(kernel, axes=axes), shifts
 
 
 def _mode_blocks(op: StencilOperator, axes: tuple[int, ...]) -> scipy.sparse.csc_matrix:
     """Every mode's block of op after a real FFT over `axes`, as one complex CSC
-    matrix in the C order of the (*mode shape) spectrum."""
+    matrix in the C order of the (*mode shape) spectrum; row x holds the
+    columns of x + shift_g, periodic on the spectrum's grid, by the stencils'
+    own column rule."""
     entries, shifts = _mode_symbols(op, axes)
     shape = entries.shape[:-1]
-    rows = np.indices(shape).reshape(len(shape), -1)
-    cols = np.stack([np.ravel_multi_index(rows + lam[:, None], shape, mode="wrap")
-                     for lam in shifts], axis=1)
-    total, width = cols.shape
-    indptr = np.arange(0, total * width + 1, width)
-    return scipy.sparse.csr_matrix((entries.reshape(-1), cols.reshape(-1), indptr),
+    total = math.prod(shape)
+    indices, indptr = _pattern.__wrapped__(shape, shifts)
+    return scipy.sparse.csr_matrix((entries.reshape(-1), indices, indptr),
                                    shape=(total, total)).tocsc()
 
 
@@ -469,7 +458,10 @@ def integrate(
 
     u0 = assembled.memo("u0", initial)
     u = GridFunction(lattice, np.repeat(u0.values, 1 if noises is None else len(noises), axis=0))
-    sup = float(norms_0h(lattice, u.values).max())
+    norms = norms_0h(lattice, u.values)
+    if not np.all(np.isfinite(norms)):  # before any step, so that no step is blamed
+        raise IntegrationError("non-finite initial state or |U|_0h")
+    sup = float(norms.max())
     states = [u] if record == "all" else None
     if observe is not None:
         observe(0, u)

@@ -1,4 +1,4 @@
-"""Richardson extrapolation: mixture coefficients, combination, order fits.
+"""Richardson extrapolation: mixture coefficients, trajectory errors, order fits.
 
 A single extra mesh level buys two orders of accuracy here because the
 scheme's error expands in even powers of h only; halving h scales the k-th
@@ -54,26 +54,6 @@ def extrapolation_coefficients(jbar: int, ratio: float = RATIO_QUARTER) -> np.nd
     return coeffs
 
 
-def combine(level_solutions: list[GridFunction], coefficients: np.ndarray) -> GridFunction:
-    """Mixture of nested-level solutions with extrapolation_coefficients' weights,
-    restricted by injection to the coarsest, sample by sample."""
-    if len(level_solutions) != len(coefficients):
-        raise ValueError(f"expected {len(coefficients)} level solutions, "
-                         f"got {len(level_solutions)}")
-    coarse = level_solutions[0].lattice
-    out = np.zeros(level_solutions[0].values.shape)
-    for c, sol in zip(coefficients, level_solutions):
-        out += c * restrict(sol, coarse).values
-    return GridFunction(coarse, out)
-
-
-def error_norm(u: GridFunction, reference: GridFunction) -> np.ndarray:
-    """|u - reference|_{0,h} of every sample, on a shared lattice."""
-    if u.lattice != reference.lattice:
-        raise ValueError(f"lattice mismatch: {u.lattice} vs {reference.lattice}")
-    return norms_0h(u.lattice, u.values - reference.values)
-
-
 def trajectory_error(
     states: list[GridFunction], ref_states: list[GridFunction], lattice: TorusLattice
 ) -> np.ndarray:
@@ -83,7 +63,8 @@ def trajectory_error(
         raise ValueError("trajectories record different numbers of states")
     worst = 0.0
     for u, ref in zip(states, ref_states):
-        worst = np.maximum(worst, error_norm(restrict(u, lattice), restrict(ref, lattice)))
+        diff = restrict(u, lattice).values - restrict(ref, lattice).values
+        worst = np.maximum(worst, norms_0h(lattice, diff))
     return worst
 
 

@@ -15,18 +15,9 @@ accelerated rate being measured.
 
 Stochastic studies average squared errors over per-sample seeds before
 fitting, i.e. they fit the root-mean-square (strong) error.  Only the noise
-path changes between samples, so the samples advance together as one
-block (integrator.integrate with a list of noise paths): every step is one
-stencil apply per operator and one multi-RHS LU solve for the whole block,
-with one factorization per lattice, kept between chunks (one per step
-when the drift depends on t; a block of one sample then runs BiCGStab
-instead in 2-D and 3-D, by the integrator's rule).  The solver's site
-limit (4096 sites) counts the sites of one block, n^(varying axes): a
-system constant along some axis is split by an FFT over those axes, and
-its blocks are factored and run no BiCGStab while they are within the
-limit.  Above it BiCGStab still runs once per sample (column),
-preconditioned by the FFT inverse of the x-averaged system, so there the
-chunk size changes only the memory.
+path changes between samples, so the samples advance together as one block
+(integrator.integrate with a list of noise paths), and each step is one
+solve of a system shared by the block, by integrator.LinearSolver's rule.
 
 The samples run in chunks sized by the bytes a chunk stores.  One sample
 stores, at every time index, the reference and each mixture's finer-level
@@ -40,9 +31,9 @@ assembled, their implicit system factored, until the last chunk.
 Nothing keeps whole trajectories.  Within a chunk the lattices run from the
 finest down; the reference mixture is kept injected onto the finest ladder
 mesh, each unfinished mixture keeps its finer levels' weighted terms
-injected onto its base mesh, and each ladder mesh's max-over-time errors
-are updated step by step while its own lattice runs, the last level of its
-mixture.
+injected onto its base mesh, and each ladder mesh's max-over-time base and
+mixture errors are updated together, step by step, while its own lattice
+runs, the last level of its mixture.
 """
 
 from __future__ import annotations
@@ -80,6 +71,8 @@ def resolve_steps(T: float, L: float, n_finest: int, steps: int | None = None) -
         return int(steps)
     h_finest = L / n_finest
     dt = DT_FACTOR * h_finest**2
+    if not (dt > 0.0 and math.isfinite(T / dt)):
+        raise ValueError(f"T = {T} over dt = {dt} gives no finite number of steps")
     return max(1, int(np.ceil(T / dt)))
 
 
@@ -135,9 +128,8 @@ def run_convergence_study(
 
     Each chunk of samples visits the lattices from the finest down and
     advances as one block on each; a lattice is assembled once and dropped
-    after the last chunk.  Mixtures sum their levels in level order, as
-    richardson.combine does, so the errors do not depend on the visiting
-    order or the chunks.
+    after the last chunk.  Mixtures sum their levels in level order, so the
+    errors do not depend on the visiting order or the chunks.
     """
     _validate_ladder(cfg)
     if cfg.samples < 1:
@@ -160,9 +152,8 @@ def run_convergence_study(
         for j in range(levels):
             uses.setdefault(root * 2**j, []).append((root, j))
     finest = max(cfg.ladder_n)
-    index = {n: i for i, n in enumerate(cfg.ladder_n)}
-    base_err = np.zeros((len(cfg.ladder_n), rows))
-    mix_err = np.zeros((len(cfg.ladder_n), rows))
+    # per ladder mesh and row, the max over time of the base (0) and mixture (1) errors
+    errors = np.zeros((2, len(cfg.ladder_n), rows))
 
     def inject(block: np.ndarray, m: int, n: int) -> np.ndarray:
         """The sites of lattice n out of a (rows, m, ..., m) block on lattice m."""
@@ -205,18 +196,17 @@ def run_convergence_study(
                         terms[root][j][k] = mixture
                         continue
                     # m is the root itself, its last level: sum the mixture in
-                    # level order, as richardson.combine does
+                    # level order (with jbar = 0 it is 1.0 * U, the base itself)
                     for level in range(1, levels):
                         mixture += terms[root][level][k]
                     if root == cfg.ref_n:
                         ref[k] = mixture
                         continue
-                    i, r = index[root], inject(ref[k], finest, root)
-                    base_err[i, part] = np.maximum(base_err[i, part],
-                                                   norms_0h(lattice, block - r))
-                    if cfg.jbar >= 1:
-                        mix_err[i, part] = np.maximum(mix_err[i, part],
-                                                      norms_0h(lattice, mixture - r))
+                    diff = np.stack([block, mixture])
+                    diff -= inject(ref[k], finest, root)
+                    norms = norms_0h(lattice, diff.reshape(-1, *block.shape[1:]))
+                    i = cfg.ladder_n.index(root)
+                    errors[:, i, part] = np.maximum(errors[:, i, part], norms.reshape(2, -1))
 
             integrate(assembled, None if noises is None else noises[part], cfg.T, steps,
                       record="terminal", observe=observe)
@@ -227,21 +217,12 @@ def run_convergence_study(
                 kept[m] = assembled
             del assembled  # the last chunk frees it before the next lattice is assembled
 
+    # root mean square over the samples, summed in sample order by one cumulative
+    # sum; a single row stands for every sample
+    squares = np.broadcast_to(errors, (*errors.shape[:2], cfg.samples)) ** 2
+    rms = np.sqrt(np.cumsum(squares, axis=-1)[..., -1] / cfg.samples).tolist()
     hs = [cfg.L / n for n in cfg.ladder_n]
-    base = ConvergenceReport("base", hs, list(cfg.ladder_n), _rms(base_err, cfg.samples))
-    mixture = None
-    if cfg.jbar >= 1:
-        mixture = ConvergenceReport(
-            f"mixture jbar={cfg.jbar}", hs, list(cfg.ladder_n), _rms(mix_err, cfg.samples)
-        )
-    return StudyResult(base=base, mixture=mixture, steps=steps, dt=dt, samples=cfg.samples)
-
-
-def _rms(errors: np.ndarray, samples: int) -> list[float]:
-    """Root mean square over the samples of each ladder mesh's (rows,) errors,
-    summed in sample order; a single row stands for every sample."""
-    sq = np.zeros(len(errors))
-    for i, row in enumerate(errors):
-        for s in range(samples):
-            sq[i] += float(row[s % len(row)]) ** 2
-    return np.sqrt(sq / samples).tolist()
+    base, mixture = (ConvergenceReport(label, hs, list(cfg.ladder_n), e)
+                     for label, e in zip(("base", f"mixture jbar={cfg.jbar}"), rms))
+    return StudyResult(base=base, mixture=mixture if cfg.jbar >= 1 else None, steps=steps,
+                       dt=dt, samples=cfg.samples)

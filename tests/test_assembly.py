@@ -12,7 +12,7 @@ from femspde.assembly import (
 )
 from femspde.checks import check_invertibility
 from femspde.elements import build_element, parse_element_text
-from femspde.integrator import LinearSolver, _averaged_symbol, implicit_system
+from femspde.integrator import LinearSolver, _mode_symbols, implicit_system
 from femspde.lattice import GridFunction, build_torus
 from femspde.polynomials import cell_quadrature
 from femspde.problem import parse_problem_text
@@ -490,7 +490,7 @@ class TestMatrix:
         means = np.repeat(coef.mean(axis=1, keepdims=True), 4, axis=1)
         averaged = dense(StencilOperator(lattice, offsets, means))
         modes = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(3)) / 4)
-        np.testing.assert_allclose(averaged @ modes, modes * _averaged_symbol(op),
+        np.testing.assert_allclose(averaged @ modes, modes * _mode_symbols(op, (0,))[0][..., 0],
                                    rtol=1e-13, atol=1e-13)
 
     def test_operators_share_one_read_only_pattern(self, hat_setup, rng):

@@ -536,6 +536,27 @@ class TestSimulate:
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_initial_state_is_a_numerical_failure(self, tmp_path, capsys):
+        # U_0's norm overflows before any step runs, so no step is named
+        prob = tmp_path / "huge.prob"
+        prob.write_text('d = 1\na.1.1 = "1"\nphi = "1e200*sin(x1)"\n', encoding="utf-8")
+        code = main(["simulate", "--preset", "hat1d", "--problem", str(prob), "--n", "8",
+                     "--T", "0.1", "--steps", "2", "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical failure: non-finite initial state or |U|_0h\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "convergence"])
+    def test_overflowing_step_count_is_an_error(self, tmp_path, problem_file, capsys, command):
+        # without --steps, T / dt = 1e308 / (0.5 h^2) overflows
+        code = main([command, "--preset", "hat1d", "--problem", problem_file, "--n", "8",
+                     "--T", "1e308", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: T = 1e+308 over dt = ") and err.count("\n") == 1
+        assert err.endswith(" gives no finite number of steps\n")
+        assert not (tmp_path / "o").exists()
+
     def test_time_dependent_2d_simulate_factors_nothing(self, tmp_path, monkeypatch):
         # one sample and a drift that changes every step: each system serves one
         # solve, so BiCGStab solves it and SuperLU is never called

@@ -8,17 +8,20 @@ the zero shift's overlap table.  The
 array code must agree with them exactly (``==``) on every built-in element
 and on the element-file fixtures of the suite.
 
-Three more oracles are the lattice-wide code that the cell quadrature, the
-CSR column pattern and the stencil assembly replaced: row-wise ``np.unique``
-and ``np.add.at`` scatters, one ``ravel_multi_index`` per offset, and sums
-over full-lattice arrays rolled once per cell shift.  Their arrays must be
-``==`` to the current ones, dtype and sign bits included.
+Four more oracles are the lattice-wide code that the cell quadrature, the
+CSR column pattern, the stencil assembly and the solver's per-mode blocks
+replaced: row-wise ``np.unique`` and ``np.add.at`` scatters, one
+``ravel_multi_index`` per offset, sums over full-lattice arrays rolled once
+per cell shift, and one ``ravel_multi_index`` over the spectrum per shift
+group.  Their arrays must be ``==`` to the current ones, dtype and sign bits
+included.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from femspde import assembly, expr
+from femspde import assembly, expr, integrator
 from femspde.assembly import assemble_drift, assemble_noise, mollify_data
 from femspde.elements import (
     build_element,
@@ -50,6 +53,7 @@ from femspde.tensors import (
 from .test_assembly import ORACLE_PROBLEMS, SPLIT_HAT
 from .test_cli import SCALED_ELEMENT
 from .test_elements import ELEMENT_TEXT
+from .test_integrator import DET2D, split_system
 
 # triangle2d written out as an element file, each vertex list starting at a
 # different corner than the preset's
@@ -256,6 +260,20 @@ def pattern_oracle(lattice, offsets):
     return indices, np.arange(0, nnz + 1, len(offsets), dtype=dtype)
 
 
+def mode_blocks_oracle(op, axes):
+    """Every mode's block after a real FFT over `axes` as one complex CSC matrix,
+    its columns one ravel_multi_index over the spectrum per shift group."""
+    entries, shifts = integrator._mode_symbols(op, axes)
+    shape = entries.shape[:-1]
+    rows = np.indices(shape).reshape(len(shape), -1)
+    cols = np.stack([np.ravel_multi_index(rows + lam[:, None], shape, mode="wrap")
+                     for lam in np.asarray(shifts)], axis=1)
+    total, width = cols.shape
+    indptr = np.arange(0, total * width + 1, width)
+    return scipy.sparse.csr_matrix((entries.reshape(-1), cols.reshape(-1), indptr),
+                                   shape=(total, total)).tocsc()
+
+
 def assemble_cells_oracle(quad, lattice, t, terms):
     """Every term added into one (*lattice.shape, K * G) array, rolled over every
     axis once per cell shift."""
@@ -401,7 +419,7 @@ class TestArrayGeometryMatchesOracles:
         element = elements[case]
         for n in (4, 6, 16) if element.d < 4 else (4, 6):
             lattice = build_torus(element.d, 1.0, n)
-            for got, want in zip(assembly._pattern(lattice, element.gamma),
+            for got, want in zip(assembly._pattern(lattice.shape, element.gamma),
                                  pattern_oracle(lattice, element.gamma)):
                 assert_identical(got, want)
 
@@ -412,6 +430,29 @@ class TestArrayGeometryMatchesOracles:
             got = lattice_points_in_box(element.lambda_set, *box)
             assert got == sorted(got)
             assert set(got) == lattice_points_oracle(element.lambda_set, *box)
+
+
+TENSOR3_X1 = 'd = 3\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\na.3.3 = "1"\nc = "-0.2"'
+TENSOR3_X1_X3 = 'd = 3\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\na.3.3 = "1 + 0.1*sin(x3)"\nc = "-0.2"'
+TRIANGLE_X2 = 'd = 2\na.1.1 = "1"\na.2.2 = "1 + 0.25*cos(x2)"\nb.1 = "0.3"\nc = "-0.2"'
+
+
+@pytest.mark.parametrize("preset, n, text, axes", [
+    ("tensor(2)", 4, DET2D, (1,)),
+    ("tensor(2)", 8, DET2D, (1,)),
+    ("tensor(2)", 16, DET2D, (1,)),
+    ("tensor(3)", 6, TENSOR3_X1_X3, (1,)),
+    ("tensor(3)", 6, TENSOR3_X1, (1, 2)),
+    ("triangle2d", 8, TRIANGLE_X2, (0,)),
+], ids=["tensor2-4", "tensor2-8", "tensor2-16", "tensor3-x2", "tensor3-x2-x3", "triangle2d-x1"])
+def test_mode_blocks(preset, n, text, axes):
+    op = split_system(preset, n, text)
+    assert integrator._invariant_axes(op) == axes
+    got, want = integrator._mode_blocks(op, axes), mode_blocks_oracle(op, axes)
+    for part in (np.real, np.imag):
+        assert_identical(part(got.data), part(want.data))
+    assert_identical(got.indices, want.indices)
+    assert_identical(got.indptr, want.indptr)
 
 
 def span_problem(d, span):

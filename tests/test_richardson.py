@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from femspde.lattice import GridFunction, build_torus
-from femspde.richardson import (
-    ConvergenceReport,
-    combine,
-    error_norm,
-    estimate_order,
-    extrapolation_coefficients,
-)
+from femspde.richardson import ConvergenceReport, estimate_order, extrapolation_coefficients
+
+from .mixture_oracles import combine, error_norm
 
 
 def solve_vandermonde_exact(jbar, ratio):

@@ -93,7 +93,9 @@ class TestStochasticStudy:
         from femspde.assembly import AssembledProblem
         from femspde.integrator import integrate
         from femspde.lattice import build_torus, restrict
-        from femspde.richardson import combine, error_norm, estimate_order, extrapolation_coefficients
+        from femspde.richardson import estimate_order, extrapolation_coefficients
+
+        from .mixture_oracles import combine, error_norm
 
         element, tensors = hat
         problem = parse_problem_text(STOCH_PROBLEM)
@@ -147,7 +149,9 @@ def fresh_study_errors(element, tensors, problem, cfg):
     from femspde.assembly import AssembledProblem
     from femspde.integrator import integrate
     from femspde.lattice import build_torus
-    from femspde.richardson import combine, extrapolation_coefficients, trajectory_error
+    from femspde.richardson import extrapolation_coefficients, trajectory_error
+
+    from .mixture_oracles import combine
 
     steps = cfg.resolved_steps()
     dt = cfg.T / steps
