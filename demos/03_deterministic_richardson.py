@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from femspde import build_element, compute_reference_tensors, parse_problem_text
-from femspde.richardson import write_loglog_svg
+from femspde.richardson import loglog_svg
 from femspde.study import StudyConfig, run_convergence_study
 
 PROBLEM = """
@@ -59,5 +59,6 @@ print(f"mixture with 1/16 spacing: fitted order {wrong.mixture.fitted_order:.3f}
       "(the h^2 term survives)")
 
 os.makedirs("demo_output", exist_ok=True)
-write_loglog_svg("demo_output/richardson.svg", result.reports())
+with open("demo_output/richardson.svg", "w", encoding="utf-8", newline="\n") as fh:
+    fh.write(loglog_svg(result.reports()))
 print("\nlog-log plot written to demo_output/richardson.svg")

@@ -9,8 +9,10 @@ Three subcommands cover the workflow:
 plus ``femspde replay manifest.json`` which re-executes a recorded run.
 Every run writes its outputs under a timestamped directory containing a
 manifest sufficient for bit-exact replay: problem and element sources are
-inlined, so a manifest is self-contained.  A command makes the directory
-only once its run has finished, so a failed run leaves none behind.
+inlined, so a manifest is self-contained.  Input files are read by one
+function, _read_text, and run files written by one, _write_run, which makes
+the directory once every file but the streamed states.csv is formatted and
+writes manifest.json last, so a failed run leaves no directory behind.
 
 Exit codes: 0 success/PASS, 1 usage or input error, 2 verification FAIL,
 3 numerical failure.
@@ -19,12 +21,14 @@ Exit codes: 0 success/PASS, 1 usage or input error, 2 verification FAIL,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +47,10 @@ from .elements import (
 )
 from .expr import EvalError, ExprSyntaxError
 from .integrator import IntegrationError, NoisePath, SolverError, integrate
-from .lattice import build_torus, write_grid_function_csv, write_states_csv
+from .lattice import build_torus, grid_function_to_csv, states_csv
 from .polynomials import GeometryError
 from .problem import Problem, ProblemFormatError, parse_problem_text
-from .richardson import RATIO_QUARTER, RATIO_SIXTEENTH, write_loglog_svg
+from .richardson import RATIO_QUARTER, RATIO_SIXTEENTH, loglog_svg
 from .study import MIN_LADDER, StudyConfig, resolve_steps, run_convergence_study
 from .tensors import ReferenceTensors, compute_reference_tensors
 
@@ -185,28 +189,24 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _make_run_dir(out: str | None, command: str) -> str:
+def _write_run(out: str | None, config: RunConfig, files: dict[str, Iterable[str]]) -> str:
+    """Make a fresh run directory under out, write each file's text chunks
+    (UTF-8, LF line endings) and manifest.json last; the directory's path."""
     base = out or os.environ.get(OUTPUT_DIR_ENV) or "runs"
     for attempt in range(100):
         stamp = time.strftime("%Y%m%d-%H%M%S") + f"-{int((time.time() % 1) * 1e6):06d}"
         suffix = "" if attempt == 0 else f"-{attempt}"
-        path = os.path.join(base, f"run-{stamp}{suffix}-{command}")
-        try:
-            os.makedirs(path, exist_ok=False)
-            return path
-        except FileExistsError:
-            continue
-    raise OSError(f"could not create a fresh run directory under {base!r}")
-
-
-def _write_text(run_dir: str, name: str, text: str) -> None:
-    with open(os.path.join(run_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_manifest(run_dir: str, config: RunConfig) -> None:
-    _write_text(run_dir, "manifest.json",
-                json.dumps(config.to_manifest(), sort_keys=True, indent=2) + "\n")
+        run_dir = os.path.join(base, f"run-{stamp}{suffix}-{config.command}")
+        with contextlib.suppress(FileExistsError):
+            os.makedirs(run_dir, exist_ok=False)
+            break
+    else:
+        raise OSError(f"could not create a fresh run directory under {base!r}")
+    manifest = json.dumps(config.to_manifest(), sort_keys=True, indent=2) + "\n"
+    for name, chunks in {**files, "manifest.json": [manifest]}.items():
+        with open(os.path.join(run_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    return run_dir
 
 
 def _load_element(config: RunConfig, structural_only: bool = False) -> FiniteElement:
@@ -258,9 +258,7 @@ def run_verify_element(config: RunConfig, out: str | None) -> int:
     )
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
-    run_dir = _make_run_dir(out, config.command)
-    _write_text(run_dir, "verify_report.txt", table)
-    _write_manifest(run_dir, config)
+    _write_run(out, config, {"verify_report.txt": [table]})
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
@@ -275,11 +273,10 @@ def run_simulate(config: RunConfig, out: str | None) -> int:
     if problem.has_noise:
         noise = NoisePath(config.seed, steps, dt, problem.rho_max)
     traj = integrate(assembled, noise, config.T, steps, record=config.record)
-    run_dir = _make_run_dir(out, config.command)
-    write_grid_function_csv(os.path.join(run_dir, "terminal.csv"), traj.terminal)
-    if config.record == "all":
-        write_states_csv(os.path.join(run_dir, "states.csv"), traj.times, traj.states)
-    _write_manifest(run_dir, config)
+    files = {"terminal.csv": [grid_function_to_csv(traj.terminal)]}
+    if config.record == "all":  # streamed: one state's text at a time
+        files["states.csv"] = states_csv(traj.times, traj.states)
+    run_dir = _write_run(out, config, files)
     sys.stdout.write(
         f"simulate: {steps} steps, dt = {dt:.6g}, sup |U|_0h = {traj.sup_norm_0h:.12g}\n"
         f"outputs in {run_dir}\n"
@@ -304,21 +301,19 @@ def run_convergence(config: RunConfig, out: str | None) -> int:
     )
     result = run_convergence_study(element, tensors, problem, study)
     config.steps = result.steps  # manifest records the resolved time grid
-    # every report is formatted before any is written: a report whose errors
-    # admit no order fit (a zero error) raises here and leaves no file behind
-    tables = [report.to_csv() for report in result.reports()]
-    run_dir = _make_run_dir(out, config.command)
-    for name, table in zip(("base_report.csv", "mixture_report.csv"), tables):
-        _write_text(run_dir, name, table)
+    # every file is formatted before the run directory exists: a report whose
+    # errors admit no order fit (a zero error) raises here and leaves no file behind
+    files = {name: [report.to_csv()]
+             for name, report in zip(("base_report.csv", "mixture_report.csv"), result.reports())}
+    if config.svg:
+        files["convergence.svg"] = [loglog_svg(result.reports())]
+    run_dir = _write_run(out, config, files)
     summary = [
         f"convergence: {result.steps} steps, dt = {result.dt:.6g}, samples = {result.samples}",
         f"base fitted order     = {result.base.fitted_order:.4f}",
     ]
     if result.mixture is not None:
         summary.append(f"mixture fitted order  = {result.mixture.fitted_order:.4f}")
-    if config.svg:
-        write_loglog_svg(os.path.join(run_dir, "convergence.svg"), result.reports())
-    _write_manifest(run_dir, config)
     sys.stdout.write("\n".join(summary) + f"\noutputs in {run_dir}\n")
     return EXIT_OK
 
@@ -411,10 +406,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "replay":
+            text = _read_text(args.manifest, "manifest")
             try:
-                with open(args.manifest, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+                doc = json.loads(text)
+            except json.JSONDecodeError as exc:
                 raise UsageError(f"cannot read manifest: {exc}") from exc
             config = RunConfig.from_manifest(doc)
         else:

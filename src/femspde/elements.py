@@ -28,7 +28,9 @@ from .polynomials import (
     PiecewisePolynomial,
     Polynomial,
     Simplex,
+    parse_integer,
     parse_number,
+    read_key_values,
 )
 
 
@@ -262,30 +264,10 @@ non-negative integers to a coefficient.  Lines starting with '#' are comments.
 
 def parse_element_text(text: str) -> FiniteElement:
     """Parse the documented element file format; see ELEMENT_FORMAT_DOC."""
-    header: dict[str, str] = {}
-    cells: list[dict[str, str]] = []
-    current: dict[str, str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[cell]":
-            current = {}
-            cells.append(current)
-            continue
-        if "=" not in line:
-            raise ElementFormatError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        target = header if current is None else current
-        if key in target:
-            raise ElementFormatError(f"line {lineno}: duplicate key {key!r}")
-        target[key] = value
+    header, cells = read_key_values(text, ElementFormatError, section="[cell]")
     if "d" not in header:
         raise ElementFormatError("missing header key 'd'")
-    try:
-        d = int(header["d"])
-    except ValueError:
-        raise ElementFormatError(f"d must be an integer, got {header['d']!r}") from None
+    d = parse_integer("d", header["d"], ElementFormatError)
     if d < 1:
         raise ElementFormatError("element dimension must be >= 1")
     if "lambda" not in header:

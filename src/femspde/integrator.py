@@ -73,11 +73,6 @@ def sample_seed(base_seed: int, sample_index: int) -> int:
     return splitmix64((base_seed & _MASK64) ^ splitmix64(sample_index))
 
 
-def _uniform_from_raw(raw: np.ndarray) -> np.ndarray:
-    # top 53 bits, centered in (0, 1); never returns 0 or 1
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-
 class NoisePath:
     """Wiener increments dW^rho_n ~ N(0, dt), reproducible and addressable."""
 
@@ -90,11 +85,8 @@ class NoisePath:
         self.steps = int(steps)
         self.dt = float(dt)
         self.rho_count = int(rho_count)
-        scale = np.sqrt(self.dt)
-        rows = []
-        for rho in range(1, self.rho_count + 1):
-            raw = Philox(key=self._key(rho)).random_raw(self.steps)
-            rows.append(scale * ndtri(_uniform_from_raw(raw)))
+        rows = [self._from_raw(Philox(key=self._key(rho)).random_raw(self.steps))
+                for rho in range(1, self.rho_count + 1)]
         self.increments = np.asarray(rows).reshape(self.rho_count, self.steps)
 
     def _key(self, rho: int) -> list[int]:
@@ -106,8 +98,13 @@ class NoisePath:
             raise IndexError(f"increment ({rho}, {n}) out of range")
         bg = Philox(key=self._key(rho))
         bg.advance(n // 4)  # advance counts 256-bit blocks of four raw draws
-        raw = bg.random_raw(4)[n % 4]
-        return float(np.sqrt(self.dt) * ndtri(_uniform_from_raw(np.array([raw], dtype=np.uint64))[0]))
+        return float(self._from_raw(bg.random_raw(4))[n % 4])
+
+    def _from_raw(self, raw: np.ndarray) -> np.ndarray:
+        """The increments sqrt(dt) * ndtri(u) of an array of raw Philox draws, u
+        from each draw's top 53 bits, centered in (0, 1): never 0 or 1."""
+        uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return np.sqrt(self.dt) * ndtri(uniform)
 
 
 # ---------------------------------------------------------------------------

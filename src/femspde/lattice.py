@@ -11,6 +11,10 @@ subset of the fine ones.  Restriction between nested lattices is plain
 injection (sampling at the shared sites): under the cardinal interpolation
 property the coordinate vector of a solution is its nodal values, so no
 averaging is wanted.
+
+The CSV text of a run's fields is formatted here, one field
+(grid_function_to_csv) or a trajectory streamed state by state (states_csv);
+no function here opens a file.
 """
 
 from __future__ import annotations
@@ -30,8 +34,13 @@ class TorusLattice:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be positive")
-        if not 0.0 < self.h < math.inf:
-            raise ValueError(f"mesh size h must be finite and positive, got {self.h}")
+        try:  # the assembly divides by h^2 and the norms scale by h^d
+            powers = [float(self.h) ** k for k in (1, 2, -2, self.d)]
+        except (OverflowError, ZeroDivisionError):
+            powers = [math.inf]
+        if not all(0.0 < p < math.inf for p in powers):
+            raise ValueError(f"mesh size h must be positive, with h^2, 1/h^2 and h^{self.d} "
+                             f"finite and nonzero, got {self.h}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"sites per axis must be even and >= 4, got {self.n}")
 
@@ -156,22 +165,18 @@ def grid_function_to_csv(u: GridFunction) -> str:
     return ",".join(header) + "\n" + template % tuple(values)
 
 
-def write_grid_function_csv(path, u: GridFunction) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(grid_function_to_csv(u))
-
-
-def write_states_csv(path, times: np.ndarray, states: list[GridFunction]) -> None:
+def states_csv(times: np.ndarray, states: list[GridFunction]):
     """A trajectory of one-sample fields as rows step,time,site,value; LF line endings.
 
-    Each state is one %-format call over a per-site row template, built once:
-    the step-and-time prefix and the value alternate in its arguments.
+    Yields the header and then one chunk of text per state, so that a writer
+    holds one state's text at a time.  Each chunk is one %-format call over a
+    per-site row template, built once: the step-and-time prefix and the value
+    alternate in its arguments.
     """
     sites = len(_one_sample(states[0]))
     template = "".join([f"%s{site},{FLOAT_FORMAT}\n" for site in range(sites)])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,time,site,value\n")
-        for k, state in enumerate(states):
-            args = [f"{k},{format_float(times[k])},"] * (2 * sites)
-            args[1::2] = _one_sample(state).tolist()
-            fh.write(template % tuple(args))
+    yield "step,time,site,value\n"
+    for k, state in enumerate(states):
+        args = [f"{k},{format_float(times[k])},"] * (2 * sites)
+        args[1::2] = _one_sample(state).tolist()
+        yield template % tuple(args)

@@ -6,6 +6,9 @@ every inner product the scheme needs reduces to integrating a polynomial
 over intersections of (possibly shifted) cells.  All quadrature rules are
 chosen exact for the requested total degree, so tensor entries computed on
 top of this module are exact up to roundoff.
+
+The text rules that element and problem files share live here too: the
+`key = value` line reader, header integers and number literals.
 """
 
 from __future__ import annotations
@@ -442,6 +445,39 @@ def _boundary_samples(cell: Cell, m: int) -> np.ndarray:
         a, b = verts[i], verts[(i + 1) % n]
         pts.append(a + ticks[:, None] * (b - a))
     return np.concatenate(pts)
+
+
+def read_key_values(text: str, error: type[ValueError], section: str | None = None
+                    ) -> tuple[dict[str, str], list[dict[str, str]]]:
+    """The `key = value` lines of an element or problem file: the header's
+    entries, and one dict per line equal to section, holding the entries after it.
+
+    '#' starts a comment, blank lines are skipped, key and value are stripped,
+    and a line without '=' or a key repeated within its block raises error.
+    """
+    blocks: list[dict[str, str]] = [{}]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line == section:
+            blocks.append({})
+            continue
+        if "=" not in line:
+            raise error(f"line {lineno}: expected key = value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in blocks[-1]:
+            raise error(f"line {lineno}: duplicate key {key!r}")
+        blocks[-1][key] = value
+    return blocks[0], blocks[1:]
+
+
+def parse_integer(key: str, text: str, error: type[ValueError]) -> int:
+    """A header integer such as d or rho_max; error naming the key otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise error(f"{key} must be an integer, got {text!r}") from None
 
 
 def parse_number(text: str) -> float:

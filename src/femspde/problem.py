@@ -30,6 +30,7 @@ import numpy as np
 
 from . import expr
 from .expr import Ast
+from .polynomials import parse_integer, read_key_values
 
 
 class ProblemFormatError(ValueError):
@@ -143,28 +144,11 @@ class Problem:
 # ---------------------------------------------------------------------------
 
 
-def _header_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ProblemFormatError(f"{key} must be an integer, got {text!r}") from None
-
-
 def parse_problem_text(text: str, rho_max: int | None = None) -> Problem:
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ProblemFormatError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        value = value.strip()
+    entries, _ = read_key_values(text, ProblemFormatError)
+    for key, value in entries.items():
         if len(value) >= 2 and value[0] == value[-1] == '"':
-            value = value[1:-1]
-        if key in entries:
-            raise ProblemFormatError(f"line {lineno}: duplicate key {key!r}")
-        entries[key] = value
+            entries[key] = value[1:-1]
 
     d_decl = entries.pop("d", None)
     rho_decl = entries.pop("rho_max", None)
@@ -189,7 +173,7 @@ def parse_problem_text(text: str, rho_max: int | None = None) -> Problem:
         terms[head][slot] = ast
 
     if d_decl is not None:
-        d = _header_int("d", d_decl)
+        d = parse_integer("d", d_decl, ProblemFormatError)
     else:
         axes = [axis for ast in terms["a"].values() for axis in expr.axes(ast)]
         idx = [max(i, j) for (i, j) in terms["a"]]
@@ -197,7 +181,7 @@ def parse_problem_text(text: str, rho_max: int | None = None) -> Problem:
 
     if rho_max is None:
         if rho_decl is not None:
-            rho_max = _header_int("rho_max", rho_decl)
+            rho_max = parse_integer("rho_max", rho_decl, ProblemFormatError)
         else:  # the largest Wiener index of a nonzero term; it is its key's last index
             rhos = [_index(key)[-1] for head, kinds in KEY_INDICES.items() if "rho" in kinds
                     for key, ast in terms[head].items() if not expr.is_zero(ast)]

@@ -120,9 +120,9 @@ class ConvergenceReport:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def write_loglog_svg(path, reports: list[ConvergenceReport]) -> None:
-    """SVG log-log plot of error against h, one polyline per report, with decade
-    ticks and a legend giving each report's fitted order."""
+def loglog_svg(reports: list[ConvergenceReport]) -> str:
+    """The text of an SVG log-log plot of error against h, one polyline per
+    report, with decade ticks and a legend giving each report's fitted order."""
     width, height, pad = 480, 360, 60
     log_h = np.log10([h for r in reports for h in r.hs])
     log_e = np.log10([e for r in reports for e in r.errors])
@@ -160,5 +160,4 @@ def write_loglog_svg(path, reports: list[ConvergenceReport]) -> None:
         label = escape(f"{report.label} (order {report.fitted_order:.2f})")
         out.append(f'<text x="{pad + 10}" y="{pad + 18 + 15 * i}" fill="{color}">{label}</text>')
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"

@@ -70,8 +70,9 @@ def resolve_steps(T: float, L: float, n_finest: int, steps: int | None = None) -
             raise ValueError(f"steps must be >= 1, got {steps}")
         return int(steps)
     h_finest = L / n_finest
-    dt = DT_FACTOR * h_finest**2
-    if not (dt > 0.0 and math.isfinite(T / dt)):
+    with np.errstate(over="ignore"):  # numpy's power gives inf where Python's raises
+        dt = DT_FACTOR * float(np.float64(h_finest) ** 2)
+    if not (0.0 < dt < math.inf and math.isfinite(T / dt)):
         raise ValueError(f"T = {T} over dt = {dt} gives no finite number of steps")
     return max(1, int(np.ceil(T / dt)))
 

@@ -1,15 +1,21 @@
+import ast
 import json
 import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import femspde
 from femspde.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from femspde.expr import MAX_DEPTH
 from tests.test_integrator import TIMEDEP_2D
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DET_PROBLEM = """\
 a.1.1 = "1 + 0.25*cos(x1)"
@@ -557,6 +563,48 @@ class TestSimulate:
         assert err.endswith(" gives no finite number of steps\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, preset, L, steps, h", [
+        # without --steps, dt = 0.5 h^2 overflows; with them, the drift's h^2
+        ("simulate", "hat1d", "1e200", None, "1.25e+199"),
+        ("convergence", "hat1d", "1e200", None, "3.90625e+197"),
+        ("simulate", "hat1d", "1e200", "2", "1.25e+199"),
+        ("convergence", "hat1d", "1e200", "2", "3.90625e+197"),
+        # h^2 is finite, but the norms' h^3 overflows
+        ("simulate", "tensor(3)", "1e110", "2", "1.25e+109"),
+    ])
+    def test_torus_whose_spacing_powers_overflow_is_an_error(self, tmp_path, capsys, command,
+                                                             preset, L, steps, h):
+        d = 3 if preset == "tensor(3)" else 1
+        prob = tmp_path / "p.prob"
+        prob.write_text(f"d = {d}\n" + "".join(f'a.{i}.{i} = "1"\n' for i in range(1, d + 1))
+                        + 'phi = "sin(x1)"\n', encoding="utf-8")
+        out = tmp_path / "o"
+        args = [command, "--preset", preset, "--problem", str(prob), "--n", "8", "--T", "0.1",
+                "--L", L, "--out", str(out)]
+        assert main(args + (["--steps", steps] if steps else [])) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: mesh size h must be positive, with h^2, 1/h^2 "
+                                           f"and h^{d} finite and nonzero, got {h}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, L", [("simulate", "1e-200"), ("convergence", "1e-200"),
+                                            ("simulate", "1e-155")])
+    def test_torus_whose_spacing_powers_underflow_is_an_error(self, tmp_path, problem_file,
+                                                              command, L):
+        # h^2 is 0 at L = 1e-200 and 1/h^2 overflows at 1e-155; the run is in an
+        # interpreter of its own under -W error, where a RuntimeWarning is a traceback
+        out = tmp_path / "o"
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             "import sys; from femspde.cli import main; sys.exit(main(sys.argv[1:]))",
+             command, "--preset", "hat1d", "--problem", problem_file, "--n", "8", "--T", "0.1",
+             "--L", L, "--steps", "2", "--out", str(out)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stderr.startswith("error: mesh size h must be positive, with h^2, ")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_time_dependent_2d_simulate_factors_nothing(self, tmp_path, monkeypatch):
         # one sample and a drift that changes every step: each system serves one
         # solve, so BiCGStab solves it and SuperLU is never called
@@ -777,6 +825,75 @@ class TestConvergence:
         (run_dir,) = run_dirs(out)
         svg = (out / run_dir / "convergence.svg").read_bytes()
         assert svg.startswith(b"<?xml")
+
+
+class TestRunFiles:
+    @pytest.mark.parametrize("command, args, names", [
+        ("verify-element", ["--preset", "triangle2d"], {"verify_report.txt"}),
+        ("simulate", ["--preset", "hat1d", "--n", "16", "--T", "0.1", "--steps", "16",
+                      "--seed", "321", "--record", "all"], {"terminal.csv", "states.csv"}),
+        ("convergence", ["--preset", "hat1d", "--n", "16", "--ladder", "3", "--ref-n", "128",
+                         "--T", "0.1", "--svg"],
+         {"base_report.csv", "mixture_report.csv", "convergence.svg"}),
+    ], ids=["verify-element", "simulate", "convergence"])
+    def test_run_files_are_utf8_with_lf_endings(self, tmp_path, stoch_file, command, args,
+                                                names):
+        # a run and its replay write exactly these files and manifest.json, each
+        # UTF-8 text with LF line endings
+        out = tmp_path / "o"
+        if command != "verify-element":
+            args = args + ["--problem", stoch_file]
+        assert main([command, *args, "--out", str(out)]) == EXIT_OK
+        (first,) = run_dirs(out)
+        second = assert_replay_is_byte_identical(out, out / first / "manifest.json", first)
+        for run_dir in (first, second):
+            assert set(os.listdir(out / run_dir)) == names | {"manifest.json"}
+            for name in names | {"manifest.json"}:
+                raw = (out / run_dir / name).read_bytes()
+                raw.decode("utf-8")
+                assert b"\r" not in raw, name
+
+    @pytest.mark.parametrize("text", [None, '{"femspde_manifest": 1,', ""],
+                             ids=["missing", "truncated", "empty"])
+    def test_unreadable_manifest_is_an_error(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        if text is not None:
+            manifest.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["replay", str(manifest), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read manifest") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def opened_in(path: Path) -> list[str]:
+    """The innermost function around each call that opens, reads or writes a
+    file in the module at path (None at module level)."""
+    calls = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in calls:
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_files_are_opened_only_by_the_run_reader_and_writer():
+    # cli._read_text reads every input file and cli._write_run writes every run
+    # file; the numerical modules format text and open nothing
+    package = Path(femspde.__file__).parent
+    opened = {(path.stem, where) for path in package.glob("*.py")
+              for where in opened_in(path)}
+    assert opened == {("cli", "_read_text"), ("cli", "_write_run")}
 
 
 class TestManifest:

@@ -460,6 +460,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             resolve_steps(T, L, 32, steps)
 
+    def test_overflowing_dt_rejected(self):
+        # dt = 0.5 h^2 overflows: one step would be taken of an infinite dt
+        with pytest.raises(ValueError, match="over dt = inf gives no finite number of steps"):
+            resolve_steps(0.1, 1e200, 8)
+
     @pytest.mark.parametrize("steps", [2.5, 3.0, "3", True])
     def test_non_integer_steps_rejected(self, steps):
         with pytest.raises(ValueError, match=f"steps must be an integer, got {steps!r}"):
