@@ -18,19 +18,23 @@ every coefficient is needed only at the cell points x_c + h zeta with zeta in
 [0, 1)^d, and every stencil coefficient is a sum of cell-local products
 scattered by lattice shifts.  The cell points are passed to the evaluator as
 one coordinate array per axis, so each coefficient is computed only along the
-lattice axes it references (a constant once, cos(x1) on n * P values).  The
-cell-local products and their per-shift sums are formed only over the axes
-that some coefficient spans, and the result is broadcast over the lattice in
-one copy, which becomes the operator's data.  This module does only that
-lattice work; the quadrature and its degree belong to the tensors.
+lattice axes it references (a constant once, cos(x1) on n * P values), and one
+that references x1 in slabs of axis-0 cells, so no lattice-wide array of
+quadrature values is formed.  The cell-local products and their per-shift
+sums are formed only over the axes that some coefficient spans, and that
+(*span, G) array is the operator's data.  This module does only that lattice
+work; the quadrature and its degree belong to the tensors.
 
-Each operator is stored once, as a scipy CSR matrix (StencilOperator.matrix)
-whose rows hold the G coefficients of one site in offset order.  Applying
-it, factoring it, the BiCGStab matvec and residual, and the solver's
-preconditioner all use that matrix.  Operators with the same lattice and
-footprint share one read-only column pattern, built as one broadcast sum of
-per-axis column terms, so each operator costs one data array of sites x G
-values; the solver's per-mode blocks take their columns from the same rule.
+Each operator keeps its coefficients over the axes they span
+(StencilOperator.compact): the mass is its G coefficients, and a drift that
+varies along x1 only is n * G values.  Its scipy CSR matrix
+(StencilOperator.matrix), whose rows hold the G coefficients of one site in
+offset order, is built from them on first use: applying the operator, factoring
+it over the whole lattice, and the BiCGStab matvec and residual use it.
+Operators with the same lattice and footprint share one read-only column
+pattern, built as one broadcast sum of per-axis column terms; the solver's
+per-mode blocks take their columns from the same rule and their entries from
+the compact coefficients, so a split solve never builds the operator's matrix.
 
 Data fields are mollified by the scaled element: phi_h(x) is the integral of
 phi(x + h z) psi(z) dz, evaluated at the same cell points.
@@ -63,33 +67,51 @@ Lam = tuple[int, ...]
 class StencilOperator:
     """Site-varying periodic stencil: (op U)(x) = sum_lam coef(lam, x) U(x + h lam).
 
-    The operator is its CSR matrix in C-order flat site indexing.  Row x
-    holds the G entries coef(lam, x), one per offset in offset order, at the
-    columns of the sites x + h lam; so the data is the coefficient array in
-    (sites, G) layout, and coef is a read-only (G, *lattice.shape) view of it.
-    The column pattern depends only on the lattice and the offsets, and
-    every operator with the same pair shares it read-only.
+    The coefficients are stored only over the lattice axes they vary along:
+    compact is one contiguous, read-only (*span, G) array whose axis k has
+    n entries, or one entry that every site along axis k shares.  So the mass
+    is its G coefficients alone, and a drift that varies along x1 only is
+    (n, 1, ..., 1, G).  coef is a read-only (G, *lattice.shape) broadcast view
+    of it.  The constructor takes coefficients in (G, *span) layout, each span
+    axis 1 or n.
+
+    matrix is the operator's CSR matrix in C-order flat site indexing, built
+    on first use (apply, sparse LU of the whole lattice, BiCGStab) and kept:
+    row x holds the G entries coef(lam, x), one per offset in offset order, at
+    the columns of the sites x + h lam.  The column pattern depends only on the
+    lattice and the offsets, and every operator with the same pair shares it
+    read-only.
     """
 
-    __slots__ = ("lattice", "offsets", "matrix")
+    __slots__ = ("lattice", "offsets", "compact", "_matrix")
 
     def __init__(self, lattice: TorusLattice, offsets: tuple[Lam, ...], coef: np.ndarray):
         offsets = tuple(tuple(int(c) for c in lam) for lam in offsets)
         coef = np.asarray(coef, dtype=float)
-        if not offsets or coef.shape != (len(offsets), *lattice.shape):
+        if (not offsets or coef.shape[:1] != (len(offsets),) or coef.ndim != lattice.d + 1
+                or any(size not in (1, lattice.n) for size in coef.shape[1:])):
             raise ValueError(f"coefficient array shape {coef.shape} does not match stencil")
-        data = np.ascontiguousarray(np.moveaxis(coef, 0, -1)).reshape(-1)
-        indices, indptr = _pattern(lattice.shape, offsets)
-        total = lattice.total_sites
         self.lattice = lattice
         self.offsets = offsets
-        self.matrix = csr_matrix((data, indices, indptr), shape=(total, total))
+        self.compact = np.ascontiguousarray(np.moveaxis(coef, 0, -1))
+        self.compact.flags.writeable = False
+        self._matrix = None
 
     @property
     def coef(self) -> np.ndarray:
-        view = np.moveaxis(self.matrix.data.reshape(*self.lattice.shape, -1), -1, 0)
-        view.flags.writeable = False
-        return view
+        full = np.broadcast_to(self.compact, (*self.lattice.shape, len(self.offsets)))
+        return np.moveaxis(full, -1, 0)
+
+    @property
+    def matrix(self) -> csr_matrix:
+        """The CSR matrix; its data is compact itself when the span is the whole lattice."""
+        if self._matrix is None:
+            shape = self.lattice.shape
+            data = np.ascontiguousarray(np.broadcast_to(self.compact, (*shape, len(self.offsets))))
+            indices, indptr = _pattern(shape, self.offsets)
+            total = self.lattice.total_sites
+            self._matrix = csr_matrix((data.reshape(-1), indices, indptr), shape=(total, total))
+        return self._matrix
 
     def apply(self, u: GridFunction) -> GridFunction:
         """op U for every sample of the block as one sparse product; each row
@@ -101,13 +123,12 @@ class StencilOperator:
         return GridFunction(self.lattice, out)
 
     def scaled_add(self, alpha: float, other: "StencilOperator", beta: float) -> "StencilOperator":
-        """Return alpha*self + beta*other; both must have the same lattice and footprint."""
+        """Return alpha*self + beta*other; both must have the same lattice and
+        footprint.  The sum spans the axes either operand spans."""
         if other.lattice != self.lattice or other.offsets != self.offsets:
             raise ValueError("cannot combine stencils on different lattices or footprints")
-        data = alpha * self.matrix.data
-        data += beta * other.matrix.data
-        coef = np.moveaxis(data.reshape(*self.lattice.shape, -1), -1, 0)
-        return StencilOperator(self.lattice, self.offsets, coef)
+        data = alpha * self.compact + beta * other.compact
+        return StencilOperator(self.lattice, self.offsets, np.moveaxis(data, -1, 0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -132,47 +153,75 @@ def _pattern(shape: tuple[int, ...], offsets: tuple[Lam, ...]) -> tuple[np.ndarr
     return indices, indptr
 
 
+# Quadrature values that _assemble_cells evaluates and contracts at once: an
+# expression that references x1 runs over slabs of axis-0 cells holding at most
+# this many values.  mollify_data of sin(x1)*cos(x2) on a 256^2 tensor(2) lattice
+# (25 points per cell, so 10-row slabs; 2-vCPU x86 host, one BLAS thread) peaks at
+# 3.1 MiB of numpy allocations against 16.6 MiB on the whole array.  Its first call
+# in a fresh process takes 9-15 ms against 16-20 ms on the whole array, a repeated
+# call 9.2 ms against 6.6 ms; 2^18 values peak at 4.4 MiB, and 2^12 take 39 ms.
+SLAB_VALUES = 2**16
+
+
 def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms) -> np.ndarray:
-    """Stencil coefficients sum_terms integral(coefficient * weight), a (G, *lattice.shape)
-    view of a contiguous (*lattice.shape, G) array, the layout of the operator's CSR data.
+    """Stencil coefficients sum_terms integral(coefficient * weight), a (G, *span)
+    view of a contiguous (*span, G) array, the layout of StencilOperator.compact.
 
     `terms` pairs coefficient ASTs with (K, P, G) weight arrays.  The cell
     points x_c + h zeta are given as one coordinate array per axis: x_k holds
     the axis coordinates along lattice axis k (size 1 on the others) plus
-    h zeta[:, k] on a trailing P axis.  Each distinct AST is evaluated once on
+    h zeta[:, k] on a trailing P axis.  Each distinct AST is evaluated on
     those arrays, so its values span only the axes it references (a constant
-    is one value, cos(x1) is n * P).  The stencil spans the broadcast of those
-    reduced shapes: shift k contributes the cell-local products V @ W_k, summed
-    over the terms on that span and rolled by -k onto the sites whose overlap
-    tables reach into cell c.  Along an axis that no term references every value
-    is equal and the roll is the identity, so broadcasting the (*span, G) sum over
-    the lattice gives every site the additions, in the order, of a full-lattice sum.
+    is one value, cos(x1) is n * P), and the stencil spans the axes that some
+    AST references: n along those, 1 along the others.  Shift k contributes the
+    cell-local products V @ W_k, summed over the terms in order and rolled by -k
+    onto the sites whose overlap tables reach into cell c.  Along an axis that no
+    term references every value is equal and the roll is the identity, so each
+    entry of the (*span, G) sum holds the additions, in the order, of a
+    full-lattice sum.  An AST that references x1 is evaluated and contracted one
+    slab of axis-0 cells at a time, at most SLAB_VALUES quadrature values; the
+    others are contracted once and added to every slab.
     """
     combined: dict[int, tuple[expr.Ast, np.ndarray]] = {}  # mirrored entries share one AST
     for ast, weights in terms:
         prev = combined.get(id(ast))
         combined[id(ast)] = (ast, weights if prev is None else prev[1] + weights)
     n_shifts, n_zeta, width = terms[0][1].shape if terms else quad.reaction.shape
-    d, h = lattice.d, lattice.h
+    d, h, n = lattice.d, lattice.h, lattice.n
     axis = lattice.axis_coords()
     x = tuple(
         axis.reshape(tuple(-1 if j == k else 1 for j in range(d)) + (1,)) + h * quad.zeta[:, k]
         for k in range(d)
     )
-    values = [(expr.eval_many(ast, x, t), weights) for ast, weights in combined.values()]
-    span = np.broadcast_shapes((1,) * d, *(vals.shape[:-1] for vals, _ in values))
-    local = np.zeros((*span, n_shifts * width))
-    for vals, weights in values:
+
+    def contract(vals, w):
         cells = vals.shape[:-1]
         vals = np.broadcast_to(vals, (*cells, n_zeta)).reshape(-1, n_zeta)
+        return (vals @ w).reshape(*cells, n_shifts * width)
+
+    referenced = set()
+    slabbed = []  # (ast, W) for an AST that references x1, else (None, its V @ W)
+    for ast, weights in combined.values():
+        axes = expr.axes(ast)
+        referenced |= axes
         w = weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
-        local += (vals @ w).reshape(*cells, n_shifts * width)
+        if 1 in axes:
+            slabbed.append((ast, w))
+        else:
+            slabbed.append((None, contract(expr.eval_many(ast, x, t), w)))
+    span = tuple(n if k + 1 in referenced else 1 for k in range(d))
+    local = np.zeros((*span, n_shifts * width))
+    rows = max(1, SLAB_VALUES // (n_zeta * math.prod(span[1:])))
+    for start in range(0, span[0], rows):
+        part = local[start:start + rows]
+        x_slab = (x[0][start:start + rows], *x[1:])
+        for ast, w in slabbed:
+            part += w if ast is None else contract(expr.eval_many(ast, x_slab, t), w)
     local = local.reshape(*span, n_shifts, width)
     out = np.zeros((*span, width))
-    axes = tuple(range(d))
     for k, shift in enumerate(quad.shifts):
-        out += np.roll(local[..., k, :], tuple(-c for c in shift), axis=axes)
-    return np.moveaxis(np.broadcast_to(out, (*lattice.shape, width)).copy(), -1, 0)
+        out += np.roll(local[..., k, :], tuple(-c for c in shift), axis=tuple(range(d)))
+    return np.moveaxis(out, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +230,8 @@ def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms
 
 
 def assemble_mass(tensors: ReferenceTensors, lattice: TorusLattice) -> StencilOperator:
-    """Mass stencil: constant coefficient R_lam at every site."""
-    rows = np.tile(tensors.R, (*lattice.shape, 1))
-    return StencilOperator(lattice, tensors.gamma, np.moveaxis(rows, -1, 0))
+    """Mass stencil: constant coefficient R_lam at every site, stored once."""
+    return StencilOperator(lattice, tensors.gamma, tensors.R.reshape(-1, *(1,) * lattice.d))
 
 
 def assemble_drift(
@@ -230,7 +278,7 @@ def mollify_data(
     as a one-sample GridFunction."""
     quad = tensors.quad
     values = _assemble_cells(quad, lattice, t, [(field, quad.mollifier)])[0]
-    return GridFunction(lattice, values)
+    return GridFunction(lattice, np.broadcast_to(values, lattice.shape).copy())
 
 
 # ---------------------------------------------------------------------------

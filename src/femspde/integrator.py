@@ -13,11 +13,14 @@ is a GridFunction, a (samples, *lattice.shape) block: Monte Carlo samples
 that differ only in their noise path advance together, and one path is a
 block of one sample.
 
-Every operator is its CSR matrix (StencilOperator.matrix): the explicit
-terms are sparse products with it, and LinearSolver solves the implicit
-system and U_0's mass system by a real FFT over the axes no coefficient
-varies along, then sparse LU of the per-mode blocks or BiCGStab, by the rule
-its docstring states.
+The explicit terms are sparse products with each operator's CSR matrix
+(StencilOperator.matrix).  LinearSolver solves the implicit system and U_0's
+mass system by a real FFT over the axes no coefficient varies along, then
+sparse LU of the per-mode blocks or BiCGStab, by the rule its docstring
+states.  It reads the invariant axes and the blocks' entries from the
+coefficients each operator stores over the axes they span
+(StencilOperator.compact), so the mass - dt * drift of a split solve is
+never copied onto the whole lattice.
 
 Noise increments come from a counter-based generator: the uint64 stream of
 Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
@@ -145,13 +148,17 @@ class LinearSolver:
     itself, factored as a real CSC copy.  With every axis invariant (the
     mass, or mass - dt * drift when no coefficient depends on x) each block is
     one site, its mode's symbol, and the mode's solve is a division by it.
+    The invariant axes and the blocks' entries come from op.compact, whose
+    invariant axes hold one entry, so along them the entries are op's own
+    coefficients; op.matrix is built only for a factorization of the whole
+    lattice or for BiCGStab.
 
     The direct path is taken when the factorization is reused or the lattice
     is 1-D, and a block has at most DIRECT_SITE_LIMIT sites.  Otherwise the
     system is solved by BiCGStab on op.matrix to the relative tolerance
     KRYLOV_TOL, preconditioned by the split over every axis of the x-averaged
-    operator, whose coefficients are op's averaged over the sites (Chan and
-    Ng, SIAM Rev. 38, 1996).
+    operator, whose coefficients are op's averaged over the sites along the
+    axes op varies along (Chan and Ng, SIAM Rev. 38, 1996).
 
     A mode whose |symbol| is not above CANCELLATION_TOL * max|symbol|
     vanishes.  On the direct path a vanishing mode is a SolverError, the
@@ -263,8 +270,8 @@ def _split_solve(block: np.ndarray, axes: tuple[int, ...], factor) -> np.ndarray
 
 
 def _invariant_axes(op: StencilOperator) -> tuple[int, ...]:
-    """The lattice axes along which op's (sites, G) coefficients are bit-for-bit constant."""
-    coef = op.matrix.data.reshape(*op.lattice.shape, -1)
+    """The lattice axes along which op's coefficients are bit-for-bit constant."""
+    coef = op.compact
     return tuple(k for k in range(op.lattice.d) if (coef == coef.take([0], axis=k)).all())
 
 
@@ -276,18 +283,22 @@ def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarra
     K[x, g, -lam_axes mod n] = the sum over its lam of the mean over `axes`
     of coef(lam, x), so rfftn over `axes` gives the entry of mode m's block in
     row x, column x + shift_g: the sum of coef(lam, x) exp(2 pi i m.lam / n).
-    When op does not vary along `axes` each mean is the coefficient itself up
-    to the rounding of the sum.  Over every axis there is one group, the
-    zero shift, and its entries are the symbol of op's x-average.  Returns
-    the entries, (*mode shape, groups) with the modes on `axes` and the sites
-    on the other axes, and the shifts.
+    The mean takes the coefficient itself along every axis op is invariant
+    along and averages over the sites only along the axes op varies along, so
+    the entries of an operator that does not vary along `axes` are exact.
+    Over every axis there is one group, the zero shift, and its entries are
+    the symbol of op's x-average.  Returns the entries, (*mode shape, groups)
+    with the modes on `axes` and the sites on the other axes, and the shifts.
     """
     lattice = op.lattice
     n, d = lattice.n, lattice.d
     lams = np.asarray(op.offsets)
-    coef = op.matrix.data.reshape(*lattice.shape, len(lams))
-    means = np.moveaxis(coef, axes, range(len(axes))).reshape(n ** len(axes), -1).mean(axis=0)
-    means = means.reshape(*(n,) * (d - len(axes)), len(lams))
+    invariant = _invariant_axes(op)
+    coef = op.compact[tuple(slice(0, 1) if k in invariant else slice(None) for k in range(d))]
+    averaged = [k for k in axes if k not in invariant]
+    means = np.moveaxis(coef, averaged, range(len(averaged)))
+    means = means.reshape(n ** len(averaged), *means.shape[len(averaged):]).mean(axis=0)
+    means = means.reshape(*(coef.shape[k] for k in range(d) if k not in axes), len(lams))
     off = [tuple(0 if k in axes else c for k, c in enumerate(lam)) for lam in op.offsets]
     shifts = list(dict.fromkeys(off))
     group = np.array([shifts.index(s) for s in off])
@@ -311,6 +322,11 @@ def _mode_blocks(op: StencilOperator, axes: tuple[int, ...]) -> scipy.sparse.csc
                                    shape=(total, total)).tocsc()
 
 
+def _max_abs(values: np.ndarray) -> float:
+    """max |values| from the maximum and the minimum, without an |values| copy."""
+    return max(float(values.max()), -float(values.min()))
+
+
 def implicit_system(assembled: AssembledProblem, t: float, dt: float) -> StencilOperator:
     """The implicit step operator mass - dt * drift(t).
 
@@ -322,10 +338,10 @@ def implicit_system(assembled: AssembledProblem, t: float, dt: float) -> Stencil
     drift = assembled.drift(t)
     with np.errstate(over="ignore"):
         system = mass.scaled_add(1.0, drift, -dt)
-    if not np.all(np.isfinite(system.matrix.data)):
+    if not np.all(np.isfinite(system.compact)):
         raise SolverError(f"mass - dt * drift overflows at dt = {dt:.3e}")
-    scale = float(np.abs(mass.matrix.data).max()) + dt * float(np.abs(drift.matrix.data).max())
-    size = float(np.abs(system.matrix.data).max())
+    scale = _max_abs(mass.compact) + dt * _max_abs(drift.compact)
+    size = _max_abs(system.compact)
     if size <= CANCELLATION_TOL * scale:
         raise SolverError(
             f"mass - dt * drift cancels: max entry {size:.3e} against scale {scale:.3e}"
@@ -372,11 +388,11 @@ def step_implicit_em(
     """
     t_next = t_n + dt
     asts = assembled.drift_asts
-    reused = assembled.keeps(asts) or len(u.values) > 1
     # factored before the right-hand side is formed: the other order raised the
     # peak RSS of a tensor(2) study with a 256^2 reference by 5 %
     solver = assembled.memo(("system", dt), lambda: LinearSolver(
-        implicit_system(assembled, t_next, dt), reused=reused), asts)
+        implicit_system(assembled, t_next, dt),
+        reused=assembled.keeps(asts) or len(u.values) > 1), asts)
     rhs = assembled.mass.apply(u).values
     # an overflow here leaves a non-finite entry, which the solve reports
     with np.errstate(over="ignore"):

@@ -12,7 +12,7 @@ from femspde.assembly import (
 )
 from femspde.checks import check_invertibility
 from femspde.elements import build_element, parse_element_text
-from femspde.integrator import LinearSolver, _mode_symbols, implicit_system
+from femspde.integrator import LinearSolver, SolverError, _mode_symbols, implicit_system
 from femspde.lattice import GridFunction, build_torus
 from femspde.polynomials import cell_quadrature
 from femspde.problem import parse_problem_text
@@ -802,3 +802,57 @@ class TestFullPointOracle:
         for source in ("1/(x1 - x1)", "sqrt(sin(x1))", "1/(x2 - x2) + cos(x1)"):
             with pytest.raises(expr.EvalError):
                 mollify_data(expr.parse(source), tensors, lattice)
+
+
+class TestCompactCoefficients:
+    """An operator stores its coefficients over the axes they span; the same
+    coefficients copied to the whole lattice give the same operator."""
+
+    @pytest.mark.parametrize("preset, n", [
+        ("hat1d", 16), ("tensor(2)", 8), ("tensor(3)", 6), ("triangle2d", 8),
+    ])
+    def test_compact_and_full_lattice_operators_agree(self, preset, n, rng):
+        element = build_element(preset)
+        tensors = compute_reference_tensors(element)
+        problem = parse_problem_text(ORACLE_PROBLEMS[element.d])
+        lattice = build_torus(element.d, 2 * np.pi / n, n)
+        ap = AssembledProblem(element, tensors, problem, lattice)
+        ops = [ap.mass, ap.drift(0.3), ap.noise(0.3, 1), implicit_system(ap, 0.3, 0.01)]
+        assert ops[0].compact.shape == (1,) * element.d + (len(tensors.gamma),)
+        u = GridFunction(lattice, rng.normal(size=(3, *lattice.shape)))
+        rhs = u.values.reshape(3, -1)
+
+        def solved(op, reused):
+            try:
+                return LinearSolver(op, reused=reused).solve(rhs)
+            except SolverError as exc:
+                return str(exc)
+
+        for op in ops:
+            full = StencilOperator(lattice, op.offsets, np.array(op.coef))
+            assert full.compact.shape == (*lattice.shape, len(op.offsets))
+            assert np.array_equal(op.coef, full.coef)
+            assert np.array_equal(op.apply(u).values, full.apply(u).values)
+            assert np.array_equal(dense(op), dense(full))
+            for reused in (True, False):
+                got, want = solved(op, reused), solved(full, reused)
+                assert type(got) is type(want) and np.array_equal(got, want)
+
+    def test_coefficient_shape_is_checked(self):
+        lattice = build_torus(2, 2 * np.pi / 8, 8)
+        offsets = ((0, 0), (1, 0), (0, 1))
+        for shape in ((3, 1, 8), (3, 8, 1), (3, 1, 1), (3, 8, 8)):
+            assert StencilOperator(lattice, offsets, np.ones(shape)).coef.shape == (3, 8, 8)
+        for shape in ((3, 2, 8), (3, 8, 4), (2, 8, 8), (4, 1, 1), (3, 8), (3, 1, 1, 1)):
+            with pytest.raises(ValueError, match="does not match stencil"):
+                StencilOperator(lattice, offsets, np.ones(shape))
+        with pytest.raises(ValueError, match="does not match stencil"):
+            StencilOperator(lattice, (), np.ones((0, 8, 8)))
+
+    def test_stored_coefficients_are_read_only(self, hat_setup):
+        element, tensors, lattice = hat_setup
+        drift = assemble_drift(tensors, parse_problem_text('a.1.1 = "1 + 0.5*cos(x1)"'),
+                               lattice, 0.0)
+        for array in (drift.compact, drift.coef):
+            with pytest.raises(ValueError):
+                array[0] = 1.0

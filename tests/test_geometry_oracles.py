@@ -499,6 +499,50 @@ def test_assembly_matches_full_lattice_oracle(elements, case, monkeypatch):
                 assert_identical(a, b)
 
 
+SLAB_PROBLEM = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)*sin(x2)"\na.1.2 = "0.1*sin(x1 + x2)"\n'
+                'a.2.2 = "1"\nb.1 = "0.1*cos(x2)"\nb.2 = "0.2*sin(x1)"\nc = "-0.2"\n'
+                'phi = "sin(x1)*cos(x2)"\n')
+
+
+def test_slabs_match_whole_array_oracle(monkeypatch):
+    # 200 rows of cells on tensor(2) run as 15 slabs of 13 rows and one of 5
+    tensors = compute_reference_tensors(build_element("tensor(2)"))
+    n = 200
+    lattice = build_torus(2, 2 * np.pi / n, n)
+    rows = assembly.SLAB_VALUES // (len(tensors.quad.zeta) * n)
+    assert rows == 13 and n % rows
+    problem = parse_problem_text(SLAB_PROBLEM)
+
+    def build():
+        return [assemble_drift(tensors, problem, lattice, 0.0).coef,
+                mollify_data(problem.phi, tensors, lattice).values]
+
+    got = build()
+    monkeypatch.setattr(assembly, "_assemble_cells", assemble_cells_oracle)
+    for a, b in zip(got, build()):
+        scale = float(np.max(np.abs(b)))
+        assert scale > 0.0
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14 * scale)
+
+
+def test_error_in_last_slab_keeps_its_message(monkeypatch):
+    # sqrt(199.5 h - x1) is negative only at points of the last row of cells
+    tensors = compute_reference_tensors(build_element("tensor(2)"))
+    n = 200
+    lattice = build_torus(2, 2 * np.pi / n, n)
+    bound = 199.5 * lattice.h
+    x1 = lattice.axis_coords()[:, None] + lattice.h * tensors.quad.zeta[:, 0]
+    assert set(np.nonzero(x1 > bound)[0]) == {n - 1}
+    field = expr.parse(f"sqrt({bound!r} - x1) * cos(x2)")
+    messages = []
+    for cells in (assembly._assemble_cells, assemble_cells_oracle):
+        monkeypatch.setattr(assembly, "_assemble_cells", cells)
+        with pytest.raises(expr.EvalError) as info:
+            mollify_data(field, tensors, lattice)
+        messages.append(str(info.value))
+    assert messages == ["sqrt of a negative value"] * 2
+
+
 def test_lattice_points_of_a_sublattice():
     # Lambda generates only the points of even coordinate sum; the margin of
     # the search keeps every such point of the box reachable

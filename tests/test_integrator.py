@@ -513,6 +513,71 @@ class TestSplit:
         assert np.linalg.norm(got - want) <= 10 * KRYLOV_TOL * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("preset, n", [("hat1d", 256), ("tensor(2)", 256), ("tensor(3)", 20)])
+def test_mass_symbol_is_the_transform_of_its_coefficients(preset, n):
+    # every axis is invariant, so the symbol takes R itself, not a mean of its copies
+    from scipy.fft import rfftn
+
+    from femspde.integrator import _mode_symbols
+
+    element = build_element(preset)
+    tensors = compute_reference_tensors(element)
+    lattice = build_torus(element.d, L / n, n)
+    mass = assemble_mass(tensors, lattice)
+    kernel = np.zeros(lattice.shape)
+    for lam, r in zip(tensors.gamma, tensors.R):
+        kernel[tuple(-np.asarray(lam) % n)] += r
+    symbol = _mode_symbols(mass, tuple(range(element.d)))[0][..., 0]
+    assert np.array_equal(symbol, rfftn(kernel))
+    assert np.array_equal(LinearSolver(mass)._factor, symbol)
+
+
+class TestDet2dMemory:
+    """det2d_ladder's problem on its 256^2 tensor(2) lattice: no step of the
+    assembly holds the quadrature values or the coefficients of the whole
+    lattice; numpy reports its allocations to tracemalloc."""
+
+    n = 256
+
+    @pytest.fixture(scope="class")
+    def det2d(self):
+        element = build_element("tensor(2)")
+        tensors = compute_reference_tensors(element)
+        lattice = build_torus(2, L / self.n, self.n)
+        return element, tensors, lattice, parse_problem_text(DET2D)
+
+    @staticmethod
+    def peak(call) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_mollified_data_peak(self, det2d):
+        from femspde.assembly import mollify_data
+
+        element, tensors, lattice, problem = det2d
+        mollify_data(problem.phi, tensors, lattice)  # imports and caches outside the measurement
+        assert self.peak(lambda: mollify_data(problem.phi, tensors, lattice)) < 4 * 2**20
+
+    def test_implicit_system_peak(self, det2d):
+        element, tensors, lattice, problem = det2d
+        ap = AssembledProblem(element, tensors, problem, lattice)
+        implicit_system(AssembledProblem(element, tensors, problem, lattice), 0.0, 1e-4)
+        assert self.peak(lambda: implicit_system(ap, 0.0, 1e-4)) < 2**20
+
+    def test_drift_stored_along_x1_only(self, det2d):
+        element, tensors, lattice, problem = det2d
+        drift = AssembledProblem(element, tensors, problem, lattice).drift(0.0)
+        G = len(drift.offsets)
+        assert drift.compact.shape == (self.n, 1, G)
+        assert drift.compact.nbytes == self.n * G * 8
+
+
 SPLIT_HASHES = """
 import hashlib
 import numpy as np
