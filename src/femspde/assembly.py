@@ -81,9 +81,13 @@ class StencilOperator:
     the columns of the sites x + h lam.  The column pattern depends only on the
     lattice and the offsets, and every operator with the same pair shares it
     read-only.
+
+    terms holds the (weight, operator) pairs a sum was formed from
+    (scaled_add), and is empty for an assembled operator; LinearSolver judges
+    a vanishing mode of a sum against them.
     """
 
-    __slots__ = ("lattice", "offsets", "compact", "_matrix")
+    __slots__ = ("lattice", "offsets", "compact", "terms", "_matrix")
 
     def __init__(self, lattice: TorusLattice, offsets: tuple[Lam, ...], coef: np.ndarray):
         offsets = tuple(tuple(int(c) for c in lam) for lam in offsets)
@@ -95,6 +99,7 @@ class StencilOperator:
         self.offsets = offsets
         self.compact = np.ascontiguousarray(np.moveaxis(coef, 0, -1))
         self.compact.flags.writeable = False
+        self.terms: tuple[tuple[float, StencilOperator], ...] = ()
         self._matrix = None
 
     @property
@@ -128,7 +133,9 @@ class StencilOperator:
         if other.lattice != self.lattice or other.offsets != self.offsets:
             raise ValueError("cannot combine stencils on different lattices or footprints")
         data = alpha * self.compact + beta * other.compact
-        return StencilOperator(self.lattice, self.offsets, np.moveaxis(data, -1, 0))
+        out = StencilOperator(self.lattice, self.offsets, np.moveaxis(data, -1, 0))
+        out.terms = ((alpha, self), (beta, other))
+        return out
 
 
 @functools.lru_cache(maxsize=8)

@@ -27,6 +27,14 @@ Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
 raw draw per time index, so the increment at (seed, rho, n) is addressable
 without generating its predecessors.  Independent Monte Carlo samples derive
 their seeds with a splitmix64 mix of the base seed and the sample index.
+
+The module needs nothing of scipy.fft or scipy.special.  The FFT is numpy's,
+which agrees bit for bit with scipy.fft on 1-D and 2-D forward transforms
+but not on 3-D transforms over every axis or on inverse transforms over two
+or more axes of a size that is not a power of two, so such runs recorded
+with scipy.fft replay to different last digits.  The inverse normal CDF is
+a port of Cephes ndtri (_ndtri), bit for bit as scipy.special.ndtri, so
+noise paths replay unchanged.
 """
 
 from __future__ import annotations
@@ -36,9 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
+from numpy.fft import irfftn, rfftn
 from numpy.random import Philox
-from scipy.fft import irfftn, rfftn
-from scipy.special import ndtri
 
 from .assembly import AssembledProblem, Lam, StencilOperator, _pattern
 from .lattice import GridFunction, TorusLattice, norms_0h
@@ -105,9 +112,84 @@ class NoisePath:
 
     def _from_raw(self, raw: np.ndarray) -> np.ndarray:
         """The increments sqrt(dt) * ndtri(u) of an array of raw Philox draws, u
-        from each draw's top 53 bits, centered in (0, 1): never 0 or 1."""
+        from each draw's top 53 bits, centered in (0, 1) and kept below the
+        largest double under 1, which the top draws round to: never 0 or 1."""
         uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return np.sqrt(self.dt) * ndtri(uniform)
+        return math.sqrt(self.dt) * _ndtri(np.minimum(uniform, _BELOW_ONE, out=uniform))
+
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the routine scipy.special ships.  For exp(-2) < u <= 1 - exp(-2) it is a
+# rational P0/Q0 in (u - 1/2)^2; on the tails, with y = min(u, 1 - u) and
+# x = sqrt(-2 log y), rationals P1/Q1 (x < 8) and P2/Q2 (x >= 8) in 1/x.  The
+# coefficients run from the highest power down; each Q has a leading 1 besides.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x: np.ndarray, coefs: tuple[float, ...], monic: bool = False) -> np.ndarray:
+    """Cephes' polevl at x, or p1evl when monic (a leading 1 before coefs)."""
+    out = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """The C library's log of each element, as Cephes takes it.  numpy's SIMD
+    log differs from it in the last bit on some inputs (126 of 541 422 tail
+    draws on an AVX-512 x86 host), so each element goes through math.log; at
+    about 0.1 us each on a 2-vCPU x86 host, two calls per tail element are
+    most of the cost of a long path."""
+    return np.fromiter(map(math.log, memoryview(x)), np.float64, x.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """The inverse normal CDF of a 1-D array of u in (0, 1), bit for bit as
+    scipy.special.ndtri: Cephes' operations in Cephes' order."""
+    c = u - 0.5
+    c2 = c * c
+    out = _horner(c2, _P0)
+    out *= c2
+    out /= _horner(c2, _Q0, monic=True)
+    out *= c
+    out += c
+    out *= _S2PI  # Cephes' value on the central u, overwritten on the tails below
+    tail = np.flatnonzero((u <= _EXP_M2) | (u > 1.0 - _EXP_M2))
+    if tail.size:
+        y = u[tail]
+        y = np.minimum(y, 1.0 - y)
+        x = np.sqrt(-2.0 * _log(y))
+        x0 = x - _log(x) / x
+        z = 1.0 / x
+        x1 = z * _horner(z, _P1) / _horner(z, _Q1, monic=True)
+        far = np.flatnonzero(x >= 8.0)  # y below exp(-32)
+        if far.size:
+            zf = z[far]
+            x1[far] = zf * _horner(zf, _P2) / _horner(zf, _Q2, monic=True)
+        x0 -= x1
+        out[tail] = np.copysign(x0, c[tail])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +204,9 @@ class NoisePath:
 DIRECT_SITE_LIMIT = 4096
 
 # mass - dt * drift counts as singular when its entries cancel to this fraction of
-# max|mass| + dt * max|drift|; cond(S) can stay 1 under such cancellation, so no
-# test on S alone sees it
+# max|mass| + dt * max|drift|, or a mode's symbol to this fraction of the terms that
+# formed it (LinearSolver); cond(S) can stay 1 under such cancellation, so no test
+# on S alone sees it
 CANCELLATION_TOL = 1e-12
 
 # BiCGStab's relative tolerance and iteration cap, which bound the accuracy of every
@@ -160,11 +243,17 @@ class LinearSolver:
     operator, whose coefficients are op's averaged over the sites along the
     axes op varies along (Chan and Ng, SIAM Rev. 38, 1996).
 
-    A mode whose |symbol| is not above CANCELLATION_TOL * max|symbol|
-    vanishes.  On the direct path a vanishing mode is a SolverError, the
-    system being singular to rounding; the preconditioner leaves such modes
-    alone, and every mode when the whole symbol vanishes, so a singular
-    system still fails at BiCGStab's residual check.
+    A mode vanishes when its |symbol| is not above CANCELLATION_TOL times a
+    scale.  On the division path, for a sum such as mass - dt * drift
+    (op.terms), the scale of mode m is the sum of |weight * symbol(m)| over
+    the terms that formed it, |M(m)| + dt |D(m)|: a stiff system whose
+    symbols span more than 1 / CANCELLATION_TOL is not singular, while one
+    whose terms cancel at a mode is.  Otherwise (the mass of U_0, or the
+    preconditioner) the scale is max|symbol|.  On the direct path a
+    vanishing mode is a SolverError, the system being singular to rounding;
+    the preconditioner leaves such modes alone, and every mode when the
+    whole symbol vanishes, so a singular system still fails at BiCGStab's
+    residual check.
 
     reused says whether the factorization would serve more than one solve or
     more than one column: the system is kept for later steps (no drift
@@ -190,10 +279,17 @@ class LinearSolver:
         if not self.direct or self._axes == every:  # op's x-average, or op itself
             self._factor = symbol = _mode_symbols(op, every)[0][..., 0]
             size = np.abs(symbol)
-            vanishing = ~(size > CANCELLATION_TOL * size.max())  # a NaN mode too
+            if self.direct and op.terms:
+                scale = sum(abs(w) * np.abs(_mode_symbols(term, every)[0][..., 0])
+                            for w, term in op.terms)
+                against = "its terms' sum"
+            else:
+                scale, against = np.full_like(size, size.max()), "a maximum"
+            vanishing = ~(size > CANCELLATION_TOL * scale)  # a NaN mode too
             if self.direct and vanishing.any():
-                raise SolverError(f"singular: its symbol falls to {size.min():.3e} "
-                                  f"against a maximum of {size.max():.3e}")
+                m = np.flatnonzero(vanishing)[0]
+                raise SolverError(f"singular: its symbol falls to {size.flat[m]:.3e} "
+                                  f"against {against} of {scale.flat[m]:.3e}")
             symbol[vanishing] = 1.0
         else:
             if self._axes:

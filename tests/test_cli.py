@@ -505,6 +505,19 @@ class TestSimulate:
         assert code == EXIT_NUMERICAL
         assert not (tmp_path / "o").exists()
 
+    def test_stiff_system_is_not_singular(self, tmp_path):
+        # on a torus of length 1e-6, dt / h^2 is 3.2e12: the symbol of mass - dt * drift
+        # spans 1 (the mean mode) to 1.28e13, which is conditioning, not cancellation
+        prob = tmp_path / "heat.prob"
+        prob.write_text('a.1.1 = "1"\nphi = "sin(x1)"\n', encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["simulate", "--preset", "hat1d", "--problem", str(prob), "--n", "8",
+                     "--T", "0.1", "--steps", "2", "--L", "1e-6", "--out", str(out)])
+        assert code == EXIT_OK
+        (run_dir,) = run_dirs(out)
+        values = np.loadtxt(out / run_dir / "terminal.csv", delimiter=",", skiprows=1)
+        assert values.shape == (8, 3) and np.all(np.isfinite(values))
+
     def test_vanishing_mass_symbol_exit_code(self, tmp_path, monkeypatch, capsys):
         # a hat whose mass tensor is R = (1/2, 0, 1/2): its symbol cos(theta)
         # vanishes at theta = pi/2, so U_0 has no solution on n = 8

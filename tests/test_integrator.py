@@ -77,6 +77,58 @@ class TestNoisePath:
         with pytest.raises(ValueError):
             NoisePath(1, steps=4, dt=0.0)
 
+    # the first 8 increments of two (seed, rho) streams at dt = 0.01, recorded
+    # through scipy.special.ndtri; they reach both tails
+    GOLDEN = {
+        (0, 1): ["0x1.6cad3fe196f59p-4", "0x1.15fd556910143p-4", "0x1.6c1c605ddea5ep-5",
+                 "-0x1.1550019098ef2p-8", "0x1.b9e0c7a5684d5p-5", "-0x1.ee6c89fa853bcp-5",
+                 "0x1.6f30149b380d1p-4", "0x1.0357d4158834dp-6"],
+        (1229134633621307140, 2): [
+            "-0x1.e0511f4803948p-3", "-0x1.6cd8d7a6fac87p-7", "-0x1.4aae2833bf187p-4",
+            "0x1.cc82ddcde3bc0p-4", "0x1.07715565c2fdep-3", "-0x1.d0bcc5af93b6cp-6",
+            "0x1.06800056ed91dp-5", "-0x1.431496a12b6c9p-10"],
+    }
+
+    def test_golden_draws(self):
+        assert sample_seed(2018, 1) == 1229134633621307140
+        for (seed, rho), want in self.GOLDEN.items():
+            path = NoisePath(seed, steps=8, dt=0.01, rho_count=rho)
+            assert [float(v).hex() for v in path.increments[rho - 1]] == want
+
+    def test_top_draws_stay_finite(self):
+        # the top 2^11 raw draws round to u = 1 before the clamp; the next stays put
+        from scipy.special import ndtri
+
+        path = NoisePath(1, steps=4, dt=0.01)
+        top = np.array([2**64 - 1, 2**64 - 2**11], dtype=np.uint64)
+        assert np.array_equal(path._from_raw(top),
+                              np.full(2, np.sqrt(0.01) * ndtri(np.nextafter(1.0, 0.0))))
+        rest = np.array([2**64 - 2**12, 0], dtype=np.uint64)
+        u = np.array([1.0 - 2.0**-52, 2.0**-54])
+        assert np.array_equal(path._from_raw(rest), np.sqrt(0.01) * ndtri(u))
+
+    def test_ndtri_port_equals_scipy(self):
+        # 10^6 draws through the uniform map, and the points where Cephes switches
+        # rational: exp(-2), 1 - exp(-2) and exp(-32), where x = sqrt(-2 log y) is 8;
+        # in doubles x falls below 8 between the last pair, 15 ulps above exp(-32)
+        import math
+
+        from numpy.random import Philox
+        from scipy.special import ndtri
+
+        from femspde.integrator import _ndtri
+
+        raw = Philox(key=[20181, 1]).random_raw(1_000_000)
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        assert np.array_equal(_ndtri(u), ndtri(u))
+        assert np.array_equal(NoisePath(20181, steps=u.size, dt=1.0).increments[0], ndtri(u))
+        edges = [np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0)]
+        switch = [float.fromhex("0x1.c8464f7616476p-47"), float.fromhex("0x1.c8464f7616477p-47")]
+        assert [math.sqrt(-2.0 * math.log(y)) >= 8.0 for y in switch] == [True, False]
+        points = np.array([2.0**-54, 0.5, np.nextafter(1.0, 0.0), *edges, *switch,
+                           *np.nextafter(edges, 0.0), *np.nextafter(edges, 1.0)])
+        assert np.array_equal(_ndtri(points), ndtri(points))
+
     def test_sample_seed_mixing(self):
         seeds = {sample_seed(42, k) for k in range(1000)}
         assert len(seeds) == 1000
@@ -416,6 +468,24 @@ class TestSolverRule:
             LinearSolver(op)
 
 
+    def test_sum_is_judged_against_its_terms(self):
+        # each mode of mass - dt * drift against |M(m)| + dt |D(m)|: a spread of 1e13
+        # solves, a cancellation to rounding at every mode does not
+        lattice = build_torus(1, L / 8, 8)
+        offsets = ((-1,), (0,), (1,))
+        mass = StencilOperator(lattice, offsets, np.tile([[1 / 6], [2 / 3], [1 / 6]], 8))
+        laplace = StencilOperator(lattice, offsets, np.tile([[1.0], [-2.0], [1.0]], 8))
+        stiff = mass.scaled_add(1.0, laplace, -1e13)
+        rhs = np.cos(lattice.coords()[:, 0])[None]
+        np.testing.assert_allclose(stiff.matrix @ LinearSolver(stiff).solve(rhs)[0], rhs[0],
+                                   rtol=1e-12, atol=1e-12)
+        with pytest.raises(SolverError, match="falls to .* against its terms' sum of"):
+            LinearSolver(mass.scaled_add(1.0, mass, -1.0))
+        # the same coefficients without their terms keep the rule of the maximum
+        with pytest.raises(SolverError, match="falls to 1.000e.00 against a maximum of"):
+            LinearSolver(StencilOperator(lattice, offsets, stiff.coef))
+
+
 DET2D = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "0.1"\nc = "-0.2"\n'
          'f = "sin(x1)*cos(x2)"\nphi = "sin(x1)*cos(x2)"\n')
 
@@ -516,7 +586,7 @@ class TestSplit:
 @pytest.mark.parametrize("preset, n", [("hat1d", 256), ("tensor(2)", 256), ("tensor(3)", 20)])
 def test_mass_symbol_is_the_transform_of_its_coefficients(preset, n):
     # every axis is invariant, so the symbol takes R itself, not a mean of its copies
-    from scipy.fft import rfftn
+    from numpy.fft import rfftn
 
     from femspde.integrator import _mode_symbols
 
