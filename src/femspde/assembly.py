@@ -32,9 +32,12 @@ varies along x1 only is n * G values.  Its scipy CSR matrix
 offset order, is built from them on first use: applying the operator, factoring
 it over the whole lattice, and the BiCGStab matvec and residual use it.
 Operators with the same lattice and footprint share one read-only column
-pattern, built as one broadcast sum of per-axis column terms; the solver's
-per-mode blocks take their columns from the same rule and their entries from
-the compact coefficients, so a split solve never builds the operator's matrix.
+pattern, built as one broadcast sum of per-axis column terms and held while
+one of their matrices uses it; the solver's per-mode blocks take their
+columns from the same rule and their entries from the compact coefficients,
+so a split solve never builds the operator's matrix, and a split step
+applies the mass in Fourier modes (femspde.integrator), so the mass's
+matrix is not built there either.
 
 Data fields are mollified by the scaled element: phi_h(x) is the integral of
 phi(x + h z) psi(z) dz, evaluated at the same cell points.
@@ -49,8 +52,8 @@ Richardson mixture relies on; tests pin the identity numerically.
 
 from __future__ import annotations
 
-import functools
 import math
+import weakref
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -80,7 +83,7 @@ class StencilOperator:
     row x holds the G entries coef(lam, x), one per offset in offset order, at
     the columns of the sites x + h lam.  The column pattern depends only on the
     lattice and the offsets, and every operator with the same pair shares it
-    read-only.
+    read-only (_pattern) while one of their matrices is alive.
 
     terms holds the (weight, operator) pairs a sum was formed from
     (scaled_add), and is empty for an assembled operator; LinearSolver judges
@@ -138,26 +141,41 @@ class StencilOperator:
         return out
 
 
-@functools.lru_cache(maxsize=8)
+# (shape, offsets) -> the buffer of a shared column pattern, held while a matrix uses it
+_PATTERNS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _pattern(shape: tuple[int, ...], offsets: tuple[Lam, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """_columns(shape, offsets), shared: operators on one lattice with one
+    footprint get views of one buffer, which a weak-value map holds by
+    (shape, offsets), so the pattern is freed with the last matrix that uses it."""
+    buffer = _PATTERNS.get((shape, offsets))
+    if buffer is None:
+        indices, indptr = _columns(shape, offsets)
+        _PATTERNS[shape, offsets] = indices.base
+        return indices, indptr
+    nnz = math.prod(shape) * len(offsets)
+    return buffer[:nnz], buffer[nnz:]
+
+
+def _columns(shape: tuple[int, ...], offsets: tuple[Lam, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only CSR indices and indptr of a periodic stencil on a grid of `shape`:
     row x holds the columns of x + lam, one per offset in offset order.  The
     columns are one (*shape, G) array, the broadcast sum over the axes k of
-    ((i + lam_k) mod n_k) times the stride of axis k.  Operators share their
-    lattice's pattern through the cache; LinearSolver's per-mode blocks use the
-    rule uncached (_pattern.__wrapped__)."""
+    ((i + lam_k) mod n_k) times the stride of axis k.  Both are views of one
+    buffer, the columns and then the row pointers.  Operators share theirs
+    through _pattern; LinearSolver's per-mode blocks build their own."""
     d, G = len(shape), len(offsets)
     nnz = math.prod(shape) * G
     dtype = np.int32 if nnz < 2**31 else np.int64
-    indices = np.zeros((*shape, G), dtype=dtype)
+    buffer = np.zeros(nnz + math.prod(shape) + 1, dtype=dtype)
+    indices = buffer[:nnz].reshape(*shape, G)
     for k, (n, lam) in enumerate(zip(shape, np.asarray(offsets).T)):
         axis = (np.arange(n)[:, None] + lam) % n * math.prod(shape[k + 1:])
         indices += axis.reshape((1,) * k + (n,) + (1,) * (d - 1 - k) + (G,)).astype(dtype)
-    indices = indices.reshape(-1)
-    indptr = np.arange(0, nnz + 1, G, dtype=dtype)
-    indices.flags.writeable = False
-    indptr.flags.writeable = False
-    return indices, indptr
+    buffer[nnz:] = np.arange(0, nnz + 1, G, dtype=dtype)
+    buffer.flags.writeable = False
+    return buffer[:nnz], buffer[nnz:]
 
 
 # Quadrature values that _assemble_cells evaluates and contracts at once: an
@@ -186,8 +204,9 @@ def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms
     term references every value is equal and the roll is the identity, so each
     entry of the (*span, G) sum holds the additions, in the order, of a
     full-lattice sum.  An AST that references x1 is evaluated and contracted one
-    slab of axis-0 cells at a time, at most SLAB_VALUES quadrature values; the
-    others are contracted once and added to every slab.
+    slab of axis-0 cells at a time, at most SLAB_VALUES quadrature values, with
+    its subtrees that do not reference x1 evaluated once before the first slab
+    (expr.eval_free); the others are contracted once and added to every slab.
     """
     combined: dict[int, tuple[expr.Ast, np.ndarray]] = {}  # mirrored entries share one AST
     for ast, weights in terms:
@@ -207,23 +226,24 @@ def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms
         return (vals @ w).reshape(*cells, n_shifts * width)
 
     referenced = set()
-    slabbed = []  # (ast, W) for an AST that references x1, else (None, its V @ W)
+    # (ast, its x1-free values, W) for an AST that references x1, else (None, None, V @ W)
+    slabbed = []
     for ast, weights in combined.values():
         axes = expr.axes(ast)
         referenced |= axes
         w = weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
         if 1 in axes:
-            slabbed.append((ast, w))
+            slabbed.append((ast, expr.eval_free(ast, x, t, 1), w))
         else:
-            slabbed.append((None, contract(expr.eval_many(ast, x, t), w)))
+            slabbed.append((None, None, contract(expr.eval_many(ast, x, t), w)))
     span = tuple(n if k + 1 in referenced else 1 for k in range(d))
     local = np.zeros((*span, n_shifts * width))
     rows = max(1, SLAB_VALUES // (n_zeta * math.prod(span[1:])))
     for start in range(0, span[0], rows):
         part = local[start:start + rows]
         x_slab = (x[0][start:start + rows], *x[1:])
-        for ast, w in slabbed:
-            part += w if ast is None else contract(expr.eval_many(ast, x_slab, t), w)
+        for ast, known, w in slabbed:
+            part += w if ast is None else contract(expr.eval_many(ast, x_slab, t, known), w)
     local = local.reshape(*span, n_shifts, width)
     out = np.zeros((*span, width))
     for k, shift in enumerate(quad.shifts):
@@ -301,7 +321,8 @@ class AssembledProblem:
     One rule governs reuse: a result is built once per key and then kept,
     unless an expression it is built from references t, in which case it
     is rebuilt at every requested time (keeps is that rule); the integrator
-    keeps U_0 and the implicit system's solver here under it.  The operators and
+    keeps U_0, the implicit system's solver, and on a split lattice the mass's
+    per-mode stencil and f_h's transform here under it.  The operators and
     the mollified data integrate with the tensors' cell quadrature; the data
     are one-sample GridFunctions.  The problem, the tensors and the lattice
     must have one dimension (a ValueError names all three otherwise).  The

@@ -15,7 +15,8 @@ Parsed ASTs are frozen dataclasses, so two expressions are the same exactly
 when their trees compare equal.  Evaluation takes one coordinate form, a
 tuple of per-axis arrays that broadcast together, and turns any NaN/Inf,
 division by zero or negative sqrt into an EvalError instead of propagating
-silent non-finite values.
+silent non-finite values.  eval_free evaluates once the subtrees that do not
+reference one axis, for evaluations on slabs along it.
 """
 
 from __future__ import annotations
@@ -290,7 +291,7 @@ def is_zero(ast: Ast) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def eval_many(ast: Ast, x: tuple, t: float) -> np.ndarray:
+def eval_many(ast: Ast, x: tuple, t: float, known: dict | None = None) -> np.ndarray:
     """Evaluate at a fixed time on a tuple of coordinate arrays.
 
     x[k - 1] holds the values of x<k>, and the arrays broadcast together.  The
@@ -302,16 +303,50 @@ def eval_many(ast: Ast, x: tuple, t: float) -> np.ndarray:
     constant then comes back as a (1,) array, which broadcasts to (N,).
 
     Raises EvalError on division by zero, sqrt of a negative number, or a
-    non-finite result; every check sees every distinct value.
+    non-finite result; every check sees every distinct value.  known, from
+    eval_free, holds subtrees already evaluated on coordinates that agree
+    with x along the axes they reference; each is taken from it.
     """
     coords = tuple(np.asarray(c, dtype=float) for c in x)
     ndim = len(np.broadcast_shapes(*(c.shape for c in coords)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.asarray(_eval(ast, coords, float(t)), dtype=float)
+        out = np.asarray(_eval(ast, coords, float(t), known), dtype=float)
     out = out.reshape((1,) * (ndim - out.ndim) + out.shape)
     if not np.all(np.isfinite(out)):
         raise EvalError("expression evaluated to a non-finite value")
     return out
+
+
+def eval_free(ast: Ast, x: tuple, t: float, axis: int) -> dict:
+    """The values on the coordinate tuple x at time t of each maximal subtree
+    of ast, other than a leaf, that does not reference x<axis>, keyed by the
+    subtree's id, or the EvalError its evaluation raised.  eval_many(ast,
+    slab, t, known) on slabs of x along that axis then computes those
+    subtrees once, and gives slab by slab the values eval_many(ast, slab, t)
+    gives: the same operations on the same values, and an EvalError raised
+    where the evaluation reaches it."""
+    free, stack = [], [ast]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Num, Var)):
+            continue
+        if axis not in axes(node):
+            free.append(node)
+        elif isinstance(node, BinOp):
+            stack += [node.left, node.right]
+        else:
+            stack.append(node.base if isinstance(node, Pow) else node.arg)
+    known: dict = {}
+    if not free:
+        return known
+    coords = tuple(np.asarray(c, dtype=float) for c in x)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for node in free:
+            try:
+                known[id(node)] = _eval(node, coords, float(t))
+            except EvalError as exc:
+                known[id(node)] = exc
+    return known
 
 
 def _finite(value):
@@ -320,7 +355,13 @@ def _finite(value):
     return value
 
 
-def _eval(ast: Ast, x: tuple[np.ndarray, ...], t: float):
+def _eval(ast: Ast, x: tuple[np.ndarray, ...], t: float, known: dict | None = None):
+    if known:
+        value = known.get(id(ast))
+        if isinstance(value, EvalError):
+            raise value
+        if value is not None:
+            return value
     if isinstance(ast, Num):
         return np.float64(ast.value)
     if isinstance(ast, Var):
@@ -330,9 +371,9 @@ def _eval(ast: Ast, x: tuple[np.ndarray, ...], t: float):
             raise EvalError(f"variable {ast.name} out of range for {len(x)} dims")
         return x[ast.axis - 1]
     if isinstance(ast, Neg):
-        return -_eval(ast.arg, x, t)
+        return -_eval(ast.arg, x, t, known)
     if isinstance(ast, Call):
-        arg = _eval(ast.arg, x, t)
+        arg = _eval(ast.arg, x, t, known)
         if ast.fn == "sin":
             return np.sin(arg)
         if ast.fn == "cos":
@@ -345,13 +386,13 @@ def _eval(ast: Ast, x: tuple[np.ndarray, ...], t: float):
             return np.sqrt(arg)
         raise EvalError(f"unknown function {ast.fn!r}")
     if isinstance(ast, Pow):
-        base = _eval(ast.base, x, t)
+        base = _eval(ast.base, x, t, known)
         if ast.exponent < 0 and np.any(np.asarray(base) == 0.0):
             raise EvalError("zero raised to a negative power")
         return _finite(np.power(base, ast.exponent))
     if isinstance(ast, BinOp):
-        left = _eval(ast.left, x, t)
-        right = _eval(ast.right, x, t)
+        left = _eval(ast.left, x, t, known)
+        right = _eval(ast.right, x, t, known)
         if ast.op == "+":
             return _finite(left + right)
         if ast.op == "-":

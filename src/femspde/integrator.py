@@ -13,14 +13,19 @@ is a GridFunction, a (samples, *lattice.shape) block: Monte Carlo samples
 that differ only in their noise path advance together, and one path is a
 block of one sample.
 
-The explicit terms are sparse products with each operator's CSR matrix
-(StencilOperator.matrix).  LinearSolver solves the implicit system and U_0's
-mass system by a real FFT over the axes no coefficient varies along, then
-sparse LU of the per-mode blocks or BiCGStab, by the rule its docstring
-states.  It reads the invariant axes and the blocks' entries from the
-coefficients each operator stores over the axes they span
-(StencilOperator.compact), so the mass - dt * drift of a split solve is
-never copied onto the whole lattice.
+LinearSolver solves the implicit system and U_0's mass system by a real FFT
+over the axes no coefficient varies along, then sparse LU of the per-mode
+blocks or BiCGStab, by the rule its docstring states.  It reads the
+invariant axes and the blocks' entries from the coefficients each operator
+stores over the axes they span (StencilOperator.compact), so the
+mass - dt * drift of a split solve is never copied onto the whole lattice.
+On such a split the step forms its right-hand side in the same Fourier
+modes: the mass term by the mass's per-mode stencil, whose entries come from
+its G coefficients over the split axes alone, applied to the transform of
+U_n; only the noise terms are sparse products with their operators' CSR
+matrices (StencilOperator.matrix).  Without a split (a whole-lattice
+factorization, as in 1-D with an x-dependent coefficient, or BiCGStab) every
+explicit term is such a sparse product.
 
 Noise increments come from a counter-based generator: the uint64 stream of
 Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
@@ -47,7 +52,7 @@ import scipy.sparse.linalg
 from numpy.fft import irfftn, rfftn
 from numpy.random import Philox
 
-from .assembly import AssembledProblem, Lam, StencilOperator, _pattern
+from .assembly import AssembledProblem, Lam, StencilOperator, _columns, mollify_data
 from .lattice import GridFunction, TorusLattice, norms_0h
 
 
@@ -234,7 +239,14 @@ class LinearSolver:
     The invariant axes and the blocks' entries come from op.compact, whose
     invariant axes hold one entry, so along them the entries are op's own
     coefficients; op.matrix is built only for a factorization of the whole
-    lattice or for BiCGStab.
+    lattice or for BiCGStab.  solve also takes a right-hand side already
+    transformed over the split's axes, as step_implicit_em forms it.  So a
+    split lattice builds no whole-lattice matrix for its system or its mass
+    (only a noise operator's, to apply it): its steps use the factors
+    of the mode blocks (or the symbol), the operators' compact coefficients,
+    the mass's per-mode stencil (one entry per mode of the split axes and
+    shift along the others) and f_h's transform, which the AssembledProblem
+    keeps.
 
     The direct path is taken when the factorization is reused or the lattice
     is 1-D, and a block has at most DIRECT_SITE_LIMIT sites.  Otherwise the
@@ -271,10 +283,9 @@ class LinearSolver:
 
     def __init__(self, op: StencilOperator, reused: bool = True):
         self.lattice = lattice = op.lattice
-        self.direct = reused or lattice.d == 1
-        if self.direct:
-            self._axes = _invariant_axes(op)
-            self.direct = lattice.n ** (lattice.d - len(self._axes)) <= DIRECT_SITE_LIMIT
+        axes = _invariant_axes(op) if reused or lattice.d == 1 else None
+        self.direct = axes is not None and lattice.n ** (lattice.d - len(axes)) <= DIRECT_SITE_LIMIT
+        self._axes = axes if self.direct else ()
         every = tuple(range(lattice.d))
         if not self.direct or self._axes == every:  # op's x-average, or op itself
             self._factor = symbol = _mode_symbols(op, every)[0][..., 0]
@@ -312,22 +323,26 @@ class LinearSolver:
             self._matrix = op.matrix
             self._precond = scipy.sparse.linalg.LinearOperator(
                 op.matrix.shape, dtype=float,
-                matvec=lambda v: _split_solve(v.reshape(1, *shape), every, symbol).reshape(-1),
+                matvec=lambda v: _split_solve(_forward(v.reshape(1, *shape), every), shape,
+                                              every, symbol).reshape(-1),
             )
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, transformed: bool = False) -> np.ndarray:
         """Solve for every row of a (samples, total_sites) block: one split of
         the whole block, or one BiCGStab run per row, each with its own
-        residual check."""
+        residual check.  With transformed, on the direct path, rhs is the
+        block's real FFT over the split's axes instead, (samples, *spectrum),
+        as _forward gives it.  Returns (samples, total_sites)."""
         lattice = self.lattice
-        if rhs.ndim != 2 or rhs.shape[1] != lattice.total_sites:
+        if not transformed and (rhs.ndim != 2 or rhs.shape[1] != lattice.total_sites):
             raise ValueError(f"right-hand side shape {rhs.shape} is not "
                              f"(samples, {lattice.total_sites})")
         if not self.direct:
             return np.stack([self._krylov(row, s, len(rhs)) for s, row in enumerate(rhs)])
-        block = rhs.reshape(len(rhs), *lattice.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            out = _split_solve(block, self._axes, self._factor).reshape(len(rhs), -1)
+            if not transformed:
+                rhs = _forward(rhs.reshape(len(rhs), *lattice.shape), self._axes)
+            out = _split_solve(rhs, lattice.shape, self._axes, self._factor).reshape(len(rhs), -1)
         if not np.all(np.isfinite(out)):
             raise SolverError("direct solve produced non-finite values")
         return out
@@ -350,19 +365,27 @@ class LinearSolver:
         return out
 
 
-def _split_solve(block: np.ndarray, axes: tuple[int, ...], factor) -> np.ndarray:
+def _forward(block: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The real FFT over the lattice `axes` of a (samples, *shape) block; the
+    block itself over no axis."""
+    return rfftn(block, axes=tuple(k + 1 for k in axes)) if axes else block
+
+
+def _split_solve(modes: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...],
+                 factor) -> np.ndarray:
     """Solve for every sample of a (samples, *shape) block with a system split
-    by a real FFT over the lattice `axes`: the FFT, each mode's solve and the
-    inverse FFT.  Over every axis each block is one site and factor is the
-    symbol, which the modes are divided by; otherwise factor is the SuperLU
-    factorization of every mode's block, in the C order of the spectrum."""
-    axes = tuple(k + 1 for k in axes)  # axis 0 holds the samples
-    modes = rfftn(block, axes=axes) if axes else block
-    if len(axes) == block.ndim - 1:
+    by a real FFT over the lattice `axes`, from the block's transform `modes`
+    (_forward): each mode's solve and the inverse FFT.  Over every axis each
+    block is one site and factor is the symbol, which the modes are divided by;
+    otherwise factor is the SuperLU factorization of every mode's block, in the
+    C order of the spectrum."""
+    if len(axes) == len(shape):
         modes = modes / factor
     else:
-        modes = factor.solve(modes.reshape(len(block), -1).T).T.reshape(modes.shape)
-    return irfftn(modes, s=[block.shape[k] for k in axes], axes=axes) if axes else modes
+        modes = factor.solve(modes.reshape(len(modes), -1).T).T.reshape(modes.shape)
+    if not axes:
+        return modes
+    return irfftn(modes, s=[shape[k] for k in axes], axes=tuple(k + 1 for k in axes))
 
 
 def _invariant_axes(op: StencilOperator) -> tuple[int, ...]:
@@ -384,7 +407,9 @@ def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarra
     the entries of an operator that does not vary along `axes` are exact.
     Over every axis there is one group, the zero shift, and its entries are
     the symbol of op's x-average.  Returns the entries, (*mode shape, groups)
-    with the modes on `axes` and the sites on the other axes, and the shifts.
+    with the modes on `axes` and the sites on the other axes (one site along
+    an axis op is invariant along, so the mass's entries span the modes on
+    `axes` alone), and the shifts.
     """
     lattice = op.lattice
     n, d = lattice.n, lattice.d
@@ -399,7 +424,8 @@ def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarra
     shifts = list(dict.fromkeys(off))
     group = np.array([shifts.index(s) for s in off])
     varying = [k for k in range(d) if k not in axes]
-    kernel = np.zeros((*lattice.shape, len(shifts)))  # the varying axes first, then `axes`
+    # the varying axes first, each of size 1 where op is invariant, then `axes`
+    kernel = np.zeros((*means.shape[:-1], *(n,) * len(axes), len(shifts)))
     np.add.at(kernel, (..., *(-lams[:, list(axes)] % n).T, group), means)
     kernel = np.moveaxis(kernel, range(len(varying)), varying)
     return rfftn(kernel, axes=axes), shifts
@@ -413,9 +439,43 @@ def _mode_blocks(op: StencilOperator, axes: tuple[int, ...]) -> scipy.sparse.csc
     entries, shifts = _mode_symbols(op, axes)
     shape = entries.shape[:-1]
     total = math.prod(shape)
-    indices, indptr = _pattern.__wrapped__(shape, shifts)
+    indices, indptr = _columns(shape, shifts)
     return scipy.sparse.csr_matrix((entries.reshape(-1), indices, indptr),
                                    shape=(total, total)).tocsc()
+
+
+class _ModeStencil:
+    """A constant operator, such as the mass, after a real FFT over `axes`:
+    the transform of op U at mode m and site x of the other axes is
+    sum_g K[m, g] V(m, x + shift_g), V the transform of U, with the entries
+    K of _mode_symbols.  This is exact, op commuting with every shift, and K
+    spans the modes on `axes` alone.  apply wraps V periodically by the
+    shifts' reach along each axis they move along, so each shift is a view."""
+
+    def __init__(self, op: StencilOperator, axes: tuple[int, ...]):
+        entries, shifts = _mode_symbols(op, axes)
+        n = op.lattice.n
+        reach = [max(abs(s[k]) for s in shifts) for k in range(op.lattice.d)]
+        self.axes = axes
+        self._wraps = [(k + 1, np.arange(-r, n + r)) for k, r in enumerate(reach) if r]
+        self._terms = [
+            (np.ascontiguousarray(entries[..., g]),
+             (slice(None), *(slice(r + c, r + c + n) if r else slice(None)
+                             for r, c in zip(reach, shift))))
+            for g, shift in enumerate(shifts)
+        ]
+
+    def apply(self, block: np.ndarray) -> np.ndarray:
+        """The transform over `axes` of op U for a (samples, *shape) block of U."""
+        wrapped = _forward(block, self.axes)
+        for axis, index in self._wraps:
+            wrapped = wrapped.take(index, axis=axis, mode="wrap")
+        (entry, view), *rest = self._terms
+        out = entry * wrapped[view]
+        part = np.empty_like(out) if rest else None
+        for entry, view in rest:
+            out += np.multiply(entry, wrapped[view], out=part)
+        return out
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -481,27 +541,66 @@ def step_implicit_em(
     for every later step with this dt unless the drift references t.  The
     system counts as reused for LinearSolver when it is kept or u holds more
     than one sample.
+
+    When LinearSolver splits the system over invariant axes, the right-hand
+    side is formed in Fourier modes over them and solved as transformed: the
+    mass term is the mass's per-mode stencil (_ModeStencil, kept by
+    `assembled`) applied to the transform of U_n, a kept f_h enters by its
+    transform, which `assembled` keeps under its rule, and the noise terms
+    (with an f_h that references t) are formed on the sites and transformed
+    together.  So a noise-free step with a kept f does one forward and one
+    inverse FFT, and the mass's CSR matrix is never built.  Otherwise the
+    right-hand side is formed on the sites, the mass term by the mass's CSR
+    product.
     """
     t_next = t_n + dt
+    problem = assembled.problem
     asts = assembled.drift_asts
     # factored before the right-hand side is formed: the other order raised the
     # peak RSS of a tensor(2) study with a 256^2 reference by 5 %
     solver = assembled.memo(("system", dt), lambda: LinearSolver(
         implicit_system(assembled, t_next, dt),
         reused=assembled.keeps(asts) or len(u.values) > 1), asts)
-    rhs = assembled.mass.apply(u).values
+    axes = solver._axes
+    f = problem.f
+    f_in_modes = bool(axes) and f is not None and assembled.keeps([f])
+    # the right-hand side on the sites, or on a split lattice its site terms alone;
     # an overflow here leaves a non-finite entry, which the solve reports
     with np.errstate(over="ignore"):
-        if assembled.problem.f is not None:
-            rhs += dt * assembled.f_h(t_next).values
-        if increments is not None and assembled.problem.has_noise:
-            for rho in assembled.problem.active_rhos():
+        rhs = None if axes else assembled.mass.apply(u).values
+        if f is not None and not f_in_modes:
+            rhs = _plus(rhs, dt * assembled.f_h(t_next).values)
+        if increments is not None and problem.has_noise:
+            for rho in problem.active_rhos():
                 dw = increments[rho - 1].reshape(-1, *[1] * assembled.lattice.d)
                 if not np.any(dw):
                     continue
                 term = assembled.noise(t_n, rho).apply(u).values + assembled.g_h(t_n, rho).values
-                rhs += dw * term
-    return GridFunction(u.lattice, solver.solve(rhs.reshape(len(rhs), -1)).reshape(rhs.shape))
+                rhs = _plus(rhs, dw * term)
+    if not axes:
+        return GridFunction(u.lattice, solver.solve(rhs.reshape(len(rhs), -1)).reshape(rhs.shape))
+    mass = assembled.memo(("mass modes", axes), lambda: _ModeStencil(assembled.mass, axes))
+    f_hat = assembled.memo(("f modes", axes), lambda: _forward(
+        mollify_data(f, assembled.tensors, assembled.lattice, t_next).values, axes)
+    ) if f_in_modes else None
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the solve
+        modes = mass.apply(u.values)
+        if f_hat is not None:
+            modes += dt * f_hat
+        if rhs is not None:
+            modes += _forward(rhs, axes)
+    return GridFunction(u.lattice, solver.solve(modes, transformed=True).reshape(u.values.shape))
+
+
+def _plus(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:
+    """total + term for (samples, *shape) blocks, in place unless total holds
+    fewer samples than term; term when total is None."""
+    if total is None:
+        return term
+    if len(total) < len(term):
+        return total + term
+    total += term
+    return total
 
 
 def integrate(
@@ -517,10 +616,11 @@ def integrate(
     noise is one NoisePath (a block of one sample; None for a problem
     without noise terms) or a list holding one NoisePath per Monte Carlo
     sample.  The samples advance together as one GridFunction: every step
-    is one sparse product per operator on the block and one solve of a
-    system shared by all samples (one per step when the drift depends on t;
-    otherwise one per lattice and dt, which `assembled` keeps for later
-    calls, as it keeps U_0, the FFT solve of the mass for phi_h).
+    applies each explicit operator to the block once (the mass in Fourier
+    modes on a split lattice) and solves one system shared by all samples
+    (one per step when the drift depends on t; otherwise one per lattice
+    and dt, which `assembled` keeps for later calls, as it keeps U_0, the
+    FFT solve of the mass for phi_h).
 
     record: 'all' keeps every state, 'terminal' only the last (any other
     value is a ValueError); the maximum of |U|_{0,h} over all steps and

@@ -514,6 +514,27 @@ class TestMatrix:
         for op, want in zip(ops, before):
             assert np.array_equal(op.apply(u).values, want)
 
+    def test_pattern_is_freed_with_its_last_operator(self, hat_setup):
+        # the shared pattern lives while a matrix uses it, and no longer
+        import gc
+        import weakref
+
+        element, tensors, _ = hat_setup
+        lattice = build_torus(1, 1.0, 22)  # a size no other test keeps an operator on
+        mass, other = assemble_mass(tensors, lattice), assemble_mass(tensors, lattice)
+        owner = mass.matrix.indices
+        while owner.base is not None:
+            owner = owner.base
+        pattern = weakref.ref(owner)
+        del owner
+        assert np.shares_memory(other.matrix.indices, pattern())
+        del mass
+        gc.collect()
+        assert pattern() is not None
+        del other
+        gc.collect()
+        assert pattern() is None
+
 
 SPLIT_HAT = """\
 d = 1
@@ -653,8 +674,8 @@ class TestEvaluationCount:
         seen = []
         real = expr.eval_many
 
-        def recording(ast, x, t):
-            out = real(ast, x, t)
+        def recording(ast, x, t, known=None):
+            out = real(ast, x, t, known)
             seen.append((ast, x, out))
             return out
 

@@ -543,6 +543,56 @@ def test_error_in_last_slab_keeps_its_message(monkeypatch):
     assert messages == ["sqrt of a negative value"] * 2
 
 
+def test_x1_free_subtrees_are_evaluated_once(monkeypatch):
+    # SLAB_PROBLEM's drift and phi in 16 slabs: sin(x2) of a.1.1 and cos(x2) of
+    # phi are evaluated once per assembly, and every result is == the one that
+    # evaluates them in each slab; eval_many still runs once per slab
+    tensors = compute_reference_tensors(build_element("tensor(2)"))
+    n = 200
+    lattice = build_torus(2, 2 * np.pi / n, n)
+    problem = parse_problem_text(SLAB_PROBLEM)
+    free = [problem.a[1, 1].right.right, problem.phi.right]
+    assert [expr.axes(ast) for ast in free] == [{2}, {2}]
+    nodes, calls = [], []
+    real_eval, real_many = expr._eval, expr.eval_many
+
+    def counting_eval(ast, *args):
+        nodes.append(ast)
+        return real_eval(ast, *args)
+
+    def counting_many(ast, *args):
+        calls.append(ast)
+        return real_many(ast, *args)
+
+    monkeypatch.setattr(expr, "_eval", counting_eval)
+    monkeypatch.setattr(expr, "eval_many", counting_many)
+    results, counts = [], []
+    for _ in range(2):
+        nodes.clear(), calls.clear()
+        results.append([assemble_drift(tensors, problem, lattice, 0.0).coef,
+                        mollify_data(problem.phi, tensors, lattice).values])
+        # a subtree taken from eval_free's values does not evaluate its argument
+        counts.append(([sum(node is ast.arg for node in nodes) for ast in free],
+                       [sum(call is ast for call in calls) for ast in (problem.a[1, 1], problem.phi)]))
+        monkeypatch.setattr(expr, "eval_free", lambda ast, x, t, axis: {})
+    assert counts == [([1, 1], [16, 16]), ([16, 16], [16, 16])]
+    for got, want in zip(*results):
+        assert_identical(got, want)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("1 / (x2 - x2) + sqrt(x1 - 100)", "division by zero"),
+    ("sqrt(x1 - 100) + 1 / (x2 - x2)", "sqrt of a negative value"),
+])
+def test_x1_free_error_is_raised_where_evaluation_reaches_it(monkeypatch, source, message):
+    tensors = compute_reference_tensors(build_element("tensor(2)"))
+    lattice = build_torus(2, 2 * np.pi / 8, 8)
+    for known in (expr.eval_free, lambda ast, x, t, axis: {}):
+        monkeypatch.setattr(expr, "eval_free", known)
+        with pytest.raises(expr.EvalError, match=message):
+            mollify_data(expr.parse(source), tensors, lattice)
+
+
 def test_lattice_points_of_a_sublattice():
     # Lambda generates only the points of even coordinate sum; the margin of
     # the search keeps every such point of the box reachable

@@ -184,6 +184,33 @@ class TestStep:
                                      abs=1e-12)
 
 
+class TestItoTime:
+    """The noise stencil and g are read at the left point t_n: a noise term
+    that is t at t = 0 adds nothing to a step from t = 0, while from t = dt
+    it does.  On a lattice with a whole-lattice factorization and on one
+    split along x2."""
+
+    LATTICES = {
+        "hat1d": ('a.1.1 = "1 + 0.25*cos(x1)"\nf = "cos(x1)"\n', 16),
+        "tensor(2)": ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nf = "cos(x1)"\n', 8),
+    }
+
+    @pytest.mark.parametrize("preset", ["hat1d", "tensor(2)"])
+    @pytest.mark.parametrize("noise", ['g.1 = "t"', 'sigma.1.1 = "t"\nphi = "sin(x1)"',
+                                       'nu.1 = "t"\nphi = "sin(x1)"'])
+    def test_noise_term_is_read_at_t_n(self, preset, noise):
+        drift, n = self.LATTICES[preset]
+        ap = assembled_on(preset, n, drift + noise)
+        dt = 0.01
+        u = integrate(ap, NoisePath(3, 1, dt), dt, 1).states[0]
+        increments = np.array([[0.3]])
+        quiet = step_implicit_em(u, ap, 0.0, dt, None).values
+        assert np.array_equal(step_implicit_em(u, ap, 0.0, dt, increments).values, quiet)
+        assert not np.array_equal(step_implicit_em(u, ap, dt, dt, increments).values,
+                                  step_implicit_em(u, ap, dt, dt, None).values)
+        assert ap._memo["system", dt]._axes == ((1,) if preset == "tensor(2)" else ())
+
+
 class TestSolveLinear:
     def test_identity_returns_rhs(self, hat, rng):
         element, tensors = hat
@@ -490,13 +517,18 @@ DET2D = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "0.1"\nc = "-0.2
          'f = "sin(x1)*cos(x2)"\nphi = "sin(x1)*cos(x2)"\n')
 
 
-def split_system(preset, n, text):
-    """The implicit system of `text` on an n^d lattice of `preset`, at dt = h^2 / 2."""
+def assembled_on(preset, n, text):
+    """`text` assembled on an n^d lattice of `preset`."""
     element = build_element(preset)
     tensors = compute_reference_tensors(element)
     lattice = build_torus(element.d, L / n, n)
-    ap = AssembledProblem(element, tensors, parse_problem_text(text), lattice)
-    return implicit_system(ap, 0.0, 0.5 * lattice.h**2)
+    return AssembledProblem(element, tensors, parse_problem_text(text), lattice)
+
+
+def split_system(preset, n, text):
+    """The implicit system of `text` on an n^d lattice of `preset`, at dt = h^2 / 2."""
+    ap = assembled_on(preset, n, text)
+    return implicit_system(ap, 0.0, 0.5 * ap.lattice.h**2)
 
 
 class TestSplit:
@@ -583,6 +615,81 @@ class TestSplit:
         assert np.linalg.norm(got - want) <= 10 * KRYLOV_TOL * np.linalg.norm(want)
 
 
+# assembly3d's problem; and a noise-driven problem whose drift is invariant along x2
+ASSEMBLY3D = ('d = 3\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\na.3.3 = "1 + 0.1*sin(x3)"\n'
+              'b.1 = "0.1"\nc = "-0.2"\nphi = "sin(x1)*cos(x2)*cos(x3)"\n')
+NOISY_SPLIT = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "0.1"\n'
+               'sigma.1.1 = "0.3*cos(x1)"\nnu.1 = "0.2*sin(x1)"\ng.1 = "0.1*cos(x2)"\n'
+               'f = "sin(x1)*cos(x2)*cos(t)"\nphi = "sin(x1)*cos(x2)"\n')
+NOISY_CONSTANT = ('a.1.1 = "1"\nb.1 = "0.5"\nsigma.1.1 = "0.3"\nnu.1 = "0.2"\ng.1 = "0.1"\n'
+                  'f = "cos(x1)"\nphi = "sin(x1)"')
+
+
+def csr_step(u, ap, t_n, dt, increments):
+    """The step with its right-hand side formed on the sites, the mass term by
+    the mass's CSR product, and then solved by the same split."""
+    t_next = t_n + dt
+    solver = LinearSolver(implicit_system(ap, t_next, dt),
+                          reused=ap.keeps(ap.drift_asts) or len(u.values) > 1)
+    rhs = ap.mass.matrix @ u.values.reshape(len(u.values), -1).T
+    rhs = rhs.T.reshape(u.values.shape)
+    if ap.problem.f is not None:
+        rhs += dt * ap.f_h(t_next).values
+    for rho in ap.problem.active_rhos() if increments is not None else ():
+        term = ap.noise(t_n, rho).apply(u).values + ap.g_h(t_n, rho).values
+        rhs += increments[rho - 1].reshape(-1, *[1] * ap.lattice.d) * term
+    return solver.solve(rhs.reshape(len(rhs), -1)).reshape(rhs.shape)
+
+
+class TestSplitStep:
+    """On a split lattice the step forms its right-hand side in Fourier modes
+    over the split axes and never builds the mass's CSR matrix."""
+
+    @pytest.mark.parametrize("preset, n, text, axes", [
+        ("tensor(2)", 32, DET2D, (1,)),
+        ("tensor(3)", 8, ASSEMBLY3D, (1,)),
+        ("tensor(2)", 16, NOISY_SPLIT, (1,)),
+        ("hat1d", 32, NOISY_CONSTANT, (0,)),
+    ], ids=["det2d", "assembly3d", "noisy-split", "noisy-division"])
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_step_matches_csr_step(self, preset, n, text, axes, samples):
+        ap = assembled_on(preset, n, text)
+        steps, dt = 6, 0.5 * ap.lattice.h**2
+        noises = [NoisePath(sample_seed(41, s), steps, dt) for s in range(samples)]
+        states = []
+        integrate(ap, noises, steps * dt, steps, observe=lambda k, u: states.append(u))
+        assert ap._memo["system", dt]._axes == axes
+        increments = np.stack([p.increments for p in noises], axis=1)
+        for k, (u, got) in enumerate(zip(states, states[1:])):
+            want = csr_step(u, ap, k * dt, dt, increments[:, :, k] if ap.problem.has_noise else None)
+            assert np.linalg.norm(got.values - want) <= 1e-13 * np.linalg.norm(want), k
+
+    def test_split_step_builds_no_whole_lattice_matrix(self, monkeypatch):
+        # det2d_ladder's problem on 64^2 sites, split along x2: neither the mass
+        # nor any other operator builds its CSR matrix or asks for a column pattern
+        import femspde.assembly as assembly
+
+        patterns, matrices = [], []
+        real_pattern, real_matrix = assembly._pattern, StencilOperator.matrix
+
+        def pattern(*args):
+            patterns.append(args)
+            return real_pattern(*args)
+
+        def matrix(op):
+            matrices.append(op)
+            return real_matrix.fget(op)
+
+        monkeypatch.setattr(assembly, "_pattern", pattern)
+        monkeypatch.setattr(StencilOperator, "matrix", property(matrix))
+        ap = assembled_on("tensor(2)", 64, DET2D)
+        traj = integrate(ap, None, T=0.01, steps=4, record="terminal")
+        assert np.all(np.isfinite(traj.terminal.values))
+        assert ap._memo["system", 0.01 / 4]._axes == (1,)
+        assert patterns == [] and matrices == []
+        assert ap.mass._matrix is None
+
+
 @pytest.mark.parametrize("preset, n", [("hat1d", 256), ("tensor(2)", 256), ("tensor(3)", 20)])
 def test_mass_symbol_is_the_transform_of_its_coefficients(preset, n):
     # every axis is invariant, so the symbol takes R itself, not a mean of its copies
@@ -651,8 +758,8 @@ class TestDet2dMemory:
 SPLIT_HASHES = """
 import hashlib
 import numpy as np
-from femspde.integrator import LinearSolver
-from tests.test_integrator import DET2D, split_system
+from femspde.integrator import LinearSolver, NoisePath, integrate
+from tests.test_integrator import DET2D, assembled_on, split_system
 
 op = split_system("tensor(2)", 128, DET2D)
 solver = LinearSolver(op)
@@ -660,12 +767,19 @@ assert solver._axes == (1,)
 rhs = np.random.default_rng(7).normal(size=(3, op.lattice.total_sites))
 for block in (rhs[:1], rhs):
     print(hashlib.sha256(solver.solve(block).tobytes()).hexdigest())
+ap = assembled_on("tensor(2)", 128, DET2D)
+for samples in (1, 3):
+    noises = [NoisePath(s, 13, 1e-4) for s in range(samples)]
+    digest = hashlib.sha256()
+    integrate(ap, noises, 13e-4, 13, observe=lambda n, u: digest.update(u.values.tobytes()))
+    print(digest.hexdigest())
 """
 
 
 def test_split_solve_does_not_depend_on_thread_count():
     # the 128^2 tensor(2) system splits along x2 into 65 blocks of 128 sites;
-    # its 1- and 3-column solutions are byte-identical at 1 and 2 BLAS threads
+    # its 1- and 3-column solutions, and every state of 13 steps of det2d's
+    # problem at 1 and 3 samples, are byte-identical at 1 and 2 BLAS threads
     import os
     import subprocess
     import sys
@@ -680,7 +794,7 @@ def test_split_solve_does_not_depend_on_thread_count():
                               capture_output=True, text=True, timeout=300, cwd=root)
         assert proc.returncode == 0, proc.stderr
         hashes.append(proc.stdout.split())
-    assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
+    assert len(hashes[0]) == 4 and hashes[0] == hashes[1]
 
 
 class TestIntegrate:
@@ -820,14 +934,19 @@ class TestSampleBlock:
         BLOCK_PROBLEM + 'phi = "sin(x1)"\nf = "cos(x1)*sin(t)"',
         # t-dependent drift: one factorization per step, shared by the block
         BLOCK_PROBLEM.replace("cos(x1)", "cos(x1 - t)", 1) + 'phi = "sin(x1)"',
+        # tensor(2), split along x2: the right-hand side is formed in Fourier modes
+        NOISY_SPLIT,
     ])
-    def test_block_equals_single_sample_runs(self, hat, text):
-        ap = make_assembled(hat, text)
+    def test_block_equals_single_sample_runs(self, text):
+        preset = "tensor(2)" if text.startswith("d = 2") else "hat1d"
+        ap = assembled_on(preset, 16, text)
         noises = block_noises()
         seen = []
         block_traj = integrate(ap, noises, 0.08, 8,
                                observe=lambda n, u: seen.append(u.values.copy()))
-        assert len(seen) == 9 and block_traj.terminal.values.shape == (3, 16)
+        assert len(seen) == 9 and block_traj.terminal.values.shape == (3, *ap.lattice.shape)
+        if preset == "tensor(2)":
+            assert ap._memo["system", 0.01]._axes == (1,)
         for kept, block in zip(block_traj.states, seen, strict=True):
             assert np.array_equal(kept.values, block)
         # each sample's max over time of |U|_0h, from the blocks observe saw
