@@ -16,7 +16,8 @@ sub-cells of the reference tensors' overlap tables, regrouped by lattice cell
 in the tensors' CellQuadrature (ReferenceTensors.quad, femspde.tensors), so
 every coefficient is needed only at the cell points x_c + h zeta with zeta in
 [0, 1)^d, and every stencil coefficient is a sum of cell-local products
-scattered by lattice shifts.  The cell points are passed to the evaluator as
+scattered by lattice shifts, one product per (cell shift, offset) pair that
+the quadrature stores.  The cell points are passed to the evaluator as
 one coordinate array per axis, so each coefficient is computed only along the
 lattice axes it references (a constant once, cos(x1) on n * P values), and one
 that references x1 in slabs of axis-0 cells, so no lattice-wide array of
@@ -188,31 +189,36 @@ def _columns(shape: tuple[int, ...], offsets: tuple[Lam, ...]) -> tuple[np.ndarr
 SLAB_VALUES = 2**16
 
 
-def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms) -> np.ndarray:
+def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms,
+                    pairs: np.ndarray) -> np.ndarray:
     """Stencil coefficients sum_terms integral(coefficient * weight), a (G, *span)
-    view of a contiguous (*span, G) array, the layout of StencilOperator.compact.
+    view of a contiguous (*span, G) array, the layout of StencilOperator.compact,
+    with one entry per offset index of `pairs`.
 
-    `terms` pairs coefficient ASTs with (K, P, G) weight arrays.  The cell
-    points x_c + h zeta are given as one coordinate array per axis: x_k holds
+    `terms` pairs coefficient ASTs with (P, C) weight columns, column c for the
+    (cell shift, offset) pair pairs[c] (quad.pairs or quad.mollifier_pairs).  The
+    cell points x_c + h zeta are given as one coordinate array per axis: x_k holds
     the axis coordinates along lattice axis k (size 1 on the others) plus
     h zeta[:, k] on a trailing P axis.  Each distinct AST is evaluated on
     those arrays, so its values span only the axes it references (a constant
     is one value, cos(x1) is n * P), and the stencil spans the axes that some
-    AST references: n along those, 1 along the others.  Shift k contributes the
-    cell-local products V @ W_k, summed over the terms in order and rolled by -k
-    onto the sites whose overlap tables reach into cell c.  Along an axis that no
-    term references every value is equal and the roll is the identity, so each
-    entry of the (*span, G) sum holds the additions, in the order, of a
-    full-lattice sum.  An AST that references x1 is evaluated and contracted one
-    slab of axis-0 cells at a time, at most SLAB_VALUES quadrature values, with
-    its subtrees that do not reference x1 evaluated once before the first slab
-    (expr.eval_free); the others are contracted once and added to every slab.
+    AST references: n along those, 1 along the others.  The cell-local products
+    V @ W, summed over the terms in order, give one value per column; column by
+    column in pair order (so shift by shift), the column of pair (k, g) is
+    rolled by -k onto the sites whose overlap tables reach into cell c and added
+    into offset g.  Along an axis that no term references every value is equal
+    and the roll is the identity, so each entry of the (*span, G) sum holds the
+    additions, in the order, of a full-lattice sum.  An AST that references x1 is
+    evaluated and contracted one slab of axis-0 cells at a time, at most
+    SLAB_VALUES quadrature values, with its subtrees that do not reference x1
+    evaluated once before the first slab (expr.eval_free); the others are
+    contracted once and added to every slab.
     """
     combined: dict[int, tuple[expr.Ast, np.ndarray]] = {}  # mirrored entries share one AST
     for ast, weights in terms:
         prev = combined.get(id(ast))
         combined[id(ast)] = (ast, weights if prev is None else prev[1] + weights)
-    n_shifts, n_zeta, width = terms[0][1].shape if terms else quad.reaction.shape
+    n_zeta, n_cols, width = len(quad.zeta), len(pairs), int(pairs[:, 1].max()) + 1
     d, h, n = lattice.d, lattice.h, lattice.n
     axis = lattice.axis_coords()
     x = tuple(
@@ -223,31 +229,29 @@ def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms
     def contract(vals, w):
         cells = vals.shape[:-1]
         vals = np.broadcast_to(vals, (*cells, n_zeta)).reshape(-1, n_zeta)
-        return (vals @ w).reshape(*cells, n_shifts * width)
+        return (vals @ w).reshape(*cells, n_cols)
 
     referenced = set()
     # (ast, its x1-free values, W) for an AST that references x1, else (None, None, V @ W)
     slabbed = []
-    for ast, weights in combined.values():
+    for ast, w in combined.values():
         axes = expr.axes(ast)
         referenced |= axes
-        w = weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
         if 1 in axes:
             slabbed.append((ast, expr.eval_free(ast, x, t, 1), w))
         else:
             slabbed.append((None, None, contract(expr.eval_many(ast, x, t), w)))
     span = tuple(n if k + 1 in referenced else 1 for k in range(d))
-    local = np.zeros((*span, n_shifts * width))
+    local = np.zeros((*span, n_cols))
     rows = max(1, SLAB_VALUES // (n_zeta * math.prod(span[1:])))
     for start in range(0, span[0], rows):
         part = local[start:start + rows]
         x_slab = (x[0][start:start + rows], *x[1:])
         for ast, known, w in slabbed:
             part += w if ast is None else contract(expr.eval_many(ast, x_slab, t, known), w)
-    local = local.reshape(*span, n_shifts, width)
     out = np.zeros((*span, width))
-    for k, shift in enumerate(quad.shifts):
-        out += np.roll(local[..., k, :], tuple(-c for c in shift), axis=tuple(range(d)))
+    for (k, g), column in zip(pairs, np.moveaxis(local, -1, 0)):
+        out[..., g] += np.roll(column, tuple(-c for c in quad.shifts[k]), axis=tuple(range(d)))
     return np.moveaxis(out, -1, 0)
 
 
@@ -274,7 +278,7 @@ def assemble_drift(
     terms += [(ast, quad.transport[i - 1] / h) for i, ast in problem.b.items()]
     if problem.c is not None:
         terms.append((problem.c, quad.reaction))
-    coef = _assemble_cells(quad, lattice, t, terms)
+    coef = _assemble_cells(quad, lattice, t, terms, quad.pairs)
     return StencilOperator(lattice, quad.offsets, coef)
 
 
@@ -291,7 +295,7 @@ def assemble_noise(
     terms = [(ast, quad.transport[i - 1] / h) for (i, r), ast in problem.sigma.items() if r == rho]
     if rho in problem.nu:
         terms.append((problem.nu[rho], quad.reaction))
-    coef = _assemble_cells(quad, lattice, t, terms)
+    coef = _assemble_cells(quad, lattice, t, terms, quad.pairs)
     return StencilOperator(lattice, quad.offsets, coef)
 
 
@@ -304,8 +308,8 @@ def mollify_data(
     """Smooth a field with the scaled element: integral of field(x + h z) psi(z) dz,
     as a one-sample GridFunction."""
     quad = tensors.quad
-    values = _assemble_cells(quad, lattice, t, [(field, quad.mollifier)])[0]
-    return GridFunction(lattice, np.broadcast_to(values, lattice.shape).copy())
+    values = _assemble_cells(quad, lattice, t, [(field, quad.mollifier)], quad.mollifier_pairs)
+    return GridFunction(lattice, np.broadcast_to(values[0], lattice.shape).copy())
 
 
 # ---------------------------------------------------------------------------

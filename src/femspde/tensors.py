@@ -24,8 +24,11 @@ Everything here depends only on the element, whose degree sets the Gauss
 degree.  The same overlap tables, regrouped by lattice cell into a
 CellQuadrature, give the quadrature that the lattice assembly
 (femspde.assembly) integrates variable coefficients and data with; the data
-integrate against psi itself, the zero shift's table.  ReferenceTensors
-builds its quadrature from its own tables alone, on first use.
+integrate against psi itself, the zero shift's table.  Lattice cell k meets
+supp psi_lam ∩ supp psi for only some (k, lam), so the quadrature stores one
+weight column per (cell shift, offset) pair that some table point reaches
+(64 of 216 on tensor(3)) and no other.  ReferenceTensors builds its
+quadrature from its own tables alone, on first use.
 """
 
 from __future__ import annotations
@@ -115,19 +118,24 @@ class CellQuadrature:
     k = floor(z) in Z^d and zeta in [0, 1)^d.  The point x + h z of site x is
     then x_c + h zeta for the lattice cell c = x/h + k, so a coefficient
     sampled once at x_c + h zeta for every cell c serves every table.  The
-    distinct zeta are shared by all term kinds; for each shift k one (P, |Gamma|)
-    weight matrix per kind holds the quadrature weight times the basis
-    product.  The mollifier integrates against psi, so its weights come from
-    the zero shift's table, whose parts are psi's cells.
+    distinct zeta are shared by all term kinds.  Cell k meets supp psi_lam ∩
+    supp psi for only some (k, lam): the C pairs that some table point
+    reaches, in flat k * G + g order (so shift by shift), each hold one weight
+    column per kind, the quadrature weight times the basis product at every
+    zeta; no other pair is stored.  The mollifier integrates against psi, so
+    its weights come from the zero shift's table, whose parts are psi's cells,
+    in one column per shift k at the data's one offset.
     """
 
     offsets: tuple[Lam, ...]  # Gamma, the stencil footprint
     shifts: tuple[Lam, ...]   # lattice-cell shifts k
     zeta: np.ndarray          # (P, d) distinct points in [0, 1)^d
-    diffusion: np.ndarray     # (d, d, K, P, G): w D_j psi_lam (-D_i psi) at [i-1, j-1]
-    transport: np.ndarray     # (d, K, P, G): w D_i psi_lam psi at [i-1]
-    reaction: np.ndarray      # (K, P, G): w psi_lam psi
-    mollifier: np.ndarray     # (K, P, 1): w psi on the zero shift's table
+    pairs: np.ndarray         # (C, 2) shift index, offset index of each stencil column
+    diffusion: np.ndarray     # (d, d, P, C): w D_j psi_lam (-D_i psi) at [i-1, j-1]
+    transport: np.ndarray     # (d, P, C): w D_i psi_lam psi at [i-1]
+    reaction: np.ndarray      # (P, C): w psi_lam psi
+    mollifier_pairs: np.ndarray  # (K, 2): every shift index, at offset index 0
+    mollifier: np.ndarray     # (P, K), Fortran order: w psi on the zero shift's table
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,32 +165,40 @@ def _split_points(points: np.ndarray) -> tuple[tuple[Lam, ...], np.ndarray, np.n
 
 def build_cell_quadrature(tensors: ReferenceTensors) -> CellQuadrature:
     """Regroup the overlap tables of the tensors by lattice cell into the layouts the
-    assembly reads; the offsets are Gamma.  Each component of a kind is one np.bincount
-    on the points' flat (k, p, g) index, which adds every target's weights in point
-    order.  The zero shift's parts are psi's cells, so its table also gives the
-    mollifier (check_disjoint bounds any other part at 1e-12 measure)."""
+    assembly reads; the offsets are Gamma.  The pairs are the distinct flat (k, g)
+    indices of the points, and each component of a kind is one np.bincount on the
+    points' flat (p, pair) index, which adds every target's weights in point order.
+    The zero shift's parts are psi's cells, so its table also gives the mollifier
+    (check_disjoint bounds any other part at 1e-12 measure)."""
     offsets, tables, d = tensors.gamma, tensors.tables, tensors.d
     shifts, zeta, cell_point = _split_points(
         np.concatenate([tables[lam].points for lam in offsets]))
     K, P, G = len(shifts), len(zeta), len(offsets)
     sizes = [len(tables[lam].weights) for lam in offsets]
-    at = cell_point * G + np.repeat(np.arange(G), sizes)
+    reached, column = np.unique(cell_point // P * G + np.repeat(np.arange(G), sizes),
+                                return_inverse=True)
+    C = len(reached)
+    at = cell_point % P * C + column
 
     def scatter(weights) -> np.ndarray:
-        """(K, P, G) sums of weights(table) over every table, in Gamma order."""
+        """(P, C) sums of weights(table) over every table, in Gamma order."""
         values = np.concatenate([weights(tables[lam]) for lam in offsets])
-        return np.bincount(at, values, K * P * G).reshape(K, P, G)
+        return np.bincount(at, values, P * C).reshape(P, C)
 
-    diffusion, transport = np.empty((d, d, K, P, G)), np.empty((d, K, P, G))
+    diffusion, transport = np.empty((d, d, P, C)), np.empty((d, P, C))
     for i in range(d):
         for j in range(d):  # w D_j psi_lam (-D_i psi)
             diffusion[i, j] = scatter(lambda tab: tab.weights * tab.dpsi_l[j] * -tab.dpsi_0[i])
         transport[i] = scatter(lambda tab: tab.weights * tab.dpsi_l[i] * tab.psi_0)
     reaction = scatter(lambda tab: tab.weights * tab.psi_l * tab.psi_0)
     start, zero = sum(sizes[:offsets.index((0,) * d)]), tables[(0,) * d]
-    mollifier = np.bincount(cell_point[start:start + len(zero.weights)],
-                            zero.weights * zero.psi_0, K * P).reshape(K, P, 1)
-    return CellQuadrature(offsets, shifts, zeta, diffusion, transport, reaction, mollifier)
+    cell_point = cell_point[start:start + len(zero.weights)]
+    # a transposed (K, P) array: the BLAS reads it in the order of the former dense
+    # (K, P, 1) table, so mollified data keep their last bits
+    mollifier = np.bincount(cell_point, zero.weights * zero.psi_0, K * P).reshape(K, P).T
+    return CellQuadrature(offsets, shifts, zeta, np.stack(np.divmod(reached, G), axis=1),
+                          diffusion, transport, reaction,
+                          np.stack([np.arange(K), np.zeros(K, dtype=int)], axis=1), mollifier)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,8 +262,10 @@ def compute_reference_tensors(element: FiniteElement) -> ReferenceTensors:
         R[g] = w @ (tab.psi_l * tab.psi_0)
         Rbeta[g] = [w @ (dl * tab.psi_0) for dl in tab.dpsi_l]
         Rab[g] = [[-w @ (dl * d0) for dl in tab.dpsi_l] for d0 in tab.dpsi_0]
-        # Q[i,j,k,l] = sum_m w_m z_mk z_ml dpsi_l[j] (-dpsi_0[i])
-        Q[g] = np.einsum("m,mk,ml,jm,im->ijkl", w, z, z, tab.dpsi_l, -tab.dpsi_0)
+        # Q[i,j,k,l] = sum_m (-dpsi_0[i] dpsi_l[j])_m (w z_k z_l)_m, one product
+        derivatives = (-tab.dpsi_0[:, None] * tab.dpsi_l[None]).reshape(d * d, -1)
+        moments = (w[:, None, None] * z[:, :, None] * z[:, None, :]).reshape(-1, d * d)
+        Q[g] = (derivatives @ moments).reshape(d, d, d, d)
         Qtilde[g] = np.einsum("m,mk,im->ik", w, z, tab.dpsi_l * tab.psi_0)
     return ReferenceTensors(
         d=d,

@@ -743,29 +743,30 @@ def test_drift_assembly_allocates_no_lattice_wide_shift_array():
     assert peak < 3 * lattice.total_sites * width * 8
 
 
-def full_point_cells(quad, lattice, t, terms):
+def full_point_cells(quad, lattice, t, terms, pairs):
     """The point-array path the coordinate arrays replaced: every distinct AST
     evaluated at all (cells * P, d) points x_c + h zeta, then one full
-    (cells, P) @ (P, K * G) contraction per AST."""
+    (cells, P) @ (P, C) contraction per AST over the pair columns."""
     combined = {}
     for ast, weights in terms:
         prev = combined.get(id(ast))
         combined[id(ast)] = (ast, weights if prev is None else prev[1] + weights)
+    width = int(pairs[:, 1].max()) + 1
     if not combined:
-        return np.zeros((len(quad.offsets), *lattice.shape))
-    n_shifts, n_zeta, width = terms[0][1].shape
+        return np.zeros((width, *lattice.shape))
+    n_zeta, n_cols = len(quad.zeta), len(pairs)
     n_cells = lattice.total_sites
     pts = (lattice.coords()[:, None, :] + lattice.h * quad.zeta[None, :, :])
     pts = pts.reshape(-1, lattice.d)
-    local = np.zeros((n_cells, n_shifts * width))
+    local = np.zeros((n_cells, n_cols))
     for ast, weights in combined.values():
         vals = np.broadcast_to(expr.eval_many(ast, tuple(pts.T), t), (len(pts),))
-        vals = vals.reshape(n_cells, n_zeta)
-        local += vals @ weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
-    local = local.reshape(*lattice.shape, n_shifts, width)
+        local += vals.reshape(n_cells, n_zeta) @ weights
+    local = local.reshape(*lattice.shape, n_cols)
     out = np.zeros((*lattice.shape, width))
-    for k, shift in enumerate(quad.shifts):
-        out += np.roll(local[..., k, :], tuple(-c for c in shift), axis=tuple(range(lattice.d)))
+    for (k, g), column in zip(pairs, np.moveaxis(local, -1, 0)):
+        out[..., g] += np.roll(column, tuple(-c for c in quad.shifts[k]),
+                               axis=tuple(range(lattice.d)))
     return np.moveaxis(out, -1, 0)
 
 

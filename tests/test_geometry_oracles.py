@@ -10,12 +10,16 @@ and on the element-file fixtures of the suite.
 
 Four more oracles are the lattice-wide code that the cell quadrature, the
 CSR column pattern, the stencil assembly and the solver's per-mode blocks
-replaced: row-wise ``np.unique`` and ``np.add.at`` scatters, one
-``ravel_multi_index`` per offset, sums over full-lattice arrays rolled once
-per cell shift, and one ``ravel_multi_index`` over the spectrum per shift
-group.  Their arrays must be ``==`` to the current ones, dtype and sign bits
-included.
+replaced: row-wise ``np.unique`` and ``np.add.at`` scatters into dense
+(cell shift, zeta, offset) tables, one ``ravel_multi_index`` per offset, sums
+over full-lattice arrays of the quadrature's (cell shift, offset) pair columns,
+each column rolled on its own, and one ``ravel_multi_index`` over the spectrum
+per shift group.  Their arrays must be ``==`` to the current ones, dtype and
+sign bits included; the quadrature's pair columns are compared spread to the
+dense layout.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -43,7 +47,6 @@ from femspde.polynomials import (
 from femspde.lattice import build_torus
 from femspde.problem import parse_problem_text
 from femspde.tensors import (
-    CellQuadrature,
     build_cell_quadrature,
     build_overlap_tables,
     compute_reference_tensors,
@@ -99,6 +102,13 @@ def elements(skew_hat_text):
     out.update({name: parse_element_text(text) for name, text in FILES.items()})
     out["skew-hat"] = parse_element_text(skew_hat_text)
     return out
+
+
+@pytest.fixture(scope="module")
+def tensors(elements):
+    """Each case's reference tensors at the default Gauss degree, built on first
+    use and shared by the tests of this module (none patches the degree)."""
+    return functools.cache(lambda case: compute_reference_tensors(elements[case]))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +230,8 @@ def lattice_points_oracle(lambda_set, lo, hi):
 
 def cell_quadrature_oracle(tensors):
     """Row-wise np.unique of the cell shifts and rounded zeta, and one np.add.at
-    per kind and table."""
+    per kind and table into dense (..., K, P, G) arrays (the mollifier's G is 1);
+    with them the shifts, zeta and the set of (k, g) that some table point reaches."""
     offsets, tables, d = tensors.gamma, tensors.tables, tensors.d
     points = np.concatenate([tables[lam].points for lam in offsets])
     cells = np.floor(points)
@@ -230,24 +241,32 @@ def cell_quadrature_oracle(tensors):
                                 return_inverse=True)
     k_idx, p_idx = k_idx.reshape(-1), p_idx.reshape(-1)
     K, P, G = len(shifts), len(first), len(offsets)
-    diffusion = np.zeros((d, d, K, P, G))
-    transport = np.zeros((d, K, P, G))
-    reaction = np.zeros((K, P, G))
-    mollifier = np.zeros((K, P, 1))
+    dense = {"diffusion": np.zeros((d, d, K, P, G)), "transport": np.zeros((d, K, P, G)),
+             "reaction": np.zeros((K, P, G)), "mollifier": np.zeros((K, P, 1))}
+    reached = set()
     start = 0
     for g, lam in enumerate(offsets):
         tab = tables[lam]
         stop = start + len(tab.weights)
         at = (k_idx[start:stop], p_idx[start:stop], g)
+        reached |= {(int(k), g) for k in at[0]}
         w = tab.weights
-        np.add.at(diffusion, (..., *at), w * tab.dpsi_l[None] * -tab.dpsi_0[:, None])
-        np.add.at(transport, (..., *at), w * tab.dpsi_l * tab.psi_0)
-        np.add.at(reaction, at, w * tab.psi_l * tab.psi_0)
+        np.add.at(dense["diffusion"], (..., *at), w * tab.dpsi_l[None] * -tab.dpsi_0[:, None])
+        np.add.at(dense["transport"], (..., *at), w * tab.dpsi_l * tab.psi_0)
+        np.add.at(dense["reaction"], at, w * tab.psi_l * tab.psi_0)
         if lam == (0,) * d:
-            np.add.at(mollifier, at[:2] + (0,), w * tab.psi_0)
+            np.add.at(dense["mollifier"], at[:2] + (0,), w * tab.psi_0)
         start = stop
     shifts = tuple(tuple(int(c) for c in k) for k in shifts)
-    return CellQuadrature(offsets, shifts, frac[first], diffusion, transport, reaction, mollifier)
+    return shifts, frac[first], reached, dense
+
+
+def dense_columns(columns, pairs, n_shifts, width):
+    """(..., P, C) pair columns spread to the dense (..., K, P, width) layout, zero
+    at every (k, g) that is not a pair."""
+    out = np.zeros((*columns.shape[:-2], n_shifts, width, columns.shape[-2]))
+    out[..., pairs[:, 0], pairs[:, 1], :] = np.swapaxes(columns, -1, -2)
+    return np.swapaxes(out, -1, -2)
 
 
 def pattern_oracle(lattice, offsets):
@@ -274,33 +293,34 @@ def mode_blocks_oracle(op, axes):
                                    shape=(total, total)).tocsc()
 
 
-def assemble_cells_oracle(quad, lattice, t, terms):
-    """Every term added into one (*lattice.shape, K * G) array, rolled over every
-    axis once per cell shift."""
+def assemble_cells_oracle(quad, lattice, t, terms, pairs):
+    """Every term added into one (*lattice.shape, C) array of pair columns, each
+    column rolled over every axis by its cell shift, shift by shift."""
     combined = {}
     for ast, weights in terms:
         prev = combined.get(id(ast))
         combined[id(ast)] = (ast, weights if prev is None else prev[1] + weights)
+    width = int(pairs[:, 1].max()) + 1
     if not combined:
-        return np.moveaxis(np.zeros((*lattice.shape, len(quad.offsets))), -1, 0)
-    n_shifts, n_zeta, width = terms[0][1].shape
+        return np.moveaxis(np.zeros((*lattice.shape, width)), -1, 0)
+    n_zeta, n_cols = len(quad.zeta), len(pairs)
     d, h = lattice.d, lattice.h
     axis = lattice.axis_coords()
     x = tuple(
         axis.reshape(tuple(-1 if j == k else 1 for j in range(d)) + (1,)) + h * quad.zeta[:, k]
         for k in range(d)
     )
-    local = np.zeros((*lattice.shape, n_shifts * width))
-    for ast, weights in combined.values():
+    local = np.zeros((*lattice.shape, n_cols))
+    for ast, w in combined.values():
         vals = expr.eval_many(ast, x, t)
         cells = vals.shape[:-1]
         vals = np.broadcast_to(vals, (*cells, n_zeta)).reshape(-1, n_zeta)
-        w = weights.transpose(1, 0, 2).reshape(n_zeta, n_shifts * width)
-        local += (vals @ w).reshape(*cells, n_shifts * width)
-    local = local.reshape(*lattice.shape, n_shifts, width)
+        local += (vals @ w).reshape(*cells, n_cols)
     out = np.zeros((*lattice.shape, width))
     for k, shift in enumerate(quad.shifts):
-        out += np.roll(local[..., k, :], tuple(-c for c in shift), axis=tuple(range(d)))
+        for col in np.flatnonzero(pairs[:, 0] == k):
+            out[..., pairs[col, 1]] += np.roll(local[..., col], tuple(-c for c in shift),
+                                               axis=tuple(range(d)))
     return np.moveaxis(out, -1, 0)
 
 
@@ -400,20 +420,30 @@ class TestArrayGeometryMatchesOracles:
                 assert got.shape == own.shape
                 np.testing.assert_array_equal(got, own)
 
-    def test_mollifier_is_psis_own_quadrature(self, elements, case):
+    def test_mollifier_is_psis_own_quadrature(self, elements, tensors, case):
         element = elements[case]
-        tensors = compute_reference_tensors(element)
-        quad = tensors.quad
-        oracle = mollifier_oracle(element, quad, tensors.quad_degree)
-        assert quad.mollifier.shape == oracle.shape
-        np.testing.assert_array_equal(quad.mollifier, oracle)
+        quad = tensors(case).quad
+        oracle = mollifier_oracle(element, quad, tensors(case).quad_degree)
+        assert_identical(
+            dense_columns(quad.mollifier, quad.mollifier_pairs, len(quad.shifts), 1), oracle)
 
-    def test_cell_quadrature(self, elements, case):
-        tensors = compute_reference_tensors(elements[case])
-        got, want = build_cell_quadrature(tensors), cell_quadrature_oracle(tensors)
-        assert got.offsets == want.offsets and got.shifts == want.shifts
-        for name in ("zeta", "diffusion", "transport", "reaction", "mollifier"):
-            assert_identical(getattr(got, name), getattr(want, name))
+    def test_cell_quadrature(self, tensors, case):
+        got = build_cell_quadrature(tensors(case))
+        shifts, zeta, reached, dense = cell_quadrature_oracle(tensors(case))
+        assert got.offsets == tensors(case).gamma and got.shifts == shifts
+        assert_identical(got.zeta, zeta)
+        K, G = len(shifts), len(got.offsets)
+        # the pairs are exactly the reached (k, g), in flat k * G + g order
+        assert got.pairs.tolist() == sorted(map(list, reached))
+        assert got.mollifier_pairs.tolist() == [[k, 0] for k in range(K)]
+        # one component at a time keeps tensor(4)'s dense arrays to one copy
+        for name in ("diffusion", "transport", "reaction"):
+            columns = getattr(got, name)
+            for index in np.ndindex(columns.shape[:-2]):
+                assert_identical(dense_columns(columns[index], got.pairs, K, G),
+                                 dense[name][index])
+        assert_identical(dense_columns(got.mollifier, got.mollifier_pairs, K, 1),
+                         dense["mollifier"])
 
     def test_pattern(self, elements, case):
         element = elements[case]
@@ -430,6 +460,36 @@ class TestArrayGeometryMatchesOracles:
             got = lattice_points_in_box(element.lambda_set, *box)
             assert got == sorted(got)
             assert set(got) == lattice_points_oracle(element.lambda_set, *box)
+
+
+def quadrature_bytes(quad):
+    return sum(value.nbytes for value in vars(quad).values() if isinstance(value, np.ndarray))
+
+
+@pytest.mark.parametrize("case, pairs, bound", [("tensor(3)", 64, 1.0e6), ("tensor(4)", 256, 60e6)])
+def test_quadrature_stores_only_reached_pairs(tensors, case, pairs, bound):
+    # 64 of the 8 * 27 (k, g) pairs of tensor(3) and 256 of the 16 * 81 of tensor(4)
+    # are reached; the dense (..., K, P, G) tables took 2.82e6 and 282e6 bytes
+    quad = tensors(case).quad
+    assert len(quad.pairs) == pairs
+    assert quadrature_bytes(quad) <= bound
+
+
+def test_cell_quadrature_builds_no_dense_table(tensors):
+    # numpy reports its allocations to tracemalloc; on tensor(3) the returned
+    # arrays take 0.84e6 bytes, a dense (d, d, K, P, G) diffusion table alone
+    # 1.94e6, and building the dense tables peaked at 3.0e6
+    import tracemalloc
+
+    build_cell_quadrature(tensors("tensor(3)"))  # imports outside the measurement
+    tracemalloc.start()
+    try:
+        quad = build_cell_quadrature(tensors("tensor(3)"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quadrature_bytes(quad) < 0.9e6
+    assert peak < 1.5e6
 
 
 TENSOR3_X1 = 'd = 3\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\na.3.3 = "1"\nc = "-0.2"'
@@ -473,12 +533,11 @@ def spans(d):
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c != "tensor(4)"])
-def test_assembly_matches_full_lattice_oracle(elements, case, monkeypatch):
+def test_assembly_matches_full_lattice_oracle(tensors, case, monkeypatch):
     # drift, noise and mollified data of coefficients spanning every set of
     # axes, and of the mixed problems of test_assembly, bit for bit
-    element = elements[case]
-    tensors = compute_reference_tensors(element)
-    d = element.d
+    tensors = tensors(case)
+    d = tensors.d
     problems = [span_problem(d, span) for span in spans(d)]
     problems.append(parse_problem_text(ORACLE_PROBLEMS[d]))
 
@@ -504,9 +563,9 @@ SLAB_PROBLEM = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)*sin(x2)"\na.1.2 = "0.1*sin(x1 
                 'phi = "sin(x1)*cos(x2)"\n')
 
 
-def test_slabs_match_whole_array_oracle(monkeypatch):
+def test_slabs_match_whole_array_oracle(tensors, monkeypatch):
     # 200 rows of cells on tensor(2) run as 15 slabs of 13 rows and one of 5
-    tensors = compute_reference_tensors(build_element("tensor(2)"))
+    tensors = tensors("tensor(2)")
     n = 200
     lattice = build_torus(2, 2 * np.pi / n, n)
     rows = assembly.SLAB_VALUES // (len(tensors.quad.zeta) * n)
@@ -525,9 +584,9 @@ def test_slabs_match_whole_array_oracle(monkeypatch):
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14 * scale)
 
 
-def test_error_in_last_slab_keeps_its_message(monkeypatch):
+def test_error_in_last_slab_keeps_its_message(tensors, monkeypatch):
     # sqrt(199.5 h - x1) is negative only at points of the last row of cells
-    tensors = compute_reference_tensors(build_element("tensor(2)"))
+    tensors = tensors("tensor(2)")
     n = 200
     lattice = build_torus(2, 2 * np.pi / n, n)
     bound = 199.5 * lattice.h
@@ -543,11 +602,11 @@ def test_error_in_last_slab_keeps_its_message(monkeypatch):
     assert messages == ["sqrt of a negative value"] * 2
 
 
-def test_x1_free_subtrees_are_evaluated_once(monkeypatch):
+def test_x1_free_subtrees_are_evaluated_once(tensors, monkeypatch):
     # SLAB_PROBLEM's drift and phi in 16 slabs: sin(x2) of a.1.1 and cos(x2) of
     # phi are evaluated once per assembly, and every result is == the one that
     # evaluates them in each slab; eval_many still runs once per slab
-    tensors = compute_reference_tensors(build_element("tensor(2)"))
+    tensors = tensors("tensor(2)")
     n = 200
     lattice = build_torus(2, 2 * np.pi / n, n)
     problem = parse_problem_text(SLAB_PROBLEM)
@@ -584,8 +643,8 @@ def test_x1_free_subtrees_are_evaluated_once(monkeypatch):
     ("1 / (x2 - x2) + sqrt(x1 - 100)", "division by zero"),
     ("sqrt(x1 - 100) + 1 / (x2 - x2)", "sqrt of a negative value"),
 ])
-def test_x1_free_error_is_raised_where_evaluation_reaches_it(monkeypatch, source, message):
-    tensors = compute_reference_tensors(build_element("tensor(2)"))
+def test_x1_free_error_is_raised_where_evaluation_reaches_it(tensors, monkeypatch, source, message):
+    tensors = tensors("tensor(2)")
     lattice = build_torus(2, 2 * np.pi / 8, 8)
     for known in (expr.eval_free, lambda ast, x, t, axis: {}):
         monkeypatch.setattr(expr, "eval_free", known)
