@@ -30,15 +30,14 @@ Each operator keeps its coefficients over the axes they span
 (StencilOperator.compact): the mass is its G coefficients, and a drift that
 varies along x1 only is n * G values.  Its scipy CSR matrix
 (StencilOperator.matrix), whose rows hold the G coefficients of one site in
-offset order, is built from them on first use: applying the operator, factoring
-it over the whole lattice, and the BiCGStab matvec and residual use it.
-Operators with the same lattice and footprint share one read-only column
-pattern, built as one broadcast sum of per-axis column terms and held while
-one of their matrices uses it; the solver's per-mode blocks take their
-columns from the same rule and their entries from the compact coefficients,
-so a split solve never builds the operator's matrix, and a split step
-applies the mass in Fourier modes (femspde.integrator), so the mass's
-matrix is not built there either.
+offset order, is built from them on first use: applying the operator and the
+BiCGStab matvec and residual use it.  Operators with the same lattice and
+footprint share one read-only column pattern, built as one broadcast sum of
+per-axis column terms and held while one of their matrices uses it; the
+solver's per-mode blocks take their columns from the same rule and their
+entries from the compact coefficients, so a direct solve never builds the
+operator's matrix, and the step applies the mass by its per-mode stencil
+(femspde.integrator), so the mass's matrix is never built there either.
 
 Data fields are mollified by the scaled element: phi_h(x) is the integral of
 phi(x + h z) psi(z) dz, evaluated at the same cell points.
@@ -75,12 +74,11 @@ class StencilOperator:
     compact is one contiguous, read-only (*span, G) array whose axis k has
     n entries, or one entry that every site along axis k shares.  So the mass
     is its G coefficients alone, and a drift that varies along x1 only is
-    (n, 1, ..., 1, G).  coef is a read-only (G, *lattice.shape) broadcast view
-    of it.  The constructor takes coefficients in (G, *span) layout, each span
-    axis 1 or n.
+    (n, 1, ..., 1, G).  The constructor takes coefficients in (G, *span)
+    layout, each span axis 1 or n.
 
     matrix is the operator's CSR matrix in C-order flat site indexing, built
-    on first use (apply, sparse LU of the whole lattice, BiCGStab) and kept:
+    on first use (apply, BiCGStab) and kept:
     row x holds the G entries coef(lam, x), one per offset in offset order, at
     the columns of the sites x + h lam.  The column pattern depends only on the
     lattice and the offsets, and every operator with the same pair shares it
@@ -105,11 +103,6 @@ class StencilOperator:
         self.compact.flags.writeable = False
         self.terms: tuple[tuple[float, StencilOperator], ...] = ()
         self._matrix = None
-
-    @property
-    def coef(self) -> np.ndarray:
-        full = np.broadcast_to(self.compact, (*self.lattice.shape, len(self.offsets)))
-        return np.moveaxis(full, -1, 0)
 
     @property
     def matrix(self) -> csr_matrix:
@@ -325,13 +318,14 @@ class AssembledProblem:
     One rule governs reuse: a result is built once per key and then kept,
     unless an expression it is built from references t, in which case it
     is rebuilt at every requested time (keeps is that rule); the integrator
-    keeps U_0, the implicit system's solver, and on a split lattice the mass's
-    per-mode stencil and f_h's transform here under it.  The operators and
-    the mollified data integrate with the tensors' cell quadrature; the data
-    are one-sample GridFunctions.  The problem, the tensors and the lattice
-    must have one dimension (a ValueError names all three otherwise).  The
-    element argument is not read (the tensors' tables hold all the assembly
-    needs); it keeps the positional signature that callers use.
+    keeps U_0, the implicit system's solver, the mass's per-mode stencil and
+    f_h's transform (over the axes the solver splits over, possibly none)
+    here under it.  The operators and the mollified data integrate with the
+    tensors' cell quadrature; the data are one-sample GridFunctions.  The
+    problem, the tensors and the lattice must have one dimension (a
+    ValueError names all three otherwise).  The element argument is not read
+    (the tensors' tables hold all the assembly needs); it keeps the
+    positional signature that callers use.
     """
 
     def __init__(
@@ -386,10 +380,6 @@ class AssembledProblem:
         return self.memo(("noise", rho), lambda: assemble_noise(
             self.tensors, p, self.lattice, t, rho
         ), asts)
-
-    def f_h(self, t: float) -> GridFunction:
-        f = self.problem.f
-        return self.memo("f", lambda: self._mollify(f, t), [f])
 
     def g_h(self, t: float, rho: int) -> GridFunction:
         g = self.problem.g.get(rho)

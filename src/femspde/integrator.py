@@ -19,19 +19,18 @@ blocks or BiCGStab, by the rule its docstring states.  It reads the
 invariant axes and the blocks' entries from the coefficients each operator
 stores over the axes they span (StencilOperator.compact), so the
 mass - dt * drift of a split solve is never copied onto the whole lattice.
-On such a split the step forms its right-hand side in the same Fourier
-modes: the mass term by the mass's per-mode stencil, whose entries come from
-its G coefficients over the split axes alone, applied to the transform of
-U_n; only the noise terms are sparse products with their operators' CSR
-matrices (StencilOperator.matrix).  Without a split (a whole-lattice
-factorization, as in 1-D with an x-dependent coefficient, or BiCGStab) every
-explicit term is such a sparse product.
+The step forms its right-hand side in the same Fourier modes, over no axis
+when the system does not split: the mass term by the mass's per-mode
+stencil, whose entries come from its G coefficients over the split axes
+alone, applied to the transform of U_n; only the noise terms are sparse
+products with their operators' CSR matrices (StencilOperator.matrix).
 
 Noise increments come from a counter-based generator: the uint64 stream of
 Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
-raw draw per time index, so the increment at (seed, rho, n) is addressable
-without generating its predecessors.  Independent Monte Carlo samples derive
-their seeds with a splitmix64 mix of the base seed and the sample index.
+raw draw per time index, so the increment at (seed, rho, n) is the n-th
+draw of the counter that (seed, rho) keys, the same whatever the run's
+length.  Independent Monte Carlo samples derive their seeds with a
+splitmix64 mix of the base seed and the sample index.
 
 The module needs nothing of scipy.fft or scipy.special.  The FFT is numpy's,
 which agrees bit for bit with scipy.fft on 1-D and 2-D forward transforms
@@ -89,7 +88,7 @@ def sample_seed(base_seed: int, sample_index: int) -> int:
 
 
 class NoisePath:
-    """Wiener increments dW^rho_n ~ N(0, dt), reproducible and addressable."""
+    """Wiener increments dW^rho_n ~ N(0, dt), reproducible from (seed, rho)."""
 
     def __init__(self, seed: int, steps: int, dt: float, rho_count: int = 1):
         if steps < 1:
@@ -100,20 +99,9 @@ class NoisePath:
         self.steps = int(steps)
         self.dt = float(dt)
         self.rho_count = int(rho_count)
-        rows = [self._from_raw(Philox(key=self._key(rho)).random_raw(self.steps))
+        rows = [self._from_raw(Philox(key=[self.seed, rho]).random_raw(self.steps))
                 for rho in range(1, self.rho_count + 1)]
         self.increments = np.asarray(rows).reshape(self.rho_count, self.steps)
-
-    def _key(self, rho: int) -> list[int]:
-        return [self.seed, rho & _MASK64]
-
-    def increment(self, rho: int, n: int) -> float:
-        """Single increment addressed by (seed, rho, n), no streaming required."""
-        if not (1 <= rho <= self.rho_count and 0 <= n < self.steps):
-            raise IndexError(f"increment ({rho}, {n}) out of range")
-        bg = Philox(key=self._key(rho))
-        bg.advance(n // 4)  # advance counts 256-bit blocks of four raw draws
-        return float(self._from_raw(bg.random_raw(4))[n % 4])
 
     def _from_raw(self, raw: np.ndarray) -> np.ndarray:
         """The increments sqrt(dt) * ndtri(u) of an array of raw Philox draws, u
@@ -231,22 +219,22 @@ class LinearSolver:
     Swarztrauber, SIAM Rev. 19, 1977).  Every solve here is such a split,
     _split_solve: the FFT, each mode's solve and the inverse FFT.
     _mode_blocks forms the blocks; they are factored together, as one
-    block-diagonal complex matrix, by sparse LU (SuperLU with a minimum-degree
-    ordering on A^T + A).  With no invariant axis the one block is op.matrix
-    itself, factored as a real CSC copy.  With every axis invariant (the
-    mass, or mass - dt * drift when no coefficient depends on x) each block is
-    one site, its mode's symbol, and the mode's solve is a division by it.
+    block-diagonal matrix, by sparse LU (SuperLU with a minimum-degree
+    ordering on A^T + A and O(N) panel workspace).  With no invariant axis
+    the split is over no axis and the one block is the whole lattice, op's
+    own real entries in op.matrix's pattern.  With every axis invariant (the
+    mass, or mass - dt * drift when no coefficient depends on x) each block
+    is one site, its mode's symbol, and the mode's solve is a division by it.
     The invariant axes and the blocks' entries come from op.compact, whose
     invariant axes hold one entry, so along them the entries are op's own
-    coefficients; op.matrix is built only for a factorization of the whole
-    lattice or for BiCGStab.  solve also takes a right-hand side already
-    transformed over the split's axes, as step_implicit_em forms it.  So a
-    split lattice builds no whole-lattice matrix for its system or its mass
-    (only a noise operator's, to apply it): its steps use the factors
-    of the mode blocks (or the symbol), the operators' compact coefficients,
-    the mass's per-mode stencil (one entry per mode of the split axes and
-    shift along the others) and f_h's transform, which the AssembledProblem
-    keeps.
+    coefficients; op.matrix is built only for BiCGStab.  solve also takes a
+    right-hand side already transformed over the split's axes, as
+    step_implicit_em forms it.  So a direct solve never builds op.matrix,
+    and no step builds the mass's (only a noise operator's, to apply it):
+    the steps use the factors of the mode blocks (or the symbol), the
+    operators' compact coefficients, the mass's per-mode stencil (one entry
+    per mode of the split axes and shift along the others) and f_h's
+    transform, which the AssembledProblem keeps.
 
     The direct path is taken when the factorization is reused or the lattice
     is 1-D, and a block has at most DIRECT_SITE_LIMIT sites.  Otherwise the
@@ -303,17 +291,15 @@ class LinearSolver:
                                   f"against {against} of {scale.flat[m]:.3e}")
             symbol[vanishing] = 1.0
         else:
-            if self._axes:
-                # panel_size=1, relax=1 keep SuperLU's dense panel workspace at O(N): on
-                # the 33 024 rows of a 256^2 tensor(2) system split along x2 (2-vCPU x86
-                # host) they factor in 22 ms, where the defaults take 43 ms and raise
-                # the peak RSS of a process that has just assembled it by 4.5 MB
-                matrix, options = _mode_blocks(op, self._axes), {"panel_size": 1, "relax": 1}
-            else:
-                matrix, options = op.matrix.tocsc(), {}
+            # panel_size=1, relax=1 keep SuperLU's dense panel workspace at O(N): on the
+            # 33 024 rows of a 256^2 tensor(2) system split along x2 (2-vCPU x86 host)
+            # they factor in 22 ms, where the defaults take 43 ms and raise the peak RSS
+            # of a process that has just assembled it by 4.5 MB; stoch1d_mc's 1-D systems
+            # (16 to 256 sites, split over no axis) factor in 26-77 us against 36-101 us
             try:
-                self._factor = scipy.sparse.linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                                                        **options)
+                self._factor = scipy.sparse.linalg.splu(
+                    _mode_blocks(op, self._axes), permc_spec="MMD_AT_PLUS_A",
+                    panel_size=1, relax=1)
             except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
                 raise SolverError(f"sparse factorization failed: {exc}") from exc
         if not self.direct:
@@ -330,15 +316,17 @@ class LinearSolver:
     def solve(self, rhs: np.ndarray, transformed: bool = False) -> np.ndarray:
         """Solve for every row of a (samples, total_sites) block: one split of
         the whole block, or one BiCGStab run per row, each with its own
-        residual check.  With transformed, on the direct path, rhs is the
-        block's real FFT over the split's axes instead, (samples, *spectrum),
-        as _forward gives it.  Returns (samples, total_sites)."""
+        residual check.  With transformed, rhs is the block's real FFT over
+        the split's axes instead, (samples, *spectrum), as _forward gives it;
+        over no axis, as on the BiCGStab path, that is the (samples, *shape)
+        block itself.  Returns (samples, total_sites)."""
         lattice = self.lattice
         if not transformed and (rhs.ndim != 2 or rhs.shape[1] != lattice.total_sites):
             raise ValueError(f"right-hand side shape {rhs.shape} is not "
                              f"(samples, {lattice.total_sites})")
         if not self.direct:
-            return np.stack([self._krylov(row, s, len(rhs)) for s, row in enumerate(rhs)])
+            rows = rhs.reshape(len(rhs), -1)
+            return np.stack([self._krylov(row, s, len(rows)) for s, row in enumerate(rows)])
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
             if not transformed:
                 rhs = _forward(rhs.reshape(len(rhs), *lattice.shape), self._axes)
@@ -406,10 +394,11 @@ def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarra
     along and averages over the sites only along the axes op varies along, so
     the entries of an operator that does not vary along `axes` are exact.
     Over every axis there is one group, the zero shift, and its entries are
-    the symbol of op's x-average.  Returns the entries, (*mode shape, groups)
-    with the modes on `axes` and the sites on the other axes (one site along
-    an axis op is invariant along, so the mass's entries span the modes on
-    `axes` alone), and the shifts.
+    the symbol of op's x-average; over no axis each offset is its own group
+    and the entries are op's coefficients, real and untransformed.  Returns
+    the entries, (*mode shape, groups) with the modes on `axes` and the sites
+    on the other axes (one site along an axis op is invariant along, so the
+    mass's entries span the modes on `axes` alone), and the shifts.
     """
     lattice = op.lattice
     n, d = lattice.n, lattice.d
@@ -428,14 +417,14 @@ def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarra
     kernel = np.zeros((*means.shape[:-1], *(n,) * len(axes), len(shifts)))
     np.add.at(kernel, (..., *(-lams[:, list(axes)] % n).T, group), means)
     kernel = np.moveaxis(kernel, range(len(varying)), varying)
-    return rfftn(kernel, axes=axes), shifts
+    return (rfftn(kernel, axes=axes) if axes else kernel), shifts
 
 
 def _mode_blocks(op: StencilOperator, axes: tuple[int, ...]) -> scipy.sparse.csc_matrix:
-    """Every mode's block of op after a real FFT over `axes`, as one complex CSC
-    matrix in the C order of the (*mode shape) spectrum; row x holds the
-    columns of x + shift_g, periodic on the spectrum's grid, by the stencils'
-    own column rule."""
+    """Every mode's block of op after a real FFT over `axes`, as one CSC
+    matrix in the C order of the (*mode shape) spectrum, complex unless
+    `axes` is empty; row x holds the columns of x + shift_g, periodic on the
+    spectrum's grid, by the stencils' own column rule."""
     entries, shifts = _mode_symbols(op, axes)
     shape = entries.shape[:-1]
     total = math.prod(shape)
@@ -449,8 +438,10 @@ class _ModeStencil:
     the transform of op U at mode m and site x of the other axes is
     sum_g K[m, g] V(m, x + shift_g), V the transform of U, with the entries
     K of _mode_symbols.  This is exact, op commuting with every shift, and K
-    spans the modes on `axes` alone.  apply wraps V periodically by the
-    shifts' reach along each axis they move along, so each shift is a view."""
+    spans the modes on `axes` alone.  Over no axis it is op's site stencil,
+    whose products, summed in offset order, are op.matrix's bit for bit.
+    apply wraps V periodically by the shifts' reach along each axis they move
+    along, so each shift is a view."""
 
     def __init__(self, op: StencilOperator, axes: tuple[int, ...]):
         entries, shifts = _mode_symbols(op, axes)
@@ -542,16 +533,15 @@ def step_implicit_em(
     system counts as reused for LinearSolver when it is kept or u holds more
     than one sample.
 
-    When LinearSolver splits the system over invariant axes, the right-hand
-    side is formed in Fourier modes over them and solved as transformed: the
-    mass term is the mass's per-mode stencil (_ModeStencil, kept by
-    `assembled`) applied to the transform of U_n, a kept f_h enters by its
-    transform, which `assembled` keeps under its rule, and the noise terms
-    (with an f_h that references t) are formed on the sites and transformed
-    together.  So a noise-free step with a kept f does one forward and one
-    inverse FFT, and the mass's CSR matrix is never built.  Otherwise the
-    right-hand side is formed on the sites, the mass term by the mass's CSR
-    product.
+    The right-hand side is formed in Fourier modes over the axes
+    LinearSolver splits the system over, none when it does not split, and
+    solved as transformed: the mass term is the mass's per-mode stencil
+    (_ModeStencil, kept by `assembled`) applied to the transform of U_n, f_h
+    enters by its transform, which `assembled` keeps under its rule (rebuilt
+    at every step when f references t), and the noise terms are summed on
+    the sites and transformed once.  So a noise-free step with a kept f on a
+    split lattice does one forward and one inverse FFT, and no step builds
+    the mass's CSR matrix.
     """
     t_next = t_n + dt
     problem = assembled.problem
@@ -562,45 +552,25 @@ def step_implicit_em(
         implicit_system(assembled, t_next, dt),
         reused=assembled.keeps(asts) or len(u.values) > 1), asts)
     axes = solver._axes
-    f = problem.f
-    f_in_modes = bool(axes) and f is not None and assembled.keeps([f])
-    # the right-hand side on the sites, or on a split lattice its site terms alone;
-    # an overflow here leaves a non-finite entry, which the solve reports
-    with np.errstate(over="ignore"):
-        rhs = None if axes else assembled.mass.apply(u).values
-        if f is not None and not f_in_modes:
-            rhs = _plus(rhs, dt * assembled.f_h(t_next).values)
-        if increments is not None and problem.has_noise:
-            for rho in problem.active_rhos():
-                dw = increments[rho - 1].reshape(-1, *[1] * assembled.lattice.d)
-                if not np.any(dw):
-                    continue
-                term = assembled.noise(t_n, rho).apply(u).values + assembled.g_h(t_n, rho).values
-                rhs = _plus(rhs, dw * term)
-    if not axes:
-        return GridFunction(u.lattice, solver.solve(rhs.reshape(len(rhs), -1)).reshape(rhs.shape))
     mass = assembled.memo(("mass modes", axes), lambda: _ModeStencil(assembled.mass, axes))
-    f_hat = assembled.memo(("f modes", axes), lambda: _forward(
-        mollify_data(f, assembled.tensors, assembled.lattice, t_next).values, axes)
-    ) if f_in_modes else None
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by the solve
+    f = problem.f
+    # an overflow leaves a non-finite entry, which the solve reports
+    with np.errstate(over="ignore", invalid="ignore"):
         modes = mass.apply(u.values)
-        if f_hat is not None:
-            modes += dt * f_hat
-        if rhs is not None:
-            modes += _forward(rhs, axes)
+        if f is not None:
+            modes += dt * assembled.memo(("f modes", axes), lambda: _forward(
+                mollify_data(f, assembled.tensors, assembled.lattice, t_next).values, axes), [f])
+        noise = None
+        for rho in problem.active_rhos() if increments is not None else ():
+            dw = increments[rho - 1].reshape(-1, *[1] * assembled.lattice.d)
+            if not np.any(dw):
+                continue
+            term = dw * (assembled.noise(t_n, rho).apply(u).values
+                         + assembled.g_h(t_n, rho).values)
+            noise = term if noise is None else np.add(noise, term, out=noise)
+        if noise is not None:
+            modes += _forward(noise, axes)
     return GridFunction(u.lattice, solver.solve(modes, transformed=True).reshape(u.values.shape))
-
-
-def _plus(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:
-    """total + term for (samples, *shape) blocks, in place unless total holds
-    fewer samples than term; term when total is None."""
-    if total is None:
-        return term
-    if len(total) < len(term):
-        return total + term
-    total += term
-    return total
 
 
 def integrate(
@@ -616,8 +586,9 @@ def integrate(
     noise is one NoisePath (a block of one sample; None for a problem
     without noise terms) or a list holding one NoisePath per Monte Carlo
     sample.  The samples advance together as one GridFunction: every step
-    applies each explicit operator to the block once (the mass in Fourier
-    modes on a split lattice) and solves one system shared by all samples
+    applies each explicit operator to the block once (the mass by its
+    per-mode stencil, so never by a CSR matrix) and solves one system shared
+    by all samples
     (one per step when the drift depends on t; otherwise one per lattice
     and dt, which `assembled` keeps for later calls, as it keeps U_0, the
     FFT solve of the mass for phi_h).

@@ -19,17 +19,25 @@ from femspde.problem import parse_problem_text
 from femspde.tensors import build_overlap_tables, compute_reference_tensors
 
 
+def full_coef(op):
+    """op's coefficients at every site: a read-only (G, *lattice.shape)
+    broadcast view of op.compact."""
+    full = np.broadcast_to(op.compact, (*op.lattice.shape, len(op.offsets)))
+    return np.moveaxis(full, -1, 0)
+
+
 def dense_from_stencil(op):
     """Independent dense build: loops over sites and offsets by hand."""
     lat = op.lattice
     n, d = lat.n, lat.d
     total = lat.total_sites
     mat = np.zeros((total, total))
+    coef = full_coef(op)
     for row, mi in enumerate(np.ndindex(*lat.shape)):
         for k, lam in enumerate(op.offsets):
             col_mi = tuple((mi[a] + lam[a]) % n for a in range(d))
             col = int(np.ravel_multi_index(col_mi, lat.shape))
-            mat[row, col] += op.coef[(k, *mi)]
+            mat[row, col] += coef[(k, *mi)]
     return mat
 
 
@@ -40,9 +48,10 @@ def dense(op):
     idx = lat.multi_indices()
     rows = np.arange(lat.total_sites)
     mat = np.zeros((lat.total_sites, lat.total_sites))
+    coef = full_coef(op)
     for k, lam in enumerate(op.offsets):
         cols = np.ravel_multi_index(((idx + np.asarray(lam)) % lat.n).T, lat.shape)
-        mat[rows, cols] += op.coef[k].reshape(-1)
+        mat[rows, cols] += coef[k].reshape(-1)
     return mat
 
 
@@ -112,7 +121,7 @@ def assert_minus_h_identity(element, problem, lattice, t):
         np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-13 * scale)
 
     def at_negated_offsets(op):
-        by_offset = dict(zip(op.offsets, op.coef))
+        by_offset = dict(zip(op.offsets, full_coef(op)))
         return np.stack([by_offset[tuple(-c for c in lam)] for lam in sorted(tables)])
 
     close(raw_stencil(tables, lattice, h, t, drift_terms(problem)),
@@ -171,7 +180,7 @@ class TestDrift:
         problem = parse_problem_text('a.1.1 = "1"')
         drift = assemble_drift(tensors, problem, lattice, 0.0)
         h = lattice.h
-        by_offset = dict(zip(drift.offsets, drift.coef))
+        by_offset = dict(zip(drift.offsets, full_coef(drift)))
         np.testing.assert_allclose(by_offset[(0,)], -2.0 / h**2, rtol=1e-13)
         np.testing.assert_allclose(by_offset[(1,)], 1.0 / h**2, rtol=1e-13)
         np.testing.assert_allclose(by_offset[(-1,)], 1.0 / h**2, rtol=1e-13)
@@ -206,16 +215,16 @@ class TestDrift:
         problem = parse_problem_text('a.1.1 = "0"\nc = "1"')
         drift = assemble_drift(tensors, problem, lattice, 0.0)
         mass = assemble_mass(tensors, lattice)
-        by_offset = dict(zip(drift.offsets, drift.coef))
-        for lam, coef in zip(mass.offsets, mass.coef):
-            np.testing.assert_allclose(by_offset[lam], coef, atol=1e-13)
+        by_offset = dict(zip(drift.offsets, full_coef(drift)))
+        for lam, entry in zip(mass.offsets, full_coef(mass)):
+            np.testing.assert_allclose(by_offset[lam], entry, atol=1e-13)
 
     def test_pure_advection_centered_difference(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "0"\nb.1 = "1"')
         drift = assemble_drift(tensors, problem, lattice, 0.0)
         h = lattice.h
-        by_offset = dict(zip(drift.offsets, drift.coef))
+        by_offset = dict(zip(drift.offsets, full_coef(drift)))
         np.testing.assert_allclose(by_offset[(1,)], 0.5 / h, rtol=1e-13)
         np.testing.assert_allclose(by_offset[(-1,)], -0.5 / h, rtol=1e-13)
         np.testing.assert_allclose(by_offset[(0,)], 0.0, atol=1e-13)
@@ -226,9 +235,9 @@ class TestDrift:
         lattice = build_torus(2, 0.25, 8)
         problem = parse_problem_text('a.1.1="2"\na.2.2="1"\na.1.2="0.25"\nb.1="0.3"\nc="1"\nd=2')
         drift = assemble_drift(tensors, problem, lattice, 0.0)
-        for k in range(len(drift.offsets)):
-            spread = float(drift.coef[k].max() - drift.coef[k].min())
-            assert spread <= 1e-11 * max(1.0, abs(float(drift.coef[k].max())))
+        for entries in full_coef(drift):
+            spread = float(entries.max() - entries.min())
+            assert spread <= 1e-11 * max(1.0, abs(float(entries.max())))
 
 
 class TestNoise:
@@ -237,16 +246,16 @@ class TestNoise:
         problem = parse_problem_text('a.1.1 = "1"\nnu.1 = "1"')
         noise = assemble_noise(tensors, problem, lattice, 0.0, 1)
         mass = assemble_mass(tensors, lattice)
-        by_offset = dict(zip(noise.offsets, noise.coef))
-        for lam, coef in zip(mass.offsets, mass.coef):
-            np.testing.assert_allclose(by_offset[lam], coef, atol=1e-13)
+        by_offset = dict(zip(noise.offsets, full_coef(noise)))
+        for lam, entry in zip(mass.offsets, full_coef(mass)):
+            np.testing.assert_allclose(by_offset[lam], entry, atol=1e-13)
 
     def test_sigma_centered_difference(self, hat_setup):
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "1"\nsigma.1.1 = "1"')
         noise = assemble_noise(tensors, problem, lattice, 0.0, 1)
         h = lattice.h
-        by_offset = dict(zip(noise.offsets, noise.coef))
+        by_offset = dict(zip(noise.offsets, full_coef(noise)))
         np.testing.assert_allclose(by_offset[(1,)], 0.5 / h, rtol=1e-13)
         np.testing.assert_allclose(by_offset[(-1,)], -0.5 / h, rtol=1e-13)
         np.testing.assert_allclose(by_offset[(0,)], 0.0, atol=1e-13)
@@ -262,7 +271,7 @@ class TestNoise:
         element, tensors, lattice = hat_setup
         problem = parse_problem_text('a.1.1 = "1"\nsigma.1.1 = "1"', rho_max=2)
         noise = assemble_noise(tensors, problem, lattice, 0.0, 2)
-        np.testing.assert_array_equal(noise.coef, 0.0)
+        np.testing.assert_array_equal(full_coef(noise), 0.0)
 
 
 class TestApply:
@@ -433,22 +442,19 @@ class TestDiagnostics:
         ap = AssembledProblem(element, tensors, static, lattice)
         assert ap.drift(0.0) is ap.drift(0.7)
         assert ap.noise(0.0, 1) is ap.noise(0.7, 1)
-        assert ap.f_h(0.0) is ap.f_h(0.7)
         assert ap.g_h(0.0, 1) is ap.g_h(0.7, 1)
         assert ap.phi_h() is ap.phi_h()
-        assert not np.array_equal(ap.noise(0.0, 1).coef, ap.noise(0.0, 2).coef)
+        assert not np.array_equal(full_coef(ap.noise(0.0, 1)), full_coef(ap.noise(0.0, 2)))
         assert not ap.g_h(0.0, 2).values.any()  # no g.2: one entry per index
 
         timed = parse_problem_text(
             text.format(a="1 + 0.1*t", s="0.3*t", f="sin(x1)*t", g="0.1*t"))
         ap = AssembledProblem(element, tensors, timed, lattice)
         for t in (0.0, 0.7):
-            assert np.array_equal(ap.drift(t).coef,
-                                  assemble_drift(tensors, timed, lattice, t).coef)
-            assert np.array_equal(ap.noise(t, 1).coef,
-                                  assemble_noise(tensors, timed, lattice, t, 1).coef)
-            assert np.array_equal(ap.f_h(t).values,
-                                  mollify_data(timed.f, tensors, lattice, t).values)
+            assert np.array_equal(full_coef(ap.drift(t)),
+                                  full_coef(assemble_drift(tensors, timed, lattice, t)))
+            assert np.array_equal(full_coef(ap.noise(t, 1)),
+                                  full_coef(assemble_noise(tensors, timed, lattice, t, 1)))
             assert np.array_equal(ap.g_h(t, 1).values,
                                   mollify_data(timed.g[1], tensors, lattice, t).values)
         assert ap.noise(0.0, 2) is ap.noise(0.7, 2)  # sigma.1.2 does not reference t
@@ -463,7 +469,7 @@ class TestDiagnostics:
                                lattice, 0.0)
         combo = mass.scaled_add(1.0, drift, -0.5)
         assert combo.offsets == mass.offsets == drift.offsets
-        assert np.array_equal(combo.coef, mass.coef - 0.5 * drift.coef)
+        assert np.array_equal(full_coef(combo), full_coef(mass) - 0.5 * full_coef(drift))
         np.testing.assert_allclose(dense(combo),
                                    dense(mass) - 0.5 * dense(drift), atol=1e-12)
 
@@ -601,7 +607,7 @@ class TestCellQuadrature:
 
         def signed(op):
             assert op.offsets == tuple(sorted(tables))
-            by_offset = dict(zip(op.offsets, op.coef))
+            by_offset = dict(zip(op.offsets, full_coef(op)))
             return np.stack([by_offset[tuple(int(sign) * c for c in lam)] for lam in op.offsets])
 
         close(signed(assemble_drift(tensors, problem, lattice, t)),
@@ -640,7 +646,7 @@ class TestCellQuadrature:
         expected = mollify_data(problem.phi, raised, lattice)
         assert np.array_equal(ap.phi_h().values, expected.values)
         drift = assemble_drift(raised, problem, lattice, 0.0)
-        assert np.array_equal(ap.drift(0.0).coef, drift.coef)
+        assert np.array_equal(full_coef(ap.drift(0.0)), full_coef(drift))
         # at the default degree these data differ, so the equalities pin the degree
         assert not np.array_equal(expected.values,
                                   mollify_data(problem.phi, tensors, lattice).values)
@@ -803,8 +809,8 @@ class TestFullPointOracle:
 
         def build():
             return [
-                assemble_drift(tensors, problem, lattice, t).coef,
-                assemble_noise(tensors, problem, lattice, t, 1).coef,
+                full_coef(assemble_drift(tensors, problem, lattice, t)),
+                full_coef(assemble_noise(tensors, problem, lattice, t, 1)),
                 *(mollify_data(field, tensors, lattice, t).values
                   for field in (problem.phi, problem.f, problem.g[1])),
             ]
@@ -851,9 +857,9 @@ class TestCompactCoefficients:
                 return str(exc)
 
         for op in ops:
-            full = StencilOperator(lattice, op.offsets, np.array(op.coef))
+            full = StencilOperator(lattice, op.offsets, np.array(full_coef(op)))
             assert full.compact.shape == (*lattice.shape, len(op.offsets))
-            assert np.array_equal(op.coef, full.coef)
+            assert np.array_equal(full_coef(op), full_coef(full))
             assert np.array_equal(op.apply(u).values, full.apply(u).values)
             assert np.array_equal(dense(op), dense(full))
             for reused in (True, False):
@@ -864,7 +870,8 @@ class TestCompactCoefficients:
         lattice = build_torus(2, 2 * np.pi / 8, 8)
         offsets = ((0, 0), (1, 0), (0, 1))
         for shape in ((3, 1, 8), (3, 8, 1), (3, 1, 1), (3, 8, 8)):
-            assert StencilOperator(lattice, offsets, np.ones(shape)).coef.shape == (3, 8, 8)
+            compact = StencilOperator(lattice, offsets, np.ones(shape)).compact
+            assert compact.shape == (*shape[1:], 3)
         for shape in ((3, 2, 8), (3, 8, 4), (2, 8, 8), (4, 1, 1), (3, 8), (3, 1, 1, 1)):
             with pytest.raises(ValueError, match="does not match stencil"):
                 StencilOperator(lattice, offsets, np.ones(shape))
@@ -875,6 +882,5 @@ class TestCompactCoefficients:
         element, tensors, lattice = hat_setup
         drift = assemble_drift(tensors, parse_problem_text('a.1.1 = "1 + 0.5*cos(x1)"'),
                                lattice, 0.0)
-        for array in (drift.compact, drift.coef):
-            with pytest.raises(ValueError):
-                array[0] = 1.0
+        with pytest.raises(ValueError):
+            drift.compact[0] = 1.0

@@ -413,7 +413,7 @@ class TestSimulate:
         got = np.array([float(r.split(",")[-1]) for r in rows])
 
         # dense oracle recomputed from first principles
-        from femspde.assembly import AssembledProblem
+        from femspde.assembly import AssembledProblem, mollify_data
         from femspde.elements import build_element
         from femspde.lattice import build_torus
         from femspde.problem import parse_problem_text
@@ -427,7 +427,7 @@ class TestSimulate:
         ap = AssembledProblem(element, tensors, problem, lattice)
         mass = dense_from_stencil(ap.mass)
         drift = dense_from_stencil(ap.drift(0.0))
-        f = ap.f_h(0.0).values.ravel()
+        f = mollify_data(problem.f, tensors, lattice).values.ravel()
         dt = 0.1 / 32
         u = np.linalg.solve(mass, ap.phi_h().values.ravel())
         system = mass - dt * drift

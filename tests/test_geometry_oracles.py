@@ -53,7 +53,7 @@ from femspde.tensors import (
     default_quad_degree,
 )
 
-from .test_assembly import ORACLE_PROBLEMS, SPLIT_HAT
+from .test_assembly import ORACLE_PROBLEMS, SPLIT_HAT, full_coef
 from .test_cli import SCALED_ELEMENT
 from .test_elements import ELEMENT_TEXT
 from .test_integrator import DET2D, split_system
@@ -573,7 +573,7 @@ def test_slabs_match_whole_array_oracle(tensors, monkeypatch):
     problem = parse_problem_text(SLAB_PROBLEM)
 
     def build():
-        return [assemble_drift(tensors, problem, lattice, 0.0).coef,
+        return [full_coef(assemble_drift(tensors, problem, lattice, 0.0)),
                 mollify_data(problem.phi, tensors, lattice).values]
 
     got = build()
@@ -628,7 +628,7 @@ def test_x1_free_subtrees_are_evaluated_once(tensors, monkeypatch):
     results, counts = [], []
     for _ in range(2):
         nodes.clear(), calls.clear()
-        results.append([assemble_drift(tensors, problem, lattice, 0.0).coef,
+        results.append([full_coef(assemble_drift(tensors, problem, lattice, 0.0)),
                         mollify_data(problem.phi, tensors, lattice).values])
         # a subtree taken from eval_free's values does not evaluate its argument
         counts.append(([sum(node is ast.arg for node in nodes) for ast in free],

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy.sparse.linalg import spsolve
 
-from femspde.assembly import AssembledProblem, StencilOperator, assemble_mass
+from femspde.assembly import AssembledProblem, StencilOperator, assemble_mass, mollify_data
 from femspde.elements import build_element
 from femspde.integrator import (
     DIRECT_SITE_LIMIT,
@@ -21,7 +22,7 @@ from femspde.integrator import (
 from femspde.lattice import GridFunction, build_torus, norms_0h
 from femspde.problem import parse_problem_text
 from femspde.tensors import compute_reference_tensors
-from tests.test_assembly import dense, dense_from_stencil
+from tests.test_assembly import dense, dense_from_stencil, full_coef
 
 L = 2 * np.pi
 
@@ -30,6 +31,19 @@ L = 2 * np.pi
 def hat():
     element = build_element("hat1d")
     return element, compute_reference_tensors(element)
+
+
+def f_h(ap, t):
+    """The problem's f mollified on ap's lattice at time t."""
+    return mollify_data(ap.problem.f, ap.tensors, ap.lattice, t)
+
+
+def increment(path, rho, n):
+    """The increment (seed, rho, n) of a path from the counter alone: Philox
+    keyed by (seed, rho), advanced by n // 4 blocks of four raw draws."""
+    bits = Philox(key=[path.seed, rho])
+    bits.advance(n // 4)
+    return path._from_raw(bits.random_raw(4))[n % 4]
 
 
 def make_assembled(hat, text, n=16):
@@ -46,7 +60,7 @@ class TestNoisePath:
         np.testing.assert_array_equal(a.increments, b.increments)
         for rho in (1, 2, 3):
             for n in (0, 1, 7, 39):
-                assert a.increment(rho, n) == a.increments[rho - 1, n]
+                assert increment(a, rho, n) == a.increments[rho - 1, n]
 
     def test_different_seeds_differ(self):
         a = NoisePath(7, steps=16, dt=0.5, rho_count=1)
@@ -63,13 +77,6 @@ class TestNoisePath:
         incs = path.increments[0]
         assert abs(incs.mean()) < 4.0 * np.sqrt(dt / incs.size)
         assert incs.var() == pytest.approx(dt, rel=5e-3)
-
-    def test_out_of_range_rejected(self):
-        path = NoisePath(1, steps=4, dt=0.1, rho_count=1)
-        with pytest.raises(IndexError):
-            path.increment(2, 0)
-        with pytest.raises(IndexError):
-            path.increment(1, 4)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -164,7 +171,7 @@ class TestStep:
         u1 = step_implicit_em(u0, ap, 0.0, dt, None).values[0]
         mass_mat = dense_from_stencil(ap.mass)
         drift_mat = dense_from_stencil(ap.drift(dt))
-        rhs = mass_mat @ u0.values[0] + dt * ap.f_h(dt).values[0]
+        rhs = mass_mat @ u0.values[0] + dt * f_h(ap, dt).values[0]
         expected = np.linalg.solve(mass_mat - dt * drift_mat, rhs)
         np.testing.assert_allclose(u1, expected, atol=1e-10)
 
@@ -243,7 +250,8 @@ class TestSolveLinear:
         n = 2 * DIRECT_SITE_LIMIT
         lattice = build_torus(1, L / n, n)
         scale = 1.0 + 0.25 * np.cos(lattice.axis_coords())
-        mass = StencilOperator(lattice, tensors.gamma, assemble_mass(tensors, lattice).coef * scale)
+        mass = assemble_mass(tensors, lattice)
+        mass = StencilOperator(lattice, tensors.gamma, full_coef(mass) * scale)
         assert not LinearSolver(mass).direct
         u = GridFunction(lattice, rng.normal(size=n))
         rhs = mass.apply(u)
@@ -469,7 +477,7 @@ class TestSolverRule:
         ap = AssembledProblem(element, tensors, parse_problem_text(TIMEDEP_2D), lattice)
         dt = 0.25 / 50
         op = implicit_system(ap, 0.3, dt)
-        rhs = (ap.mass.apply(ap.phi_h()).values + dt * ap.f_h(0.3).values).reshape(1, -1)
+        rhs = (ap.mass.apply(ap.phi_h()).values + dt * f_h(ap, 0.3).values).reshape(1, -1)
         krylov = LinearSolver(op, reused=False)
         lu = LinearSolver(op)
         assert (krylov.direct, lu.direct) == (False, True)
@@ -510,7 +518,7 @@ class TestSolverRule:
             LinearSolver(mass.scaled_add(1.0, mass, -1.0))
         # the same coefficients without their terms keep the rule of the maximum
         with pytest.raises(SolverError, match="falls to 1.000e.00 against a maximum of"):
-            LinearSolver(StencilOperator(lattice, offsets, stiff.coef))
+            LinearSolver(StencilOperator(lattice, offsets, full_coef(stiff)))
 
 
 DET2D = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "0.1"\nc = "-0.2"\n'
@@ -564,7 +572,7 @@ class TestSplit:
         # lattice is one block: factored on 16^2 sites, BiCGStab on 66^2
         for n, direct in ((16, True), (66, False)):
             op = split_system("tensor(2)", n, DET2D)
-            coef = op.coef.copy()
+            coef = full_coef(op).copy()
             coef[:, 3, 5] *= 1.0 + 1e-3
             perturbed = StencilOperator(op.lattice, op.offsets, coef)
             solver = LinearSolver(perturbed)
@@ -615,7 +623,9 @@ class TestSplit:
         assert np.linalg.norm(got - want) <= 10 * KRYLOV_TOL * np.linalg.norm(want)
 
 
-# assembly3d's problem; and a noise-driven problem whose drift is invariant along x2
+# assembly3d's problem; a noise-driven problem whose drift is invariant along x2; and
+# noise-driven problems whose drift varies along every axis, in 1-D and, depending on
+# t, in 2-D, so that their systems do not split
 ASSEMBLY3D = ('d = 3\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\na.3.3 = "1 + 0.1*sin(x3)"\n'
               'b.1 = "0.1"\nc = "-0.2"\nphi = "sin(x1)*cos(x2)*cos(x3)"\n')
 NOISY_SPLIT = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "0.1"\n'
@@ -623,6 +633,11 @@ NOISY_SPLIT = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nb.1 = "0.1"\n'
                'f = "sin(x1)*cos(x2)*cos(t)"\nphi = "sin(x1)*cos(x2)"\n')
 NOISY_CONSTANT = ('a.1.1 = "1"\nb.1 = "0.5"\nsigma.1.1 = "0.3"\nnu.1 = "0.2"\ng.1 = "0.1"\n'
                   'f = "cos(x1)"\nphi = "sin(x1)"')
+NOISY_X1 = ('a.1.1 = "1 + 0.25*cos(x1)"\nb.1 = "0.5"\nsigma.1.1 = "0.3"\nnu.1 = "0.2"\n'
+            'g.1 = "0.1"\nf = "cos(x1)"\nphi = "sin(x1)"')
+NOISY_T = ('d = 2\na.1.1 = "1 + 0.25*cos(x1 - t)"\na.2.2 = "1 + 0.25*cos(x2)"\n'
+           'b.1 = "0.1*sin(t)"\nsigma.1.1 = "0.2*cos(x2)"\ng.1 = "0.1"\n'
+           'f = "sin(x1)*cos(x2)*cos(t)"\nphi = "sin(x1)*cos(x2)"\n')
 
 
 def csr_step(u, ap, t_n, dt, increments):
@@ -634,7 +649,7 @@ def csr_step(u, ap, t_n, dt, increments):
     rhs = ap.mass.matrix @ u.values.reshape(len(u.values), -1).T
     rhs = rhs.T.reshape(u.values.shape)
     if ap.problem.f is not None:
-        rhs += dt * ap.f_h(t_next).values
+        rhs += dt * f_h(ap, t_next).values
     for rho in ap.problem.active_rhos() if increments is not None else ():
         term = ap.noise(t_n, rho).apply(u).values + ap.g_h(t_n, rho).values
         rhs += increments[rho - 1].reshape(-1, *[1] * ap.lattice.d) * term
@@ -642,27 +657,38 @@ def csr_step(u, ap, t_n, dt, increments):
 
 
 class TestSplitStep:
-    """On a split lattice the step forms its right-hand side in Fourier modes
-    over the split axes and never builds the mass's CSR matrix."""
+    """The step forms its right-hand side in Fourier modes over the split
+    axes, none when the system does not split, and never builds the mass's
+    CSR matrix."""
 
     @pytest.mark.parametrize("preset, n, text, axes", [
         ("tensor(2)", 32, DET2D, (1,)),
         ("tensor(3)", 8, ASSEMBLY3D, (1,)),
         ("tensor(2)", 16, NOISY_SPLIT, (1,)),
         ("hat1d", 32, NOISY_CONSTANT, (0,)),
-    ], ids=["det2d", "assembly3d", "noisy-split", "noisy-division"])
+        ("hat1d", 32, NOISY_X1, ()),
+        ("tensor(2)", 32, NOISY_T, ()),
+    ], ids=["det2d", "assembly3d", "noisy-split", "noisy-division", "noisy-whole-lattice",
+            "noisy-t-dependent"])
     @pytest.mark.parametrize("samples", [1, 3])
     def test_step_matches_csr_step(self, preset, n, text, axes, samples):
+        # noisy-t-dependent runs BiCGStab on one sample and a whole-lattice LU on three
         ap = assembled_on(preset, n, text)
         steps, dt = 6, 0.5 * ap.lattice.h**2
         noises = [NoisePath(sample_seed(41, s), steps, dt) for s in range(samples)]
         states = []
         integrate(ap, noises, steps * dt, steps, observe=lambda k, u: states.append(u))
-        assert ap._memo["system", dt]._axes == axes
+        assert ap.mass._matrix is None
+        solver = LinearSolver(implicit_system(ap, dt, dt),
+                              reused=ap.keeps(ap.drift_asts) or samples > 1)
+        assert solver._axes == axes
         increments = np.stack([p.increments for p in noises], axis=1)
         for k, (u, got) in enumerate(zip(states, states[1:])):
             want = csr_step(u, ap, k * dt, dt, increments[:, :, k] if ap.problem.has_noise else None)
-            assert np.linalg.norm(got.values - want) <= 1e-13 * np.linalg.norm(want), k
+            if axes:
+                assert np.linalg.norm(got.values - want) <= 1e-13 * np.linalg.norm(want), k
+            else:  # over no axis the mode form is the site form, bit for bit
+                assert np.array_equal(got.values, want), k
 
     def test_split_step_builds_no_whole_lattice_matrix(self, monkeypatch):
         # det2d_ladder's problem on 64^2 sites, split along x2: neither the mass
@@ -1018,7 +1044,7 @@ class TestSampleBlock:
         lattice = build_torus(1, L / n, n)
         scale = 1.0 + 0.25 * np.cos(lattice.axis_coords())
         mass = assemble_mass(tensors, lattice)
-        solver = LinearSolver(StencilOperator(lattice, tensors.gamma, mass.coef * scale))
+        solver = LinearSolver(StencilOperator(lattice, tensors.gamma, full_coef(mass) * scale))
         assert not solver.direct
         rows = rng.normal(size=(2, n))
         block = solver.solve(rows)

@@ -122,7 +122,7 @@ def test_eval_results_have_a_leading_axis(monkeypatch):
     # every result the assembly produces, constants included, must have ndim >= 1
     import numpy as np
 
-    from femspde import AssembledProblem, build_element, build_torus, expr
+    from femspde import AssembledProblem, build_element, build_torus, expr, mollify_data
     from femspde import compute_reference_tensors, parse_problem_text
 
     results = []
@@ -140,8 +140,8 @@ def test_eval_results_have_a_leading_axis(monkeypatch):
     element = build_element("tensor(2)")
     lattice = build_torus(2, 2 * np.pi / 8, 8)
     assembled = AssembledProblem(element, compute_reference_tensors(element), problem, lattice)
-    assembled.drift(0.0), assembled.noise(0.0, 1)
-    assembled.f_h(0.0), assembled.g_h(0.0, 1), assembled.phi_h()
+    assembled.drift(0.0), assembled.noise(0.0, 1), assembled.g_h(0.0, 1), assembled.phi_h()
+    mollify_data(problem.f, assembled.tensors, lattice)
     assert len(results) == 9  # drift 4, noise 2, data 3
     assert all(np.ndim(out) >= 1 for out in results)
     assert spans.counts["expr.eval_points"] == sum(len(out) for out in results) > 0
