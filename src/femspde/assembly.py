@@ -28,16 +28,16 @@ work; the quadrature and its degree belong to the tensors.
 
 Each operator keeps its coefficients over the axes they span
 (StencilOperator.compact): the mass is its G coefficients, and a drift that
-varies along x1 only is n * G values.  Its scipy CSR matrix
-(StencilOperator.matrix), whose rows hold the G coefficients of one site in
-offset order, is built from them on first use: applying the operator and the
-BiCGStab matvec and residual use it.  Operators with the same lattice and
-footprint share one read-only column pattern, built as one broadcast sum of
-per-axis column terms and held while one of their matrices uses it; the
-solver's per-mode blocks take their columns from the same rule and their
-entries from the compact coefficients, so a direct solve never builds the
-operator's matrix, and the step applies the mass by its per-mode stencil
-(femspde.integrator), so the mass's matrix is never built there either.
+varies along x1 only is n * G values.  It is applied from them by the
+shifted sum (ShiftedSum): one periodically wrapped copy of U, then one
+product per offset on its views, added in offset order, which is the row
+sum of its CSR matrix bit for bit.  The CSR matrix (StencilOperator.matrix),
+whose rows hold the G coefficients of one site in offset order, is built
+only for BiCGStab (femspde.integrator), where the matvec repeats and CSR
+stays 2-3x faster than views; the solver's per-mode blocks take their
+columns from the same rule (_columns) and their entries from the compact
+coefficients, and the step applies the mass by its per-mode stencil,
+another shifted sum.
 
 Data fields are mollified by the scaled element: phi_h(x) is the integral of
 phi(x + h z) psi(z) dz, evaluated at the same cell points.
@@ -52,8 +52,8 @@ Richardson mixture relies on; tests pin the identity numerically.
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -67,6 +67,45 @@ from .tensors import CellQuadrature, ReferenceTensors
 Lam = tuple[int, ...]
 
 
+class ShiftedSum:
+    """The periodic shifted sum sum_g entry_g V(x + shift_g) of a
+    (samples, *shape) block V, with n entries along each axis a shift moves
+    along.  wrap copies V once, extended periodically by the shifts' reach
+    along those axes, so each shift is a view of the copy (views); __call__
+    adds entry_g times view g in shift order, which for a stencil's offsets
+    is its CSR row sum, bit for bit.  An entry broadcasts against the block,
+    one value along any axis it does not vary along.  shifted_sum shares one
+    instance per (n, shifts), so a block wrapped for one stencil serves every
+    stencil with the same shifts.
+    """
+
+    __slots__ = ("wraps", "views")
+
+    def __init__(self, n: int, shifts: tuple[Lam, ...]):
+        reach = [max(abs(s[k]) for s in shifts) for k in range(len(shifts[0]))]
+        self.wraps = [(k + 1, np.arange(-r, n + r)) for k, r in enumerate(reach) if r]
+        self.views = [(slice(None), *(slice(r + c, r + c + n) if r else slice(None)
+                                      for r, c in zip(reach, shift)))
+                      for shift in shifts]
+
+    def wrap(self, block: np.ndarray) -> np.ndarray:
+        for axis, index in self.wraps:
+            block = block.take(index, axis=axis, mode="wrap")
+        return block
+
+    def __call__(self, entries, wrapped: np.ndarray) -> np.ndarray:
+        """sum_g entries[g] * V(x + shift_g) from V's wrapped block."""
+        (entry, view), *rest = zip(entries, self.views)
+        out = entry * wrapped[view]
+        part = np.empty_like(out) if rest else None
+        for entry, view in rest:
+            out += np.multiply(entry, wrapped[view], out=part)
+        return out
+
+
+shifted_sum = functools.lru_cache(maxsize=64)(ShiftedSum)
+
+
 class StencilOperator:
     """Site-varying periodic stencil: (op U)(x) = sum_lam coef(lam, x) U(x + h lam).
 
@@ -77,19 +116,20 @@ class StencilOperator:
     (n, 1, ..., 1, G).  The constructor takes coefficients in (G, *span)
     layout, each span axis 1 or n.
 
-    matrix is the operator's CSR matrix in C-order flat site indexing, built
-    on first use (apply, BiCGStab) and kept:
-    row x holds the G entries coef(lam, x), one per offset in offset order, at
-    the columns of the sites x + h lam.  The column pattern depends only on the
-    lattice and the offsets, and every operator with the same pair shares it
-    read-only (_pattern) while one of their matrices is alive.
+    apply forms op U from compact by the shifted sum (shifts, ShiftedSum):
+    one wrapped copy of U, then one product per offset on its views.  matrix
+    is the operator's CSR matrix in C-order flat site indexing, built on
+    first use and kept; only BiCGStab builds it (LinearSolver), where the
+    matvec repeats and CSR is faster than views.  Row x holds the G entries
+    coef(lam, x), one per offset in offset order, at the columns of the
+    sites x + h lam (_columns).
 
     terms holds the (weight, operator) pairs a sum was formed from
     (scaled_add), and is empty for an assembled operator; LinearSolver judges
     a vanishing mode of a sum against them.
     """
 
-    __slots__ = ("lattice", "offsets", "compact", "terms", "_matrix")
+    __slots__ = ("lattice", "offsets", "compact", "terms", "_entries", "_matrix")
 
     def __init__(self, lattice: TorusLattice, offsets: tuple[Lam, ...], coef: np.ndarray):
         offsets = tuple(tuple(int(c) for c in lam) for lam in offsets)
@@ -101,6 +141,7 @@ class StencilOperator:
         self.offsets = offsets
         self.compact = np.ascontiguousarray(np.moveaxis(coef, 0, -1))
         self.compact.flags.writeable = False
+        self._entries = tuple(np.moveaxis(self.compact, -1, 0))  # views, one per offset
         self.terms: tuple[tuple[float, StencilOperator], ...] = ()
         self._matrix = None
 
@@ -110,19 +151,25 @@ class StencilOperator:
         if self._matrix is None:
             shape = self.lattice.shape
             data = np.ascontiguousarray(np.broadcast_to(self.compact, (*shape, len(self.offsets))))
-            indices, indptr = _pattern(shape, self.offsets)
+            indices, indptr = _columns(shape, self.offsets)
             total = self.lattice.total_sites
             self._matrix = csr_matrix((data.reshape(-1), indices, indptr), shape=(total, total))
         return self._matrix
 
+    @property
+    def shifts(self) -> ShiftedSum:
+        """The shifted sum of the offsets, shared by every stencil with this footprint."""
+        return shifted_sum(self.lattice.n, self.offsets)
+
+    def products(self, wrapped: np.ndarray) -> np.ndarray:
+        """op U for every sample, from U's block wrapped by shifts."""
+        return self.shifts(self._entries, wrapped)
+
     def apply(self, u: GridFunction) -> GridFunction:
-        """op U for every sample of the block as one sparse product; each row
-        sums over the offsets in order."""
+        """op U for every sample of the block; each site sums over the offsets in order."""
         if u.lattice != self.lattice:
             raise ValueError("stencil and grid function live on different lattices")
-        block = u.values
-        out = (self.matrix @ block.reshape(len(block), -1).T).T.reshape(block.shape)
-        return GridFunction(self.lattice, out)
+        return GridFunction(self.lattice, self.products(self.shifts.wrap(u.values)))
 
     def scaled_add(self, alpha: float, other: "StencilOperator", beta: float) -> "StencilOperator":
         """Return alpha*self + beta*other; both must have the same lattice and
@@ -135,30 +182,13 @@ class StencilOperator:
         return out
 
 
-# (shape, offsets) -> the buffer of a shared column pattern, held while a matrix uses it
-_PATTERNS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _pattern(shape: tuple[int, ...], offsets: tuple[Lam, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """_columns(shape, offsets), shared: operators on one lattice with one
-    footprint get views of one buffer, which a weak-value map holds by
-    (shape, offsets), so the pattern is freed with the last matrix that uses it."""
-    buffer = _PATTERNS.get((shape, offsets))
-    if buffer is None:
-        indices, indptr = _columns(shape, offsets)
-        _PATTERNS[shape, offsets] = indices.base
-        return indices, indptr
-    nnz = math.prod(shape) * len(offsets)
-    return buffer[:nnz], buffer[nnz:]
-
-
 def _columns(shape: tuple[int, ...], offsets: tuple[Lam, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only CSR indices and indptr of a periodic stencil on a grid of `shape`:
     row x holds the columns of x + lam, one per offset in offset order.  The
     columns are one (*shape, G) array, the broadcast sum over the axes k of
     ((i + lam_k) mod n_k) times the stride of axis k.  Both are views of one
-    buffer, the columns and then the row pointers.  Operators share theirs
-    through _pattern; LinearSolver's per-mode blocks build their own."""
+    buffer, the columns and then the row pointers.  StencilOperator.matrix and
+    LinearSolver's per-mode blocks take theirs from here."""
     d, G = len(shape), len(offsets)
     nnz = math.prod(shape) * G
     dtype = np.int32 if nnz < 2**31 else np.int64
@@ -196,13 +226,14 @@ def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms
     those arrays, so its values span only the axes it references (a constant
     is one value, cos(x1) is n * P), and the stencil spans the axes that some
     AST references: n along those, 1 along the others.  The cell-local products
-    V @ W, summed over the terms in order, give one value per column; column by
-    column in pair order (so shift by shift), the column of pair (k, g) is
-    rolled by -k onto the sites whose overlap tables reach into cell c and added
-    into offset g.  Along an axis that no term references every value is equal
-    and the roll is the identity, so each entry of the (*span, G) sum holds the
-    additions, in the order, of a full-lattice sum.  An AST that references x1 is
-    evaluated and contracted one slab of axis-0 cells at a time, at most
+    V @ W, summed over the terms in order, give one value per column; shift by
+    shift (pairs is k-major), the columns of cell shift k are gathered at
+    once, one take of the cells (i + k) mod n along each spanned axis, onto
+    the sites whose overlap tables reach into them, and added into their
+    offsets.  Along an axis that no term references every value is equal and
+    the gather is the identity, so each entry of the (*span, G) sum holds the
+    additions, in the order, of a full-lattice sum.  An AST that references
+    x1 is evaluated and contracted one slab of axis-0 cells at a time, at most
     SLAB_VALUES quadrature values, with its subtrees that do not reference x1
     evaluated once before the first slab (expr.eval_free); the others are
     contracted once and added to every slab.
@@ -243,8 +274,14 @@ def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms
         for ast, known, w in slabbed:
             part += w if ast is None else contract(expr.eval_many(ast, x_slab, t, known), w)
     out = np.zeros((*span, width))
-    for (k, g), column in zip(pairs, np.moveaxis(local, -1, 0)):
-        out[..., g] += np.roll(column, tuple(-c for c in quad.shifts[k]), axis=tuple(range(d)))
+    ks, first = np.unique(pairs[:, 0], return_index=True)
+    for k, start, stop in zip(ks, first, [*first[1:], n_cols]):
+        block = local[..., start:stop]
+        for axis, (m, c) in enumerate(zip(span, quad.shifts[k])):
+            if c % m:
+                block = block.take((np.arange(m) + c) % m, axis=axis)
+        for j, g in enumerate(pairs[start:stop, 1]):  # no view of block outlives the shift
+            out[..., g] += block[..., j]
     return np.moveaxis(out, -1, 0)
 
 

@@ -22,8 +22,10 @@ mass - dt * drift of a split solve is never copied onto the whole lattice.
 The step forms its right-hand side in the same Fourier modes, over no axis
 when the system does not split: the mass term by the mass's per-mode
 stencil, whose entries come from its G coefficients over the split axes
-alone, applied to the transform of U_n; only the noise terms are sparse
-products with their operators' CSR matrices (StencilOperator.matrix).
+alone, applied to the transform of U_n, and the noise terms by their
+operators' compact coefficients on the sites, both by the shifted sum of
+femspde.assembly.  So a CSR matrix (StencilOperator.matrix) is built only
+for BiCGStab.
 
 Noise increments come from a counter-based generator: the uint64 stream of
 Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
@@ -51,7 +53,8 @@ import scipy.sparse.linalg
 from numpy.fft import irfftn, rfftn
 from numpy.random import Philox
 
-from .assembly import AssembledProblem, Lam, StencilOperator, _columns, mollify_data
+from .assembly import (AssembledProblem, Lam, StencilOperator, _columns, mollify_data,
+                       shifted_sum)
 from .lattice import GridFunction, TorusLattice, norms_0h
 
 
@@ -227,14 +230,14 @@ class LinearSolver:
     is one site, its mode's symbol, and the mode's solve is a division by it.
     The invariant axes and the blocks' entries come from op.compact, whose
     invariant axes hold one entry, so along them the entries are op's own
-    coefficients; op.matrix is built only for BiCGStab.  solve also takes a
-    right-hand side already transformed over the split's axes, as
-    step_implicit_em forms it.  So a direct solve never builds op.matrix,
-    and no step builds the mass's (only a noise operator's, to apply it):
-    the steps use the factors of the mode blocks (or the symbol), the
-    operators' compact coefficients, the mass's per-mode stencil (one entry
-    per mode of the split axes and shift along the others) and f_h's
-    transform, which the AssembledProblem keeps.
+    coefficients.  solve also takes a right-hand side already transformed
+    over the split's axes, as step_implicit_em forms it.  So a direct solve
+    never builds op.matrix, and no step builds any operator's: the steps use
+    the factors of the mode blocks (or the symbol), the operators' compact
+    coefficients, the mass's per-mode stencil (one entry per mode of the
+    split axes and shift along the others) and f_h's transform, which the
+    AssembledProblem keeps.  The BiCGStab branch is the only reader of
+    op.matrix: its matvec repeats, and CSR applies 2-3x faster than views.
 
     The direct path is taken when the factorization is reused or the lattice
     is 1-D, and a block has at most DIRECT_SITE_LIMIT sites.  Otherwise the
@@ -308,7 +311,7 @@ class LinearSolver:
             shape = lattice.shape
             self._matrix = op.matrix
             self._precond = scipy.sparse.linalg.LinearOperator(
-                op.matrix.shape, dtype=float,
+                self._matrix.shape, dtype=float,
                 matvec=lambda v: _split_solve(_forward(v.reshape(1, *shape), every), shape,
                                               every, symbol).reshape(-1),
             )
@@ -438,35 +441,25 @@ class _ModeStencil:
     the transform of op U at mode m and site x of the other axes is
     sum_g K[m, g] V(m, x + shift_g), V the transform of U, with the entries
     K of _mode_symbols.  This is exact, op commuting with every shift, and K
-    spans the modes on `axes` alone.  Over no axis it is op's site stencil,
-    whose products, summed in offset order, are op.matrix's bit for bit.
-    apply wraps V periodically by the shifts' reach along each axis they move
-    along, so each shift is a view."""
+    spans the modes on `axes` alone.  It is the shifted sum of the shifts
+    (assembly.ShiftedSum): wrap transforms U and wraps V, apply sums the
+    products on its views.  Over no axis the shifts are op's offsets and it
+    is op's site stencil, whose products are op.matrix's bit for bit, and the
+    wrapped block serves every stencil with op's footprint."""
 
     def __init__(self, op: StencilOperator, axes: tuple[int, ...]):
         entries, shifts = _mode_symbols(op, axes)
-        n = op.lattice.n
-        reach = [max(abs(s[k]) for s in shifts) for k in range(op.lattice.d)]
         self.axes = axes
-        self._wraps = [(k + 1, np.arange(-r, n + r)) for k, r in enumerate(reach) if r]
-        self._terms = [
-            (np.ascontiguousarray(entries[..., g]),
-             (slice(None), *(slice(r + c, r + c + n) if r else slice(None)
-                             for r, c in zip(reach, shift))))
-            for g, shift in enumerate(shifts)
-        ]
+        self.shifts = shifted_sum(op.lattice.n, tuple(shifts))
+        self._entries = [np.ascontiguousarray(entries[..., g]) for g in range(len(shifts))]
 
-    def apply(self, block: np.ndarray) -> np.ndarray:
-        """The transform over `axes` of op U for a (samples, *shape) block of U."""
-        wrapped = _forward(block, self.axes)
-        for axis, index in self._wraps:
-            wrapped = wrapped.take(index, axis=axis, mode="wrap")
-        (entry, view), *rest = self._terms
-        out = entry * wrapped[view]
-        part = np.empty_like(out) if rest else None
-        for entry, view in rest:
-            out += np.multiply(entry, wrapped[view], out=part)
-        return out
+    def wrap(self, block: np.ndarray) -> np.ndarray:
+        """The transform over `axes` of a (samples, *shape) block of U, wrapped."""
+        return self.shifts.wrap(_forward(block, self.axes))
+
+    def apply(self, wrapped: np.ndarray) -> np.ndarray:
+        """The transform over `axes` of op U from wrap's block."""
+        return self.shifts(self._entries, wrapped)
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -538,10 +531,13 @@ def step_implicit_em(
     solved as transformed: the mass term is the mass's per-mode stencil
     (_ModeStencil, kept by `assembled`) applied to the transform of U_n, f_h
     enters by its transform, which `assembled` keeps under its rule (rebuilt
-    at every step when f references t), and the noise terms are summed on
-    the sites and transformed once.  So a noise-free step with a kept f on a
-    split lattice does one forward and one inverse FFT, and no step builds
-    the mass's CSR matrix.
+    at every step when f references t), and the noise terms are formed on
+    the sites from their compact coefficients, summed and transformed once.
+    Every product is a shifted sum on views of one wrapped block: over no
+    axis the noise products read the block the mass stencil wrapped, and on
+    a split lattice U_n is wrapped once for all of them.  So a noise-free
+    step with a kept f on a split lattice does one forward and one inverse
+    FFT, and no step builds a CSR matrix outside BiCGStab.
     """
     t_next = t_n + dt
     problem = assembled.problem
@@ -556,7 +552,13 @@ def step_implicit_em(
     f = problem.f
     # an overflow leaves a non-finite entry, which the solve reports
     with np.errstate(over="ignore", invalid="ignore"):
-        modes = mass.apply(u.values)
+        # over no axis the mass's wrapped block is U_n's, which every noise
+        # operator (the mass's footprint, so its shifts) reads; on a split
+        # lattice it is the transform's, and the first noise term wraps U_n
+        shifts, wrapped = mass.shifts, mass.wrap(u.values)
+        modes = mass.apply(wrapped)
+        if axes:
+            shifts = wrapped = None
         if f is not None:
             modes += dt * assembled.memo(("f modes", axes), lambda: _forward(
                 mollify_data(f, assembled.tensors, assembled.lattice, t_next).values, axes), [f])
@@ -565,8 +567,10 @@ def step_implicit_em(
             dw = increments[rho - 1].reshape(-1, *[1] * assembled.lattice.d)
             if not np.any(dw):
                 continue
-            term = dw * (assembled.noise(t_n, rho).apply(u).values
-                         + assembled.g_h(t_n, rho).values)
+            op = assembled.noise(t_n, rho)
+            if op.shifts is not shifts:
+                wrapped, shifts = op.shifts.wrap(u.values), op.shifts
+            term = dw * (op.products(wrapped) + assembled.g_h(t_n, rho).values)
             noise = term if noise is None else np.add(noise, term, out=noise)
         if noise is not None:
             modes += _forward(noise, axes)
@@ -586,9 +590,9 @@ def integrate(
     noise is one NoisePath (a block of one sample; None for a problem
     without noise terms) or a list holding one NoisePath per Monte Carlo
     sample.  The samples advance together as one GridFunction: every step
-    applies each explicit operator to the block once (the mass by its
-    per-mode stencil, so never by a CSR matrix) and solves one system shared
-    by all samples
+    applies each explicit operator to the block once (from its compact
+    coefficients, the mass by its per-mode stencil, so never by a CSR
+    matrix) and solves one system shared by all samples
     (one per step when the drift depends on t; otherwise one per lattice
     and dt, which `assembled` keeps for later calls, as it keeps U_0, the
     FFT solve of the mass for phi_h).

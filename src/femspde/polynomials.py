@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -485,7 +484,12 @@ def parse_number(text: str) -> float:
     for anything else, a zero denominator, nan and inf included."""
     text = text.strip()
     try:
-        value = float(Fraction(text)) if "/" in text else float(text)
+        if "/" in text:
+            from fractions import Fraction  # only here: it loads decimal too
+
+            value = float(Fraction(text))
+        else:
+            value = float(text)
     except (ZeroDivisionError, OverflowError):
         value = math.nan
     if not math.isfinite(value):

@@ -474,8 +474,12 @@ class TestDiagnostics:
                                    dense(mass) - 0.5 * dense(drift), atol=1e-12)
 
 
+APPLY2D = ('d = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1 + 0.1*sin(x2)"\nb.2 = "0.1*cos(x1)"\n'
+           'sigma.1.1 = "0.2*cos(x2)"')
+
+
 class TestMatrix:
-    """Each operator is one CSR matrix on a column pattern shared per lattice."""
+    """Each operator applies from its compact coefficients as its CSR matrix would."""
 
     def test_duplicate_columns_agree_with_dense(self, rng):
         # on n = 4 the offsets -2 and 2 reach the same column; the matvec,
@@ -499,47 +503,31 @@ class TestMatrix:
         np.testing.assert_allclose(averaged @ modes, modes * _mode_symbols(op, (0,))[0][..., 0],
                                    rtol=1e-13, atol=1e-13)
 
-    def test_operators_share_one_read_only_pattern(self, hat_setup, rng):
-        element, tensors, lattice = hat_setup
-        problem = parse_problem_text('a.1.1 = "1 + 0.5*cos(x1)"\nsigma.1.1 = "0.3"\nnu.1 = "0.1"')
-        ap = AssembledProblem(element, tensors, problem, lattice)
-        ops = [ap.mass, ap.drift(0.0), ap.noise(0.0, 1), implicit_system(ap, 0.0, 0.01)]
-        indices, indptr = ops[0].matrix.indices, ops[0].matrix.indptr
+    @pytest.mark.parametrize("preset, n, text", [
+        ("hat1d", 16, 'a.1.1 = "1 + 0.25*cos(x1)"\nb.1 = "0.3*sin(x1)"\nsigma.1.1 = "0.2*cos(x1)"'),
+        ("tensor(2)", 8, APPLY2D),
+        ("triangle2d", 8, APPLY2D),
+        ("tensor(3)", 6, 'd = 3\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1 + 0.1*sin(x2)"\n'
+                         'a.3.3 = "1 + 0.1*cos(x3)"\nsigma.3.1 = "0.2*sin(x3)"'),
+    ], ids=["hat1d", "tensor2", "triangle2d", "tensor3"])
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_apply_is_the_csr_product_without_building_it(self, preset, n, text, samples, rng):
+        # the shifted sum on views adds each site's products in offset order,
+        # as the CSR row does: the drift spans every axis, the noise one
+        element = build_element(preset)
+        tensors = compute_reference_tensors(element)
+        lattice = build_torus(element.d, 2 * np.pi / n, n)
+        problem = parse_problem_text(text)
+        ops = [assemble_drift(tensors, problem, lattice, 0.0),
+               assemble_noise(tensors, problem, lattice, 0.0, 1)]
+        assert ops[0].compact.shape[:-1] == lattice.shape
+        assert sum(size > 1 for size in ops[1].compact.shape[:-1]) == 1
+        u = GridFunction(lattice, rng.normal(size=(samples, *lattice.shape)))
         for op in ops:
-            assert np.shares_memory(op.matrix.indices, indices)
-            assert np.shares_memory(op.matrix.indptr, indptr)
-        u = GridFunction(lattice, rng.normal(size=lattice.shape))
-        before = [op.apply(u).values for op in ops]
-        with pytest.raises(ValueError):
-            indices[0] = 1
-        with pytest.raises(ValueError):
-            ops[1].matrix.indptr[1] = 0
-        for op in ops:
-            with pytest.raises(ValueError):
-                op.matrix.sort_indices()
-        for op, want in zip(ops, before):
-            assert np.array_equal(op.apply(u).values, want)
-
-    def test_pattern_is_freed_with_its_last_operator(self, hat_setup):
-        # the shared pattern lives while a matrix uses it, and no longer
-        import gc
-        import weakref
-
-        element, tensors, _ = hat_setup
-        lattice = build_torus(1, 1.0, 22)  # a size no other test keeps an operator on
-        mass, other = assemble_mass(tensors, lattice), assemble_mass(tensors, lattice)
-        owner = mass.matrix.indices
-        while owner.base is not None:
-            owner = owner.base
-        pattern = weakref.ref(owner)
-        del owner
-        assert np.shares_memory(other.matrix.indices, pattern())
-        del mass
-        gc.collect()
-        assert pattern() is not None
-        del other
-        gc.collect()
-        assert pattern() is None
+            got = op.apply(u).values
+            assert op._matrix is None
+            want = (op.matrix @ u.values.reshape(samples, -1).T).T.reshape(got.shape)
+            assert np.array_equal(got, want)
 
 
 SPLIT_HAT = """\

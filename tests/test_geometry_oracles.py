@@ -449,7 +449,7 @@ class TestArrayGeometryMatchesOracles:
         element = elements[case]
         for n in (4, 6, 16) if element.d < 4 else (4, 6):
             lattice = build_torus(element.d, 1.0, n)
-            for got, want in zip(assembly._pattern(lattice.shape, element.gamma),
+            for got, want in zip(assembly._columns(lattice.shape, element.gamma),
                                  pattern_oracle(lattice, element.gamma)):
                 assert_identical(got, want)
 

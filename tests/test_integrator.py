@@ -635,23 +635,33 @@ NOISY_CONSTANT = ('a.1.1 = "1"\nb.1 = "0.5"\nsigma.1.1 = "0.3"\nnu.1 = "0.2"\ng.
                   'f = "cos(x1)"\nphi = "sin(x1)"')
 NOISY_X1 = ('a.1.1 = "1 + 0.25*cos(x1)"\nb.1 = "0.5"\nsigma.1.1 = "0.3"\nnu.1 = "0.2"\n'
             'g.1 = "0.1"\nf = "cos(x1)"\nphi = "sin(x1)"')
+# stoch1d_mc's and cli2d_timedep's problems
+STOCH1D = 'd = 1\na.1.1 = "1 + 0.25*cos(x1)"\nsigma.1.1 = "0.3"\ng.1 = "0.1"\nphi = "sin(x1)"\n'
+CLI2D = ('d = 2\na.1.1 = "1 + 0.25*cos(x1 - t)"\na.2.2 = "1"\nb.1 = "0.1*sin(t)"\n'
+         'c = "-0.2"\nsigma.1.1 = "0.2*cos(x2)"\ng.1 = "0.1"\n'
+         'f = "sin(x1)*cos(x2)*cos(t)"\nphi = "sin(x1)*cos(x2)"\n')
 NOISY_T = ('d = 2\na.1.1 = "1 + 0.25*cos(x1 - t)"\na.2.2 = "1 + 0.25*cos(x2)"\n'
            'b.1 = "0.1*sin(t)"\nsigma.1.1 = "0.2*cos(x2)"\ng.1 = "0.1"\n'
            'f = "sin(x1)*cos(x2)*cos(t)"\nphi = "sin(x1)*cos(x2)"\n')
 
 
+def csr_product(op, block):
+    """op U for a (samples, *shape) block by op's CSR matrix."""
+    return (op.matrix @ block.reshape(len(block), -1).T).T.reshape(block.shape)
+
+
 def csr_step(u, ap, t_n, dt, increments):
-    """The step with its right-hand side formed on the sites, the mass term by
-    the mass's CSR product, and then solved by the same split."""
+    """The step with its right-hand side formed on the sites, the mass and
+    noise terms by their operators' CSR products, and then solved by the
+    same split."""
     t_next = t_n + dt
     solver = LinearSolver(implicit_system(ap, t_next, dt),
                           reused=ap.keeps(ap.drift_asts) or len(u.values) > 1)
-    rhs = ap.mass.matrix @ u.values.reshape(len(u.values), -1).T
-    rhs = rhs.T.reshape(u.values.shape)
+    rhs = csr_product(ap.mass, u.values)
     if ap.problem.f is not None:
         rhs += dt * f_h(ap, t_next).values
     for rho in ap.problem.active_rhos() if increments is not None else ():
-        term = ap.noise(t_n, rho).apply(u).values + ap.g_h(t_n, rho).values
+        term = csr_product(ap.noise(t_n, rho), u.values) + ap.g_h(t_n, rho).values
         rhs += increments[rho - 1].reshape(-1, *[1] * ap.lattice.d) * term
     return solver.solve(rhs.reshape(len(rhs), -1)).reshape(rhs.shape)
 
@@ -690,30 +700,77 @@ class TestSplitStep:
             else:  # over no axis the mode form is the site form, bit for bit
                 assert np.array_equal(got.values, want), k
 
-    def test_split_step_builds_no_whole_lattice_matrix(self, monkeypatch):
-        # det2d_ladder's problem on 64^2 sites, split along x2: neither the mass
-        # nor any other operator builds its CSR matrix or asks for a column pattern
-        import femspde.assembly as assembly
+    @pytest.mark.parametrize("preset, n, text, samples, axes", [
+        ("tensor(2)", 64, DET2D, 1, (1,)),
+        ("hat1d", 64, STOCH1D, 3, ()),
+        ("tensor(2)", 32, CLI2D, 1, ()),
+        ("tensor(2)", 64, NOISY_SPLIT, 1, (1,)),
+    ], ids=["det2d", "stoch1d", "cli2d-timedep", "noisy-split"])
+    def test_step_builds_no_matrix_outside_bicgstab(self, monkeypatch, preset, n, text,
+                                                    samples, axes):
+        # no operator builds its CSR matrix, the mass and the noise operators
+        # included, except a system that BiCGStab solves (cli2d_timedep's, one
+        # per step); the steps agree with the CSR step
+        import femspde.integrator as integrator
 
-        patterns, matrices = [], []
-        real_pattern, real_matrix = assembly._pattern, StencilOperator.matrix
-
-        def pattern(*args):
-            patterns.append(args)
-            return real_pattern(*args)
+        matrices, solvers = [], []
+        real_matrix, real_solver = StencilOperator.matrix, integrator.LinearSolver
 
         def matrix(op):
             matrices.append(op)
             return real_matrix.fget(op)
 
-        monkeypatch.setattr(assembly, "_pattern", pattern)
+        def solver(op, reused=True):
+            solvers.append((op, real_solver(op, reused)))
+            return solvers[-1][1]
+
         monkeypatch.setattr(StencilOperator, "matrix", property(matrix))
-        ap = assembled_on("tensor(2)", 64, DET2D)
-        traj = integrate(ap, None, T=0.01, steps=4, record="terminal")
-        assert np.all(np.isfinite(traj.terminal.values))
-        assert ap._memo["system", 0.01 / 4]._axes == (1,)
-        assert patterns == [] and matrices == []
+        monkeypatch.setattr(integrator, "LinearSolver", solver)
+        ap = assembled_on(preset, n, text)
+        steps, dt = 4, 0.5 * ap.lattice.h**2
+        noises = [NoisePath(sample_seed(43, s), steps, dt) for s in range(samples)]
+        states = []
+        integrate(ap, noises if ap.problem.has_noise else None, steps * dt, steps,
+                  observe=lambda k, u: states.append(u))
+        assert all(np.all(np.isfinite(u.values)) for u in states)
+        krylov = [op for op, out in solvers if not out.direct]
+        assert solvers[-1][1]._axes == axes
+        assert matrices == krylov
+        assert len(krylov) == (steps if text == CLI2D else 0)
         assert ap.mass._matrix is None
+        assert all(ap.noise(0.0, rho)._matrix is None for rho in ap.problem.active_rhos())
+        monkeypatch.undo()  # csr_step builds matrices
+        increments = np.stack([p.increments for p in noises], axis=1)
+        for k, (u, got) in enumerate(zip(states, states[1:])):
+            incs = increments[:, :, k] if ap.problem.has_noise else None
+            want = csr_step(u, ap, k * dt, dt, incs)
+            if axes:
+                assert np.linalg.norm(got.values - want) <= 1e-13 * np.linalg.norm(want), k
+            else:
+                assert np.array_equal(got.values, want), k
+
+    def test_noisy_split_step_peak(self):
+        # the noise-driven problem on 256^2 sites, its system kept and split
+        # along x2, sigma varying along x1: a step with a nonzero increment
+        # never holds the noise operator's 7.3 MB CSR matrix (it peaks at
+        # 3.7 MB, and at 9.0 MB when it builds the matrix)
+        import tracemalloc
+
+        ap = assembled_on("tensor(2)", 256, NOISY_SPLIT)
+        dt = 0.5 * ap.lattice.h**2
+        u = GridFunction(ap.lattice, np.sin(np.arange(ap.lattice.total_sites)).reshape(
+            1, *ap.lattice.shape))
+        u = step_implicit_em(u, ap, 0.0, dt, np.zeros((1, 1)))  # factors and keeps the system
+        ap.noise(0.0, 1), ap.g_h(0.0, 1)
+        tracemalloc.start()
+        try:
+            step_implicit_em(u, ap, dt, dt, np.full((1, 1), 0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ap._memo["system", dt]._axes == (1,)
+        assert peak < 6 * 2**20
+        assert ap.noise(0.0, 1)._matrix is None
 
 
 @pytest.mark.parametrize("preset, n", [("hat1d", 256), ("tensor(2)", 256), ("tensor(3)", 20)])

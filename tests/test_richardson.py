@@ -216,3 +216,14 @@ class TestReport:
         assert orders[0] is None
         assert orders[1] == pytest.approx(2.0)
         assert orders[2] == pytest.approx(2.0)
+
+
+def test_svg_escapes_its_labels_as_html_escape_does():
+    import html
+
+    from femspde.richardson import loglog_svg
+
+    label = """a&b <c> "d" 'e' &amp;"""
+    report = ConvergenceReport(label, [0.4, 0.2, 0.1], [16, 32, 64], [1e-2, 2.5e-3, 6.25e-4])
+    svg = loglog_svg([report])
+    assert f">{html.escape(label + ' (order 2.00)')}</text>" in svg
