@@ -26,17 +26,17 @@ sums are formed only over the axes that some coefficient spans, and that
 (*span, G) array is the operator's data.  This module does only that lattice
 work; the quadrature and its degree belong to the tensors.
 
-Each operator keeps its coefficients over the axes they span
-(StencilOperator.compact): the mass is its G coefficients, and a drift that
-varies along x1 only is n * G values.  It is applied from them by the
-shifted sum (ShiftedSum): one periodically wrapped copy of U, then one
-product per offset on its views, added in offset order, which is the row
-sum of its CSR matrix bit for bit.  The CSR matrix (StencilOperator.matrix),
-whose rows hold the G coefficients of one site in offset order, is built
-only for BiCGStab (femspde.integrator), where the matvec repeats and CSR
-stays 2-3x faster than views; the solver's per-mode blocks take their
-columns from the same rule (_columns) and their entries from the compact
-coefficients, and the step applies the mass by its per-mode stencil,
+Each operator keeps its coefficients over the axes they vary along, a
+constant axis stored once (StencilOperator.compact): the mass is its G
+coefficients, and a drift that varies along x1 only is n * G values.  It is
+applied from them by the shifted sum (ShiftedSum): one periodically wrapped
+copy of U, then one product per offset on its views, added in offset order,
+which is the row sum of its CSR matrix bit for bit.  The CSR matrix
+(StencilOperator.matrix), whose rows hold the G coefficients of one site in
+offset order, is built only for BiCGStab (femspde.integrator), where the
+matvec repeats and CSR stays 2-3x faster than views; the solver's per-mode
+blocks are built by the same rule (_csr), their entries from the compact
+coefficients, and the step applies the mass by its per-mode entries,
 another shifted sum.
 
 Data fields are mollified by the scaled element: phi_h(x) is the integral of
@@ -111,10 +111,13 @@ class StencilOperator:
 
     The coefficients are stored only over the lattice axes they vary along:
     compact is one contiguous, read-only (*span, G) array whose axis k has
-    n entries, or one entry that every site along axis k shares.  So the mass
-    is its G coefficients alone, and a drift that varies along x1 only is
-    (n, 1, ..., 1, G).  The constructor takes coefficients in (G, *span)
-    layout, each span axis 1 or n.
+    one entry, which every site along axis k shares, exactly when axis k is
+    invariant (every coefficient is == its first along it), and n entries
+    otherwise.  So the mass is its G coefficients alone, and a drift that
+    varies along x1 only is (n, 1, ..., 1, G).  The constructor takes
+    coefficients in (G, *span) layout, each span axis 1 or n, and stores a
+    constant axis once; this shape is the one statement of the operator's
+    structure, from which LinearSolver takes the axes it splits over.
 
     apply forms op U from compact by the shifted sum (shifts, ShiftedSum):
     one wrapped copy of U, then one product per offset on its views.  matrix
@@ -137,6 +140,8 @@ class StencilOperator:
         if (not offsets or coef.shape[:1] != (len(offsets),) or coef.ndim != lattice.d + 1
                 or any(size not in (1, lattice.n) for size in coef.shape[1:])):
             raise ValueError(f"coefficient array shape {coef.shape} does not match stencil")
+        coef = coef[(slice(None), *(slice(0, 1) if (coef == coef.take([0], axis=k)).all()
+                                    else slice(None) for k in range(1, coef.ndim)))]
         self.lattice = lattice
         self.offsets = offsets
         self.compact = np.ascontiguousarray(np.moveaxis(coef, 0, -1))
@@ -149,11 +154,8 @@ class StencilOperator:
     def matrix(self) -> csr_matrix:
         """The CSR matrix; its data is compact itself when the span is the whole lattice."""
         if self._matrix is None:
-            shape = self.lattice.shape
-            data = np.ascontiguousarray(np.broadcast_to(self.compact, (*shape, len(self.offsets))))
-            indices, indptr = _columns(shape, self.offsets)
-            total = self.lattice.total_sites
-            self._matrix = csr_matrix((data.reshape(-1), indices, indptr), shape=(total, total))
+            shape = (*self.lattice.shape, len(self.offsets))
+            self._matrix = _csr(np.broadcast_to(self.compact, shape), self.offsets)
         return self._matrix
 
     @property
@@ -183,23 +185,28 @@ class StencilOperator:
 
 
 def _columns(shape: tuple[int, ...], offsets: tuple[Lam, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only CSR indices and indptr of a periodic stencil on a grid of `shape`:
-    row x holds the columns of x + lam, one per offset in offset order.  The
-    columns are one (*shape, G) array, the broadcast sum over the axes k of
-    ((i + lam_k) mod n_k) times the stride of axis k.  Both are views of one
-    buffer, the columns and then the row pointers.  StencilOperator.matrix and
-    LinearSolver's per-mode blocks take theirs from here."""
+    """CSR indices and indptr of a periodic stencil on a grid of `shape`: row x
+    holds the columns of x + lam, one per offset in offset order.  The columns
+    are one (*shape, G) array, the broadcast sum over the axes k of
+    ((i + lam_k) mod n_k) times the stride of axis k."""
     d, G = len(shape), len(offsets)
     nnz = math.prod(shape) * G
     dtype = np.int32 if nnz < 2**31 else np.int64
-    buffer = np.zeros(nnz + math.prod(shape) + 1, dtype=dtype)
-    indices = buffer[:nnz].reshape(*shape, G)
+    indices = np.zeros((*shape, G), dtype=dtype)
     for k, (n, lam) in enumerate(zip(shape, np.asarray(offsets).T)):
         axis = (np.arange(n)[:, None] + lam) % n * math.prod(shape[k + 1:])
         indices += axis.reshape((1,) * k + (n,) + (1,) * (d - 1 - k) + (G,)).astype(dtype)
-    buffer[nnz:] = np.arange(0, nnz + 1, G, dtype=dtype)
-    buffer.flags.writeable = False
-    return buffer[:nnz], buffer[nnz:]
+    return indices.reshape(-1), np.arange(0, nnz + 1, G, dtype=dtype)
+
+
+def _csr(entries: np.ndarray, offsets: tuple[Lam, ...]) -> csr_matrix:
+    """The CSR matrix of a periodic stencil with (*shape, G) entries, in C-order
+    flat indexing of `shape`: row x holds entries[x], one per offset in offset
+    order, at the columns of x + lam (_columns).  StencilOperator.matrix and
+    LinearSolver's per-mode blocks are built here."""
+    indices, indptr = _columns(entries.shape[:-1], offsets)
+    total = len(indptr) - 1
+    return csr_matrix((entries.reshape(-1), indices, indptr), shape=(total, total))
 
 
 # Quadrature values that _assemble_cells evaluates and contracts at once: an
@@ -355,7 +362,7 @@ class AssembledProblem:
     One rule governs reuse: a result is built once per key and then kept,
     unless an expression it is built from references t, in which case it
     is rebuilt at every requested time (keeps is that rule); the integrator
-    keeps U_0, the implicit system's solver, the mass's per-mode stencil and
+    keeps U_0, the implicit system's solver, the mass's per-mode entries and
     f_h's transform (over the axes the solver splits over, possibly none)
     here under it.  The operators and the mollified data integrate with the
     tensors' cell quadrature; the data are one-sample GridFunctions.  The

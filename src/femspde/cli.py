@@ -26,6 +26,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from collections.abc import Iterable
@@ -191,21 +192,32 @@ class RunConfig:
 
 def _write_run(out: str | None, config: RunConfig, files: dict[str, Iterable[str]]) -> str:
     """Make a fresh run directory under out, write each file's text chunks
-    (UTF-8, LF line endings) and manifest.json last; the directory's path."""
+    (UTF-8, LF line endings) and manifest.json last; the directory's path.
+    A directory it made but could not finish is removed, and an OSError is a
+    UsageError."""
     base = out or os.environ.get(OUTPUT_DIR_ENV) or "runs"
-    for attempt in range(100):
-        stamp = time.strftime("%Y%m%d-%H%M%S") + f"-{int((time.time() % 1) * 1e6):06d}"
-        suffix = "" if attempt == 0 else f"-{attempt}"
-        run_dir = os.path.join(base, f"run-{stamp}{suffix}-{config.command}")
-        with contextlib.suppress(FileExistsError):
-            os.makedirs(run_dir, exist_ok=False)
-            break
-    else:
-        raise OSError(f"could not create a fresh run directory under {base!r}")
-    manifest = json.dumps(config.to_manifest(), sort_keys=True, indent=2) + "\n"
-    for name, chunks in {**files, "manifest.json": [manifest]}.items():
-        with open(os.path.join(run_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+    run_dir = None
+    try:
+        for attempt in range(100):
+            stamp = time.strftime("%Y%m%d-%H%M%S") + f"-{int((time.time() % 1) * 1e6):06d}"
+            suffix = "" if attempt == 0 else f"-{attempt}"
+            path = os.path.join(base, f"run-{stamp}{suffix}-{config.command}")
+            with contextlib.suppress(FileExistsError):
+                os.makedirs(path, exist_ok=False)
+                run_dir = path
+                break
+        else:
+            raise OSError("every fresh name is taken")
+        manifest = json.dumps(config.to_manifest(), sort_keys=True, indent=2) + "\n"
+        for name, chunks in {**files, "manifest.json": [manifest]}.items():
+            with open(os.path.join(run_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+    except BaseException as exc:
+        if run_dir is not None:
+            shutil.rmtree(run_dir, ignore_errors=True)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write run directory under {base!r}: {exc}") from exc
+        raise
     return run_dir
 
 

@@ -16,16 +16,16 @@ block of one sample.
 LinearSolver solves the implicit system and U_0's mass system by a real FFT
 over the axes no coefficient varies along, then sparse LU of the per-mode
 blocks or BiCGStab, by the rule its docstring states.  It reads the
-invariant axes and the blocks' entries from the coefficients each operator
-stores over the axes they span (StencilOperator.compact), so the
-mass - dt * drift of a split solve is never copied onto the whole lattice.
-The step forms its right-hand side in the same Fourier modes, over no axis
-when the system does not split: the mass term by the mass's per-mode
-stencil, whose entries come from its G coefficients over the split axes
-alone, applied to the transform of U_n, and the noise terms by their
-operators' compact coefficients on the sites, both by the shifted sum of
-femspde.assembly.  So a CSR matrix (StencilOperator.matrix) is built only
-for BiCGStab.
+split axes and the blocks' entries from the coefficients each operator
+stores over the axes they vary along (StencilOperator.compact, whose shape
+states which axes are invariant), so the mass - dt * drift of a split
+solve is never copied onto the whole lattice.  The step forms its
+right-hand side in the same Fourier modes, over no axis when the system
+does not split: the mass term by the mass's per-mode entries, which come
+from its G coefficients over the split axes alone, applied to the
+transform of U_n, and the noise terms by their operators' compact
+coefficients on the sites, both by the shifted sum of femspde.assembly.  So
+a CSR matrix (StencilOperator.matrix) is built only for BiCGStab.
 
 Noise increments come from a counter-based generator: the uint64 stream of
 Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
@@ -53,8 +53,7 @@ import scipy.sparse.linalg
 from numpy.fft import irfftn, rfftn
 from numpy.random import Philox
 
-from .assembly import (AssembledProblem, Lam, StencilOperator, _columns, mollify_data,
-                       shifted_sum)
+from .assembly import AssembledProblem, Lam, StencilOperator, _csr, mollify_data, shifted_sum
 from .lattice import GridFunction, TorusLattice, norms_0h
 
 
@@ -193,10 +192,11 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Sparse LU of blocks of up to this many sites, BiCGStab above.  A block holds the
-# sites along the axes some coefficient varies along, n^(varying axes) of them.  On a
-# 20^3 tensor(3) system that varies along every axis (2-vCPU x86 host) sparse LU costs
-# 1.4 s and 6.8e6 fill entries per factorization, while preconditioned BiCGStab takes
-# 159 iterations, about 0.2 s, for a whole 40-step run.
+# sites along the axes some coefficient varies along, the product of the span the
+# operator stores (StencilOperator.compact).  On a 20^3 tensor(3) system that varies
+# along every axis (2-vCPU x86 host) sparse LU costs 1.4 s and 6.8e6 fill entries per
+# factorization, while preconditioned BiCGStab takes 159 iterations, about 0.2 s, for
+# a whole 40-step run.
 DIRECT_SITE_LIMIT = 4096
 
 # mass - dt * drift counts as singular when its entries cancel to this fraction of
@@ -215,29 +215,30 @@ class LinearSolver:
     """Solves with one operator by a Fourier split, factored only where the
     factorization pays.
 
-    An axis along which every coefficient is bit-for-bit constant is
-    invariant: the stencil commutes with shifts along it, so a real FFT over
-    the invariant axes turns the system into one independent periodic block
-    per Fourier mode on the other, varying axes (Hockney, J. ACM 12, 1965;
-    Swarztrauber, SIAM Rev. 19, 1977).  Every solve here is such a split,
-    _split_solve: the FFT, each mode's solve and the inverse FFT.
-    _mode_blocks forms the blocks; they are factored together, as one
-    block-diagonal matrix, by sparse LU (SuperLU with a minimum-degree
-    ordering on A^T + A and O(N) panel workspace).  With no invariant axis
-    the split is over no axis and the one block is the whole lattice, op's
-    own real entries in op.matrix's pattern.  With every axis invariant (the
-    mass, or mass - dt * drift when no coefficient depends on x) each block
-    is one site, its mode's symbol, and the mode's solve is a division by it.
-    The invariant axes and the blocks' entries come from op.compact, whose
-    invariant axes hold one entry, so along them the entries are op's own
-    coefficients.  solve also takes a right-hand side already transformed
-    over the split's axes, as step_implicit_em forms it.  So a direct solve
-    never builds op.matrix, and no step builds any operator's: the steps use
-    the factors of the mode blocks (or the symbol), the operators' compact
-    coefficients, the mass's per-mode stencil (one entry per mode of the
-    split axes and shift along the others) and f_h's transform, which the
-    AssembledProblem keeps.  The BiCGStab branch is the only reader of
-    op.matrix: its matvec repeats, and CSR applies 2-3x faster than views.
+    An axis along which every coefficient is == its first is invariant, and
+    op.compact stores it with one entry (StencilOperator): the stencil
+    commutes with shifts along it, so a real FFT over the invariant axes
+    turns the system into one independent periodic block per Fourier mode on
+    the other, varying axes (Hockney, J. ACM 12, 1965; Swarztrauber, SIAM
+    Rev. 19, 1977).  Every solve here is such a split, _split_solve: the FFT,
+    each mode's solve and the inverse FFT.  _mode_blocks forms the blocks;
+    they are factored together, as one block-diagonal matrix, by sparse LU
+    (SuperLU with a minimum-degree ordering on A^T + A and O(N) panel
+    workspace).  With no invariant axis the split is over no axis and the one
+    block is the whole lattice, op's own real entries in op.matrix's pattern.
+    With every axis invariant (the mass, or mass - dt * drift when no
+    coefficient depends on x) each block is one site, its mode's symbol, and
+    the mode's solve is a division by it.  The split axes are the axes
+    op.compact stores once, a block's sites the product of its other sizes,
+    and along the split axes the blocks' entries are op's own coefficients.
+    solve also takes a right-hand side already transformed over the split's
+    axes, as step_implicit_em forms it.  So a direct solve never builds
+    op.matrix, and no step builds any operator's: the steps use the factors
+    of the mode blocks (or the symbol), the operators' compact coefficients,
+    the mass's per-mode entries (one per mode of the split axes and shift
+    along the others) and f_h's transform, which the AssembledProblem keeps.
+    The BiCGStab branch is the only reader of op.matrix: its matvec repeats,
+    and CSR applies 2-3x faster than views.
 
     The direct path is taken when the factorization is reused or the lattice
     is 1-D, and a block has at most DIRECT_SITE_LIMIT sites.  Otherwise the
@@ -274,9 +275,9 @@ class LinearSolver:
 
     def __init__(self, op: StencilOperator, reused: bool = True):
         self.lattice = lattice = op.lattice
-        axes = _invariant_axes(op) if reused or lattice.d == 1 else None
-        self.direct = axes is not None and lattice.n ** (lattice.d - len(axes)) <= DIRECT_SITE_LIMIT
-        self._axes = axes if self.direct else ()
+        span = op.compact.shape[:-1]
+        self.direct = (reused or lattice.d == 1) and math.prod(span) <= DIRECT_SITE_LIMIT
+        self._axes = tuple(k for k, size in enumerate(span) if size == 1) if self.direct else ()
         every = tuple(range(lattice.d))
         if not self.direct or self._axes == every:  # op's x-average, or op itself
             self._factor = symbol = _mode_symbols(op, every)[0][..., 0]
@@ -379,12 +380,6 @@ def _split_solve(modes: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...
     return irfftn(modes, s=[shape[k] for k in axes], axes=tuple(k + 1 for k in axes))
 
 
-def _invariant_axes(op: StencilOperator) -> tuple[int, ...]:
-    """The lattice axes along which op's coefficients are bit-for-bit constant."""
-    coef = op.compact
-    return tuple(k for k in range(op.lattice.d) if (coef == coef.take([0], axis=k)).all())
-
-
 def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarray, list[Lam]]:
     """The entries of op's per-mode blocks after a real FFT over `axes`.
 
@@ -393,22 +388,21 @@ def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarra
     K[x, g, -lam_axes mod n] = the sum over its lam of the mean over `axes`
     of coef(lam, x), so rfftn over `axes` gives the entry of mode m's block in
     row x, column x + shift_g: the sum of coef(lam, x) exp(2 pi i m.lam / n).
-    The mean takes the coefficient itself along every axis op is invariant
-    along and averages over the sites only along the axes op varies along, so
-    the entries of an operator that does not vary along `axes` are exact.
+    The mean takes the coefficient itself along every axis op.compact stores
+    once and averages over the sites only along the axes it stores at size n,
+    so the entries of an operator that does not vary along `axes` are exact.
     Over every axis there is one group, the zero shift, and its entries are
     the symbol of op's x-average; over no axis each offset is its own group
     and the entries are op's coefficients, real and untransformed.  Returns
     the entries, (*mode shape, groups) with the modes on `axes` and the sites
-    on the other axes (one site along an axis op is invariant along, so the
+    on the other axes (one site along an axis op.compact stores once, so the
     mass's entries span the modes on `axes` alone), and the shifts.
     """
     lattice = op.lattice
     n, d = lattice.n, lattice.d
     lams = np.asarray(op.offsets)
-    invariant = _invariant_axes(op)
-    coef = op.compact[tuple(slice(0, 1) if k in invariant else slice(None) for k in range(d))]
-    averaged = [k for k in axes if k not in invariant]
+    coef = op.compact
+    averaged = [k for k in axes if coef.shape[k] > 1]
     means = np.moveaxis(coef, averaged, range(len(averaged)))
     means = means.reshape(n ** len(averaged), *means.shape[len(averaged):]).mean(axis=0)
     means = means.reshape(*(coef.shape[k] for k in range(d) if k not in axes), len(lams))
@@ -416,7 +410,7 @@ def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarra
     shifts = list(dict.fromkeys(off))
     group = np.array([shifts.index(s) for s in off])
     varying = [k for k in range(d) if k not in axes]
-    # the varying axes first, each of size 1 where op is invariant, then `axes`
+    # the other axes first, each of size 1 where op.compact stores it once, then `axes`
     kernel = np.zeros((*means.shape[:-1], *(n,) * len(axes), len(shifts)))
     np.add.at(kernel, (..., *(-lams[:, list(axes)] % n).T, group), means)
     kernel = np.moveaxis(kernel, range(len(varying)), varying)
@@ -427,39 +421,9 @@ def _mode_blocks(op: StencilOperator, axes: tuple[int, ...]) -> scipy.sparse.csc
     """Every mode's block of op after a real FFT over `axes`, as one CSC
     matrix in the C order of the (*mode shape) spectrum, complex unless
     `axes` is empty; row x holds the columns of x + shift_g, periodic on the
-    spectrum's grid, by the stencils' own column rule."""
+    spectrum's grid, by the stencils' own CSR rule (assembly._csr)."""
     entries, shifts = _mode_symbols(op, axes)
-    shape = entries.shape[:-1]
-    total = math.prod(shape)
-    indices, indptr = _columns(shape, shifts)
-    return scipy.sparse.csr_matrix((entries.reshape(-1), indices, indptr),
-                                   shape=(total, total)).tocsc()
-
-
-class _ModeStencil:
-    """A constant operator, such as the mass, after a real FFT over `axes`:
-    the transform of op U at mode m and site x of the other axes is
-    sum_g K[m, g] V(m, x + shift_g), V the transform of U, with the entries
-    K of _mode_symbols.  This is exact, op commuting with every shift, and K
-    spans the modes on `axes` alone.  It is the shifted sum of the shifts
-    (assembly.ShiftedSum): wrap transforms U and wraps V, apply sums the
-    products on its views.  Over no axis the shifts are op's offsets and it
-    is op's site stencil, whose products are op.matrix's bit for bit, and the
-    wrapped block serves every stencil with op's footprint."""
-
-    def __init__(self, op: StencilOperator, axes: tuple[int, ...]):
-        entries, shifts = _mode_symbols(op, axes)
-        self.axes = axes
-        self.shifts = shifted_sum(op.lattice.n, tuple(shifts))
-        self._entries = [np.ascontiguousarray(entries[..., g]) for g in range(len(shifts))]
-
-    def wrap(self, block: np.ndarray) -> np.ndarray:
-        """The transform over `axes` of a (samples, *shape) block of U, wrapped."""
-        return self.shifts.wrap(_forward(block, self.axes))
-
-    def apply(self, wrapped: np.ndarray) -> np.ndarray:
-        """The transform over `axes` of op U from wrap's block."""
-        return self.shifts(self._entries, wrapped)
+    return _csr(entries, shifts).tocsc()
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -528,13 +492,16 @@ def step_implicit_em(
 
     The right-hand side is formed in Fourier modes over the axes
     LinearSolver splits the system over, none when it does not split, and
-    solved as transformed: the mass term is the mass's per-mode stencil
-    (_ModeStencil, kept by `assembled`) applied to the transform of U_n, f_h
-    enters by its transform, which `assembled` keeps under its rule (rebuilt
-    at every step when f references t), and the noise terms are formed on
-    the sites from their compact coefficients, summed and transformed once.
+    solved as transformed: the mass term is the mass's per-mode entries
+    (_mode_symbols over the split axes), which `assembled` keeps in one memo
+    entry with their shifted sum (assembly.ShiftedSum), applied by that sum
+    to the transform of U_n as StencilOperator.products applies a site
+    stencil; f_h enters by its transform, which `assembled` keeps under its
+    rule (rebuilt at every step when f references t), and the noise terms
+    are formed on the sites from their compact coefficients, summed and
+    transformed once.
     Every product is a shifted sum on views of one wrapped block: over no
-    axis the noise products read the block the mass stencil wrapped, and on
+    axis the noise products read the block the mass term wrapped, and on
     a split lattice U_n is wrapped once for all of them.  So a noise-free
     step with a kept f on a split lattice does one forward and one inverse
     FFT, and no step builds a CSR matrix outside BiCGStab.
@@ -548,15 +515,21 @@ def step_implicit_em(
         implicit_system(assembled, t_next, dt),
         reused=assembled.keeps(asts) or len(u.values) > 1), asts)
     axes = solver._axes
-    mass = assembled.memo(("mass modes", axes), lambda: _ModeStencil(assembled.mass, axes))
+
+    def mass_modes():
+        entries, shifts = _mode_symbols(assembled.mass, axes)
+        return (shifted_sum(assembled.lattice.n, tuple(shifts)),
+                [np.ascontiguousarray(entries[..., g]) for g in range(len(shifts))])
+
+    shifts, entries = assembled.memo(("mass modes", axes), mass_modes)
     f = problem.f
     # an overflow leaves a non-finite entry, which the solve reports
     with np.errstate(over="ignore", invalid="ignore"):
         # over no axis the mass's wrapped block is U_n's, which every noise
         # operator (the mass's footprint, so its shifts) reads; on a split
         # lattice it is the transform's, and the first noise term wraps U_n
-        shifts, wrapped = mass.shifts, mass.wrap(u.values)
-        modes = mass.apply(wrapped)
+        wrapped = shifts.wrap(_forward(u.values, axes))
+        modes = shifts(entries, wrapped)
         if axes:
             shifts = wrapped = None
         if f is not None:
@@ -591,7 +564,7 @@ def integrate(
     without noise terms) or a list holding one NoisePath per Monte Carlo
     sample.  The samples advance together as one GridFunction: every step
     applies each explicit operator to the block once (from its compact
-    coefficients, the mass by its per-mode stencil, so never by a CSR
+    coefficients, the mass by its per-mode entries, so never by a CSR
     matrix) and solves one system shared by all samples
     (one per step when the drift depends on t; otherwise one per lattice
     and dt, which `assembled` keeps for later calls, as it keeps U_0, the

@@ -846,7 +846,7 @@ class TestCompactCoefficients:
 
         for op in ops:
             full = StencilOperator(lattice, op.offsets, np.array(full_coef(op)))
-            assert full.compact.shape == (*lattice.shape, len(op.offsets))
+            assert full.compact.shape == op.compact.shape
             assert np.array_equal(full_coef(op), full_coef(full))
             assert np.array_equal(op.apply(u).values, full.apply(u).values)
             assert np.array_equal(dense(op), dense(full))
@@ -854,11 +854,53 @@ class TestCompactCoefficients:
                 got, want = solved(op, reused), solved(full, reused)
                 assert type(got) is type(want) and np.array_equal(got, want)
 
-    def test_coefficient_shape_is_checked(self):
+    @pytest.mark.parametrize("preset, n, text, span", [
+        ("hat1d", 16, 'a.1.1 = "1"\nb.1 = "0.5"\nc = "-0.2"', (1,)),
+        ("tensor(2)", 8, 'd = 2\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\nc = "-0.2"', (8, 1)),
+        ("tensor(3)", 6, 'd = 3\na.1.1 = "1 + 0.25*cos(x1)"\na.2.2 = "1"\n'
+         'a.3.3 = "1 + 0.1*sin(x3)"\nc = "-0.2"', (6, 1, 6)),
+        ("triangle2d", 8, 'd = 2\na.1.1 = "1"\na.2.2 = "1 + 0.25*cos(x2)"\nb.1 = "0.3"\n'
+         'c = "-0.2"', (1, 8)),
+    ])
+    def test_constant_axis_is_stored_once(self, preset, n, text, span, rng):
+        # coefficients given on every site store each axis they are constant
+        # along once, and act as the operator built from the compact array
+        element = build_element(preset)
+        lattice = build_torus(element.d, 2 * np.pi / n, n)
+        ap = AssembledProblem(element, compute_reference_tensors(element),
+                              parse_problem_text(text), lattice)
+        drift = ap.drift(0.0)
+        assert drift.compact.shape == (*span, len(drift.offsets))
+        u = GridFunction(lattice, rng.normal(size=(3, *lattice.shape)))
+        rhs = u.values.reshape(3, -1)
+        for op in (ap.mass, drift, implicit_system(ap, 0.0, 0.01)):
+            full = StencilOperator(lattice, op.offsets, np.array(full_coef(op)))
+            compact = StencilOperator(lattice, op.offsets, np.moveaxis(op.compact, -1, 0))
+            assert full.compact.shape == compact.compact.shape == op.compact.shape
+            assert np.array_equal(full.compact, compact.compact)
+            assert np.array_equal(full.apply(u).values, compact.apply(u).values)
+            assert np.array_equal(dense(full), dense(compact))
+            for reused in (True, False):
+                got = LinearSolver(full, reused=reused).solve(rhs)
+                assert np.array_equal(got, LinearSolver(compact, reused=reused).solve(rhs))
+
+    def test_storage_rule_reads_every_coefficient(self, rng):
+        # an axis is stored once only when every offset's coefficient is
+        # constant along it
+        lattice = build_torus(2, 2 * np.pi / 8, 8)
+        offsets = ((0, 0), (1, 0), (0, 1))
+        for shape in ((3, 1, 8), (3, 8, 1), (3, 1, 1)):
+            coef = np.broadcast_to(rng.normal(size=shape), (3, 8, 8))
+            assert StencilOperator(lattice, offsets, coef).compact.shape == (*shape[1:], 3)
+        coef = np.array(np.broadcast_to(rng.normal(size=(3, 8, 1)), (3, 8, 8)))
+        coef[2, 5, 3] += 1.0
+        assert StencilOperator(lattice, offsets, coef).compact.shape == (8, 8, 3)
+
+    def test_coefficient_shape_is_checked(self, rng):
         lattice = build_torus(2, 2 * np.pi / 8, 8)
         offsets = ((0, 0), (1, 0), (0, 1))
         for shape in ((3, 1, 8), (3, 8, 1), (3, 1, 1), (3, 8, 8)):
-            compact = StencilOperator(lattice, offsets, np.ones(shape)).compact
+            compact = StencilOperator(lattice, offsets, rng.normal(size=shape)).compact
             assert compact.shape == (*shape[1:], 3)
         for shape in ((3, 2, 8), (3, 8, 4), (2, 8, 8), (4, 1, 1), (3, 8), (3, 1, 1, 1)):
             with pytest.raises(ValueError, match="does not match stencil"):

@@ -879,6 +879,35 @@ class TestRunFiles:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("via", ["option", "environment"])
+    def test_output_root_that_is_a_file_is_an_error(self, tmp_path, capsys, monkeypatch, via):
+        # --out or FEMSPDE_OUT naming a file: one error line, exit 1, no directory
+        target = tmp_path / "taken"
+        target.write_text("", encoding="utf-8")
+        args = ["verify-element", "--preset", "hat1d"]
+        if via == "option":
+            args += ["--out", str(target)]
+        else:
+            monkeypatch.setenv("FEMSPDE_OUT", str(target))
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write run directory") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["taken"]
+
+    def test_unfinished_run_directory_is_removed(self, tmp_path):
+        # a file that fails part way through leaves no run directory behind
+        from femspde.cli import RunConfig, UsageError, _write_run
+
+        def chunks():
+            yield "first\n"
+            raise OSError("device full")
+
+        out = tmp_path / "o"
+        with pytest.raises(UsageError, match="cannot write run directory .*device full"):
+            _write_run(str(out), RunConfig(command="simulate"), {"terminal.csv": chunks()})
+        assert run_dirs(out) == []
+
+
 def opened_in(path: Path) -> list[str]:
     """The innermost function around each call that opens, reads or writes a
     file in the module at path (None at module level)."""
