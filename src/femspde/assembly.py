@@ -19,8 +19,8 @@ every coefficient is needed only at the cell points x_c + h zeta with zeta in
 scattered by lattice shifts, one product per (cell shift, offset) pair that
 the quadrature stores.  The cell points are passed to the evaluator as
 one coordinate array per axis, so each coefficient is computed only along the
-lattice axes it references (a constant once, cos(x1) on n * P values), and one
-that references x1 in slabs of axis-0 cells, so no lattice-wide array of
+lattice axes it references (a constant once, cos(x1) on n * P values), and in
+slabs of axis-0 cells, so no lattice-wide array of
 quadrature values is formed.  The cell-local products and their per-shift
 sums are formed only over the axes that some coefficient spans, and that
 (*span, G) array is the operator's data.  This module does only that lattice
@@ -30,14 +30,8 @@ Each operator keeps its coefficients over the axes they vary along, a
 constant axis stored once (StencilOperator.compact): the mass is its G
 coefficients, and a drift that varies along x1 only is n * G values.  It is
 applied from them by the shifted sum (ShiftedSum): one periodically wrapped
-copy of U, then one product per offset on its views, added in offset order,
-which is the row sum of its CSR matrix bit for bit.  The CSR matrix
-(StencilOperator.matrix), whose rows hold the G coefficients of one site in
-offset order, is built only for BiCGStab (femspde.integrator), where the
-matvec repeats and CSR stays 2-3x faster than views; the solver's per-mode
-blocks are built by the same rule (_csr), their entries from the compact
-coefficients, and the step applies the mass by its per-mode entries,
-another shifted sum.
+copy of U, then one product per offset on its views, added in offset order.
+Sparse matrices are the solver's own (femspde.integrator).
 
 Data fields are mollified by the scaled element: phi_h(x) is the integral of
 phi(x + h z) psi(z) dz, evaluated at the same cell points.
@@ -56,7 +50,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from . import expr
 from .elements import FiniteElement
@@ -72,11 +65,10 @@ class ShiftedSum:
     (samples, *shape) block V, with n entries along each axis a shift moves
     along.  wrap copies V once, extended periodically by the shifts' reach
     along those axes, so each shift is a view of the copy (views); __call__
-    adds entry_g times view g in shift order, which for a stencil's offsets
-    is its CSR row sum, bit for bit.  An entry broadcasts against the block,
-    one value along any axis it does not vary along.  shifted_sum shares one
-    instance per (n, shifts), so a block wrapped for one stencil serves every
-    stencil with the same shifts.
+    adds entry_g times view g in shift order.  An entry broadcasts against
+    the block, one value along any axis it does not vary along.  shifted_sum
+    shares one instance per (n, shifts), so a block wrapped for one stencil
+    serves every stencil with the same shifts.
     """
 
     __slots__ = ("wraps", "views")
@@ -120,19 +112,14 @@ class StencilOperator:
     structure, from which LinearSolver takes the axes it splits over.
 
     apply forms op U from compact by the shifted sum (shifts, ShiftedSum):
-    one wrapped copy of U, then one product per offset on its views.  matrix
-    is the operator's CSR matrix in C-order flat site indexing, built on
-    first use and kept; only BiCGStab builds it (LinearSolver), where the
-    matvec repeats and CSR is faster than views.  Row x holds the G entries
-    coef(lam, x), one per offset in offset order, at the columns of the
-    sites x + h lam (_columns).
+    one wrapped copy of U, then one product per offset on its views.
 
     terms holds the (weight, operator) pairs a sum was formed from
     (scaled_add), and is empty for an assembled operator; LinearSolver judges
     a vanishing mode of a sum against them.
     """
 
-    __slots__ = ("lattice", "offsets", "compact", "terms", "_entries", "_matrix")
+    __slots__ = ("lattice", "offsets", "compact", "terms", "_entries")
 
     def __init__(self, lattice: TorusLattice, offsets: tuple[Lam, ...], coef: np.ndarray):
         offsets = tuple(tuple(int(c) for c in lam) for lam in offsets)
@@ -148,15 +135,6 @@ class StencilOperator:
         self.compact.flags.writeable = False
         self._entries = tuple(np.moveaxis(self.compact, -1, 0))  # views, one per offset
         self.terms: tuple[tuple[float, StencilOperator], ...] = ()
-        self._matrix = None
-
-    @property
-    def matrix(self) -> csr_matrix:
-        """The CSR matrix; its data is compact itself when the span is the whole lattice."""
-        if self._matrix is None:
-            shape = (*self.lattice.shape, len(self.offsets))
-            self._matrix = _csr(np.broadcast_to(self.compact, shape), self.offsets)
-        return self._matrix
 
     @property
     def shifts(self) -> ShiftedSum:
@@ -184,34 +162,9 @@ class StencilOperator:
         return out
 
 
-def _columns(shape: tuple[int, ...], offsets: tuple[Lam, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR indices and indptr of a periodic stencil on a grid of `shape`: row x
-    holds the columns of x + lam, one per offset in offset order.  The columns
-    are one (*shape, G) array, the broadcast sum over the axes k of
-    ((i + lam_k) mod n_k) times the stride of axis k."""
-    d, G = len(shape), len(offsets)
-    nnz = math.prod(shape) * G
-    dtype = np.int32 if nnz < 2**31 else np.int64
-    indices = np.zeros((*shape, G), dtype=dtype)
-    for k, (n, lam) in enumerate(zip(shape, np.asarray(offsets).T)):
-        axis = (np.arange(n)[:, None] + lam) % n * math.prod(shape[k + 1:])
-        indices += axis.reshape((1,) * k + (n,) + (1,) * (d - 1 - k) + (G,)).astype(dtype)
-    return indices.reshape(-1), np.arange(0, nnz + 1, G, dtype=dtype)
-
-
-def _csr(entries: np.ndarray, offsets: tuple[Lam, ...]) -> csr_matrix:
-    """The CSR matrix of a periodic stencil with (*shape, G) entries, in C-order
-    flat indexing of `shape`: row x holds entries[x], one per offset in offset
-    order, at the columns of x + lam (_columns).  StencilOperator.matrix and
-    LinearSolver's per-mode blocks are built here."""
-    indices, indptr = _columns(entries.shape[:-1], offsets)
-    total = len(indptr) - 1
-    return csr_matrix((entries.reshape(-1), indices, indptr), shape=(total, total))
-
-
-# Quadrature values that _assemble_cells evaluates and contracts at once: an
-# expression that references x1 runs over slabs of axis-0 cells holding at most
-# this many values.  mollify_data of sin(x1)*cos(x2) on a 256^2 tensor(2) lattice
+# Quadrature values that _assemble_cells evaluates and contracts at once: every
+# expression runs over slabs of axis-0 cells holding at most this many values.
+# mollify_data of sin(x1)*cos(x2) on a 256^2 tensor(2) lattice
 # (25 points per cell, so 10-row slabs; 2-vCPU x86 host, one BLAS thread) peaks at
 # 3.1 MiB of numpy allocations against 16.6 MiB on the whole array.  Its first call
 # in a fresh process takes 9-15 ms against 16-20 ms on the whole array, a repeated
@@ -239,11 +192,12 @@ def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms
     the sites whose overlap tables reach into them, and added into their
     offsets.  Along an axis that no term references every value is equal and
     the gather is the identity, so each entry of the (*span, G) sum holds the
-    additions, in the order, of a full-lattice sum.  An AST that references
-    x1 is evaluated and contracted one slab of axis-0 cells at a time, at most
-    SLAB_VALUES quadrature values, with its subtrees that do not reference x1
-    evaluated once before the first slab (expr.eval_free); the others are
-    contracted once and added to every slab.
+    additions, in the order, of a full-lattice sum.  Every AST is evaluated
+    and contracted one slab of axis-0 cells at a time, at most SLAB_VALUES
+    quadrature values, with its subtrees that do not reference x1 evaluated
+    once before the first slab (expr.eval_free): an AST that does not
+    reference x1 is such a subtree itself, evaluated once (a leaf is read
+    at each slab).
     """
     combined: dict[int, tuple[expr.Ast, np.ndarray]] = {}  # mirrored entries share one AST
     for ast, weights in terms:
@@ -257,21 +211,11 @@ def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms
         for k in range(d)
     )
 
-    def contract(vals, w):
-        cells = vals.shape[:-1]
-        vals = np.broadcast_to(vals, (*cells, n_zeta)).reshape(-1, n_zeta)
-        return (vals @ w).reshape(*cells, n_cols)
-
     referenced = set()
-    # (ast, its x1-free values, W) for an AST that references x1, else (None, None, V @ W)
-    slabbed = []
+    slabbed = []  # (ast, its x1-free values, W)
     for ast, w in combined.values():
-        axes = expr.axes(ast)
-        referenced |= axes
-        if 1 in axes:
-            slabbed.append((ast, expr.eval_free(ast, x, t, 1), w))
-        else:
-            slabbed.append((None, None, contract(expr.eval_many(ast, x, t), w)))
+        referenced |= expr.axes(ast)
+        slabbed.append((ast, expr.eval_free(ast, x, t, 1), w))
     span = tuple(n if k + 1 in referenced else 1 for k in range(d))
     local = np.zeros((*span, n_cols))
     rows = max(1, SLAB_VALUES // (n_zeta * math.prod(span[1:])))
@@ -279,7 +223,10 @@ def _assemble_cells(quad: CellQuadrature, lattice: TorusLattice, t: float, terms
         part = local[start:start + rows]
         x_slab = (x[0][start:start + rows], *x[1:])
         for ast, known, w in slabbed:
-            part += w if ast is None else contract(expr.eval_many(ast, x_slab, t, known), w)
+            vals = expr.eval_many(ast, x_slab, t, known)
+            cells = vals.shape[:-1]
+            vals = np.broadcast_to(vals, (*cells, n_zeta)).reshape(-1, n_zeta)
+            part += (vals @ w).reshape(*cells, n_cols)
     out = np.zeros((*span, width))
     ks, first = np.unique(pairs[:, 0], return_index=True)
     for k, start, stop in zip(ks, first, [*first[1:], n_cols]):

@@ -193,10 +193,14 @@ class RunConfig:
 def _write_run(out: str | None, config: RunConfig, files: dict[str, Iterable[str]]) -> str:
     """Make a fresh run directory under out, write each file's text chunks
     (UTF-8, LF line endings) and manifest.json last; the directory's path.
-    A directory it made but could not finish is removed, and an OSError is a
-    UsageError."""
+    On failure every directory it made is removed, the run directory and the
+    parts of out that it made, deepest first, each unless something else has
+    written into it; an OSError is a UsageError."""
     base = out or os.environ.get(OUTPUT_DIR_ENV) or "runs"
-    run_dir = None
+    run_dir, made, head = None, [], os.path.dirname(os.path.join(base, ""))
+    while head and not os.path.lexists(head):  # the parts of base that makedirs makes
+        made.append(head)
+        head = os.path.dirname(head)
     try:
         for attempt in range(100):
             stamp = time.strftime("%Y%m%d-%H%M%S") + f"-{int((time.time() % 1) * 1e6):06d}"
@@ -215,6 +219,9 @@ def _write_run(out: str | None, config: RunConfig, files: dict[str, Iterable[str
     except BaseException as exc:
         if run_dir is not None:
             shutil.rmtree(run_dir, ignore_errors=True)
+        for path in made:
+            with contextlib.suppress(OSError):  # not empty: something else wrote into it
+                os.rmdir(path)
         if isinstance(exc, OSError):
             raise UsageError(f"cannot write run directory under {base!r}: {exc}") from exc
         raise
@@ -269,8 +276,8 @@ def run_verify_element(config: RunConfig, out: str | None) -> int:
         f"overall {'PASS' if report.passed else 'FAIL'}"
     )
     table = "\n".join(lines) + "\n"
-    sys.stdout.write(table)
     _write_run(out, config, {"verify_report.txt": [table]})
+    sys.stdout.write(table)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 

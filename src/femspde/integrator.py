@@ -24,8 +24,9 @@ right-hand side in the same Fourier modes, over no axis when the system
 does not split: the mass term by the mass's per-mode entries, which come
 from its G coefficients over the split axes alone, applied to the
 transform of U_n, and the noise terms by their operators' compact
-coefficients on the sites, both by the shifted sum of femspde.assembly.  So
-a CSR matrix (StencilOperator.matrix) is built only for BiCGStab.
+coefficients on the sites, both by the shifted sum of femspde.assembly.
+The CSR format is this module's own: _csr builds BiCGStab's matrix and the
+blocks that sparse LU factors, and no other matrix.
 
 Noise increments come from a counter-based generator: the uint64 stream of
 Philox keyed by (seed, rho) is mapped through the inverse normal CDF, one
@@ -53,7 +54,7 @@ import scipy.sparse.linalg
 from numpy.fft import irfftn, rfftn
 from numpy.random import Philox
 
-from .assembly import AssembledProblem, Lam, StencilOperator, _csr, mollify_data, shifted_sum
+from .assembly import AssembledProblem, Lam, StencilOperator, mollify_data, shifted_sum
 from .lattice import GridFunction, TorusLattice, norms_0h
 
 
@@ -225,24 +226,26 @@ class LinearSolver:
     they are factored together, as one block-diagonal matrix, by sparse LU
     (SuperLU with a minimum-degree ordering on A^T + A and O(N) panel
     workspace).  With no invariant axis the split is over no axis and the one
-    block is the whole lattice, op's own real entries in op.matrix's pattern.
+    block is the whole lattice, op's own real entries in the CSR pattern of
+    its stencil (_csr).
     With every axis invariant (the mass, or mass - dt * drift when no
     coefficient depends on x) each block is one site, its mode's symbol, and
     the mode's solve is a division by it.  The split axes are the axes
     op.compact stores once, a block's sites the product of its other sizes,
     and along the split axes the blocks' entries are op's own coefficients.
     solve also takes a right-hand side already transformed over the split's
-    axes, as step_implicit_em forms it.  So a direct solve never builds
-    op.matrix, and no step builds any operator's: the steps use the factors
-    of the mode blocks (or the symbol), the operators' compact coefficients,
-    the mass's per-mode entries (one per mode of the split axes and shift
-    along the others) and f_h's transform, which the AssembledProblem keeps.
-    The BiCGStab branch is the only reader of op.matrix: its matvec repeats,
-    and CSR applies 2-3x faster than views.
+    axes, as step_implicit_em forms it.  So a direct solve builds no CSR
+    matrix but its blocks, and no step builds any operator's: the steps use
+    the factors of the mode blocks (or the symbol), the operators' compact
+    coefficients, the mass's per-mode entries (one per mode of the split
+    axes and shift along the others) and f_h's transform, which the
+    AssembledProblem keeps.  Only the BiCGStab branch builds op's CSR
+    matrix, once per solver, from op.compact broadcast over the lattice: its
+    matvec repeats, and CSR applies 2-3x faster than views.
 
     The direct path is taken when the factorization is reused or the lattice
     is 1-D, and a block has at most DIRECT_SITE_LIMIT sites.  Otherwise the
-    system is solved by BiCGStab on op.matrix to the relative tolerance
+    system is solved by BiCGStab on op's CSR matrix to the relative tolerance
     KRYLOV_TOL, preconditioned by the split over every axis of the x-averaged
     operator, whose coefficients are op's averaged over the sites along the
     axes op varies along (Chan and Ng, SIAM Rev. 38, 1996).
@@ -310,7 +313,7 @@ class LinearSolver:
             # the matvec holds the symbol, not the solver: a cycle through the solver
             # would keep every single-use system alive until the cyclic collector runs
             shape = lattice.shape
-            self._matrix = op.matrix
+            self._matrix = _csr(np.broadcast_to(op.compact, (*shape, len(op.offsets))), op.offsets)
             self._precond = scipy.sparse.linalg.LinearOperator(
                 self._matrix.shape, dtype=float,
                 matvec=lambda v: _split_solve(_forward(v.reshape(1, *shape), every), shape,
@@ -417,11 +420,36 @@ def _mode_symbols(op: StencilOperator, axes: tuple[int, ...]) -> tuple[np.ndarra
     return (rfftn(kernel, axes=axes) if axes else kernel), shifts
 
 
+def _columns(shape: tuple[int, ...], offsets: tuple[Lam, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR indices and indptr of a periodic stencil on a grid of `shape`: row x
+    holds the columns of x + lam, one per offset in offset order.  The columns
+    are one (*shape, G) array, the broadcast sum over the axes k of
+    ((i + lam_k) mod n_k) times the stride of axis k."""
+    d, G = len(shape), len(offsets)
+    nnz = math.prod(shape) * G
+    dtype = np.int32 if nnz < 2**31 else np.int64
+    indices = np.zeros((*shape, G), dtype=dtype)
+    for k, (n, lam) in enumerate(zip(shape, np.asarray(offsets).T)):
+        axis = (np.arange(n)[:, None] + lam) % n * math.prod(shape[k + 1:])
+        indices += axis.reshape((1,) * k + (n,) + (1,) * (d - 1 - k) + (G,)).astype(dtype)
+    return indices.reshape(-1), np.arange(0, nnz + 1, G, dtype=dtype)
+
+
+def _csr(entries: np.ndarray, offsets: tuple[Lam, ...]) -> scipy.sparse.csr_matrix:
+    """The CSR matrix of a periodic stencil with (*shape, G) entries, in C-order
+    flat indexing of `shape`: row x holds entries[x], one per offset in offset
+    order, at the columns of x + lam (_columns).  BiCGStab's matrix and
+    LinearSolver's per-mode blocks are built here."""
+    indices, indptr = _columns(entries.shape[:-1], offsets)
+    total = len(indptr) - 1
+    return scipy.sparse.csr_matrix((entries.reshape(-1), indices, indptr), shape=(total, total))
+
+
 def _mode_blocks(op: StencilOperator, axes: tuple[int, ...]) -> scipy.sparse.csc_matrix:
     """Every mode's block of op after a real FFT over `axes`, as one CSC
     matrix in the C order of the (*mode shape) spectrum, complex unless
     `axes` is empty; row x holds the columns of x + shift_g, periodic on the
-    spectrum's grid, by the stencils' own CSR rule (assembly._csr)."""
+    spectrum's grid, by the CSR rule of BiCGStab's matrix (_csr)."""
     entries, shifts = _mode_symbols(op, axes)
     return _csr(entries, shifts).tocsc()
 

@@ -12,7 +12,7 @@ from femspde.assembly import (
 )
 from femspde.checks import check_invertibility
 from femspde.elements import build_element, parse_element_text
-from femspde.integrator import LinearSolver, SolverError, _mode_symbols, implicit_system
+from femspde.integrator import LinearSolver, SolverError, _csr, _mode_symbols, implicit_system
 from femspde.lattice import GridFunction, build_torus
 from femspde.polynomials import cell_quadrature
 from femspde.problem import parse_problem_text
@@ -24,6 +24,12 @@ def full_coef(op):
     broadcast view of op.compact."""
     full = np.broadcast_to(op.compact, (*op.lattice.shape, len(op.offsets)))
     return np.moveaxis(full, -1, 0)
+
+
+def csr(op):
+    """op's CSR matrix by the rule of BiCGStab's (integrator._csr): op.compact
+    broadcast over the lattice, one row of G entries per site."""
+    return _csr(np.broadcast_to(op.compact, (*op.lattice.shape, len(op.offsets))), op.offsets)
 
 
 def dense_from_stencil(op):
@@ -43,7 +49,7 @@ def dense_from_stencil(op):
 
 def dense(op):
     """Explicit matrix of a stencil operator in C-order flat site indexing, for
-    small lattices; its columns come from the offsets, not from op.matrix."""
+    small lattices; its columns come from the offsets, not from _csr."""
     lat = op.lattice
     idx = lat.multi_indices()
     rows = np.arange(lat.total_sites)
@@ -525,8 +531,7 @@ class TestMatrix:
         u = GridFunction(lattice, rng.normal(size=(samples, *lattice.shape)))
         for op in ops:
             got = op.apply(u).values
-            assert op._matrix is None
-            want = (op.matrix @ u.values.reshape(samples, -1).T).T.reshape(got.shape)
+            want = (csr(op) @ u.values.reshape(samples, -1).T).T.reshape(got.shape)
             assert np.array_equal(got, want)
 
 

@@ -334,8 +334,8 @@ def test_cells_are_intersected_only_in_polynomials(layer):
 
 
 @pytest.mark.parametrize("layer", ["polynomials", "elements", "tensors", "expr", "problem",
-                                   "checks"])
+                                   "checks", "assembly", "lattice", "richardson"])
 def test_element_and_verification_layers_import_no_scipy(layer):
-    # only the assembly, the integrator and the CLI's version record need scipy
+    # only the integrator and the CLI's version record need scipy
     imported = imported_names(importlib.import_module(f"femspde.{layer}"))
     assert not [name for name in imported if name.split(".")[0] == "scipy"]

@@ -881,7 +881,8 @@ class TestRunFiles:
 
     @pytest.mark.parametrize("via", ["option", "environment"])
     def test_output_root_that_is_a_file_is_an_error(self, tmp_path, capsys, monkeypatch, via):
-        # --out or FEMSPDE_OUT naming a file: one error line, exit 1, no directory
+        # --out or FEMSPDE_OUT naming a file: one error line, exit 1, no directory,
+        # and no report on stdout, which verify-element prints once its run is written
         target = tmp_path / "taken"
         target.write_text("", encoding="utf-8")
         args = ["verify-element", "--preset", "hat1d"]
@@ -890,12 +891,14 @@ class TestRunFiles:
         else:
             monkeypatch.setenv("FEMSPDE_OUT", str(target))
         assert main(args) == EXIT_USAGE
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: cannot write run directory") and err.count("\n") == 1
         assert os.listdir(tmp_path) == ["taken"]
 
     def test_unfinished_run_directory_is_removed(self, tmp_path):
-        # a file that fails part way through leaves no run directory behind
+        # a file that fails part way through leaves no run directory behind,
+        # nor the output root that the call made
         from femspde.cli import RunConfig, UsageError, _write_run
 
         def chunks():
@@ -905,7 +908,29 @@ class TestRunFiles:
         out = tmp_path / "o"
         with pytest.raises(UsageError, match="cannot write run directory .*device full"):
             _write_run(str(out), RunConfig(command="simulate"), {"terminal.csv": chunks()})
-        assert run_dirs(out) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["made", "existed", "written"])
+    def test_failed_run_removes_the_root_it_made(self, tmp_path, case):
+        # out = <tmp>/a/b: a failed run removes each directory the call made,
+        # deepest first; a stays when it existed before the call or something
+        # else wrote into it meanwhile
+        from femspde.cli import RunConfig, UsageError, _write_run
+
+        a = tmp_path / "a"
+        if case == "existed":
+            a.mkdir()
+
+        def chunks():
+            if case == "written":
+                (a / "other.txt").write_text("", encoding="utf-8")
+            yield "first\n"
+            raise OSError("device full")
+
+        with pytest.raises(UsageError, match="device full"):
+            _write_run(str(a / "b"), RunConfig(command="simulate"), {"terminal.csv": chunks()})
+        left = sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*"))
+        assert left == {"made": [], "existed": ["a"], "written": ["a", "a/other.txt"]}[case]
 
 
 def opened_in(path: Path) -> list[str]:

@@ -53,7 +53,7 @@ from femspde.tensors import (
     default_quad_degree,
 )
 
-from .test_assembly import ORACLE_PROBLEMS, SPLIT_HAT, full_coef
+from .test_assembly import ORACLE_PROBLEMS, SPLIT_HAT, csr, full_coef
 from .test_cli import SCALED_ELEMENT
 from .test_elements import ELEMENT_TEXT
 from .test_integrator import DET2D, split_system
@@ -449,7 +449,7 @@ class TestArrayGeometryMatchesOracles:
         element = elements[case]
         for n in (4, 6, 16) if element.d < 4 else (4, 6):
             lattice = build_torus(element.d, 1.0, n)
-            for got, want in zip(assembly._columns(lattice.shape, element.gamma),
+            for got, want in zip(integrator._columns(lattice.shape, element.gamma),
                                  pattern_oracle(lattice, element.gamma)):
                 assert_identical(got, want)
 
@@ -542,8 +542,8 @@ def test_assembly_matches_full_lattice_oracle(tensors, case, monkeypatch):
     problems.append(parse_problem_text(ORACLE_PROBLEMS[d]))
 
     def build(lattice, problem):
-        return [assemble_drift(tensors, problem, lattice, 0.3).matrix.data,
-                assemble_noise(tensors, problem, lattice, 0.3, 1).matrix.data,
+        return [csr(assemble_drift(tensors, problem, lattice, 0.3)).data,
+                csr(assemble_noise(tensors, problem, lattice, 0.3, 1)).data,
                 *(mollify_data(field, tensors, lattice, 0.3).values
                   for field in (problem.phi, problem.f, problem.g[1]))]
 

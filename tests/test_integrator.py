@@ -22,7 +22,7 @@ from femspde.integrator import (
 from femspde.lattice import GridFunction, build_torus, norms_0h
 from femspde.problem import parse_problem_text
 from femspde.tensors import compute_reference_tensors
-from tests.test_assembly import dense, dense_from_stencil, full_coef
+from tests.test_assembly import csr, dense, dense_from_stencil, full_coef
 
 L = 2 * np.pi
 
@@ -293,7 +293,7 @@ class TestSolveLinear:
             if solver.direct:
                 want, rtol = np.linalg.solve(dense(op), rhs.values.ravel()), 1e-12
             else:
-                want, rtol = spsolve(op.matrix.copy(), rhs.values.ravel()), 1e-8
+                want, rtol = spsolve(csr(op).copy(), rhs.values.ravel()), 1e-8
             assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
@@ -339,7 +339,7 @@ class TestPreconditioner:
         rhs = rng.normal(size=lattice.total_sites)
         got = solver.solve(rhs[None])[0]
         assert krylov_iters == []
-        assert np.linalg.norm(op.matrix @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        assert np.linalg.norm(csr(op) @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("preset, n", [("tensor(2)", 32), ("tensor(3)", 8)])
     def test_single_use_circulant_system_takes_one_iteration(self, preset, n, krylov_iters, rng):
@@ -358,7 +358,7 @@ class TestPreconditioner:
         rhs = rng.normal(size=lattice.total_sites)
         got = solver.solve(rhs[None])[0]
         assert len(krylov_iters) <= 1
-        assert np.linalg.norm(op.matrix @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        assert np.linalg.norm(csr(op) @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_vanishing_modes_act_as_identity(self):
         # coefficients +1 and -1 on alternate sites: every averaged mode is 0,
@@ -390,10 +390,10 @@ class TestPreconditioner:
         got = LinearSolver(op, reused=False).solve(rhs[None])[0]
         preconditioned = len(krylov_iters)
         assert preconditioned <= 3  # measured: 3
-        scipy.sparse.linalg.bicgstab(op.matrix, rhs, rtol=1e-10, atol=0.0)
+        scipy.sparse.linalg.bicgstab(csr(op), rhs, rtol=1e-10, atol=0.0)
         plain = len(krylov_iters) - preconditioned  # measured: 12
         assert plain >= 4 * preconditioned
-        want = spsolve(op.matrix.copy(), rhs)
+        want = spsolve(csr(op).copy(), rhs)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
@@ -466,7 +466,7 @@ class TestSolverRule:
         lattice = build_torus(d, L / n, n)
         ap = AssembledProblem(element, tensors, problem, lattice)
         got = integrate(ap, None, T=1e-3, steps=1).states[0].values
-        want = spsolve(ap.mass.matrix.tocsc(), ap.phi_h().values.ravel()).reshape(got.shape)
+        want = spsolve(csr(ap.mass).tocsc(), ap.phi_h().values.ravel()).reshape(got.shape)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_single_use_krylov_equals_lu(self):
@@ -512,7 +512,7 @@ class TestSolverRule:
         laplace = StencilOperator(lattice, offsets, np.tile([[1.0], [-2.0], [1.0]], 8))
         stiff = mass.scaled_add(1.0, laplace, -1e13)
         rhs = np.cos(lattice.coords()[:, 0])[None]
-        np.testing.assert_allclose(stiff.matrix @ LinearSolver(stiff).solve(rhs)[0], rhs[0],
+        np.testing.assert_allclose(csr(stiff) @ LinearSolver(stiff).solve(rhs)[0], rhs[0],
                                    rtol=1e-12, atol=1e-12)
         with pytest.raises(SolverError, match="falls to .* against its terms' sum of"):
             LinearSolver(mass.scaled_add(1.0, mass, -1.0))
@@ -647,7 +647,7 @@ NOISY_T = ('d = 2\na.1.1 = "1 + 0.25*cos(x1 - t)"\na.2.2 = "1 + 0.25*cos(x2)"\n'
 
 def csr_product(op, block):
     """op U for a (samples, *shape) block by op's CSR matrix."""
-    return (op.matrix @ block.reshape(len(block), -1).T).T.reshape(block.shape)
+    return (csr(op) @ block.reshape(len(block), -1).T).T.reshape(block.shape)
 
 
 def csr_step(u, ap, t_n, dt, increments):
@@ -688,7 +688,6 @@ class TestSplitStep:
         noises = [NoisePath(sample_seed(41, s), steps, dt) for s in range(samples)]
         states = []
         integrate(ap, noises, steps * dt, steps, observe=lambda k, u: states.append(u))
-        assert ap.mass._matrix is None
         solver = LinearSolver(implicit_system(ap, dt, dt),
                               reused=ap.keeps(ap.drift_asts) or samples > 1)
         assert solver._axes == axes
@@ -708,23 +707,26 @@ class TestSplitStep:
     ], ids=["det2d", "stoch1d", "cli2d-timedep", "noisy-split"])
     def test_step_builds_no_matrix_outside_bicgstab(self, monkeypatch, preset, n, text,
                                                     samples, axes):
-        # no operator builds its CSR matrix, the mass and the noise operators
-        # included, except a system that BiCGStab solves (cli2d_timedep's, one
-        # per step); the steps agree with the CSR step
+        # every CSR matrix is built while a solver is: one per BiCGStab solver
+        # (cli2d_timedep's, one per step), from its system's compact
+        # coefficients, and one per sparse-LU factorization; none for the
+        # mass or the noise operators; the steps agree with the CSR step
         import femspde.integrator as integrator
 
-        matrices, solvers = [], []
-        real_matrix, real_solver = StencilOperator.matrix, integrator.LinearSolver
+        built, solvers = [], []
+        real_csr, real_solver = integrator._csr, integrator.LinearSolver
 
-        def matrix(op):
-            matrices.append(op)
-            return real_matrix.fget(op)
+        def csr_rule(entries, offsets):
+            built.append(entries)
+            return real_csr(entries, offsets)
 
         def solver(op, reused=True):
-            solvers.append((op, real_solver(op, reused)))
-            return solvers[-1][1]
+            before = len(built)
+            out = real_solver(op, reused)
+            solvers.append((op, out, built[before:]))
+            return out
 
-        monkeypatch.setattr(StencilOperator, "matrix", property(matrix))
+        monkeypatch.setattr(integrator, "_csr", csr_rule)
         monkeypatch.setattr(integrator, "LinearSolver", solver)
         ap = assembled_on(preset, n, text)
         steps, dt = 4, 0.5 * ap.lattice.h**2
@@ -733,12 +735,15 @@ class TestSplitStep:
         integrate(ap, noises if ap.problem.has_noise else None, steps * dt, steps,
                   observe=lambda k, u: states.append(u))
         assert all(np.all(np.isfinite(u.values)) for u in states)
-        krylov = [op for op, out in solvers if not out.direct]
         assert solvers[-1][1]._axes == axes
-        assert matrices == krylov
-        assert len(krylov) == (steps if text == CLI2D else 0)
-        assert ap.mass._matrix is None
-        assert all(ap.noise(0.0, rho)._matrix is None for rho in ap.problem.active_rhos())
+        for op, out, entries in solvers:  # a division by the symbol factors no block
+            assert len(entries) == (0 if out._axes == tuple(range(op.lattice.d)) else 1)
+            if not out.direct:
+                assert np.may_share_memory(entries[0], op.compact)
+        assert len(built) == sum(len(entries) for *_, entries in solvers)
+        assert sum(not out.direct for _, out, _ in solvers) == (steps if text == CLI2D else 0)
+        explicit = [ap.mass, *(ap.noise(0.0, rho) for rho in ap.problem.active_rhos())]
+        assert not any(np.may_share_memory(e, op.compact) for e in built for op in explicit)
         monkeypatch.undo()  # csr_step builds matrices
         increments = np.stack([p.increments for p in noises], axis=1)
         for k, (u, got) in enumerate(zip(states, states[1:])):
@@ -770,7 +775,6 @@ class TestSplitStep:
             tracemalloc.stop()
         assert ap._memo["system", dt]._axes == (1,)
         assert peak < 6 * 2**20
-        assert ap.noise(0.0, 1)._matrix is None
 
 
 @pytest.mark.parametrize("preset, n", [("hat1d", 256), ("tensor(2)", 256), ("tensor(3)", 20)])
